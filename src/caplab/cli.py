@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decode as decode_mod
 from .corpus import Dataset, build_vocab, freq_histogram, load_dataset_split, save_dataset_split
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
-from .finetune import FinetuneConfig, FinetuneResult, check_vocab_hash, finetune, sweep
+from .finetune import FinetuneConfig, finetune, sweep
 from .losses import FrozenReference, loss_surface
 from .metrics import evaluate
 from .model import (
@@ -106,6 +105,14 @@ def load_config(path: str | None) -> dict:
     return _deep_merge(DEFAULT_CONFIG, user)
 
 
+def _resolve_config(args) -> tuple[dict, str]:
+    """The experiment config with ``--seed`` applied, and its hash."""
+    config = load_config(args.config)
+    if getattr(args, "seed", None) is not None:
+        config["seed"] = args.seed
+    return config, config_hash(config)
+
+
 def _out_path(raw: str) -> Path:
     root = os.environ.get("CAPLAB_OUT_ROOT")
     path = Path(raw)
@@ -128,25 +135,6 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow({key: row.get(key, "") for key in columns})
 
 
-def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
-    if data_dir is None:
-        raise UsageError("--data is required for this command")
-    base = _out_path(data_dir)
-    if not base.is_dir():
-        raise UsageError(f"dataset directory not found: {base}")
-    fields = dict(config["dataset"])
-    fields.pop("min_count", None)
-    synth = SynthConfig(**fields)
-    splits = {}
-    for split in ("train", "val", "test"):
-        path = base / f"{split}.jsonl"
-        if not path.exists():
-            raise UsageError(f"missing dataset split file: {path}")
-        splits[split] = load_dataset_split(path, split)
-    return DataBundle(train=splits["train"], val=splits["val"], test=splits["test"],
-                      config=synth, seed=config["seed"])
-
-
 def _synth_config(config: dict) -> SynthConfig:
     fields = dict(config["dataset"])
     fields.pop("min_count", None)
@@ -156,6 +144,23 @@ def _synth_config(config: dict) -> SynthConfig:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid dataset config: {exc}") from exc
     return synth
+
+
+def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
+    if data_dir is None:
+        raise UsageError("--data is required for this command")
+    base = _out_path(data_dir)
+    if not base.is_dir():
+        raise UsageError(f"dataset directory not found: {base}")
+    synth = _synth_config(config)
+    splits = {}
+    for split in ("train", "val", "test"):
+        path = base / f"{split}.jsonl"
+        if not path.exists():
+            raise UsageError(f"missing dataset split file: {path}")
+        splits[split] = load_dataset_split(path, split)
+    return DataBundle(train=splits["train"], val=splits["val"], test=splits["test"],
+                      config=synth, seed=config["seed"])
 
 
 def _vocab_for(config: dict, bundle: DataBundle):
@@ -174,23 +179,30 @@ def _stage_seed(seed: int, stage: str) -> int:
 
 def _decode_config(config: dict, args) -> DecodeConfig:
     section = config["decode"]
-    return DecodeConfig(
-        method=getattr(args, "method", None) or section["method"],
-        beam_size=getattr(args, "beam_size", None) or section["beam_size"],
-        nucleus_p=getattr(args, "nucleus_p", None) or section["nucleus_p"],
+
+    def flag_or_config(name):
+        value = getattr(args, name, None)
+        return section[name] if value is None else value
+
+    decode_config = DecodeConfig(
+        method=flag_or_config("method"),
+        beam_size=flag_or_config("beam_size"),
+        nucleus_p=flag_or_config("nucleus_p"),
         max_len=config["model"]["max_len"],
         beta=section["beta"],
         beta_prime=section["beta_prime"],
-        seed=getattr(args, "seed", None) if getattr(args, "seed", None) is not None else config["seed"],
+        seed=config["seed"],
     )
+    try:
+        decode_config.validate()
+    except ValueError as exc:
+        raise UsageError(f"invalid decode config: {exc}") from exc
+    return decode_config
 
 
 def cmd_gen_data(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config, cfg_hash = _resolve_config(args)
     synth = _synth_config(config)
-    cfg_hash = config_hash(config)
     bundle = generate_synthetic_dataset(synth, config["seed"])
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,20 +222,21 @@ def _init_model(config: dict, vocab) -> ModelParams:
                        scale=config["model"]["init_scale"])
 
 
-def _require_checkpoint(path_str: str | None, what: str) -> tuple[ModelParams, dict]:
+def _require_checkpoint(path_str: str | None, what: str, vocab) -> ModelParams:
+    """Load an upstream checkpoint and check it was trained on ``vocab``."""
     if path_str is None:
         raise UsageError(f"--init is required for the {what} stage")
     path = _out_path(path_str)
     if not path.exists():
         raise UsageError(f"missing upstream checkpoint: {path}")
-    return load_checkpoint(path)
+    params, _ = load_checkpoint(path)
+    if params.vocab.hash_hex() != vocab.hash_hex():
+        raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
+    return params
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    cfg_hash = config_hash(config)
+    config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
@@ -238,9 +251,7 @@ def cmd_train(args) -> int:
                                rng, section["batch_size"])
         log_columns = ["epoch", "mean_loss"]
     else:
-        checkpoint, _ = _require_checkpoint(args.init, args.stage)
-        if checkpoint.vocab.hash_hex() != vocab.hash_hex():
-            raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
+        checkpoint = _require_checkpoint(args.init, args.stage, vocab)
         stats = corpus_stats_for(vocab, bundle.train)
         section = config[args.stage]
         rng = stage_rng(seed, f"train:{args.stage}")
@@ -269,22 +280,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    cfg_hash = config_hash(config)
+    config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
-    checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune")
-    if checkpoint.vocab.hash_hex() != vocab.hash_hex():
-        raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
+    checkpoint = _require_checkpoint(args.checkpoint, "finetune", vocab)
     section = config["finetune"]
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = FinetuneConfig(method=args.method, batch_size=section["batch_size"],
                           epochs=section["epochs"], gamma=section["gamma"],
-                          alpha=section["alpha"], decode_variant=args.decode_variant)
+                          alpha=section["alpha"])
 
     if args.sweep:
         stats = corpus_stats_for(vocab, bundle.train)
@@ -322,13 +328,12 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    config = load_config(args.config)
-    cfg_hash = config_hash(config)
+    config, cfg_hash = _resolve_config(args)
     bundle = _load_bundle(args.data, config)
     dataset = bundle.splits().get(args.split)
     if dataset is None:
         raise UsageError(f"unknown split {args.split!r}")
-    params, _ = _require_checkpoint(args.checkpoint, "decode")
+    params = _require_checkpoint(args.checkpoint, "decode", _vocab_for(config, bundle))
     decode_config = _decode_config(config, args)
     frozen = None
     if decode_config.method == "bp":
@@ -355,8 +360,7 @@ def _captions_for(dataset: Dataset, captions_by_id: dict[int, list[str]]) -> lis
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    cfg_hash = config_hash(config)
+    config, cfg_hash = _resolve_config(args)
     bundle = _load_bundle(args.data, config)
     dataset = bundle.splits().get(args.split)
     if dataset is None:
@@ -386,8 +390,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = load_config(args.config)
-    cfg_hash = config_hash(config)
+    config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -420,9 +423,7 @@ def cmd_analyze(args) -> int:
     elif args.what == "sample-freq":
         if args.checkpoint is None:
             raise UsageError("sample-freq needs --checkpoint")
-        params, _ = _require_checkpoint(args.checkpoint, "analyze")
-        if params.vocab.hash_hex() != vocab.hash_hex():
-            raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
+        params = _require_checkpoint(args.checkpoint, "analyze", vocab)
         rng = stage_rng(seed, "analyze:sample-freq")
         train = bundle.train
         sampled = []

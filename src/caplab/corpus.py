@@ -170,6 +170,15 @@ class Dataset:
         return [ref for rec in self.records for ref in rec.references]
 
 
+def mapped_references(vocab: Vocabulary, records: Sequence[ImageRecord]) -> dict[int, list[list[str]]]:
+    """References with out-of-vocabulary words replaced by <unk>, keyed by
+    image id, so rewards and metrics operate in the model's token space."""
+    return {
+        rec.id: [vocab.words(vocab.encode(ref)) for ref in rec.references]
+        for rec in records
+    }
+
+
 def record_to_json(rec: ImageRecord) -> str:
     payload = {
         "id": rec.id,

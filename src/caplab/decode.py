@@ -11,8 +11,8 @@ final pool so the returned hypothesis never scores below it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,10 +67,10 @@ class _PolicyStepper:
         self.beta = beta
         self.eos_id = params.vocab.eos_id
 
-    def start(self, features: np.ndarray, n: int) -> np.ndarray:
+    def start(self, features: np.ndarray) -> np.ndarray:
+        """States after <bos>, one row per feature row."""
         h0 = initial_hidden(self.params, features)
-        h0 = np.repeat(h0, n, axis=0)
-        bos = np.full(n, self.params.vocab.bos_id, dtype=np.int64)
+        bos = np.full(len(h0), self.params.vocab.bos_id, dtype=np.int64)
         return recurrent_step(self.params, h0, bos)
 
     def logprobs(self, state: np.ndarray) -> np.ndarray:
@@ -93,8 +93,8 @@ class _BiasProductStepper:
         self.ref = _PolicyStepper(frozen.params, frozen.beta_prime)
         self.eos_id = params.vocab.eos_id
 
-    def start(self, features, n):
-        return (self.main.start(features, n), self.ref.start(features, n))
+    def start(self, features):
+        return (self.main.start(features), self.ref.start(features))
 
     def logprobs(self, state):
         return bp_log_probs(self.main.logprobs(state[0]), self.ref.logprobs(state[1]))
@@ -112,13 +112,17 @@ def _finish(ids: list[int], logprob: float, vocab) -> Decoded:
     return Decoded(ids=list(emitted), tokens=vocab.words(emitted), logprob=float(logprob))
 
 
-def _greedy(stepper, features: np.ndarray, max_len: int) -> tuple[list[int], float]:
-    state = stepper.start(features, 1)
+def _rollout_one(stepper, features: np.ndarray, max_len: int,
+                 choose: Callable[[np.ndarray], int]) -> tuple[list[int], float]:
+    """Single-image rollout through any stepper; ``choose(lp)`` picks the
+    next token id from the step log-probs.  Returns the ids (the final
+    <eos> included) and their summed log-prob."""
+    state = stepper.start(features)
     ids: list[int] = []
     total = 0.0
     for _ in range(max_len):
         lp = stepper.logprobs(state)[0]
-        token = int(np.argmax(lp))  # first maximum = lowest id on ties
+        token = int(choose(lp))
         total += float(lp[token])
         ids.append(token)
         if token == stepper.eos_id:
@@ -127,12 +131,17 @@ def _greedy(stepper, features: np.ndarray, max_len: int) -> tuple[list[int], flo
     return ids, total
 
 
+def _greedy(stepper, features: np.ndarray, max_len: int) -> tuple[list[int], float]:
+    # np.argmax takes the first maximum: the lowest id on ties
+    return _rollout_one(stepper, features, max_len, np.argmax)
+
+
 def _beam(stepper, features: np.ndarray, max_len: int, beam_size: int) -> tuple[list[int], float]:
     # alive hypotheses are kept sorted lexicographically by token sequence so
     # that a stable sort on scores realizes the (score, sequence) tie rule
     alive_seqs: list[tuple[int, ...]] = [()]
     alive_scores = np.array([0.0])
-    state = stepper.start(features, 1)
+    state = stepper.start(features)
     pool: list[tuple[float, tuple[int, ...]]] = []
 
     for _ in range(max_len):
@@ -171,20 +180,12 @@ def _beam(stepper, features: np.ndarray, max_len: int, beam_size: int) -> tuple[
 
 def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
              rng: np.random.Generator) -> tuple[list[int], float]:
-    state = stepper.start(features, 1)
-    ids: list[int] = []
-    total = 0.0
-    for _ in range(max_len):
-        lp = stepper.logprobs(state)[0]
+    def choose(lp):
         kept, weights = nucleus_set(np.exp(lp), p_threshold)
         draw = np.searchsorted(np.cumsum(weights), rng.random(), side="right")
-        token = int(kept[min(draw, len(kept) - 1)])
-        total += float(lp[token])
-        ids.append(token)
-        if token == stepper.eos_id:
-            break
-        state = stepper.advance(state, np.array([token]))
-    return ids, total
+        return kept[min(draw, len(kept) - 1)]
+
+    return _rollout_one(stepper, features, max_len, choose)
 
 
 def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +209,7 @@ def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
 
 
 def decode_greedy(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
+    config.validate()
     ids, logprob = _greedy(_PolicyStepper(params, config.beta), image.features,
                            _resolve_max_len(params, config))
     return _finish(ids, logprob, params.vocab)
@@ -243,36 +245,51 @@ def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageR
     return _finish(ids, logprob, params.vocab)
 
 
+def rollout_batch(params: ModelParams, feats: np.ndarray, beta: float, max_len: int,
+                  choose: Callable[[np.ndarray], np.ndarray],
+                  ) -> tuple[list[list[int]], list[list[float]], np.ndarray]:
+    """Batched left-to-right rollout of one model over a feature batch.
+
+    ``choose(lp)`` picks every row's next token from the (n, V) step
+    log-probs.  A row stops at its first <eos>; finished rows are fed <eos>
+    until the whole batch is done.  Returns, per row, the emitted ids (<eos>
+    stripped), the log-prob of every step taken (the <eos> step included)
+    and whether the row emitted <eos>.
+    """
+    stepper = _PolicyStepper(params, beta)
+    state = stepper.start(feats)
+    n, eos = len(state), params.vocab.eos_id
+    done = np.zeros(n, dtype=bool)
+    ids: list[list[int]] = [[] for _ in range(n)]
+    logps: list[list[float]] = [[] for _ in range(n)]
+    for _ in range(max_len):
+        lp = stepper.logprobs(state)
+        tokens = choose(lp)
+        step_lp = lp[np.arange(n), tokens]
+        for i in range(n):
+            if done[i]:
+                continue
+            logps[i].append(float(step_lp[i]))
+            if tokens[i] == eos:
+                done[i] = True
+            else:
+                ids[i].append(int(tokens[i]))
+        if done.all():
+            break
+        state = stepper.advance(state, np.where(done, eos, tokens))
+    return ids, logps, done
+
+
 def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
                          max_len: int) -> tuple[list[list[int]], np.ndarray]:
     """Vectorized greedy decoding for a feature batch (used as the reward
     baseline and for fast whole-split decoding).  <eos> is stripped from the
     returned id lists; log-probs include the <eos> step."""
-    feats = np.atleast_2d(feats)
-    n = feats.shape[0]
-    stepper = _PolicyStepper(params, beta)
-    h0 = initial_hidden(params, feats)
-    bos = np.full(n, params.vocab.bos_id, dtype=np.int64)
-    state = recurrent_step(params, h0, bos)
-    done = np.zeros(n, dtype=bool)
-    totals = np.zeros(n)
-    sequences: list[list[int]] = [[] for _ in range(n)]
-    for _ in range(max_len):
-        lp = stepper.logprobs(state)
-        tokens = np.argmax(lp, axis=1)
-        step_lp = lp[np.arange(n), tokens]
-        for i in range(n):
-            if not done[i]:
-                totals[i] += step_lp[i]
-                if tokens[i] == params.vocab.eos_id:
-                    done[i] = True
-                else:
-                    sequences[i].append(int(tokens[i]))
-        if done.all():
-            break
-        tokens = np.where(done, params.vocab.eos_id, tokens)
-        state = stepper.advance(state, tokens)
-    return sequences, totals
+    ids, logps, _ = rollout_batch(params, feats, beta, max_len,
+                                  lambda lp: np.argmax(lp, axis=1))
+    # Python's sum adds in step order, as a running total does; np.sum pairs
+    # terms differently and could change the last bit
+    return ids, np.array([sum(steps, 0.0) for steps in logps])
 
 
 def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
@@ -284,8 +301,7 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
         feats = np.stack([rec.features for rec in dataset.records])
         seqs, totals = greedy_rollout_batch(params, feats, config.beta,
                                             _resolve_max_len(params, config))
-        return [Decoded(ids=seq, tokens=params.vocab.words(seq), logprob=float(total))
-                for seq, total in zip(seqs, totals)]
+        return [_finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
     if config.method == "nucleus":
         if rng is None:
             rng = np.random.default_rng(config.seed)

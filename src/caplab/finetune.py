@@ -12,17 +12,15 @@ smaller reference temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .cider import CiderCorpusStats, cider_d
-from .corpus import Dataset, build_vocab
+from .cider import CiderCorpusStats
+from .corpus import build_vocab
 from .decode import DecodeConfig, decode_dataset
 from .losses import FrozenReference, anti_focal_batch, bp_batch, ce_batch, focal_batch
-from .metrics import rk_retrieval, vocab_stats
-from .model import ModelParams, TrainScope, apply_sgd, stage_rng
-from .rl import reference_pairs
+from .metrics import evaluate
+from .model import ModelParams, TrainScope, stage_rng
+from .rl import mean_loss_log, pair_step, reference_pairs, sgd_epochs
 from .synth import DataBundle
 
 FINETUNE_METHODS = ("sft", "wft", "fl", "afl")
@@ -34,7 +32,6 @@ class FinetuneConfig:
     lr: float = 1e-3
     beta: float = 1.0
     beta_prime: float = 1.0       # wft only
-    decode_variant: str = "plain"  # wft evaluation decoding: plain | bp
     epochs: int = 1
     batch_size: int = 10
     gamma: float = 1.0            # fl / afl
@@ -43,8 +40,6 @@ class FinetuneConfig:
     def validate(self) -> None:
         if self.method not in FINETUNE_METHODS:
             raise ValueError(f"unknown fine-tune method {self.method!r}")
-        if self.decode_variant not in ("plain", "bp"):
-            raise ValueError(f"unknown decode variant {self.decode_variant!r}")
         if self.epochs != 1:
             raise ValueError("fine-tuning is single-epoch by definition")
         if self.batch_size < 1:
@@ -79,29 +74,17 @@ def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
     if config.method == "wft":
         frozen = FrozenReference(checkpoint, config.beta_prime)
     scope = TrainScope.CLASSIFIER_ONLY
+    beta, gamma, alpha = config.beta, config.gamma, config.alpha
+    batch_loss = {
+        "sft": lambda p, feats, caps: ce_batch(p, feats, caps, beta, scope),
+        "wft": lambda p, feats, caps: bp_batch(p, frozen, feats, caps, beta, scope),
+        "fl": lambda p, feats, caps: focal_batch(p, feats, caps, beta, gamma, scope),
+        "afl": lambda p, feats, caps: anti_focal_batch(p, feats, caps, beta, gamma, alpha, scope),
+    }[config.method]
     rng = stage_rng(seed, f"finetune:{config.method}")
-    pairs = reference_pairs(data.train)
-    log = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        total_loss = 0.0
-        for start in range(0, len(pairs), config.batch_size):
-            batch = [pairs[i] for i in order[start : start + config.batch_size]]
-            feats = np.stack([rec.features for rec, _ in batch])
-            captions = [ref for _, ref in batch]
-            if config.method == "sft":
-                out = ce_batch(params, feats, captions, config.beta, scope)
-            elif config.method == "wft":
-                out = bp_batch(params, frozen, feats, captions, config.beta, scope)
-            elif config.method == "fl":
-                out = focal_batch(params, feats, captions, config.beta, config.gamma, scope)
-            else:
-                out = anti_focal_batch(params, feats, captions, config.beta,
-                                       config.gamma, config.alpha, scope)
-            apply_sgd(params, out.grads, config.lr, scope)
-            total_loss += out.loss * len(batch)
-        log.append({"epoch": epoch, "mean_loss": total_loss / len(pairs)})
-    return FinetuneResult(params=params, frozen=frozen, log=log)
+    history = sgd_epochs(params, reference_pairs(data.train), config.epochs, config.lr, rng,
+                         config.batch_size, scope, pair_step(batch_loss))
+    return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log(history))
 
 
 @dataclass
@@ -124,6 +107,8 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     lr_grid = list(lr_grid)
     if not lr_grid:
         raise ValueError("empty learning-rate grid")
+    if decode_variant not in ("plain", "bp"):
+        raise ValueError(f"unknown decode variant {decode_variant!r}")
     uses_beta_prime = method == "wft"
     bp_grid = list(beta_prime_grid) if (uses_beta_prime and beta_prime_grid) else [None]
     if uses_beta_prime and not bp_grid:
@@ -135,37 +120,24 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     results = {}
     for lr in lr_grid:
         for beta_prime in bp_grid:
-            config = FinetuneConfig(
-                method=method, lr=lr, beta=base.beta,
-                beta_prime=beta_prime if beta_prime is not None else base.beta_prime,
-                decode_variant=decode_variant, epochs=base.epochs,
-                batch_size=base.batch_size, gamma=base.gamma, alpha=base.alpha,
-            )
+            config = replace(base, method=method, lr=lr,
+                             beta_prime=beta_prime if beta_prime is not None else base.beta_prime)
             result = finetune(checkpoint, data, config, seed)
             if decode_variant == "bp" and result.frozen is not None:
-                val_config = DecodeConfig(
-                    method="bp", beam_size=decode_config.beam_size,
-                    max_len=decode_config.max_len, beta=decode_config.beta,
-                    bp_base=decode_config.method if decode_config.method in ("greedy", "beam") else "beam",
-                )
+                bp_base = decode_config.method if decode_config.method in ("greedy", "beam") else "beam"
+                val_config = replace(decode_config, method="bp", bp_base=bp_base)
                 decoded = decode_dataset(result.params, data.val, val_config, frozen=result.frozen)
             else:
                 decoded = decode_dataset(result.params, data.val, decode_config)
-            captions = [dec.tokens for dec in decoded]
-            r_at = rk_retrieval(captions, data.val, ks=(1,))
-            unique_1, _, _ = vocab_stats(captions, checkpoint.vocab)
-            vocab = checkpoint.vocab
-            cider_mean = float(np.mean([
-                cider_d(cap, [vocab.words(vocab.encode(ref)) for ref in rec.references], stats)
-                for cap, rec in zip(captions, data.val.records)
-            ]))
+            report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats,
+                              ks=(1,))
             row = {
                 "method": method,
                 "lr": lr,
                 "beta_prime": beta_prime if beta_prime is not None else "",
-                "r_at_1": r_at[1],
-                "unique_1": unique_1,
-                "cider": cider_mean,
+                "r_at_1": report.r_at[1],
+                "unique_1": report.unique_1,
+                "cider": report.cider,
             }
             rows.append(row)
             results[(lr, beta_prime)] = result

@@ -25,7 +25,6 @@ from .model import (
     log_softmax_temp,
     logits_from_hidden,
     scoped_arrays,
-    softmax_temp,
 )
 
 PROB_EPS = 1e-12
@@ -75,29 +74,50 @@ def encode_caption(vocab: Vocabulary, caption: Sequence[str]) -> tuple[list[int]
     return [vocab.bos_id] + ids, ids + [vocab.eos_id]
 
 
+def frame_targets(target_ids: Sequence[Sequence[int]], bos_id: int, eos_id: int):
+    """Teacher-forcing arrays for non-empty target id sequences.
+
+    Row i feeds <bos> + t[:-1] and predicts t; both are padded with <eos> to
+    the longest target.  Returns (inputs, targets, lengths).
+    """
+    b = len(target_ids)
+    t_max = max(len(tgt) for tgt in target_ids)
+    inputs = np.full((b, t_max), eos_id, dtype=np.int64)
+    targets = np.full((b, t_max), eos_id, dtype=np.int64)
+    lengths = np.empty(b, dtype=np.int64)
+    for i, tgt in enumerate(target_ids):
+        inputs[i, : len(tgt)] = [bos_id, *tgt[:-1]]
+        targets[i, : len(tgt)] = tgt
+        lengths[i] = len(tgt)
+    return inputs, targets, lengths
+
+
 def batch_arrays(vocab: Vocabulary, captions: Sequence[Sequence[str]], max_len: int):
     """Pad framed captions to a common length.
 
     Captions longer than max_len - 1 tokens are truncated so the <eos>
     target still fits.  Returns (inputs, targets, lengths).
     """
-    framed = []
-    for cap in captions:
-        inp, tgt = encode_caption(vocab, list(cap)[: max_len - 1])
-        framed.append((inp, tgt))
-    t_max = max(len(inp) for inp, _ in framed)
-    b = len(framed)
-    inputs = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
-    targets = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
-    lengths = np.empty(b, dtype=np.int64)
-    for i, (inp, tgt) in enumerate(framed):
-        inputs[i, : len(inp)] = inp
-        targets[i, : len(tgt)] = tgt
-        lengths[i] = len(inp)
-    return inputs, targets, lengths
+    targets = [encode_caption(vocab, list(cap)[: max_len - 1])[1] for cap in captions]
+    return frame_targets(targets, vocab.bos_id, vocab.eos_id)
 
 
-def _forward_log_probs(params, feats, inputs, lengths, beta):
+def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
+    """coef * (p - onehot(targets)) along the last axis of ``p``.
+
+    This is the gradient of coef * (-log p_target) with respect to the
+    logits of a softmax ``p``; ``coef`` broadcasts against ``targets``.
+    """
+    c = np.asarray(coef, dtype=np.float64)[..., None]
+    d_logits = c * p
+    idx = targets[..., None]
+    np.put_along_axis(d_logits, idx, np.take_along_axis(d_logits, idx, axis=-1) - c, axis=-1)
+    return d_logits
+
+
+def forward_log_probs(params, feats, inputs, lengths, beta):
+    """Teacher-forced forward pass and the temperature-scaled log-softmax of
+    every position's logits."""
     fwd = forward_sequences(params, feats, inputs, lengths)
     logits = logits_from_hidden(params, fwd.h)
     return fwd, log_softmax_temp(logits, beta)
@@ -118,7 +138,7 @@ def _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp) -> Los
     derivative with respect to the gold probability.
     """
     inputs, targets, lengths = batch_arrays(params.vocab, captions, params.dims.max_len)
-    fwd, logp = _forward_log_probs(params, feats, inputs, lengths, beta)
+    fwd, logp = forward_log_probs(params, feats, inputs, lengths, beta)
     lp_eff, active = _gold_stats(logp, targets, fwd.mask)
     p_eff = np.exp(lp_eff)
 
@@ -129,14 +149,7 @@ def _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp) -> Los
     b = len(lengths)
     scale = np.where(active, 1.0, 0.0) / (b * lengths[:, None])
     coef = scale * dldp_bt * beta * p_eff  # (B, T)
-    p = np.exp(logp)
-    d_logits = -coef[..., None] * p
-    np.put_along_axis(
-        d_logits,
-        targets[..., None],
-        np.take_along_axis(d_logits, targets[..., None], axis=-1) + coef[..., None],
-        axis=-1,
-    )
+    d_logits = logit_grad(np.exp(logp), targets, -coef)
     grads = backward_sequences(params, fwd, d_logits, scope)
     return LossOutput(loss=loss, grads=grads, details={"per_item": per_item})
 
@@ -190,13 +203,11 @@ def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0,
              scope=TrainScope.ALL) -> LossOutput:
     check_compatible(params, frozen)
     inputs, targets, lengths = batch_arrays(params.vocab, captions, params.dims.max_len)
-    fwd, logp = _forward_log_probs(params, feats, inputs, lengths, beta)
-    _, logp_ref = _forward_log_probs(frozen.params, feats, inputs, lengths, frozen.beta_prime)
+    fwd, logp = forward_log_probs(params, feats, inputs, lengths, beta)
+    _, logp_ref = forward_log_probs(frozen.params, feats, inputs, lengths, frozen.beta_prime)
 
     logq = bp_log_probs(logp, logp_ref)
-    lq_gold = np.take_along_axis(logq, targets[..., None], axis=-1)[..., 0]
-    active = (lq_gold > LOG_EPS) & (fwd.mask > 0)
-    lq_eff = np.maximum(lq_gold, LOG_EPS)
+    lq_eff, active = _gold_stats(logq, targets, fwd.mask)
     per_item = (-lq_eff * fwd.mask).sum(axis=1) / lengths
     loss = float(per_item.mean())
 
@@ -204,13 +215,8 @@ def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0,
     # where m masks components whose inner log-prob was floored.  The frozen
     # factor contributes no gradient.
     b = len(lengths)
-    q = np.exp(logq)
     p = np.exp(logp)
-    g = q.copy()
-    np.put_along_axis(
-        g, targets[..., None],
-        np.take_along_axis(g, targets[..., None], axis=-1) - 1.0, axis=-1,
-    )
+    g = logit_grad(np.exp(logq), targets, 1.0)
     inner_mask = (logp > LOG_EPS).astype(np.float64)
     gm = g * inner_mask
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .cider import CiderCorpusStats, cider_d
-from .corpus import Dataset, Vocabulary
+from .corpus import Dataset, Vocabulary, mapped_references
 
 
 @dataclass
@@ -186,10 +186,8 @@ def evaluate(captions: Sequence[Sequence[str]], dataset: Dataset, vocab: Vocabul
     if len(captions) != len(dataset.records):
         raise ValueError(
             f"{len(captions)} captions for {len(dataset.records)} images")
-    mapped_refs = [
-        [vocab.words(vocab.encode(ref)) for ref in rec.references]
-        for rec in dataset.records
-    ]
+    refs_by_id = mapped_references(vocab, dataset.records)
+    mapped_refs = [refs_by_id[rec.id] for rec in dataset.records]
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
     rep = repetition_rate(captions, rep_n)
     cider_scores = [

@@ -278,30 +278,28 @@ def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np
     return logits_from_hidden(params, fwd.h[0, len(prefix) - 1])
 
 
+def _shifted_scaled(z: np.ndarray, beta: float) -> np.ndarray:
+    """beta*z minus its maximum along the last axis, after checking inputs."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite logits")
+    a = beta * z
+    return a - a.max(axis=-1, keepdims=True)
+
+
 def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
     """exp(beta*z) / sum exp(beta*z), computed with max subtraction.
 
     beta = 0 gives the uniform distribution.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    a = beta * z
-    a = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(a)
+    e = np.exp(_shifted_scaled(z, beta))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    a = beta * z
-    a = a - a.max(axis=-1, keepdims=True)
+    a = _shifted_scaled(z, beta)
     return a - np.log(np.exp(a).sum(axis=-1, keepdims=True))
 
 
@@ -368,11 +366,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     params = ModelParams(vocab=vocab, dims=dims, **arrays)
     params.check_finite()
     return params, meta
-
-
-def write_bytes_hash(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def config_hash(config: dict) -> str:

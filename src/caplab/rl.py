@@ -10,35 +10,16 @@ applies to all of its samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cider import CiderCorpusStats, build_cider_stats, cider_d
-from .corpus import Dataset, ImageRecord, Vocabulary
-from .decode import greedy_rollout_batch
-from .losses import LossOutput, ce_batch, joint_loss
-from .model import (
-    ModelParams,
-    TrainScope,
-    apply_sgd,
-    backward_sequences,
-    forward_sequences,
-    initial_hidden,
-    log_softmax_temp,
-    logits_from_hidden,
-    recurrent_step,
-)
-
-
-def mapped_references(vocab: Vocabulary, records: Sequence[ImageRecord]) -> dict[int, list[list[str]]]:
-    """References with out-of-vocabulary words replaced by <unk>, keyed by
-    image id, so rewards operate in the same token space as the model."""
-    return {
-        rec.id: [vocab.words(vocab.encode(ref)) for ref in rec.references]
-        for rec in records
-    }
+from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
+from .decode import greedy_rollout_batch, rollout_batch
+from .losses import LossOutput, ce_batch, forward_log_probs, frame_targets, joint_loss, logit_grad
+from .model import ModelParams, TrainScope, apply_sgd, backward_sequences
 
 
 def corpus_stats_for(vocab: Vocabulary, train: Dataset) -> CiderCorpusStats:
@@ -62,39 +43,20 @@ class SampledSeq:
 def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
                      rng: np.random.Generator, max_len: int | None = None) -> list[SampledSeq]:
     """Multinomial rollout for a batch of feature rows; deterministic in rng."""
-    feats = np.atleast_2d(feats)
-    n = feats.shape[0]
     if max_len is None:
         max_len = params.dims.max_len
-    eos = params.vocab.eos_id
-    h = recurrent_step(params, initial_hidden(params, feats),
-                       np.full(n, params.vocab.bos_id, dtype=np.int64))
-    done = np.zeros(n, dtype=bool)
-    tokens: list[list[int]] = [[] for _ in range(n)]
-    logps: list[list[float]] = [[] for _ in range(n)]
-    ended = np.zeros(n, dtype=bool)
-    for _ in range(max_len):
-        lp = log_softmax_temp(logits_from_hidden(params, h), beta)
+
+    def draw(lp):
+        # one uniform per row and step, inverted through the row's CDF
         probs = np.exp(lp)
-        u = rng.random(n)
+        u = rng.random(len(lp))
         draws = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        draws = np.minimum(draws, probs.shape[1] - 1)
-        for i in range(n):
-            if done[i]:
-                continue
-            token = int(draws[i])
-            logps[i].append(float(lp[i, token]))
-            if token == eos:
-                done[i] = True
-                ended[i] = True
-            else:
-                tokens[i].append(token)
-        if done.all():
-            break
-        h = recurrent_step(params, h, np.where(done, eos, draws))
+        return np.minimum(draws, probs.shape[1] - 1)
+
+    ids, logps, ended = rollout_batch(params, feats, beta, max_len, draw)
     return [
-        SampledSeq(tokens=tokens[i], logps=np.array(logps[i]), ended=bool(ended[i]))
-        for i in range(n)
+        SampledSeq(tokens=ids[i], logps=np.array(logps[i]), ended=bool(ended[i]))
+        for i in range(len(ids))
     ]
 
 
@@ -122,7 +84,7 @@ def _default_reward(vocab: Vocabulary, stats: CiderCorpusStats,
         if refs_by_id is not None and image.id in refs_by_id:
             refs = refs_by_id[image.id]
         else:
-            refs = [vocab.words(vocab.encode(ref)) for ref in image.references]
+            refs = mapped_references(vocab, [image])[image.id]
         return cider_d(vocab.words(token_ids), refs, stats)
 
     return reward
@@ -156,27 +118,12 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
     advantages = rewards - np.repeat(baselines, samples_per_image)
 
     total = len(samples)
-    t_max = max(len(s.logps) for s in samples)
-    inputs = np.full((total, t_max), vocab.eos_id, dtype=np.int64)
-    targets = np.full((total, t_max), vocab.eos_id, dtype=np.int64)
-    lengths = np.empty(total, dtype=np.int64)
-    for k, sample in enumerate(samples):
-        tgt = sample.target_ids(vocab)
-        inputs[k, : len(tgt)] = [vocab.bos_id] + tgt[:-1]
-        targets[k, : len(tgt)] = tgt
-        lengths[k] = len(tgt)
-
-    fwd = forward_sequences(params, rep_feats, inputs, lengths)
-    logp = log_softmax_temp(logits_from_hidden(params, fwd.h), beta)
-    p = np.exp(logp)
+    inputs, targets, lengths = frame_targets(
+        [sample.target_ids(vocab) for sample in samples], vocab.bos_id, vocab.eos_id)
+    fwd, logp = forward_log_probs(params, rep_feats, inputs, lengths, beta)
     # d L / d z_t = (advantage * beta / N) * (p - onehot(w_t)) per sampled step
     coef = (advantages / total)[:, None] * fwd.mask * beta
-    d_logits = coef[..., None] * p
-    np.put_along_axis(
-        d_logits, targets[..., None],
-        np.take_along_axis(d_logits, targets[..., None], axis=-1) - coef[..., None],
-        axis=-1,
-    )
+    d_logits = logit_grad(np.exp(logp), targets, coef)
     grads = backward_sequences(params, fwd, d_logits, scope)
     return LossOutput(
         loss=float(-rewards.mean()),
@@ -196,20 +143,11 @@ def sequence_logprob_loss(params: ModelParams, image: ImageRecord, sample: Sampl
     tgt = sample.target_ids(vocab)
     if not tgt:
         raise ValueError("cannot score an empty sample")
-    inputs = np.array([[vocab.bos_id] + tgt[:-1]], dtype=np.int64)
-    targets = np.array([tgt], dtype=np.int64)
-    lengths = np.array([len(tgt)])
-    fwd = forward_sequences(params, image.features[None, :], inputs, lengths)
-    logp = log_softmax_temp(logits_from_hidden(params, fwd.h), beta)
+    inputs, targets, lengths = frame_targets([tgt], vocab.bos_id, vocab.eos_id)
+    fwd, logp = forward_log_probs(params, image.features[None, :], inputs, lengths, beta)
     lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     loss = float(-(lp_gold * fwd.mask).sum())
-    p = np.exp(logp)
-    d_logits = beta * fwd.mask[..., None] * p
-    np.put_along_axis(
-        d_logits, targets[..., None],
-        np.take_along_axis(d_logits, targets[..., None], axis=-1) - beta * fwd.mask[..., None],
-        axis=-1,
-    )
+    d_logits = logit_grad(np.exp(logp), targets, beta * fwd.mask)
     grads = backward_sequences(params, fwd, d_logits, scope)
     return LossOutput(loss=loss, grads=grads)
 
@@ -218,24 +156,56 @@ def reference_pairs(train: Dataset) -> list[tuple[ImageRecord, list[str]]]:
     return [(rec, ref) for rec in train.records for ref in rec.references]
 
 
+def sgd_epochs(params: ModelParams, items: Sequence, epochs: int, lr: float,
+               rng: np.random.Generator, batch_size: int, scope: TrainScope,
+               step: Callable[[ModelParams, list], LossOutput]) -> list[list[tuple[int, float, dict]]]:
+    """Shuffle-batch SGD on ``params`` in place, shared by every trainer.
+
+    Each epoch draws one permutation of ``items`` from ``rng``; each batch
+    of up to ``batch_size`` items goes to ``step(params, batch)`` and its
+    gradients are applied in ``scope``.  Returns, per epoch, every batch's
+    (size, loss, details); gradients are not kept.
+    """
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
+        batches = []
+        for start in range(0, len(items), batch_size):
+            batch = [items[i] for i in order[start : start + batch_size]]
+            out = step(params, batch)
+            apply_sgd(params, out.grads, lr, scope)
+            batches.append((len(batch), out.loss, out.details))
+        history.append(batches)
+    return history
+
+
+def pair_step(batch_loss: Callable[..., LossOutput]) -> Callable[[ModelParams, list], LossOutput]:
+    """Adapt ``batch_loss(params, feats, captions)`` to a step over
+    (image, reference) pairs."""
+    def step(params, batch):
+        feats = np.stack([rec.features for rec, _ in batch])
+        return batch_loss(params, feats, [ref for _, ref in batch])
+
+    return step
+
+
+def mean_loss_log(history: list[list[tuple[int, float, dict]]]) -> list[dict]:
+    """Per-epoch item-weighted mean loss of an ``sgd_epochs`` history."""
+    log = []
+    for epoch, batches in enumerate(history):
+        total = sum(loss * size for size, loss, _ in batches)
+        log.append({"epoch": epoch, "mean_loss": total / sum(size for size, _, _ in batches)})
+    return log
+
+
 def train_ce(params: ModelParams, train: Dataset, epochs: int, lr: float,
              rng: np.random.Generator, batch_size: int = 10, beta: float = 1.0,
              scope: TrainScope = TrainScope.ALL) -> tuple[ModelParams, list[dict]]:
     """Teacher-forced pretraining; returns a trained copy and per-epoch log."""
     params = params.copy()
-    pairs = reference_pairs(train)
-    log = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        total_loss = 0.0
-        for start in range(0, len(pairs), batch_size):
-            batch = [pairs[i] for i in order[start : start + batch_size]]
-            feats = np.stack([rec.features for rec, _ in batch])
-            out = ce_batch(params, feats, [ref for _, ref in batch], beta, scope)
-            apply_sgd(params, out.grads, lr, scope)
-            total_loss += out.loss * len(batch)
-        log.append({"epoch": epoch, "mean_loss": total_loss / len(pairs)})
-    return params, log
+    step = pair_step(lambda p, feats, caps: ce_batch(p, feats, caps, beta, scope))
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, scope, step)
+    return params, mean_loss_log(history)
 
 
 def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
@@ -245,24 +215,19 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
     """Self-critical reward training starting from a pretrained policy."""
     params = params.copy()
     refs_by_id = mapped_references(params.vocab, train.records)
+
+    def step(p, images):
+        return scst_step(p, images, stats, rng, samples_per_image, beta, scope,
+                         refs_by_id=refs_by_id)
+
+    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, scope, step)
     log = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train.records))
-        reward_sum = 0.0
-        greedy_sum = 0.0
-        n_batches = 0
-        for start in range(0, len(order), batch_size):
-            images = [train.records[i] for i in order[start : start + batch_size]]
-            out = scst_step(params, images, stats, rng, samples_per_image, beta,
-                            scope, refs_by_id=refs_by_id)
-            apply_sgd(params, out.grads, lr, scope)
-            reward_sum += out.details["mean_reward"]
-            greedy_sum += out.details["mean_greedy_reward"]
-            n_batches += 1
+    for epoch, batches in enumerate(history):
+        # each batch counts once, whatever its size
         log.append({
             "epoch": epoch,
-            "mean_reward": reward_sum / n_batches,
-            "mean_greedy_reward": greedy_sum / n_batches,
+            "mean_reward": sum(d["mean_reward"] for _, _, d in batches) / len(batches),
+            "mean_greedy_reward": sum(d["mean_greedy_reward"] for _, _, d in batches) / len(batches),
         })
     return params, log
 
@@ -273,18 +238,8 @@ def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, ep
                 scope: TrainScope = TrainScope.ALL) -> tuple[ModelParams, list[dict]]:
     """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
     params = params.copy()
-    refs_by_id = mapped_references(params.vocab, train.records)
-    pairs = reference_pairs(train)
-    ctx = RLContext(stats=stats, rng=rng, samples_per_image=samples_per_image,
-                    beta=beta, scope=scope, refs_by_id=refs_by_id)
-    log = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        total_loss = 0.0
-        for start in range(0, len(pairs), batch_size):
-            batch = [pairs[i] for i in order[start : start + batch_size]]
-            out = joint_loss(params, batch, lam, ctx)
-            apply_sgd(params, out.grads, lr, scope)
-            total_loss += out.loss * len(batch)
-        log.append({"epoch": epoch, "mean_loss": total_loss / len(pairs)})
-    return params, log
+    ctx = RLContext(stats=stats, rng=rng, samples_per_image=samples_per_image, beta=beta,
+                    scope=scope, refs_by_id=mapped_references(params.vocab, train.records))
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, scope,
+                         lambda p, batch: joint_loss(p, batch, lam, ctx))
+    return params, mean_loss_log(history)

@@ -136,6 +136,38 @@ class TestDecodeEval:
         assert code == 2
         assert "--frozen" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--beam-size", "0"], ["--nucleus-p", "0"]],
+                             ids=["beam-size", "nucleus-p"])
+    def test_invalid_decode_flag_is_usage_error(self, workdir, ce_checkpoint, flag, capsys):
+        root, config_path, data_dir = workdir
+        code = main(["decode", "--checkpoint", str(ce_checkpoint),
+                     "--config", str(config_path), "--data", str(data_dir),
+                     "--out", str(root / "bad_flag.jsonl"), *flag])
+        assert code == 2
+        assert "decode config" in capsys.readouterr().err
+
+    def test_checkpoint_from_other_dataset_rejected(self, workdir, ce_checkpoint, tmp_path):
+        _, config_path, _ = workdir
+        other = tmp_path / "other_data"
+        assert main(["gen-data", "--config", str(config_path), "--out", str(other),
+                     "--seed", "99"]) == 0
+        out = tmp_path / "caps.jsonl"
+        assert main(["decode", "--checkpoint", str(ce_checkpoint),
+                     "--config", str(config_path), "--data", str(other),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_dataset_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        bad = json.loads(config_path.read_text())
+        bad["dataset"]["bogus"] = 1
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(bad_path),
+                     "--data", str(data_dir), "--out", str(tmp_path / "caps.jsonl")])
+        assert code == 2
+        assert "dataset config" in capsys.readouterr().err
+
     def test_eval_deterministic_bytes_and_schema(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         caps = root / "caps.jsonl"

@@ -125,8 +125,9 @@ class TestBeam:
 
     def test_invalid_beam_size(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 3)
-        with pytest.raises(ValueError):
-            decode_beam(params, random_image(0), DecodeConfig(method="beam", beam_size=0))
+        for method, decoder in (("beam", decode_beam), ("greedy", decode_greedy)):
+            with pytest.raises(ValueError):
+                decoder(params, random_image(0), DecodeConfig(method=method, beam_size=0))
 
 
 class TestNucleus:
