@@ -222,17 +222,27 @@ def _init_model(config: dict, vocab) -> ModelParams:
                        scale=config["model"]["init_scale"])
 
 
-def _require_checkpoint(path_str: str | None, what: str, vocab) -> ModelParams:
+def _require_checkpoint(path_str: str | None, what: str, vocab) -> tuple[ModelParams, dict]:
     """Load an upstream checkpoint and check it was trained on ``vocab``."""
     if path_str is None:
         raise UsageError(f"--init is required for the {what} stage")
     path = _out_path(path_str)
     if not path.exists():
         raise UsageError(f"missing upstream checkpoint: {path}")
-    params, _ = load_checkpoint(path)
+    try:
+        params, meta = load_checkpoint(path)
+    except ValueError as exc:
+        raise UsageError(f"invalid checkpoint {path}: {exc}") from exc
     if params.vocab.hash_hex() != vocab.hash_hex():
         raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
-    return params
+    return params, meta
+
+
+def _split(bundle: DataBundle, name: str) -> Dataset:
+    dataset = bundle.splits().get(name)
+    if dataset is None:
+        raise UsageError(f"unknown split {name!r}")
+    return dataset
 
 
 def cmd_train(args) -> int:
@@ -251,7 +261,7 @@ def cmd_train(args) -> int:
                                rng, section["batch_size"])
         log_columns = ["epoch", "mean_loss"]
     else:
-        checkpoint = _require_checkpoint(args.init, args.stage, vocab)
+        checkpoint, _ = _require_checkpoint(args.init, args.stage, vocab)
         stats = corpus_stats_for(vocab, bundle.train)
         section = config[args.stage]
         rng = stage_rng(seed, f"train:{args.stage}")
@@ -280,11 +290,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if args.decode_variant == "bp" and args.method != "wft":
+        raise UsageError("--decode-variant bp needs --method wft (a frozen reference)")
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
-    checkpoint = _require_checkpoint(args.checkpoint, "finetune", vocab)
+    checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune", vocab)
     section = config["finetune"]
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,16 +342,15 @@ def cmd_finetune(args) -> int:
 def cmd_decode(args) -> int:
     config, cfg_hash = _resolve_config(args)
     bundle = _load_bundle(args.data, config)
-    dataset = bundle.splits().get(args.split)
-    if dataset is None:
-        raise UsageError(f"unknown split {args.split!r}")
-    params = _require_checkpoint(args.checkpoint, "decode", _vocab_for(config, bundle))
+    dataset = _split(bundle, args.split)
+    vocab = _vocab_for(config, bundle)
+    params, _ = _require_checkpoint(args.checkpoint, "decode", vocab)
     decode_config = _decode_config(config, args)
     frozen = None
     if decode_config.method == "bp":
         if args.frozen is None:
             raise UsageError("--frozen is required for bp decoding")
-        frozen_params, meta = load_checkpoint(_out_path(args.frozen))
+        frozen_params, meta = _require_checkpoint(args.frozen, "decode", vocab)
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
         frozen = FrozenReference(frozen_params, beta_prime)
     rng = np.random.default_rng(decode_config.seed)
@@ -362,9 +373,7 @@ def _captions_for(dataset: Dataset, captions_by_id: dict[int, list[str]]) -> lis
 def cmd_eval(args) -> int:
     config, cfg_hash = _resolve_config(args)
     bundle = _load_bundle(args.data, config)
-    dataset = bundle.splits().get(args.split)
-    if dataset is None:
-        raise UsageError(f"unknown split {args.split!r}")
+    dataset = _split(bundle, args.split)
     captions_path = _out_path(args.captions)
     if not captions_path.exists():
         raise UsageError(f"caption file not found: {captions_path}")
@@ -412,18 +421,18 @@ def cmd_analyze(args) -> int:
     n_bins = config["metrics"]["histogram_bins"]
 
     if args.what == "histogram":
+        dataset = _split(bundle, args.split)
         if args.captions:
-            captions = _captions_for(bundle.splits()[args.split],
-                                     load_captions(_out_path(args.captions)))
+            captions = _captions_for(dataset, load_captions(_out_path(args.captions)))
         elif args.references:
-            captions = bundle.splits()[args.split].all_references()
+            captions = dataset.all_references()
         else:
             raise UsageError("histogram needs --captions FILE or --references")
         hist = freq_histogram(captions, vocab, n_bins)
     elif args.what == "sample-freq":
         if args.checkpoint is None:
             raise UsageError("sample-freq needs --checkpoint")
-        params = _require_checkpoint(args.checkpoint, "analyze", vocab)
+        params, _ = _require_checkpoint(args.checkpoint, "analyze", vocab)
         rng = stage_rng(seed, "analyze:sample-freq")
         train = bundle.train
         sampled = []

@@ -5,9 +5,13 @@ Both headline methods update only the classifier weight and bias for one
 epoch over the training references: "sft" minimizes the plain CE loss, and
 "wft" minimizes the bias-product loss against a frozen copy of the same
 checkpoint.  The reweighting baselines "fl" and "afl" run the same protocol
-with the focal and anti-focal losses.  Sweeps select hyperparameters by
-validation retrieval R@1, ties toward the smaller learning rate and then the
-smaller reference temperature.
+with the focal and anti-focal losses.  Each is softmax regression over
+frozen encoder states: a batch gets one teacher-forced pass, and the loss
+head shared with the sequence losses reads its hidden states through the
+trainable classifier and, for "wft", through the frozen copy's classifier,
+since both models have the same encoder bytes.  Sweeps select
+hyperparameters by validation retrieval R@1, ties toward the smaller
+learning rate and then the smaller reference temperature.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from dataclasses import dataclass, field, replace
 from .cider import CiderCorpusStats
 from .corpus import build_vocab
 from .decode import DecodeConfig, decode_dataset
-from .losses import FrozenReference, anti_focal_batch, bp_batch, ce_batch, focal_batch
+from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, ce_terms, focal_terms,
+                     pointwise_head, teacher_forced)
 from .metrics import evaluate
-from .model import ModelParams, TrainScope, stage_rng
+from .model import (ModelParams, TrainScope, backward_sequences, log_softmax_temp,
+                    logits_from_hidden, stage_rng)
 from .rl import mean_loss_log, pair_step, reference_pairs, sgd_epochs
 from .synth import DataBundle
 
@@ -59,6 +65,30 @@ def check_vocab_hash(checkpoint: ModelParams, data: DataBundle) -> None:
         raise ValueError("checkpoint vocabulary does not match the dataset")
 
 
+def classifier_step(config: FinetuneConfig, frozen: FrozenReference | None = None):
+    """The fine-tune's batch loss ``(params, feats, captions) -> LossOutput``.
+
+    Only the classifier receives gradients.  "wft" needs ``frozen``, whose
+    embedding and encoder must be those of ``params``.
+    """
+    beta, wft = config.beta, config.method == "wft"
+    if not wft:
+        terms = {"sft": lambda: ce_terms, "fl": lambda: focal_terms(config.gamma),
+                 "afl": lambda: anti_focal_terms(config.gamma, config.alpha)}[config.method]()
+
+    def batch_loss(params, feats, captions):
+        fwd, logp, targets = teacher_forced(params, feats, captions, beta)
+        if wft:
+            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
+            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths, beta)
+        else:
+            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, beta, terms)
+        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
+        return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+
+    return batch_loss
+
+
 def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
              seed: int) -> FinetuneResult:
     """One classifier-only epoch over the training references.
@@ -70,20 +100,11 @@ def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
     config.validate()
     check_vocab_hash(checkpoint, data)
     params = checkpoint.copy()
-    frozen = None
-    if config.method == "wft":
-        frozen = FrozenReference(checkpoint, config.beta_prime)
-    scope = TrainScope.CLASSIFIER_ONLY
-    beta, gamma, alpha = config.beta, config.gamma, config.alpha
-    batch_loss = {
-        "sft": lambda p, feats, caps: ce_batch(p, feats, caps, beta, scope),
-        "wft": lambda p, feats, caps: bp_batch(p, frozen, feats, caps, beta, scope),
-        "fl": lambda p, feats, caps: focal_batch(p, feats, caps, beta, gamma, scope),
-        "afl": lambda p, feats, caps: anti_focal_batch(p, feats, caps, beta, gamma, alpha, scope),
-    }[config.method]
+    frozen = FrozenReference(checkpoint, config.beta_prime) if config.method == "wft" else None
     rng = stage_rng(seed, f"finetune:{config.method}")
     history = sgd_epochs(params, reference_pairs(data.train), config.epochs, config.lr, rng,
-                         config.batch_size, scope, pair_step(batch_loss))
+                         config.batch_size, TrainScope.CLASSIFIER_ONLY,
+                         pair_step(classifier_step(config, frozen)))
     return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log(history))
 
 
@@ -109,6 +130,8 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
         raise ValueError("empty learning-rate grid")
     if decode_variant not in ("plain", "bp"):
         raise ValueError(f"unknown decode variant {decode_variant!r}")
+    if decode_variant == "bp" and method != "wft":
+        raise ValueError("bp decoding needs the frozen reference that only wft trains against")
     uses_beta_prime = method == "wft"
     bp_grid = list(beta_prime_grid) if (uses_beta_prime and beta_prime_grid) else [None]
     if uses_beta_prime and not bp_grid:
@@ -123,7 +146,7 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
             config = replace(base, method=method, lr=lr,
                              beta_prime=beta_prime if beta_prime is not None else base.beta_prime)
             result = finetune(checkpoint, data, config, seed)
-            if decode_variant == "bp" and result.frozen is not None:
+            if decode_variant == "bp":
                 bp_base = decode_config.method if decode_config.method in ("greedy", "beam") else "beam"
                 val_config = replace(decode_config, method="bp", bp_base=bp_base)
                 decoded = decode_dataset(result.params, data.val, val_config, frozen=result.frozen)

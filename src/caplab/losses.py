@@ -4,8 +4,9 @@ gradient oracle and the synthetic loss-surface tabulation.
 Every loss is an average over predicted positions (the <eos> prediction
 included) and then over batch items.  Probabilities are floored at
 ``PROB_EPS`` before any log; a floored position contributes a constant to
-the loss and therefore no gradient.  Gradients outside the requested
-training scope are exactly zero.
+the loss and therefore no gradient.  Each objective's *head* maps log-probs
+to per-item losses and logit gradients; the ``*_batch`` functions wrap it in
+one teacher-forced pass and a backward pass through the whole model.
 """
 
 from __future__ import annotations
@@ -74,32 +75,33 @@ def encode_caption(vocab: Vocabulary, caption: Sequence[str]) -> tuple[list[int]
     return [vocab.bos_id] + ids, ids + [vocab.eos_id]
 
 
-def frame_targets(target_ids: Sequence[Sequence[int]], bos_id: int, eos_id: int):
-    """Teacher-forcing arrays for non-empty target id sequences.
+def forward_targets(params, feats, target_ids: Sequence[Sequence[int]], beta):
+    """Teacher-forced pass over non-empty target id sequences.
 
     Row i feeds <bos> + t[:-1] and predicts t; both are padded with <eos> to
-    the longest target.  Returns (inputs, targets, lengths).
+    the longest target.  Returns the pass, the temperature-scaled
+    log-softmax of every position's logits and the padded targets.
     """
+    vocab = params.vocab
     b = len(target_ids)
     t_max = max(len(tgt) for tgt in target_ids)
-    inputs = np.full((b, t_max), eos_id, dtype=np.int64)
-    targets = np.full((b, t_max), eos_id, dtype=np.int64)
+    inputs = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
+    targets = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
     lengths = np.empty(b, dtype=np.int64)
     for i, tgt in enumerate(target_ids):
-        inputs[i, : len(tgt)] = [bos_id, *tgt[:-1]]
+        inputs[i, : len(tgt)] = [vocab.bos_id, *tgt[:-1]]
         targets[i, : len(tgt)] = tgt
         lengths[i] = len(tgt)
-    return inputs, targets, lengths
+    fwd = forward_sequences(params, feats, inputs, lengths)
+    return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), beta), targets
 
 
-def batch_arrays(vocab: Vocabulary, captions: Sequence[Sequence[str]], max_len: int):
-    """Pad framed captions to a common length.
-
-    Captions longer than max_len - 1 tokens are truncated so the <eos>
-    target still fits.  Returns (inputs, targets, lengths).
-    """
-    targets = [encode_caption(vocab, list(cap)[: max_len - 1])[1] for cap in captions]
-    return frame_targets(targets, vocab.bos_id, vocab.eos_id)
+def teacher_forced(params, feats, captions: Sequence[Sequence[str]], beta):
+    """``forward_targets`` over captions, each truncated to max_len - 1 tokens
+    so that its <eos> target still fits."""
+    max_len = params.dims.max_len
+    target_ids = [encode_caption(params.vocab, list(cap)[: max_len - 1])[1] for cap in captions]
+    return forward_targets(params, feats, target_ids, beta)
 
 
 def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
@@ -115,14 +117,6 @@ def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
     return d_logits
 
 
-def forward_log_probs(params, feats, inputs, lengths, beta):
-    """Teacher-forced forward pass and the temperature-scaled log-softmax of
-    every position's logits."""
-    fwd = forward_sequences(params, feats, inputs, lengths)
-    logits = logits_from_hidden(params, fwd.h)
-    return fwd, log_softmax_temp(logits, beta)
-
-
 def _gold_stats(logp, targets, mask):
     """Per-position floored gold log-prob and an active-gradient mask."""
     lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
@@ -131,61 +125,73 @@ def _gold_stats(logp, targets, mask):
     return lp_eff, active
 
 
-def _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp) -> LossOutput:
-    """Shared core for losses of the form sum_t f(p_gold_t).
+# Per-position terms of the pointwise losses: ``terms(p, lp)`` returns the
+# loss and its derivative with respect to the gold probability p = exp(lp).
 
-    ``loss_and_dldp(p, lp)`` returns the per-position loss and its
-    derivative with respect to the gold probability.
-    """
-    inputs, targets, lengths = batch_arrays(params.vocab, captions, params.dims.max_len)
-    fwd, logp = forward_log_probs(params, feats, inputs, lengths, beta)
-    lp_eff, active = _gold_stats(logp, targets, fwd.mask)
-    p_eff = np.exp(lp_eff)
-
-    loss_bt, dldp_bt = loss_and_dldp(p_eff, lp_eff)
-    per_item = (loss_bt * fwd.mask).sum(axis=1) / lengths
-    loss = float(per_item.mean())
-
-    b = len(lengths)
-    scale = np.where(active, 1.0, 0.0) / (b * lengths[:, None])
-    coef = scale * dldp_bt * beta * p_eff  # (B, T)
-    d_logits = logit_grad(np.exp(logp), targets, -coef)
-    grads = backward_sequences(params, fwd, d_logits, scope)
-    return LossOutput(loss=loss, grads=grads, details={"per_item": per_item})
+def ce_terms(p, lp):
+    return -lp, -1.0 / p
 
 
-def ce_batch(params, feats, captions, beta=1.0, scope=TrainScope.ALL) -> LossOutput:
-    def loss_and_dldp(p, lp):
-        return -lp, -1.0 / p
-
-    return _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp)
-
-
-def focal_batch(params, feats, captions, beta=1.0, gamma=1.0, scope=TrainScope.ALL) -> LossOutput:
+def focal_terms(gamma):
+    """CE reweighted by (1 - p)^gamma."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
 
-    def loss_and_dldp(p, lp):
+    def terms(p, lp):
         omp = np.maximum(1.0 - p, 0.0)
         loss = -(omp**gamma) * lp
         omp_safe = np.where(omp > 0, omp, 1.0)
         grad_term = np.where(omp > 0, gamma * omp_safe ** (gamma - 1.0) * lp, 0.0)
         return loss, grad_term - (omp**gamma) / p
 
-    return _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp)
+    return terms
 
 
-def anti_focal_batch(params, feats, captions, beta=1.0, gamma=1.0, alpha=1.0,
-                     scope=TrainScope.ALL) -> LossOutput:
+def anti_focal_terms(gamma, alpha):
+    """CE reweighted by (1 + alpha * p)^gamma."""
     if gamma < 0 or alpha < 0:
         raise ValueError("gamma and alpha must be >= 0")
 
-    def loss_and_dldp(p, lp):
+    def terms(p, lp):
         w = (1.0 + alpha * p) ** gamma
         loss = -w * lp
         return loss, -(gamma * alpha * (1.0 + alpha * p) ** (gamma - 1.0) * lp + w / p)
 
-    return _pointwise_batch(params, feats, captions, beta, scope, loss_and_dldp)
+    return terms
+
+
+def pointwise_head(logp, targets, mask, lengths, beta, terms):
+    """Per-item loss and logit gradient of sum_t f(p_gold_t), from the
+    beta-scaled log-probs ``logp`` and one of the term functions above."""
+    lp_eff, active = _gold_stats(logp, targets, mask)
+    p_eff = np.exp(lp_eff)
+
+    loss_bt, dldp_bt = terms(p_eff, lp_eff)
+    per_item = (loss_bt * mask).sum(axis=1) / lengths
+
+    b = len(lengths)
+    scale = np.where(active, 1.0, 0.0) / (b * lengths[:, None])
+    coef = scale * dldp_bt * beta * p_eff  # (B, T)
+    return per_item, logit_grad(np.exp(logp), targets, -coef)
+
+
+def _pointwise_batch(params, feats, captions, beta, terms) -> LossOutput:
+    fwd, logp, targets = teacher_forced(params, feats, captions, beta)
+    per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, beta, terms)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+    return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+
+
+def ce_batch(params, feats, captions, beta=1.0) -> LossOutput:
+    return _pointwise_batch(params, feats, captions, beta, ce_terms)
+
+
+def focal_batch(params, feats, captions, beta=1.0, gamma=1.0) -> LossOutput:
+    return _pointwise_batch(params, feats, captions, beta, focal_terms(gamma))
+
+
+def anti_focal_batch(params, feats, captions, beta=1.0, gamma=1.0, alpha=1.0) -> LossOutput:
+    return _pointwise_batch(params, feats, captions, beta, anti_focal_terms(gamma, alpha))
 
 
 def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
@@ -199,17 +205,12 @@ def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
 
 
-def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0,
-             scope=TrainScope.ALL) -> LossOutput:
-    check_compatible(params, frozen)
-    inputs, targets, lengths = batch_arrays(params.vocab, captions, params.dims.max_len)
-    fwd, logp = forward_log_probs(params, feats, inputs, lengths, beta)
-    _, logp_ref = forward_log_probs(frozen.params, feats, inputs, lengths, frozen.beta_prime)
-
+def bp_head(logp, logp_ref, targets, mask, lengths, beta):
+    """Per-item bias-product loss and its logit gradient, from the trainable
+    model's and the frozen reference's log-probs at the same positions."""
     logq = bp_log_probs(logp, logp_ref)
-    lq_eff, active = _gold_stats(logq, targets, fwd.mask)
-    per_item = (-lq_eff * fwd.mask).sum(axis=1) / lengths
-    loss = float(per_item.mean())
+    lq_eff, active = _gold_stats(logq, targets, mask)
+    per_item = (-lq_eff * mask).sum(axis=1) / lengths
 
     # d(-log q_gold)/dz = beta * ((q - e) * m - p * sum((q - e) * m)),
     # where m masks components whose inner log-prob was floored.  The frozen
@@ -220,9 +221,18 @@ def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0,
     inner_mask = (logp > LOG_EPS).astype(np.float64)
     gm = g * inner_mask
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
-    d_logits = scale * beta * (gm - p * gm.sum(axis=-1, keepdims=True))
-    grads = backward_sequences(params, fwd, d_logits, scope)
-    return LossOutput(loss=loss, grads=grads, details={"per_item": per_item})
+    return per_item, scale * beta * (gm - p * gm.sum(axis=-1, keepdims=True))
+
+
+def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0) -> LossOutput:
+    """Bias-product loss against a frozen reference with its own encoder."""
+    check_compatible(params, frozen)
+    fwd, logp, targets = teacher_forced(params, feats, captions, beta)
+    h_ref = forward_sequences(frozen.params, feats, fwd.tokens, fwd.lengths).h
+    logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, h_ref), frozen.beta_prime)
+    per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths, beta)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+    return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +240,19 @@ def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0,
 # ---------------------------------------------------------------------------
 
 def ce_loss(params: ModelParams, image: ImageRecord, gt_caption: Sequence[str],
-            beta: float = 1.0, scope: TrainScope = TrainScope.ALL) -> LossOutput:
+            beta: float = 1.0) -> LossOutput:
     """Mean negative log-likelihood of the caption (with <eos>) given the image."""
-    return ce_batch(params, image.features[None, :], [gt_caption], beta, scope)
+    return ce_batch(params, image.features[None, :], [gt_caption], beta)
 
 
-def focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0,
-               scope=TrainScope.ALL) -> LossOutput:
+def focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0) -> LossOutput:
     """CE reweighted per position by (1 - p_gold)^gamma."""
-    return focal_batch(params, image.features[None, :], [gt_caption], beta, gamma, scope)
+    return focal_batch(params, image.features[None, :], [gt_caption], beta, gamma)
 
 
-def anti_focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0, alpha=1.0,
-                    scope=TrainScope.ALL) -> LossOutput:
+def anti_focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0, alpha=1.0) -> LossOutput:
     """CE reweighted per position by (1 + alpha * p_gold)^gamma."""
-    return anti_focal_batch(params, image.features[None, :], [gt_caption], beta, gamma, alpha, scope)
+    return anti_focal_batch(params, image.features[None, :], [gt_caption], beta, gamma, alpha)
 
 
 def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
@@ -262,10 +270,9 @@ def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
     return np.exp(logq)
 
 
-def bp_loss(params, frozen: FrozenReference, image, gt_caption, beta=1.0,
-            scope=TrainScope.ALL) -> LossOutput:
+def bp_loss(params, frozen: FrozenReference, image, gt_caption, beta=1.0) -> LossOutput:
     """Mean negative log bias-product probability of the caption."""
-    return bp_batch(params, frozen, image.features[None, :], [gt_caption], beta, scope)
+    return bp_batch(params, frozen, image.features[None, :], [gt_caption], beta)
 
 
 def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
@@ -289,12 +296,10 @@ def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[
     rl_out = rl.scst_step(
         params, images, rl_context.stats, rl_context.rng,
         samples_per_image=rl_context.samples_per_image,
-        beta=rl_context.beta, scope=rl_context.scope,
-        reward_fn=rl_context.reward_fn,
-        refs_by_id=rl_context.refs_by_id,
+        beta=rl_context.beta, reward_fn=rl_context.reward_fn, refs_by_id=rl_context.refs_by_id,
     )
     feats = np.stack([image.features for image, _ in batch])
-    ce_out = ce_batch(params, feats, [cap for _, cap in batch], rl_context.beta, rl_context.scope)
+    ce_out = ce_batch(params, feats, [cap for _, cap in batch], rl_context.beta)
     grads = {
         name: lam * rl_out.grads[name] + (1.0 - lam) * ce_out.grads[name]
         for name in rl_out.grads

@@ -97,28 +97,30 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
+def array_shapes(dims: ModelDims, n_vocab: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter array, in ``ALL_ARRAYS`` order."""
+    d, f, v = dims.hidden_dim, dims.feature_dim, n_vocab
+    return {
+        "embed": (v, d),
+        "img_w": (f, d), "img_b": (d,),
+        "wz": (d, d), "uz": (d, d), "bz": (d,),
+        "wr": (d, d), "ur": (d, d), "br": (d,),
+        "wn": (d, d), "un": (d, d), "bn": (d,),
+        "cls_w": (d, v), "cls_b": (v,),
+    }
+
+
 def init_params(vocab: Vocabulary, dims: ModelDims, seed: int, scale: float = 0.1) -> ModelParams:
-    """Small random initialization, deterministic in the seed."""
+    """Small random initialization, deterministic in the seed.
+
+    Matrices are drawn in ``ALL_ARRAYS`` order; bias vectors start at zero.
+    """
     if dims.hidden_dim < 1 or dims.feature_dim < 1:
         raise ValueError("hidden_dim and feature_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    d, f, v = dims.hidden_dim, dims.feature_dim, len(vocab)
-
-    def mat(*shape):
-        return rng.normal(0.0, scale, size=shape)
-
-    return ModelParams(
-        vocab=vocab,
-        dims=dims,
-        embed=mat(v, d),
-        img_w=mat(f, d),
-        img_b=np.zeros(d),
-        wz=mat(d, d), uz=mat(d, d), bz=np.zeros(d),
-        wr=mat(d, d), ur=mat(d, d), br=np.zeros(d),
-        wn=mat(d, d), un=mat(d, d), bn=np.zeros(d),
-        cls_w=mat(d, v),
-        cls_b=np.zeros(v),
-    )
+    arrays = {name: rng.normal(0.0, scale, size=shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in array_shapes(dims, len(vocab)).items()}
+    return ModelParams(vocab=vocab, dims=dims, **arrays)
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -363,6 +365,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError("vocabulary hash mismatch in checkpoint")
         dims = ModelDims(**meta["dims"])
         arrays = {name: np.array(data[name], dtype=np.float64) for name in ALL_ARRAYS}
+    for name, shape in array_shapes(dims, len(vocab)).items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape},"
+                             f" expected {shape}")
     params = ModelParams(vocab=vocab, dims=dims, **arrays)
     params.check_finite()
     return params, meta

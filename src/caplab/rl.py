@@ -18,7 +18,7 @@ import numpy as np
 from .cider import CiderCorpusStats, build_cider_stats, cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from .decode import greedy_rollout_batch, rollout_batch
-from .losses import LossOutput, ce_batch, forward_log_probs, frame_targets, joint_loss, logit_grad
+from .losses import LossOutput, ce_batch, forward_targets, joint_loss, logit_grad
 from .model import ModelParams, TrainScope, apply_sgd, backward_sequences
 
 
@@ -73,7 +73,6 @@ class RLContext:
     rng: np.random.Generator
     samples_per_image: int = 5
     beta: float = 1.0
-    scope: TrainScope = TrainScope.ALL
     reward_fn: Callable | None = None
     refs_by_id: dict[int, list[list[str]]] | None = None
 
@@ -92,7 +91,7 @@ def _default_reward(vocab: Vocabulary, stats: CiderCorpusStats,
 
 def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCorpusStats,
               rng: np.random.Generator, samples_per_image: int = 5, beta: float = 1.0,
-              scope: TrainScope = TrainScope.ALL, reward_fn: Callable | None = None,
+              reward_fn: Callable | None = None,
               refs_by_id: dict[int, list[list[str]]] | None = None) -> LossOutput:
     """Gradient estimate for one image batch.
 
@@ -118,13 +117,12 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
     advantages = rewards - np.repeat(baselines, samples_per_image)
 
     total = len(samples)
-    inputs, targets, lengths = frame_targets(
-        [sample.target_ids(vocab) for sample in samples], vocab.bos_id, vocab.eos_id)
-    fwd, logp = forward_log_probs(params, rep_feats, inputs, lengths, beta)
+    fwd, logp, targets = forward_targets(
+        params, rep_feats, [sample.target_ids(vocab) for sample in samples], beta)
     # d L / d z_t = (advantage * beta / N) * (p - onehot(w_t)) per sampled step
     coef = (advantages / total)[:, None] * fwd.mask * beta
     d_logits = logit_grad(np.exp(logp), targets, coef)
-    grads = backward_sequences(params, fwd, d_logits, scope)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
     return LossOutput(
         loss=float(-rewards.mean()),
         grads=grads,
@@ -136,19 +134,17 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
 
 
 def sequence_logprob_loss(params: ModelParams, image: ImageRecord, sample: SampledSeq,
-                          beta: float = 1.0, scope: TrainScope = TrainScope.ALL) -> LossOutput:
+                          beta: float = 1.0) -> LossOutput:
     """Negative log-likelihood of a fixed sampled sequence (the differentiable
     factor of the policy gradient), exposed for the gradient oracle."""
-    vocab = params.vocab
-    tgt = sample.target_ids(vocab)
+    tgt = sample.target_ids(params.vocab)
     if not tgt:
         raise ValueError("cannot score an empty sample")
-    inputs, targets, lengths = frame_targets([tgt], vocab.bos_id, vocab.eos_id)
-    fwd, logp = forward_log_probs(params, image.features[None, :], inputs, lengths, beta)
+    fwd, logp, targets = forward_targets(params, image.features[None, :], [tgt], beta)
     lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     loss = float(-(lp_gold * fwd.mask).sum())
     d_logits = logit_grad(np.exp(logp), targets, beta * fwd.mask)
-    grads = backward_sequences(params, fwd, d_logits, scope)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
     return LossOutput(loss=loss, grads=grads)
 
 
@@ -199,28 +195,27 @@ def mean_loss_log(history: list[list[tuple[int, float, dict]]]) -> list[dict]:
 
 
 def train_ce(params: ModelParams, train: Dataset, epochs: int, lr: float,
-             rng: np.random.Generator, batch_size: int = 10, beta: float = 1.0,
-             scope: TrainScope = TrainScope.ALL) -> tuple[ModelParams, list[dict]]:
+             rng: np.random.Generator, batch_size: int = 10,
+             beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
     """Teacher-forced pretraining; returns a trained copy and per-epoch log."""
     params = params.copy()
-    step = pair_step(lambda p, feats, caps: ce_batch(p, feats, caps, beta, scope))
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, scope, step)
+    step = pair_step(lambda p, feats, caps: ce_batch(p, feats, caps, beta))
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
+                         TrainScope.ALL, step)
     return params, mean_loss_log(history)
 
 
 def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
              lr: float, rng: np.random.Generator, batch_size: int = 10,
-             samples_per_image: int = 5, beta: float = 1.0,
-             scope: TrainScope = TrainScope.ALL) -> tuple[ModelParams, list[dict]]:
+             samples_per_image: int = 5, beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
     """Self-critical reward training starting from a pretrained policy."""
     params = params.copy()
     refs_by_id = mapped_references(params.vocab, train.records)
 
     def step(p, images):
-        return scst_step(p, images, stats, rng, samples_per_image, beta, scope,
-                         refs_by_id=refs_by_id)
+        return scst_step(p, images, stats, rng, samples_per_image, beta, refs_by_id=refs_by_id)
 
-    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, scope, step)
+    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, TrainScope.ALL, step)
     log = []
     for epoch, batches in enumerate(history):
         # each batch counts once, whatever its size
@@ -234,12 +229,11 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
 
 def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
                 lr: float, lam: float, rng: np.random.Generator, batch_size: int = 10,
-                samples_per_image: int = 5, beta: float = 1.0,
-                scope: TrainScope = TrainScope.ALL) -> tuple[ModelParams, list[dict]]:
+                samples_per_image: int = 5, beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
     """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
     params = params.copy()
     ctx = RLContext(stats=stats, rng=rng, samples_per_image=samples_per_image, beta=beta,
-                    scope=scope, refs_by_id=mapped_references(params.vocab, train.records))
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, scope,
-                         lambda p, batch: joint_loss(p, batch, lam, ctx))
+                    refs_by_id=mapped_references(params.vocab, train.records))
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
+                         TrainScope.ALL, lambda p, batch: joint_loss(p, batch, lam, ctx))
     return params, mean_loss_log(history)

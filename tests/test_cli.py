@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from caplab.cli import main
-from caplab.model import load_checkpoint
+from caplab.corpus import build_vocab
+from caplab.model import init_params, load_checkpoint, save_checkpoint
 
 
 MICRO_CONFIG = {
@@ -157,6 +158,35 @@ class TestDecodeEval:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_frozen_checkpoint_missing_or_from_other_vocab(self, workdir, ce_checkpoint,
+                                                           tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        params, _ = load_checkpoint(ce_checkpoint)
+        alien = init_params(build_vocab([["alien", "words"]], 1), params.dims, 0)
+        save_checkpoint(alien, tmp_path / "alien.npz")
+        for frozen, message in ((tmp_path / "missing.npz", "missing upstream checkpoint"),
+                                (tmp_path / "alien.npz", "vocabulary hash mismatch")):
+            out = tmp_path / "bp.jsonl"
+            code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
+                         "--data", str(data_dir), "--method", "bp", "--frozen", str(frozen),
+                         "--out", str(out)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_checkpoint_with_wrong_array_shape_rejected(self, workdir, ce_checkpoint, tmp_path,
+                                                        capsys):
+        _, config_path, data_dir = workdir
+        params, _ = load_checkpoint(ce_checkpoint)
+        params.cls_b = params.cls_b[:1]
+        save_checkpoint(params, tmp_path / "bad.npz")
+        out = tmp_path / "caps.jsonl"
+        assert main(["decode", "--checkpoint", str(tmp_path / "bad.npz"),
+                     "--config", str(config_path), "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        assert "cls_b" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_dataset_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, capsys):
         _, config_path, data_dir = workdir
         bad = json.loads(config_path.read_text())
@@ -230,6 +260,16 @@ class TestFinetuneCommand:
         assert updated.full_hash() != frozen.full_hash()
         assert "beta_prime" in meta["extra"]
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["fixed-lr", "sweep"])
+    def test_bp_variant_needs_wft(self, workdir, ce_checkpoint, tmp_path, sweep, capsys):
+        _, config_path, data_dir = workdir
+        out = tmp_path / "ft"
+        assert main(["finetune", "--method", "sft", "--config", str(config_path),
+                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out), "--lr", "0.01", "--decode-variant", "bp", *sweep]) == 2
+        assert "wft" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lr_required_without_sweep(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         assert main(["finetune", "--method", "sft", "--config", str(config_path),
@@ -264,6 +304,13 @@ class TestAnalyze:
         bins = [float(line.split(",")[1]) for line in lines[1:-1]]
         tail = float(lines[-1].split(",")[1])
         assert sum(bins) + tail == pytest.approx(1.0, abs=1e-9)
+
+    def test_histogram_unknown_split(self, workdir, capsys):
+        root, config_path, data_dir = workdir
+        assert main(["analyze", "--what", "histogram", "--config", str(config_path),
+                     "--data", str(data_dir), "--references", "--split", "bogus",
+                     "--out", str(root / "bogus_hist.csv")]) == 2
+        assert "unknown split" in capsys.readouterr().err
 
     def test_loss_surface_schema(self, workdir):
         root, config_path, _ = workdir

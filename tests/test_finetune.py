@@ -1,11 +1,16 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from caplab import model
 from caplab.corpus import build_vocab
 from caplab.decode import DecodeConfig
-from caplab.finetune import FinetuneConfig, check_vocab_hash, finetune, sweep
-from caplab.model import ModelDims, init_params
-from caplab.rl import corpus_stats_for, train_ce
+from caplab.finetune import FinetuneConfig, check_vocab_hash, classifier_step, finetune, sweep
+from caplab.losses import FrozenReference, anti_focal_batch, bp_batch, ce_batch, focal_batch
+from caplab.model import CLASSIFIER_ARRAYS, ModelDims, init_params
+from caplab.rl import corpus_stats_for, reference_pairs, train_ce
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,54 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(checkpoint, micro_bundle, FinetuneConfig(method="scst", lr=0.01), seed=1)
 
+    def test_wft_runs_one_forward_pass_per_batch(self, ft_setup, micro_bundle, monkeypatch):
+        _, checkpoint = ft_setup
+        calls = []
+        original = model.forward_sequences
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in [m for name, m in sys.modules.items() if name.startswith("caplab")]:
+            for attr in [a for a, obj in vars(mod).items() if obj is original]:
+                monkeypatch.setattr(mod, attr, counted)
+        config = FinetuneConfig(method="wft", lr=0.01, batch_size=7)
+        finetune(checkpoint, micro_bundle, config, seed=1)
+        assert len(calls) == math.ceil(len(reference_pairs(micro_bundle.train)) / 7)
+
+
+class TestClassifierStep:
+    """The fine-tune step's classifier gradient is the classifier block of
+    the matching sequence loss's full gradient, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["sft", "fl", "afl", "wft"])
+    def test_matches_sequence_loss(self, ft_setup, micro_bundle, method):
+        _, checkpoint = ft_setup
+        pairs = reference_pairs(micro_bundle.train)[:9]
+        feats = np.stack([rec.features for rec, _ in pairs])
+        captions = [ref for _, ref in pairs]
+        beta, gamma, alpha = 1.3, 1.5, 0.7
+        frozen = FrozenReference(checkpoint, 0.6)
+        # mid fine-tune: same encoder as the frozen copy, another classifier
+        params = checkpoint.copy()
+        params.cls_w *= 1.5
+        config = FinetuneConfig(method=method, beta=beta, gamma=gamma, alpha=alpha)
+        full = {
+            "sft": lambda: ce_batch(params, feats, captions, beta),
+            "fl": lambda: focal_batch(params, feats, captions, beta, gamma),
+            "afl": lambda: anti_focal_batch(params, feats, captions, beta, gamma, alpha),
+            "wft": lambda: bp_batch(params, frozen, feats, captions, beta),
+        }[method]()
+        out = classifier_step(config, frozen if method == "wft" else None)(params, feats, captions)
+        assert out.loss == full.loss
+        for name, grad in out.grads.items():
+            if name in CLASSIFIER_ARRAYS:
+                assert np.abs(grad).max() > 0.0
+                np.testing.assert_array_equal(grad, full.grads[name])
+            else:
+                np.testing.assert_array_equal(grad, 0.0)
+
 
 @pytest.fixture(scope="module")
 def sweep_setup(micro_bundle):
@@ -130,6 +183,13 @@ class TestSweep:
         result = sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[0.0, 0.0],
                        seed=0, decode_config=decode_config)
         assert result.best["lr"] == 0.0
+
+    @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
+    def test_bp_decoding_needs_wft(self, sweep_setup, micro_bundle, method):
+        checkpoint, stats, decode_config = sweep_setup
+        with pytest.raises(ValueError, match="wft"):
+            sweep(checkpoint, micro_bundle, stats, method, lr_grid=[0.01], seed=0,
+                  decode_config=decode_config, decode_variant="bp")
 
     def test_empty_grid_rejected(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup

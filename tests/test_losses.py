@@ -13,17 +13,21 @@ from caplab.losses import (
     bp_loss,
     bp_prob,
     ce_loss,
+    ce_terms,
     encode_caption,
     focal_loss,
     grad_check,
     joint_loss,
     loss_surface,
+    pointwise_head,
+    teacher_forced,
 )
 from caplab.model import (
     ALL_ARRAYS,
     CLASSIFIER_ARRAYS,
     ModelDims,
     TrainScope,
+    backward_sequences,
     forward_sequences,
     init_params,
     score_step,
@@ -84,12 +88,17 @@ class TestCrossEntropy:
         assert np.isfinite(out.loss)
 
     def test_classifier_scope_grads_zero_outside(self, tiny_model, tiny_image):
-        out = ce_loss(tiny_model, tiny_image, ["a", "b"], scope=TrainScope.CLASSIFIER_ONLY)
+        feats = tiny_image.features[None, :]
+        fwd, logp, targets = teacher_forced(tiny_model, feats, [["a", "b"]], 1.0)
+        _, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, 1.0, ce_terms)
+        grads = backward_sequences(tiny_model, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
+        full = ce_loss(tiny_model, tiny_image, ["a", "b"]).grads
         for name in ALL_ARRAYS:
             if name in CLASSIFIER_ARRAYS:
-                assert np.abs(out.grads[name]).max() > 0.0
+                assert np.abs(grads[name]).max() > 0.0
+                np.testing.assert_array_equal(grads[name], full[name])
             else:
-                np.testing.assert_array_equal(out.grads[name], 0.0)
+                np.testing.assert_array_equal(grads[name], 0.0)
 
 
 class TestBiasProduct:

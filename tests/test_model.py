@@ -242,3 +242,12 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         again, _ = load_checkpoint(p2)
         assert again.full_hash() == tiny_model.full_hash()
+
+    @pytest.mark.parametrize("name", ["cls_b", "embed", "wz"])
+    def test_wrong_array_shape_rejected(self, tiny_model, tmp_path, name):
+        bad = tiny_model.copy()
+        setattr(bad, name, getattr(bad, name)[:1])  # a broadcastable (1, ...) array
+        path = tmp_path / "bad.npz"
+        save_checkpoint(bad, path)
+        with pytest.raises(ValueError, match=name):
+            load_checkpoint(path)

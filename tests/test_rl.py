@@ -7,7 +7,7 @@ from caplab.cider import build_cider_stats
 from caplab.corpus import ImageRecord, build_vocab
 from caplab.decode import DecodeConfig, decode_greedy
 from caplab.losses import grad_check
-from caplab.model import ALL_ARRAYS, ModelDims, TrainScope, init_params, softmax_temp
+from caplab.model import ALL_ARRAYS, ModelDims, init_params, softmax_temp
 from caplab.rl import (
     corpus_stats_for,
     mapped_references,
@@ -98,14 +98,6 @@ class TestScstStep:
                          tiny_model, eps=1e-5)
         assert err <= 1e-4
 
-    def test_scope_respected(self, tiny_model, setup):
-        images, stats = setup
-        out = scst_step(tiny_model, images, stats, np.random.default_rng(1),
-                        scope=TrainScope.CLASSIFIER_ONLY)
-        for name, grad in out.grads.items():
-            if name not in ("cls_w", "cls_b"):
-                np.testing.assert_array_equal(grad, 0.0)
-
     def test_deterministic_given_rng(self, tiny_model, setup):
         images, stats = setup
         o1 = scst_step(tiny_model, images, stats, np.random.default_rng(5))
@@ -139,16 +131,6 @@ class TestTrainingLoops:
                                 rng=np.random.default_rng(0), batch_size=10)
         assert trained.full_hash() == params.full_hash()
         assert set(log[0]) == {"epoch", "mean_reward", "mean_greedy_reward"}
-
-    def test_train_rl_classifier_scope_preserves_encoder(self, micro_bundle):
-        vocab = build_vocab(micro_bundle.train.all_references(), 1)
-        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
-        params = init_params(vocab, dims, 0)
-        stats = corpus_stats_for(vocab, micro_bundle.train)
-        trained, _ = train_rl(params, micro_bundle.train, stats, epochs=1, lr=0.05,
-                              rng=np.random.default_rng(0),
-                              scope=TrainScope.CLASSIFIER_ONLY)
-        assert trained.encoder_hash() == params.encoder_hash()
 
     def test_train_joint_runs_and_logs(self, micro_bundle):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
