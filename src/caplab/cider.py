@@ -5,6 +5,14 @@ Document frequencies are built once from the training references.  An n-gram
 with no document-frequency entry carries zero weight, so candidate tokens
 unseen in the reference corpus influence the score only through the length
 penalty.
+
+Each reference's tf-idf vectors and norms are memoized on the statistics
+object, keyed by the reference's token tuple, the first time ``cider_d``
+scores against it: an SCST step scores every reference once per rollout,
+and a multi-epoch run or a fine-tune sweep scores the same references at
+every pass.  The cache lives as long as the ``CiderCorpusStats`` object and
+is only correct for the statistics it was filled under, so do not mutate
+the statistics after ``build_cider_stats``; build a new object instead.
 """
 
 from __future__ import annotations
@@ -25,12 +33,14 @@ def ngram_counts(tokens: Sequence[str], n_max: int) -> Counter:
 
 @dataclass
 class CiderCorpusStats:
-    """Per-n-gram document frequency over the reference corpus."""
+    """Per-n-gram document frequency over the reference corpus, plus the
+    memoized tf-idf vectors of every reference scored so far."""
 
     doc_freq: dict = field(default_factory=dict)
     log_num_images: float = 0.0
     n_max: int = 4
     sigma: float = 6.0
+    ref_vectors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
@@ -82,9 +92,14 @@ def cider_d(candidate: Sequence[str], references: Sequence[Sequence[str]],
     if len(candidate) == 0:
         return 0.0
     cand_vecs, cand_norms = _tfidf_vectors(candidate, stats)
+    cache = stats.ref_vectors
     totals = [0.0] * stats.n_max
     for ref in references:
-        ref_vecs, ref_norms = _tfidf_vectors(ref, stats)
+        key = tuple(ref)
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = _tfidf_vectors(ref, stats)
+        ref_vecs, ref_norms = cached
         delta = float(len(candidate) - len(ref))
         penalty = math.exp(-(delta * delta) / (2.0 * stats.sigma**2))
         for slot in range(stats.n_max):

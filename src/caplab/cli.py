@@ -5,7 +5,8 @@ experiment file supplies every stage's settings; individual flags override
 file fields.  All randomness is funneled through one seeded generator per
 stage, derived from the master seed, so every command is reproducible from
 (config, seed).  Each output file gets a ``<name>.meta.json`` sidecar
-carrying the resolved-config hash.
+carrying the resolved-config hash.  Every file is written through
+``corpus.atomic_write``, so a failed run leaves a previous output whole.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 The environment variable CAPLAB_OUT_ROOT, when set, anchors relative output
@@ -24,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, build_vocab, freq_histogram, load_dataset_split, save_dataset_split
+from .corpus import (Dataset, atomic_write, build_vocab, freq_histogram, load_dataset_split,
+                     save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
-from .finetune import FinetuneConfig, finetune, sweep
+from .finetune import FinetuneConfig, finetune, sweep, sweep_grids
 from .losses import FrozenReference, loss_surface
 from .metrics import evaluate
 from .model import (
@@ -123,12 +125,12 @@ def _out_path(raw: str) -> Path:
 
 def _write_sidecar(path: Path, cfg_hash: str, seed: int, stage: str) -> None:
     sidecar = path.with_name(path.name + ".meta.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with atomic_write(sidecar) as fh:
         json.dump({"config_hash": cfg_hash, "seed": seed, "created_by": stage}, fh)
 
 
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
@@ -210,7 +212,7 @@ def cmd_gen_data(args) -> int:
         path = out / f"{split}.jsonl"
         save_dataset_split(dataset, path)
         _write_sidecar(path, cfg_hash, config["seed"], "gen-data")
-    with open(out / "dataset.meta.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "dataset.meta.json") as fh:
         json.dump({"config_hash": cfg_hash, "seed": config["seed"],
                    "dataset": config["dataset"]}, fh, indent=2)
     print(f"wrote {out}/{{train,val,test}}.jsonl")
@@ -294,10 +296,15 @@ def cmd_finetune(args) -> int:
         raise UsageError("--decode-variant bp needs --method wft (a frozen reference)")
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
+    section = config["finetune"]
+    if args.sweep:
+        try:
+            sweep_grids(args.method, section["lr_grid"], section["beta_prime_grid"])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid finetune config: {exc}") from exc
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune", vocab)
-    section = config["finetune"]
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = FinetuneConfig(method=args.method, batch_size=section["batch_size"],
@@ -386,7 +393,7 @@ def cmd_eval(args) -> int:
     out_prefix = _out_path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     table_path = Path(str(out_prefix) + ".txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with atomic_write(table_path) as fh:
         fh.write(report.format_table() + "\n")
     run_id = args.run_id or captions_path.stem
     row = {"run_id": run_id, "config_hash": cfg_hash} | report.as_dict()

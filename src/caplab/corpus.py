@@ -1,5 +1,6 @@
-"""Tokenization, vocabulary construction with frequency statistics, and
-frequency histograms of caption sets.
+"""Tokenization, vocabulary construction with frequency statistics,
+frequency histograms of caption sets, and the atomic file writer every
+output of the package goes through.
 
 The vocabulary orders regular tokens by descending training-corpus frequency
 (ties alphabetical), so the most frequent word has id 0 and frequency rank 1.
@@ -10,9 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import secrets
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +28,30 @@ EOS = "<eos>"
 SPECIALS = (UNK, BOS, EOS)
 
 _NON_WORD = re.compile(r"[^a-z0-9\s]+")
+
+
+@contextmanager
+def atomic_write(path, binary: bool = False, newline: str | None = None):
+    """Open a new temporary file beside ``path`` for writing (UTF-8 text
+    unless ``binary``).
+
+    When the block exits normally the file is flushed to disk and renamed
+    over ``path`` in one step; when it raises, the temporary file is
+    deleted.  Either way ``path`` holds its previous content or the complete
+    new one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": newline}
+    try:
+        with open(tmp, "xb" if binary else "x", **text) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -203,7 +232,7 @@ def record_from_json(line: str) -> ImageRecord:
 
 def save_dataset_split(dataset: Dataset, path) -> None:
     """Write one image record per line (documented JSON schema)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in dataset.records:
             fh.write(record_to_json(rec) + "\n")
 
@@ -241,7 +270,7 @@ class FreqHistogram:
     def write_csv(self, path) -> None:
         """Emit (bin_index, relative_frequency) rows; the excluded-token
         share goes in a final row labelled 'tail'."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("bin_index,relative_frequency\n")
             for i, v in enumerate(self.bins):
                 fh.write(f"{i},{float(v)!r}\n")

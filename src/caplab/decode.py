@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, ImageRecord
+from .corpus import Dataset, ImageRecord, atomic_write
 from .losses import FrozenReference, bp_log_probs, check_compatible
 from .model import (
     ModelParams,
@@ -313,7 +313,7 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
 
 def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:
     """One line per image: id, caption text, total log-prob."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec, dec in zip(dataset.records, decoded):
             fh.write(json.dumps(
                 {"id": rec.id, "caption": dec.text(), "logprob": dec.logprob},

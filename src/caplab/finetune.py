@@ -115,6 +115,24 @@ class SweepResult:
     rows: list[dict]
 
 
+def sweep_grids(method: str, lr_grid, beta_prime_grid=None) -> tuple[list, list]:
+    """The learning-rate and reference-temperature grids a sweep runs.
+
+    The temperature grid is ``[None]`` (the base config's β′) for methods
+    without a reference temperature, and for "wft" when no grid is given.
+    An empty grid raises ValueError.
+    """
+    lr_grid = list(lr_grid)
+    if not lr_grid:
+        raise ValueError("empty learning-rate grid")
+    if method != "wft" or beta_prime_grid is None:
+        return lr_grid, [None]
+    bp_grid = list(beta_prime_grid)
+    if not bp_grid:
+        raise ValueError("empty beta-prime grid")
+    return lr_grid, bp_grid
+
+
 def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
           method: str, lr_grid, beta_prime_grid=None, seed: int = 0,
           decode_config: DecodeConfig | None = None,
@@ -125,17 +143,11 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     temperature.  For methods without a reference temperature the grid is
     learning rates only.
     """
-    lr_grid = list(lr_grid)
-    if not lr_grid:
-        raise ValueError("empty learning-rate grid")
+    lr_grid, bp_grid = sweep_grids(method, lr_grid, beta_prime_grid)
     if decode_variant not in ("plain", "bp"):
         raise ValueError(f"unknown decode variant {decode_variant!r}")
     if decode_variant == "bp" and method != "wft":
         raise ValueError("bp decoding needs the frozen reference that only wft trains against")
-    uses_beta_prime = method == "wft"
-    bp_grid = list(beta_prime_grid) if (uses_beta_prime and beta_prime_grid) else [None]
-    if uses_beta_prime and not bp_grid:
-        raise ValueError("empty beta-prime grid")
     decode_config = decode_config or DecodeConfig()
     base = base_config or FinetuneConfig()
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_write
 
 CHECKPOINT_VERSION = 1
 
@@ -134,12 +134,8 @@ def apply_sgd(params: ModelParams, grads: dict[str, np.ndarray], lr: float, scop
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function through tanh, which saturates instead of overflowing."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass(eq=False)
@@ -220,15 +216,23 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
     gradients; every other entry of the result is exactly zero.
     """
     grads = zero_grads(params)
-    h = fwd.h
-    grads["cls_w"] = np.einsum("btd,btv->dv", h, d_logits)
+    b, t_max, d = fwd.h.shape
+    d_flat = d_logits.reshape(b * t_max, -1)
+    grads["cls_w"] = fwd.h.reshape(b * t_max, d).T @ d_flat
     grads["cls_b"] = d_logits.sum(axis=(0, 1))
     if scope is TrainScope.CLASSIFIER_ONLY:
         return grads
+    _backward_recurrence(params, fwd, (d_flat @ params.cls_w.T).reshape(b, t_max, d), grads)
+    return grads
 
-    dh_from_logits = np.einsum("btv,dv->btd", d_logits, params.cls_w)
-    b, t_max, _ = h.shape
-    dh_next = np.zeros((b, params.dims.hidden_dim))
+
+def _backward_recurrence(params: ModelParams, fwd: SeqForward, dh_from_logits: np.ndarray,
+                         grads: dict[str, np.ndarray]) -> None:
+    """Add the embedding and encoder gradients to ``grads``, given the
+    gradient ``dh_from_logits`` (B, T, d) the classifier sends to each
+    hidden state."""
+    b, t_max, d = fwd.h.shape
+    dh_next = np.zeros((b, d))
     for t in reversed(range(t_max)):
         dh = dh_from_logits[:, t] + dh_next
         zt, rt, nt = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t]
@@ -264,7 +268,6 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
     dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
     grads["img_w"] = fwd.feats.T @ dh0_pre
     grads["img_b"] = dh0_pre.sum(axis=0)
-    return grads
 
 
 def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:
@@ -351,7 +354,7 @@ def save_checkpoint(params: ModelParams, path, config_hash: str = "", extra: dic
     }
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     arrays = {name: np.ascontiguousarray(arr, dtype=np.float64) for name, arr in params.arrays().items()}
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, meta=meta_bytes, **arrays)
 
 

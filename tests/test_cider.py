@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from caplab.cider import build_cider_stats, cider_d, ngram_counts
+from caplab.cider import _tfidf_vectors, build_cider_stats, cider_d, ngram_counts
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +137,35 @@ class TestCorpusStats:
         _, stats = corpus_stats
         with pytest.raises(ValueError):
             cider_d(["a"], [], stats)
+
+
+class TestReferenceCache:
+    REFS = [
+        [["a", "red", "bird", "flies"], ["a", "red", "bird", "sits"], ["red", "bird"]],
+        [["a", "blue", "fish", "swims"], ["a", "fish"]],
+        [["a", "red", "fish"], ["blue", "bird", "sits", "a", "red", "bird"]],
+    ]
+    CANDIDATES = [["a", "red", "bird"], ["blue", "fish", "swims", "a"], ["a", "a", "a"],
+                  ["red", "bird", "sits", "on", "a", "fish"]]
+
+    def test_cached_scores_equal_uncached(self):
+        warm = build_cider_stats(self.REFS)
+        for _ in range(2):  # the second pass reads every reference from the cache
+            for cand in self.CANDIDATES:
+                for refs in self.REFS:
+                    assert cider_d(cand, refs, warm) == cider_d(cand, refs, build_cider_stats(self.REFS))
+
+    def test_cache_filled_lazily_with_reference_vectors(self):
+        stats = build_cider_stats(self.REFS)
+        assert stats.ref_vectors == {}
+        cider_d(self.CANDIDATES[0], self.REFS[0], stats)
+        assert set(stats.ref_vectors) == {tuple(ref) for ref in self.REFS[0]}
+        for key, cached in stats.ref_vectors.items():
+            assert cached == _tfidf_vectors(list(key), stats)
+
+    def test_stats_objects_do_not_share_a_cache(self):
+        first, second = build_cider_stats(self.REFS), build_cider_stats(self.REFS)
+        assert first.ref_vectors is not second.ref_vectors
+        cider_d(self.CANDIDATES[0], self.REFS[0], first)
+        assert first.ref_vectors and second.ref_vectors == {}
+        assert first == second  # the cache takes no part in equality

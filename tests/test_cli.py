@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from caplab import cli
 from caplab.cli import main
-from caplab.corpus import build_vocab
-from caplab.model import init_params, load_checkpoint, save_checkpoint
+from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
+                           save_dataset_split)
+from caplab.decode import Decoded, save_captions
+from caplab.model import ModelDims, init_params, load_checkpoint, save_checkpoint
 
 
 MICRO_CONFIG = {
@@ -270,6 +274,25 @@ class TestFinetuneCommand:
         assert "wft" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,grids", [
+        ("sft", {"lr_grid": []}),
+        ("wft", {"lr_grid": []}),
+        ("wft", {"beta_prime_grid": []}),
+        ("sft", {"lr_grid": 0.01}),
+    ], ids=["sft-lr", "wft-lr", "wft-beta-prime", "sft-lr-not-a-list"])
+    def test_bad_sweep_grid_rejected(self, workdir, ce_checkpoint, tmp_path, method, grids,
+                                       capsys):
+        _, _, data_dir = workdir
+        config = dict(MICRO_CONFIG, finetune={**MICRO_CONFIG["finetune"], **grids})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "ft"
+        assert main(["finetune", "--method", method, "--config", str(config_path),
+                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out), "--sweep"]) == 2
+        assert "invalid finetune config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lr_required_without_sweep(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         assert main(["finetune", "--method", "sft", "--config", str(config_path),
@@ -333,3 +356,67 @@ class TestAnalyze:
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--samples", "2", "--out", str(out)]) == 0
         assert out.exists()
+
+
+def _writers(data_dir, config_path):
+    """name -> (file the writer produces, writer(out_dir, variant)).
+
+    Variants 0 and 1 write different content to the same file."""
+    val = load_dataset_split(data_dir / "val.jsonl", "val")
+    vocab = build_vocab([["a", "b"]], min_count=1)
+
+    def checkpoint(out, variant):
+        save_checkpoint(init_params(vocab, ModelDims(4, 3, 5), seed=variant), out / "m.npz")
+
+    def captions(out, variant):
+        decoded = [Decoded(ids=[], tokens=["a"] * (variant + 1), logprob=-1.0)
+                   for _ in val.records]
+        save_captions(out / "caps.jsonl", val, decoded)
+
+    def gen_data(out, variant):
+        return main(["gen-data", "--config", str(config_path), "--out", str(out),
+              "--seed", str(variant)])
+
+    return {
+        "save_checkpoint": ("m.npz", checkpoint),
+        "write_csv": ("log.csv", lambda out, v: cli._write_csv(out / "log.csv", [{"x": v}], ["x"])),
+        "write_sidecar": ("log.csv.meta.json",
+                          lambda out, v: cli._write_sidecar(out / "log.csv", str(v), v, "test")),
+        "save_captions": ("caps.jsonl", captions),
+        "save_dataset_split": ("val.jsonl", lambda out, v: save_dataset_split(
+            val if v else Dataset("val", val.records[:1]),
+            out / "val.jsonl")),
+        "histogram": ("hist.csv", lambda out, v: freq_histogram(
+            [["a"] * (v + 1), ["b"]], vocab, n_bins=2).write_csv(out / "hist.csv")),
+        "gen_data_meta": ("dataset.meta.json", gen_data),
+    }
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("writer", ["save_checkpoint", "write_csv", "write_sidecar",
+                                        "save_captions", "save_dataset_split", "histogram",
+                                        "gen_data_meta"])
+    def test_failed_write_keeps_previous_file(self, workdir, tmp_path, monkeypatch, writer):
+        _, config_path, data_dir = workdir
+        name, write = _writers(data_dir, config_path)[writer]
+        out = tmp_path / "out"
+        out.mkdir()
+        write(out, 0)
+        previous = (out / name).read_bytes()
+        listing = sorted(p.name for p in out.iterdir())
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        if writer == "gen_data_meta":
+            assert write(out, 1) == 1  # the CLI reports a runtime failure
+        else:
+            with pytest.raises(OSError, match="disk full"):
+                write(out, 1)
+        assert (out / name).read_bytes() == previous
+        assert sorted(p.name for p in out.iterdir()) == listing

@@ -12,6 +12,7 @@ from caplab.corpus import (
     UNK,
     Dataset,
     ImageRecord,
+    atomic_write,
     build_vocab,
     bin_sizes,
     freq_histogram,
@@ -202,3 +203,32 @@ class TestDatasetIO:
         rec = ImageRecord(id=1, features=np.zeros(2), references=[[BOS, "a"]])
         with pytest.raises(ValueError):
             rec.validate()
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"  # nothing is visible before the block ends
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_error_mid_write_keeps_previous_file(self, tmp_path, binary):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, binary=binary) as fh:
+                fh.write(b"partial" if binary else "partial")
+                raise RuntimeError("writer failed")
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_error_without_previous_file_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "out.txt") as fh:
+                fh.write("partial")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,8 @@ import pytest
 from caplab import model
 from caplab.corpus import build_vocab
 from caplab.decode import DecodeConfig
-from caplab.finetune import FinetuneConfig, check_vocab_hash, classifier_step, finetune, sweep
+from caplab.finetune import (FinetuneConfig, check_vocab_hash, classifier_step, finetune, sweep,
+                             sweep_grids)
 from caplab.losses import FrozenReference, anti_focal_batch, bp_batch, ce_batch, focal_batch
 from caplab.model import CLASSIFIER_ARRAYS, ModelDims, init_params
 from caplab.rl import corpus_stats_for, reference_pairs, train_ce
@@ -196,3 +197,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[], seed=0,
                   decode_config=decode_config)
+
+    def test_empty_beta_prime_grid_rejected(self, sweep_setup, micro_bundle):
+        checkpoint, stats, decode_config = sweep_setup
+        with pytest.raises(ValueError, match="beta-prime"):
+            sweep(checkpoint, micro_bundle, stats, "wft", lr_grid=[0.01], beta_prime_grid=[],
+                  seed=0, decode_config=decode_config)
+
+    def test_sweep_grids(self):
+        assert sweep_grids("wft", [0.1], [0.5, 1.0]) == ([0.1], [0.5, 1.0])
+        assert sweep_grids("wft", (0.1, 0.2)) == ([0.1, 0.2], [None])
+        assert sweep_grids("sft", [0.1], []) == ([0.1], [None])
+        with pytest.raises(ValueError, match="learning-rate"):
+            sweep_grids("sft", [], [1.0])

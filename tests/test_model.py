@@ -1,22 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplab.corpus import ImageRecord
+from caplab.corpus import ImageRecord, build_vocab
 from caplab.decode import DecodeConfig, decode_greedy
 from caplab.model import (
     ALL_ARRAYS,
     ModelDims,
     TrainScope,
+    _backward_recurrence,
+    _sigmoid,
     apply_sgd,
+    backward_sequences,
+    forward_sequences,
     init_params,
     load_checkpoint,
     log_softmax_temp,
     save_checkpoint,
     score_step,
+    scoped_arrays,
     softmax_temp,
     tau_normalize,
     zero_grads,
@@ -251,3 +257,52 @@ class TestCheckpoint:
         save_checkpoint(bad, path)
         with pytest.raises(ValueError, match=name):
             load_checkpoint(path)
+
+
+def masked_sigmoid(x):
+    """The logistic function with a per-sign branch, the reference form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_form_without_warnings(self):
+        x = np.linspace(-800.0, 800.0, 160_001)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            y = _sigmoid(x)
+        np.testing.assert_allclose(y, masked_sigmoid(x), rtol=0.0, atol=1e-15)
+        assert y.min() >= 0.0 and y.max() <= 1.0
+        assert _sigmoid(np.array([0.0]))[0] == 0.5
+
+
+class TestBackwardContractions:
+    @pytest.mark.parametrize("b,t,d,n_words", [(2, 3, 4, 5), (5, 7, 6, 20), (3, 16, 8, 40)])
+    def test_matches_einsum_reference(self, b, t, d, n_words):
+        rng = np.random.default_rng(b * 100 + t)
+        words = [f"w{i}" for i in range(n_words)]
+        vocab = build_vocab([words], min_count=1)
+        params = init_params(vocab, ModelDims(hidden_dim=d, feature_dim=3, max_len=t), seed=t,
+                             scale=0.5)
+        params.cls_b[:] = rng.normal(size=len(vocab))
+        lengths = rng.integers(1, t + 1, size=b)
+        lengths[0] = t
+        fwd = forward_sequences(params, rng.normal(size=(b, 3)),
+                                rng.integers(0, len(vocab), size=(b, t)), lengths)
+        d_logits = rng.normal(size=(b, t, len(vocab))) * fwd.mask[:, :, None]
+
+        expected = zero_grads(params)
+        expected["cls_w"] = np.einsum("btd,btv->dv", fwd.h, d_logits)
+        expected["cls_b"] = d_logits.sum(axis=(0, 1))
+        _backward_recurrence(params, fwd, np.einsum("btv,dv->btd", d_logits, params.cls_w),
+                             expected)
+        for scope in TrainScope:
+            grads = backward_sequences(params, fwd, d_logits, scope)
+            for name in ALL_ARRAYS:
+                want = expected[name] if name in scoped_arrays(scope) else 0.0
+                np.testing.assert_allclose(grads[name], np.broadcast_to(want, grads[name].shape),
+                                           rtol=0.0, atol=1e-12, err_msg=f"{scope} {name}")
