@@ -281,7 +281,7 @@ class TestFinetuneCommand:
         ("sft", {"lr_grid": 0.01}),
     ], ids=["sft-lr", "wft-lr", "wft-beta-prime", "sft-lr-not-a-list"])
     def test_bad_sweep_grid_rejected(self, workdir, ce_checkpoint, tmp_path, method, grids,
-                                       capsys):
+                                     capsys):
         _, _, data_dir = workdir
         config = dict(MICRO_CONFIG, finetune={**MICRO_CONFIG["finetune"], **grids})
         config_path = tmp_path / "config.json"
@@ -375,7 +375,7 @@ def _writers(data_dir, config_path):
 
     def gen_data(out, variant):
         return main(["gen-data", "--config", str(config_path), "--out", str(out),
-              "--seed", str(variant)])
+                     "--seed", str(variant)])
 
     return {
         "save_checkpoint": ("m.npz", checkpoint),
@@ -384,8 +384,7 @@ def _writers(data_dir, config_path):
                           lambda out, v: cli._write_sidecar(out / "log.csv", str(v), v, "test")),
         "save_captions": ("caps.jsonl", captions),
         "save_dataset_split": ("val.jsonl", lambda out, v: save_dataset_split(
-            val if v else Dataset("val", val.records[:1]),
-            out / "val.jsonl")),
+            val if v else Dataset("val", val.records[:1]), out / "val.jsonl")),
         "histogram": ("hist.csv", lambda out, v: freq_histogram(
             [["a"] * (v + 1), ["b"]], vocab, n_bins=2).write_csv(out / "hist.csv")),
         "gen_data_meta": ("dataset.meta.json", gen_data),
@@ -409,14 +408,14 @@ class TestAtomicOutputs:
 
         def failing_replace(src, dst):
             if Path(dst).name == name:
-                raise OSError("disk full")
+                raise OSError("rename failed")
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
         if writer == "gen_data_meta":
             assert write(out, 1) == 1  # the CLI reports a runtime failure
         else:
-            with pytest.raises(OSError, match="disk full"):
+            with pytest.raises(OSError, match="rename failed"):
                 write(out, 1)
         assert (out / name).read_bytes() == previous
         assert sorted(p.name for p in out.iterdir()) == listing
