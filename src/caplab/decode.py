@@ -6,11 +6,29 @@ lexicographically smaller token-id sequence (beam).  Beam search keeps
 summed log-probabilities without length normalization; hypotheses that emit
 <eos> retire from the beam, and the greedy rollout is always included in the
 final pool so the returned hypothesis never scores below it.
+
+Greedy and beam search decode a whole split in lockstep: the alive
+hypotheses of every image share one (rows, d) state, so each step makes one
+recurrent step and one log-softmax for the split.  The single-image
+decoders are the same code run on a split of one.  An image's alive rows
+stay contiguous and in lexicographic order of their sequences, so in the
+image's flattened candidate row the index ``hyp * V + token`` orders the
+extended sequences lexicographically too; a stable descending sort of that
+row (ties keep the lower index) therefore realizes the (score desc,
+sequence asc) rule, and the kept picks, in index order, are the next beam
+already in lexicographic order.  Images with fewer alive rows than the
+step's largest beam are padded with -inf candidates that are never kept.
+
+Bias-product decoding normally runs two recurrences, one per model.  When
+the frozen reference's embedding and encoder are byte-identical to the
+model's, as after a classifier-only fine-tune, both recurrences compute the
+same states, so one recurrence is run and read through both classifiers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +65,12 @@ class DecodeConfig:
             raise ValueError("nucleus_p must lie in (0, 1]")
         if self.bp_base not in ("greedy", "beam"):
             raise ValueError(f"bp_base must be greedy or beam, got {self.bp_base!r}")
+        for name in ("beta", "beta_prime"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
 
 
 @dataclass
@@ -83,12 +107,25 @@ class _PolicyStepper:
         return state[rows]
 
 
-class _BiasProductStepper:
-    """Step-wise log-probabilities of the renormalized product of the
-    trainable model and a frozen reference."""
+class _SharedEncoderStepper(_PolicyStepper):
+    """Bias-product log-probabilities for a frozen reference that shares the
+    model's embedding and encoder: one recurrence, read by both heads."""
 
     def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
-        check_compatible(params, frozen)
+        super().__init__(params, beta)
+        self.frozen = frozen
+
+    def logprobs(self, state):
+        ref = log_softmax_temp(logits_from_hidden(self.frozen.params, state),
+                               self.frozen.beta_prime)
+        return bp_log_probs(super().logprobs(state), ref)
+
+
+class _BiasProductStepper:
+    """Step-wise log-probabilities of the renormalized product of the
+    trainable model and a frozen reference with its own encoder."""
+
+    def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
         self.main = _PolicyStepper(params, beta)
         self.ref = _PolicyStepper(frozen.params, frozen.beta_prime)
         self.eos_id = params.vocab.eos_id
@@ -107,85 +144,141 @@ class _BiasProductStepper:
         return (state[0][rows], state[1][rows])
 
 
+def _bias_product_stepper(params: ModelParams, frozen: FrozenReference, beta: float):
+    check_compatible(params, frozen)
+    if params.encoder_hash() == frozen.params.encoder_hash():
+        return _SharedEncoderStepper(params, frozen, beta)
+    return _BiasProductStepper(params, frozen, beta)
+
+
 def _finish(ids: list[int], logprob: float, vocab) -> Decoded:
     emitted = ids[:-1] if ids and ids[-1] == vocab.eos_id else ids
     return Decoded(ids=list(emitted), tokens=vocab.words(emitted), logprob=float(logprob))
 
 
-def _rollout_one(stepper, features: np.ndarray, max_len: int,
-                 choose: Callable[[np.ndarray], int]) -> tuple[list[int], float]:
-    """Single-image rollout through any stepper; ``choose(lp)`` picks the
-    next token id from the step log-probs.  Returns the ids (the final
-    <eos> included) and their summed log-prob."""
-    state = stepper.start(features)
-    ids: list[int] = []
-    total = 0.0
+def _rollout(stepper, feats: np.ndarray, max_len: int,
+             choose: Callable[[np.ndarray], np.ndarray],
+             ) -> tuple[list[list[int]], list[list[float]], np.ndarray]:
+    """Batched left-to-right rollout through any stepper; see rollout_batch."""
+    state = stepper.start(feats)
+    n, eos = len(feats), stepper.eos_id
+    done = np.zeros(n, dtype=bool)
+    ids: list[list[int]] = [[] for _ in range(n)]
+    logps: list[list[float]] = [[] for _ in range(n)]
     for _ in range(max_len):
-        lp = stepper.logprobs(state)[0]
-        token = int(choose(lp))
-        total += float(lp[token])
-        ids.append(token)
-        if token == stepper.eos_id:
-            break
-        state = stepper.advance(state, np.array([token]))
-    return ids, total
-
-
-def _greedy(stepper, features: np.ndarray, max_len: int) -> tuple[list[int], float]:
-    # np.argmax takes the first maximum: the lowest id on ties
-    return _rollout_one(stepper, features, max_len, np.argmax)
-
-
-def _beam(stepper, features: np.ndarray, max_len: int, beam_size: int) -> tuple[list[int], float]:
-    # alive hypotheses are kept sorted lexicographically by token sequence so
-    # that a stable sort on scores realizes the (score, sequence) tie rule
-    alive_seqs: list[tuple[int, ...]] = [()]
-    alive_scores = np.array([0.0])
-    state = stepper.start(features)
-    pool: list[tuple[float, tuple[int, ...]]] = []
-
-    for _ in range(max_len):
-        lp = stepper.logprobs(state)                      # (n_alive, V)
-        scores = alive_scores[:, None] + lp
-        flat = scores.ravel()
-        order = np.argsort(-flat, kind="stable")[: beam_size]
-        n_vocab = lp.shape[1]
-
-        new_seqs, new_rows, new_tokens, new_scores = [], [], [], []
-        for pos in order:
-            hyp, token = divmod(int(pos), n_vocab)
-            seq = alive_seqs[hyp] + (token,)
-            if token == stepper.eos_id:
-                pool.append((float(flat[pos]), seq))
+        lp = stepper.logprobs(state)
+        tokens = choose(lp)
+        step_lp = lp[np.arange(n), tokens]
+        for i in range(n):
+            if done[i]:
+                continue
+            logps[i].append(float(step_lp[i]))
+            if tokens[i] == eos:
+                done[i] = True
             else:
-                new_seqs.append(seq)
-                new_rows.append(hyp)
-                new_tokens.append(token)
-                new_scores.append(float(flat[pos]))
-        if not new_seqs:
-            alive_seqs, alive_scores = [], np.array([])
+                ids[i].append(int(tokens[i]))
+        if done.all():
             break
-        lex = sorted(range(len(new_seqs)), key=lambda i: new_seqs[i])
-        alive_seqs = [new_seqs[i] for i in lex]
-        alive_scores = np.array([new_scores[i] for i in lex])
-        state = stepper.select(state, np.array([new_rows[i] for i in lex]))
-        state = stepper.advance(state, np.array([new_tokens[i] for i in lex]))
+        state = stepper.advance(state, np.where(done, eos, tokens))
+    return ids, logps, done
 
-    pool.extend(zip(alive_scores.tolist(), alive_seqs))
-    greedy_ids, greedy_score = _greedy(stepper, features, max_len)
-    pool.append((greedy_score, tuple(greedy_ids)))
-    best_score, best_seq = min(pool, key=lambda item: (-item[0], item[1]))
-    return list(best_seq), best_score
+
+def _greedy(stepper, feats: np.ndarray, max_len: int) -> list[tuple[list[int], float]]:
+    """Per feature row, the greedy ids (a final <eos> included) and their
+    summed log-prob.  np.argmax takes the first maximum: the lowest id on
+    ties."""
+    ids, logps, done = _rollout(stepper, feats, max_len, lambda lp: np.argmax(lp, axis=1))
+    return [(seq + [stepper.eos_id] if ended else seq, sum(steps, 0.0))
+            for seq, steps, ended in zip(ids, logps, done)]
+
+
+def _top_k(cand: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the column indices of the k largest entries, largest first
+    and the lower index first among equals: a stable descending sort cut at
+    k.  A partition finds each row's k-th largest value, and only the
+    entries at or above it (ties included) are sorted."""
+    n_rows, n_cols = cand.shape
+    if k >= n_cols:
+        return np.argsort(-cand, axis=1, kind="stable")
+    neg = -cand
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(neg <= kth)
+    order = np.lexsort((cols, neg[rows, cols], rows))
+    first = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))[:-1]))
+    return cols[order][first[:, None] + np.arange(k)]
+
+
+def _beam(stepper, feats: np.ndarray, max_len: int,
+          beam_size: int) -> list[tuple[list[int], float]]:
+    """Lockstep beam search over every feature row; per row, the best ids
+    (a final <eos> included) and their summed log-prob."""
+    n, eos = len(feats), stepper.eos_id
+    state = stepper.start(feats)
+    owner = np.arange(n)                 # image of each alive row, non-decreasing
+    seqs: list[tuple[int, ...]] = [()] * n
+    scores = np.zeros(n)
+    pools: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
+
+    for step in range(max_len):
+        lp = stepper.logprobs(state)                      # (rows, V)
+        n_vocab = lp.shape[1]
+        images, first, counts = np.unique(owner, return_index=True, return_counts=True)
+        slot = np.arange(len(owner)) - np.repeat(first, counts)
+        cand = np.full((len(images), counts.max(), n_vocab), -np.inf)
+        cand[np.repeat(np.arange(len(images)), counts), slot] = scores[:, None] + lp
+        cand = cand.reshape(len(images), -1)
+
+        # index order within an image is lexicographic order of the new sequences
+        picks = np.sort(_top_k(cand, beam_size), axis=1)
+        at, col = np.nonzero(picks < (counts * n_vocab)[:, None])   # drop padded slots
+        pos = picks[at, col]
+        parent = first[at] + pos // n_vocab
+        tokens = pos % n_vocab
+        totals = cand[at, pos]
+
+        retired = tokens == eos
+        for i, row, total in zip(images[at[retired]].tolist(), parent[retired].tolist(),
+                                 totals[retired].tolist()):
+            pools[i].append((total, seqs[row] + (eos,)))
+        alive = ~retired
+        owner, parent, tokens = images[at[alive]], parent[alive], tokens[alive]
+        seqs = [seqs[row] + (token,) for row, token in zip(parent.tolist(), tokens.tolist())]
+        scores = totals[alive]
+        if not seqs:
+            break
+        if step + 1 < max_len:
+            state = stepper.advance(stepper.select(state, parent), tokens)
+
+    for i, total, seq in zip(owner.tolist(), scores.tolist(), seqs):
+        pools[i].append((total, seq))
+    for pool, (seq, total) in zip(pools, _greedy(stepper, feats, max_len)):
+        pool.append((total, tuple(seq)))
+    best = [min(pool, key=lambda item: (-item[0], item[1])) for pool in pools]
+    return [(list(seq), total) for total, seq in best]
+
+
+def _search(stepper, records: Sequence[ImageRecord], max_len: int, base: str,
+            beam_size: int, vocab) -> list[Decoded]:
+    """Greedy or beam decoding of every record in lockstep."""
+    if not records:
+        return []
+    feats = np.stack([rec.features for rec in records])
+    if base == "greedy":
+        found = _greedy(stepper, feats, max_len)
+    else:
+        found = _beam(stepper, feats, max_len, beam_size)
+    return [_finish(ids, logprob, vocab) for ids, logprob in found]
 
 
 def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
              rng: np.random.Generator) -> tuple[list[int], float]:
     def choose(lp):
-        kept, weights = nucleus_set(np.exp(lp), p_threshold)
+        kept, weights = nucleus_set(np.exp(lp[0]), p_threshold)
         draw = np.searchsorted(np.cumsum(weights), rng.random(), side="right")
-        return kept[min(draw, len(kept) - 1)]
+        return kept[[min(draw, len(kept) - 1)]]
 
-    return _rollout_one(stepper, features, max_len, choose)
+    ids, logps, _ = _rollout(stepper, np.atleast_2d(features), max_len, choose)
+    return ids[0], sum(logps[0], 0.0)
 
 
 def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +301,29 @@ def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
     return max_len
 
 
-def decode_greedy(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
+def _decode_plain(params: ModelParams, records: Sequence[ImageRecord], config: DecodeConfig,
+                  base: str) -> list[Decoded]:
     config.validate()
-    ids, logprob = _greedy(_PolicyStepper(params, config.beta), image.features,
-                           _resolve_max_len(params, config))
-    return _finish(ids, logprob, params.vocab)
+    return _search(_PolicyStepper(params, config.beta), records,
+                   _resolve_max_len(params, config), base, config.beam_size, params.vocab)
+
+
+def _decode_bp(params: ModelParams, frozen: FrozenReference | None,
+               records: Sequence[ImageRecord], config: DecodeConfig) -> list[Decoded]:
+    if frozen is None:
+        raise ValueError("bp decoding requires a frozen reference model")
+    config.validate()
+    return _search(_bias_product_stepper(params, frozen, config.beta), records,
+                   _resolve_max_len(params, config), config.bp_base, config.beam_size,
+                   params.vocab)
+
+
+def decode_greedy(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
+    return _decode_plain(params, [image], config, "greedy")[0]
 
 
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
-    config.validate()
-    ids, logprob = _beam(_PolicyStepper(params, config.beta), image.features,
-                         _resolve_max_len(params, config), config.beam_size)
-    return _finish(ids, logprob, params.vocab)
+    return _decode_plain(params, [image], config, "beam")[0]
 
 
 def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig,
@@ -233,16 +337,7 @@ def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig
 def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageRecord,
               config: DecodeConfig) -> Decoded:
     """Greedy or beam decoding over the bias-product distribution."""
-    if frozen is None:
-        raise ValueError("bp decoding requires a frozen reference model")
-    config.validate()
-    stepper = _BiasProductStepper(params, frozen, config.beta)
-    max_len = _resolve_max_len(params, config)
-    if config.bp_base == "greedy":
-        ids, logprob = _greedy(stepper, image.features, max_len)
-    else:
-        ids, logprob = _beam(stepper, image.features, max_len, config.beam_size)
-    return _finish(ids, logprob, params.vocab)
+    return _decode_bp(params, frozen, [image], config)[0]
 
 
 def rollout_batch(params: ModelParams, feats: np.ndarray, beta: float, max_len: int,
@@ -256,28 +351,7 @@ def rollout_batch(params: ModelParams, feats: np.ndarray, beta: float, max_len: 
     stripped), the log-prob of every step taken (the <eos> step included)
     and whether the row emitted <eos>.
     """
-    stepper = _PolicyStepper(params, beta)
-    state = stepper.start(feats)
-    n, eos = len(state), params.vocab.eos_id
-    done = np.zeros(n, dtype=bool)
-    ids: list[list[int]] = [[] for _ in range(n)]
-    logps: list[list[float]] = [[] for _ in range(n)]
-    for _ in range(max_len):
-        lp = stepper.logprobs(state)
-        tokens = choose(lp)
-        step_lp = lp[np.arange(n), tokens]
-        for i in range(n):
-            if done[i]:
-                continue
-            logps[i].append(float(step_lp[i]))
-            if tokens[i] == eos:
-                done[i] = True
-            else:
-                ids[i].append(int(tokens[i]))
-        if done.all():
-            break
-        state = stepper.advance(state, np.where(done, eos, tokens))
-    return ids, logps, done
+    return _rollout(_PolicyStepper(params, beta), feats, max_len, choose)
 
 
 def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
@@ -297,18 +371,21 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
                    rng: np.random.Generator | None = None) -> list[Decoded]:
     """Decode every record of a split with the configured method."""
     config.validate()
+    records = dataset.records
+    if config.method == "bp":
+        return _decode_bp(params, frozen, records, config)
+    if not records:
+        return []
     if config.method == "greedy":
-        feats = np.stack([rec.features for rec in dataset.records])
+        feats = np.stack([rec.features for rec in records])
         seqs, totals = greedy_rollout_batch(params, feats, config.beta,
                                             _resolve_max_len(params, config))
         return [_finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
     if config.method == "nucleus":
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        return [decode_nucleus(params, rec, config, rng) for rec in dataset.records]
-    if config.method == "bp":
-        return [decode_bp(params, frozen, rec, config) for rec in dataset.records]
-    return [decode_beam(params, rec, config) for rec in dataset.records]
+        return [decode_nucleus(params, rec, config, rng) for rec in records]
+    return _decode_plain(params, records, config, "beam")
 
 
 def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:

@@ -151,6 +151,25 @@ class TestDecodeEval:
         assert code == 2
         assert "decode config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, method", [
+        ("beta", -1.0, "beam"), ("beta", float("nan"), "beam"),
+        ("beta_prime", -1.0, "bp"), ("beta_prime", float("nan"), "bp"),
+    ], ids=["beta-negative", "beta-nan", "beta-prime-negative", "beta-prime-nan"])
+    def test_bad_decode_temperature_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
+                                                   key, value, method, capsys):
+        _, config_path, data_dir = workdir
+        bad = json.loads(config_path.read_text())
+        bad["decode"][key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))  # NaN is written as a bare NaN token
+        out = tmp_path / "caps.jsonl"
+        code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(bad_path),
+                     "--data", str(data_dir), "--method", method,
+                     "--frozen", str(ce_checkpoint), "--out", str(out)])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_from_other_dataset_rejected(self, workdir, ce_checkpoint, tmp_path):
         _, config_path, _ = workdir
         other = tmp_path / "other_data"

@@ -3,9 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from caplab.corpus import ImageRecord, build_vocab
+from caplab import decode as decode_mod
+from caplab.corpus import Dataset, ImageRecord, build_vocab
 from caplab.decode import (
     DecodeConfig,
+    _BiasProductStepper,
+    _PolicyStepper,
+    _SharedEncoderStepper,
+    _bias_product_stepper,
+    _top_k,
     decode_beam,
     decode_bp,
     decode_dataset,
@@ -59,6 +65,81 @@ def exhaustive_best(params, image, max_len):
     scored = [(total_logprob(seq), seq) for seq in candidates]
     best_score, best_seq = min(scored, key=lambda item: (-item[0], item[1]))
     return list(best_seq), best_score
+
+
+def oracle_greedy(stepper, features, max_len):
+    """Single-image greedy rollout: ids (final <eos> included), summed log-prob."""
+    state = stepper.start(features)
+    ids, total = [], 0.0
+    for _ in range(max_len):
+        lp = stepper.logprobs(state)[0]
+        token = int(np.argmax(lp))
+        total += float(lp[token])
+        ids.append(token)
+        if token == stepper.eos_id:
+            break
+        state = stepper.advance(state, np.array([token]))
+    return ids, total
+
+
+def oracle_beam(stepper, features, max_len, beam_size):
+    """Single-image beam search with an explicit (score desc, sequence asc)
+    sort of every step's candidates.  Returns the best ids (final <eos>
+    included), their summed log-prob, and the number of steps the beam ran."""
+    alive_seqs = [()]
+    alive_scores = np.array([0.0])
+    state = stepper.start(features)
+    pool = []
+    steps = 0
+    for _ in range(max_len):
+        steps += 1
+        lp = stepper.logprobs(state)
+        flat = (alive_scores[:, None] + lp).ravel()
+        order = np.argsort(-flat, kind="stable")[:beam_size]
+        n_vocab = lp.shape[1]
+        new_seqs, new_rows, new_tokens, new_scores = [], [], [], []
+        for pos in order:
+            hyp, token = divmod(int(pos), n_vocab)
+            seq = alive_seqs[hyp] + (token,)
+            if token == stepper.eos_id:
+                pool.append((float(flat[pos]), seq))
+            else:
+                new_seqs.append(seq)
+                new_rows.append(hyp)
+                new_tokens.append(token)
+                new_scores.append(float(flat[pos]))
+        if not new_seqs:
+            alive_seqs, alive_scores = [], np.array([])
+            break
+        lex = sorted(range(len(new_seqs)), key=lambda i: new_seqs[i])
+        alive_seqs = [new_seqs[i] for i in lex]
+        alive_scores = np.array([new_scores[i] for i in lex])
+        state = stepper.select(state, np.array([new_rows[i] for i in lex]))
+        state = stepper.advance(state, np.array([new_tokens[i] for i in lex]))
+    pool.extend(zip(alive_scores.tolist(), alive_seqs))
+    greedy_ids, greedy_score = oracle_greedy(stepper, features, max_len)
+    pool.append((greedy_score, tuple(greedy_ids)))
+    best_score, best_seq = min(pool, key=lambda item: (-item[0], item[1]))
+    return list(best_seq), best_score, steps
+
+
+def strip_eos(ids, vocab):
+    return ids[:-1] if ids and ids[-1] == vocab.eos_id else ids
+
+
+def random_split(n, dim=3, offset=0):
+    return Dataset("val", [random_image(offset + i, dim) for i in range(n)])
+
+
+def shared_encoder_pair(vocab, dims, seed, beta_prime=0.7):
+    """A model and a frozen copy of it whose classifiers differ, as after a
+    classifier-only fine-tune."""
+    base = init_params(vocab, dims, seed, 0.8)
+    frozen = FrozenReference(base, beta_prime)
+    rng = np.random.default_rng(seed)
+    base.cls_w += rng.normal(scale=0.5, size=base.cls_w.shape)
+    base.cls_b += rng.normal(scale=0.5, size=base.cls_b.shape)
+    return base, frozen
 
 
 class TestGreedy:
@@ -265,3 +346,217 @@ class TestHygiene:
         assert len(loaded) == len(micro_bundle.val)
         for rec, dec in zip(micro_bundle.val.records, decoded):
             assert loaded[rec.id] == dec.tokens
+
+    def test_split_decoding_never_mutates_params_or_frozen(self, small_vocab, small_dims):
+        params, shared = shared_encoder_pair(small_vocab, small_dims, 22)
+        other = FrozenReference(init_params(small_vocab, small_dims, 23, 0.5), 0.5)
+        split = random_split(5)
+        before = params.full_hash()
+        frozen_before = [ref.hash_hex() for ref in (shared, other)]
+        for config in (DecodeConfig(method="greedy"), DecodeConfig(method="beam", beam_size=3),
+                       DecodeConfig(method="nucleus", seed=0)):
+            decode_dataset(params, split, config)
+        for ref in (shared, other):
+            for base in ("greedy", "beam"):
+                decode_dataset(params, split, DecodeConfig(method="bp", bp_base=base), frozen=ref)
+        assert params.full_hash() == before
+        assert [ref.hash_hex() for ref in (shared, other)] == frozen_before
+
+
+@pytest.fixture(scope="module")
+def wide_vocab():
+    return build_vocab([["a", "b", "c", "d", "e", "f", "g"]], 1)  # 10 tokens with specials
+
+
+class TestLockstep:
+    """decode_dataset decodes a split in lockstep; it must give what the
+    single-image oracle gives, image by image."""
+
+    def check_plain(self, params, split, config):
+        got = decode_dataset(params, split, config)
+        max_len = config.max_len or params.dims.max_len
+        steps = []
+        for rec, dec in zip(split.records, got):
+            ids, logprob, ran = oracle_beam(_PolicyStepper(params, config.beta), rec.features,
+                                            max_len, config.beam_size)
+            assert dec.ids == strip_eos(ids, params.vocab)
+            assert abs(dec.logprob - logprob) <= 1e-12
+            steps.append(ran)
+        return steps
+
+    @pytest.mark.parametrize("beam_size", [1, 2, 5])
+    def test_matches_oracle(self, wide_vocab, small_dims, beam_size):
+        for trial in range(4):
+            params = init_params(wide_vocab, small_dims, 300 + trial, 1.2)
+            self.check_plain(params, random_split(7, offset=10 * trial),
+                             DecodeConfig(method="beam", beam_size=beam_size))
+
+    @pytest.mark.parametrize("beam_size", [7, 40])
+    def test_beam_wider_than_vocabulary(self, small_vocab, small_dims, beam_size):
+        assert beam_size > len(small_vocab)
+        for trial in range(3):
+            params = init_params(small_vocab, small_dims, 400 + trial, 1.0)
+            self.check_plain(params, random_split(4, offset=10 * trial),
+                             DecodeConfig(method="beam", beam_size=beam_size))
+
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_short_max_len(self, wide_vocab, small_dims, max_len):
+        for trial in range(3):
+            params = init_params(wide_vocab, small_dims, 500 + trial, 1.5)
+            self.check_plain(params, random_split(6, offset=10 * trial),
+                             DecodeConfig(method="beam", beam_size=3, max_len=max_len))
+
+    def test_beams_retire_at_different_steps(self, small_vocab):
+        dims = ModelDims(hidden_dim=5, feature_dim=3, max_len=10)
+        # a beam retires only when all its picks are <eos>; this seed's images
+        # retire at steps 3 and 5 or run to max_len
+        params = init_params(small_vocab, dims, 681, 2.0)
+        steps = self.check_plain(params, random_split(12),
+                                 DecodeConfig(method="beam", beam_size=2))
+        assert len(set(steps)) >= 3 and min(steps) < dims.max_len
+
+    @pytest.mark.parametrize("base", ["greedy", "beam"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-encoder", "own-encoder"])
+    def test_bp_matches_two_recurrence_oracle(self, wide_vocab, small_dims, base, shared):
+        for trial in range(3):
+            if shared:
+                params, frozen = shared_encoder_pair(wide_vocab, small_dims, 700 + trial)
+            else:
+                params = init_params(wide_vocab, small_dims, 700 + trial, 0.8)
+                frozen = FrozenReference(init_params(wide_vocab, small_dims, 750 + trial, 0.8),
+                                         0.6)
+            split = random_split(6, offset=10 * trial)
+            config = DecodeConfig(method="bp", bp_base=base, beam_size=3)
+            got = decode_dataset(params, split, config, frozen=frozen)
+            for rec, dec in zip(split.records, got):
+                stepper = _BiasProductStepper(params, frozen, config.beta)
+                if base == "greedy":
+                    ids, logprob = oracle_greedy(stepper, rec.features, small_dims.max_len)
+                else:
+                    ids, logprob, _ = oracle_beam(stepper, rec.features, small_dims.max_len, 3)
+                assert dec.ids == strip_eos(ids, wide_vocab)
+                assert abs(dec.logprob - logprob) <= 1e-12
+
+    def test_top_k_is_a_stable_descending_sort_cut_at_k(self):
+        rng = np.random.default_rng(0)
+        for trial in range(50):
+            cand = rng.integers(-3, 3, size=(6, 12)).astype(float)  # many ties
+            cand[rng.random(cand.shape) < 0.3] = -np.inf
+            full = np.argsort(-cand, axis=1, kind="stable")
+            for k in (1, 3, 5, 12, 20):
+                assert np.array_equal(_top_k(cand, k), full[:, :k])
+
+
+class TableStepper:
+    """A stepper whose step scores are looked up from the image and the
+    prefix: small multiples of 0.5, whose sums are exact, so sequences from
+    different hypotheses tie often.  A state row is the image id followed by
+    the prefix."""
+
+    eos_id = 0
+    n_vocab = 4
+
+    def start(self, features):
+        return np.atleast_2d(np.asarray(features, dtype=np.int64))[:, :1]
+
+    def logprobs(self, state):
+        return np.array([np.random.default_rng(row.tolist()).integers(-4, 0, self.n_vocab) * 0.5
+                         for row in state])
+
+    def advance(self, state, token_ids):
+        return np.column_stack([state, token_ids])
+
+    def select(self, state, rows):
+        return state[rows]
+
+
+class TestLockstepTieRule:
+    @pytest.mark.parametrize("beam_size", [1, 2, 3, 5])
+    def test_ties_broken_like_oracle(self, beam_size):
+        # about one image in fifty decodes differently when the alive rows
+        # leave lexicographic order or the pool ignores the sequence
+        stepper = TableStepper()
+        feats = np.arange(200, dtype=float)[:, None]
+        for max_len in (1, 3, 5):
+            got = decode_mod._beam(stepper, feats, max_len, beam_size)
+            for features, (ids, total) in zip(feats, got):
+                oracle_ids, oracle_total, _ = oracle_beam(stepper, features, max_len, beam_size)
+                assert (ids, total) == (oracle_ids, oracle_total)
+
+
+class TestSharedEncoder:
+    def test_step_log_probs_equal_two_recurrence_stepper(self, wide_vocab, small_dims):
+        params, frozen = shared_encoder_pair(wide_vocab, small_dims, 800)
+        shared = _bias_product_stepper(params, frozen, 0.9)
+        assert isinstance(shared, _SharedEncoderStepper)
+        two = _BiasProductStepper(params, frozen, 0.9)
+        feats = np.stack([random_image(i).features for i in range(4)])
+        state_one, state_two = shared.start(feats), two.start(feats)
+        rng = np.random.default_rng(1)
+        for _ in range(small_dims.max_len):
+            lp = shared.logprobs(state_one)
+            assert np.array_equal(lp, two.logprobs(state_two))
+            rows = rng.integers(0, len(lp), size=5)
+            tokens = rng.integers(0, len(wide_vocab), size=5)
+            state_one = shared.advance(shared.select(state_one, rows), tokens)
+            state_two = two.advance(two.select(state_two, rows), tokens)
+
+    def test_bp_recurrent_rows_halve(self, wide_vocab, small_dims, monkeypatch):
+        params, frozen = shared_encoder_pair(wide_vocab, small_dims, 801)
+        split = random_split(6)
+        rows = []
+        original = decode_mod.recurrent_step
+
+        def counting(p, h_prev, token_ids):
+            rows.append(len(h_prev))
+            return original(p, h_prev, token_ids)
+
+        monkeypatch.setattr(decode_mod, "recurrent_step", counting)
+        for base in ("greedy", "beam"):
+            config = DecodeConfig(method="bp", bp_base=base, beam_size=4)
+            rows.clear()
+            one = decode_dataset(params, split, config, frozen=frozen)
+            shared_rows = sum(rows)
+            with monkeypatch.context() as forced:
+                forced.setattr(decode_mod, "_bias_product_stepper",
+                               lambda p, f, beta: _BiasProductStepper(p, f, beta))
+                rows.clear()
+                two = decode_dataset(params, split, config, frozen=frozen)
+            assert shared_rows > 0 and sum(rows) == 2 * shared_rows
+            assert one == two
+
+    def test_other_encoder_takes_two_recurrences(self, wide_vocab, small_dims):
+        params = init_params(wide_vocab, small_dims, 802, 0.8)
+        other = init_params(wide_vocab, small_dims, 802, 0.8)
+        other.wz[0, 0] += 1e-3  # one encoder entry differs
+        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
+        assert isinstance(stepper, _BiasProductStepper)
+
+
+class TestSplitEdgeCases:
+    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus", "bp"])
+    def test_empty_split_decodes_to_nothing(self, small_vocab, small_dims, method):
+        params, frozen = shared_encoder_pair(small_vocab, small_dims, 900)
+        empty = Dataset("val", [])
+        assert decode_dataset(params, empty, DecodeConfig(method=method), frozen=frozen) == []
+
+    def test_one_image_split_equals_single_image_decoders(self, wide_vocab, small_dims):
+        params, frozen = shared_encoder_pair(wide_vocab, small_dims, 901)
+        other = FrozenReference(init_params(wide_vocab, small_dims, 902, 0.8), 0.5)
+        split = random_split(1, offset=3)
+        image = split.records[0]
+        beam = DecodeConfig(method="beam", beam_size=4)
+        assert decode_dataset(params, split, beam) == [decode_beam(params, image, beam)]
+        for ref in (frozen, other):
+            for base in ("greedy", "beam"):
+                bp = DecodeConfig(method="bp", bp_base=base, beam_size=4)
+                assert (decode_dataset(params, split, bp, frozen=ref)
+                        == [decode_bp(params, ref, image, bp)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),
+        ("beta_prime", -1.0), ("beta_prime", float("nan")), ("max_len", 0),
+    ])
+    def test_bad_temperatures_and_max_len_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodeConfig(**{field: value}).validate()
