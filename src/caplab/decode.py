@@ -144,7 +144,9 @@ class _BiasProductStepper:
         return (state[0][rows], state[1][rows])
 
 
-def _bias_product_stepper(params: ModelParams, frozen: FrozenReference, beta: float):
+def _bias_product_stepper(params: ModelParams, frozen: FrozenReference | None, beta: float):
+    if frozen is None:
+        raise ValueError("bp decoding requires a frozen reference model")
     check_compatible(params, frozen)
     if params.encoder_hash() == frozen.params.encoder_hash():
         return _SharedEncoderStepper(params, frozen, beta)
@@ -257,17 +259,18 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
     return [(list(seq), total) for total, seq in best]
 
 
-def _search(stepper, records: Sequence[ImageRecord], max_len: int, base: str,
-            beam_size: int, vocab) -> list[Decoded]:
+def _search(params: ModelParams, stepper, records: Sequence[ImageRecord],
+            config: DecodeConfig, base: str) -> list[Decoded]:
     """Greedy or beam decoding of every record in lockstep."""
     if not records:
         return []
     feats = np.stack([rec.features for rec in records])
+    max_len = _resolve_max_len(params, config)
     if base == "greedy":
         found = _greedy(stepper, feats, max_len)
     else:
-        found = _beam(stepper, feats, max_len, beam_size)
-    return [_finish(ids, logprob, vocab) for ids, logprob in found]
+        found = _beam(stepper, feats, max_len, config.beam_size)
+    return [_finish(ids, logprob, params.vocab) for ids, logprob in found]
 
 
 def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
@@ -301,29 +304,14 @@ def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
     return max_len
 
 
-def _decode_plain(params: ModelParams, records: Sequence[ImageRecord], config: DecodeConfig,
-                  base: str) -> list[Decoded]:
-    config.validate()
-    return _search(_PolicyStepper(params, config.beta), records,
-                   _resolve_max_len(params, config), base, config.beam_size, params.vocab)
-
-
-def _decode_bp(params: ModelParams, frozen: FrozenReference | None,
-               records: Sequence[ImageRecord], config: DecodeConfig) -> list[Decoded]:
-    if frozen is None:
-        raise ValueError("bp decoding requires a frozen reference model")
-    config.validate()
-    return _search(_bias_product_stepper(params, frozen, config.beta), records,
-                   _resolve_max_len(params, config), config.bp_base, config.beam_size,
-                   params.vocab)
-
-
 def decode_greedy(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
-    return _decode_plain(params, [image], config, "greedy")[0]
+    config.validate()
+    return _search(params, _PolicyStepper(params, config.beta), [image], config, "greedy")[0]
 
 
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
-    return _decode_plain(params, [image], config, "beam")[0]
+    config.validate()
+    return _search(params, _PolicyStepper(params, config.beta), [image], config, "beam")[0]
 
 
 def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig,
@@ -337,7 +325,9 @@ def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig
 def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageRecord,
               config: DecodeConfig) -> Decoded:
     """Greedy or beam decoding over the bias-product distribution."""
-    return _decode_bp(params, frozen, [image], config)[0]
+    config.validate()
+    stepper = _bias_product_stepper(params, frozen, config.beta)
+    return _search(params, stepper, [image], config, config.bp_base)[0]
 
 
 def rollout_batch(params: ModelParams, feats: np.ndarray, beta: float, max_len: int,
@@ -373,7 +363,8 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
     config.validate()
     records = dataset.records
     if config.method == "bp":
-        return _decode_bp(params, frozen, records, config)
+        stepper = _bias_product_stepper(params, frozen, config.beta)
+        return _search(params, stepper, records, config, config.bp_base)
     if not records:
         return []
     if config.method == "greedy":
@@ -385,7 +376,7 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
         if rng is None:
             rng = np.random.default_rng(config.seed)
         return [decode_nucleus(params, rec, config, rng) for rec in records]
-    return _decode_plain(params, records, config, "beam")
+    return _search(params, _PolicyStepper(params, config.beta), records, config, "beam")
 
 
 def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:
