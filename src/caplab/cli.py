@@ -359,7 +359,10 @@ def cmd_decode(args) -> int:
             raise UsageError("--frozen is required for bp decoding")
         frozen_params, meta = _require_checkpoint(args.frozen, "decode", vocab)
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
-        frozen = FrozenReference(frozen_params, beta_prime)
+        try:
+            frozen = FrozenReference(frozen_params, beta_prime)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid frozen checkpoint {args.frozen}: {exc}") from exc
     rng = np.random.default_rng(decode_config.seed)
     decoded = decode_dataset(params, dataset, decode_config, frozen=frozen, rng=rng)
     out = _out_path(args.out)

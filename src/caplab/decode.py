@@ -185,26 +185,31 @@ def _rollout(stepper, feats: np.ndarray, max_len: int,
     return ids, logps, done
 
 
-def _greedy(stepper, feats: np.ndarray, max_len: int) -> list[tuple[list[int], float]]:
-    """Per feature row, the greedy ids (a final <eos> included) and their
-    summed log-prob.  np.argmax takes the first maximum: the lowest id on
-    ties."""
+def _greedy(stepper, feats: np.ndarray, max_len: int,
+            ) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    """Batched greedy rollout through any stepper: per row, the emitted ids
+    (<eos> stripped), the summed step log-probs (the <eos> step included)
+    and whether the row emitted <eos>.  np.argmax takes the first maximum:
+    the lowest id on ties."""
     ids, logps, done = _rollout(stepper, feats, max_len, lambda lp: np.argmax(lp, axis=1))
-    return [(seq + [stepper.eos_id] if ended else seq, sum(steps, 0.0))
-            for seq, steps, ended in zip(ids, logps, done)]
+    # Python's sum adds in step order, as a running total does; np.sum pairs
+    # terms differently and could change the last bit
+    return ids, np.array([sum(steps, 0.0) for steps in logps]), done
 
 
 def _top_k(cand: np.ndarray, k: int) -> np.ndarray:
     """Per row, the column indices of the k largest entries, largest first
     and the lower index first among equals: a stable descending sort cut at
     k.  A partition finds each row's k-th largest value, and only the
-    entries at or above it (ties included) are sorted."""
+    entries at or above it (ties included) are sorted.  NaN entries are
+    kept too and sort last, as in a full argsort, so a row never has fewer
+    than k survivors."""
     n_rows, n_cols = cand.shape
     if k >= n_cols:
         return np.argsort(-cand, axis=1, kind="stable")
     neg = -cand
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(neg <= kth)
+    rows, cols = np.nonzero(~(neg > kth))
     order = np.lexsort((cols, neg[rows, cols], rows))
     first = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))[:-1]))
     return cols[order][first[:, None] + np.arange(k)]
@@ -253,8 +258,8 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
 
     for i, total, seq in zip(owner.tolist(), scores.tolist(), seqs):
         pools[i].append((total, seq))
-    for pool, (seq, total) in zip(pools, _greedy(stepper, feats, max_len)):
-        pool.append((total, tuple(seq)))
+    for pool, seq, total, ended in zip(pools, *_greedy(stepper, feats, max_len)):
+        pool.append((total, tuple(seq) + ((eos,) if ended else ())))
     best = [min(pool, key=lambda item: (-item[0], item[1])) for pool in pools]
     return [(list(seq), total) for total, seq in best]
 
@@ -267,7 +272,8 @@ def _search(params: ModelParams, stepper, records: Sequence[ImageRecord],
     feats = np.stack([rec.features for rec in records])
     max_len = _resolve_max_len(params, config)
     if base == "greedy":
-        found = _greedy(stepper, feats, max_len)
+        seqs, totals, _ = _greedy(stepper, feats, max_len)
+        found = zip(seqs, totals)
     else:
         found = _beam(stepper, feats, max_len, config.beam_size)
     return [_finish(ids, logprob, params.vocab) for ids, logprob in found]
@@ -275,13 +281,24 @@ def _search(params: ModelParams, stepper, records: Sequence[ImageRecord],
 
 def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
              rng: np.random.Generator) -> tuple[list[int], float]:
-    def choose(lp):
-        kept, weights = nucleus_set(np.exp(lp[0]), p_threshold)
+    """One image's nucleus sample: the emitted ids (<eos> stripped) and their
+    summed log-prob, the <eos> step included.  Sampling draws from ``rng``
+    image by image, so it runs as a plain one-row loop."""
+    state = stepper.start(np.atleast_2d(features))
+    ids: list[int] = []
+    total = 0.0
+    for step in range(max_len):
+        lp = stepper.logprobs(state)[0]
+        kept, weights = nucleus_set(np.exp(lp), p_threshold)
         draw = np.searchsorted(np.cumsum(weights), rng.random(), side="right")
-        return kept[[min(draw, len(kept) - 1)]]
-
-    ids, logps, _ = _rollout(stepper, np.atleast_2d(features), max_len, choose)
-    return ids[0], sum(logps[0], 0.0)
+        token = int(kept[min(draw, len(kept) - 1)])
+        total += float(lp[token])
+        if token == stepper.eos_id:
+            break
+        ids.append(token)
+        if step + 1 < max_len:
+            state = stepper.advance(state, np.array([token]))
+    return ids, total
 
 
 def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -349,11 +366,8 @@ def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
     """Vectorized greedy decoding for a feature batch (used as the reward
     baseline and for fast whole-split decoding).  <eos> is stripped from the
     returned id lists; log-probs include the <eos> step."""
-    ids, logps, _ = rollout_batch(params, feats, beta, max_len,
-                                  lambda lp: np.argmax(lp, axis=1))
-    # Python's sum adds in step order, as a running total does; np.sum pairs
-    # terms differently and could change the last bit
-    return ids, np.array([sum(steps, 0.0) for steps in logps])
+    ids, totals, _ = _greedy(_PolicyStepper(params, beta), feats, max_len)
+    return ids, totals
 
 
 def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,

@@ -47,8 +47,8 @@ class FrozenReference:
     """
 
     def __init__(self, params: ModelParams, beta_prime: float):
-        if beta_prime < 0:
-            raise ValueError("beta_prime must be >= 0")
+        if not (math.isfinite(beta_prime) and beta_prime >= 0):
+            raise ValueError(f"beta_prime must be a finite number >= 0, got {beta_prime!r}")
         self.params = params.copy()
         for arr in self.params.arrays().values():
             arr.flags.writeable = False

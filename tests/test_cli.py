@@ -197,6 +197,18 @@ class TestDecodeEval:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    def test_frozen_checkpoint_with_bad_beta_prime_rejected(self, workdir, ce_checkpoint,
+                                                            tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        params, _ = load_checkpoint(ce_checkpoint)
+        save_checkpoint(params, tmp_path / "frozen.npz", extra={"beta_prime": float("nan")})
+        out = tmp_path / "bp.jsonl"
+        assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
+                     "--data", str(data_dir), "--method", "bp",
+                     "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
+        assert "beta_prime" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_with_wrong_array_shape_rejected(self, workdir, ce_checkpoint, tmp_path,
                                                         capsys):
         _, config_path, data_dir = workdir

@@ -446,6 +446,16 @@ class TestLockstep:
             for k in (1, 3, 5, 12, 20):
                 assert np.array_equal(_top_k(cand, k), full[:, :k])
 
+    def test_top_k_sorts_nan_last_like_a_full_argsort(self):
+        rng = np.random.default_rng(1)
+        for trial in range(50):
+            cand = rng.integers(-3, 3, size=(6, 12)).astype(float)
+            cand[rng.random(cand.shape) < 0.3] = -np.inf
+            cand[rng.random(cand.shape) < 0.5] = np.nan   # some rows keep < k numbers
+            full = np.argsort(-cand, axis=1, kind="stable")
+            for k in (1, 3, 5, 12):
+                assert np.array_equal(_top_k(cand, k), full[:, :k])
+
 
 class TableStepper:
     """A stepper whose step scores are looked up from the image and the

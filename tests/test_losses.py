@@ -102,6 +102,11 @@ class TestCrossEntropy:
 
 
 class TestBiasProduct:
+    @pytest.mark.parametrize("beta_prime", [-1.0, math.nan, math.inf, -math.inf])
+    def test_frozen_reference_rejects_bad_beta_prime(self, tiny_model, beta_prime):
+        with pytest.raises(ValueError, match="beta_prime"):
+            FrozenReference(tiny_model, beta_prime)
+
     def test_beta_prime_zero_reduces_to_policy(self, tiny_model, tiny_image, tiny_vocab):
         frozen = FrozenReference(init_params(tiny_vocab, tiny_model.dims, 99, 0.3), 0.0)
         prefix = [tiny_vocab.bos_id, 0]
