@@ -10,14 +10,17 @@ final pool so the returned hypothesis never scores below it.
 Greedy and beam search decode a whole split in lockstep: the alive
 hypotheses of every image share one (rows, d) state, so each step makes one
 recurrent step and one log-softmax for the split.  The single-image
-decoders are the same code run on a split of one.  An image's alive rows
-stay contiguous and in lexicographic order of their sequences, so in the
-image's flattened candidate row the index ``hyp * V + token`` orders the
-extended sequences lexicographically too; a stable descending sort of that
-row (ties keep the lower index) therefore realizes the (score desc,
-sequence asc) rule, and the kept picks, in index order, are the next beam
-already in lexicographic order.  Images with fewer alive rows than the
-step's largest beam are padded with -inf candidates that are never kept.
+decoders are the same code run on a split of one.  Nucleus sampling draws
+from one generator image by image, so it stays a one-row loop.
+
+An image's alive rows stay contiguous and in lexicographic order of their
+sequences, so in the image's flattened candidate row the index
+``hyp * V + token`` orders the extended sequences lexicographically too; a
+stable descending sort of that row (ties keep the lower index) therefore
+realizes the (score desc, sequence asc) rule, and the kept picks, in index
+order, are the next beam already in lexicographic order.  Images with fewer
+alive rows than the step's largest beam are padded with -inf candidates
+that are never kept.
 
 Bias-product decoding normally runs two recurrences, one per model.  When
 the frozen reference's embedding and encoder are byte-identical to the
