@@ -30,7 +30,6 @@ from .losses import (
     ce_loss,
     focal_loss,
     grad_check,
-    joint_loss,
     loss_surface,
 )
 from .metrics import MetricsReport, evaluate, oor_analysis, repetition_rate, rk_retrieval, vocab_stats
@@ -45,7 +44,8 @@ from .model import (
     softmax_temp,
     tau_normalize,
 )
-from .rl import RLContext, SampledSeq, sample_sequence, scst_step, train_ce, train_joint, train_rl
+from .rl import (SampledSeq, joint_loss, sample_sequence, scst_step, train_ce, train_joint,
+                 train_rl)
 from .synth import DataBundle, SynthConfig, generate_synthetic_dataset
 
 __version__ = "0.1.0"

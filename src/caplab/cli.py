@@ -8,7 +8,9 @@ stage, derived from the master seed, so every command is reproducible from
 carrying the resolved-config hash.  Every file is written through
 ``corpus.atomic_write``, so a failed run leaves a previous output whole.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
+config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
+error.
 The environment variable CAPLAB_OUT_ROOT, when set, anchors relative output
 paths.
 """
@@ -74,7 +76,6 @@ DEFAULT_CONFIG: dict = {
         "lr_grid": [1e-3, 1e-4, 1e-5, 1e-6],
         "beta_prime_grid": [0.1, 1.0],
         "batch_size": 10,
-        "epochs": 1,
         "gamma": 1.0,
         "alpha": 1.0,
     },
@@ -93,6 +94,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_keys(user, default: dict, where: str) -> None:
+    """Reject a key ``default`` lacks, or a non-object where it has one."""
+    if not isinstance(user, dict):
+        raise UsageError(f"{where} config must be a JSON object")
+    for key, value in user.items():
+        if key not in default:
+            raise UsageError(f"unknown key {key!r} in {where} config")
+        if isinstance(default[key], dict):
+            _check_keys(value, default[key], key)
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -104,6 +116,7 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    _check_keys(user, DEFAULT_CONFIG, "top-level")
     return _deep_merge(DEFAULT_CONFIG, user)
 
 
@@ -161,8 +174,7 @@ def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
         if not path.exists():
             raise UsageError(f"missing dataset split file: {path}")
         splits[split] = load_dataset_split(path, split)
-    return DataBundle(train=splits["train"], val=splits["val"], test=splits["test"],
-                      config=synth, seed=config["seed"])
+    return DataBundle(train=splits["train"], val=splits["val"], test=splits["test"], config=synth)
 
 
 def _vocab_for(config: dict, bundle: DataBundle):
@@ -308,8 +320,7 @@ def cmd_finetune(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = FinetuneConfig(method=args.method, batch_size=section["batch_size"],
-                          epochs=section["epochs"], gamma=section["gamma"],
-                          alpha=section["alpha"])
+                          gamma=section["gamma"], alpha=section["alpha"])
 
     if args.sweep:
         stats = corpus_stats_for(vocab, bundle.train)
@@ -363,8 +374,7 @@ def cmd_decode(args) -> int:
             frozen = FrozenReference(frozen_params, beta_prime)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid frozen checkpoint {args.frozen}: {exc}") from exc
-    rng = np.random.default_rng(decode_config.seed)
-    decoded = decode_dataset(params, dataset, decode_config, frozen=frozen, rng=rng)
+    decoded = decode_dataset(params, dataset, decode_config, frozen=frozen)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_captions(out, dataset, decoded)

@@ -180,12 +180,10 @@ class ImageRecord:
 
 @dataclass(eq=False)
 class Dataset:
-    """A split of image records plus the generation provenance."""
+    """A named split of image records with unique ids."""
 
     split: str
     records: list[ImageRecord]
-    seed: int | None = None
-    config: dict | None = None
 
     def __post_init__(self):
         ids = [rec.id for rec in self.records]
@@ -237,14 +235,14 @@ def save_dataset_split(dataset: Dataset, path) -> None:
             fh.write(record_to_json(rec) + "\n")
 
 
-def load_dataset_split(path, split: str, seed=None, config=None) -> Dataset:
+def load_dataset_split(path, split: str) -> Dataset:
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 records.append(record_from_json(line))
-    return Dataset(split=split, records=records, seed=seed, config=config)
+    return Dataset(split=split, records=records)
 
 
 @dataclass

@@ -374,9 +374,9 @@ def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
 
 
 def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
-                   frozen: FrozenReference | None = None,
-                   rng: np.random.Generator | None = None) -> list[Decoded]:
-    """Decode every record of a split with the configured method."""
+                   frozen: FrozenReference | None = None) -> list[Decoded]:
+    """Decode every record of a split with the configured method.  Nucleus
+    sampling draws from one generator seeded with ``config.seed``."""
     config.validate()
     records = dataset.records
     if config.method == "bp":
@@ -390,8 +390,7 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
                                             _resolve_max_len(params, config))
         return [_finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
     if config.method == "nucleus":
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         return [decode_nucleus(params, rec, config, rng) for rec in records]
     return _search(params, _PolicyStepper(params, config.beta), records, config, "beam")
 

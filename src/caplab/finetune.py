@@ -38,7 +38,6 @@ class FinetuneConfig:
     lr: float = 1e-3
     beta: float = 1.0
     beta_prime: float = 1.0       # wft only
-    epochs: int = 1
     batch_size: int = 10
     gamma: float = 1.0            # fl / afl
     alpha: float = 1.0            # afl
@@ -46,8 +45,6 @@ class FinetuneConfig:
     def validate(self) -> None:
         if self.method not in FINETUNE_METHODS:
             raise ValueError(f"unknown fine-tune method {self.method!r}")
-        if self.epochs != 1:
-            raise ValueError("fine-tuning is single-epoch by definition")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -102,9 +99,8 @@ def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
     params = checkpoint.copy()
     frozen = FrozenReference(checkpoint, config.beta_prime) if config.method == "wft" else None
     rng = stage_rng(seed, f"finetune:{config.method}")
-    history = sgd_epochs(params, reference_pairs(data.train), config.epochs, config.lr, rng,
-                         config.batch_size, TrainScope.CLASSIFIER_ONLY,
-                         pair_step(classifier_step(config, frozen)))
+    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
+                         config.batch_size, pair_step(classifier_step(config, frozen)))
     return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log(history))
 
 

@@ -1,5 +1,6 @@
-"""Training objectives with analytic gradients, plus the finite-difference
-gradient oracle and the synthetic loss-surface tabulation.
+"""Teacher-forced training objectives with analytic gradients, plus the
+finite-difference gradient oracle and the synthetic loss-surface tabulation.
+The reward objective and its convex combination with CE live in ``rl``.
 
 Every loss is an average over predicted positions (the <eos> prediction
 included) and then over batch items.  Probabilities are floored at
@@ -25,7 +26,7 @@ from .model import (
     forward_sequences,
     log_softmax_temp,
     logits_from_hidden,
-    scoped_arrays,
+    score_step,
 )
 
 PROB_EPS = 1e-12
@@ -259,8 +260,6 @@ def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
             prefix: Sequence[int], beta: float = 1.0) -> np.ndarray:
     """Next-token distribution of the bias product of the trainable model and
     the frozen reference, both conditioned on the same prefix."""
-    from .model import score_step
-
     check_compatible(params, frozen)
     z_main = score_step(params, image.features, prefix)
     z_ref = score_step(frozen.params, image.features, prefix)
@@ -275,55 +274,21 @@ def bp_loss(params, frozen: FrozenReference, image, gt_caption, beta=1.0) -> Los
     return bp_batch(params, frozen, image.features[None, :], [gt_caption], beta)
 
 
-def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
-               lam: float, rl_context) -> LossOutput:
-    """Convex combination of the policy-gradient estimate and the CE loss.
-
-    ``rl_context`` supplies the reward machinery (see rl.RLContext); its rng
-    is consumed by the sampling step, so fixing it makes the combination
-    reproducible.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    from . import rl
-
-    images = []
-    seen = set()
-    for image, _ in batch:
-        if image.id not in seen:
-            seen.add(image.id)
-            images.append(image)
-    rl_out = rl.scst_step(
-        params, images, rl_context.stats, rl_context.rng,
-        samples_per_image=rl_context.samples_per_image,
-        beta=rl_context.beta, reward_fn=rl_context.reward_fn, refs_by_id=rl_context.refs_by_id,
-    )
-    feats = np.stack([image.features for image, _ in batch])
-    ce_out = ce_batch(params, feats, [cap for _, cap in batch], rl_context.beta)
-    grads = {
-        name: lam * rl_out.grads[name] + (1.0 - lam) * ce_out.grads[name]
-        for name in rl_out.grads
-    }
-    loss = lam * rl_out.loss + (1.0 - lam) * ce_out.loss
-    return LossOutput(loss=loss, grads=grads,
-                      details={"rl_loss": rl_out.loss, "ce_loss": ce_out.loss})
-
-
 def grad_check(loss_fn: Callable[[ModelParams], LossOutput], params: ModelParams,
-               eps: float = 1e-5, scope: TrainScope = TrainScope.ALL) -> float:
+               eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    Perturbs every parameter entry in scope.  The relative error of an entry
-    is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    Perturbs every entry of each array the loss returns a gradient for.  The
+    relative error of an entry is |analytic - numeric| / max(|analytic|,
+    |numeric|, 1e-8).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     analytic = loss_fn(params).grads
     work = params.copy()
     max_rel = 0.0
-    for name in scoped_arrays(scope):
+    for name, grad in analytic.items():
         arr = getattr(work, name)
-        grad = analytic[name]
         for idx in range(arr.size):
             orig = arr.flat[idx]
             arr.flat[idx] = orig + eps

@@ -35,10 +35,6 @@ class TrainScope(Enum):
     CLASSIFIER_ONLY = "classifier_only"
 
 
-def scoped_arrays(scope: TrainScope) -> tuple[str, ...]:
-    return CLASSIFIER_ARRAYS if scope is TrainScope.CLASSIFIER_ONLY else ALL_ARRAYS
-
-
 @dataclass
 class ModelDims:
     hidden_dim: int = 64
@@ -123,14 +119,11 @@ def init_params(vocab: Vocabulary, dims: ModelDims, seed: int, scale: float = 0.
     return ModelParams(vocab=vocab, dims=dims, **arrays)
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-
-
-def apply_sgd(params: ModelParams, grads: dict[str, np.ndarray], lr: float, scope: TrainScope) -> None:
-    """Plain SGD step restricted to the scope; out-of-scope arrays untouched."""
-    for name in scoped_arrays(scope):
-        getattr(params, name).__isub__(lr * grads[name])
+def apply_sgd(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> None:
+    """Plain SGD step on exactly the arrays named in ``grads``; every other
+    array is untouched."""
+    for name, grad in grads.items():
+        getattr(params, name).__isub__(lr * grad)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -211,26 +204,24 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
                        scope: TrainScope) -> dict[str, np.ndarray]:
     """Backpropagate per-step logit gradients through the scorer.
 
-    ``d_logits`` must already be zero at padded positions.  In classifier
-    scope the recurrence is skipped entirely and only {W, b} receive
-    gradients; every other entry of the result is exactly zero.
+    ``d_logits`` must already be zero at padded positions.  The result
+    holds a gradient for every array the scope trains and for no other: in
+    classifier scope only {W, b}, and the recurrence is skipped entirely.
     """
-    grads = zero_grads(params)
     b, t_max, d = fwd.h.shape
     d_flat = d_logits.reshape(b * t_max, -1)
-    grads["cls_w"] = fwd.h.reshape(b * t_max, d).T @ d_flat
-    grads["cls_b"] = d_logits.sum(axis=(0, 1))
+    grads = {"cls_w": fwd.h.reshape(b * t_max, d).T @ d_flat, "cls_b": d_logits.sum(axis=(0, 1))}
     if scope is TrainScope.CLASSIFIER_ONLY:
         return grads
-    _backward_recurrence(params, fwd, (d_flat @ params.cls_w.T).reshape(b, t_max, d), grads)
-    return grads
+    dh = (d_flat @ params.cls_w.T).reshape(b, t_max, d)
+    return _backward_recurrence(params, fwd, dh) | grads
 
 
-def _backward_recurrence(params: ModelParams, fwd: SeqForward, dh_from_logits: np.ndarray,
-                         grads: dict[str, np.ndarray]) -> None:
-    """Add the embedding and encoder gradients to ``grads``, given the
-    gradient ``dh_from_logits`` (B, T, d) the classifier sends to each
-    hidden state."""
+def _backward_recurrence(params: ModelParams, fwd: SeqForward,
+                         dh_from_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """The embedding and encoder gradients, given the gradient
+    ``dh_from_logits`` (B, T, d) the classifier sends to each hidden state."""
+    grads = {name: np.zeros_like(getattr(params, name)) for name in ("embed",) + ENCODER_ARRAYS}
     b, t_max, d = fwd.h.shape
     dh_next = np.zeros((b, d))
     for t in reversed(range(t_max)):
@@ -268,6 +259,7 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward, dh_from_logits: n
     dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
     grads["img_w"] = fwd.feats.T @ dh0_pre
     grads["img_b"] = dh0_pre.sum(axis=0)
+    return grads
 
 
 def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Sequence sampling, the self-critical policy-gradient step, and the
-training loops (CE pretraining, reward training, and their convex joint).
+"""Sequence sampling, the self-critical policy-gradient step, the joint
+objective that mixes it with CE, and the training loops (CE pretraining,
+reward training, and their convex joint).
 
 The policy-gradient step samples sequences from the current policy, scores
 them with the consensus reward against the image's references, subtracts the
@@ -18,7 +19,7 @@ import numpy as np
 from .cider import CiderCorpusStats, build_cider_stats, cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from .decode import greedy_rollout_batch, rollout_batch
-from .losses import LossOutput, ce_batch, forward_targets, joint_loss, logit_grad
+from .losses import LossOutput, ce_batch, forward_targets, logit_grad
 from .model import ModelParams, TrainScope, apply_sgd, backward_sequences
 
 
@@ -65,43 +66,25 @@ def sample_sequence(params: ModelParams, image: ImageRecord, beta: float,
     return sample_sequences(params, image.features[None, :], beta, rng, max_len)[0]
 
 
-@dataclass
-class RLContext:
-    """Everything the policy-gradient step needs besides the parameters."""
-
-    stats: CiderCorpusStats
-    rng: np.random.Generator
-    samples_per_image: int = 5
-    beta: float = 1.0
-    reward_fn: Callable | None = None
-    refs_by_id: dict[int, list[list[str]]] | None = None
-
-
-def _default_reward(vocab: Vocabulary, stats: CiderCorpusStats,
-                    refs_by_id: dict[int, list[list[str]]] | None):
-    def reward(token_ids: Sequence[int], image: ImageRecord) -> float:
-        if refs_by_id is not None and image.id in refs_by_id:
-            refs = refs_by_id[image.id]
-        else:
-            refs = mapped_references(vocab, [image])[image.id]
-        return cider_d(vocab.words(token_ids), refs, stats)
-
-    return reward
-
-
 def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCorpusStats,
               rng: np.random.Generator, samples_per_image: int = 5, beta: float = 1.0,
               reward_fn: Callable | None = None,
               refs_by_id: dict[int, list[list[str]]] | None = None) -> LossOutput:
     """Gradient estimate for one image batch.
 
-    A sample whose reward equals its image's greedy baseline contributes
-    exactly zero.  The returned loss is the negative mean sampled reward.
+    Rewards are CIDEr-D against ``refs_by_id[image.id]``, the references
+    mapped into the vocabulary (mapped here for ``images`` when None), unless
+    ``reward_fn(token_ids, image)`` replaces them.  A sample whose reward
+    equals its image's greedy baseline contributes exactly zero.  The
+    returned loss is the negative mean sampled reward.
     """
     if samples_per_image < 1:
         raise ValueError("samples_per_image must be >= 1")
     vocab = params.vocab
-    reward = reward_fn or _default_reward(vocab, stats, refs_by_id)
+    if refs_by_id is None:
+        refs_by_id = mapped_references(vocab, images)
+    reward = reward_fn or (
+        lambda ids, image: cider_d(vocab.words(ids), refs_by_id[image.id], stats))
     feats = np.stack([img.features for img in images])
     max_len = params.dims.max_len
 
@@ -148,19 +131,49 @@ def sequence_logprob_loss(params: ModelParams, image: ImageRecord, sample: Sampl
     return LossOutput(loss=loss, grads=grads)
 
 
+def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
+               lam: float, stats: CiderCorpusStats, rng: np.random.Generator,
+               samples_per_image: int = 5, beta: float = 1.0,
+               refs_by_id: dict[int, list[list[str]]] | None = None) -> LossOutput:
+    """Convex combination of the policy-gradient estimate and the CE loss
+    over (image, reference) pairs.
+
+    The policy-gradient step runs once over the batch's distinct images and
+    consumes ``rng``, so fixing it makes the combination reproducible.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+    images = []
+    seen = set()
+    for image, _ in batch:
+        if image.id not in seen:
+            seen.add(image.id)
+            images.append(image)
+    rl_out = scst_step(params, images, stats, rng, samples_per_image, beta, refs_by_id=refs_by_id)
+    feats = np.stack([image.features for image, _ in batch])
+    ce_out = ce_batch(params, feats, [cap for _, cap in batch], beta)
+    grads = {
+        name: lam * rl_out.grads[name] + (1.0 - lam) * ce_out.grads[name]
+        for name in rl_out.grads
+    }
+    loss = lam * rl_out.loss + (1.0 - lam) * ce_out.loss
+    return LossOutput(loss=loss, grads=grads,
+                      details={"rl_loss": rl_out.loss, "ce_loss": ce_out.loss})
+
+
 def reference_pairs(train: Dataset) -> list[tuple[ImageRecord, list[str]]]:
     return [(rec, ref) for rec in train.records for ref in rec.references]
 
 
 def sgd_epochs(params: ModelParams, items: Sequence, epochs: int, lr: float,
-               rng: np.random.Generator, batch_size: int, scope: TrainScope,
+               rng: np.random.Generator, batch_size: int,
                step: Callable[[ModelParams, list], LossOutput]) -> list[list[tuple[int, float, dict]]]:
     """Shuffle-batch SGD on ``params`` in place, shared by every trainer.
 
     Each epoch draws one permutation of ``items`` from ``rng``; each batch
-    of up to ``batch_size`` items goes to ``step(params, batch)`` and its
-    gradients are applied in ``scope``.  Returns, per epoch, every batch's
-    (size, loss, details); gradients are not kept.
+    of up to ``batch_size`` items goes to ``step(params, batch)``, and the
+    arrays it returns gradients for are updated.  Returns, per epoch, every
+    batch's (size, loss, details); gradients are not kept.
     """
     history = []
     for _ in range(epochs):
@@ -169,7 +182,7 @@ def sgd_epochs(params: ModelParams, items: Sequence, epochs: int, lr: float,
         for start in range(0, len(items), batch_size):
             batch = [items[i] for i in order[start : start + batch_size]]
             out = step(params, batch)
-            apply_sgd(params, out.grads, lr, scope)
+            apply_sgd(params, out.grads, lr)
             batches.append((len(batch), out.loss, out.details))
         history.append(batches)
     return history
@@ -200,8 +213,7 @@ def train_ce(params: ModelParams, train: Dataset, epochs: int, lr: float,
     """Teacher-forced pretraining; returns a trained copy and per-epoch log."""
     params = params.copy()
     step = pair_step(lambda p, feats, caps: ce_batch(p, feats, caps, beta))
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
-                         TrainScope.ALL, step)
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params, mean_loss_log(history)
 
 
@@ -215,7 +227,7 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
     def step(p, images):
         return scst_step(p, images, stats, rng, samples_per_image, beta, refs_by_id=refs_by_id)
 
-    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, TrainScope.ALL, step)
+    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
     log = []
     for epoch, batches in enumerate(history):
         # each batch counts once, whatever its size
@@ -232,8 +244,10 @@ def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, ep
                 samples_per_image: int = 5, beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
     """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
     params = params.copy()
-    ctx = RLContext(stats=stats, rng=rng, samples_per_image=samples_per_image, beta=beta,
-                    refs_by_id=mapped_references(params.vocab, train.records))
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
-                         TrainScope.ALL, lambda p, batch: joint_loss(p, batch, lam, ctx))
+    refs_by_id = mapped_references(params.vocab, train.records)
+
+    def step(p, batch):
+        return joint_loss(p, batch, lam, stats, rng, samples_per_image, beta, refs_by_id)
+
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params, mean_loss_log(history)

@@ -15,7 +15,7 @@ projection is used for all splits.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class DataBundle:
     val: Dataset
     test: Dataset
     config: SynthConfig
-    seed: int
 
     def splits(self) -> dict[str, Dataset]:
         return {"train": self.train, "val": self.val, "test": self.test}
@@ -190,7 +189,7 @@ def _generate_split(
         )
         rec.validate(config.feature_dim)
         records.append(rec)
-    return Dataset(split=split, records=records, seed=None, config=asdict(config))
+    return Dataset(split=split, records=records)
 
 
 def generate_synthetic_dataset(config: SynthConfig, seed: int) -> DataBundle:
@@ -208,6 +207,4 @@ def generate_synthetic_dataset(config: SynthConfig, seed: int) -> DataBundle:
     train = _generate_split(rng, config, "train", config.n_train, offsets["train"], proj)
     val = _generate_split(rng, config, "val", config.n_val, offsets["val"], proj)
     test = _generate_split(rng, config, "test", config.n_test, offsets["test"], proj)
-    for ds in (train, val, test):
-        ds.seed = seed
-    return DataBundle(train=train, val=val, test=test, config=config, seed=seed)
+    return DataBundle(train=train, val=val, test=test, config=config)

@@ -27,7 +27,7 @@ MICRO_CONFIG = {
     "rl": {"epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "joint": {"lam": 0.5, "epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "finetune": {"lr_grid": [0.01, 0.001], "beta_prime_grid": [0.1, 1.0],
-                 "batch_size": 8, "epochs": 1, "gamma": 1.0, "alpha": 1.0},
+                 "batch_size": 8, "gamma": 1.0, "alpha": 1.0},
     "decode": {"method": "beam", "beam_size": 3, "nucleus_p": 0.95, "beta": 1.0,
                "beta_prime": 1.0},
     "metrics": {"recall_ks": [1, 5], "repetition_n": 4, "histogram_bins": 5},
@@ -52,6 +52,33 @@ def ce_checkpoint(workdir):
                  "--data", str(data_dir), "--out", str(run_dir)])
     assert code == 0
     return run_dir / "ce.npz"
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("train", "ce", "learning_rate", 99, "unknown key 'learning_rate' in ce config"),
+        ("decode", "decode", "bp_base", "greedy", "unknown key 'bp_base' in decode config"),
+        ("train", None, "bogus", {}, "unknown key 'bogus' in top-level config"),
+        ("finetune", "finetune", "epochs", 2, "unknown key 'epochs' in finetune config"),
+        ("train", None, "ce", 0.3, "ce config must be a JSON object"),
+    ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object"])
+    def test_unknown_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, command,
+                                        section, key, value, message, capsys):
+        _, config_path, data_dir = workdir
+        config = json.loads(config_path.read_text())
+        (config if section is None else config[section])[key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--stage", "ce", "--out", str(out)],
+            "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out)],
+            "finetune": ["finetune", "--method", "sft", "--checkpoint", str(ce_checkpoint),
+                         "--lr", "0.01", "--out", str(out)],
+        }[command]
+        assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenData:

@@ -76,12 +76,6 @@ class TestFinetune:
         with pytest.raises(ValueError):
             check_vocab_hash(wrong, micro_bundle)
 
-    def test_multi_epoch_rejected(self, ft_setup, micro_bundle):
-        _, checkpoint = ft_setup
-        with pytest.raises(ValueError):
-            finetune(checkpoint, micro_bundle,
-                     FinetuneConfig(method="sft", lr=0.01, epochs=2), seed=1)
-
     def test_unknown_method_rejected(self, ft_setup, micro_bundle):
         _, checkpoint = ft_setup
         with pytest.raises(ValueError):
@@ -128,12 +122,10 @@ class TestClassifierStep:
         }[method]()
         out = classifier_step(config, frozen if method == "wft" else None)(params, feats, captions)
         assert out.loss == full.loss
+        assert set(out.grads) == set(CLASSIFIER_ARRAYS)
         for name, grad in out.grads.items():
-            if name in CLASSIFIER_ARRAYS:
-                assert np.abs(grad).max() > 0.0
-                np.testing.assert_array_equal(grad, full.grads[name])
-            else:
-                np.testing.assert_array_equal(grad, 0.0)
+            assert np.abs(grad).max() > 0.0
+            np.testing.assert_array_equal(grad, full.grads[name])
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from caplab.corpus import ImageRecord, build_vocab
@@ -17,7 +17,6 @@ from caplab.losses import (
     encode_caption,
     focal_loss,
     grad_check,
-    joint_loss,
     loss_surface,
     pointwise_head,
     teacher_forced,
@@ -33,7 +32,7 @@ from caplab.model import (
     score_step,
     softmax_temp,
 )
-from caplab.rl import RLContext, scst_step
+from caplab.rl import joint_loss, scst_step
 from caplab.cider import build_cider_stats
 
 
@@ -87,18 +86,16 @@ class TestCrossEntropy:
         out = ce_loss(tiny_model, tiny_image, ["zebra"])
         assert np.isfinite(out.loss)
 
-    def test_classifier_scope_grads_zero_outside(self, tiny_model, tiny_image):
+    def test_classifier_scope_grads_absent_outside(self, tiny_model, tiny_image):
         feats = tiny_image.features[None, :]
         fwd, logp, targets = teacher_forced(tiny_model, feats, [["a", "b"]], 1.0)
         _, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, 1.0, ce_terms)
         grads = backward_sequences(tiny_model, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
         full = ce_loss(tiny_model, tiny_image, ["a", "b"]).grads
-        for name in ALL_ARRAYS:
-            if name in CLASSIFIER_ARRAYS:
-                assert np.abs(grads[name]).max() > 0.0
-                np.testing.assert_array_equal(grads[name], full[name])
-            else:
-                np.testing.assert_array_equal(grads[name], 0.0)
+        assert set(grads) == set(CLASSIFIER_ARRAYS)
+        for name in CLASSIFIER_ARRAYS:
+            assert np.abs(grads[name]).max() > 0.0
+            np.testing.assert_array_equal(grads[name], full[name])
 
 
 class TestBiasProduct:
@@ -224,12 +221,13 @@ class TestJoint:
         batch = [(tiny_image, ["a", "b"]), (tiny_image, ["b", "a"])]
         return stats, batch
 
-    def _ctx(self, stats, seed):
-        return RLContext(stats=stats, rng=np.random.default_rng(seed), samples_per_image=3)
+    def _joint(self, params, batch, lam, stats, seed):
+        return joint_loss(params, batch, lam, stats, np.random.default_rng(seed),
+                          samples_per_image=3)
 
     def test_lambda_zero_equals_ce(self, tiny_model, joint_setup):
         stats, batch = joint_setup
-        out = joint_loss(tiny_model, batch, 0.0, self._ctx(stats, 0))
+        out = self._joint(tiny_model, batch, 0.0, stats, 0)
         feats = np.stack([img.features for img, _ in batch])
         from caplab.losses import ce_batch
         ce = ce_batch(tiny_model, feats, [c for _, c in batch])
@@ -239,7 +237,7 @@ class TestJoint:
 
     def test_lambda_one_equals_policy_gradient(self, tiny_model, joint_setup):
         stats, batch = joint_setup
-        out = joint_loss(tiny_model, batch, 1.0, self._ctx(stats, 4))
+        out = self._joint(tiny_model, batch, 1.0, stats, 4)
         rl = scst_step(tiny_model, [batch[0][0]], stats, np.random.default_rng(4),
                        samples_per_image=3)
         assert out.loss == rl.loss
@@ -248,7 +246,7 @@ class TestJoint:
 
     def test_lambda_half_is_elementwise_mean(self, tiny_model, joint_setup):
         stats, batch = joint_setup
-        out = joint_loss(tiny_model, batch, 0.5, self._ctx(stats, 9))
+        out = self._joint(tiny_model, batch, 0.5, stats, 9)
         rl = scst_step(tiny_model, [batch[0][0]], stats, np.random.default_rng(9),
                        samples_per_image=3)
         feats = np.stack([img.features for img, _ in batch])
@@ -262,7 +260,7 @@ class TestJoint:
     def test_lambda_out_of_range_rejected(self, tiny_model, joint_setup):
         stats, batch = joint_setup
         with pytest.raises(ValueError):
-            joint_loss(tiny_model, batch, 1.5, self._ctx(stats, 0))
+            self._joint(tiny_model, batch, 1.5, stats, 0)
 
 
 class TestGradCheckOracle:
@@ -333,10 +331,12 @@ def test_surface_identities_pointwise(p1):
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.02, 0.98), st.floats(0.02, 0.98))
+@example(p_low=0.020000000000000004, p_high=0.02)
 def test_ce_monotone_in_gold_probability(p_low, p_high):
-    if p_low == p_high:
-        return
     lo, hi = sorted([p_low, p_high])
+    # gold probabilities an ulp apart give the same float64 losses, so
+    # strict monotonicity is asserted only across a relative gap of 1e-9
+    assume(hi - lo >= 1e-9 * hi)
     rows = loss_surface([lo, hi])
     assert rows[0]["ce"] > rows[1]["ce"]
     assert rows[0]["fl"] > rows[1]["fl"]

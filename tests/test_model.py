@@ -10,6 +10,7 @@ from caplab.corpus import ImageRecord, build_vocab
 from caplab.decode import DecodeConfig, decode_greedy
 from caplab.model import (
     ALL_ARRAYS,
+    CLASSIFIER_ARRAYS,
     ModelDims,
     TrainScope,
     _backward_recurrence,
@@ -22,10 +23,8 @@ from caplab.model import (
     log_softmax_temp,
     save_checkpoint,
     score_step,
-    scoped_arrays,
     softmax_temp,
     tau_normalize,
-    zero_grads,
 )
 
 
@@ -206,19 +205,18 @@ class TestTauNormalize:
 class TestScope:
     def test_classifier_only_sgd_preserves_encoder(self, tiny_model):
         params = tiny_model.copy()
-        grads = zero_grads(params)
-        for name, g in grads.items():
-            g[:] = 1.0
+        grads = {name: np.ones_like(getattr(params, name)) for name in CLASSIFIER_ARRAYS}
         before = params.encoder_hash()
-        apply_sgd(params, grads, lr=0.1, scope=TrainScope.CLASSIFIER_ONLY)
+        apply_sgd(params, grads, lr=0.1)
         assert params.encoder_hash() == before
         assert params.classifier_hash() != tiny_model.classifier_hash()
 
     def test_all_scope_touches_everything(self, tiny_model):
         params = tiny_model.copy()
         grads = {name: np.ones_like(arr) for name, arr in params.arrays().items()}
-        apply_sgd(params, grads, lr=0.1, scope=TrainScope.ALL)
-        assert params.encoder_hash() != tiny_model.encoder_hash()
+        apply_sgd(params, grads, lr=0.1)
+        for name in ALL_ARRAYS:
+            assert not np.array_equal(getattr(params, name), getattr(tiny_model, name)), name
 
 
 class TestCheckpoint:
@@ -295,14 +293,14 @@ class TestBackwardContractions:
                                 rng.integers(0, len(vocab), size=(b, t)), lengths)
         d_logits = rng.normal(size=(b, t, len(vocab))) * fwd.mask[:, :, None]
 
-        expected = zero_grads(params)
+        expected = _backward_recurrence(params, fwd,
+                                        np.einsum("btv,dv->btd", d_logits, params.cls_w))
         expected["cls_w"] = np.einsum("btd,btv->dv", fwd.h, d_logits)
         expected["cls_b"] = d_logits.sum(axis=(0, 1))
-        _backward_recurrence(params, fwd, np.einsum("btv,dv->btd", d_logits, params.cls_w),
-                             expected)
-        for scope in TrainScope:
+        for scope, names in ((TrainScope.ALL, ALL_ARRAYS),
+                             (TrainScope.CLASSIFIER_ONLY, CLASSIFIER_ARRAYS)):
             grads = backward_sequences(params, fwd, d_logits, scope)
-            for name in ALL_ARRAYS:
-                want = expected[name] if name in scoped_arrays(scope) else 0.0
-                np.testing.assert_allclose(grads[name], np.broadcast_to(want, grads[name].shape),
-                                           rtol=0.0, atol=1e-12, err_msg=f"{scope} {name}")
+            assert set(grads) == set(names)
+            for name in names:
+                np.testing.assert_allclose(grads[name], expected[name], rtol=0.0, atol=1e-12,
+                                           err_msg=f"{scope} {name}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from caplab import rl
 from caplab.cider import build_cider_stats
 from caplab.corpus import ImageRecord, build_vocab
 from caplab.decode import DecodeConfig, decode_greedy
@@ -105,6 +106,26 @@ class TestScstStep:
         assert o1.loss == o2.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(o1.grads[name], o2.grads[name])
+
+    def test_references_mapped_once_per_step(self, tiny_model, setup, monkeypatch):
+        images, stats = setup
+        # an out-of-vocabulary word, so unmapped references would score differently
+        images = [ImageRecord(id=img.id, features=img.features,
+                              references=img.references + [["a", "zebra"]]) for img in images]
+        refs = mapped_references(tiny_model.vocab, images)
+        given = scst_step(tiny_model, images, stats, np.random.default_rng(5), refs_by_id=refs)
+        calls = []
+
+        def counted(vocab, records):
+            calls.append([rec.id for rec in records])
+            return mapped_references(vocab, records)
+
+        monkeypatch.setattr(rl, "mapped_references", counted)
+        mapped = scst_step(tiny_model, images, stats, np.random.default_rng(5))
+        assert calls == [[img.id for img in images]]
+        assert mapped.loss == given.loss
+        for name in ALL_ARRAYS:
+            np.testing.assert_array_equal(mapped.grads[name], given.grads[name])
 
     def test_details_reported(self, tiny_model, setup):
         images, stats = setup
