@@ -21,6 +21,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,8 +151,8 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow({key: row.get(key, "") for key in columns})
 
 
-def _synth_config(config: dict) -> SynthConfig:
-    fields = dict(config["dataset"])
+def _synth_config(dataset: dict) -> SynthConfig:
+    fields = dict(dataset)
     fields.pop("min_count", None)
     try:
         synth = SynthConfig(**fields)
@@ -162,12 +163,23 @@ def _synth_config(config: dict) -> SynthConfig:
 
 
 def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
+    """The dataset in ``data_dir``, after checking that ``config``'s dataset
+    section is the one ``gen-data`` wrote it with (``min_count`` aside)."""
     if data_dir is None:
         raise UsageError("--data is required for this command")
     base = _out_path(data_dir)
     if not base.is_dir():
         raise UsageError(f"dataset directory not found: {base}")
-    synth = _synth_config(config)
+    meta_path = base / "dataset.meta.json"
+    if not meta_path.exists():
+        raise UsageError(f"missing dataset metadata: {meta_path}")
+    with open(meta_path, encoding="utf-8") as fh:
+        generated = json.load(fh)["dataset"]
+    for key, value in config["dataset"].items():
+        if key != "min_count" and generated.get(key) != value:
+            raise UsageError(f"dataset.{key} is {value!r} in the config but the data in {base}"
+                             f" was generated with {generated.get(key)!r}")
+    synth = _synth_config(generated)
     splits = {}
     for split in ("train", "val", "test"):
         path = base / f"{split}.jsonl"
@@ -216,7 +228,7 @@ def _decode_config(config: dict, args) -> DecodeConfig:
 
 def cmd_gen_data(args) -> int:
     config, cfg_hash = _resolve_config(args)
-    synth = _synth_config(config)
+    synth = _synth_config(config["dataset"])
     bundle = generate_synthetic_dataset(synth, config["seed"])
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,9 +271,24 @@ def _split(bundle: DataBundle, name: str) -> Dataset:
     return dataset
 
 
+def _check_training_section(stage: str, section: dict) -> None:
+    """Counts must be integers (``epochs`` may be 0, which keeps the starting
+    model) and the learning rate a finite positive number."""
+    for key, least in (("epochs", 0), ("batch_size", 1), ("samples_per_image", 1)):
+        if key not in section:
+            continue
+        value = section[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise UsageError(f"{stage}.{key} must be an integer >= {least}, got {value!r}")
+    lr = section["lr"]
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+        raise UsageError(f"{stage}.lr must be a finite number > 0, got {lr!r}")
+
+
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
+    _check_training_section(args.stage, config[args.stage])
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     out = _out_path(args.out)

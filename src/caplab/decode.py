@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,43 +161,32 @@ def _finish(ids: list[int], logprob: float, vocab) -> Decoded:
     return Decoded(ids=list(emitted), tokens=vocab.words(emitted), logprob=float(logprob))
 
 
-def _rollout(stepper, feats: np.ndarray, max_len: int,
-             choose: Callable[[np.ndarray], np.ndarray],
-             ) -> tuple[list[list[int]], list[list[float]], np.ndarray]:
-    """Batched left-to-right rollout through any stepper; see rollout_batch."""
-    state = stepper.start(feats)
-    n, eos = len(feats), stepper.eos_id
-    done = np.zeros(n, dtype=bool)
-    ids: list[list[int]] = [[] for _ in range(n)]
-    logps: list[list[float]] = [[] for _ in range(n)]
-    for _ in range(max_len):
-        lp = stepper.logprobs(state)
-        tokens = choose(lp)
-        step_lp = lp[np.arange(n), tokens]
-        for i in range(n):
-            if done[i]:
-                continue
-            logps[i].append(float(step_lp[i]))
-            if tokens[i] == eos:
-                done[i] = True
-            else:
-                ids[i].append(int(tokens[i]))
-        if done.all():
-            break
-        state = stepper.advance(state, np.where(done, eos, tokens))
-    return ids, logps, done
-
-
 def _greedy(stepper, feats: np.ndarray, max_len: int,
             ) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
     """Batched greedy rollout through any stepper: per row, the emitted ids
     (<eos> stripped), the summed step log-probs (the <eos> step included)
     and whether the row emitted <eos>.  np.argmax takes the first maximum:
-    the lowest id on ties."""
-    ids, logps, done = _rollout(stepper, feats, max_len, lambda lp: np.argmax(lp, axis=1))
-    # Python's sum adds in step order, as a running total does; np.sum pairs
-    # terms differently and could change the last bit
-    return ids, np.array([sum(steps, 0.0) for steps in logps]), done
+    the lowest id on ties.  A row stops at its first <eos>; finished rows
+    are fed <eos> until the whole batch is done."""
+    state = stepper.start(feats)
+    n, eos = len(feats), stepper.eos_id
+    rows = np.arange(n)
+    done = np.zeros(n, dtype=bool)
+    chosen = np.full((n, max_len), eos, dtype=np.int64)
+    # a running total adds in step order; adding 0.0 leaves finished rows as they are
+    totals = np.zeros(n)
+    for step in range(max_len):
+        lp = stepper.logprobs(state)
+        tokens = np.argmax(lp, axis=1)
+        totals += np.where(done, 0.0, lp[rows, tokens])
+        done |= tokens == eos
+        chosen[:, step] = np.where(done, eos, tokens)
+        if done.all():
+            break
+        if step + 1 < max_len:
+            state = stepper.advance(state, chosen[:, step])
+    lengths = np.where(done, (chosen == eos).argmax(axis=1), max_len)
+    return [row[:k] for row, k in zip(chosen.tolist(), lengths.tolist())], totals, done
 
 
 def _top_k(cand: np.ndarray, k: int) -> np.ndarray:
@@ -348,20 +337,6 @@ def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageR
     config.validate()
     stepper = _bias_product_stepper(params, frozen, config.beta)
     return _search(params, stepper, [image], config, config.bp_base)[0]
-
-
-def rollout_batch(params: ModelParams, feats: np.ndarray, beta: float, max_len: int,
-                  choose: Callable[[np.ndarray], np.ndarray],
-                  ) -> tuple[list[list[int]], list[list[float]], np.ndarray]:
-    """Batched left-to-right rollout of one model over a feature batch.
-
-    ``choose(lp)`` picks every row's next token from the (n, V) step
-    log-probs.  A row stops at its first <eos>; finished rows are fed <eos>
-    until the whole batch is done.  Returns, per row, the emitted ids (<eos>
-    stripped), the log-prob of every step taken (the <eos> step included)
-    and whether the row emitted <eos>.
-    """
-    return _rollout(_PolicyStepper(params, beta), feats, max_len, choose)
 
 
 def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,

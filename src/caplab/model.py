@@ -6,10 +6,14 @@ and maps the final hidden state through a linear classifier:
 
     logits = W^T h + b
 
+Every forward computation, teacher-forced passes, decoder steps and policy
+rollouts alike, runs the one cell ``gru_cell``, so they agree bit for bit.
 Parameters are grouped so that training can be restricted to the classifier
 {W, b} while the embedding and encoder stay bit-identical.  No autodiff is
 used anywhere; the backward pass below is checked against central finite
-differences by the test suite.
+differences by the test suite.  Its time loop carries only the hidden-state
+gradient; each weight gradient is one contraction over every position of
+the batch.
 """
 
 from __future__ import annotations
@@ -153,6 +157,16 @@ class SeqForward:
     h: np.ndarray        # (B, T, d)
 
 
+def gru_cell(params: ModelParams, xt: np.ndarray, h_prev: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One cell step on embedded inputs ``xt``: the update gate z, the reset
+    gate r, the candidate n and the new hidden state h."""
+    z = _sigmoid(xt @ params.wz + h_prev @ params.uz + params.bz)
+    r = _sigmoid(xt @ params.wr + h_prev @ params.ur + params.br)
+    n = np.tanh(xt @ params.wn + (r * h_prev) @ params.un + params.bn)
+    return z, r, n, (1.0 - z) * n + z * h_prev
+
+
 def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray,
                       lengths: np.ndarray) -> SeqForward:
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
@@ -171,11 +185,7 @@ def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray
     h = np.empty((b, t_max, d))
     h_prev = h0
     for t in range(t_max):
-        xt = x[:, t]
-        z[:, t] = _sigmoid(xt @ params.wz + h_prev @ params.uz + params.bz)
-        r[:, t] = _sigmoid(xt @ params.wr + h_prev @ params.ur + params.br)
-        n[:, t] = np.tanh(xt @ params.wn + (r[:, t] * h_prev) @ params.un + params.bn)
-        h[:, t] = (1.0 - z[:, t]) * n[:, t] + z[:, t] * h_prev
+        z[:, t], r[:, t], n[:, t], h[:, t] = gru_cell(params, x[:, t], h_prev)
         h_prev = h[:, t]
     mask = (np.arange(t_max)[None, :] < lengths[:, None]).astype(np.float64)
     return SeqForward(tokens=tokens, lengths=lengths, mask=mask, feats=feats,
@@ -188,11 +198,7 @@ def logits_from_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
 
 def recurrent_step(params: ModelParams, h_prev: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
     """One cell step for a batch of hidden states (used by decoders)."""
-    xt = params.embed[np.asarray(token_ids, dtype=np.int64)]
-    z = _sigmoid(xt @ params.wz + h_prev @ params.uz + params.bz)
-    r = _sigmoid(xt @ params.wr + h_prev @ params.ur + params.br)
-    n = np.tanh(xt @ params.wn + (r * h_prev) @ params.un + params.bn)
-    return (1.0 - z) * n + z * h_prev
+    return gru_cell(params, params.embed[np.asarray(token_ids, dtype=np.int64)], h_prev)[3]
 
 
 def initial_hidden(params: ModelParams, feats: np.ndarray) -> np.ndarray:
@@ -220,46 +226,42 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
 def _backward_recurrence(params: ModelParams, fwd: SeqForward,
                          dh_from_logits: np.ndarray) -> dict[str, np.ndarray]:
     """The embedding and encoder gradients, given the gradient
-    ``dh_from_logits`` (B, T, d) the classifier sends to each hidden state."""
-    grads = {name: np.zeros_like(getattr(params, name)) for name in ("embed",) + ENCODER_ARRAYS}
+    ``dh_from_logits`` (B, T, d) the classifier sends to each hidden state.
+
+    The time loop carries only the hidden-state gradient and records each
+    position's pre-activation gate gradients; every weight gradient is then
+    one contraction over all B*T positions."""
     b, t_max, d = fwd.h.shape
+    h_prev = np.concatenate((fwd.h0[:, None], fwd.h[:, :-1]), axis=1)
+    dz_pre = np.empty((b, t_max, d))
+    dr_pre = np.empty((b, t_max, d))
+    dn_pre = np.empty((b, t_max, d))
     dh_next = np.zeros((b, d))
     for t in reversed(range(t_max)):
         dh = dh_from_logits[:, t] + dh_next
-        zt, rt, nt = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t]
-        h_prev = fwd.h[:, t - 1] if t > 0 else fwd.h0
-        xt = fwd.x[:, t]
+        zt, rt, nt, ht = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], h_prev[:, t]
+        dn = dh * (1.0 - zt) * (1.0 - nt * nt)
+        d_rh = dn @ params.un.T
+        dr = d_rh * ht * rt * (1.0 - rt)
+        dz = dh * (ht - nt) * zt * (1.0 - zt)
+        dh_next = dh * zt + d_rh * rt + (dz @ params.uz.T + dr @ params.ur.T)
+        dz_pre[:, t], dr_pre[:, t], dn_pre[:, t] = dz, dr, dn
 
-        dz = dh * (h_prev - nt)
-        dn = dh * (1.0 - zt)
-        dh_prev = dh * zt
+    def flat(a):
+        return a.reshape(b * t_max, d)
 
-        dn_pre = dn * (1.0 - nt * nt)
-        grads["wn"] += xt.T @ dn_pre
-        grads["un"] += (rt * h_prev).T @ dn_pre
-        grads["bn"] += dn_pre.sum(axis=0)
-        d_rh = dn_pre @ params.un.T
-        dr = d_rh * h_prev
-        dh_prev += d_rh * rt
-
-        dr_pre = dr * rt * (1.0 - rt)
-        dz_pre = dz * zt * (1.0 - zt)
-        grads["wr"] += xt.T @ dr_pre
-        grads["ur"] += h_prev.T @ dr_pre
-        grads["br"] += dr_pre.sum(axis=0)
-        grads["wz"] += xt.T @ dz_pre
-        grads["uz"] += h_prev.T @ dz_pre
-        grads["bz"] += dz_pre.sum(axis=0)
-        dh_prev += dz_pre @ params.uz.T + dr_pre @ params.ur.T
-
-        dx = dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T
-        np.add.at(grads["embed"], fwd.tokens[:, t], dx)
-        dh_next = dh_prev
-
+    x, hp, dz_pre, dr_pre, dn_pre = map(flat, (fwd.x, h_prev, dz_pre, dr_pre, dn_pre))
+    embed = np.zeros_like(params.embed)
+    np.add.at(embed, fwd.tokens.ravel(),
+              dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T)
     dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
-    grads["img_w"] = fwd.feats.T @ dh0_pre
-    grads["img_b"] = dh0_pre.sum(axis=0)
-    return grads
+    return {
+        "embed": embed,
+        "img_w": fwd.feats.T @ dh0_pre, "img_b": dh0_pre.sum(axis=0),
+        "wz": x.T @ dz_pre, "uz": hp.T @ dz_pre, "bz": dz_pre.sum(axis=0),
+        "wr": x.T @ dr_pre, "ur": hp.T @ dr_pre, "br": dr_pre.sum(axis=0),
+        "wn": x.T @ dn_pre, "un": (flat(fwd.r) * hp).T @ dn_pre, "bn": dn_pre.sum(axis=0),
+    }
 
 
 def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:

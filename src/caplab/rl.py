@@ -6,11 +6,14 @@ The policy-gradient step samples sequences from the current policy, scores
 them with the consensus reward against the image's references, subtracts the
 greedy-decode reward of the same image as baseline, and accumulates
 advantage-weighted log-likelihood gradients.  One greedy baseline per image
-applies to all of its samples.
+applies to all of its samples.  The rollout records the cell activations and
+the step distributions it draws from, so the gradient backpropagates through
+the rollout itself instead of re-running a teacher-forced pass.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,9 +21,19 @@ import numpy as np
 
 from .cider import CiderCorpusStats, build_cider_stats, cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
-from .decode import greedy_rollout_batch, rollout_batch
+from .decode import greedy_rollout_batch
 from .losses import LossOutput, ce_batch, forward_targets, logit_grad
-from .model import ModelParams, TrainScope, apply_sgd, backward_sequences
+from .model import (
+    ModelParams,
+    SeqForward,
+    TrainScope,
+    apply_sgd,
+    backward_sequences,
+    gru_cell,
+    initial_hidden,
+    log_softmax_temp,
+    logits_from_hidden,
+)
 
 
 def corpus_stats_for(vocab: Vocabulary, train: Dataset) -> CiderCorpusStats:
@@ -41,24 +54,84 @@ class SampledSeq:
         return self.tokens + [vocab.eos_id] if self.ended else list(self.tokens)
 
 
+@dataclass(eq=False)
+class SampleBatch(abc.Sequence):
+    """A batch of policy samples together with the forward pass that drew them.
+
+    ``fwd`` is the teacher-forced pass over the sampled tokens (bit-identical
+    to ``forward_sequences`` on ``fwd.tokens``), ``probs[:, t]`` the
+    temperature-scaled distribution step t drew from, ``targets`` the drawn
+    ids padded with <eos>, and ``logps`` the log-prob of each drawn id.  Row
+    i's first ``fwd.lengths[i]`` steps are real.  Indexing gives row i as a
+    ``SampledSeq``.
+    """
+
+    fwd: SeqForward
+    probs: np.ndarray    # (n, T, V)
+    targets: np.ndarray  # (n, T) int64
+    logps: np.ndarray    # (n, T)
+    ended: np.ndarray    # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i: int) -> SampledSeq:
+        length, ended = int(self.fwd.lengths[i]), bool(self.ended[i])
+        return SampledSeq(tokens=self.targets[i, : length - ended].tolist(),
+                          logps=self.logps[i, :length].copy(), ended=ended)
+
+
 def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
-                     rng: np.random.Generator, max_len: int | None = None) -> list[SampledSeq]:
-    """Multinomial rollout for a batch of feature rows; deterministic in rng."""
+                     rng: np.random.Generator, max_len: int | None = None) -> SampleBatch:
+    """Multinomial rollout for a batch of feature rows; deterministic in rng.
+
+    Each step draws one uniform per row and inverts it through the row's
+    CDF.  A row stops at its first <eos> and is fed <eos> until every row
+    has stopped or ``max_len`` steps have run.  The rollout records the
+    cell's activations as it goes, so the batch carries its own forward pass.
+    """
     if max_len is None:
         max_len = params.dims.max_len
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    vocab = params.vocab
+    n_rows, d, n_vocab = len(feats), params.dims.hidden_dim, len(vocab)
+    rows = np.arange(n_rows)
+    tokens = np.full((n_rows, max_len), vocab.eos_id, dtype=np.int64)
+    tokens[:, 0] = vocab.bos_id
+    targets = np.full((n_rows, max_len), vocab.eos_id, dtype=np.int64)
+    logps = np.empty((n_rows, max_len))
+    probs = np.empty((n_rows, max_len, n_vocab))
+    x, z, r, n, h = (np.empty((n_rows, max_len, d)) for _ in range(5))
+    done = np.zeros(n_rows, dtype=bool)
+    h0 = h_prev = initial_hidden(params, feats)
+    steps = max_len
+    for t in range(max_len):
+        x[:, t] = params.embed[tokens[:, t]]
+        z[:, t], r[:, t], n[:, t], h[:, t] = gru_cell(params, x[:, t], h_prev)
+        h_prev = h[:, t]
+        lp = log_softmax_temp(logits_from_hidden(params, h_prev), beta)
+        p = probs[:, t] = np.exp(lp)
+        u = rng.random(n_rows)
+        drawn = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1), n_vocab - 1)
+        logps[:, t] = lp[rows, drawn]
+        done |= drawn == vocab.eos_id
+        targets[:, t] = np.where(done, vocab.eos_id, drawn)
+        if done.all():
+            steps = t + 1
+            break
+        if t + 1 < max_len:
+            tokens[:, t + 1] = targets[:, t]
 
-    def draw(lp):
-        # one uniform per row and step, inverted through the row's CDF
-        probs = np.exp(lp)
-        u = rng.random(len(lp))
-        draws = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        return np.minimum(draws, probs.shape[1] - 1)
-
-    ids, logps, ended = rollout_batch(params, feats, beta, max_len, draw)
-    return [
-        SampledSeq(tokens=ids[i], logps=np.array(logps[i]), ended=bool(ended[i]))
-        for i in range(len(ids))
-    ]
+    targets = targets[:, :steps]
+    is_eos = targets == vocab.eos_id
+    ended = is_eos.any(axis=1)
+    lengths = np.where(ended, is_eos.argmax(axis=1) + 1, steps)
+    mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
+    fwd = SeqForward(tokens=tokens[:, :steps], lengths=lengths, mask=mask, feats=feats,
+                     x=x[:, :steps], h0=h0, z=z[:, :steps], r=r[:, :steps],
+                     n=n[:, :steps], h=h[:, :steps])
+    return SampleBatch(fwd=fwd, probs=probs[:, :steps], targets=targets,
+                       logps=logps[:, :steps], ended=ended)
 
 
 def sample_sequence(params: ModelParams, image: ImageRecord, beta: float,
@@ -94,18 +167,15 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
     rep_feats = np.repeat(feats, samples_per_image, axis=0)
     samples = sample_sequences(params, rep_feats, beta, rng, max_len)
     rewards = np.array([
-        reward(samples[k].tokens, images[k // samples_per_image])
-        for k in range(len(samples))
+        reward(sample.tokens, images[k // samples_per_image])
+        for k, sample in enumerate(samples)
     ])
     advantages = rewards - np.repeat(baselines, samples_per_image)
 
-    total = len(samples)
-    fwd, logp, targets = forward_targets(
-        params, rep_feats, [sample.target_ids(vocab) for sample in samples], beta)
     # d L / d z_t = (advantage * beta / N) * (p - onehot(w_t)) per sampled step
-    coef = (advantages / total)[:, None] * fwd.mask * beta
-    d_logits = logit_grad(np.exp(logp), targets, coef)
-    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+    coef = (advantages / len(samples))[:, None] * samples.fwd.mask * beta
+    d_logits = logit_grad(samples.probs, samples.targets, coef)
+    grads = backward_sequences(params, samples.fwd, d_logits, TrainScope.ALL)
     return LossOutput(
         loss=float(-rewards.mean()),
         grads=grads,

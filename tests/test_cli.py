@@ -81,6 +81,54 @@ class TestConfig:
         assert not out.exists()
 
 
+def _write_config(tmp_path, config_path, section, key, value):
+    config = json.loads(config_path.read_text())
+    config[section][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(config))  # NaN is written as a bare NaN token
+    return path
+
+
+class TestDataCheck:
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_config_that_did_not_make_the_data_is_usage_error(self, workdir, ce_checkpoint,
+                                                              tmp_path, command, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "dataset", "feature_dim", 7)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--stage", "ce", "--out", str(out)],
+            "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out)],
+        }[command]
+        assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
+        assert "dataset.feature_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_metadata_is_usage_error(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        copy_dir = tmp_path / "data"
+        copy_dir.mkdir()
+        for split in ("train", "val", "test"):
+            (copy_dir / f"{split}.jsonl").write_bytes((data_dir / f"{split}.jsonl").read_bytes())
+        assert main(["train", "--stage", "ce", "--config", str(config_path),
+                     "--data", str(copy_dir), "--out", str(tmp_path / "out")]) == 2
+        assert "dataset.meta.json" in capsys.readouterr().err
+
+    def test_min_count_may_differ(self, workdir, tmp_path):
+        _, config_path, data_dir = workdir
+        path = _write_config(tmp_path, config_path, "dataset", "min_count", 2)
+        assert main(["train", "--stage", "ce", "--config", str(path),
+                     "--data", str(data_dir), "--out", str(tmp_path / "out")]) == 0
+
+    def test_bundle_config_is_the_generating_config(self, workdir):
+        _, config_path, data_dir = workdir
+        config = cli.load_config(str(config_path))
+        generated = json.loads((data_dir / "dataset.meta.json").read_text())["dataset"]
+        bundle = cli._load_bundle(str(data_dir), config)
+        assert bundle.config == cli._synth_config(generated)
+        assert bundle.config.feature_dim == MICRO_CONFIG["dataset"]["feature_dim"]
+
+
 class TestGenData:
     def test_deterministic_files(self, workdir, tmp_path):
         root, config_path, data_dir = workdir
@@ -125,6 +173,22 @@ class TestTrain:
         p1, _ = load_checkpoint(out1 / "ce.npz")
         p2, _ = load_checkpoint(out2 / "ce.npz")
         assert p1.full_hash() == p2.full_hash()
+
+    @pytest.mark.parametrize("stage, key, value", [
+        ("ce", "epochs", -1), ("ce", "epochs", 1.5), ("ce", "batch_size", 0),
+        ("ce", "lr", 0.0), ("ce", "lr", float("nan")), ("ce", "lr", float("inf")),
+        ("rl", "samples_per_image", 0), ("rl", "batch_size", True), ("joint", "lr", -0.1),
+    ])
+    def test_bad_training_section_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
+                                                 stage, key, value, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, stage, key, value)
+        out = tmp_path / "out"
+        assert main(["train", "--stage", stage, "--config", str(bad_path),
+                     "--data", str(data_dir), "--out", str(out),
+                     "--init", str(ce_checkpoint)]) == 2
+        assert f"{stage}.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rl_requires_init(self, workdir, tmp_path):
         root, config_path, data_dir = workdir

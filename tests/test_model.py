@@ -304,3 +304,51 @@ class TestBackwardContractions:
             for name in names:
                 np.testing.assert_allclose(grads[name], expected[name], rtol=0.0, atol=1e-12,
                                            err_msg=f"{scope} {name}")
+
+
+def per_step_backward(params, fwd, dh_from_logits):
+    """The recurrence backward with every contraction done time step by time
+    step, the reference form of ``_backward_recurrence``."""
+    grads = {name: np.zeros_like(getattr(params, name))
+             for name in ("embed", "wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")}
+    b, t_max, d = fwd.h.shape
+    dh_next = np.zeros((b, d))
+    for t in reversed(range(t_max)):
+        dh = dh_from_logits[:, t] + dh_next
+        zt, rt, nt, xt = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], fwd.x[:, t]
+        h_prev = fwd.h[:, t - 1] if t > 0 else fwd.h0
+        dn_pre = dh * (1.0 - zt) * (1.0 - nt * nt)
+        d_rh = dn_pre @ params.un.T
+        dr_pre = d_rh * h_prev * rt * (1.0 - rt)
+        dz_pre = dh * (h_prev - nt) * zt * (1.0 - zt)
+        for gate, pre, inp in (("z", dz_pre, h_prev), ("r", dr_pre, h_prev),
+                               ("n", dn_pre, rt * h_prev)):
+            grads[f"w{gate}"] += xt.T @ pre
+            grads[f"u{gate}"] += inp.T @ pre
+            grads[f"b{gate}"] += pre.sum(axis=0)
+        np.add.at(grads["embed"], fwd.tokens[:, t],
+                  dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T)
+        dh_next = dh * zt + d_rh * rt + dz_pre @ params.uz.T + dr_pre @ params.ur.T
+    dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
+    grads["img_w"] = fwd.feats.T @ dh0_pre
+    grads["img_b"] = dh0_pre.sum(axis=0)
+    return grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 10_000))
+def test_batched_backward_matches_per_step_oracle(b, t, seed):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab([[f"w{i}" for i in range(6)]], min_count=1)
+    params = init_params(vocab, ModelDims(hidden_dim=5, feature_dim=3, max_len=t), seed=seed,
+                         scale=0.5)
+    lengths = rng.integers(1, t + 1, size=b)
+    fwd = forward_sequences(params, rng.normal(size=(b, 3)),
+                            rng.integers(0, len(vocab), size=(b, t)), lengths)
+    dh = rng.normal(size=(b, t, 5)) * fwd.mask[:, :, None]
+    got = _backward_recurrence(params, fwd, dh)
+    expected = per_step_backward(params, fwd, dh)
+    assert set(got) == set(expected)
+    for name in expected:
+        np.testing.assert_allclose(got[name], expected[name], rtol=0.0, atol=1e-12,
+                                   err_msg=name)

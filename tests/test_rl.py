@@ -7,9 +7,20 @@ from caplab import rl
 from caplab.cider import build_cider_stats
 from caplab.corpus import ImageRecord, build_vocab
 from caplab.decode import DecodeConfig, decode_greedy
-from caplab.losses import grad_check
-from caplab.model import ALL_ARRAYS, ModelDims, init_params, softmax_temp
+from caplab.cider import cider_d
+from caplab.losses import forward_targets, grad_check, logit_grad
+from caplab.model import (
+    ALL_ARRAYS,
+    ModelDims,
+    TrainScope,
+    backward_sequences,
+    forward_sequences,
+    init_params,
+    logits_from_hidden,
+    softmax_temp,
+)
 from caplab.rl import (
+    SampledSeq,
     corpus_stats_for,
     mapped_references,
     sample_sequence,
@@ -73,6 +84,68 @@ class TestSampling:
             assert abs(first[token_id] / n - p) <= 3 * sigma + 1e-9
 
 
+class TestSampleBatch:
+    @pytest.fixture
+    def batch(self, tiny_model, tiny_image):
+        feats = np.repeat(tiny_image.features[None, :], 12, axis=0)
+        return sample_sequences(tiny_model, feats, 1.3, np.random.default_rng(4))
+
+    def test_forward_equals_teacher_forced_pass(self, tiny_model, batch):
+        fwd = batch.fwd
+        expected = forward_sequences(tiny_model, fwd.feats, fwd.tokens, fwd.lengths)
+        for name in ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h"):
+            np.testing.assert_array_equal(getattr(fwd, name), getattr(expected, name),
+                                          err_msg=name)
+
+    def test_probs_are_the_step_distributions(self, tiny_model, batch):
+        expected = softmax_temp(logits_from_hidden(tiny_model, batch.fwd.h), 1.3)
+        real = batch.fwd.mask > 0
+        np.testing.assert_allclose(batch.probs[real], expected[real], rtol=0.0, atol=1e-13)
+        drawn = np.take_along_axis(expected, batch.targets[..., None], axis=-1)[..., 0]
+        np.testing.assert_allclose(np.exp(batch.logps[real]), drawn[real], rtol=1e-12)
+
+    def test_inputs_are_bos_then_targets(self, tiny_vocab, batch):
+        np.testing.assert_array_equal(batch.fwd.tokens[:, 0], tiny_vocab.bos_id)
+        np.testing.assert_array_equal(batch.fwd.tokens[:, 1:], batch.targets[:, :-1])
+
+    def test_sequence_protocol(self, tiny_vocab, batch):
+        rows = list(batch)
+        assert len(batch) == len(rows) == 12
+        assert all(isinstance(seq, SampledSeq) for seq in rows)
+        assert batch[-1].tokens == rows[-1].tokens
+        with pytest.raises(IndexError):
+            batch[12]
+        for i, seq in enumerate(rows):
+            length = int(batch.fwd.lengths[i])
+            assert len(seq.logps) == length
+            assert seq.target_ids(tiny_vocab) == batch.targets[i, :length].tolist()
+            assert seq.ended == (tiny_vocab.eos_id in seq.target_ids(tiny_vocab))
+            assert tiny_vocab.eos_id not in seq.tokens
+            np.testing.assert_array_equal(seq.logps, batch.logps[i, :length])
+
+
+def teacher_forced_scst(params, images, stats, rng, samples_per_image, beta):
+    """SCST gradients with the samples re-scored by a separate teacher-forced
+    pass, the reference form of ``scst_step``."""
+    vocab = params.vocab
+    refs = mapped_references(vocab, images)
+    feats = np.stack([img.features for img in images])
+    greedy = [decode_greedy(params, img, DecodeConfig(method="greedy", beta=beta)).ids
+              for img in images]
+    baselines = np.array([cider_d(vocab.words(ids), refs[img.id], stats)
+                          for ids, img in zip(greedy, images)])
+    samples = sample_sequences(params, np.repeat(feats, samples_per_image, axis=0), beta, rng)
+    rewards = np.array([cider_d(vocab.words(seq.tokens), refs[images[k // samples_per_image].id],
+                                stats) for k, seq in enumerate(samples)])
+    advantages = rewards - np.repeat(baselines, samples_per_image)
+    fwd, logp, targets = forward_targets(
+        params, np.repeat(feats, samples_per_image, axis=0),
+        [seq.target_ids(vocab) for seq in samples], beta)
+    coef = (advantages / len(samples))[:, None] * fwd.mask * beta
+    return backward_sequences(params, fwd, logit_grad(np.exp(logp), targets, coef),
+                              TrainScope.ALL)
+
+
 class TestScstStep:
     @pytest.fixture
     def setup(self, tiny_vocab, tiny_dims):
@@ -126,6 +199,26 @@ class TestScstStep:
         assert mapped.loss == given.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(mapped.grads[name], given.grads[name])
+
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_matches_teacher_forced_oracle(self, beta):
+        rng = np.random.default_rng(8)
+        refs = ([["a", "b"], ["a", "c", "b"]], [["b", "c"], ["c", "c", "b"]], [["c", "a", "a"]])
+        images = [ImageRecord(id=i, features=rng.normal(size=4), references=list(r))
+                  for i, r in enumerate(refs)]
+        stats = build_cider_stats([img.references for img in images])
+        vocab = build_vocab([["a", "b", "c"], ["b", "a"], ["c", "a"]], min_count=1)
+        params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=8), seed=2,
+                             scale=0.8)
+        params.cls_b[vocab.eos_id] = -1.0  # samples of varying lengths
+        out = scst_step(params, images, stats, np.random.default_rng(11), 6, beta)
+        expected = teacher_forced_scst(params, images, stats, np.random.default_rng(11), 6, beta)
+        assert out.details["mean_reward"] > 0
+        assert set(out.grads) == set(ALL_ARRAYS)
+        for name in ALL_ARRAYS:
+            scale = np.abs(expected[name]).max()
+            assert scale > 0, name
+            assert np.abs(out.grads[name] - expected[name]).max() <= 1e-12 * scale, name
 
     def test_details_reported(self, tiny_model, setup):
         images, stats = setup
