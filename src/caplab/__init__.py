@@ -42,7 +42,6 @@ from .model import (
     save_checkpoint,
     score_step,
     softmax_temp,
-    tau_normalize,
 )
 from .rl import (SampledSeq, joint_loss, sample_sequence, scst_step, train_ce, train_joint,
                  train_rl)

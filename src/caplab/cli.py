@@ -1,18 +1,23 @@
 """Command-line front end.
 
 Subcommands: gen-data, train, finetune, decode, eval, analyze.  A JSON
-experiment file supplies every stage's settings; individual flags override
-file fields.  All randomness is funneled through one seeded generator per
-stage, derived from the master seed, so every command is reproducible from
-(config, seed).  Each output file gets a ``<name>.meta.json`` sidecar
-carrying the resolved-config hash.  Every file is written through
-``corpus.atomic_write``, so a failed run leaves a previous output whole.
+experiment file supplies every stage's settings.  A flag that overrides a
+setting has its config key as destination (``--lam`` is ``joint.lam``;
+``finetune --lr x`` sets the one-point grid ``finetune.lr_grid = [x]``), and
+every given flag is folded into the config before it is hashed, so a flag
+and the same value in the file make the same run and hash.  Commands read
+settings from that config only.  All randomness is funneled through one
+seeded generator per stage, derived from the master seed, so every command
+is reproducible from (config, seed).  Checkpoints and ``dataset.meta.json``
+(for the splits) carry the config hash; every other output, and each
+checkpoint, gets a ``<name>.meta.json`` sidecar with it.  Every file is
+written through ``corpus.atomic_write``, so a failed run leaves a previous
+output whole.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
-error.
-The environment variable CAPLAB_OUT_ROOT, when set, anchors relative output
-paths.
+error.  The environment variable CAPLAB_OUT_ROOT, when set, anchors relative
+output paths.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .corpus import (Dataset, atomic_write, build_vocab, freq_histogram, load_dataset_split,
                      save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
-from .finetune import FinetuneConfig, finetune, sweep, sweep_grids
+from .finetune import FinetuneConfig, finetune, sweep
 from .losses import FrozenReference, loss_surface
 from .metrics import evaluate
 from .model import (
@@ -122,10 +127,18 @@ def load_config(path: str | None) -> dict:
 
 
 def _resolve_config(args) -> tuple[dict, str]:
-    """The experiment config with ``--seed`` applied, and its hash."""
+    """The experiment config with every given flag folded in, and its hash.
+
+    A flag's destination is ``section.key``, or ``key`` at the top level; a
+    flag for a list-valued key sets a one-value list."""
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or (section or key) not in DEFAULT_CONFIG:
+            continue  # not given, or not a setting
+        target, default = ((config[section], DEFAULT_CONFIG[section]) if section
+                           else (config, DEFAULT_CONFIG))
+        target[key] = [value] if isinstance(default[key], list) else value
     return config, config_hash(config)
 
 
@@ -193,32 +206,10 @@ def _vocab_for(config: dict, bundle: DataBundle):
     return build_vocab(bundle.train.all_references(), config["dataset"]["min_count"])
 
 
-def _dims(config: dict) -> ModelDims:
-    return ModelDims(hidden_dim=config["model"]["hidden_dim"],
-                     feature_dim=config["dataset"]["feature_dim"],
-                     max_len=config["model"]["max_len"])
-
-
-def _stage_seed(seed: int, stage: str) -> int:
-    return int(stage_rng(seed, stage).integers(0, 2**31 - 1))
-
-
-def _decode_config(config: dict, args) -> DecodeConfig:
-    section = config["decode"]
-
-    def flag_or_config(name):
-        value = getattr(args, name, None)
-        return section[name] if value is None else value
-
-    decode_config = DecodeConfig(
-        method=flag_or_config("method"),
-        beam_size=flag_or_config("beam_size"),
-        nucleus_p=flag_or_config("nucleus_p"),
-        max_len=config["model"]["max_len"],
-        beta=section["beta"],
-        beta_prime=section["beta_prime"],
-        seed=config["seed"],
-    )
+def _decode_config(config: dict) -> DecodeConfig:
+    """Every key of the decode section is a ``DecodeConfig`` field."""
+    decode_config = DecodeConfig(**config["decode"], max_len=config["model"]["max_len"],
+                                 seed=config["seed"])
     try:
         decode_config.validate()
     except ValueError as exc:
@@ -233,9 +224,7 @@ def cmd_gen_data(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for split, dataset in bundle.splits().items():
-        path = out / f"{split}.jsonl"
-        save_dataset_split(dataset, path)
-        _write_sidecar(path, cfg_hash, config["seed"], "gen-data")
+        save_dataset_split(dataset, out / f"{split}.jsonl")
     with atomic_write(out / "dataset.meta.json") as fh:
         json.dump({"config_hash": cfg_hash, "seed": config["seed"],
                    "dataset": config["dataset"]}, fh, indent=2)
@@ -244,8 +233,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _init_model(config: dict, vocab) -> ModelParams:
-    return init_params(vocab, _dims(config), _stage_seed(config["seed"], "init"),
-                       scale=config["model"]["init_scale"])
+    model = config["model"]
+    dims = ModelDims(hidden_dim=model["hidden_dim"], feature_dim=config["dataset"]["feature_dim"],
+                     max_len=model["max_len"])
+    seed = int(stage_rng(config["seed"], "init").integers(0, 2**31 - 1))
+    return init_params(vocab, dims, seed, scale=model["init_scale"])
 
 
 def _require_checkpoint(path_str: str | None, what: str, vocab) -> tuple[ModelParams, dict]:
@@ -271,31 +263,61 @@ def _split(bundle: DataBundle, name: str) -> Dataset:
     return dataset
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_number(name: str, value, positive: bool = False, most: float = math.inf) -> None:
+    """``value`` must be a finite number >= 0 (> 0 when ``positive``) and <= ``most``."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if not (number and (0 < value if positive else 0 <= value) and value <= most
+            and value < math.inf):
+        bound = ("> 0" if positive else ">= 0") + (f" and <= {most}" if most < math.inf else "")
+        raise UsageError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 def _check_training_section(stage: str, section: dict) -> None:
     """Counts must be integers (``epochs`` may be 0, which keeps the starting
-    model) and the learning rate a finite positive number."""
+    model), the learning rate a finite positive number and ``lam`` in [0, 1]."""
     for key, least in (("epochs", 0), ("batch_size", 1), ("samples_per_image", 1)):
-        if key not in section:
-            continue
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise UsageError(f"{stage}.{key} must be an integer >= {least}, got {value!r}")
-    lr = section["lr"]
-    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-        raise UsageError(f"{stage}.lr must be a finite number > 0, got {lr!r}")
+        if key in section:
+            _check_count(f"{stage}.{key}", section[key], least)
+    _check_number(f"{stage}.lr", section["lr"], positive=True)
+    if "lam" in section:
+        _check_number(f"{stage}.lam", section["lam"], most=1)
+
+
+def _check_finetune_section(method: str, section: dict, sweep: bool) -> None:
+    """``batch_size`` an integer >= 1; each grid a non-empty list of finite
+    numbers, learning rates > 0 and temperatures >= 0; ``gamma`` and
+    ``alpha`` finite and >= 0.  Without a sweep, each grid the method uses
+    must hold the one point the fine-tune trains."""
+    _check_count("finetune.batch_size", section["batch_size"], 1)
+    for key in ("gamma", "alpha"):
+        _check_number(f"finetune.{key}", section[key])
+    for key, flag, positive in (("lr_grid", "--lr", True),
+                                ("beta_prime_grid", "--beta-prime", False)):
+        grid = section[key]
+        if not isinstance(grid, list) or not grid:
+            raise UsageError(f"finetune.{key} must be a non-empty list, got {grid!r}")
+        for i, value in enumerate(grid):
+            _check_number(f"finetune.{key}[{i}]", value, positive=positive)
+        if not sweep and len(grid) > 1 and (key == "lr_grid" or method == "wft"):
+            raise UsageError(f"finetune.{key} has {len(grid)} values; without --sweep, give one"
+                             f" with {flag}")
 
 
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
-    seed = config["seed"]
-    _check_training_section(args.stage, config[args.stage])
+    seed, section = config["seed"], config[args.stage]
+    _check_training_section(args.stage, section)
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.stage == "ce":
-        section = config["ce"]
         params = _init_model(config, vocab)
         rng = stage_rng(seed, "train:ce")
         params, log = train_ce(params, bundle.train, section["epochs"], section["lr"],
@@ -304,7 +326,6 @@ def cmd_train(args) -> int:
     else:
         checkpoint, _ = _require_checkpoint(args.init, args.stage, vocab)
         stats = corpus_stats_for(vocab, bundle.train)
-        section = config[args.stage]
         rng = stage_rng(seed, f"train:{args.stage}")
         if args.stage == "rl":
             params, log = train_rl(checkpoint, bundle.train, stats, section["epochs"],
@@ -312,11 +333,8 @@ def cmd_train(args) -> int:
                                    section["samples_per_image"])
             log_columns = ["epoch", "mean_reward", "mean_greedy_reward"]
         else:
-            lam = args.lam if args.lam is not None else section["lam"]
-            if not 0.0 <= lam <= 1.0:
-                raise UsageError("--lam must lie in [0, 1]")
             params, log = train_joint(checkpoint, bundle.train, stats, section["epochs"],
-                                      section["lr"], lam, rng, section["batch_size"],
+                                      section["lr"], section["lam"], rng, section["batch_size"],
                                       section["samples_per_image"])
             log_columns = ["epoch", "mean_loss"]
 
@@ -336,22 +354,23 @@ def cmd_finetune(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     section = config["finetune"]
-    if args.sweep:
-        try:
-            sweep_grids(args.method, section["lr_grid"], section["beta_prime_grid"])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid finetune config: {exc}") from exc
+    try:
+        _check_finetune_section(args.method, section, args.sweep)
+    except UsageError as exc:
+        raise UsageError(f"invalid finetune config: {exc}") from None
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune", vocab)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = FinetuneConfig(method=args.method, batch_size=section["batch_size"],
-                          gamma=section["gamma"], alpha=section["alpha"])
+    base = FinetuneConfig(method=args.method, lr=section["lr_grid"][0],
+                          beta_prime=section["beta_prime_grid"][0],
+                          batch_size=section["batch_size"], gamma=section["gamma"],
+                          alpha=section["alpha"])
 
     if args.sweep:
         stats = corpus_stats_for(vocab, bundle.train)
-        decode_config = _decode_config(config, argparse.Namespace())
+        decode_config = _decode_config(config)
         result = sweep(checkpoint, bundle, stats, args.method,
                        lr_grid=section["lr_grid"],
                        beta_prime_grid=section["beta_prime_grid"],
@@ -365,11 +384,6 @@ def cmd_finetune(args) -> int:
         print(f"best grid point: lr={result.best['lr']} beta_prime={result.best['beta_prime']}"
               f" r@1={result.best['r_at_1']:.2f}")
     else:
-        if args.lr is None:
-            raise UsageError("--lr is required unless --sweep is given")
-        base.lr = args.lr
-        if args.beta_prime is not None:
-            base.beta_prime = args.beta_prime
         best = finetune(checkpoint, bundle, base, seed)
 
     ckpt_path = out / f"{args.method}.npz"
@@ -390,7 +404,7 @@ def cmd_decode(args) -> int:
     dataset = _split(bundle, args.split)
     vocab = _vocab_for(config, bundle)
     params, _ = _require_checkpoint(args.checkpoint, "decode", vocab)
-    decode_config = _decode_config(config, args)
+    decode_config = _decode_config(config)
     frozen = None
     if decode_config.method == "bp":
         if args.frozen is None:
@@ -446,6 +460,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
+        _check_count(flag, count, 1)
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     out = _out_path(args.out)
@@ -514,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init", help="upstream checkpoint (required for rl/joint)")
-    p.add_argument("--lam", type=float, help="joint mixing weight")
+    p.add_argument("--lam", dest="joint.lam", type=float, help="joint mixing weight")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
@@ -525,8 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sweep", action="store_true", help="grid-search lr (and beta') by validation R@1")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--beta-prime", dest="beta_prime", type=float)
+    p.add_argument("--lr", dest="finetune.lr_grid", type=float, help="one-point lr grid")
+    p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
+                   help="one-point beta' grid")
     p.add_argument("--decode-variant", dest="decode_variant", choices=["plain", "bp"], default="plain")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_finetune)
@@ -537,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["greedy", "beam", "nucleus", "bp"])
-    p.add_argument("--beam-size", dest="beam_size", type=int)
-    p.add_argument("--nucleus-p", dest="nucleus_p", type=float)
+    p.add_argument("--method", dest="decode.method", choices=["greedy", "beam", "nucleus", "bp"])
+    p.add_argument("--beam-size", dest="decode.beam_size", type=int)
+    p.add_argument("--nucleus-p", dest="decode.nucleus_p", type=float)
     p.add_argument("--frozen", help="frozen reference checkpoint (bp decoding)")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_decode)

@@ -302,30 +302,6 @@ def log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
     return a - np.log(np.exp(a).sum(axis=-1, keepdims=True))
 
 
-def tau_normalize(params: ModelParams, tau: float, normalize_bias: bool = True) -> ModelParams:
-    """Rescale each classifier column by its norm to the power tau.
-
-    Returns a modified copy; every non-classifier parameter is untouched.
-    With ``normalize_bias`` the bias vector is rescaled by its own norm the
-    same way.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    out = params.copy()
-    if tau == 0:
-        return out  # x / ||x||^0 == x
-    col_norms = np.linalg.norm(params.cls_w, axis=0)
-    if np.any(col_norms == 0.0):
-        raise ValueError("zero-norm classifier column cannot be tau-normalized")
-    out.cls_w = params.cls_w / col_norms**tau
-    if normalize_bias:
-        b_norm = np.linalg.norm(params.cls_b)
-        if b_norm == 0.0:
-            raise ValueError("zero-norm classifier bias cannot be tau-normalized")
-        out.cls_b = params.cls_b / b_norm**tau
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing: a single .npz archive (little-endian float64 .npy members)
 # holding every parameter array plus a JSON metadata entry with the format

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ from caplab.cli import main
 from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
                            save_dataset_split)
 from caplab.decode import Decoded, save_captions
-from caplab.model import ModelDims, init_params, load_checkpoint, save_checkpoint
+from caplab.model import ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint
 
 
 MICRO_CONFIG = {
@@ -152,10 +153,11 @@ class TestGenData:
         assert "split" in capsys.readouterr().err
 
     def test_sidecars_carry_config_hash(self, workdir):
-        _, _, data_dir = workdir
-        sidecar = json.loads((data_dir / "train.jsonl.meta.json").read_text())
-        assert sidecar["config_hash"]
-        assert sidecar["seed"] == MICRO_CONFIG["seed"]
+        _, config_path, data_dir = workdir
+        meta = json.loads((data_dir / "dataset.meta.json").read_text())
+        assert meta["config_hash"] == config_hash(cli.load_config(str(config_path)))
+        assert meta["seed"] == MICRO_CONFIG["seed"]
+        assert list(data_dir.glob("*.meta.json")) == [data_dir / "dataset.meta.json"]
 
 
 class TestTrain:
@@ -436,6 +438,139 @@ class TestFinetuneCommand:
         assert len(caps.read_text().strip().splitlines()) == MICRO_CONFIG["dataset"]["n_val"]
 
 
+def _outputs(out_dir):
+    """Every file under ``out_dir``; checkpoints as (parameter hash, metadata)."""
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".npz":
+            params, meta = load_checkpoint(path)
+            outputs[path.name] = (params.full_hash(), meta)
+        else:
+            outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def _recorded_hash(out_dir):
+    """The config hash of every sidecar and checkpoint in ``out_dir``, which must agree."""
+    hashes = {json.loads(path.read_text())["config_hash"] for path in out_dir.glob("*.meta.json")}
+    hashes |= {load_checkpoint(path)[1]["config_hash"] for path in out_dir.glob("*.npz")}
+    assert len(hashes) == 1
+    return hashes.pop()
+
+
+def _run(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
+    _, _, data_dir = workdir
+    argv = {
+        "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out_dir / "caps.jsonl")],
+        "joint": ["train", "--stage", "joint", "--init", str(ce_checkpoint), "--out", str(out_dir)],
+        "wft": ["finetune", "--method", "wft", "--checkpoint", str(ce_checkpoint),
+                "--out", str(out_dir)],
+        "sft-sweep": ["finetune", "--method", "sft", "--sweep", "--checkpoint", str(ce_checkpoint),
+                      "--out", str(out_dir)],
+    }[command]
+    return main([*argv, "--config", str(config_path), "--data", str(data_dir), *flags])
+
+
+class TestFlagsFoldIntoConfig:
+    @pytest.mark.parametrize("command, flags, section, edits", [
+        ("decode", ["--beam-size", "2"], "decode", {"beam_size": 2}),
+        ("decode", ["--method", "greedy"], "decode", {"method": "greedy"}),
+        ("joint", ["--lam", "0.2"], "joint", {"lam": 0.2}),
+        ("wft", ["--lr", "0.05", "--beta-prime", "0.5"], "finetune",
+         {"lr_grid": [0.05], "beta_prime_grid": [0.5]}),
+    ], ids=["beam-size", "method", "lam", "lr-beta-prime"])
+    def test_flag_equals_config_value(self, workdir, ce_checkpoint, tmp_path, command, flags,
+                                      section, edits):
+        _, config_path, _ = workdir
+        config = json.loads(config_path.read_text())
+        config[section].update(edits)
+        edited_path = tmp_path / "edited.json"
+        edited_path.write_text(json.dumps(config))
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert _run(workdir, ce_checkpoint, command, config_path, by_flag, flags) == 0
+        assert _run(workdir, ce_checkpoint, command, edited_path, by_file) == 0
+        assert _outputs(by_flag) == _outputs(by_file)
+        assert _recorded_hash(by_file) == config_hash(cli.load_config(str(edited_path)))
+        assert _recorded_hash(by_flag) != config_hash(cli.load_config(str(config_path)))
+
+    @pytest.mark.parametrize("command, variants", [
+        ("decode", [[], ["--beam-size", "1"], ["--beam-size", "2"], ["--method", "greedy"]]),
+        ("joint", [["--lam", "0.2"], ["--lam", "0.8"]]),
+    ], ids=["decode", "lam"])
+    def test_different_flags_give_different_hashes(self, workdir, ce_checkpoint, tmp_path,
+                                                   command, variants):
+        _, config_path, _ = workdir
+        hashes = []
+        for i, flags in enumerate(variants):
+            assert _run(workdir, ce_checkpoint, command, config_path, tmp_path / str(i), flags) == 0
+            hashes.append(_recorded_hash(tmp_path / str(i)))
+        assert len(set(hashes)) == len(variants)
+
+    def test_sweep_with_lr_flag_sweeps_that_point(self, workdir, ce_checkpoint, tmp_path):
+        _, config_path, _ = workdir
+        out = tmp_path / "ft"
+        assert _run(workdir, ce_checkpoint, "sft-sweep", config_path, out, ["--lr", "0.5"]) == 0
+        with open(out / "sft_plain_sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["lr"]) for row in rows] == [0.5]
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--lr", "0.01"], "--beta-prime"),
+        (["--beta-prime", "0.1"], "--lr"),
+    ], ids=["beta-prime-grid", "lr-grid"])
+    def test_wft_without_sweep_needs_one_point(self, workdir, ce_checkpoint, tmp_path, flags,
+                                               named, capsys):
+        _, config_path, _ = workdir
+        out = tmp_path / "ft"
+        assert _run(workdir, ce_checkpoint, "wft", config_path, out, flags) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, flags, named", [
+        ({"batch_size": 0}, [], "finetune.batch_size"),
+        ({"gamma": -1}, [], "finetune.gamma"),
+        ({"alpha": float("nan")}, [], "finetune.alpha"),
+        ({"lr_grid": ["x"]}, [], "finetune.lr_grid[0]"),
+        ({"lr_grid": [0.01, -1.0]}, [], "finetune.lr_grid[1]"),
+        ({"beta_prime_grid": None}, [], "finetune.beta_prime_grid"),
+        ({}, ["--lr", "nan"], "finetune.lr_grid[0]"),
+        ({}, ["--lr", "-1"], "finetune.lr_grid[0]"),
+        ({}, ["--beta-prime", "-1"], "finetune.beta_prime_grid[0]"),
+    ], ids=["batch-size", "gamma", "alpha-nan", "lr-not-number", "lr-negative",
+            "beta-prime-null", "lr-flag-nan", "lr-flag-negative", "beta-prime-flag-negative"])
+    def test_bad_finetune_section_is_usage_error(self, workdir, ce_checkpoint, tmp_path, edits,
+                                                 flags, named, capsys):
+        _, config_path, _ = workdir
+        config = json.loads(config_path.read_text())
+        config["finetune"].update(edits)
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(config))  # NaN is written as a bare NaN token
+        out = tmp_path / "ft"
+        assert _run(workdir, ce_checkpoint, "wft", bad_path, out, ["--sweep", *flags]) == 2
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_flags_name_config_keys(self):
+        """Every flag whose destination looks like a config key names a leaf
+        of DEFAULT_CONFIG and is None unless given, so folding flags into the
+        config never writes an unknown key or a value nobody passed."""
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        dests = set()
+        for command in commands.choices.values():
+            for action in command._actions:
+                section, _, key = action.dest.rpartition(".")
+                if not section and key not in cli.DEFAULT_CONFIG:
+                    continue
+                default = cli.DEFAULT_CONFIG[section] if section else cli.DEFAULT_CONFIG
+                assert key in default and not isinstance(default[key], dict), action.dest
+                assert action.default is None, action.dest
+                dests.add(action.dest)
+        assert dests == {"seed", "joint.lam", "decode.method", "decode.beam_size",
+                         "decode.nucleus_p", "finetune.lr_grid", "finetune.beta_prime_grid"}
+
+
 class TestAnalyze:
     def test_histogram_of_references_matches_corpus(self, workdir):
         root, config_path, data_dir = workdir
@@ -478,6 +613,21 @@ class TestAnalyze:
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--samples", "2", "--out", str(out)]) == 0
         assert out.exists()
+
+
+    @pytest.mark.parametrize("what, flag", [
+        ("sample-freq", ["--samples", "0"]), ("sample-freq", ["--samples", "-3"]),
+        ("loss-surface", ["--grid-points", "0"]), ("loss-surface", ["--grid-points", "-1"]),
+    ], ids=["samples-0", "samples-negative", "grid-points-0", "grid-points-negative"])
+    def test_count_below_one_is_usage_error(self, workdir, ce_checkpoint, tmp_path, what, flag,
+                                            capsys):
+        _, config_path, data_dir = workdir
+        out = tmp_path / "an.csv"
+        assert main(["analyze", "--what", what, "--config", str(config_path),
+                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out), *flag]) == 2
+        assert f"{flag[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _writers(data_dir, config_path):

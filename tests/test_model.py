@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caplab.corpus import ImageRecord, build_vocab
-from caplab.decode import DecodeConfig, decode_greedy
 from caplab.model import (
     ALL_ARRAYS,
     CLASSIFIER_ARRAYS,
@@ -24,7 +23,6 @@ from caplab.model import (
     save_checkpoint,
     score_step,
     softmax_temp,
-    tau_normalize,
 )
 
 
@@ -147,59 +145,6 @@ def test_softmax_argmax_invariance(z, beta):
     # integer-valued logits keep tied maxima exactly tied after scaling
     z = np.array(z, dtype=float)
     assert int(np.argmax(softmax_temp(z, beta))) == int(np.argmax(z))
-
-
-class TestTauNormalize:
-    def test_tau_zero_identity(self, tiny_model):
-        out = tau_normalize(tiny_model, 0.0)
-        assert out.full_hash() == tiny_model.full_hash()
-        assert out is not tiny_model
-
-    def test_column_three_four(self, tiny_vocab):
-        dims = ModelDims(hidden_dim=2, feature_dim=2, max_len=4)
-        params = init_params(tiny_vocab, dims, 0)
-        params.cls_w[:, 0] = [3.0, 4.0]
-        out = tau_normalize(params, 1.0, normalize_bias=False)
-        np.testing.assert_allclose(out.cls_w[:, 0], [0.6, 0.8], rtol=1e-12)
-
-    def test_unit_norm_after_one_application(self, tiny_model):
-        out = tau_normalize(tiny_model, 1.0, normalize_bias=False)
-        np.testing.assert_allclose(np.linalg.norm(out.cls_w, axis=0), 1.0, rtol=1e-12)
-
-    def test_not_idempotent_in_general(self, tiny_model):
-        params = tiny_model.copy()
-        params.cls_b[:] = 0.4
-        once = tau_normalize(params, 0.5)
-        twice = tau_normalize(once, 0.5)
-        assert once.classifier_hash() != twice.classifier_hash()
-
-    def test_only_classifier_touched(self, tiny_model):
-        params = tiny_model.copy()
-        params.cls_b[:] = 0.4
-        out = tau_normalize(params, 0.7)
-        assert out.encoder_hash() == params.encoder_hash()
-
-    def test_zero_norm_column_errors(self, tiny_model):
-        params = tiny_model.copy()
-        params.cls_w[:, 1] = 0.0
-        with pytest.raises(ValueError):
-            tau_normalize(params, 0.5)
-
-    def test_zero_norm_bias_errors(self, tiny_model):
-        with pytest.raises(ValueError):
-            tau_normalize(tiny_model, 0.5)  # init biases are zero
-
-    def test_bias_normalized_by_default(self, tiny_model):
-        params = tiny_model.copy()
-        params.cls_b[:] = np.linspace(0.5, 1.0, len(params.cls_b))
-        out = tau_normalize(params, 1.0)
-        np.testing.assert_allclose(np.linalg.norm(out.cls_b), 1.0, rtol=1e-12)
-
-    def test_tau_zero_greedy_identical(self, tiny_model, tiny_image):
-        config = DecodeConfig(method="greedy", max_len=6)
-        base = decode_greedy(tiny_model, tiny_image, config)
-        normed = decode_greedy(tau_normalize(tiny_model, 0.0), tiny_image, config)
-        assert base.ids == normed.ids and base.logprob == normed.logprob
 
 
 class TestScope:
