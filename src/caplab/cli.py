@@ -5,14 +5,15 @@ experiment file supplies every stage's settings.  A flag that overrides a
 setting has its config key as destination (``--lam`` is ``joint.lam``;
 ``finetune --lr x`` sets the one-point grid ``finetune.lr_grid = [x]``), and
 every given flag is folded into the config before it is hashed, so a flag
-and the same value in the file make the same run and hash.  Commands read
-settings from that config only.  All randomness is funneled through one
-seeded generator per stage, derived from the master seed, so every command
-is reproducible from (config, seed).  Checkpoints and ``dataset.meta.json``
-(for the splits) carry the config hash; every other output, and each
-checkpoint, gets a ``<name>.meta.json`` sidecar with it.  Every file is
-written through ``corpus.atomic_write``, so a failed run leaves a previous
-output whole.
+and the same value in the file make the same run and hash.  An integer in
+the file where the default is a float is read as that float, so ``1`` and
+``1.0`` do too.  Commands read settings from that config only.  All
+randomness is funneled through one seeded generator per stage, derived from
+the master seed, so every command is reproducible from (config, seed).
+Checkpoints and ``dataset.meta.json`` (for the splits) carry the config
+hash; every other output, and each checkpoint, gets a ``<name>.meta.json``
+sidecar with it.  Every file is written through ``corpus.atomic_write``, so
+a failed run leaves a previous output whole.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -111,6 +112,34 @@ def _check_keys(user, default: dict, where: str) -> None:
             _check_keys(value, default[key], key)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _to_float(value: int, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{name} must be a finite number, got an integer too large"
+                         " for a float") from None
+
+
+def _floats_as_floats(user: dict, default: dict, where: str = "") -> None:
+    """Cast, in place, each integer leaf of ``user`` whose ``DEFAULT_CONFIG``
+    value is a float, or a list of floats, to float, so that ``1`` and
+    ``1.0`` make one config and one hash."""
+    for key, value in user.items():
+        ref, name = default[key], f"{where}{key}"
+        if isinstance(ref, dict):
+            _floats_as_floats(value, ref, f"{name}.")
+        elif isinstance(ref, float) and _is_int(value):
+            user[key] = _to_float(value, name)
+        elif (isinstance(ref, list) and ref and all(isinstance(v, float) for v in ref)
+              and isinstance(value, list)):
+            user[key] = [_to_float(v, f"{name}[{i}]") if _is_int(v) else v
+                         for i, v in enumerate(value)]
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -123,6 +152,7 @@ def load_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     _check_keys(user, DEFAULT_CONFIG, "top-level")
+    _floats_as_floats(user, DEFAULT_CONFIG)
     return _deep_merge(DEFAULT_CONFIG, user)
 
 

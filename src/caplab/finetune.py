@@ -5,31 +5,47 @@ Both headline methods update only the classifier weight and bias for one
 epoch over the training references: "sft" minimizes the plain CE loss, and
 "wft" minimizes the bias-product loss against a frozen copy of the same
 checkpoint.  The reweighting baselines "fl" and "afl" run the same protocol
-with the focal and anti-focal losses.  Each is softmax regression over
-frozen encoder states: a batch gets one teacher-forced pass, and the loss
-head shared with the sequence losses reads its hidden states through the
-trainable classifier and, for "wft", through the frozen copy's classifier,
-since both models have the same encoder bytes.  Sweeps select
-hyperparameters by validation retrieval R@1, ties toward the smaller
-learning rate and then the smaller reference temperature.
+with the focal and anti-focal losses.
+
+Each is softmax regression over frozen encoder states.  The embedding and
+encoder never receive a gradient, so every pair's teacher-forced hidden
+states are fixed before the epoch starts, and a batch needs no recurrent
+pass of its own.  The fine-tune encodes a block of upcoming batches (about
+``BLOCK_PAIRS`` pairs) in one lockstep recurrence that keeps only the hidden
+states; each batch of the block then reads its rows through the trainable
+classifier and, for "wft", through the frozen copy's classifier, since both
+models have the same encoder bytes.  A block holds about a megabyte, where
+the states of every pair would take tens.  Sweeps select hyperparameters by
+validation retrieval R@1, ties toward the smaller learning rate and then the
+smaller reference temperature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .cider import CiderCorpusStats
 from .corpus import build_vocab
 from .decode import DecodeConfig, decode_dataset
-from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, ce_terms, focal_terms,
-                     pointwise_head, teacher_forced)
+from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, caption_targets,
+                     ce_terms, focal_terms, frame_targets, pointwise_head)
 from .metrics import evaluate
-from .model import (ModelParams, TrainScope, backward_sequences, log_softmax_temp,
-                    logits_from_hidden, stage_rng)
-from .rl import mean_loss_log, pair_step, reference_pairs, sgd_epochs
+from .model import (ModelParams, classifier_grads, initial_hidden, log_softmax_temp,
+                    logits_from_hidden, recurrent_step, stage_rng)
+from .rl import epoch_batches, mean_loss_log, reference_pairs, sgd_pass
 from .synth import DataBundle
 
 FINETUNE_METHODS = ("sft", "wft", "fl", "afl")
+
+# Pairs per lockstep encode, rounded down to whole batches (at least one).
+# At the default dimensions a block's states take about 1 MB; larger blocks
+# trained no faster on the benchmark and raised its peak memory.
+BLOCK_PAIRS = 128
 
 
 @dataclass
@@ -45,8 +61,14 @@ class FinetuneConfig:
     def validate(self) -> None:
         if self.method not in FINETUNE_METHODS:
             raise ValueError(f"unknown fine-tune method {self.method!r}")
+        if not isinstance(self.batch_size, Integral) or isinstance(self.batch_size, bool):
+            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("lr", "beta", "gamma", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass
@@ -62,26 +84,86 @@ def check_vocab_hash(checkpoint: ModelParams, data: DataBundle) -> None:
         raise ValueError("checkpoint vocabulary does not match the dataset")
 
 
+@dataclass(eq=False)
+class EncodedPairs:
+    """Teacher-forced hidden states of (image, reference) pairs.
+
+    ``h[:, t]`` scores ``targets[:, t]``; positions at or beyond a row's
+    length are <eos>-padded, as in ``forward_sequences``.
+    """
+
+    h: np.ndarray        # (B, T, d)
+    targets: np.ndarray  # (B, T) int64
+    lengths: np.ndarray  # (B,)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def mask(self) -> np.ndarray:
+        positions = np.arange(self.targets.shape[1])
+        return (positions[None, :] < self.lengths[:, None]).astype(np.float64)
+
+    def rows(self, start: int, stop: int) -> "EncodedPairs":
+        """Rows ``start:stop``, cut to their longest target and copied into
+        an array of their own, so the products over them see the shape and
+        layout a batch framed on its own has."""
+        t_max = self.lengths[start:stop].max()
+        return EncodedPairs(h=np.ascontiguousarray(self.h[start:stop, :t_max]),
+                            targets=self.targets[start:stop, :t_max],
+                            lengths=self.lengths[start:stop])
+
+
+def encode_pairs(encoder: ModelParams, pairs: Sequence) -> EncodedPairs:
+    """One lockstep recurrence over the pairs' teacher-forced inputs that
+    keeps only the hidden states."""
+    feats = np.stack([rec.features for rec, _ in pairs])
+    inputs, targets, lengths = frame_targets(encoder.vocab,
+                                             caption_targets(encoder, [ref for _, ref in pairs]))
+    h = np.empty(inputs.shape + (encoder.dims.hidden_dim,))
+    h_prev = initial_hidden(encoder, feats)
+    for t in range(inputs.shape[1]):
+        h[:, t] = h_prev = recurrent_step(encoder, h_prev, inputs[:, t])
+    return EncodedPairs(h=h, targets=targets, lengths=lengths)
+
+
+def encoded_batches(encoder: ModelParams, pairs: Sequence, batches: Sequence[np.ndarray],
+                    batch_size: int) -> Iterator[EncodedPairs]:
+    """The encoded states of each batch of ``pairs`` in order, encoding each
+    block of ``BLOCK_PAIRS // batch_size`` batches when its first batch is
+    due, so one block is held at a time."""
+    per_block = max(1, BLOCK_PAIRS // batch_size)
+    for first in range(0, len(batches), per_block):
+        block = batches[first : first + per_block]
+        encoded = encode_pairs(encoder, [pairs[i] for idx in block for i in idx])
+        start = 0
+        for idx in block:
+            yield encoded.rows(start, start + len(idx))
+            start += len(idx)
+
+
 def classifier_step(config: FinetuneConfig, frozen: FrozenReference | None = None):
-    """The fine-tune's batch loss ``(params, feats, captions) -> LossOutput``.
+    """The fine-tune's batch loss ``(params, batch: EncodedPairs) -> LossOutput``.
 
     Only the classifier receives gradients.  "wft" needs ``frozen``, whose
-    embedding and encoder must be those of ``params``.
+    embedding and encoder must be those that encoded the batch.
     """
     beta, wft = config.beta, config.method == "wft"
     if not wft:
         terms = {"sft": lambda: ce_terms, "fl": lambda: focal_terms(config.gamma),
                  "afl": lambda: anti_focal_terms(config.gamma, config.alpha)}[config.method]()
 
-    def batch_loss(params, feats, captions):
-        fwd, logp, targets = teacher_forced(params, feats, captions, beta)
+    def batch_loss(params, batch):
+        logp = log_softmax_temp(logits_from_hidden(params, batch.h), beta)
+        frame = (batch.targets, batch.mask, batch.lengths, beta)
         if wft:
-            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
-            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths, beta)
+            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, batch.h),
+                                        frozen.beta_prime)
+            per_item, d_logits = bp_head(logp, logp_ref, *frame)
         else:
-            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, beta, terms)
-        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
-        return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+            per_item, d_logits = pointwise_head(logp, *frame, terms)
+        return LossOutput(loss=float(per_item.mean()), grads=classifier_grads(batch.h, d_logits),
+                          details={"per_item": per_item})
 
     return batch_loss
 
@@ -98,10 +180,13 @@ def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
     check_vocab_hash(checkpoint, data)
     params = checkpoint.copy()
     frozen = FrozenReference(checkpoint, config.beta_prime) if config.method == "wft" else None
-    rng = stage_rng(seed, f"finetune:{config.method}")
-    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
-                         config.batch_size, pair_step(classifier_step(config, frozen)))
-    return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log(history))
+    step = classifier_step(config, frozen)
+    pairs = reference_pairs(data.train)
+    batches = epoch_batches(stage_rng(seed, f"finetune:{config.method}"), len(pairs),
+                            config.batch_size)
+    log = sgd_pass(params, encoded_batches(checkpoint, pairs, batches, config.batch_size),
+                   config.lr, step)
+    return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log([log]))
 
 
 @dataclass

@@ -76,14 +76,13 @@ def encode_caption(vocab: Vocabulary, caption: Sequence[str]) -> tuple[list[int]
     return [vocab.bos_id] + ids, ids + [vocab.eos_id]
 
 
-def forward_targets(params, feats, target_ids: Sequence[Sequence[int]], beta):
-    """Teacher-forced pass over non-empty target id sequences.
+def frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher-forcing frame of non-empty target id sequences.
 
     Row i feeds <bos> + t[:-1] and predicts t; both are padded with <eos> to
-    the longest target.  Returns the pass, the temperature-scaled
-    log-softmax of every position's logits and the padded targets.
+    the longest target.  Returns the inputs, the targets and the lengths.
     """
-    vocab = params.vocab
     b = len(target_ids)
     t_max = max(len(tgt) for tgt in target_ids)
     inputs = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
@@ -93,16 +92,30 @@ def forward_targets(params, feats, target_ids: Sequence[Sequence[int]], beta):
         inputs[i, : len(tgt)] = [vocab.bos_id, *tgt[:-1]]
         targets[i, : len(tgt)] = tgt
         lengths[i] = len(tgt)
+    return inputs, targets, lengths
+
+
+def forward_targets(params, feats, target_ids: Sequence[Sequence[int]], beta):
+    """Teacher-forced pass over the ``frame_targets`` frame of ``target_ids``.
+
+    Returns the pass, the temperature-scaled log-softmax of every position's
+    logits and the padded targets.
+    """
+    inputs, targets, lengths = frame_targets(params.vocab, target_ids)
     fwd = forward_sequences(params, feats, inputs, lengths)
     return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), beta), targets
 
 
-def teacher_forced(params, feats, captions: Sequence[Sequence[str]], beta):
-    """``forward_targets`` over captions, each truncated to max_len - 1 tokens
+def caption_targets(params: ModelParams, captions: Sequence[Sequence[str]]) -> list[list[int]]:
+    """Each caption's target ids, the caption truncated to max_len - 1 tokens
     so that its <eos> target still fits."""
     max_len = params.dims.max_len
-    target_ids = [encode_caption(params.vocab, list(cap)[: max_len - 1])[1] for cap in captions]
-    return forward_targets(params, feats, target_ids, beta)
+    return [encode_caption(params.vocab, list(cap)[: max_len - 1])[1] for cap in captions]
+
+
+def teacher_forced(params, feats, captions: Sequence[Sequence[str]], beta):
+    """``forward_targets`` over the ``caption_targets`` of ``captions``."""
+    return forward_targets(params, feats, caption_targets(params, captions), beta)
 
 
 def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:

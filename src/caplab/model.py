@@ -214,13 +214,20 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
     holds a gradient for every array the scope trains and for no other: in
     classifier scope only {W, b}, and the recurrence is skipped entirely.
     """
-    b, t_max, d = fwd.h.shape
-    d_flat = d_logits.reshape(b * t_max, -1)
-    grads = {"cls_w": fwd.h.reshape(b * t_max, d).T @ d_flat, "cls_b": d_logits.sum(axis=(0, 1))}
+    grads = classifier_grads(fwd.h, d_logits)
     if scope is TrainScope.CLASSIFIER_ONLY:
         return grads
-    dh = (d_flat @ params.cls_w.T).reshape(b, t_max, d)
+    b, t_max, d = fwd.h.shape
+    dh = (d_logits.reshape(b * t_max, -1) @ params.cls_w.T).reshape(b, t_max, d)
     return _backward_recurrence(params, fwd, dh) | grads
+
+
+def classifier_grads(h: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """The {W, b} gradients from hidden states ``h`` (B, T, d) and the logit
+    gradients ``d_logits`` (B, T, V) read from them, zero at padding."""
+    b, t_max, d = h.shape
+    return {"cls_w": h.reshape(b * t_max, d).T @ d_logits.reshape(b * t_max, -1),
+            "cls_b": d_logits.sum(axis=(0, 1))}
 
 
 def _backward_recurrence(params: ModelParams, fwd: SeqForward,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -235,26 +235,40 @@ def reference_pairs(train: Dataset) -> list[tuple[ImageRecord, list[str]]]:
     return [(rec, ref) for rec in train.records for ref in rec.references]
 
 
+def epoch_batches(rng: np.random.Generator, n: int, batch_size: int) -> list[np.ndarray]:
+    """One epoch's batches: a permutation of ``range(n)`` drawn from ``rng``,
+    cut into index arrays of up to ``batch_size``."""
+    order = rng.permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def sgd_pass(params: ModelParams, batches: Iterable, lr: float,
+             step: Callable[[ModelParams, Any], LossOutput]) -> list[tuple[int, float, dict]]:
+    """SGD on ``params`` in place over ``batches`` in order, shared by every
+    trainer: each batch goes to ``step(params, batch)``, and the arrays it
+    returns gradients for are updated.  Returns every batch's (size, loss,
+    details); gradients are not kept."""
+    log = []
+    for batch in batches:
+        out = step(params, batch)
+        apply_sgd(params, out.grads, lr)
+        log.append((len(batch), out.loss, out.details))
+    return log
+
+
 def sgd_epochs(params: ModelParams, items: Sequence, epochs: int, lr: float,
                rng: np.random.Generator, batch_size: int,
                step: Callable[[ModelParams, list], LossOutput]) -> list[list[tuple[int, float, dict]]]:
-    """Shuffle-batch SGD on ``params`` in place, shared by every trainer.
+    """Shuffle-batch ``sgd_pass`` epochs over ``items``.
 
-    Each epoch draws one permutation of ``items`` from ``rng``; each batch
-    of up to ``batch_size`` items goes to ``step(params, batch)``, and the
-    arrays it returns gradients for are updated.  Returns, per epoch, every
-    batch's (size, loss, details); gradients are not kept.
+    Each epoch draws its ``epoch_batches`` from ``rng`` before its first
+    step, so a step may draw from the same generator.  Returns, per epoch,
+    the ``sgd_pass`` log.
     """
     history = []
     for _ in range(epochs):
-        order = rng.permutation(len(items))
-        batches = []
-        for start in range(0, len(items), batch_size):
-            batch = [items[i] for i in order[start : start + batch_size]]
-            out = step(params, batch)
-            apply_sgd(params, out.grads, lr)
-            batches.append((len(batch), out.loss, out.details))
-        history.append(batches)
+        batches = epoch_batches(rng, len(items), batch_size)
+        history.append(sgd_pass(params, ([items[i] for i in idx] for idx in batches), lr, step))
     return history
 
 

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import json
 import os
@@ -569,6 +570,78 @@ class TestFlagsFoldIntoConfig:
                 dests.add(action.dest)
         assert dests == {"seed", "joint.lam", "decode.method", "decode.beam_size",
                          "decode.nucleus_p", "finetune.lr_grid", "finetune.beta_prime_grid"}
+
+
+class TestConfigHash:
+    ARGV = {
+        "joint": ["train", "--stage", "joint", "--data", "d", "--out", "o"],
+        "finetune": ["finetune", "--method", "sft", "--data", "d", "--checkpoint", "c",
+                     "--out", "o"],
+    }
+
+    def _resolve(self, tmp_path, name, config, command, flags=()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        args = cli.build_parser().parse_args([*self.ARGV[command], "--config", str(path), *flags])
+        return cli._resolve_config(args)
+
+    @pytest.mark.parametrize("section, key, as_int, as_float, flags", [
+        ("joint", "lam", 1, 1.0, ["--lam", "1"]),
+        ("finetune", "lr_grid", [1], [1.0], ["--lr", "1"]),
+    ], ids=["lam", "lr-grid"])
+    def test_integer_float_and_flag_give_one_hash(self, tmp_path, section, key, as_int,
+                                                  as_float, flags):
+        command = "joint" if section == "joint" else "finetune"
+        resolved = []
+        for name, value in (("int", as_int), ("float", as_float)):
+            config = copy.deepcopy(MICRO_CONFIG)
+            config[section][key] = value
+            resolved.append(self._resolve(tmp_path, name, config, command))
+        resolved.append(self._resolve(tmp_path, "flag", MICRO_CONFIG, command, flags))
+        assert len({cfg_hash for _, cfg_hash in resolved}) == 1
+        assert resolved[0][0][section][key] == as_float
+        assert type(resolved[0][0][section][key]) is type(as_float)
+
+    def test_integer_grid_entries_read_as_floats(self, tmp_path):
+        config = copy.deepcopy(MICRO_CONFIG)
+        by_int = self._resolve(tmp_path, "int", config | {
+            "finetune": config["finetune"] | {"lr_grid": [1, 0.001], "beta_prime_grid": [0, 1]}},
+            "finetune")
+        by_float = self._resolve(tmp_path, "float", config | {
+            "finetune": config["finetune"] | {"lr_grid": [1.0, 0.001],
+                                              "beta_prime_grid": [0.0, 1.0]}}, "finetune")
+        assert by_int == by_float
+        assert [type(v) for v in by_int[0]["finetune"]["lr_grid"]] == [float, float]
+
+    def test_integer_leaves_of_integer_keys_and_booleans_stay(self, tmp_path):
+        config = copy.deepcopy(MICRO_CONFIG)
+        config["ce"]["lr"] = True  # a bool is not a number here; the section check rejects it
+        resolved, _ = self._resolve(tmp_path, "cfg", config, "joint")
+        assert resolved["ce"]["lr"] is True
+        assert type(resolved["ce"]["batch_size"]) is int
+        assert resolved["metrics"]["recall_ks"] == [1, 5]
+        assert all(type(k) is int for k in resolved["metrics"]["recall_ks"])
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("ce", "lr", 10**400, "ce.lr"),
+        ("finetune", "lr_grid", [0.01, 10**400], "finetune.lr_grid[1]"),
+    ], ids=["ce-lr", "lr-grid"])
+    def test_integer_too_large_for_a_float_is_usage_error(self, workdir, tmp_path, section,
+                                                          key, value, named, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, section, key, value)
+        out = tmp_path / "out"
+        assert main(["train", "--stage", "ce", "--config", str(bad_path), "--data",
+                     str(data_dir), "--out", str(out)]) == 2
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_config_hash_unchanged(self, tmp_path):
+        default_hash = "414cc141359720ff537ef3698038397c6d8a7e77cbeee71fed82e25e246c664a"
+        assert config_hash(cli.load_config(None)) == default_hash
+        path = tmp_path / "default.json"
+        path.write_text(json.dumps(cli.DEFAULT_CONFIG))
+        assert config_hash(cli.load_config(str(path))) == default_hash
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 
@@ -7,11 +8,19 @@ import pytest
 from caplab import model
 from caplab.corpus import build_vocab
 from caplab.decode import DecodeConfig
-from caplab.finetune import (FinetuneConfig, check_vocab_hash, classifier_step, finetune, sweep,
-                             sweep_grids)
-from caplab.losses import FrozenReference, anti_focal_batch, bp_batch, ce_batch, focal_batch
-from caplab.model import CLASSIFIER_ARRAYS, ModelDims, init_params
-from caplab.rl import corpus_stats_for, reference_pairs, train_ce
+from caplab.finetune import (FinetuneConfig, check_vocab_hash, classifier_step, encode_pairs,
+                             finetune, sweep, sweep_grids)
+from caplab.losses import (FrozenReference, LossOutput, anti_focal_batch, anti_focal_terms,
+                           bp_batch, bp_head, ce_batch, ce_terms, focal_batch, focal_terms,
+                           logit_grad, pointwise_head, teacher_forced)
+from caplab.model import (CLASSIFIER_ARRAYS, ModelDims, TrainScope, backward_sequences,
+                          classifier_grads, init_params, log_softmax_temp, logits_from_hidden,
+                          stage_rng)
+from caplab.rl import (corpus_stats_for, mean_loss_log, pair_step, reference_pairs, sgd_epochs,
+                       train_ce)
+
+# ``caplab.finetune`` is the re-exported function; the module is in sys.modules
+finetune_mod = importlib.import_module("caplab.finetune")
 
 
 @pytest.fixture(scope="module")
@@ -81,31 +90,136 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(checkpoint, micro_bundle, FinetuneConfig(method="scst", lr=0.01), seed=1)
 
-    def test_wft_runs_one_forward_pass_per_batch(self, ft_setup, micro_bundle, monkeypatch):
+    def test_encodes_each_block_in_one_lockstep_recurrence(self, ft_setup, micro_bundle,
+                                                           monkeypatch):
+        """No per-batch forward pass: ceil(pairs / block) encodes, each one
+        recurrence of at most one block's rows."""
         _, checkpoint = ft_setup
-        calls = []
-        original = model.forward_sequences
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
+        forwards, encodes, step_rows = [], [], []
+        wrappers = {
+            model.forward_sequences: lambda fn: lambda *a: forwards.append(1) or fn(*a),
+            model.initial_hidden: lambda fn: lambda *a: encodes.append(1) or fn(*a),
+            model.recurrent_step: lambda fn: lambda params, h_prev, ids: (
+                step_rows.append(len(h_prev)) or fn(params, h_prev, ids)),
+        }
         for mod in [m for name, m in sys.modules.items() if name.startswith("caplab")]:
-            for attr in [a for a, obj in vars(mod).items() if obj is original]:
-                monkeypatch.setattr(mod, attr, counted)
-        config = FinetuneConfig(method="wft", lr=0.01, batch_size=7)
-        finetune(checkpoint, micro_bundle, config, seed=1)
-        assert len(calls) == math.ceil(len(reference_pairs(micro_bundle.train)) / 7)
+            for attr, obj in list(vars(mod).items()):
+                if callable(obj) and obj in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[obj](obj))
+        monkeypatch.setattr(finetune_mod, "BLOCK_PAIRS", 30)
+        block = 30 // 7 * 7
+        for method in ("sft", "wft"):
+            for counts in (forwards, encodes, step_rows):
+                counts.clear()
+            finetune(checkpoint, micro_bundle,
+                     FinetuneConfig(method=method, lr=0.01, batch_size=7), seed=1)
+            assert forwards == []
+            assert len(encodes) == math.ceil(len(reference_pairs(micro_bundle.train)) / block) == 4
+            assert step_rows and max(step_rows) <= block
+
+    @pytest.mark.parametrize("method", ["sft", "fl", "afl", "wft"])
+    @pytest.mark.parametrize("batch_size, block_pairs", [(4, 11), (7, 30)])
+    def test_block_encoding_matches_per_batch_oracle(self, ft_setup, micro_bundle, monkeypatch,
+                                                     method, batch_size, block_pairs):
+        """90 pairs in batches of 4 (the last of 2) and blocks of 8 pairs (the
+        last one batch), or batches of 7 (the last of 6) in blocks of 28 (the
+        last one batch): bit-identical to one teacher-forced pass per batch.
+        No batch here has one row; see the next test."""
+        _, checkpoint = ft_setup
+        monkeypatch.setattr(finetune_mod, "BLOCK_PAIRS", block_pairs)
+        n_pairs = len(reference_pairs(micro_bundle.train))
+        block = block_pairs // batch_size * batch_size
+        assert n_pairs % batch_size > 1 and n_pairs % block and block_pairs % batch_size
+        config = FinetuneConfig(method=method, lr=0.5, beta=1.3, beta_prime=0.4, gamma=1.5,
+                                alpha=0.7, batch_size=batch_size)
+        result = finetune(checkpoint, micro_bundle, config, seed=4)
+        params, frozen, log = per_batch_oracle(checkpoint, micro_bundle, config, seed=4)
+        assert result.params.classifier_hash() == params.classifier_hash()
+        assert result.params.full_hash() == params.full_hash()
+        assert result.log == log
+        assert (result.frozen and result.frozen.hash_hex()) == (frozen and frozen.hash_hex())
+
+    def test_one_row_batch_is_close_to_per_batch_oracle(self, ft_setup, micro_bundle):
+        """A batch of one pair takes its states from its block, while a pass
+        of its own multiplies one-row matrices, which numpy hands to BLAS
+        gemv instead of gemm: the two agree to rounding, not bit for bit."""
+        _, checkpoint = ft_setup
+        n_pairs = len(reference_pairs(micro_bundle.train))
+        config = FinetuneConfig(method="wft", lr=0.5, batch_size=n_pairs - 1)
+        result = finetune(checkpoint, micro_bundle, config, seed=4)
+        params, _, log = per_batch_oracle(checkpoint, micro_bundle, config, seed=4)
+        for name in CLASSIFIER_ARRAYS:
+            np.testing.assert_allclose(getattr(result.params, name), getattr(params, name),
+                                       rtol=0, atol=1e-12)
+        assert result.params.encoder_hash() == params.encoder_hash()
+        assert result.log[0]["mean_loss"] == pytest.approx(log[0]["mean_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", -1.0, "lr must be"),
+        ("lr", math.nan, "lr must be"),
+        ("lr", math.inf, "lr must be"),
+        ("beta", -0.5, "beta must be"),
+        ("beta", math.nan, "beta must be"),
+        ("gamma", math.nan, "gamma must be"),
+        ("alpha", math.inf, "alpha must be"),
+        ("batch_size", 2.5, "batch_size must be an integer"),
+    ], ids=["lr-negative", "lr-nan", "lr-inf", "beta-negative", "beta-nan", "gamma-nan",
+            "alpha-inf", "batch-size-float"])
+    def test_bad_config_rejected_before_any_work(self, ft_setup, micro_bundle, monkeypatch,
+                                                 field, value, message):
+        _, checkpoint = ft_setup
+        steps = []
+        cell = model.gru_cell
+        monkeypatch.setattr(model, "gru_cell", lambda *a: steps.append(1) or cell(*a))
+        config = FinetuneConfig(**{"method": "afl", "lr": 0.01} | {field: value})
+        with pytest.raises(ValueError, match=message):
+            finetune(checkpoint, micro_bundle, config, seed=1)
+        assert steps == []
+
+    def test_zero_beta_is_legal(self, ft_setup, micro_bundle):
+        _, checkpoint = ft_setup
+        config = FinetuneConfig(method="sft", lr=0.01, beta=0.0)
+        result = finetune(checkpoint, micro_bundle, config, seed=1)
+        assert result.params.encoder_hash() == checkpoint.encoder_hash()
+
+
+def per_batch_oracle(checkpoint, data, config, seed):
+    """The fine-tune as one teacher-forced ``forward_sequences`` pass per
+    batch, the method's head, and the classifier-scope ``backward_sequences``."""
+    params = checkpoint.copy()
+    wft = config.method == "wft"
+    frozen = FrozenReference(checkpoint, config.beta_prime) if wft else None
+    terms = {"sft": ce_terms, "wft": None, "fl": focal_terms(config.gamma),
+             "afl": anti_focal_terms(config.gamma, config.alpha)}[config.method]
+
+    def batch_loss(params, feats, captions):
+        fwd, logp, targets = teacher_forced(params, feats, captions, config.beta)
+        if wft:
+            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
+            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths,
+                                         config.beta)
+        else:
+            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, config.beta,
+                                                terms)
+        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
+        return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+
+    rng = stage_rng(seed, f"finetune:{config.method}")
+    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
+                         config.batch_size, pair_step(batch_loss))
+    return params, frozen, mean_loss_log(history)
 
 
 class TestClassifierStep:
-    """The fine-tune step's classifier gradient is the classifier block of
-    the matching sequence loss's full gradient, bit for bit."""
+    """The fine-tune step's classifier gradient, from states cut out of a
+    larger encoded block, is the classifier block of the matching sequence
+    loss's full gradient, bit for bit."""
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl", "wft"])
     def test_matches_sequence_loss(self, ft_setup, micro_bundle, method):
         _, checkpoint = ft_setup
-        pairs = reference_pairs(micro_bundle.train)[:9]
+        block_pairs = reference_pairs(micro_bundle.train)[:20]
+        pairs = block_pairs[5:14]
         feats = np.stack([rec.features for rec, _ in pairs])
         captions = [ref for _, ref in pairs]
         beta, gamma, alpha = 1.3, 1.5, 0.7
@@ -120,12 +234,26 @@ class TestClassifierStep:
             "afl": lambda: anti_focal_batch(params, feats, captions, beta, gamma, alpha),
             "wft": lambda: bp_batch(params, frozen, feats, captions, beta),
         }[method]()
-        out = classifier_step(config, frozen if method == "wft" else None)(params, feats, captions)
+        batch = encode_pairs(checkpoint, block_pairs).rows(5, 14)
+        out = classifier_step(config, frozen if method == "wft" else None)(params, batch)
         assert out.loss == full.loss
         assert set(out.grads) == set(CLASSIFIER_ARRAYS)
         for name, grad in out.grads.items():
             assert np.abs(grad).max() > 0.0
             np.testing.assert_array_equal(grad, full.grads[name])
+        np.testing.assert_array_equal(out.details["per_item"], full.details["per_item"])
+
+    def test_classifier_grads_is_the_classifier_half_of_backward(self, ft_setup, micro_bundle):
+        _, checkpoint = ft_setup
+        pairs = reference_pairs(micro_bundle.train)[:6]
+        feats = np.stack([rec.features for rec, _ in pairs])
+        fwd, logp, targets = teacher_forced(checkpoint, feats, [ref for _, ref in pairs], 1.0)
+        d_logits = logit_grad(np.exp(logp), targets, fwd.mask)
+        full = backward_sequences(checkpoint, fwd, d_logits, TrainScope.ALL)
+        cls = classifier_grads(fwd.h, d_logits)
+        assert set(cls) == set(CLASSIFIER_ARRAYS)
+        for name, grad in cls.items():
+            np.testing.assert_array_equal(grad, full[name])
 
 
 @pytest.fixture(scope="module")
