@@ -6,13 +6,29 @@ with no document-frequency entry carries zero weight, so candidate tokens
 unseen in the reference corpus influence the score only through the length
 penalty.
 
-Each reference's tf-idf vectors and norms are memoized on the statistics
-object, keyed by the reference's token tuple, the first time ``cider_d``
-scores against it: an SCST step scores every reference once per rollout,
-and a multi-epoch run or a fine-tune sweep scores the same references at
-every pass.  The cache lives as long as the ``CiderCorpusStats`` object and
-is only correct for the statistics it was filled under, so do not mutate
+``cider_d_batch`` scores many candidates in one vectorized pass, each against
+the reference set it names; ``cider_d`` is its one-candidate call.  N-grams
+are coded as integers order by order: a unigram by its token's rank in the
+corpus, an n-gram by its (n-1)-gram prefix's rank in the corpus table times
+the number of corpus tokens plus its last token's rank.  Every prefix of a
+corpus n-gram is itself a corpus n-gram, so a candidate n-gram whose prefix
+is not in the table has no document frequency either.  The sorted code and
+idf tables are built from the statistics at the first score.
+
+Each reference set's tf-idf weights, norms and lengths are cached on the
+statistics object, keyed by its token tuples, the first time it is scored
+against: an SCST step scores every reference set once per image, and a
+multi-epoch run or a fine-tune sweep scores the same sets at every pass.
+The index and the cache live as long as the ``CiderCorpusStats`` object and
+are only correct for the statistics they were built under, so do not mutate
 the statistics after ``build_cider_stats``; build a new object instead.
+
+The vectorized sums add the same terms in the same order as a scalar loop
+over each candidate's distinct n-grams in order of first occurrence, order by
+order (``np.bincount`` accumulates its input sequentially); references are
+summed one at a time, then the orders left to right.  The scores therefore
+equal, bit for bit, those of the per-candidate loop kept in the tests as the
+oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +36,10 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 def ngram_counts(tokens: Sequence[str], n_max: int) -> Counter:
@@ -31,16 +50,47 @@ def ngram_counts(tokens: Sequence[str], n_max: int) -> Counter:
     return counts
 
 
+class _NgramIndex(NamedTuple):
+    """Sorted integer codes of the corpus n-grams, per order, and their idf."""
+
+    token_rank: dict        # corpus token -> rank among the sorted corpus tokens
+    codes: list             # per order: sorted int64 codes
+    offsets: np.ndarray     # per order: first global id of the order's table
+    idf: np.ndarray         # per global id: log(N) - log(df)
+
+
+class _RefSet(NamedTuple):
+    """One reference set's tf-idf weights over the union of its n-grams."""
+
+    ids: np.ndarray         # (U,) sorted global n-gram ids
+    weights: np.ndarray     # (U, k) weight of each n-gram in each reference, 0 if absent
+    norms: np.ndarray       # (k, n_max)
+    lengths: np.ndarray     # (k,)
+
+
+class _Entries(NamedTuple):
+    """Distinct n-grams with document frequency of a list of token sequences,
+    ordered by order, then sequence, then first occurrence."""
+
+    row: np.ndarray         # owning sequence
+    slot: np.ndarray        # order - 1
+    ids: np.ndarray         # global n-gram id
+    weight: np.ndarray      # tf * idf
+    norms: np.ndarray       # (rows, n_max) per-order vector norms
+
+
 @dataclass
 class CiderCorpusStats:
     """Per-n-gram document frequency over the reference corpus, plus the
-    memoized tf-idf vectors of every reference scored so far."""
+    lazily built n-gram index and the cached tf-idf data of every reference
+    set scored so far."""
 
     doc_freq: dict = field(default_factory=dict)
     log_num_images: float = 0.0
     n_max: int = 4
     sigma: float = 6.0
-    ref_vectors: dict = field(default_factory=dict, repr=False, compare=False)
+    index: _NgramIndex | None = field(default=None, init=False, repr=False, compare=False)
+    ref_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
@@ -63,55 +113,163 @@ def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
     )
 
 
-def _tfidf_vectors(tokens: Sequence[str], stats: CiderCorpusStats):
-    """Per-n tf-idf vectors and their norms; idf = log(N / df)."""
-    vecs = [dict() for _ in range(stats.n_max)]
-    norms = [0.0] * stats.n_max
-    for ngram, tf in ngram_counts(tokens, stats.n_max).items():
-        df = stats.doc_freq.get(ngram)
-        if df is None:
-            continue
-        weight = tf * (stats.log_num_images - math.log(df))
-        slot = len(ngram) - 1
-        vecs[slot][ngram] = weight
-        norms[slot] += weight * weight
-    return vecs, [math.sqrt(v) for v in norms]
+def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Position of each code in the sorted ``table``, -1 where absent."""
+    if len(table) == 0:
+        return np.full(len(codes), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[at] == codes, at, -1)
+
+
+def _extend(prefix_rank: np.ndarray, token: np.ndarray, n_tokens: int) -> np.ndarray:
+    """Codes of n-grams from their prefix ranks and last tokens; -1 where
+    either is unknown."""
+    return np.where((prefix_rank >= 0) & (token >= 0), prefix_rank * n_tokens + token, -1)
+
+
+def _build_index(stats: CiderCorpusStats) -> _NgramIndex:
+    by_order = [[] for _ in range(stats.n_max)]
+    for ngram, df in stats.doc_freq.items():
+        by_order[len(ngram) - 1].append((ngram, df))
+    token_rank = {gram[0]: rank for rank, (gram, _) in enumerate(sorted(by_order[0]))}
+    n_tokens = len(token_rank)
+    codes, idfs = [], []
+    for n, grams in enumerate(by_order, start=1):
+        ids = np.array([[token_rank.get(tok, -1) for tok in gram] for gram, _ in grams],
+                       dtype=np.int64).reshape(len(grams), n)
+        code = ids[:, 0]
+        for k in range(1, n):
+            code = _extend(_lookup(codes[k - 1], code), ids[:, k], n_tokens)
+        if (code < 0).any():
+            raise ValueError("document frequencies must include every prefix of every n-gram")
+        order = np.argsort(code)
+        codes.append(code[order])
+        idfs.append(np.array([stats.log_num_images - math.log(grams[i][1]) for i in order],
+                             dtype=np.float64))
+    offsets = np.cumsum([0] + [len(c) for c in codes[:-1]]).astype(np.int64)
+    return _NgramIndex(token_rank, codes, offsets, np.concatenate(idfs))
+
+
+def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _Entries:
+    """Per-sequence tf-idf entries and norms; idf = log(N / df)."""
+    if stats.index is None:
+        stats.index = _build_index(stats)
+    index, n_max = stats.index, stats.n_max
+    n_tokens = len(index.token_rank)
+    # each sequence is followed by an unknown token, so no n-gram spans two
+    tokens = []
+    for seq in sequences:
+        tokens.extend(seq)
+        tokens.append(None)
+    flat = np.fromiter(map(index.token_rank.get, tokens, repeat(-1)), dtype=np.int64,
+                       count=len(tokens))
+    row_of = np.repeat(np.arange(len(sequences)), [len(seq) + 1 for seq in sequences])
+    rows, slots, ids, tfs = [], [], [], []
+    rank = flat
+    for n in range(1, n_max + 1):
+        if n > 1:
+            rank = _lookup(index.codes[n - 1], _extend(rank[:-1], flat[n - 1:], n_tokens))
+        pos = np.flatnonzero(rank >= 0)
+        key = row_of[pos] * len(index.codes[n - 1]) + rank[pos]
+        _, first, tf = np.unique(key, return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        at = pos[first[by_first]]
+        rows.append(row_of[at])
+        slots.append(np.full(len(at), n - 1))
+        ids.append(index.offsets[n - 1] + rank[at])
+        tfs.append(tf[by_first])
+    row, slot, gid = np.concatenate(rows), np.concatenate(slots), np.concatenate(ids)
+    weight = np.concatenate(tfs) * index.idf[gid]
+    sq = np.bincount(row * n_max + slot, weights=weight * weight,
+                     minlength=len(sequences) * n_max)
+    return _Entries(row, slot, gid, weight, np.sqrt(sq).reshape(len(sequences), n_max))
+
+
+def _ref_set(refs: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _RefSet:
+    key = tuple(map(tuple, refs))
+    cached = stats.ref_sets.get(key)
+    if cached is None:
+        entries = _tfidf_entries(refs, stats)
+        ids, col = np.unique(entries.ids, return_inverse=True)
+        weights = np.zeros((len(ids), len(refs)))
+        weights[col, entries.row] = entries.weight
+        lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
+        cached = stats.ref_sets[key] = _RefSet(ids, weights, entries.norms, lengths)
+    return cached
+
+
+def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
+                  reference_sets: Sequence[Sequence[Sequence[str]]],
+                  stats: CiderCorpusStats) -> np.ndarray:
+    """Score every candidate against its own image's references.
+
+    ``owner[i]`` indexes candidate i's set in ``reference_sets``; every set
+    must hold at least one reference.  Per n, the candidate tf-idf vector is
+    clipped elementwise to the reference vector before the cosine; each
+    reference similarity is damped by exp(-(len_c - len_r)^2 / (2 sigma^2)).
+    Similarities are averaged over references, then over n, then multiplied
+    by 10.  An empty candidate scores 0.
+    """
+    if any(len(refs) == 0 for refs in reference_sets):
+        raise ValueError("need at least one reference")
+    owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    if len(owner) != len(candidates):
+        raise ValueError(f"{len(owner)} owners for {len(candidates)} candidates")
+    if len(owner) == 0:
+        return np.zeros(0)
+    if owner.min() < 0 or owner.max() >= len(reference_sets):
+        raise ValueError("owner indexes outside reference_sets")
+    n_max = stats.n_max
+    sets = [_ref_set(refs, stats) for refs in reference_sets]
+    n_refs = np.array([len(s.lengths) for s in sets], dtype=np.int64)
+    width = int(n_refs.max())
+    # Every set's n-grams in one sorted table keyed by (set, global id), plus a
+    # zero row that absent n-grams read.  A set with fewer than ``width``
+    # references is padded with zero weights, norms and lengths.
+    n_ids = len(stats.index.idf)
+    table = np.concatenate([k * n_ids + s.ids for k, s in enumerate(sets)])
+    table_weights = np.zeros((len(table) + 1, width))
+    ref_norms = np.zeros((len(sets), width, n_max))
+    ref_lengths = np.zeros((len(sets), width), dtype=np.int64)
+    start = 0
+    for k, s in enumerate(sets):
+        table_weights[start : start + len(s.ids), : n_refs[k]] = s.weights
+        ref_norms[k, : n_refs[k]] = s.norms
+        ref_lengths[k, : n_refs[k]] = s.lengths
+        start += len(s.ids)
+
+    cand = _tfidf_entries(candidates, stats)
+    ref_weight = table_weights[_lookup(table, owner[cand.row] * n_ids + cand.ids)]
+    # a term whose reference weight is 0 adds exactly 0.0 to its dot product
+    terms = np.minimum(cand.weight[:, None], ref_weight) * ref_weight
+    bins = (cand.row[:, None] * width + np.arange(width)) * n_max + cand.slot[:, None]
+    dots = np.bincount(bins.ravel(), weights=terms.ravel(),
+                       minlength=len(owner) * width * n_max).reshape(len(owner), width, n_max)
+
+    cand_norms, ref_norms = cand.norms[:, None, :], ref_norms[owner]
+    sims = np.zeros(dots.shape)
+    np.divide(dots, cand_norms * ref_norms, out=sims,
+              where=(cand_norms != 0.0) & (ref_norms != 0.0))
+    deltas = np.array([len(c) for c in candidates], dtype=np.int64)[:, None] - ref_lengths[owner]
+    low = int(deltas.min())
+    two_var = 2.0 * stats.sigma**2
+    penalty = np.array([math.exp(-(d * d) / two_var)
+                        for d in map(float, range(low, int(deltas.max()) + 1))])
+    penalties = penalty[deltas - low]
+
+    # a padded reference has zero norms, so it adds exactly 0.0
+    totals = np.zeros((len(owner), n_max))
+    for j in range(width):
+        totals += penalties[:, j, None] * sims[:, j]
+    per_n = totals / n_refs[owner][:, None]
+    total = per_n[:, 0]
+    for slot in range(1, n_max):
+        total = total + per_n[:, slot]
+    return 10.0 * total / n_max
 
 
 def cider_d(candidate: Sequence[str], references: Sequence[Sequence[str]],
             stats: CiderCorpusStats) -> float:
-    """Score a candidate against the references of one image.
-
-    Per n, the candidate tf-idf vector is clipped elementwise to the
-    reference vector before the cosine; each reference similarity is damped
-    by exp(-(len_c - len_r)^2 / (2 sigma^2)).  Similarities are averaged
-    over references, then over n, then multiplied by 10.
-    """
-    if len(references) == 0:
-        raise ValueError("need at least one reference")
-    if len(candidate) == 0:
-        return 0.0
-    cand_vecs, cand_norms = _tfidf_vectors(candidate, stats)
-    cache = stats.ref_vectors
-    totals = [0.0] * stats.n_max
-    for ref in references:
-        key = tuple(ref)
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = _tfidf_vectors(ref, stats)
-        ref_vecs, ref_norms = cached
-        delta = float(len(candidate) - len(ref))
-        penalty = math.exp(-(delta * delta) / (2.0 * stats.sigma**2))
-        for slot in range(stats.n_max):
-            dot = 0.0
-            ref_vec = ref_vecs[slot]
-            for ngram, weight in cand_vecs[slot].items():
-                ref_weight = ref_vec.get(ngram, 0.0)
-                dot += min(weight, ref_weight) * ref_weight
-            if cand_norms[slot] != 0.0 and ref_norms[slot] != 0.0:
-                dot /= cand_norms[slot] * ref_norms[slot]
-            else:
-                dot = 0.0
-            totals[slot] += penalty * dot
-    per_n = [total / len(references) for total in totals]
-    return 10.0 * sum(per_n) / stats.n_max
+    """Score one candidate against the references of one image; see
+    ``cider_d_batch``."""
+    return float(cider_d_batch([candidate], [0], [references], stats)[0])

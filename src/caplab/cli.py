@@ -361,7 +361,7 @@ def cmd_train(args) -> int:
             params, log = train_rl(checkpoint, bundle.train, stats, section["epochs"],
                                    section["lr"], rng, section["batch_size"],
                                    section["samples_per_image"])
-            log_columns = ["epoch", "mean_reward", "mean_greedy_reward"]
+            log_columns = ["epoch", "mean_reward", "mean_greedy_reward", "useful_sample_ratio"]
         else:
             params, log = train_joint(checkpoint, bundle.train, stats, section["epochs"],
                                       section["lr"], section["lam"], rng, section["batch_size"],
@@ -527,12 +527,16 @@ def cmd_analyze(args) -> int:
             raise UsageError("sample-freq needs --checkpoint")
         params, _ = _require_checkpoint(args.checkpoint, "analyze", vocab)
         rng = stage_rng(seed, "analyze:sample-freq")
-        train = bundle.train
+        feats = np.stack([rec.features for rec in bundle.train.records])
+        # chunks of one SCST batch, so the rollout's activations stay small
+        chunk = config["rl"]["batch_size"]
+        _check_count("rl.batch_size", chunk, 1)
         sampled = []
-        feats = np.stack([rec.features for rec in train.records])
         for _ in range(args.samples):
-            for seq in sample_sequences(params, feats, config["decode"]["beta"], rng):
-                sampled.append(vocab.words(seq.tokens))
+            for start in range(0, len(feats), chunk):
+                for seq in sample_sequences(params, feats[start : start + chunk],
+                                            config["decode"]["beta"], rng):
+                    sampled.append(vocab.words(seq.tokens))
         hist = freq_histogram(sampled, vocab, n_bins)
     else:
         raise UsageError(f"unknown analysis {args.what!r}")

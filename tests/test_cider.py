@@ -4,8 +4,58 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from caplab.cider import _tfidf_vectors, build_cider_stats, cider_d, ngram_counts
+from caplab import metrics, rl
+from caplab.cider import build_cider_stats, cider_d, cider_d_batch, ngram_counts
+from caplab.corpus import Dataset, build_vocab, mapped_references
+from caplab.decode import DecodeConfig, decode_dataset
+from caplab.model import ModelDims, init_params
+from caplab.synth import SynthConfig, generate_synthetic_dataset
+
+
+def _tfidf_vectors(tokens, stats):
+    """Per-n tf-idf vectors and their norms; idf = log(N / df)."""
+    vecs = [dict() for _ in range(stats.n_max)]
+    norms = [0.0] * stats.n_max
+    for ngram, tf in ngram_counts(tokens, stats.n_max).items():
+        df = stats.doc_freq.get(ngram)
+        if df is None:
+            continue
+        weight = tf * (stats.log_num_images - math.log(df))
+        slot = len(ngram) - 1
+        vecs[slot][ngram] = weight
+        norms[slot] += weight * weight
+    return vecs, [math.sqrt(v) for v in norms]
+
+
+def scalar_cider_d(candidate, references, stats):
+    """The per-candidate loop that ``cider_d_batch`` replaced, kept as the
+    oracle: its scores must equal the batch scores bit for bit."""
+    if len(references) == 0:
+        raise ValueError("need at least one reference")
+    if len(candidate) == 0:
+        return 0.0
+    cand_vecs, cand_norms = _tfidf_vectors(candidate, stats)
+    totals = [0.0] * stats.n_max
+    for ref in references:
+        ref_vecs, ref_norms = _tfidf_vectors(ref, stats)
+        delta = float(len(candidate) - len(ref))
+        penalty = math.exp(-(delta * delta) / (2.0 * stats.sigma**2))
+        for slot in range(stats.n_max):
+            dot = 0.0
+            ref_vec = ref_vecs[slot]
+            for ngram, weight in cand_vecs[slot].items():
+                ref_weight = ref_vec.get(ngram, 0.0)
+                dot += min(weight, ref_weight) * ref_weight
+            if cand_norms[slot] != 0.0 and ref_norms[slot] != 0.0:
+                dot /= cand_norms[slot] * ref_norms[slot]
+            else:
+                dot = 0.0
+            totals[slot] += penalty * dot
+    per_n = [total / len(references) for total in totals]
+    return 10.0 * sum(per_n) / stats.n_max
 
 
 @pytest.fixture(scope="module")
@@ -150,22 +200,137 @@ class TestReferenceCache:
 
     def test_cached_scores_equal_uncached(self):
         warm = build_cider_stats(self.REFS)
-        for _ in range(2):  # the second pass reads every reference from the cache
+        for _ in range(2):  # the second pass reads every reference set from the cache
             for cand in self.CANDIDATES:
                 for refs in self.REFS:
                     assert cider_d(cand, refs, warm) == cider_d(cand, refs, build_cider_stats(self.REFS))
 
     def test_cache_filled_lazily_with_reference_vectors(self):
         stats = build_cider_stats(self.REFS)
-        assert stats.ref_vectors == {}
+        assert stats.index is None and stats.ref_sets == {}
         cider_d(self.CANDIDATES[0], self.REFS[0], stats)
-        assert set(stats.ref_vectors) == {tuple(ref) for ref in self.REFS[0]}
-        for key, cached in stats.ref_vectors.items():
-            assert cached == _tfidf_vectors(list(key), stats)
+        assert stats.index is not None
+        assert set(stats.ref_sets) == {tuple(tuple(ref) for ref in self.REFS[0])}
+        cached = stats.ref_sets[tuple(tuple(ref) for ref in self.REFS[0])]
+        assert cached.lengths.tolist() == [len(ref) for ref in self.REFS[0]]
+        for j, ref in enumerate(self.REFS[0]):
+            vecs, norms = _tfidf_vectors(ref, stats)
+            assert cached.norms[j].tolist() == norms
+            weights = cached.weights[:, j]
+            assert sorted(weights[weights != 0.0]) == sorted(
+                w for vec in vecs for w in vec.values() if w != 0.0)
 
     def test_stats_objects_do_not_share_a_cache(self):
         first, second = build_cider_stats(self.REFS), build_cider_stats(self.REFS)
-        assert first.ref_vectors is not second.ref_vectors
+        assert first.ref_sets is not second.ref_sets
         cider_d(self.CANDIDATES[0], self.REFS[0], first)
-        assert first.ref_vectors and second.ref_vectors == {}
-        assert first == second  # the cache takes no part in equality
+        assert first.ref_sets and first.index is not None
+        assert second.ref_sets == {} and second.index is None
+        assert first == second  # the index and the cache take no part in equality
+
+
+WORDS = ["a", "b", "c", "d", "e"]
+UNSEEN = ["x", "y"]  # never in the corpus: no document frequency
+tokens = st.lists(st.sampled_from(WORDS), max_size=9)
+reference_set = st.lists(tokens, min_size=1, max_size=4)
+
+
+@st.composite
+def scoring_batches(draw):
+    corpus = draw(st.lists(reference_set, min_size=1, max_size=5))
+    # sets scored against may hold n-grams and tokens absent from the corpus
+    extra = draw(st.lists(st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=9),
+                                   min_size=1, max_size=4), max_size=2))
+    sets = corpus + extra
+    candidates = draw(st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=12),
+                               min_size=1, max_size=12))
+    owner = draw(st.lists(st.integers(0, len(sets) - 1), min_size=len(candidates),
+                          max_size=len(candidates)))
+    return corpus, sets, candidates, owner
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_batches())
+@example((  # empty and short candidates, unseen tokens, repeated n-grams, unequal sets
+    [[["a", "b", "a", "b", "a"], ["c"]], [["a", "b", "c", "d", "e", "a", "b"]],
+     [["d", "d", "d", "d", "d"], ["b", "c"], ["a"], []]],
+    [[["a", "b", "a", "b", "a"], ["c"]], [["a", "b", "c", "d", "e", "a", "b"]],
+     [["d", "d", "d", "d", "d"], ["b", "c"], ["a"], []], [["x", "a", "b"]]],
+    [[], ["a"], ["a", "b"], ["x", "y", "x"], ["a", "b", "a", "b", "a", "b"],
+     ["d", "d", "d", "d", "d", "d"], ["a", "b", "x", "a", "b"], ["a", "b", "c", "d", "e"]],
+    [0, 1, 2, 3, 0, 2, 2, 1],
+))
+def test_batch_scores_equal_scalar_oracle(batch):
+    corpus, sets, candidates, owner = batch
+    stats = build_cider_stats(corpus)
+    scores = cider_d_batch(candidates, owner, sets, stats)
+    assert scores.shape == (len(candidates),)
+    assert scores.tolist() == [scalar_cider_d(c, sets[k], stats)
+                               for c, k in zip(candidates, owner)]
+    # a second call reads every reference set from the cache
+    assert cider_d_batch(candidates, owner, sets, stats).tolist() == scores.tolist()
+
+
+class TestBatchScorer:
+    def test_empty_batch_returns_empty_array(self, corpus_stats):
+        refs, stats = corpus_stats
+        scores = cider_d_batch([], [], refs, stats)
+        assert scores.shape == (0,) and scores.dtype == np.float64
+
+    def test_empty_reference_set_rejected(self, corpus_stats):
+        refs, stats = corpus_stats
+        with pytest.raises(ValueError):
+            cider_d_batch([["a"]], [0], [refs[0], []], stats)
+
+    @pytest.mark.parametrize("owner", [[0, 2], [-1, 0], [0]])
+    def test_owner_must_index_a_set(self, corpus_stats, owner):
+        refs, stats = corpus_stats
+        with pytest.raises(ValueError):
+            cider_d_batch([["a"], ["red"]], owner, refs, stats)
+
+    def test_scalar_call_is_the_batch_of_one(self, corpus_stats):
+        refs, stats = corpus_stats
+        for cand in (["a", "red", "bird"], ["fish"], []):
+            assert cider_d(cand, refs[0], stats) == cider_d_batch([cand], [0], refs, stats)[0]
+
+
+@pytest.fixture(scope="module")
+def bench_scale():
+    """The benchmark's bench-scale data and a one-epoch CE checkpoint."""
+    data = generate_synthetic_dataset(SynthConfig(n_train=200, n_val=40, n_test=40), seed=1)
+    vocab = build_vocab(data.train.all_references(), 3)
+    params = init_params(vocab, ModelDims(hidden_dim=64, feature_dim=32, max_len=16), 7,
+                         scale=0.1)
+    params, _ = rl.train_ce(params, data.train, 1, 1.0, np.random.default_rng(1))
+    return data, params, rl.corpus_stats_for(vocab, data.train)
+
+
+def test_scst_rewards_equal_scalar_oracle_at_bench_scale(bench_scale, monkeypatch):
+    data, params, stats = bench_scale
+    calls = []
+
+    def recorded(candidates, owner, sets, stats):
+        scores = cider_d_batch(candidates, owner, sets, stats)
+        calls.append((candidates, owner, sets, scores))
+        return scores
+
+    monkeypatch.setattr(rl, "cider_d_batch", recorded)
+    trained, log = rl.train_rl(params, Dataset("train", data.train.records[:30]), stats, 1,
+                               0.05, np.random.default_rng(2), 10, 5)
+    assert len(calls) == 3  # one call per step scores its baselines and samples
+    for candidates, owner, sets, scores in calls:
+        assert len(candidates) == 10 + 50
+        assert scores.tolist() == [scalar_cider_d(c, sets[k], stats)
+                                   for c, k in zip(candidates, owner)]
+    assert 0.0 < log[0]["mean_reward"]
+
+
+def test_evaluate_cider_equals_scalar_oracle_at_bench_scale(bench_scale):
+    data, params, stats = bench_scale
+    decoded = decode_dataset(params, data.val, DecodeConfig(method="greedy", max_len=16))
+    captions = [dec.tokens for dec in decoded]
+    report = metrics.evaluate(captions, data.val, params.vocab, stats)
+    refs = mapped_references(params.vocab, data.val.records)
+    expected = [scalar_cider_d(cap, refs[rec.id], stats)
+                for cap, rec in zip(captions, data.val.records)]
+    assert report.cider == float(np.mean(expected)) and report.cider > 0.0

@@ -206,7 +206,9 @@ class TestTrain:
                      "--init", str(ce_checkpoint)]) == 0
         with open(out / "rl_log.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and set(rows[0]) == {"epoch", "mean_reward", "mean_greedy_reward"}
+        assert rows and set(rows[0]) == {"epoch", "mean_reward", "mean_greedy_reward",
+                                         "useful_sample_ratio"}
+        assert all(0.0 <= float(row["useful_sample_ratio"]) <= 1.0 for row in rows)
 
     def test_joint_lambda_validated(self, workdir, ce_checkpoint, tmp_path):
         root, config_path, data_dir = workdir
@@ -686,6 +688,51 @@ class TestAnalyze:
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--samples", "2", "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_sample_freq_draws_in_rl_batches(self, workdir, ce_checkpoint, tmp_path,
+                                             monkeypatch):
+        _, _, data_dir = workdir
+        config = copy.deepcopy(MICRO_CONFIG)
+        config["rl"]["batch_size"] = 7  # 24 training images: chunks of 7, 7, 7 and 3
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        rows, captions = [], []
+        sample, histogram = cli.sample_sequences, cli.freq_histogram
+
+        def counted_sample(params, feats, *args):
+            rows.append(len(feats))
+            return sample(params, feats, *args)
+
+        def counted_histogram(sampled, *args):
+            captions.append(len(sampled))
+            return histogram(sampled, *args)
+
+        monkeypatch.setattr(cli, "sample_sequences", counted_sample)
+        monkeypatch.setattr(cli, "freq_histogram", counted_histogram)
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"sf{run}.csv"
+            assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
+                         "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                         "--samples", "3", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert rows == [7, 7, 7, 3] * 3 * 2
+        assert captions == [3 * MICRO_CONFIG["dataset"]["n_train"]] * 2
+        assert outputs[0] == outputs[1]
+
+    def test_sample_freq_bad_rl_batch_size_is_usage_error(self, workdir, ce_checkpoint,
+                                                           tmp_path, capsys):
+        _, _, data_dir = workdir
+        config = copy.deepcopy(MICRO_CONFIG)
+        config["rl"]["batch_size"] = 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "sf.csv"
+        assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
+                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out)]) == 2
+        assert "rl.batch_size must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("what, flag", [

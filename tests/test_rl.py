@@ -165,6 +165,7 @@ class TestScstStep:
         for grad in out.grads.values():
             np.testing.assert_array_equal(grad, 0.0)
         assert out.loss == -1.0
+        assert out.details["zero_advantage"] == 3 * 4
 
     def test_log_likelihood_factor_gradient(self, tiny_model, tiny_image):
         sample = sample_sequence(tiny_model, tiny_image, 1.0, np.random.default_rng(2))
@@ -244,7 +245,33 @@ class TestTrainingLoops:
         trained, log = train_rl(params, micro_bundle.train, stats, epochs=1, lr=0.0,
                                 rng=np.random.default_rng(0), batch_size=10)
         assert trained.full_hash() == params.full_hash()
-        assert set(log[0]) == {"epoch", "mean_reward", "mean_greedy_reward"}
+        assert set(log[0]) == {"epoch", "mean_reward", "mean_greedy_reward",
+                               "useful_sample_ratio"}
+
+    def test_train_rl_logs_useful_sample_ratio(self, micro_bundle, monkeypatch):
+        vocab = build_vocab(micro_bundle.train.all_references(), 1)
+        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
+        params = init_params(vocab, dims, 0, scale=0.5)
+        stats = corpus_stats_for(vocab, micro_bundle.train)
+        scored, score = [], rl.cider_d_batch
+
+        def recorded(*args):
+            scored.append(score(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(rl, "cider_d_batch", recorded)
+        _, log = train_rl(params, micro_bundle.train, stats, epochs=2, lr=0.5,
+                          rng=np.random.default_rng(0), batch_size=7, samples_per_image=3)
+        steps_per_epoch = math.ceil(len(micro_bundle.train) / 7)
+        for epoch in range(2):
+            useful = total = 0
+            for scores in scored[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]:
+                n_images = len(scores) // 4
+                baselines, rewards = scores[:n_images], scores[n_images:]
+                useful += int((rewards != np.repeat(baselines, 3)).sum())
+                total += len(rewards)
+            assert log[epoch]["useful_sample_ratio"] == useful / total
+        assert any(0.0 < row["useful_sample_ratio"] < 1.0 for row in log)
 
     def test_train_joint_runs_and_logs(self, micro_bundle):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
