@@ -1,27 +1,27 @@
 """Consensus n-gram reward: clipped tf-idf cosine over 1..4-grams with a
 Gaussian length penalty, scaled to [0, 10].
 
-Document frequencies are built once from the training references.  An n-gram
-with no document-frequency entry carries zero weight, so candidate tokens
-unseen in the reference corpus influence the score only through the length
-penalty.
+N-grams are coded as integers order by order: a unigram by its token's rank
+among the sorted corpus tokens, an n-gram by its (n-1)-gram prefix's rank in
+the corpus table times the number of corpus tokens plus its last token's
+rank.  ``build_cider_stats`` codes every reference n-gram this way and keeps,
+per order, the sorted code table and each code's idf, log(N / df), where df
+counts the images whose references hold the n-gram.  Every prefix of a corpus
+n-gram is itself a corpus n-gram, so a candidate n-gram whose prefix is not
+in the table is not in it either.  An n-gram outside the tables carries zero
+weight, so candidate tokens unseen in the reference corpus influence the
+score only through the length penalty.
 
 ``cider_d_batch`` scores many candidates in one vectorized pass, each against
-the reference set it names; ``cider_d`` is its one-candidate call.  N-grams
-are coded as integers order by order: a unigram by its token's rank in the
-corpus, an n-gram by its (n-1)-gram prefix's rank in the corpus table times
-the number of corpus tokens plus its last token's rank.  Every prefix of a
-corpus n-gram is itself a corpus n-gram, so a candidate n-gram whose prefix
-is not in the table has no document frequency either.  The sorted code and
-idf tables are built from the statistics at the first score.
-
-Each reference set's tf-idf weights, norms and lengths are cached on the
+the reference set it names; ``cider_d`` is its one-candidate call.  Each
+reference set's tf-idf weights, norms and lengths are cached on the
 statistics object, keyed by its token tuples, the first time it is scored
 against: an SCST step scores every reference set once per image, and a
 multi-epoch run or a fine-tune sweep scores the same sets at every pass.
-The index and the cache live as long as the ``CiderCorpusStats`` object and
-are only correct for the statistics they were built under, so do not mutate
-the statistics after ``build_cider_stats``; build a new object instead.
+This cache is the only state filled after ``build_cider_stats``; it lives as
+long as the ``CiderCorpusStats`` object and is only correct for the tables
+it was built under, so do not mutate the statistics; build a new object
+instead.
 
 The vectorized sums add the same terms in the same order as a scalar loop
 over each candidate's distinct n-grams in order of first occurrence, order by
@@ -34,20 +34,11 @@ oracle.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-def ngram_counts(tokens: Sequence[str], n_max: int) -> Counter:
-    counts = Counter()
-    for n in range(1, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
 
 
 class _NgramIndex(NamedTuple):
@@ -79,38 +70,16 @@ class _Entries(NamedTuple):
     norms: np.ndarray       # (rows, n_max) per-order vector norms
 
 
-@dataclass
+@dataclass(eq=False)
 class CiderCorpusStats:
-    """Per-n-gram document frequency over the reference corpus, plus the
-    lazily built n-gram index and the cached tf-idf data of every reference
-    set scored so far."""
+    """The n-gram index of the reference corpus, plus the cached tf-idf data
+    of every reference set scored so far."""
 
-    doc_freq: dict = field(default_factory=dict)
-    log_num_images: float = 0.0
+    index: _NgramIndex = field(repr=False)
+    log_num_images: float
     n_max: int = 4
     sigma: float = 6.0
-    index: _NgramIndex | None = field(default=None, init=False, repr=False, compare=False)
-    ref_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
-                      n_max: int = 4, sigma: float = 6.0) -> CiderCorpusStats:
-    """Count, for each n-gram, the number of images whose references contain it."""
-    if len(reference_sets) == 0:
-        raise ValueError("cannot build corpus statistics from zero reference sets")
-    doc_freq: dict = defaultdict(int)
-    for refs in reference_sets:
-        seen = set()
-        for ref in refs:
-            seen.update(ngram_counts(ref, n_max).keys())
-        for ngram in seen:
-            doc_freq[ngram] += 1
-    return CiderCorpusStats(
-        doc_freq=dict(doc_freq),
-        log_num_images=math.log(len(reference_sets)),
-        n_max=n_max,
-        sigma=sigma,
-    )
+    ref_sets: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -127,43 +96,57 @@ def _extend(prefix_rank: np.ndarray, token: np.ndarray, n_tokens: int) -> np.nda
     return np.where((prefix_rank >= 0) & (token >= 0), prefix_rank * n_tokens + token, -1)
 
 
-def _build_index(stats: CiderCorpusStats) -> _NgramIndex:
-    by_order = [[] for _ in range(stats.n_max)]
-    for ngram, df in stats.doc_freq.items():
-        by_order[len(ngram) - 1].append((ngram, df))
-    token_rank = {gram[0]: rank for rank, (gram, _) in enumerate(sorted(by_order[0]))}
-    n_tokens = len(token_rank)
-    codes, idfs = [], []
-    for n, grams in enumerate(by_order, start=1):
-        ids = np.array([[token_rank.get(tok, -1) for tok in gram] for gram, _ in grams],
-                       dtype=np.int64).reshape(len(grams), n)
-        code = ids[:, 0]
-        for k in range(1, n):
-            code = _extend(_lookup(codes[k - 1], code), ids[:, k], n_tokens)
-        if (code < 0).any():
-            raise ValueError("document frequencies must include every prefix of every n-gram")
-        order = np.argsort(code)
-        codes.append(code[order])
-        idfs.append(np.array([stats.log_num_images - math.log(grams[i][1]) for i in order],
-                             dtype=np.float64))
-    offsets = np.cumsum([0] + [len(c) for c in codes[:-1]]).astype(np.int64)
-    return _NgramIndex(token_rank, codes, offsets, np.concatenate(idfs))
-
-
-def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _Entries:
-    """Per-sequence tf-idf entries and norms; idf = log(N / df)."""
-    if stats.index is None:
-        stats.index = _build_index(stats)
-    index, n_max = stats.index, stats.n_max
-    n_tokens = len(index.token_rank)
-    # each sequence is followed by an unknown token, so no n-gram spans two
+def _flat_ranks(sequences: Sequence[Sequence[str]],
+                token_rank: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences' token ranks laid end to end, each sequence followed by
+    -1 so that no n-gram spans two (-1 also marks unknown tokens), and the
+    sequence each position belongs to."""
     tokens = []
     for seq in sequences:
         tokens.extend(seq)
         tokens.append(None)
-    flat = np.fromiter(map(index.token_rank.get, tokens, repeat(-1)), dtype=np.int64,
+    flat = np.fromiter(map(token_rank.get, tokens, repeat(-1)), dtype=np.int64,
                        count=len(tokens))
-    row_of = np.repeat(np.arange(len(sequences)), [len(seq) + 1 for seq in sequences])
+    return flat, np.repeat(np.arange(len(sequences)), [len(seq) + 1 for seq in sequences])
+
+
+def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
+                      n_max: int = 4, sigma: float = 6.0) -> CiderCorpusStats:
+    """Code every reference n-gram and count, for each, the number of images
+    whose references contain it."""
+    n_images = len(reference_sets)
+    if n_images == 0:
+        raise ValueError("cannot build corpus statistics from zero reference sets")
+    all_refs = [ref for refs in reference_sets for ref in refs]
+    tokens = sorted({tok for ref in all_refs for tok in ref})
+    token_rank = {tok: rank for rank, tok in enumerate(tokens)}
+    flat, ref_of = _flat_ranks(all_refs, token_rank)
+    image = np.repeat(np.arange(n_images), [len(refs) for refs in reference_sets])[ref_of]
+    log_num_images = math.log(n_images)
+    codes, idfs = [], []
+    rank = flat
+    for n in range(1, n_max + 1):
+        code = _extend(rank[:-1], flat[n - 1:], len(token_rank)) if n > 1 else flat
+        pos = np.flatnonzero(code >= 0)
+        # one key per (n-gram, image) pair; the images per n-gram are its df.
+        # A sort, not np.unique's hash table: faster here, and smaller.
+        keys = np.sort(code[pos] * n_images + image[pos])
+        pairs = keys[np.diff(keys, prepend=-1) != 0]
+        table, df = np.unique(pairs // n_images, return_counts=True)
+        codes.append(table)
+        idfs.append(np.array([log_num_images - math.log(d) for d in df.tolist()],
+                             dtype=np.float64))
+        rank = _lookup(table, code)
+    offsets = np.cumsum([0] + [len(c) for c in codes[:-1]]).astype(np.int64)
+    index = _NgramIndex(token_rank, codes, offsets, np.concatenate(idfs))
+    return CiderCorpusStats(index, log_num_images, n_max, sigma)
+
+
+def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _Entries:
+    """Per-sequence tf-idf entries and norms; idf = log(N / df)."""
+    index, n_max = stats.index, stats.n_max
+    n_tokens = len(index.token_rank)
+    flat, row_of = _flat_ranks(sequences, index.token_rank)
     rows, slots, ids, tfs = [], [], [], []
     rank = flat
     for n in range(1, n_max + 1):

@@ -338,6 +338,18 @@ def _check_finetune_section(method: str, section: dict, sweep: bool) -> None:
                              f" with {flag}")
 
 
+def _check_metrics_section(section: dict) -> None:
+    """``recall_ks`` a non-empty list of integers >= 1; ``repetition_n`` and
+    ``histogram_bins`` integers >= 1."""
+    ks = section["recall_ks"]
+    if not isinstance(ks, list) or not ks:
+        raise UsageError(f"metrics.recall_ks must be a non-empty list, got {ks!r}")
+    for i, k in enumerate(ks):
+        _check_count(f"metrics.recall_ks[{i}]", k, 1)
+    for key in ("repetition_n", "histogram_bins"):
+        _check_count(f"metrics.{key}", section[key], 1)
+
+
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed, section = config["seed"], config[args.stage]
@@ -463,6 +475,7 @@ def _captions_for(dataset: Dataset, captions_by_id: dict[int, list[str]]) -> lis
 
 def cmd_eval(args) -> int:
     config, cfg_hash = _resolve_config(args)
+    _check_metrics_section(config["metrics"])
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     captions_path = _out_path(args.captions)
@@ -493,6 +506,7 @@ def cmd_analyze(args) -> int:
     for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
         _check_count(flag, count, 1)
     config, cfg_hash = _resolve_config(args)
+    _check_metrics_section(config["metrics"])
     seed = config["seed"]
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -511,7 +525,6 @@ def cmd_analyze(args) -> int:
 
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
-    n_bins = config["metrics"]["histogram_bins"]
 
     if args.what == "histogram":
         dataset = _split(bundle, args.split)
@@ -521,7 +534,6 @@ def cmd_analyze(args) -> int:
             captions = dataset.all_references()
         else:
             raise UsageError("histogram needs --captions FILE or --references")
-        hist = freq_histogram(captions, vocab, n_bins)
     elif args.what == "sample-freq":
         if args.checkpoint is None:
             raise UsageError("sample-freq needs --checkpoint")
@@ -531,16 +543,19 @@ def cmd_analyze(args) -> int:
         # chunks of one SCST batch, so the rollout's activations stay small
         chunk = config["rl"]["batch_size"]
         _check_count("rl.batch_size", chunk, 1)
-        sampled = []
+        captions = []
         for _ in range(args.samples):
             for start in range(0, len(feats), chunk):
                 for seq in sample_sequences(params, feats[start : start + chunk],
                                             config["decode"]["beta"], rng):
-                    sampled.append(vocab.words(seq.tokens))
-        hist = freq_histogram(sampled, vocab, n_bins)
+                    captions.append(vocab.words(seq.tokens))
     else:
         raise UsageError(f"unknown analysis {args.what!r}")
 
+    try:
+        hist = freq_histogram(captions, vocab, config["metrics"]["histogram_bins"])
+    except ValueError as exc:  # more bins than vocabulary words
+        raise UsageError(f"metrics.histogram_bins: {exc}") from exc
     hist.write_csv(out)
     _write_sidecar(out, cfg_hash, seed, f"analyze:{args.what}")
     print(f"wrote {out}")

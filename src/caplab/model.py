@@ -230,6 +230,16 @@ def classifier_grads(h: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarra
             "cls_b": d_logits.sum(axis=(0, 1))}
 
 
+def _scatter_add(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of the ``rows`` (N, d) by their ``ids`` (N,).  One weighted
+    ``np.bincount`` adds each bin's terms in input order from 0.0, as
+    ``np.add.at`` does, so the sums are bit-identical to it."""
+    d = rows.shape[1]
+    bins = (ids[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=rows.ravel(), minlength=n * d)
+    return sums.reshape(n, d).astype(rows.dtype, copy=False)  # no rows: bincount gives ints
+
+
 def _backward_recurrence(params: ModelParams, fwd: SeqForward,
                          dh_from_logits: np.ndarray) -> dict[str, np.ndarray]:
     """The embedding and encoder gradients, given the gradient
@@ -258,9 +268,9 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
         return a.reshape(b * t_max, d)
 
     x, hp, dz_pre, dr_pre, dn_pre = map(flat, (fwd.x, h_prev, dz_pre, dr_pre, dn_pre))
-    embed = np.zeros_like(params.embed)
-    np.add.at(embed, fwd.tokens.ravel(),
-              dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T)
+    embed = _scatter_add(fwd.tokens.ravel(),
+                         dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T,
+                         len(params.embed))
     dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
     return {
         "embed": embed,

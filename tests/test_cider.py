@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,11 +9,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab import metrics, rl
-from caplab.cider import build_cider_stats, cider_d, cider_d_batch, ngram_counts
+from caplab.cider import build_cider_stats, cider_d, cider_d_batch
 from caplab.corpus import Dataset, build_vocab, mapped_references
 from caplab.decode import DecodeConfig, decode_dataset
 from caplab.model import ModelDims, init_params
 from caplab.synth import SynthConfig, generate_synthetic_dataset
+
+
+def ngram_counts(tokens, n_max):
+    """Occurrences of each 1..n_max-gram of ``tokens``, keyed by tuple."""
+    counts = Counter()
+    for n in range(1, n_max + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+class OracleStats(NamedTuple):
+    """Tuple-keyed document frequencies: n-gram -> number of images whose
+    references contain it."""
+
+    doc_freq: dict
+    log_num_images: float
+    n_max: int = 4
+    sigma: float = 6.0
+
+
+def oracle_stats(reference_sets, n_max=4, sigma=6.0):
+    """The pure-Python count that ``build_cider_stats`` replaced, kept as the
+    document-frequency oracle that ``_tfidf_vectors`` and ``reference_cider``
+    read."""
+    doc_freq = Counter()
+    for refs in reference_sets:
+        doc_freq.update({ngram for ref in refs for ngram in ngram_counts(ref, n_max)})
+    return OracleStats(dict(doc_freq), math.log(len(reference_sets)), n_max, sigma)
 
 
 def _tfidf_vectors(tokens, stats):
@@ -32,7 +62,8 @@ def _tfidf_vectors(tokens, stats):
 
 def scalar_cider_d(candidate, references, stats):
     """The per-candidate loop that ``cider_d_batch`` replaced, kept as the
-    oracle: its scores must equal the batch scores bit for bit."""
+    oracle over ``oracle_stats``: its scores must equal the batch scores bit
+    for bit."""
     if len(references) == 0:
         raise ValueError("need at least one reference")
     if len(candidate) == 0:
@@ -66,6 +97,20 @@ def corpus_stats():
         [["a", "blue", "fish", "swims"]],
     ]
     return refs, build_cider_stats(refs)
+
+
+def global_id(ngram, index):
+    """``ngram``'s position in the index under the coding the ``cider``
+    module describes, asserting that it and each of its prefixes are in
+    their order's table."""
+    code = index.token_rank[ngram[0]]
+    for n in range(1, len(ngram) + 1):
+        table = index.codes[n - 1]
+        rank = int(np.searchsorted(table, code))
+        assert rank < len(table) and table[rank] == code, f"{ngram[:n]} is not in its table"
+        if n < len(ngram):
+            code = rank * len(index.token_rank) + index.token_rank[ngram[n]]
+    return int(index.offsets[len(ngram) - 1]) + rank
 
 
 def reference_cider(candidate, references, stats):
@@ -127,7 +172,7 @@ class TestCiderD:
         for cand in candidates:
             for ref_set in refs:
                 assert cider_d(cand, ref_set, stats) == pytest.approx(
-                    reference_cider(cand, ref_set, stats), abs=1e-12)
+                    reference_cider(cand, ref_set, oracle_stats(refs)), abs=1e-12)
 
     def test_unseen_tokens_only_shift_length_penalty(self, corpus_stats):
         """Tokens absent from all references and the df table change the
@@ -171,13 +216,19 @@ class TestCorpusStats:
             [["a", "cat"], ["a", "cat"]],   # same image mentions twice
             [["a", "dog"]],
         ]
-        stats = build_cider_stats(refs)
-        assert stats.doc_freq[("a",)] == 2
-        assert stats.doc_freq[("cat",)] == 1
+        stats, oracle = build_cider_stats(refs), oracle_stats(refs)
+        assert oracle.doc_freq[("a",)] == 2
+        assert oracle.doc_freq[("cat",)] == 1
+        for ngram, df in ((("a",), 2), (("cat",), 1), (("a", "cat"), 1)):
+            assert stats.index.idf[global_id(ngram, stats.index)] == math.log(2) - math.log(df)
 
     def test_df_at_least_one(self, corpus_stats):
         refs, stats = corpus_stats
-        assert all(df >= 1 for df in stats.doc_freq.values())
+        doc_freq = oracle_stats(refs).doc_freq
+        assert all(df >= 1 for df in doc_freq.values())
+        # df >= 1 is idf <= log(N); every entry is some corpus n-gram's
+        assert len(stats.index.idf) == len(doc_freq)
+        assert (stats.index.idf <= stats.log_num_images).all()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -207,14 +258,13 @@ class TestReferenceCache:
 
     def test_cache_filled_lazily_with_reference_vectors(self):
         stats = build_cider_stats(self.REFS)
-        assert stats.index is None and stats.ref_sets == {}
+        assert stats.ref_sets == {}
         cider_d(self.CANDIDATES[0], self.REFS[0], stats)
-        assert stats.index is not None
         assert set(stats.ref_sets) == {tuple(tuple(ref) for ref in self.REFS[0])}
         cached = stats.ref_sets[tuple(tuple(ref) for ref in self.REFS[0])]
         assert cached.lengths.tolist() == [len(ref) for ref in self.REFS[0]]
         for j, ref in enumerate(self.REFS[0]):
-            vecs, norms = _tfidf_vectors(ref, stats)
+            vecs, norms = _tfidf_vectors(ref, oracle_stats(self.REFS))
             assert cached.norms[j].tolist() == norms
             weights = cached.weights[:, j]
             assert sorted(weights[weights != 0.0]) == sorted(
@@ -224,9 +274,15 @@ class TestReferenceCache:
         first, second = build_cider_stats(self.REFS), build_cider_stats(self.REFS)
         assert first.ref_sets is not second.ref_sets
         cider_d(self.CANDIDATES[0], self.REFS[0], first)
-        assert first.ref_sets and first.index is not None
-        assert second.ref_sets == {} and second.index is None
-        assert first == second  # the index and the cache take no part in equality
+        assert first.ref_sets
+        assert second.ref_sets == {}
+        # scoring left the index as built
+        assert first.index.token_rank == second.index.token_rank
+        assert len(first.index.codes) == len(second.index.codes)
+        for a, b in zip(first.index.codes, second.index.codes):
+            assert np.array_equal(a, b)
+        assert np.array_equal(first.index.offsets, second.index.offsets)
+        assert np.array_equal(first.index.idf, second.index.idf)
 
 
 WORDS = ["a", "b", "c", "d", "e"]
@@ -262,13 +318,44 @@ def scoring_batches(draw):
 ))
 def test_batch_scores_equal_scalar_oracle(batch):
     corpus, sets, candidates, owner = batch
-    stats = build_cider_stats(corpus)
+    stats, oracle = build_cider_stats(corpus), oracle_stats(corpus)
     scores = cider_d_batch(candidates, owner, sets, stats)
     assert scores.shape == (len(candidates),)
-    assert scores.tolist() == [scalar_cider_d(c, sets[k], stats)
+    assert scores.tolist() == [scalar_cider_d(c, sets[k], oracle)
                                for c, k in zip(candidates, owner)]
     # a second call reads every reference set from the cache
     assert cider_d_batch(candidates, owner, sets, stats).tolist() == scores.tolist()
+
+
+# a three-word alphabet repeats n-grams within and across references; images
+# may have no references and references may be empty
+corpora = st.lists(st.lists(st.lists(st.sampled_from(WORDS[:3]), max_size=7), max_size=4),
+                   min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora, st.integers(1, 4),
+       st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=8), min_size=1, max_size=4))
+@example([[[], []], [[]]], 4, [["a"], []])                        # every reference empty
+@example([[["a", "b", "a", "b", "a"], ["c"]]], 2, [["a", "b"]])   # a single image
+@example([[["a", "b", "a", "b"], ["a", "b", "a", "b"]], [["b", "a"]]], 4,
+         [["a", "b", "a"], ["b", "a", "b", "a"]])                  # n-grams repeated in one image
+@example([[["a", "b"], []], [], [["c", "a"]]], 1, [["a", "c"], ["x"]])  # empty ref, no refs
+def test_build_matches_tuple_oracle(corpus, n_max, candidates):
+    stats, oracle = build_cider_stats(corpus, n_max=n_max), oracle_stats(corpus, n_max=n_max)
+    index = stats.index
+    assert stats.log_num_images == oracle.log_num_images
+    for n, table in enumerate(index.codes, start=1):
+        assert (np.diff(table) > 0).all()
+        assert len(table) == sum(len(ngram) == n for ngram in oracle.doc_freq)
+    assert len(index.codes) == n_max and len(index.idf) == len(oracle.doc_freq)
+    for ngram, df in oracle.doc_freq.items():
+        assert index.idf[global_id(ngram, index)] == oracle.log_num_images - math.log(df)
+    # every candidate against every non-empty image's references and one outside set
+    sets = [refs for refs in corpus if refs] + [[["a", "b", "x"], []]]
+    owner = [k for k in range(len(sets)) for _ in candidates]
+    assert cider_d_batch(candidates * len(sets), owner, sets, stats).tolist() == [
+        scalar_cider_d(c, sets[k], oracle) for k in range(len(sets)) for c in candidates]
 
 
 class TestBatchScorer:
@@ -302,11 +389,13 @@ def bench_scale():
     params = init_params(vocab, ModelDims(hidden_dim=64, feature_dim=32, max_len=16), 7,
                          scale=0.1)
     params, _ = rl.train_ce(params, data.train, 1, 1.0, np.random.default_rng(1))
-    return data, params, rl.corpus_stats_for(vocab, data.train)
+    refs = mapped_references(vocab, data.train.records)
+    oracle = oracle_stats([refs[rec.id] for rec in data.train.records])
+    return data, params, rl.corpus_stats_for(vocab, data.train), oracle
 
 
 def test_scst_rewards_equal_scalar_oracle_at_bench_scale(bench_scale, monkeypatch):
-    data, params, stats = bench_scale
+    data, params, stats, oracle = bench_scale
     calls = []
 
     def recorded(candidates, owner, sets, stats):
@@ -320,17 +409,17 @@ def test_scst_rewards_equal_scalar_oracle_at_bench_scale(bench_scale, monkeypatc
     assert len(calls) == 3  # one call per step scores its baselines and samples
     for candidates, owner, sets, scores in calls:
         assert len(candidates) == 10 + 50
-        assert scores.tolist() == [scalar_cider_d(c, sets[k], stats)
+        assert scores.tolist() == [scalar_cider_d(c, sets[k], oracle)
                                    for c, k in zip(candidates, owner)]
     assert 0.0 < log[0]["mean_reward"]
 
 
 def test_evaluate_cider_equals_scalar_oracle_at_bench_scale(bench_scale):
-    data, params, stats = bench_scale
+    data, params, stats, oracle = bench_scale
     decoded = decode_dataset(params, data.val, DecodeConfig(method="greedy", max_len=16))
     captions = [dec.tokens for dec in decoded]
     report = metrics.evaluate(captions, data.val, params.vocab, stats)
     refs = mapped_references(params.vocab, data.val.records)
-    expected = [scalar_cider_d(cap, refs[rec.id], stats)
+    expected = [scalar_cider_d(cap, refs[rec.id], oracle)
                 for cap, rec in zip(captions, data.val.records)]
     assert report.cider == float(np.mean(expected)) and report.cider > 0.0

@@ -217,6 +217,50 @@ class TestTrain:
                      "--init", str(ce_checkpoint), "--lam", "1.5"]) == 2
 
 
+def _reference_captions(data_dir, path):
+    """A caption file that copies each test image's first reference."""
+    with open(data_dir / "test.jsonl") as fh, open(path, "w") as out:
+        for line in fh:
+            rec = json.loads(line)
+            out.write(json.dumps({"id": rec["id"], "caption": " ".join(rec["references"][0]),
+                                  "logprob": 0.0}) + "\n")
+    return path
+
+
+class TestMetricsSection:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("key, value", [
+        ("recall_ks", [0]), ("recall_ks", [-3]), ("recall_ks", [1.5]), ("recall_ks", [True]),
+        ("recall_ks", [1, 0]), ("recall_ks", []), ("recall_ks", 1),
+        ("repetition_n", 0), ("repetition_n", 2.5), ("histogram_bins", 0),
+        ("histogram_bins", True),
+    ], ids=["ks-0", "ks-negative", "ks-float", "ks-bool", "ks-second-0", "ks-empty",
+            "ks-not-a-list", "repetition-0", "repetition-float", "bins-0", "bins-bool"])
+    def test_bad_metrics_section_is_usage_error(self, workdir, tmp_path, command, key, value,
+                                                capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "metrics", key, value)
+        out = tmp_path / "out"
+        if command == "eval":
+            args = ["eval", "--captions", str(_reference_captions(data_dir, tmp_path / "c.jsonl")),
+                    "--out", str(out)]
+        else:
+            args = ["analyze", "--what", "histogram", "--references", "--out", str(out)]
+        assert main([*args, "--config", str(bad_path), "--data", str(data_dir)]) == 2
+        assert f"metrics.{key}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    def test_more_histogram_bins_than_words_is_usage_error(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "metrics", "histogram_bins", 10_000)
+        out = tmp_path / "hist.csv"
+        assert main(["analyze", "--what", "histogram", "--references", "--out", str(out),
+                     "--config", str(bad_path), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "metrics.histogram_bins" in err and "exceeds" in err
+        assert not out.exists()
+
+
 class TestDecodeEval:
     def test_decode_default_beam_and_line_count(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
@@ -348,14 +392,7 @@ class TestDecodeEval:
 
     def test_eval_references_self_scores_zero_oor(self, workdir):
         root, config_path, data_dir = workdir
-        # craft a caption file that copies each test image's first reference
-        refs_file = root / "ref_caps.jsonl"
-        with open(data_dir / "test.jsonl") as fh, open(refs_file, "w") as out:
-            for line in fh:
-                rec = json.loads(line)
-                out.write(json.dumps({"id": rec["id"],
-                                      "caption": " ".join(rec["references"][0]),
-                                      "logprob": 0.0}) + "\n")
+        refs_file = _reference_captions(data_dir, root / "ref_caps.jsonl")
         assert main(["eval", "--captions", str(refs_file), "--config", str(config_path),
                      "--data", str(data_dir), "--split", "test",
                      "--out", str(root / "selfrep")]) == 0

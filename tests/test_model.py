@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab.corpus import ImageRecord, build_vocab
@@ -13,6 +13,7 @@ from caplab.model import (
     ModelDims,
     TrainScope,
     _backward_recurrence,
+    _scatter_add,
     _sigmoid,
     apply_sgd,
     backward_sequences,
@@ -297,3 +298,20 @@ def test_batched_backward_matches_per_step_oracle(b, t, seed):
     for name in expected:
         np.testing.assert_allclose(got[name], expected[name], rtol=0.0, atol=1e-12,
                                    err_msg=name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.lists(st.integers(0, 7), max_size=40),
+       st.integers(0, 10_000))
+@example(4, 3, [2, 2, 2, 0, 2], 0)  # a repeated id, and ids 1 and 3 unused
+@example(3, 2, [], 1)                # no rows at all
+def test_scatter_add_is_bit_identical_to_add_at(n, d, ids, seed):
+    ids = np.array([i % n for i in ids], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    # magnitudes from 1e-8 to 1e8, so any change of summation order shows
+    rows = rng.normal(size=(len(ids), d)) * 10.0 ** rng.integers(-8, 9, size=(len(ids), d))
+    expected = np.zeros((n, d))
+    np.add.at(expected, ids, rows)
+    got = _scatter_add(ids, rows, n)
+    assert got.shape == (n, d) and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
