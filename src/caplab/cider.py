@@ -13,15 +13,18 @@ weight, so candidate tokens unseen in the reference corpus influence the
 score only through the length penalty.
 
 ``cider_d_batch`` scores many candidates in one vectorized pass, each against
-the reference set it names; ``cider_d`` is its one-candidate call.  Each
-reference set's tf-idf weights, norms and lengths are cached on the
-statistics object, keyed by its token tuples, the first time it is scored
-against: an SCST step scores every reference set once per image, and a
-multi-epoch run or a fine-tune sweep scores the same sets at every pass.
-This cache is the only state filled after ``build_cider_stats``; it lives as
-long as the ``CiderCorpusStats`` object and is only correct for the tables
-it was built under, so do not mutate the statistics; build a new object
-instead.
+the reference set it names; ``cider_d`` is its one-candidate call.  It has a
+reference half, ``reference_table``, which assembles the sets scored against
+into one table, and a scoring half; a caller that scores against the same
+sets again (``metrics.evaluate`` on a split) passes the table instead of the
+sets.  Each reference set's tf-idf weights, norms and lengths are cached on
+the statistics object, keyed by its token tuples, the first time it is
+scored against; the sets one call misses are coded together.  An SCST step
+scores every reference set once per image, and a multi-epoch run or a
+fine-tune sweep scores the same sets at every pass.  This cache is the only
+state filled after ``build_cider_stats``; it lives as long as the
+``CiderCorpusStats`` object and is only correct for the tables it was built
+under, so do not mutate the statistics; build a new object instead.
 
 The vectorized sums add the same terms in the same order as a scalar loop
 over each candidate's distinct n-grams in order of first occurrence, order by
@@ -168,72 +171,120 @@ def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) 
     return _Entries(row, slot, gid, weight, np.sqrt(sq).reshape(len(sequences), n_max))
 
 
-def _ref_set(refs: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _RefSet:
-    key = tuple(map(tuple, refs))
-    cached = stats.ref_sets.get(key)
-    if cached is None:
+def _ref_sets(reference_sets: Sequence[Sequence[Sequence[str]]],
+              stats: CiderCorpusStats) -> list[_RefSet]:
+    """Each set's cached tf-idf data; the sets not cached yet are coded in one
+    ``_tfidf_entries`` pass.
+
+    A row's entries keep their order in the joint pass, so every per-row sum
+    and every set's arrays equal those of coding the set on its own.
+    """
+    keys = [tuple(map(tuple, refs)) for refs in reference_sets]
+    cache = stats.ref_sets
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    if missing:
+        refs = [ref for key in missing for ref in key]
         entries = _tfidf_entries(refs, stats)
-        ids, col = np.unique(entries.ids, return_inverse=True)
-        weights = np.zeros((len(ids), len(refs)))
-        weights[col, entries.row] = entries.weight
+        n_refs = np.array([len(key) for key in missing], dtype=np.int64)
+        first = np.cumsum(n_refs) - n_refs
+        owner = np.repeat(np.arange(len(missing)), n_refs)[entries.row]
+        # the sets' n-grams in one sorted table keyed by (set, global id)
+        n_ids = len(stats.index.idf)
+        keyed, col = np.unique(owner * n_ids + entries.ids, return_inverse=True)
+        bounds = np.searchsorted(keyed, np.arange(len(missing) + 1) * n_ids)
+        weights = np.zeros((len(keyed), int(n_refs.max())))
+        weights[col, entries.row - first[owner]] = entries.weight
+        ids = keyed % n_ids
         lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
-        cached = stats.ref_sets[key] = _RefSet(ids, weights, entries.norms, lengths)
-    return cached
+        for k, key in enumerate(missing):
+            rows, at = slice(first[k], first[k] + n_refs[k]), slice(bounds[k], bounds[k + 1])
+            cache[key] = _RefSet(ids[at], weights[at, : n_refs[k]], entries.norms[rows],
+                                 lengths[rows])
+    return [cache[key] for key in keys]
+
+
+class ReferenceTable(NamedTuple):
+    """The reference half of a ``cider_d_batch`` call: every set's n-grams in
+    one sorted table keyed by (set, global id), plus a zero row that absent
+    n-grams read.  A set with fewer than ``width`` references is padded with
+    zero weights, norms and lengths."""
+
+    stats: CiderCorpusStats  # the statistics the table was built under
+    keys: np.ndarray         # (rows,) set * n_ids + global id, sorted
+    weights: np.ndarray      # (rows + 1, width)
+    norms: np.ndarray        # (sets, width, n_max)
+    lengths: np.ndarray      # (sets, width)
+    n_refs: np.ndarray       # (sets,)
+
+
+def reference_table(reference_sets: Sequence[Sequence[Sequence[str]]],
+                    stats: CiderCorpusStats) -> ReferenceTable:
+    """Assemble the reference sets scored against into one table; every set
+    must hold at least one reference."""
+    if any(len(refs) == 0 for refs in reference_sets):
+        raise ValueError("need at least one reference")
+    sets = _ref_sets(reference_sets, stats)
+    n_refs = np.array([len(s.lengths) for s in sets], dtype=np.int64)
+    width = int(n_refs.max(initial=0))
+    n_ids = len(stats.index.idf)
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [k * n_ids + s.ids for k, s in enumerate(sets)])
+    weights = np.zeros((len(keys) + 1, width))
+    norms = np.zeros((len(sets), width, stats.n_max))
+    lengths = np.zeros((len(sets), width), dtype=np.int64)
+    start = 0
+    for k, s in enumerate(sets):
+        weights[start : start + len(s.ids), : n_refs[k]] = s.weights
+        norms[k, : n_refs[k]] = s.norms
+        lengths[k, : n_refs[k]] = s.lengths
+        start += len(s.ids)
+    return ReferenceTable(stats, keys, weights, norms, lengths, n_refs)
 
 
 def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
-                  reference_sets: Sequence[Sequence[Sequence[str]]],
+                  reference_sets: Sequence[Sequence[Sequence[str]]] | ReferenceTable,
                   stats: CiderCorpusStats) -> np.ndarray:
     """Score every candidate against its own image's references.
 
     ``owner[i]`` indexes candidate i's set in ``reference_sets``; every set
-    must hold at least one reference.  Per n, the candidate tf-idf vector is
-    clipped elementwise to the reference vector before the cosine; each
-    reference similarity is damped by exp(-(len_c - len_r)^2 / (2 sigma^2)).
-    Similarities are averaged over references, then over n, then multiplied
-    by 10.  An empty candidate scores 0.
+    must hold at least one reference.  ``reference_sets`` may also be the
+    ``reference_table`` of the sets, built under ``stats``, so that a caller
+    scoring against the same sets again need not assemble them again.  Per
+    n, the candidate tf-idf vector is clipped elementwise to the reference
+    vector before the cosine; each reference similarity is damped by
+    exp(-(len_c - len_r)^2 / (2 sigma^2)).  Similarities are averaged over
+    references, then over n, then multiplied by 10.  An empty candidate
+    scores 0.
     """
-    if any(len(refs) == 0 for refs in reference_sets):
-        raise ValueError("need at least one reference")
+    if isinstance(reference_sets, ReferenceTable):
+        table = reference_sets
+        if table.stats is not stats:
+            raise ValueError("reference table was built under other statistics")
+    else:
+        table = reference_table(reference_sets, stats)
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != len(candidates):
         raise ValueError(f"{len(owner)} owners for {len(candidates)} candidates")
     if len(owner) == 0:
         return np.zeros(0)
-    if owner.min() < 0 or owner.max() >= len(reference_sets):
+    if owner.min() < 0 or owner.max() >= len(table.n_refs):
         raise ValueError("owner indexes outside reference_sets")
-    n_max = stats.n_max
-    sets = [_ref_set(refs, stats) for refs in reference_sets]
-    n_refs = np.array([len(s.lengths) for s in sets], dtype=np.int64)
-    width = int(n_refs.max())
-    # Every set's n-grams in one sorted table keyed by (set, global id), plus a
-    # zero row that absent n-grams read.  A set with fewer than ``width``
-    # references is padded with zero weights, norms and lengths.
+    n_max, width = stats.n_max, table.weights.shape[1]
     n_ids = len(stats.index.idf)
-    table = np.concatenate([k * n_ids + s.ids for k, s in enumerate(sets)])
-    table_weights = np.zeros((len(table) + 1, width))
-    ref_norms = np.zeros((len(sets), width, n_max))
-    ref_lengths = np.zeros((len(sets), width), dtype=np.int64)
-    start = 0
-    for k, s in enumerate(sets):
-        table_weights[start : start + len(s.ids), : n_refs[k]] = s.weights
-        ref_norms[k, : n_refs[k]] = s.norms
-        ref_lengths[k, : n_refs[k]] = s.lengths
-        start += len(s.ids)
 
     cand = _tfidf_entries(candidates, stats)
-    ref_weight = table_weights[_lookup(table, owner[cand.row] * n_ids + cand.ids)]
+    ref_weight = table.weights[_lookup(table.keys, owner[cand.row] * n_ids + cand.ids)]
     # a term whose reference weight is 0 adds exactly 0.0 to its dot product
     terms = np.minimum(cand.weight[:, None], ref_weight) * ref_weight
     bins = (cand.row[:, None] * width + np.arange(width)) * n_max + cand.slot[:, None]
     dots = np.bincount(bins.ravel(), weights=terms.ravel(),
                        minlength=len(owner) * width * n_max).reshape(len(owner), width, n_max)
 
-    cand_norms, ref_norms = cand.norms[:, None, :], ref_norms[owner]
+    cand_norms, ref_norms = cand.norms[:, None, :], table.norms[owner]
     sims = np.zeros(dots.shape)
     np.divide(dots, cand_norms * ref_norms, out=sims,
               where=(cand_norms != 0.0) & (ref_norms != 0.0))
-    deltas = np.array([len(c) for c in candidates], dtype=np.int64)[:, None] - ref_lengths[owner]
+    deltas = np.array([len(c) for c in candidates], dtype=np.int64)[:, None] - table.lengths[owner]
     low = int(deltas.min())
     two_var = 2.0 * stats.sigma**2
     penalty = np.array([math.exp(-(d * d) / two_var)
@@ -244,7 +295,7 @@ def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
     totals = np.zeros((len(owner), n_max))
     for j in range(width):
         totals += penalties[:, j, None] * sims[:, j]
-    per_n = totals / n_refs[owner][:, None]
+    per_n = totals / table.n_refs[owner][:, None]
     total = per_n[:, 0]
     for slot in range(1, n_max):
         total = total + per_n[:, slot]

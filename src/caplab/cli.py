@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Dataset, atomic_write, build_vocab, freq_histogram, load_dataset_split,
-                     save_dataset_split)
+from .corpus import (Dataset, atomic_write, build_vocab, check_histogram_bins, freq_histogram,
+                     load_dataset_split, save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
 from .finetune import FinetuneConfig, finetune, sweep
 from .losses import FrozenReference, loss_surface
@@ -525,6 +525,11 @@ def cmd_analyze(args) -> int:
 
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
+    n_bins = config["metrics"]["histogram_bins"]
+    try:  # before any caption is loaded or sampled
+        check_histogram_bins(n_bins, vocab)
+    except ValueError as exc:  # more bins than vocabulary words
+        raise UsageError(f"metrics.histogram_bins: {exc}") from exc
 
     if args.what == "histogram":
         dataset = _split(bundle, args.split)
@@ -552,10 +557,7 @@ def cmd_analyze(args) -> int:
     else:
         raise UsageError(f"unknown analysis {args.what!r}")
 
-    try:
-        hist = freq_histogram(captions, vocab, config["metrics"]["histogram_bins"])
-    except ValueError as exc:  # more bins than vocabulary words
-        raise UsageError(f"metrics.histogram_bins: {exc}") from exc
+    hist = freq_histogram(captions, vocab, n_bins)
     hist.write_csv(out)
     _write_sidecar(out, cfg_hash, seed, f"analyze:{args.what}")
     print(f"wrote {out}")

@@ -180,7 +180,13 @@ class ImageRecord:
 
 @dataclass(eq=False)
 class Dataset:
-    """A named split of image records with unique ids."""
+    """A named split of image records with unique ids.
+
+    Do not mutate a split after it is built: ``metrics`` keeps what scoring
+    it needs (retrieval index, mapped reference words, CIDEr-D table) keyed
+    on the object, so an edited split would be scored against its old
+    references.  Build a new ``Dataset`` instead.
+    """
 
     split: str
     records: list[ImageRecord]
@@ -200,8 +206,9 @@ class Dataset:
 def mapped_references(vocab: Vocabulary, records: Sequence[ImageRecord]) -> dict[int, list[list[str]]]:
     """References with out-of-vocabulary words replaced by <unk>, keyed by
     image id, so rewards and metrics operate in the model's token space."""
+    known = vocab.id_of
     return {
-        rec.id: [vocab.words(vocab.encode(ref)) for ref in rec.references]
+        rec.id: [[tok if tok in known else UNK for tok in ref] for ref in rec.references]
         for rec in records
     }
 
@@ -280,6 +287,16 @@ def bin_sizes(n_words: int, n_bins: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(n_bins)]
 
 
+def check_histogram_bins(n_bins: int, vocab: Vocabulary) -> None:
+    """Raise ValueError unless 1 <= ``n_bins`` <= the number of regular words."""
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1")
+    if n_bins > vocab.n_words:
+        raise ValueError(
+            f"n_bins={n_bins} exceeds the {vocab.n_words} non-special vocabulary words"
+        )
+
+
 def freq_histogram(
     captions: Iterable[Sequence[str]], vocab: Vocabulary, n_bins: int = 200
 ) -> FreqHistogram:
@@ -289,12 +306,7 @@ def freq_histogram(
     is reported in ``tail`` so that bins + tail account for every token.
     Invariant to caption order.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    if n_bins > vocab.n_words:
-        raise ValueError(
-            f"n_bins={n_bins} exceeds the {vocab.n_words} non-special vocabulary words"
-        )
+    check_histogram_bins(n_bins, vocab)
     sizes = bin_sizes(vocab.n_words, n_bins)
     bin_of_id = np.empty(vocab.n_words, dtype=np.int64)
     start = 0

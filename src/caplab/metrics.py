@@ -7,21 +7,35 @@ tokens, captions are scored against every image document by cosine
 similarity, and R@K is the percentage of captions whose own image ranks
 within K (ties resolved toward the lower image id).  It stands in for a
 pretrained cross-modal retrieval model and rewards exactly the behavior
-under study: mentioning image-specific low-frequency content.
+under study: mentioning image-specific low-frequency content.  All
+captions are ranked in one product of their tf-idf matrix with the document
+matrix.
+
+What scoring a split needs from the split alone is built the first time the
+split is scored and kept: the retrieval index (the L2-normalized tf-idf
+document matrix), each image's set of reference words, and the CIDEr-D
+reference table (see ``cider.reference_table``), the latter two over the
+references mapped into the vocabulary.  They are keyed weakly on the
+``Dataset`` object, so they die with the split, and are rebuilt when a call
+passes another vocabulary or statistics object than the one they were built
+for.  A split must therefore not be modified after it is first scored; build
+a new ``Dataset`` instead.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cider import CiderCorpusStats, cider_d_batch
+from .cider import CiderCorpusStats, ReferenceTable, cider_d_batch, reference_table
 from .cider import cider_d  # noqa: F401  -- perfbench's tracer test looks up metrics.cider_d
-from .corpus import Dataset, Vocabulary, mapped_references
+from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 
 
 @dataclass
@@ -108,15 +122,18 @@ def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequenc
     """
     if len(captions) != len(references):
         raise ValueError("captions and references must align one-to-one")
+    return _oor_counts(captions, [set().union(*refs) for refs in references], vocab)
+
+
+def _oor_counts(captions: Sequence[Sequence[str]], ref_words: Sequence[set],
+                vocab: Vocabulary) -> tuple[int, float, bool]:
+    """``oor_analysis`` over each image's set of reference words."""
     count = 0
     rank_sum = 0
     ranked = 0
-    for caption, refs in zip(captions, references):
-        ref_words = set()
-        for ref in refs:
-            ref_words.update(ref)
+    for caption, words in zip(captions, ref_words):
         for token in caption:
-            if token in ref_words:
+            if token in words:
                 continue
             count += 1
             token_id = vocab.id_of.get(token)
@@ -128,19 +145,71 @@ def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequenc
     return count, rank_sum / ranked, True
 
 
-def _document_vectors(dataset: Dataset) -> tuple[list[Counter], dict[str, float]]:
-    docs = []
-    for rec in dataset.records:
-        bag = Counter(sorted(rec.attributes))
+class _RetrievalIndex(NamedTuple):
+    """A split's tf-idf documents: the bag of an image's attribute tokens plus
+    all of its reference tokens."""
+
+    word_index: dict        # document word -> column, words sorted
+    idf: np.ndarray         # (words,) log((1 + N) / (1 + df)) + 1
+    docs_t: np.ndarray      # (words, docs) L2-normalized document vectors as columns
+    ids: np.ndarray         # (docs,) image ids
+
+
+def _retrieval_index(records: Sequence[ImageRecord]) -> _RetrievalIndex:
+    bags = []
+    for rec in records:
+        bag = Counter(rec.attributes)
         for ref in rec.references:
             bag.update(ref)
-        docs.append(bag)
-    n_docs = len(docs)
-    doc_count = Counter()
-    for bag in docs:
-        doc_count.update(set(bag))
-    idf = {word: math.log((1 + n_docs) / (1 + df)) + 1.0 for word, df in doc_count.items()}
-    return docs, idf
+        bags.append(bag)
+    doc_count = Counter(word for bag in bags for word in bag)
+    words = sorted(doc_count)
+    word_index = {word: i for i, word in enumerate(words)}
+    n_docs = len(bags)
+    idf = np.array([math.log((1 + n_docs) / (1 + doc_count[word])) + 1.0 for word in words])
+    tf = np.zeros((n_docs, len(words)))
+    for row, bag in enumerate(bags):
+        tf[row, [word_index[word] for word in bag]] = list(bag.values())
+    docs = tf * idf
+    norms = np.linalg.norm(docs, axis=1)
+    norms[norms == 0.0] = 1.0
+    docs /= norms[:, None]
+    return _RetrievalIndex(word_index, idf, np.ascontiguousarray(docs.T),
+                           np.array([rec.id for rec in records]))
+
+
+@dataclass(eq=False)
+class _SplitContext:
+    """What scoring a split needs from the split; the fields after
+    ``retrieval`` are built for one vocabulary and statistics object."""
+
+    retrieval: _RetrievalIndex
+    vocab: Vocabulary | None = None
+    stats: CiderCorpusStats | None = None
+    ref_words: list | None = None              # per image: its mapped reference words
+    cider_table: ReferenceTable | None = None  # the split's mapped reference sets
+
+
+_contexts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # Dataset -> _SplitContext
+
+
+def _split_context(dataset: Dataset) -> _SplitContext:
+    context = _contexts.get(dataset)
+    if context is None:
+        context = _contexts[dataset] = _SplitContext(_retrieval_index(dataset.records))
+    return context
+
+
+def _scoring_context(dataset: Dataset, vocab: Vocabulary,
+                     stats: CiderCorpusStats) -> _SplitContext:
+    context = _split_context(dataset)
+    if context.vocab is not vocab or context.stats is not stats:
+        refs_by_id = mapped_references(vocab, dataset.records)
+        refs = [refs_by_id[rec.id] for rec in dataset.records]
+        context.cider_table = reference_table(refs, stats)
+        context.ref_words = [set().union(*image_refs) for image_refs in refs]
+        context.vocab, context.stats = vocab, stats
+    return context
 
 
 def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
@@ -148,34 +217,29 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
     """Caption-to-image retrieval recall over the whole split.
 
     Exactly one caption per record, aligned with ``dataset.records``.
+    Identical documents tie exactly.  Two different documents whose scores
+    differ only by rounding (say, one bag three times another) may rank
+    either way, and not always as a matrix-vector product per caption would
+    rank them: the one product sums in another order.
     """
     if len(captions) != len(dataset.records):
         raise ValueError(
             f"{len(captions)} captions for {len(dataset.records)} images")
-    docs, idf = _document_vectors(dataset)
-    words = sorted(idf)
-    word_index = {word: i for i, word in enumerate(words)}
-    doc_matrix = np.zeros((len(docs), len(words)))
-    for row, bag in enumerate(docs):
-        for word, tf in bag.items():
-            doc_matrix[row, word_index[word]] = tf * idf[word]
-    doc_norms = np.linalg.norm(doc_matrix, axis=1)
-    doc_norms[doc_norms == 0.0] = 1.0
-    doc_matrix /= doc_norms[:, None]
-    ids = np.array([rec.id for rec in dataset.records])
-
-    ranks = np.empty(len(captions), dtype=np.int64)
-    for i, caption in enumerate(captions):
-        vec = np.zeros(len(words))
-        for word, tf in Counter(caption).items():
-            col = word_index.get(word)
-            if col is not None:
-                vec[col] = tf * idf[word]
-        scores = doc_matrix @ vec  # caption norm does not affect the ranking
-        own = scores[i]
-        better = int((scores > own).sum())
-        tied_lower = int(((scores == own) & (ids < ids[i])).sum())
-        ranks[i] = 1 + better + tied_lower
+    index = _split_context(dataset).retrieval
+    tokens = [word for caption in captions for word in caption]
+    cols = np.fromiter(map(index.word_index.get, tokens, repeat(-1)), dtype=np.int64,
+                       count=len(tokens))
+    rows = np.repeat(np.arange(len(captions)), [len(caption) for caption in captions])
+    known = cols >= 0
+    # only the document words some caption holds; the rest add nothing
+    used, col = np.unique(cols[known], return_inverse=True)
+    tf = np.bincount(rows[known] * len(used) + col, minlength=len(captions) * len(used))
+    queries = tf.reshape(len(captions), len(used)) * index.idf[used]
+    scores = queries @ index.docs_t[used]  # caption norms do not affect the ranking
+    own = np.diagonal(scores)[:, None]
+    better = (scores > own).sum(axis=1)
+    tied_lower = ((scores == own) & (index.ids < index.ids[:, None])).sum(axis=1)
+    ranks = 1 + better + tied_lower
     return {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
 
 
@@ -187,12 +251,11 @@ def evaluate(captions: Sequence[Sequence[str]], dataset: Dataset, vocab: Vocabul
     if len(captions) != len(dataset.records):
         raise ValueError(
             f"{len(captions)} captions for {len(dataset.records)} images")
-    refs_by_id = mapped_references(vocab, dataset.records)
-    mapped_refs = [refs_by_id[rec.id] for rec in dataset.records]
+    context = _scoring_context(dataset, vocab, stats)
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
     rep = repetition_rate(captions, rep_n)
-    cider_scores = cider_d_batch(captions, np.arange(len(captions)), mapped_refs, stats)
-    oor_count, oor_rank, oor_defined = oor_analysis(captions, mapped_refs, vocab)
+    cider_scores = cider_d_batch(captions, np.arange(len(captions)), context.cider_table, stats)
+    oor_count, oor_rank, oor_defined = _oor_counts(captions, context.ref_words, vocab)
     r_at = rk_retrieval(captions, dataset, ks)
     return MetricsReport(
         unique_1=unique_1,

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab import metrics, rl
-from caplab.cider import build_cider_stats, cider_d, cider_d_batch
+from caplab.cider import (_RefSet, _ref_sets, _tfidf_entries, build_cider_stats, cider_d,
+                          cider_d_batch, reference_table)
 from caplab.corpus import Dataset, build_vocab, mapped_references
 from caplab.decode import DecodeConfig, decode_dataset
 from caplab.model import ModelDims, init_params
@@ -356,6 +357,56 @@ def test_build_matches_tuple_oracle(corpus, n_max, candidates):
     owner = [k for k in range(len(sets)) for _ in candidates]
     assert cider_d_batch(candidates * len(sets), owner, sets, stats).tolist() == [
         scalar_cider_d(c, sets[k], oracle) for k in range(len(sets)) for c in candidates]
+
+
+def one_at_a_time_ref_set(refs, stats):
+    """One reference set coded on its own, as the cache was filled before the
+    sets a call misses were coded together; kept as the oracle."""
+    entries = _tfidf_entries(refs, stats)
+    ids, col = np.unique(entries.ids, return_inverse=True)
+    weights = np.zeros((len(ids), len(refs)))
+    weights[col, entries.row] = entries.weight
+    lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
+    return _RefSet(ids, weights, entries.norms, lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora.filter(lambda corpus: any(corpus)),
+       st.lists(st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=7),
+                         min_size=1, max_size=4), min_size=1, max_size=6),
+       st.integers(0, 3))
+def test_joint_ref_set_fill_is_byte_equal_to_one_at_a_time(corpus, sets, n_cached):
+    stats = build_cider_stats(corpus)
+    sets = sets + sets[:2]  # a set may repeat within one call
+    _ref_sets(sets[:n_cached], stats)  # some sets are cached before the joint fill
+    got = _ref_sets(sets, stats)
+    assert len(stats.ref_sets) == len({tuple(map(tuple, refs)) for refs in sets})
+    for refs, ref_set in zip(sets, got):
+        expected = one_at_a_time_ref_set(refs, stats)
+        for field, want in zip(_RefSet._fields, expected):
+            have = getattr(ref_set, field)
+            assert have.dtype == want.dtype and have.shape == want.shape, field
+            assert np.ascontiguousarray(have).tobytes() == want.tobytes(), field
+
+
+class TestReferenceTable:
+    def test_table_scores_equal_reference_sets(self, corpus_stats):
+        refs, stats = corpus_stats
+        candidates = [["a", "red", "bird"], ["a", "blue", "fish", "swims"], []]
+        table = reference_table(refs, stats)
+        owner = [0, 1, 1]
+        assert cider_d_batch(candidates, owner, table, stats).tolist() == \
+            cider_d_batch(candidates, owner, refs, stats).tolist()
+
+    def test_table_of_other_stats_rejected(self, corpus_stats):
+        refs, stats = corpus_stats
+        with pytest.raises(ValueError):
+            cider_d_batch([["a"]], [0], reference_table(refs, build_cider_stats(refs)), stats)
+
+    def test_owner_must_index_a_set_of_the_table(self, corpus_stats):
+        refs, stats = corpus_stats
+        with pytest.raises(ValueError):
+            cider_d_batch([["a"]], [2], reference_table(refs, stats), stats)
 
 
 class TestBatchScorer:

@@ -260,6 +260,19 @@ class TestMetricsSection:
         assert "metrics.histogram_bins" in err and "exceeds" in err
         assert not out.exists()
 
+    def test_more_histogram_bins_than_words_rejected_before_sampling(
+            self, workdir, ce_checkpoint, tmp_path, capsys, monkeypatch):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "metrics", "histogram_bins", 10_000)
+        calls = []
+        monkeypatch.setattr(cli, "sample_sequences", lambda *args: calls.append(args))
+        out = tmp_path / "sf.csv"
+        assert main(["analyze", "--what", "sample-freq", "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out), "--config", str(bad_path), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "metrics.histogram_bins" in err and "exceeds" in err
+        assert calls == [] and not out.exists()
+
 
 class TestDecodeEval:
     def test_decode_default_beam_and_line_count(self, workdir, ce_checkpoint):

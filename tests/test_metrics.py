@@ -1,10 +1,16 @@
+import gc
+import math
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caplab.cider import build_cider_stats
-from caplab.corpus import Dataset, ImageRecord, build_vocab
+from caplab import metrics
+from caplab.cider import build_cider_stats, cider_d_batch
+from caplab.corpus import Dataset, ImageRecord, build_vocab, mapped_references
 from caplab.metrics import (
     MetricsReport,
     evaluate,
@@ -13,6 +19,67 @@ from caplab.metrics import (
     rk_retrieval,
     vocab_stats,
 )
+
+
+def oracle_document_vectors(dataset):
+    """The per-split document build that the cached retrieval index replaced."""
+    docs = []
+    for rec in dataset.records:
+        bag = Counter(sorted(rec.attributes))
+        for ref in rec.references:
+            bag.update(ref)
+        docs.append(bag)
+    n_docs = len(docs)
+    doc_count = Counter()
+    for bag in docs:
+        doc_count.update(set(bag))
+    idf = {word: math.log((1 + n_docs) / (1 + df)) + 1.0 for word, df in doc_count.items()}
+    return docs, idf
+
+
+def oracle_rk_retrieval(captions, dataset, ks=(1, 5, 10)):
+    """The per-caption ranking loop that the one-product ``rk_retrieval``
+    replaced, kept as the oracle: R@K must be equal."""
+    docs, idf = oracle_document_vectors(dataset)
+    words = sorted(idf)
+    word_index = {word: i for i, word in enumerate(words)}
+    doc_matrix = np.zeros((len(docs), len(words)))
+    for row, bag in enumerate(docs):
+        for word, tf in bag.items():
+            doc_matrix[row, word_index[word]] = tf * idf[word]
+    doc_norms = np.linalg.norm(doc_matrix, axis=1)
+    doc_norms[doc_norms == 0.0] = 1.0
+    doc_matrix /= doc_norms[:, None]
+    ids = np.array([rec.id for rec in dataset.records])
+
+    ranks = np.empty(len(captions), dtype=np.int64)
+    for i, caption in enumerate(captions):
+        vec = np.zeros(len(words))
+        for word, tf in Counter(caption).items():
+            col = word_index.get(word)
+            if col is not None:
+                vec[col] = tf * idf[word]
+        scores = doc_matrix @ vec  # caption norm does not affect the ranking
+        own = scores[i]
+        better = int((scores > own).sum())
+        tied_lower = int(((scores == own) & (ids < ids[i])).sum())
+        ranks[i] = 1 + better + tied_lower
+    return {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
+
+
+def oracle_evaluate(captions, dataset, vocab, stats, ks=(1, 5, 10), rep_n=4):
+    """``evaluate`` as it was before the per-split context: every part
+    rebuilt from the split on every call."""
+    refs_by_id = mapped_references(vocab, dataset.records)
+    mapped_refs = [refs_by_id[rec.id] for rec in dataset.records]
+    unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
+    cider_scores = cider_d_batch(captions, np.arange(len(captions)), mapped_refs, stats)
+    oor_count, oor_rank, oor_defined = oor_analysis(captions, mapped_refs, vocab)
+    return MetricsReport(
+        unique_1=unique_1, unique_s=unique_s, mean_length=mean_length,
+        cider=float(np.mean(cider_scores)), rep=repetition_rate(captions, rep_n),
+        r_at=oracle_rk_retrieval(captions, dataset, ks), oor_count=oor_count,
+        oor_mean_rank=oor_rank, oor_rank_defined=oor_defined)
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +285,131 @@ class TestEvaluate:
                 min_size=1, max_size=5))
 def test_repetition_rate_bounds_property(captions):
     assert 0.0 <= repetition_rate(captions) <= 1.0
+
+
+WORDS = ["a", "b", "c", "d", "e", "f"]
+UNSEEN = ["x", "y"]  # in no document and in no vocabulary
+word_lists = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5)
+
+
+@st.composite
+def scored_splits(draw):
+    """A small split, a vocabulary over part of its words, its corpus
+    statistics, one caption per image and recall cut-offs.
+
+    Images may repeat an earlier image's document exactly (score ties), ids
+    are shuffled so ties do not resolve in record order, and captions may be
+    empty, hold unseen words or <unk>, or copy a reference of any image."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(10, 10 + 3 * n, 3)))
+    records = []
+    for i in range(n):
+        if records and draw(st.booleans()):
+            twin = records[draw(st.integers(0, len(records) - 1))]
+            refs, attributes = [list(ref) for ref in twin.references], set(twin.attributes)
+        else:
+            refs = draw(st.lists(word_lists, min_size=1, max_size=3))
+            attributes = set(draw(st.lists(st.sampled_from(WORDS), max_size=3)))
+        records.append(ImageRecord(id=ids[i], features=np.zeros(2), references=refs,
+                                   attributes=attributes))
+    split = Dataset("val", records)
+    # words seen fewer than twice in the split become <unk>
+    vocab = build_vocab(split.all_references(), 2)
+    refs_by_id = mapped_references(vocab, records)
+    stats = build_cider_stats([refs_by_id[rec.id] for rec in records])
+    all_refs = split.all_references()
+    captions = []
+    for rec in records:
+        kind = draw(st.sampled_from(["own", "other", "free"]))
+        if kind == "own":
+            captions.append(list(draw(st.sampled_from(rec.references))))
+        elif kind == "other":
+            captions.append(list(draw(st.sampled_from(all_refs))))
+        else:
+            captions.append(draw(st.lists(st.sampled_from(WORDS + UNSEEN + ["<unk>"]),
+                                          max_size=6)))
+    ks = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+    return split, vocab, stats, captions, tuple(ks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_splits())
+def test_report_equals_per_call_oracle(case):
+    split, vocab, stats, captions, ks = case
+    expected = oracle_evaluate(captions, split, vocab, stats, ks)
+    assert rk_retrieval(captions, split, ks) == expected.r_at
+    assert evaluate(captions, split, vocab, stats, ks) == expected
+    # the second call reads the split's context
+    assert evaluate(captions, split, vocab, stats, ks) == expected
+
+
+def test_retrieval_ties_and_empty_captions():
+    """Duplicate documents tie exactly; the lower id wins, whatever the record
+    order, and a caption matching no document ties with every image."""
+    twin = dict(features=np.zeros(2), references=[["red", "ball"]], attributes={"red"})
+    split = Dataset("val", [ImageRecord(id=7, **twin), ImageRecord(id=3, **twin),
+                            ImageRecord(id=5, features=np.zeros(2), references=[["blue"]])])
+    captions = [["red", "ball"], ["red", "ball"], []]
+    # ranks 2 (id 3 wins the tie), 1, and 2 (id 3 again)
+    assert rk_retrieval(captions, split, (1, 2, 3, 50)) == {1: 100.0 * (1 / 3), 2: 100.0,
+                                                            3: 100.0, 50: 100.0}
+    assert rk_retrieval(captions, split, (1, 2, 3, 50)) == oracle_rk_retrieval(
+        captions, split, (1, 2, 3, 50))
+
+
+class TestSplitContext:
+    @staticmethod
+    def split(refs=(["a", "red", "bird"], ["a", "blue", "fish"])):
+        return Dataset("val", [ImageRecord(id=i, features=np.zeros(2), references=[list(ref)],
+                                           attributes=set(ref[1:])) for i, ref in enumerate(refs)])
+
+    CAPTIONS = [["a", "red", "bird"], ["a", "red", "fish"]]
+
+    def test_second_evaluate_reuses_the_context(self, eval_setup):
+        _, vocab, stats = eval_setup
+        split = self.split()
+        first = evaluate(self.CAPTIONS, split, vocab, stats)
+        context = metrics._contexts[split]
+        table = context.cider_table
+        assert evaluate(self.CAPTIONS, split, vocab, stats) == first
+        assert metrics._contexts[split] is context and context.cider_table is table
+
+    def test_new_split_with_edited_references_is_not_served_the_old_context(self, eval_setup):
+        _, vocab, stats = eval_setup
+        split = self.split()
+        first = evaluate(self.CAPTIONS, split, vocab, stats)
+        edited = self.split((["a", "red", "bird"], ["a", "red", "fish"]))
+        report = evaluate(self.CAPTIONS, edited, vocab, stats)
+        assert report == oracle_evaluate(self.CAPTIONS, edited, vocab, stats)
+        assert report != first
+        assert metrics._contexts[edited] is not metrics._contexts[split]
+
+    def test_other_vocab_or_stats_object_rebuilds(self, eval_setup):
+        ds, vocab, stats = eval_setup
+        split = self.split()
+        evaluate(self.CAPTIONS, split, vocab, stats)
+        context = metrics._contexts[split]
+        old_table, old_words = context.cider_table, context.ref_words
+        equal_vocab = build_vocab([r for rec in ds.records for r in rec.references], 1)
+        assert equal_vocab == vocab and equal_vocab is not vocab
+        evaluate(self.CAPTIONS, split, equal_vocab, stats)
+        assert context.vocab is equal_vocab and context.ref_words is not old_words
+        # a vocabulary without "fish" maps it to <unk> in the references
+        small_vocab = build_vocab([["a", "red", "bird", "blue"]], 1)
+        report = evaluate(self.CAPTIONS, split, small_vocab, stats)
+        assert report == oracle_evaluate(self.CAPTIONS, split, small_vocab, stats)
+        other_stats = build_cider_stats([rec.references for rec in split.records])
+        report = evaluate(self.CAPTIONS, split, small_vocab, other_stats)
+        assert context.stats is other_stats and context.cider_table is not old_table
+        assert context.cider_table.stats is other_stats
+        assert report == oracle_evaluate(self.CAPTIONS, split, small_vocab, other_stats)
+
+    def test_context_dies_with_the_split(self, eval_setup):
+        _, vocab, stats = eval_setup
+        split = self.split()
+        evaluate(self.CAPTIONS, split, vocab, stats)
+        alive, context = weakref.ref(split), weakref.ref(metrics._contexts[split])
+        del split
+        gc.collect()
+        assert alive() is None
+        assert context() is None  # the entry went with its key
