@@ -19,7 +19,7 @@ from .corpus import (
     freq_histogram,
     tokenize,
 )
-from .decode import DecodeConfig, Decoded, decode_beam, decode_bp, decode_greedy, decode_nucleus
+from .decode import DecodeConfig, Decoded, decode_beam, decode_bp, decode_nucleus
 from .finetune import FinetuneConfig, FinetuneResult, SweepResult, finetune, sweep
 from .losses import (
     FrozenReference,

@@ -22,6 +22,13 @@ order, are the next beam already in lexicographic order.  Images with fewer
 alive rows than the step's largest beam are padded with -inf candidates
 that are never kept.
 
+The greedy rollout is carried by the beam: each image's greedy path starts
+at its root row and steps to the row's argmax child, and while that child
+is among the kept picks the beam scores it with the same step-order sum a
+greedy rollout makes.  Only the images whose greedy child was not kept are
+rolled out again, over their own features.  With beam size 1 the greedy
+child is always the kept pick, so no second recurrence runs.
+
 Bias-product decoding normally runs two recurrences, one per model.  When
 the frozen reference's embedding and encoder are byte-identical to the
 model's, as after a classifier-only fine-tune, both recurrences compute the
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +48,7 @@ import numpy as np
 from .corpus import Dataset, ImageRecord, atomic_write
 from .losses import FrozenReference, bp_log_probs, check_compatible
 from .model import (
+    ENCODER_ARRAYS,
     ModelParams,
     initial_hidden,
     log_softmax_temp,
@@ -62,18 +71,29 @@ class DecodeConfig:
     def validate(self) -> None:
         if self.method not in ("greedy", "beam", "nucleus", "bp"):
             raise ValueError(f"unknown decode method {self.method!r}")
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        _check_integer("beam_size", self.beam_size)
+        if self.max_len is not None:
+            _check_integer("max_len", self.max_len)
+        for name in ("nucleus_p", "beta", "beta_prime"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.nucleus_p <= 1.0:
             raise ValueError("nucleus_p must lie in (0, 1]")
         if self.bp_base not in ("greedy", "beam"):
             raise ValueError(f"bp_base must be greedy or beam, got {self.bp_base!r}")
         for name in ("beta", "beta_prime"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+
+
+def _check_integer(name: str, value) -> None:
+    """An integer >= 1; bools are rejected, though ``bool`` is an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -151,7 +171,9 @@ def _bias_product_stepper(params: ModelParams, frozen: FrozenReference | None, b
     if frozen is None:
         raise ValueError("bp decoding requires a frozen reference model")
     check_compatible(params, frozen)
-    if params.encoder_hash() == frozen.params.encoder_hash():
+    # bytes, not values: -0.0 and 0.0 differ, as they do under encoder_hash()
+    if all(getattr(params, name).tobytes() == getattr(frozen.params, name).tobytes()
+           for name in ("embed",) + ENCODER_ARRAYS):
         return _SharedEncoderStepper(params, frozen, beta)
     return _BiasProductStepper(params, frozen, beta)
 
@@ -201,8 +223,9 @@ def _top_k(cand: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(-cand, axis=1, kind="stable")
     neg = -cand
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(~(neg > kth))
-    order = np.lexsort((cols, neg[rows, cols], rows))
+    flat = np.flatnonzero(~(neg > kth))           # survivors in row-major order
+    rows, cols = np.divmod(flat, n_cols)
+    order = np.lexsort((cols, neg.ravel()[flat], rows))
     first = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))[:-1]))
     return cols[order][first[:, None] + np.arange(k)]
 
@@ -210,21 +233,28 @@ def _top_k(cand: np.ndarray, k: int) -> np.ndarray:
 def _beam(stepper, feats: np.ndarray, max_len: int,
           beam_size: int) -> list[tuple[list[int], float]]:
     """Lockstep beam search over every feature row; per row, the best ids
-    (a final <eos> included) and their summed log-prob."""
+    (a final <eos> included) and their summed log-prob.  Each image's
+    greedy path is followed in the beam; its child is the np.argmax token
+    (the lowest id on ties), as in ``_greedy``.  Only the images whose
+    greedy child was not kept are rolled out again."""
     n, eos = len(feats), stepper.eos_id
     state = stepper.start(feats)
     owner = np.arange(n)                 # image of each alive row, non-decreasing
-    seqs: list[tuple[int, ...]] = [()] * n
+    seqs = np.empty((n, 0), dtype=np.int64)   # ids of each alive row so far
     scores = np.zeros(n)
+    greedy_row = np.arange(n)            # per image, the alive row on its greedy path, or -1
+    left = np.zeros(n, dtype=bool)       # images whose greedy child was not kept
     pools: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
 
     for step in range(max_len):
         lp = stepper.logprobs(state)                      # (rows, V)
-        n_vocab = lp.shape[1]
-        images, first, counts = np.unique(owner, return_index=True, return_counts=True)
-        slot = np.arange(len(owner)) - np.repeat(first, counts)
+        n_rows, n_vocab = lp.shape
+        first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        counts = np.diff(np.append(first, n_rows))
+        images = owner[first]
+        group = np.repeat(np.arange(len(images)), counts)
         cand = np.full((len(images), counts.max(), n_vocab), -np.inf)
-        cand[np.repeat(np.arange(len(images)), counts), slot] = scores[:, None] + lp
+        cand[group, np.arange(n_rows) - first[group]] = scores[:, None] + lp
         cand = cand.reshape(len(images), -1)
 
         # index order within an image is lexicographic order of the new sequences
@@ -234,24 +264,39 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
         parent = first[at] + pos // n_vocab
         tokens = pos % n_vocab
         totals = cand[at, pos]
-
         retired = tokens == eos
-        for i, row, total in zip(images[at[retired]].tolist(), parent[retired].tolist(),
-                                 totals[retired].tolist()):
-            pools[i].append((total, seqs[row] + (eos,)))
+
+        # (parent, token) keys of the picks increase, so each greedy child is
+        # found by one search
+        following = np.flatnonzero(greedy_row >= 0)
+        rows = greedy_row[following]
+        wanted = rows * n_vocab + np.argmax(lp[rows], axis=1)
+        keys = parent * n_vocab + tokens
+        child = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        kept = keys[child] == wanted
+        left[following[~kept]] = True
+        alive_row = np.cumsum(~retired) - 1
+        greedy_row[following] = np.where(kept & ~retired[child], alive_row[child], -1)
+
+        for i, row, total in zip(images[at[retired]].tolist(),
+                                 seqs[parent[retired]].tolist(), totals[retired].tolist()):
+            pools[i].append((total, tuple(row) + (eos,)))
         alive = ~retired
         owner, parent, tokens = images[at[alive]], parent[alive], tokens[alive]
-        seqs = [seqs[row] + (token,) for row, token in zip(parent.tolist(), tokens.tolist())]
+        seqs = np.concatenate((seqs[parent], tokens[:, None]), axis=1)
         scores = totals[alive]
-        if not seqs:
+        if not len(owner):
             break
         if step + 1 < max_len:
             state = stepper.advance(stepper.select(state, parent), tokens)
 
-    for i, total, seq in zip(owner.tolist(), scores.tolist(), seqs):
-        pools[i].append((total, seq))
-    for pool, seq, total, ended in zip(pools, *_greedy(stepper, feats, max_len)):
-        pool.append((total, tuple(seq) + ((eos,) if ended else ())))
+    for i, total, seq in zip(owner.tolist(), scores.tolist(), seqs.tolist()):
+        pools[i].append((total, tuple(seq)))
+    rerun = np.flatnonzero(left)
+    if len(rerun):
+        for i, seq, total, ended in zip(rerun.tolist(),
+                                        *_greedy(stepper, feats[rerun], max_len)):
+            pools[i].append((total, tuple(seq) + ((eos,) if ended else ())))
     best = [min(pool, key=lambda item: (-item[0], item[1])) for pool in pools]
     return [(list(seq), total) for total, seq in best]
 
@@ -311,11 +356,6 @@ def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     return max_len
-
-
-def decode_greedy(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
-    config.validate()
-    return _search(params, _PolicyStepper(params, config.beta), [image], config, "greedy")[0]
 
 
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:

@@ -147,11 +147,13 @@ def _oor_counts(captions: Sequence[Sequence[str]], ref_words: Sequence[set],
 
 class _RetrievalIndex(NamedTuple):
     """A split's tf-idf documents: the bag of an image's attribute tokens plus
-    all of its reference tokens."""
+    all of its reference tokens, in lowest terms (its counts divided by their
+    gcd).  Images whose bags are equal in lowest terms share one column."""
 
-    word_index: dict        # document word -> column, words sorted
+    word_index: dict        # document word -> row of docs_t, words sorted
     idf: np.ndarray         # (words,) log((1 + N) / (1 + df)) + 1
-    docs_t: np.ndarray      # (words, docs) L2-normalized document vectors as columns
+    docs_t: np.ndarray      # (words, columns) L2-normalized distinct document vectors
+    doc_column: np.ndarray  # (docs,) each image's column of docs_t
     ids: np.ndarray         # (docs,) image ids
 
 
@@ -167,14 +169,21 @@ def _retrieval_index(records: Sequence[ImageRecord]) -> _RetrievalIndex:
     word_index = {word: i for i, word in enumerate(words)}
     n_docs = len(bags)
     idf = np.array([math.log((1 + n_docs) / (1 + doc_count[word])) + 1.0 for word in words])
-    tf = np.zeros((n_docs, len(words)))
-    for row, bag in enumerate(bags):
-        tf[row, [word_index[word] for word in bag]] = list(bag.values())
+    columns: dict[frozenset, int] = {}  # (word row, count) terms in lowest terms -> column
+    doc_column = []
+    for bag in bags:
+        divisor = math.gcd(*bag.values()) or 1
+        terms = frozenset((word_index[word], count // divisor) for word, count in bag.items())
+        doc_column.append(columns.setdefault(terms, len(columns)))
+    tf = np.zeros((len(columns), len(words)))
+    for column, terms in enumerate(columns):
+        for row, count in terms:
+            tf[column, row] = count
     docs = tf * idf
     norms = np.linalg.norm(docs, axis=1)
     norms[norms == 0.0] = 1.0
     docs /= norms[:, None]
-    return _RetrievalIndex(word_index, idf, np.ascontiguousarray(docs.T),
+    return _RetrievalIndex(word_index, idf, np.ascontiguousarray(docs.T), np.array(doc_column),
                            np.array([rec.id for rec in records]))
 
 
@@ -217,10 +226,10 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
     """Caption-to-image retrieval recall over the whole split.
 
     Exactly one caption per record, aligned with ``dataset.records``.
-    Identical documents tie exactly.  Two different documents whose scores
-    differ only by rounding (say, one bag three times another) may rank
-    either way, and not always as a matrix-vector product per caption would
-    rank them: the one product sums in another order.
+    Each document's term counts are divided by their gcd before weighting,
+    and documents equal in lowest terms (identical bags, or one bag three
+    times another) share one column of the product, so they tie exactly
+    with every caption, whatever order the product sums in.
     """
     if len(captions) != len(dataset.records):
         raise ValueError(
@@ -235,7 +244,8 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
     used, col = np.unique(cols[known], return_inverse=True)
     tf = np.bincount(rows[known] * len(used) + col, minlength=len(captions) * len(used))
     queries = tf.reshape(len(captions), len(used)) * index.idf[used]
-    scores = queries @ index.docs_t[used]  # caption norms do not affect the ranking
+    # caption norms do not affect the ranking
+    scores = (queries @ index.docs_t[used])[:, index.doc_column]
     own = np.diagonal(scores)[:, None]
     better = (scores > own).sum(axis=1)
     tied_lower = ((scores == own) & (index.ids < index.ids[:, None])).sum(axis=1)

@@ -323,6 +323,26 @@ class TestDecodeEval:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("beam_size", 2.5), ("beam_size", True), ("beam_size", "5"), ("nucleus_p", True),
+        ("beta", True), ("beta_prime", False),
+    ], ids=["beam-size-float", "beam-size-bool", "beam-size-string", "nucleus-p-bool",
+            "beta-bool", "beta-prime-bool"])
+    def test_decode_value_of_wrong_type_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
+                                                       key, value, capsys):
+        _, config_path, data_dir = workdir
+        bad = json.loads(config_path.read_text())
+        bad["decode"][key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        out = tmp_path / "caps.jsonl"
+        code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(bad_path),
+                     "--data", str(data_dir), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid decode config" in err and key in err
+        assert not out.exists()
+
     def test_checkpoint_from_other_dataset_rejected(self, workdir, ce_checkpoint, tmp_path):
         _, config_path, _ = workdir
         other = tmp_path / "other_data"

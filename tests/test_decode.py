@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplab import decode as decode_mod
 from caplab.corpus import Dataset, ImageRecord, build_vocab
@@ -15,7 +17,6 @@ from caplab.decode import (
     decode_beam,
     decode_bp,
     decode_dataset,
-    decode_greedy,
     decode_nucleus,
     greedy_rollout_batch,
     load_captions,
@@ -23,8 +24,9 @@ from caplab.decode import (
     save_captions,
 )
 from caplab.losses import FrozenReference, bp_prob
-from caplab.model import ALL_ARRAYS, ModelDims, init_params, log_softmax_temp, score_step, softmax_temp
-from test_rl import forced_token_model
+from caplab.model import (ALL_ARRAYS, ENCODER_ARRAYS, ModelDims, init_params, log_softmax_temp,
+                          score_step, softmax_temp)
+from test_rl import decode_greedy, forced_token_model
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +84,11 @@ def oracle_greedy(stepper, features, max_len):
     return ids, total
 
 
-def oracle_beam(stepper, features, max_len, beam_size):
+def oracle_beam(stepper, features, max_len, beam_size, kept=None):
     """Single-image beam search with an explicit (score desc, sequence asc)
     sort of every step's candidates.  Returns the best ids (final <eos>
-    included), their summed log-prob, and the number of steps the beam ran."""
+    included), their summed log-prob, and the number of steps the beam ran.
+    A set passed as ``kept`` receives every sequence the beam kept."""
     alive_seqs = [()]
     alive_scores = np.array([0.0])
     state = stepper.start(features)
@@ -101,6 +104,8 @@ def oracle_beam(stepper, features, max_len, beam_size):
         for pos in order:
             hyp, token = divmod(int(pos), n_vocab)
             seq = alive_seqs[hyp] + (token,)
+            if kept is not None:
+                kept.add(seq)
             if token == stepper.eos_id:
                 pool.append((float(flat[pos]), seq))
             else:
@@ -494,6 +499,132 @@ class TestLockstepTieRule:
                 assert (ids, total) == (oracle_ids, oracle_total)
 
 
+class SeededTableStepper(TableStepper):
+    """A ``TableStepper`` whose table also depends on a seed and whose
+    vocabulary size is chosen."""
+
+    def __init__(self, seed, n_vocab):
+        self.seed, self.n_vocab = seed, n_vocab
+
+    def logprobs(self, state):
+        return np.array([np.random.default_rng([self.seed, *row.tolist()])
+                         .integers(-4, 0, self.n_vocab) * 0.5 for row in state])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), n_vocab=st.integers(2, 5), n_images=st.integers(1, 8),
+       beam_size=st.integers(1, 6), max_len=st.integers(1, 5))
+def test_lockstep_beam_equals_oracle_under_ties(seed, n_vocab, n_images, beam_size, max_len):
+    """Equal to the oracle, with a greedy rollout after the beam exactly for
+    the images whose greedy path the oracle's beam did not keep."""
+    stepper = SeededTableStepper(seed, n_vocab)
+    feats = np.arange(n_images, dtype=float)[:, None]
+    reruns = []
+    original = decode_mod._greedy
+
+    def recording(stepper, feats, max_len):
+        reruns.append(np.array(feats))
+        return original(stepper, feats, max_len)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode_mod, "_greedy", recording)
+        got = decode_mod._beam(stepper, feats, max_len, beam_size)
+    left = []
+    for features, (ids, total) in zip(feats, got):
+        kept = set()
+        oracle_ids, oracle_total, _ = oracle_beam(stepper, features, max_len, beam_size, kept)
+        assert (ids, total) == (oracle_ids, oracle_total)
+        greedy_ids, _ = oracle_greedy(stepper, features, max_len)
+        if any(tuple(greedy_ids[:m]) not in kept for m in range(1, len(greedy_ids) + 1)):
+            left.append(features)
+    assert [feats.tolist() for feats in reruns] == ([np.array(left).tolist()] if left else [])
+
+
+class GreedyTrapStepper(TableStepper):
+    """Exact step scores built so that, at beam size 2, odd images lose their
+    greedy path and even images keep it.
+
+    Odd image: the greedy first token 1 has only poor children, so the beam
+    keeps two children of token 2 and drops the greedy path at the second
+    step; the greedy rollout (1, <eos>) then scores best, since every
+    continuation of token 2 is worse still.  Even image: the greedy path
+    1, 1, 1, <eos> leads the beam at every step."""
+
+    def __init__(self):
+        self.calls = []   # rows of each logprobs call
+
+    def logprobs(self, state):
+        self.calls.append(len(state))
+        return np.array([self.scores(int(row[0]), tuple(row[1:].tolist())) for row in state])
+
+    @staticmethod
+    def scores(image, prefix):
+        if image % 2 == 0:
+            return [-4.0, -0.5, -4.0, -4.0] if len(prefix) < 3 else [-0.5, -4.0, -4.0, -4.0]
+        if not prefix:
+            return [-4.0, -0.5, -1.0, -4.0]
+        if prefix[0] == 1:
+            return [-8.0] * 4
+        return [-4.0, -0.5, -0.5, -4.0] if len(prefix) == 1 else [-20.0] * 4
+
+
+class TestGreedyPathInBeam:
+    """The beam carries each image's greedy rollout and rolls out again only
+    the images whose greedy child it did not keep."""
+
+    @pytest.fixture
+    def reruns(self, monkeypatch):
+        rerun_feats = []
+        original = decode_mod._greedy
+
+        def recording(stepper, feats, max_len):
+            rerun_feats.append(np.array(feats))
+            return original(stepper, feats, max_len)
+
+        monkeypatch.setattr(decode_mod, "_greedy", recording)
+        return rerun_feats
+
+    def test_rerun_only_over_images_the_greedy_path_left(self, reruns):
+        stepper = GreedyTrapStepper()
+        feats = np.arange(10, dtype=float)[:, None]
+        got = decode_mod._beam(stepper, feats, 5, 2)
+        assert len(reruns) == 1 and np.array_equal(reruns[0], feats[1::2])
+        for features, (ids, total) in zip(feats, got):
+            oracle_ids, oracle_total, _ = oracle_beam(GreedyTrapStepper(), features, 5, 2)
+            assert (ids, total) == (oracle_ids, oracle_total)
+        # the rolled-out greedy path wins where the beam dropped it
+        assert got[1] == ([1, 0], -8.5)
+
+    def test_no_step_follows_the_beam_when_greedy_stays(self, reruns):
+        stepper = GreedyTrapStepper()
+        feats = np.arange(0, 10, 2, dtype=float)[:, None]
+        got = decode_mod._beam(stepper, feats, 5, 2)
+        steps = [oracle_beam(GreedyTrapStepper(), features, 5, 2)[2] for features in feats]
+        assert reruns == [] and len(stepper.calls) == max(steps)
+        assert all(result == ([1, 1, 1, 0], -2.0) for result in got)
+
+    def test_no_step_follows_the_beam_at_beam_size_one(self, wide_vocab, small_dims,
+                                                        monkeypatch, reruns):
+        calls = []
+        original = _PolicyStepper.logprobs
+
+        def counting(self, state):
+            calls.append(len(state))
+            return original(self, state)
+
+        monkeypatch.setattr(_PolicyStepper, "logprobs", counting)
+        config = DecodeConfig(method="beam", beam_size=1)
+        for trial in range(5):
+            params = init_params(wide_vocab, small_dims, 600 + trial, 1.5)
+            split = random_split(7, offset=10 * trial)
+            steps = [oracle_beam(_PolicyStepper(params, 1.0), rec.features, small_dims.max_len,
+                                 1)[2] for rec in split.records]
+            calls.clear()
+            decode_dataset(params, split, config)
+            assert len(calls) == max(steps) and calls[0] == len(split)
+        assert reruns == []
+
+
 class TestSharedEncoder:
     def test_step_log_probs_equal_two_recurrence_stepper(self, wide_vocab, small_dims):
         params, frozen = shared_encoder_pair(wide_vocab, small_dims, 800)
@@ -535,6 +666,27 @@ class TestSharedEncoder:
             assert shared_rows > 0 and sum(rows) == 2 * shared_rows
             assert one == two
 
+    @pytest.mark.parametrize("name", ("embed",) + ENCODER_ARRAYS)
+    def test_one_ulp_in_a_frozen_encoder_array_takes_two_recurrences(self, wide_vocab,
+                                                                      small_dims, name):
+        params, frozen = shared_encoder_pair(wide_vocab, small_dims, 803)
+        assert isinstance(_bias_product_stepper(params, frozen, 1.0), _SharedEncoderStepper)
+        other = frozen.params.copy()
+        arr = getattr(other, name).reshape(-1)
+        arr[0] = np.nextafter(arr[0], np.inf)
+        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
+        assert isinstance(stepper, _BiasProductStepper)
+
+    def test_signed_zero_takes_two_recurrences(self, wide_vocab, small_dims):
+        # -0.0 == 0.0 as values, but not as bytes
+        params, _ = shared_encoder_pair(wide_vocab, small_dims, 804)
+        params.bz[0] = 0.0
+        other = params.copy()
+        other.bz[0] = -0.0
+        assert np.array_equal(other.bz, params.bz)
+        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
+        assert isinstance(stepper, _BiasProductStepper)
+
     def test_other_encoder_takes_two_recurrences(self, wide_vocab, small_dims):
         params = init_params(wide_vocab, small_dims, 802, 0.8)
         other = init_params(wide_vocab, small_dims, 802, 0.8)
@@ -570,3 +722,18 @@ class TestSplitEdgeCases:
     def test_bad_temperatures_and_max_len_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("beam_size", 2.5), ("beam_size", 3.0), ("beam_size", True), ("beam_size", "5"),
+        ("beam_size", None), ("max_len", 2.5), ("max_len", True), ("max_len", "4"),
+        ("nucleus_p", True), ("nucleus_p", "0.9"), ("nucleus_p", None),
+        ("beta", True), ("beta", False), ("beta", "1"), ("beta_prime", True),
+        ("beta_prime", "0.5"),
+    ])
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodeConfig(**{field: value}).validate()
+
+    def test_integers_and_reals_of_any_kind_accepted(self):
+        DecodeConfig(beam_size=np.int64(3), max_len=np.int32(4), nucleus_p=np.float64(0.5),
+                     beta=1, beta_prime=np.float32(0.5)).validate()

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 from collections import Counter
@@ -22,13 +23,15 @@ from caplab.metrics import (
 
 
 def oracle_document_vectors(dataset):
-    """The per-split document build that the cached retrieval index replaced."""
+    """The per-split document build that the cached retrieval index replaced,
+    each bag in lowest terms: its counts divided by their gcd."""
     docs = []
     for rec in dataset.records:
         bag = Counter(sorted(rec.attributes))
         for ref in rec.references:
             bag.update(ref)
-        docs.append(bag)
+        divisor = math.gcd(*bag.values()) or 1
+        docs.append(Counter({word: count // divisor for word, count in bag.items()}))
     n_docs = len(docs)
     doc_count = Counter()
     for bag in docs:
@@ -59,7 +62,9 @@ def oracle_rk_retrieval(captions, dataset, ks=(1, 5, 10)):
             col = word_index.get(word)
             if col is not None:
                 vec[col] = tf * idf[word]
-        scores = doc_matrix @ vec  # caption norm does not affect the ranking
+        # caption norm does not affect the ranking; an exactly rounded sum per
+        # document, so equal documents score equally wherever they sit
+        scores = np.array([math.fsum(row * vec) for row in doc_matrix])
         own = scores[i]
         better = int((scores > own).sum())
         tied_lower = int(((scores == own) & (ids < ids[i])).sum())
@@ -355,6 +360,38 @@ def test_retrieval_ties_and_empty_captions():
                                                             3: 100.0, 50: 100.0}
     assert rk_retrieval(captions, split, (1, 2, 3, 50)) == oracle_rk_retrieval(
         captions, split, (1, 2, 3, 50))
+
+
+@st.composite
+def proportional_splits(draw):
+    """A split whose images repeat one of a few reference lists 1-3 times and
+    have no attributes, so the documents of one list are integer multiples
+    of one another; ids are shuffled, and one caption per image."""
+    lists = draw(st.lists(st.lists(word_lists, min_size=1, max_size=3), min_size=1,
+                          max_size=4))
+    n = draw(st.integers(2, 12))
+    ids = draw(st.permutations(range(10, 10 + 3 * n, 3)))
+    records = [ImageRecord(id=ids[i], features=np.zeros(2),
+                           references=[list(ref) for ref in draw(st.sampled_from(lists))]
+                           * draw(st.integers(1, 3)))
+               for i in range(n)]
+    captions = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=6), min_size=n,
+                             max_size=n))
+    return Dataset("val", records), captions
+
+
+@settings(max_examples=300, deadline=None)
+@given(proportional_splits())
+def test_proportional_documents_tie_exactly(case):
+    """Documents equal in lowest terms share a column, so the one product
+    ranks like the per-caption oracle, lower id first among them."""
+    split, captions = case
+    ks = (1, 2, 3, 5)
+    assert rk_retrieval(captions, split, ks) == oracle_rk_retrieval(captions, split, ks)
+    lowest_terms, _ = oracle_document_vectors(split)
+    column = metrics._split_context(split).retrieval.doc_column
+    for a, b in itertools.combinations(range(len(split)), 2):
+        assert (column[a] == column[b]) == (lowest_terms[a] == lowest_terms[b])
 
 
 class TestSplitContext:

@@ -5,8 +5,8 @@ import pytest
 
 from caplab import rl
 from caplab.cider import build_cider_stats
-from caplab.corpus import ImageRecord, build_vocab
-from caplab.decode import DecodeConfig, decode_greedy
+from caplab.corpus import Dataset, ImageRecord, build_vocab
+from caplab.decode import DecodeConfig, decode_dataset
 from caplab.cider import cider_d
 from caplab.losses import forward_targets, grad_check, logit_grad
 from caplab.model import (
@@ -31,6 +31,13 @@ from caplab.rl import (
     train_joint,
     train_rl,
 )
+
+
+def decode_greedy(params, image, config):
+    """Greedy decoding of one image: ``decode_dataset`` over a split of one,
+    which runs the split decoder's greedy rollout."""
+    assert config.method == "greedy"
+    return decode_dataset(params, Dataset("val", [image]), config)[0]
 
 
 def forced_token_model(vocab, dims, token_id, margin=50.0):
