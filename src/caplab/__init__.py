@@ -17,34 +17,13 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     freq_histogram,
-    tokenize,
 )
 from .decode import DecodeConfig, Decoded, decode_beam, decode_bp, decode_nucleus
 from .finetune import FinetuneConfig, FinetuneResult, SweepResult, finetune, sweep
-from .losses import (
-    FrozenReference,
-    LossOutput,
-    anti_focal_loss,
-    bp_loss,
-    bp_prob,
-    ce_loss,
-    focal_loss,
-    grad_check,
-    loss_surface,
-)
+from .losses import FrozenReference, LossOutput, loss_surface
 from .metrics import MetricsReport, evaluate, oor_analysis, repetition_rate, rk_retrieval, vocab_stats
-from .model import (
-    ModelDims,
-    ModelParams,
-    TrainScope,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    score_step,
-    softmax_temp,
-)
-from .rl import (SampledSeq, joint_loss, sample_sequence, scst_step, train_ce, train_joint,
-                 train_rl)
+from .model import ModelDims, ModelParams, TrainScope, init_params, load_checkpoint, save_checkpoint
+from .rl import SampledSeq, joint_loss, scst_step, train_ce, train_joint, train_rl
 from .synth import DataBundle, SynthConfig, generate_synthetic_dataset
 
 __version__ = "0.1.0"

@@ -169,6 +169,7 @@ def _resolve_config(args) -> tuple[dict, str]:
         target, default = ((config[section], DEFAULT_CONFIG[section]) if section
                            else (config, DEFAULT_CONFIG))
         target[key] = [value] if isinstance(default[key], list) else value
+    _check_count("seed", config["seed"], 0)
     return config, config_hash(config)
 
 
@@ -466,7 +467,14 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _captions_for(dataset: Dataset, captions_by_id: dict[int, list[str]]) -> list[list[str]]:
+def _captions_for(dataset: Dataset, path: Path) -> list[list[str]]:
+    """The captions a caption file gives the split's images, in split order."""
+    if not path.exists():
+        raise UsageError(f"caption file not found: {path}")
+    try:
+        captions_by_id = load_captions(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     missing = [rec.id for rec in dataset.records if rec.id not in captions_by_id]
     if missing:
         raise UsageError(f"caption file is missing image ids, e.g. {missing[:3]}")
@@ -479,11 +487,9 @@ def cmd_eval(args) -> int:
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     captions_path = _out_path(args.captions)
-    if not captions_path.exists():
-        raise UsageError(f"caption file not found: {captions_path}")
+    captions = _captions_for(dataset, captions_path)
     vocab = _vocab_for(config, bundle)
     stats = corpus_stats_for(vocab, bundle.train)
-    captions = _captions_for(dataset, load_captions(captions_path))
     report = evaluate(captions, dataset, vocab, stats,
                       ks=config["metrics"]["recall_ks"],
                       rep_n=config["metrics"]["repetition_n"])
@@ -534,7 +540,7 @@ def cmd_analyze(args) -> int:
     if args.what == "histogram":
         dataset = _split(bundle, args.split)
         if args.captions:
-            captions = _captions_for(dataset, load_captions(_out_path(args.captions)))
+            captions = _captions_for(dataset, _out_path(args.captions))
         elif args.references:
             captions = dataset.all_references()
         else:

@@ -1,6 +1,6 @@
-"""Tokenization, vocabulary construction with frequency statistics,
-frequency histograms of caption sets, and the atomic file writer every
-output of the package goes through.
+"""Vocabulary construction with frequency statistics, image records and
+splits, frequency histograms of caption sets, and the atomic file writer
+every output of the package goes through.
 
 The vocabulary orders regular tokens by descending training-corpus frequency
 (ties alphabetical), so the most frequent word has id 0 and frequency rank 1.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import secrets
 from collections import Counter
 from contextlib import contextmanager
@@ -26,9 +25,6 @@ UNK = "<unk>"
 BOS = "<bos>"
 EOS = "<eos>"
 SPECIALS = (UNK, BOS, EOS)
-
-_NON_WORD = re.compile(r"[^a-z0-9\s]+")
-
 
 @contextmanager
 def atomic_write(path, binary: bool = False, newline: str | None = None):
@@ -52,11 +48,6 @@ def atomic_write(path, binary: bool = False, newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, strip punctuation, split on whitespace."""
-    return _NON_WORD.sub("", text.lower()).split()
 
 
 class Vocabulary:

@@ -420,13 +420,25 @@ def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:
 
 
 def load_captions(path) -> dict[int, list[str]]:
-    """id -> caption tokens, read back from a caption file."""
+    """id -> caption tokens, read back from a caption file.
+
+    A line that is not a JSON object with an integer ``id`` and a string
+    ``caption`` raises ValueError naming the file and the line number.
+    """
     captions = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            captions[int(obj["id"])] = obj["caption"].split()
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
+            record = obj if isinstance(obj, dict) else {}
+            image_id, caption = record.get("id"), record.get("caption")
+            if not (type(image_id) is int and isinstance(caption, str)):  # bool is not an id
+                raise ValueError(f"{path}, line {number}: a caption record needs an integer"
+                                 ' "id" and a string "caption"')
+            captions[image_id] = caption.split()
     return captions

@@ -4,8 +4,9 @@ the hyperparameter sweep harness.
 Both headline methods update only the classifier weight and bias for one
 epoch over the training references: "sft" minimizes the plain CE loss, and
 "wft" minimizes the bias-product loss against a frozen copy of the same
-checkpoint.  The reweighting baselines "fl" and "afl" run the same protocol
-with the focal and anti-focal losses.
+checkpoint at inverse temperature β′.  The reweighting baselines "fl" and
+"afl" run the same protocol with the focal and anti-focal losses.  The
+trainable model has no temperature of its own.
 
 Each is softmax regression over frozen encoder states.  The embedding and
 encoder never receive a gradient, so every pair's teacher-forced hidden
@@ -52,7 +53,6 @@ BLOCK_PAIRS = 128
 class FinetuneConfig:
     method: str = "sft"
     lr: float = 1e-3
-    beta: float = 1.0
     beta_prime: float = 1.0       # wft only
     batch_size: int = 10
     gamma: float = 1.0            # fl / afl
@@ -65,7 +65,7 @@ class FinetuneConfig:
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for name in ("lr", "beta", "gamma", "alpha"):
+        for name in ("lr", "gamma", "alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
@@ -148,14 +148,14 @@ def classifier_step(config: FinetuneConfig, frozen: FrozenReference | None = Non
     Only the classifier receives gradients.  "wft" needs ``frozen``, whose
     embedding and encoder must be those that encoded the batch.
     """
-    beta, wft = config.beta, config.method == "wft"
+    wft = config.method == "wft"
     if not wft:
         terms = {"sft": lambda: ce_terms, "fl": lambda: focal_terms(config.gamma),
                  "afl": lambda: anti_focal_terms(config.gamma, config.alpha)}[config.method]()
 
     def batch_loss(params, batch):
-        logp = log_softmax_temp(logits_from_hidden(params, batch.h), beta)
-        frame = (batch.targets, batch.mask, batch.lengths, beta)
+        logp = log_softmax_temp(logits_from_hidden(params, batch.h), 1.0)
+        frame = (batch.targets, batch.mask, batch.lengths)
         if wft:
             logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, batch.h),
                                         frozen.beta_prime)

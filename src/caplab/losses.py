@@ -1,24 +1,26 @@
 """Teacher-forced training objectives with analytic gradients, plus the
-finite-difference gradient oracle and the synthetic loss-surface tabulation.
-The reward objective and its convex combination with CE live in ``rl``.
+synthetic loss-surface tabulation.  The reward objective and its convex
+combination with CE live in ``rl``.
 
 Every loss is an average over predicted positions (the <eos> prediction
 included) and then over batch items.  Probabilities are floored at
 ``PROB_EPS`` before any log; a floored position contributes a constant to
-the loss and therefore no gradient.  Each objective's *head* maps log-probs
-to per-item losses and logit gradients; the ``*_batch`` functions wrap it in
-one teacher-forced pass and a backward pass through the whole model.
+the loss and therefore no gradient.  Each objective's *head* maps the
+trainable model's log-probs to per-item losses and logit gradients; the
+``*_batch`` functions wrap it in one teacher-forced pass and a backward pass
+through the whole model.  A temperature enters training only as the frozen
+reference's β′.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import ImageRecord, Vocabulary
+from .corpus import Vocabulary
 from .model import (
     ModelParams,
     TrainScope,
@@ -26,7 +28,6 @@ from .model import (
     forward_sequences,
     log_softmax_temp,
     logits_from_hidden,
-    score_step,
 )
 
 PROB_EPS = 1e-12
@@ -68,14 +69,6 @@ def check_compatible(params: ModelParams, frozen: FrozenReference) -> None:
         raise ValueError("dimension mismatch between model and frozen reference")
 
 
-def encode_caption(vocab: Vocabulary, caption: Sequence[str]) -> tuple[list[int], list[int]]:
-    """(inputs, targets) id sequences: <bos>+caption scores caption+<eos>."""
-    if len(caption) == 0:
-        raise ValueError("empty caption")
-    ids = vocab.encode(caption)
-    return [vocab.bos_id] + ids, ids + [vocab.eos_id]
-
-
 def frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The teacher-forcing frame of non-empty target id sequences.
@@ -95,27 +88,29 @@ def frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
     return inputs, targets, lengths
 
 
-def forward_targets(params, feats, target_ids: Sequence[Sequence[int]], beta):
-    """Teacher-forced pass over the ``frame_targets`` frame of ``target_ids``.
-
-    Returns the pass, the temperature-scaled log-softmax of every position's
-    logits and the padded targets.
-    """
-    inputs, targets, lengths = frame_targets(params.vocab, target_ids)
-    fwd = forward_sequences(params, feats, inputs, lengths)
-    return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), beta), targets
-
-
 def caption_targets(params: ModelParams, captions: Sequence[Sequence[str]]) -> list[list[int]]:
-    """Each caption's target ids, the caption truncated to max_len - 1 tokens
-    so that its <eos> target still fits."""
-    max_len = params.dims.max_len
-    return [encode_caption(params.vocab, list(cap)[: max_len - 1])[1] for cap in captions]
+    """Each caption's ids plus <eos>, the caption truncated to max_len - 1
+    tokens so that its <eos> target still fits.  An empty caption raises."""
+    vocab, max_len = params.vocab, params.dims.max_len
+    targets = []
+    for cap in captions:
+        words = list(cap)[: max_len - 1]
+        if not words:
+            raise ValueError("empty caption")
+        targets.append(vocab.encode(words) + [vocab.eos_id])
+    return targets
 
 
-def teacher_forced(params, feats, captions: Sequence[Sequence[str]], beta):
-    """``forward_targets`` over the ``caption_targets`` of ``captions``."""
-    return forward_targets(params, feats, caption_targets(params, captions), beta)
+def teacher_forced(params, feats, captions: Sequence[Sequence[str]]):
+    """Teacher-forced pass over the ``frame_targets`` frame of the
+    ``caption_targets`` of ``captions``.
+
+    Returns the pass, the log-softmax of every position's logits and the
+    padded targets.
+    """
+    inputs, targets, lengths = frame_targets(params.vocab, caption_targets(params, captions))
+    fwd = forward_sequences(params, feats, inputs, lengths)
+    return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), 1.0), targets
 
 
 def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
@@ -174,9 +169,9 @@ def anti_focal_terms(gamma, alpha):
     return terms
 
 
-def pointwise_head(logp, targets, mask, lengths, beta, terms):
+def pointwise_head(logp, targets, mask, lengths, terms):
     """Per-item loss and logit gradient of sum_t f(p_gold_t), from the
-    beta-scaled log-probs ``logp`` and one of the term functions above."""
+    log-probs ``logp`` and one of the term functions above."""
     lp_eff, active = _gold_stats(logp, targets, mask)
     p_eff = np.exp(lp_eff)
 
@@ -185,27 +180,17 @@ def pointwise_head(logp, targets, mask, lengths, beta, terms):
 
     b = len(lengths)
     scale = np.where(active, 1.0, 0.0) / (b * lengths[:, None])
-    coef = scale * dldp_bt * beta * p_eff  # (B, T)
+    coef = scale * dldp_bt * p_eff  # (B, T)
     return per_item, logit_grad(np.exp(logp), targets, -coef)
 
 
-def _pointwise_batch(params, feats, captions, beta, terms) -> LossOutput:
-    fwd, logp, targets = teacher_forced(params, feats, captions, beta)
-    per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, beta, terms)
+def ce_batch(params, feats, captions) -> LossOutput:
+    """Mean negative log-likelihood of each caption (with <eos>) given its
+    feature row."""
+    fwd, logp, targets = teacher_forced(params, feats, captions)
+    per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, ce_terms)
     grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
     return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
-
-
-def ce_batch(params, feats, captions, beta=1.0) -> LossOutput:
-    return _pointwise_batch(params, feats, captions, beta, ce_terms)
-
-
-def focal_batch(params, feats, captions, beta=1.0, gamma=1.0) -> LossOutput:
-    return _pointwise_batch(params, feats, captions, beta, focal_terms(gamma))
-
-
-def anti_focal_batch(params, feats, captions, beta=1.0, gamma=1.0, alpha=1.0) -> LossOutput:
-    return _pointwise_batch(params, feats, captions, beta, anti_focal_terms(gamma, alpha))
 
 
 def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
@@ -219,14 +204,14 @@ def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
 
 
-def bp_head(logp, logp_ref, targets, mask, lengths, beta):
+def bp_head(logp, logp_ref, targets, mask, lengths):
     """Per-item bias-product loss and its logit gradient, from the trainable
     model's and the frozen reference's log-probs at the same positions."""
     logq = bp_log_probs(logp, logp_ref)
     lq_eff, active = _gold_stats(logq, targets, mask)
     per_item = (-lq_eff * mask).sum(axis=1) / lengths
 
-    # d(-log q_gold)/dz = beta * ((q - e) * m - p * sum((q - e) * m)),
+    # d(-log q_gold)/dz = (q - e) * m - p * sum((q - e) * m),
     # where m masks components whose inner log-prob was floored.  The frozen
     # factor contributes no gradient.
     b = len(lengths)
@@ -235,85 +220,18 @@ def bp_head(logp, logp_ref, targets, mask, lengths, beta):
     inner_mask = (logp > LOG_EPS).astype(np.float64)
     gm = g * inner_mask
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
-    return per_item, scale * beta * (gm - p * gm.sum(axis=-1, keepdims=True))
+    return per_item, scale * (gm - p * gm.sum(axis=-1, keepdims=True))
 
 
-def bp_batch(params, frozen: FrozenReference, feats, captions, beta=1.0) -> LossOutput:
+def bp_batch(params, frozen: FrozenReference, feats, captions) -> LossOutput:
     """Bias-product loss against a frozen reference with its own encoder."""
     check_compatible(params, frozen)
-    fwd, logp, targets = teacher_forced(params, feats, captions, beta)
+    fwd, logp, targets = teacher_forced(params, feats, captions)
     h_ref = forward_sequences(frozen.params, feats, fwd.tokens, fwd.lengths).h
     logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, h_ref), frozen.beta_prime)
-    per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths, beta)
+    per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
     grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
     return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
-
-
-# ---------------------------------------------------------------------------
-# Single-example operations
-# ---------------------------------------------------------------------------
-
-def ce_loss(params: ModelParams, image: ImageRecord, gt_caption: Sequence[str],
-            beta: float = 1.0) -> LossOutput:
-    """Mean negative log-likelihood of the caption (with <eos>) given the image."""
-    return ce_batch(params, image.features[None, :], [gt_caption], beta)
-
-
-def focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0) -> LossOutput:
-    """CE reweighted per position by (1 - p_gold)^gamma."""
-    return focal_batch(params, image.features[None, :], [gt_caption], beta, gamma)
-
-
-def anti_focal_loss(params, image, gt_caption, beta=1.0, gamma=1.0, alpha=1.0) -> LossOutput:
-    """CE reweighted per position by (1 + alpha * p_gold)^gamma."""
-    return anti_focal_batch(params, image.features[None, :], [gt_caption], beta, gamma, alpha)
-
-
-def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
-            prefix: Sequence[int], beta: float = 1.0) -> np.ndarray:
-    """Next-token distribution of the bias product of the trainable model and
-    the frozen reference, both conditioned on the same prefix."""
-    check_compatible(params, frozen)
-    z_main = score_step(params, image.features, prefix)
-    z_ref = score_step(frozen.params, image.features, prefix)
-    logq = bp_log_probs(
-        log_softmax_temp(z_main, beta), log_softmax_temp(z_ref, frozen.beta_prime)
-    )
-    return np.exp(logq)
-
-
-def bp_loss(params, frozen: FrozenReference, image, gt_caption, beta=1.0) -> LossOutput:
-    """Mean negative log bias-product probability of the caption."""
-    return bp_batch(params, frozen, image.features[None, :], [gt_caption], beta)
-
-
-def grad_check(loss_fn: Callable[[ModelParams], LossOutput], params: ModelParams,
-               eps: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    Perturbs every entry of each array the loss returns a gradient for.  The
-    relative error of an entry is |analytic - numeric| / max(|analytic|,
-    |numeric|, 1e-8).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    analytic = loss_fn(params).grads
-    work = params.copy()
-    max_rel = 0.0
-    for name, grad in analytic.items():
-        arr = getattr(work, name)
-        for idx in range(arr.size):
-            orig = arr.flat[idx]
-            arr.flat[idx] = orig + eps
-            up = loss_fn(work).loss
-            arr.flat[idx] = orig - eps
-            down = loss_fn(work).loss
-            arr.flat[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            a = grad.flat[idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            max_rel = max(max_rel, rel)
-    return max_rel
 
 
 def _temper(p: np.ndarray, beta: float) -> np.ndarray:

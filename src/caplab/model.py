@@ -281,19 +281,6 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
     }
 
 
-def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:
-    """Logits over the vocabulary after consuming a <bos>-led prefix."""
-    prefix = np.asarray(prefix, dtype=np.int64)
-    if prefix.ndim != 1 or len(prefix) == 0:
-        raise ValueError("prefix must be a non-empty id sequence")
-    if prefix[0] != params.vocab.bos_id:
-        raise ValueError("prefix must begin with <bos>")
-    if len(prefix) > params.dims.max_len:
-        raise ValueError(f"prefix longer than max_len={params.dims.max_len}")
-    fwd = forward_sequences(params, features, prefix[None, :], np.array([len(prefix)]))
-    return logits_from_hidden(params, fwd.h[0, len(prefix) - 1])
-
-
 def _shifted_scaled(z: np.ndarray, beta: float) -> np.ndarray:
     """beta*z minus its maximum along the last axis, after checking inputs."""
     if beta < 0:
@@ -305,16 +292,9 @@ def _shifted_scaled(z: np.ndarray, beta: float) -> np.ndarray:
     return a - a.max(axis=-1, keepdims=True)
 
 
-def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
-    """exp(beta*z) / sum exp(beta*z), computed with max subtraction.
-
-    beta = 0 gives the uniform distribution.
-    """
-    e = np.exp(_shifted_scaled(z, beta))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
+    """log(exp(beta*z) / sum exp(beta*z)) along the last axis, computed with
+    max subtraction; beta = 0 gives the uniform distribution."""
     a = _shifted_scaled(z, beta)
     return a - np.log(np.exp(a).sum(axis=-1, keepdims=True))
 

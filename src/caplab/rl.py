@@ -8,7 +8,9 @@ greedy-decode reward of the same image as baseline, and accumulates
 advantage-weighted log-likelihood gradients.  One greedy baseline per image
 applies to all of its samples.  The rollout records the cell activations and
 the step distributions it draws from, so the gradient backpropagates through
-the rollout itself instead of re-running a teacher-forced pass.
+the rollout itself instead of re-running a teacher-forced pass.  Training
+runs the policy at inverse temperature 1; ``sample_sequences`` keeps its β
+for ``caplab analyze --what sample-freq``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .cider import CiderCorpusStats, build_cider_stats, cider_d_batch
 from .cider import cider_d  # noqa: F401  -- perfbench's tracer test looks up rl.cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from .decode import greedy_rollout_batch
-from .losses import LossOutput, ce_batch, forward_targets, logit_grad
+from .losses import LossOutput, ce_batch, logit_grad
 from .model import (
     ModelParams,
     SeqForward,
@@ -50,9 +52,6 @@ class SampledSeq:
     tokens: list[int]
     logps: np.ndarray
     ended: bool
-
-    def target_ids(self, vocab: Vocabulary) -> list[int]:
-        return self.tokens + [vocab.eos_id] if self.ended else list(self.tokens)
 
 
 @dataclass(eq=False)
@@ -135,51 +134,39 @@ def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
                        logps=logps[:, :steps], ended=ended)
 
 
-def sample_sequence(params: ModelParams, image: ImageRecord, beta: float,
-                    rng: np.random.Generator, max_len: int | None = None) -> SampledSeq:
-    return sample_sequences(params, image.features[None, :], beta, rng, max_len)[0]
-
-
 def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCorpusStats,
-              rng: np.random.Generator, samples_per_image: int = 5, beta: float = 1.0,
-              reward_fn: Callable | None = None,
-              refs_by_id: dict[int, list[list[str]]] | None = None) -> LossOutput:
+              refs_by_id: dict[int, list[list[str]]], rng: np.random.Generator,
+              samples_per_image: int = 5) -> LossOutput:
     """Gradient estimate for one image batch.
 
-    Rewards are CIDEr-D against ``refs_by_id[image.id]``, the references
-    mapped into the vocabulary (mapped here for ``images`` when None), scored
-    for every greedy baseline and sample of the batch in one
-    ``cider_d_batch`` call, unless ``reward_fn(token_ids, image)`` replaces
-    them.  A sample whose reward equals its image's greedy baseline
+    Rewards are CIDEr-D against ``refs_by_id[image.id]``, the image's
+    references mapped into the vocabulary (``mapped_references``), scored for
+    every greedy baseline and sample of the batch in one ``cider_d_batch``
+    call.  A sample whose reward equals its image's greedy baseline
     contributes exactly zero; ``details["zero_advantage"]`` counts them.  The
     returned loss is the negative mean sampled reward.
     """
     if samples_per_image < 1:
         raise ValueError("samples_per_image must be >= 1")
     vocab = params.vocab
-    if refs_by_id is None:
-        refs_by_id = mapped_references(vocab, images)
     feats = np.stack([img.features for img in images])
     max_len = params.dims.max_len
 
-    greedy_seqs, _ = greedy_rollout_batch(params, feats, beta, max_len)
+    greedy_seqs, _ = greedy_rollout_batch(params, feats, 1.0, max_len)
     rep_feats = np.repeat(feats, samples_per_image, axis=0)
-    samples = sample_sequences(params, rep_feats, beta, rng, max_len)
+    samples = sample_sequences(params, rep_feats, 1.0, rng, max_len)
     # the greedy baselines first, then the samples, image by image
     seqs = list(greedy_seqs) + [sample.tokens for sample in samples]
     owner = np.concatenate([np.arange(len(images)),
                             np.repeat(np.arange(len(images)), samples_per_image)])
-    if reward_fn is None:
-        scores = cider_d_batch([vocab.words(ids) for ids in seqs], owner,
-                               [refs_by_id[img.id] for img in images], stats)
-    else:
-        scores = np.array([reward_fn(ids, images[k]) for ids, k in zip(seqs, owner)])
+    scores = cider_d_batch([vocab.words(ids) for ids in seqs], owner,
+                           [refs_by_id[img.id] for img in images], stats)
     baselines, rewards = scores[: len(images)], scores[len(images) :]
     sample_baselines = np.repeat(baselines, samples_per_image)
     advantages = rewards - sample_baselines
 
-    # d L / d z_t = (advantage * beta / N) * (p - onehot(w_t)) per sampled step
-    coef = (advantages / len(samples))[:, None] * samples.fwd.mask * beta
+    # d L / d z_t = (advantage / N) * (p - onehot(w_t)) per sampled step
+    coef = (advantages / len(samples))[:, None] * samples.fwd.mask
     d_logits = logit_grad(samples.probs, samples.targets, coef)
     grads = backward_sequences(params, samples.fwd, d_logits, TrainScope.ALL)
     return LossOutput(
@@ -193,25 +180,9 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
     )
 
 
-def sequence_logprob_loss(params: ModelParams, image: ImageRecord, sample: SampledSeq,
-                          beta: float = 1.0) -> LossOutput:
-    """Negative log-likelihood of a fixed sampled sequence (the differentiable
-    factor of the policy gradient), exposed for the gradient oracle."""
-    tgt = sample.target_ids(params.vocab)
-    if not tgt:
-        raise ValueError("cannot score an empty sample")
-    fwd, logp, targets = forward_targets(params, image.features[None, :], [tgt], beta)
-    lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss = float(-(lp_gold * fwd.mask).sum())
-    d_logits = logit_grad(np.exp(logp), targets, beta * fwd.mask)
-    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
-    return LossOutput(loss=loss, grads=grads)
-
-
 def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
-               lam: float, stats: CiderCorpusStats, rng: np.random.Generator,
-               samples_per_image: int = 5, beta: float = 1.0,
-               refs_by_id: dict[int, list[list[str]]] | None = None) -> LossOutput:
+               lam: float, stats: CiderCorpusStats, refs_by_id: dict[int, list[list[str]]],
+               rng: np.random.Generator, samples_per_image: int = 5) -> LossOutput:
     """Convex combination of the policy-gradient estimate and the CE loss
     over (image, reference) pairs.
 
@@ -226,9 +197,9 @@ def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[
         if image.id not in seen:
             seen.add(image.id)
             images.append(image)
-    rl_out = scst_step(params, images, stats, rng, samples_per_image, beta, refs_by_id=refs_by_id)
+    rl_out = scst_step(params, images, stats, refs_by_id, rng, samples_per_image)
     feats = np.stack([image.features for image, _ in batch])
-    ce_out = ce_batch(params, feats, [cap for _, cap in batch], beta)
+    ce_out = ce_batch(params, feats, [cap for _, cap in batch])
     grads = {
         name: lam * rl_out.grads[name] + (1.0 - lam) * ce_out.grads[name]
         for name in rl_out.grads
@@ -299,24 +270,23 @@ def mean_loss_log(history: list[list[tuple[int, float, dict]]]) -> list[dict]:
 
 
 def train_ce(params: ModelParams, train: Dataset, epochs: int, lr: float,
-             rng: np.random.Generator, batch_size: int = 10,
-             beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
+             rng: np.random.Generator, batch_size: int = 10) -> tuple[ModelParams, list[dict]]:
     """Teacher-forced pretraining; returns a trained copy and per-epoch log."""
     params = params.copy()
-    step = pair_step(lambda p, feats, caps: ce_batch(p, feats, caps, beta))
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
+    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
+                         pair_step(ce_batch))
     return params, mean_loss_log(history)
 
 
 def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
              lr: float, rng: np.random.Generator, batch_size: int = 10,
-             samples_per_image: int = 5, beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
+             samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
     """Self-critical reward training starting from a pretrained policy."""
     params = params.copy()
     refs_by_id = mapped_references(params.vocab, train.records)
 
     def step(p, images):
-        return scst_step(p, images, stats, rng, samples_per_image, beta, refs_by_id=refs_by_id)
+        return scst_step(p, images, stats, refs_by_id, rng, samples_per_image)
 
     history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
     log = []
@@ -336,13 +306,13 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
 
 def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
                 lr: float, lam: float, rng: np.random.Generator, batch_size: int = 10,
-                samples_per_image: int = 5, beta: float = 1.0) -> tuple[ModelParams, list[dict]]:
+                samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
     """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
     params = params.copy()
     refs_by_id = mapped_references(params.vocab, train.records)
 
     def step(p, batch):
-        return joint_loss(p, batch, lam, stats, rng, samples_per_image, beta, refs_by_id)
+        return joint_loss(p, batch, lam, stats, refs_by_id, rng, samples_per_image)
 
     history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params, mean_loss_log(history)

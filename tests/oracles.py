@@ -1,0 +1,141 @@
+"""Reference forms the tests compare ``caplab`` against.
+
+Each oracle computes one quantity the slow, direct way: one image and one
+prefix at a time, one sequence at a time, or by finite differences.  None of
+them is on a pipeline path; they live here so that every test module can
+import them without importing another test module.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from caplab.corpus import Dataset, ImageRecord, Vocabulary
+from caplab.decode import decode_dataset
+from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, check_compatible,
+                           frame_targets, logit_grad, pointwise_head, teacher_forced)
+from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
+                          backward_sequences, forward_sequences, init_params, log_softmax_temp,
+                          logits_from_hidden)
+from caplab.rl import SampledSeq
+
+
+def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
+    """exp(beta*z) / sum exp(beta*z), computed with max subtraction.
+
+    beta = 0 gives the uniform distribution.
+    """
+    e = np.exp(_shifted_scaled(z, beta))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:
+    """Logits over the vocabulary after consuming a <bos>-led prefix."""
+    prefix = np.asarray(prefix, dtype=np.int64)
+    if prefix.ndim != 1 or len(prefix) == 0:
+        raise ValueError("prefix must be a non-empty id sequence")
+    if prefix[0] != params.vocab.bos_id:
+        raise ValueError("prefix must begin with <bos>")
+    if len(prefix) > params.dims.max_len:
+        raise ValueError(f"prefix longer than max_len={params.dims.max_len}")
+    fwd = forward_sequences(params, features, prefix[None, :], np.array([len(prefix)]))
+    return logits_from_hidden(params, fwd.h[0, len(prefix) - 1])
+
+
+def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
+            prefix: Sequence[int], beta: float = 1.0) -> np.ndarray:
+    """Next-token distribution of the bias product of the model at inverse
+    temperature ``beta`` and the frozen reference, both conditioned on the
+    same prefix."""
+    check_compatible(params, frozen)
+    z_main = score_step(params, image.features, prefix)
+    z_ref = score_step(frozen.params, image.features, prefix)
+    logq = bp_log_probs(
+        log_softmax_temp(z_main, beta), log_softmax_temp(z_ref, frozen.beta_prime)
+    )
+    return np.exp(logq)
+
+
+def grad_check(loss_fn: Callable[[ModelParams], LossOutput], params: ModelParams,
+               eps: float = 1e-5) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    Perturbs every entry of each array the loss returns a gradient for.  The
+    relative error of an entry is |analytic - numeric| / max(|analytic|,
+    |numeric|, 1e-8).
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    analytic = loss_fn(params).grads
+    work = params.copy()
+    max_rel = 0.0
+    for name, grad in analytic.items():
+        arr = getattr(work, name)
+        for idx in range(arr.size):
+            orig = arr.flat[idx]
+            arr.flat[idx] = orig + eps
+            up = loss_fn(work).loss
+            arr.flat[idx] = orig - eps
+            down = loss_fn(work).loss
+            arr.flat[idx] = orig
+            numeric = (up - down) / (2.0 * eps)
+            a = grad.flat[idx]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            max_rel = max(max_rel, rel)
+    return max_rel
+
+
+def target_ids(sample: SampledSeq, vocab: Vocabulary) -> list[int]:
+    """The ids a sample scores: its tokens, plus <eos> if it ended."""
+    return sample.tokens + [vocab.eos_id] if sample.ended else list(sample.tokens)
+
+
+def forward_targets(params, feats, targets: Sequence[Sequence[int]]):
+    """Teacher-forced pass over the ``frame_targets`` frame of target id
+    sequences: the pass, every position's log-softmax and the padded targets."""
+    inputs, padded, lengths = frame_targets(params.vocab, targets)
+    fwd = forward_sequences(params, feats, inputs, lengths)
+    return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), 1.0), padded
+
+
+def sequence_logprob_loss(params: ModelParams, image: ImageRecord,
+                          sample: SampledSeq) -> LossOutput:
+    """Negative log-likelihood of a fixed sampled sequence, the
+    differentiable factor of the policy gradient."""
+    tgt = target_ids(sample, params.vocab)
+    if not tgt:
+        raise ValueError("cannot score an empty sample")
+    fwd, logp, targets = forward_targets(params, image.features[None, :], [tgt])
+    lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    loss = float(-(lp_gold * fwd.mask).sum())
+    d_logits = logit_grad(np.exp(logp), targets, fwd.mask)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+    return LossOutput(loss=loss, grads=grads)
+
+
+def pointwise_batch(params, feats, captions, terms) -> LossOutput:
+    """A pointwise loss (``ce_terms``, ``focal_terms``, ``anti_focal_terms``)
+    over one teacher-forced pass, backpropagated through the whole model."""
+    fwd, logp, targets = teacher_forced(params, feats, captions)
+    per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, terms)
+    grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+    return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+
+
+def decode_greedy(params, image, config):
+    """Greedy decoding of one image: ``decode_dataset`` over a split of one,
+    which runs the split decoder's greedy rollout."""
+    assert config.method == "greedy"
+    return decode_dataset(params, Dataset("val", [image]), config)[0]
+
+
+def forced_token_model(vocab, dims, token_id, margin=50.0):
+    """Bias-only model that puts (float-exact) full probability on one token."""
+    params = init_params(vocab, dims, 0)
+    for name in ALL_ARRAYS:
+        getattr(params, name)[:] = 0.0
+    params.cls_b[:] = -margin
+    params.cls_b[token_id] = margin
+    return params

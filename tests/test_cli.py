@@ -153,6 +153,17 @@ class TestGenData:
                      "--out", str(tmp_path / "d")]) == 2
         assert "split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed, flags", [
+        (True, []), (2.5, []), ("7", []), (MICRO_CONFIG["seed"], ["--seed", "-1"]),
+    ], ids=["config-bool", "config-float", "config-string", "flag-negative"])
+    def test_bad_seed_is_usage_error(self, tmp_path, seed, flags, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(MICRO_CONFIG | {"seed": seed}))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(config_path), "--out", str(out), *flags]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sidecars_carry_config_hash(self, workdir):
         _, config_path, data_dir = workdir
         meta = json.loads((data_dir / "dataset.meta.json").read_text())
@@ -432,6 +443,21 @@ class TestDecodeEval:
         with open(str(root / "selfrep") + ".csv") as fh:
             row = next(csv.DictReader(fh))
         assert row["oor_count"] == "0"
+
+    @pytest.mark.parametrize("bad_line", [
+        "not json", json.dumps({"id": 0}), json.dumps({"caption": "a b"}),
+        json.dumps({"id": 0.5, "caption": "a b"}), json.dumps([0, "a b"]),
+    ], ids=["not-json", "no-caption", "no-id", "id-not-integer", "not-an-object"])
+    def test_malformed_caption_line_is_usage_error(self, workdir, tmp_path, bad_line, capsys):
+        _, config_path, data_dir = workdir
+        caps = _reference_captions(data_dir, tmp_path / "caps.jsonl")
+        lines = caps.read_text().splitlines()
+        caps.write_text("\n".join([lines[0], "", bad_line, *lines[1:]]) + "\n")
+        out = tmp_path / "rep"
+        assert main(["eval", "--captions", str(caps), "--config", str(config_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 2
+        assert f"{caps}, line 3:" in capsys.readouterr().err
+        assert list(tmp_path.glob("rep*")) == []
 
 
 class TestFinetuneCommand:
@@ -736,6 +762,15 @@ class TestAnalyze:
                      "--data", str(data_dir), "--references", "--split", "bogus",
                      "--out", str(root / "bogus_hist.csv")]) == 2
         assert "unknown split" in capsys.readouterr().err
+
+    def test_histogram_of_missing_caption_file_is_usage_error(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        missing, out = tmp_path / "nope.jsonl", tmp_path / "hist.csv"
+        assert main(["analyze", "--what", "histogram", "--config", str(config_path),
+                     "--data", str(data_dir), "--captions", str(missing), "--split", "test",
+                     "--out", str(out)]) == 2
+        assert f"caption file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_loss_surface_schema(self, workdir):
         root, config_path, _ = workdir

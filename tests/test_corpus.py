@@ -20,22 +20,7 @@ from caplab.corpus import (
     record_from_json,
     record_to_json,
     save_dataset_split,
-    tokenize,
 )
-
-
-class TestTokenize:
-    def test_basic_rule(self):
-        assert tokenize("A cat sits.") == ["a", "cat", "sits"]
-
-    def test_empty(self):
-        assert tokenize("") == []
-
-    def test_case_and_whitespace(self):
-        assert tokenize("DOG  dog") == ["dog", "dog"]
-
-    def test_punctuation_stripped_in_place(self):
-        assert tokenize("don't stop!") == ["dont", "stop"]
 
 
 class TestBuildVocab:

@@ -23,10 +23,9 @@ from caplab.decode import (
     nucleus_set,
     save_captions,
 )
-from caplab.losses import FrozenReference, bp_prob
-from caplab.model import (ALL_ARRAYS, ENCODER_ARRAYS, ModelDims, init_params, log_softmax_temp,
-                          score_step, softmax_temp)
-from test_rl import decode_greedy, forced_token_model
+from caplab.losses import FrozenReference
+from caplab.model import ALL_ARRAYS, ENCODER_ARRAYS, ModelDims, init_params, log_softmax_temp
+from oracles import bp_prob, decode_greedy, forced_token_model, score_step, softmax_temp
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,15 @@ from caplab.corpus import build_vocab
 from caplab.decode import DecodeConfig
 from caplab.finetune import (FinetuneConfig, check_vocab_hash, classifier_step, encode_pairs,
                              finetune, sweep, sweep_grids)
-from caplab.losses import (FrozenReference, LossOutput, anti_focal_batch, anti_focal_terms,
-                           bp_batch, bp_head, ce_batch, ce_terms, focal_batch, focal_terms,
-                           logit_grad, pointwise_head, teacher_forced)
+from caplab.losses import (FrozenReference, LossOutput, anti_focal_terms, bp_batch, bp_head,
+                           ce_batch, ce_terms, focal_terms, logit_grad, pointwise_head,
+                           teacher_forced)
 from caplab.model import (CLASSIFIER_ARRAYS, ModelDims, TrainScope, backward_sequences,
                           classifier_grads, init_params, log_softmax_temp, logits_from_hidden,
                           stage_rng)
 from caplab.rl import (corpus_stats_for, mean_loss_log, pair_step, reference_pairs, sgd_epochs,
                        train_ce)
+from oracles import pointwise_batch
 
 # ``caplab.finetune`` is the re-exported function; the module is in sys.modules
 finetune_mod = importlib.import_module("caplab.finetune")
@@ -130,8 +131,8 @@ class TestFinetune:
         n_pairs = len(reference_pairs(micro_bundle.train))
         block = block_pairs // batch_size * batch_size
         assert n_pairs % batch_size > 1 and n_pairs % block and block_pairs % batch_size
-        config = FinetuneConfig(method=method, lr=0.5, beta=1.3, beta_prime=0.4, gamma=1.5,
-                                alpha=0.7, batch_size=batch_size)
+        config = FinetuneConfig(method=method, lr=0.5, beta_prime=0.4, gamma=1.5, alpha=0.7,
+                                batch_size=batch_size)
         result = finetune(checkpoint, micro_bundle, config, seed=4)
         params, frozen, log = per_batch_oracle(checkpoint, micro_bundle, config, seed=4)
         assert result.params.classifier_hash() == params.classifier_hash()
@@ -158,13 +159,10 @@ class TestFinetune:
         ("lr", -1.0, "lr must be"),
         ("lr", math.nan, "lr must be"),
         ("lr", math.inf, "lr must be"),
-        ("beta", -0.5, "beta must be"),
-        ("beta", math.nan, "beta must be"),
         ("gamma", math.nan, "gamma must be"),
         ("alpha", math.inf, "alpha must be"),
         ("batch_size", 2.5, "batch_size must be an integer"),
-    ], ids=["lr-negative", "lr-nan", "lr-inf", "beta-negative", "beta-nan", "gamma-nan",
-            "alpha-inf", "batch-size-float"])
+    ], ids=["lr-negative", "lr-nan", "lr-inf", "gamma-nan", "alpha-inf", "batch-size-float"])
     def test_bad_config_rejected_before_any_work(self, ft_setup, micro_bundle, monkeypatch,
                                                  field, value, message):
         _, checkpoint = ft_setup
@@ -175,12 +173,6 @@ class TestFinetune:
         with pytest.raises(ValueError, match=message):
             finetune(checkpoint, micro_bundle, config, seed=1)
         assert steps == []
-
-    def test_zero_beta_is_legal(self, ft_setup, micro_bundle):
-        _, checkpoint = ft_setup
-        config = FinetuneConfig(method="sft", lr=0.01, beta=0.0)
-        result = finetune(checkpoint, micro_bundle, config, seed=1)
-        assert result.params.encoder_hash() == checkpoint.encoder_hash()
 
 
 def per_batch_oracle(checkpoint, data, config, seed):
@@ -193,14 +185,12 @@ def per_batch_oracle(checkpoint, data, config, seed):
              "afl": anti_focal_terms(config.gamma, config.alpha)}[config.method]
 
     def batch_loss(params, feats, captions):
-        fwd, logp, targets = teacher_forced(params, feats, captions, config.beta)
+        fwd, logp, targets = teacher_forced(params, feats, captions)
         if wft:
             logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
-            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths,
-                                         config.beta)
+            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
         else:
-            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, config.beta,
-                                                terms)
+            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, terms)
         grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
         return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
 
@@ -222,17 +212,18 @@ class TestClassifierStep:
         pairs = block_pairs[5:14]
         feats = np.stack([rec.features for rec, _ in pairs])
         captions = [ref for _, ref in pairs]
-        beta, gamma, alpha = 1.3, 1.5, 0.7
+        gamma, alpha = 1.5, 0.7
         frozen = FrozenReference(checkpoint, 0.6)
         # mid fine-tune: same encoder as the frozen copy, another classifier
         params = checkpoint.copy()
         params.cls_w *= 1.5
-        config = FinetuneConfig(method=method, beta=beta, gamma=gamma, alpha=alpha)
+        config = FinetuneConfig(method=method, gamma=gamma, alpha=alpha)
         full = {
-            "sft": lambda: ce_batch(params, feats, captions, beta),
-            "fl": lambda: focal_batch(params, feats, captions, beta, gamma),
-            "afl": lambda: anti_focal_batch(params, feats, captions, beta, gamma, alpha),
-            "wft": lambda: bp_batch(params, frozen, feats, captions, beta),
+            "sft": lambda: ce_batch(params, feats, captions),
+            "fl": lambda: pointwise_batch(params, feats, captions, focal_terms(gamma)),
+            "afl": lambda: pointwise_batch(params, feats, captions,
+                                           anti_focal_terms(gamma, alpha)),
+            "wft": lambda: bp_batch(params, frozen, feats, captions),
         }[method]()
         batch = encode_pairs(checkpoint, block_pairs).rows(5, 14)
         out = classifier_step(config, frozen if method == "wft" else None)(params, batch)
@@ -247,7 +238,7 @@ class TestClassifierStep:
         _, checkpoint = ft_setup
         pairs = reference_pairs(micro_bundle.train)[:6]
         feats = np.stack([rec.features for rec, _ in pairs])
-        fwd, logp, targets = teacher_forced(checkpoint, feats, [ref for _, ref in pairs], 1.0)
+        fwd, logp, targets = teacher_forced(checkpoint, feats, [ref for _, ref in pairs])
         d_logits = logit_grad(np.exp(logp), targets, fwd.mask)
         full = backward_sequences(checkpoint, fwd, d_logits, TrainScope.ALL)
         cls = classifier_grads(fwd.h, d_logits)

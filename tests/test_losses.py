@@ -5,18 +5,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from caplab.corpus import ImageRecord, build_vocab
+from caplab.cider import build_cider_stats
+from caplab.corpus import ImageRecord, build_vocab, mapped_references
+from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs
 from caplab.losses import (
     FrozenReference,
     LossOutput,
-    anti_focal_loss,
-    bp_loss,
-    bp_prob,
-    ce_loss,
+    bp_batch,
+    caption_targets,
+    ce_batch,
     ce_terms,
-    encode_caption,
-    focal_loss,
-    grad_check,
+    frame_targets,
     loss_surface,
     pointwise_head,
     teacher_forced,
@@ -29,18 +28,38 @@ from caplab.model import (
     backward_sequences,
     forward_sequences,
     init_params,
-    score_step,
-    softmax_temp,
 )
 from caplab.rl import joint_loss, scst_step
-from caplab.cider import build_cider_stats
+from oracles import bp_prob, grad_check, score_step, softmax_temp
+
+
+def ce_loss(params, image, caption):
+    """``ce_batch`` over a batch of one (image, caption) pair."""
+    return ce_batch(params, image.features[None, :], [caption])
+
+
+def bp_loss(params, frozen, image, caption):
+    """``bp_batch`` over a batch of one (image, caption) pair."""
+    return bp_batch(params, frozen, image.features[None, :], [caption])
+
+
+def head_loss(params, image, caption, method, frozen=None, **config):
+    """The fine-tune's classifier step over one (image, caption) pair encoded
+    by ``params``: the loss the fl, afl and wft fine-tunes train on."""
+    step = classifier_step(FinetuneConfig(method=method, **config), frozen)
+    return step(params, encode_pairs(params, [(image, caption)]))
+
+
+def frame_caption(params, caption):
+    """(inputs, targets) id lists of one caption's teacher-forcing frame."""
+    inputs, targets, _ = frame_targets(params.vocab, caption_targets(params, [caption]))
+    return inputs[0].tolist(), targets[0].tolist()
 
 
 def solve_exact_logits(params, image, caption, target_logits):
     """Set the classifier so each position of the framed caption produces the
     requested logit row exactly (up to lstsq rounding)."""
-    vocab = params.vocab
-    inputs, targets = encode_caption(vocab, caption)
+    inputs, targets = frame_caption(params, caption)
     fwd = forward_sequences(params, image.features[None, :], np.array([inputs]),
                             np.array([len(inputs)]))
     hidden = fwd.h[0]  # (T, d)
@@ -54,7 +73,7 @@ def solve_exact_logits(params, image, caption, target_logits):
 class TestCrossEntropy:
     def test_confident_model_zero_loss(self, tiny_model, tiny_image, tiny_vocab):
         caption = ["a"]
-        _, targets = encode_caption(tiny_vocab, caption)
+        _, targets = frame_caption(tiny_model, caption)
         big = 2000.0
         rows = np.full((len(targets), len(tiny_vocab)), -big)
         for t, gold in enumerate(targets):
@@ -71,8 +90,7 @@ class TestCrossEntropy:
         assert out.loss == pytest.approx(math.log(len(tiny_vocab)), rel=1e-14)
 
     def test_gradient_matches_finite_differences(self, tiny_model, tiny_image):
-        err = grad_check(lambda p: ce_loss(p, tiny_image, ["a", "b", "a"], beta=1.3),
-                         tiny_model, eps=1e-5)
+        err = grad_check(lambda p: ce_loss(p, tiny_image, ["a", "b", "a"]), tiny_model, eps=1e-5)
         assert err <= 1e-4
 
     def test_empty_caption_errors(self, tiny_model, tiny_image):
@@ -80,7 +98,7 @@ class TestCrossEntropy:
             ce_loss(tiny_model, tiny_image, [])
 
     def test_oov_maps_to_unk(self, tiny_model, tiny_image, tiny_vocab):
-        inputs, targets = encode_caption(tiny_vocab, ["zebra"])
+        inputs, targets = frame_caption(tiny_model, ["zebra"])
         assert targets == [tiny_vocab.unk_id, tiny_vocab.eos_id]
         assert inputs == [tiny_vocab.bos_id, tiny_vocab.unk_id]
         out = ce_loss(tiny_model, tiny_image, ["zebra"])
@@ -88,8 +106,8 @@ class TestCrossEntropy:
 
     def test_classifier_scope_grads_absent_outside(self, tiny_model, tiny_image):
         feats = tiny_image.features[None, :]
-        fwd, logp, targets = teacher_forced(tiny_model, feats, [["a", "b"]], 1.0)
-        _, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, 1.0, ce_terms)
+        fwd, logp, targets = teacher_forced(tiny_model, feats, [["a", "b"]])
+        _, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, ce_terms)
         grads = backward_sequences(tiny_model, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
         full = ce_loss(tiny_model, tiny_image, ["a", "b"]).grads
         assert set(grads) == set(CLASSIFIER_ARRAYS)
@@ -140,20 +158,31 @@ class TestBiasProduct:
 
     def test_loss_reduces_to_ce_at_beta_prime_zero(self, tiny_model, tiny_image, tiny_vocab):
         frozen = FrozenReference(init_params(tiny_vocab, tiny_model.dims, 99, 0.3), 0.0)
-        bp = bp_loss(tiny_model, frozen, tiny_image, ["a", "b"], beta=1.0)
-        ce = ce_loss(tiny_model, tiny_image, ["a", "b"], beta=1.0)
+        bp = bp_loss(tiny_model, frozen, tiny_image, ["a", "b"])
+        ce = ce_loss(tiny_model, tiny_image, ["a", "b"])
         assert bp.loss == pytest.approx(ce.loss, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self, tiny_model, tiny_image, tiny_vocab):
         frozen = FrozenReference(init_params(tiny_vocab, tiny_model.dims, 77, 0.3), 0.7)
-        err = grad_check(lambda p: bp_loss(p, frozen, tiny_image, ["b", "a"], beta=1.1),
-                         tiny_model, eps=1e-5)
+        err = grad_check(lambda p: bp_loss(p, frozen, tiny_image, ["b", "a"]), tiny_model,
+                         eps=1e-5)
         assert err <= 1e-4
+
+    def test_classifier_step_gradient_matches_finite_differences(self, tiny_model, tiny_image):
+        """The wft fine-tune's classifier gradient, at beta' != 1, against a
+        frozen copy whose classifier differs from the trained one."""
+        frozen = FrozenReference(tiny_model, 0.7)
+        params = tiny_model.copy()
+        params.cls_w *= 1.5
+        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]), (tiny_image, ["a"])])
+        step = classifier_step(FinetuneConfig(method="wft", beta_prime=0.7), frozen)
+        assert set(step(params, batch).grads) == set(CLASSIFIER_ARRAYS)
+        assert grad_check(lambda p: step(p, batch), params, eps=1e-5) <= 1e-4
 
     def test_frozen_gets_no_gradient_and_stays_immutable(self, tiny_model, tiny_image, tiny_vocab):
         frozen = FrozenReference(tiny_model, 1.0)
         before = frozen.hash_hex()
-        bp_loss(tiny_model, frozen, tiny_image, ["a"], 1.0)
+        bp_loss(tiny_model, frozen, tiny_image, ["a"])
         assert frozen.hash_hex() == before
         with pytest.raises(ValueError):
             frozen.params.cls_w[0, 0] = 5.0
@@ -162,17 +191,20 @@ class TestBiasProduct:
         other_vocab = build_vocab([["p", "q", "r"]], 1)
         other = init_params(other_vocab, tiny_model.dims, 0)
         with pytest.raises(ValueError):
-            bp_loss(tiny_model, FrozenReference(other, 1.0), tiny_image, ["a"], 1.0)
+            bp_loss(tiny_model, FrozenReference(other, 1.0), tiny_image, ["a"])
 
 
 class TestFocalFamily:
+    """The focal and anti-focal losses as the fl and afl fine-tunes compute
+    them: the classifier step over encoded (image, caption) pairs."""
+
     def test_focal_gamma_zero_is_ce(self, tiny_model, tiny_image):
-        fl = focal_loss(tiny_model, tiny_image, ["a", "b"], gamma=0.0)
+        fl = head_loss(tiny_model, tiny_image, ["a", "b"], "fl", gamma=0.0)
         ce = ce_loss(tiny_model, tiny_image, ["a", "b"])
         assert fl.loss == pytest.approx(ce.loss, abs=1e-12)
 
     def test_anti_focal_alpha_zero_is_ce(self, tiny_model, tiny_image):
-        afl = anti_focal_loss(tiny_model, tiny_image, ["a", "b"], gamma=2.0, alpha=0.0)
+        afl = head_loss(tiny_model, tiny_image, ["a", "b"], "afl", gamma=2.0, alpha=0.0)
         ce = ce_loss(tiny_model, tiny_image, ["a", "b"])
         assert afl.loss == pytest.approx(ce.loss, abs=1e-12)
 
@@ -180,7 +212,7 @@ class TestFocalFamily:
         # every position's gold holds probability exactly 1/2:
         # logit ln(3) for the gold of the step, 0 elsewhere (|W| = 5)
         caption = ["a"]
-        _, targets = encode_caption(tiny_vocab, caption)
+        _, targets = frame_caption(tiny_model, caption)
         rows = np.zeros((len(targets), len(tiny_vocab)))
         for t, gold in enumerate(targets):
             rows[t, gold] = math.log(len(tiny_vocab) - 1)
@@ -189,28 +221,26 @@ class TestFocalFamily:
 
     def test_focal_half_prob_value(self, tiny_model, tiny_image, tiny_vocab):
         params, caption = self._half_prob_model(tiny_model, tiny_image, tiny_vocab)
-        out = focal_loss(params, tiny_image, caption, gamma=1.0)
+        out = head_loss(params, tiny_image, caption, "fl", gamma=1.0)
         assert out.loss == pytest.approx(0.346574, abs=1e-6)  # -0.5 * ln 0.5
 
     def test_anti_focal_half_prob_value(self, tiny_model, tiny_image, tiny_vocab):
         params, caption = self._half_prob_model(tiny_model, tiny_image, tiny_vocab)
-        out = anti_focal_loss(params, tiny_image, caption, gamma=1.0, alpha=1.0)
+        out = head_loss(params, tiny_image, caption, "afl", gamma=1.0, alpha=1.0)
         assert out.loss == pytest.approx(1.039721, abs=1e-6)  # -1.5 * ln 0.5
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_image):
-        err = grad_check(lambda p: focal_loss(p, tiny_image, ["b", "a"], beta=0.9, gamma=2.0),
-                         tiny_model, eps=1e-5)
-        assert err <= 1e-4
-        err = grad_check(
-            lambda p: anti_focal_loss(p, tiny_image, ["a", "a"], beta=1.2, gamma=1.5, alpha=0.8),
-            tiny_model, eps=1e-5)
-        assert err <= 1e-4
+        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]), (tiny_image, ["a", "a"])])
+        for config in (FinetuneConfig(method="fl", gamma=2.0),
+                       FinetuneConfig(method="afl", gamma=1.5, alpha=0.8)):
+            step = classifier_step(config)
+            assert grad_check(lambda p: step(p, batch), tiny_model, eps=1e-5) <= 1e-4
 
     def test_negative_hyperparameters_rejected(self, tiny_model, tiny_image):
         with pytest.raises(ValueError):
-            focal_loss(tiny_model, tiny_image, ["a"], gamma=-1.0)
+            head_loss(tiny_model, tiny_image, ["a"], "fl", gamma=-1.0)
         with pytest.raises(ValueError):
-            anti_focal_loss(tiny_model, tiny_image, ["a"], alpha=-0.5)
+            head_loss(tiny_model, tiny_image, ["a"], "afl", alpha=-0.5)
 
 
 class TestJoint:
@@ -221,15 +251,18 @@ class TestJoint:
         batch = [(tiny_image, ["a", "b"]), (tiny_image, ["b", "a"])]
         return stats, batch
 
+    @staticmethod
+    def _refs(params, batch):
+        return mapped_references(params.vocab, [batch[0][0]])
+
     def _joint(self, params, batch, lam, stats, seed):
-        return joint_loss(params, batch, lam, stats, np.random.default_rng(seed),
-                          samples_per_image=3)
+        return joint_loss(params, batch, lam, stats, self._refs(params, batch),
+                          np.random.default_rng(seed), samples_per_image=3)
 
     def test_lambda_zero_equals_ce(self, tiny_model, joint_setup):
         stats, batch = joint_setup
         out = self._joint(tiny_model, batch, 0.0, stats, 0)
         feats = np.stack([img.features for img, _ in batch])
-        from caplab.losses import ce_batch
         ce = ce_batch(tiny_model, feats, [c for _, c in batch])
         assert out.loss == ce.loss
         for name in ALL_ARRAYS:
@@ -238,8 +271,8 @@ class TestJoint:
     def test_lambda_one_equals_policy_gradient(self, tiny_model, joint_setup):
         stats, batch = joint_setup
         out = self._joint(tiny_model, batch, 1.0, stats, 4)
-        rl = scst_step(tiny_model, [batch[0][0]], stats, np.random.default_rng(4),
-                       samples_per_image=3)
+        rl = scst_step(tiny_model, [batch[0][0]], stats, self._refs(tiny_model, batch),
+                       np.random.default_rng(4), samples_per_image=3)
         assert out.loss == rl.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(out.grads[name], rl.grads[name])
@@ -247,10 +280,9 @@ class TestJoint:
     def test_lambda_half_is_elementwise_mean(self, tiny_model, joint_setup):
         stats, batch = joint_setup
         out = self._joint(tiny_model, batch, 0.5, stats, 9)
-        rl = scst_step(tiny_model, [batch[0][0]], stats, np.random.default_rng(9),
-                       samples_per_image=3)
+        rl = scst_step(tiny_model, [batch[0][0]], stats, self._refs(tiny_model, batch),
+                       np.random.default_rng(9), samples_per_image=3)
         feats = np.stack([img.features for img, _ in batch])
-        from caplab.losses import ce_batch
         ce = ce_batch(tiny_model, feats, [c for _, c in batch])
         for name in ALL_ARRAYS:
             np.testing.assert_allclose(out.grads[name],
@@ -352,11 +384,13 @@ def test_losses_finite_under_parameter_fuzz(seed, scale):
     rng = np.random.default_rng(seed)
     image = ImageRecord(id=0, features=rng.normal(size=3) * scale, references=[["a"]])
     frozen = FrozenReference(init_params(vocab, dims, seed + 1, scale=scale), 1.0)
+    shared = FrozenReference(params, 0.5)
     for out in (
         ce_loss(params, image, ["a", "b"]),
         bp_loss(params, frozen, image, ["a", "b"]),
-        focal_loss(params, image, ["a", "b"], gamma=2.0),
-        anti_focal_loss(params, image, ["a", "b"], gamma=2.0, alpha=1.0),
+        head_loss(params, image, ["a", "b"], "fl", gamma=2.0),
+        head_loss(params, image, ["a", "b"], "afl", gamma=2.0, alpha=1.0),
+        head_loss(params, image, ["a", "b"], "wft", frozen=shared, beta_prime=0.5),
     ):
         assert np.isfinite(out.loss)
         assert out.loss >= 0.0

@@ -22,9 +22,8 @@ from caplab.model import (
     load_checkpoint,
     log_softmax_temp,
     save_checkpoint,
-    score_step,
-    softmax_temp,
 )
+from oracles import score_step, softmax_temp
 
 
 def zeroed(params):

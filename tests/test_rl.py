@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from caplab import rl
-from caplab.cider import build_cider_stats
+from caplab.cider import build_cider_stats, cider_d
 from caplab.corpus import Dataset, ImageRecord, build_vocab
-from caplab.decode import DecodeConfig, decode_dataset
-from caplab.cider import cider_d
-from caplab.losses import forward_targets, grad_check, logit_grad
+from caplab.decode import DecodeConfig
+from caplab.losses import logit_grad
 from caplab.model import (
     ALL_ARRAYS,
     ModelDims,
@@ -17,37 +16,24 @@ from caplab.model import (
     forward_sequences,
     init_params,
     logits_from_hidden,
-    softmax_temp,
 )
 from caplab.rl import (
     SampledSeq,
     corpus_stats_for,
     mapped_references,
-    sample_sequence,
     sample_sequences,
     scst_step,
-    sequence_logprob_loss,
     train_ce,
     train_joint,
     train_rl,
 )
+from oracles import (decode_greedy, forced_token_model, forward_targets, grad_check,
+                     sequence_logprob_loss, softmax_temp, target_ids)
 
 
-def decode_greedy(params, image, config):
-    """Greedy decoding of one image: ``decode_dataset`` over a split of one,
-    which runs the split decoder's greedy rollout."""
-    assert config.method == "greedy"
-    return decode_dataset(params, Dataset("val", [image]), config)[0]
-
-
-def forced_token_model(vocab, dims, token_id, margin=50.0):
-    """Bias-only model that puts (float-exact) full probability on one token."""
-    params = init_params(vocab, dims, 0)
-    for name in ALL_ARRAYS:
-        getattr(params, name)[:] = 0.0
-    params.cls_b[:] = -margin
-    params.cls_b[token_id] = margin
-    return params
+def sample_sequence(params, image, beta, rng):
+    """One rollout for one image: row 0 of a ``sample_sequences`` batch of one."""
+    return sample_sequences(params, image.features[None, :], beta, rng)[0]
 
 
 class TestSampling:
@@ -125,30 +111,29 @@ class TestSampleBatch:
         for i, seq in enumerate(rows):
             length = int(batch.fwd.lengths[i])
             assert len(seq.logps) == length
-            assert seq.target_ids(tiny_vocab) == batch.targets[i, :length].tolist()
-            assert seq.ended == (tiny_vocab.eos_id in seq.target_ids(tiny_vocab))
+            assert target_ids(seq, tiny_vocab) == batch.targets[i, :length].tolist()
+            assert seq.ended == (tiny_vocab.eos_id in target_ids(seq, tiny_vocab))
             assert tiny_vocab.eos_id not in seq.tokens
             np.testing.assert_array_equal(seq.logps, batch.logps[i, :length])
 
 
-def teacher_forced_scst(params, images, stats, rng, samples_per_image, beta):
+def teacher_forced_scst(params, images, stats, rng, samples_per_image):
     """SCST gradients with the samples re-scored by a separate teacher-forced
     pass, the reference form of ``scst_step``."""
     vocab = params.vocab
     refs = mapped_references(vocab, images)
     feats = np.stack([img.features for img in images])
-    greedy = [decode_greedy(params, img, DecodeConfig(method="greedy", beta=beta)).ids
-              for img in images]
+    greedy = [decode_greedy(params, img, DecodeConfig(method="greedy")).ids for img in images]
     baselines = np.array([cider_d(vocab.words(ids), refs[img.id], stats)
                           for ids, img in zip(greedy, images)])
-    samples = sample_sequences(params, np.repeat(feats, samples_per_image, axis=0), beta, rng)
+    samples = sample_sequences(params, np.repeat(feats, samples_per_image, axis=0), 1.0, rng)
     rewards = np.array([cider_d(vocab.words(seq.tokens), refs[images[k // samples_per_image].id],
                                 stats) for k, seq in enumerate(samples)])
     advantages = rewards - np.repeat(baselines, samples_per_image)
     fwd, logp, targets = forward_targets(
         params, np.repeat(feats, samples_per_image, axis=0),
-        [seq.target_ids(vocab) for seq in samples], beta)
-    coef = (advantages / len(samples))[:, None] * fwd.mask * beta
+        [target_ids(seq, vocab) for seq in samples])
+    coef = (advantages / len(samples))[:, None] * fwd.mask
     return backward_sequences(params, fwd, logit_grad(np.exp(logp), targets, coef),
                               TrainScope.ALL)
 
@@ -163,53 +148,36 @@ class TestScstStep:
             for i in range(3)
         ]
         stats = build_cider_stats([img.references for img in images])
-        return images, stats
+        return images, stats, mapped_references(tiny_vocab, images)
 
-    def test_constant_reward_zero_gradient(self, tiny_model, setup):
-        images, stats = setup
-        out = scst_step(tiny_model, images, stats, np.random.default_rng(0),
-                        samples_per_image=4, reward_fn=lambda ids, img: 1.0)
+    def test_constant_reward_zero_gradient(self, tiny_vocab, tiny_dims, setup):
+        """Under a point-mass policy every sample is its image's greedy
+        rollout, so every advantage, and every gradient, is exactly zero."""
+        images, stats, refs = setup
+        params = forced_token_model(tiny_vocab, tiny_dims, token_id=0)
+        out = scst_step(params, images, stats, refs, np.random.default_rng(0),
+                        samples_per_image=4)
+        assert set(out.grads) == set(ALL_ARRAYS)
         for grad in out.grads.values():
             np.testing.assert_array_equal(grad, 0.0)
-        assert out.loss == -1.0
+        assert out.details["mean_reward"] == out.details["mean_greedy_reward"]
         assert out.details["zero_advantage"] == 3 * 4
 
     def test_log_likelihood_factor_gradient(self, tiny_model, tiny_image):
         sample = sample_sequence(tiny_model, tiny_image, 1.0, np.random.default_rng(2))
-        err = grad_check(lambda p: sequence_logprob_loss(p, tiny_image, sample, beta=1.1),
+        err = grad_check(lambda p: sequence_logprob_loss(p, tiny_image, sample),
                          tiny_model, eps=1e-5)
         assert err <= 1e-4
 
     def test_deterministic_given_rng(self, tiny_model, setup):
-        images, stats = setup
-        o1 = scst_step(tiny_model, images, stats, np.random.default_rng(5))
-        o2 = scst_step(tiny_model, images, stats, np.random.default_rng(5))
+        images, stats, refs = setup
+        o1 = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
+        o2 = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
         assert o1.loss == o2.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(o1.grads[name], o2.grads[name])
 
-    def test_references_mapped_once_per_step(self, tiny_model, setup, monkeypatch):
-        images, stats = setup
-        # an out-of-vocabulary word, so unmapped references would score differently
-        images = [ImageRecord(id=img.id, features=img.features,
-                              references=img.references + [["a", "zebra"]]) for img in images]
-        refs = mapped_references(tiny_model.vocab, images)
-        given = scst_step(tiny_model, images, stats, np.random.default_rng(5), refs_by_id=refs)
-        calls = []
-
-        def counted(vocab, records):
-            calls.append([rec.id for rec in records])
-            return mapped_references(vocab, records)
-
-        monkeypatch.setattr(rl, "mapped_references", counted)
-        mapped = scst_step(tiny_model, images, stats, np.random.default_rng(5))
-        assert calls == [[img.id for img in images]]
-        assert mapped.loss == given.loss
-        for name in ALL_ARRAYS:
-            np.testing.assert_array_equal(mapped.grads[name], given.grads[name])
-
-    @pytest.mark.parametrize("beta", [1.0, 0.7])
-    def test_matches_teacher_forced_oracle(self, beta):
+    def test_matches_teacher_forced_oracle(self):
         rng = np.random.default_rng(8)
         refs = ([["a", "b"], ["a", "c", "b"]], [["b", "c"], ["c", "c", "b"]], [["c", "a", "a"]])
         images = [ImageRecord(id=i, features=rng.normal(size=4), references=list(r))
@@ -219,8 +187,9 @@ class TestScstStep:
         params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=8), seed=2,
                              scale=0.8)
         params.cls_b[vocab.eos_id] = -1.0  # samples of varying lengths
-        out = scst_step(params, images, stats, np.random.default_rng(11), 6, beta)
-        expected = teacher_forced_scst(params, images, stats, np.random.default_rng(11), 6, beta)
+        refs_by_id = mapped_references(vocab, images)
+        out = scst_step(params, images, stats, refs_by_id, np.random.default_rng(11), 6)
+        expected = teacher_forced_scst(params, images, stats, np.random.default_rng(11), 6)
         assert out.details["mean_reward"] > 0
         assert set(out.grads) == set(ALL_ARRAYS)
         for name in ALL_ARRAYS:
@@ -229,8 +198,8 @@ class TestScstStep:
             assert np.abs(out.grads[name] - expected[name]).max() <= 1e-12 * scale, name
 
     def test_details_reported(self, tiny_model, setup):
-        images, stats = setup
-        out = scst_step(tiny_model, images, stats, np.random.default_rng(5))
+        images, stats, refs = setup
+        out = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
         assert "mean_reward" in out.details and "mean_greedy_reward" in out.details
 
 
@@ -254,6 +223,38 @@ class TestTrainingLoops:
         assert trained.full_hash() == params.full_hash()
         assert set(log[0]) == {"epoch", "mean_reward", "mean_greedy_reward",
                                "useful_sample_ratio"}
+
+    def test_train_rl_maps_references_once(self, micro_bundle, monkeypatch):
+        """Every SCST step of a run scores against the one <unk>-mapped
+        reference dict the run builds before its first step."""
+        records = micro_bundle.train.records[:12]
+        # an out-of-vocabulary word, so unmapped references would score differently
+        train = Dataset("train", [ImageRecord(id=rec.id, features=rec.features,
+                                              references=rec.references + [["zebra"]])
+                                  for rec in records])
+        vocab = build_vocab(Dataset("train", records).all_references(), 1)
+        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
+        params = init_params(vocab, dims, 0, scale=0.5)
+        stats = corpus_stats_for(vocab, train)
+        calls, given = [], []
+        mapped, step = rl.mapped_references, rl.scst_step
+
+        def counted(vocab, records):
+            calls.append([rec.id for rec in records])
+            return mapped(vocab, records)
+
+        def recorded(params, images, stats, refs_by_id, *args):
+            given.append(refs_by_id)
+            return step(params, images, stats, refs_by_id, *args)
+
+        monkeypatch.setattr(rl, "mapped_references", counted)
+        monkeypatch.setattr(rl, "scst_step", recorded)
+        train_rl(params, train, stats, epochs=2, lr=0.5, rng=np.random.default_rng(0),
+                 batch_size=5, samples_per_image=2)
+        assert calls == [[rec.id for rec in records]]
+        assert len(given) == 2 * 3 and all(refs is given[0] for refs in given)
+        assert given[0] == mapped(vocab, train.records)
+        assert all(["<unk>"] in refs for refs in given[0].values())
 
     def test_train_rl_logs_useful_sample_ratio(self, micro_bundle, monkeypatch):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
