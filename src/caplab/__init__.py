@@ -6,7 +6,7 @@ classifier-only rebalancing fine-tunes with a bias-product loss, decoding
 strategies, and a deterministic evaluation suite.
 """
 
-from .cider import CiderCorpusStats, build_cider_stats, cider_d, cider_d_batch
+from .cider import CiderCorpusStats, build_cider_stats, cider_d, cider_d_batch, reference_table
 from .corpus import (
     BOS,
     EOS,

@@ -13,18 +13,12 @@ weight, so candidate tokens unseen in the reference corpus influence the
 score only through the length penalty.
 
 ``cider_d_batch`` scores many candidates in one vectorized pass, each against
-the reference set it names; ``cider_d`` is its one-candidate call.  It has a
-reference half, ``reference_table``, which assembles the sets scored against
-into one table, and a scoring half; a caller that scores against the same
-sets again (``metrics.evaluate`` on a split) passes the table instead of the
-sets.  Each reference set's tf-idf weights, norms and lengths are cached on
-the statistics object, keyed by its token tuples, the first time it is
-scored against; the sets one call misses are coded together.  An SCST step
-scores every reference set once per image, and a multi-epoch run or a
-fine-tune sweep scores the same sets at every pass.  This cache is the only
-state filled after ``build_cider_stats``; it lives as long as the
-``CiderCorpusStats`` object and is only correct for the tables it was built
-under, so do not mutate the statistics; build a new object instead.
+the reference set it names in a ``reference_table``: the tf-idf weights,
+norms and lengths of every reference of the sets scored against, coded
+together and keyed by (set, n-gram).  The caller builds the table once for
+the sets it scores against and passes it to every call; ``cider_d`` scores
+one candidate against a one-set table.  Scoring reads the statistics and the
+table and changes neither.
 
 The vectorized sums add the same terms in the same order as a scalar loop
 over each candidate's distinct n-grams in order of first occurrence, order by
@@ -53,15 +47,6 @@ class _NgramIndex(NamedTuple):
     idf: np.ndarray         # per global id: log(N) - log(df)
 
 
-class _RefSet(NamedTuple):
-    """One reference set's tf-idf weights over the union of its n-grams."""
-
-    ids: np.ndarray         # (U,) sorted global n-gram ids
-    weights: np.ndarray     # (U, k) weight of each n-gram in each reference, 0 if absent
-    norms: np.ndarray       # (k, n_max)
-    lengths: np.ndarray     # (k,)
-
-
 class _Entries(NamedTuple):
     """Distinct n-grams with document frequency of a list of token sequences,
     ordered by order, then sequence, then first occurrence."""
@@ -75,14 +60,12 @@ class _Entries(NamedTuple):
 
 @dataclass(eq=False)
 class CiderCorpusStats:
-    """The n-gram index of the reference corpus, plus the cached tf-idf data
-    of every reference set scored so far."""
+    """The n-gram index of the reference corpus."""
 
     index: _NgramIndex = field(repr=False)
     log_num_images: float
     n_max: int = 4
     sigma: float = 6.0
-    ref_sets: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -171,38 +154,6 @@ def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) 
     return _Entries(row, slot, gid, weight, np.sqrt(sq).reshape(len(sequences), n_max))
 
 
-def _ref_sets(reference_sets: Sequence[Sequence[Sequence[str]]],
-              stats: CiderCorpusStats) -> list[_RefSet]:
-    """Each set's cached tf-idf data; the sets not cached yet are coded in one
-    ``_tfidf_entries`` pass.
-
-    A row's entries keep their order in the joint pass, so every per-row sum
-    and every set's arrays equal those of coding the set on its own.
-    """
-    keys = [tuple(map(tuple, refs)) for refs in reference_sets]
-    cache = stats.ref_sets
-    missing = list(dict.fromkeys(key for key in keys if key not in cache))
-    if missing:
-        refs = [ref for key in missing for ref in key]
-        entries = _tfidf_entries(refs, stats)
-        n_refs = np.array([len(key) for key in missing], dtype=np.int64)
-        first = np.cumsum(n_refs) - n_refs
-        owner = np.repeat(np.arange(len(missing)), n_refs)[entries.row]
-        # the sets' n-grams in one sorted table keyed by (set, global id)
-        n_ids = len(stats.index.idf)
-        keyed, col = np.unique(owner * n_ids + entries.ids, return_inverse=True)
-        bounds = np.searchsorted(keyed, np.arange(len(missing) + 1) * n_ids)
-        weights = np.zeros((len(keyed), int(n_refs.max())))
-        weights[col, entries.row - first[owner]] = entries.weight
-        ids = keyed % n_ids
-        lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
-        for k, key in enumerate(missing):
-            rows, at = slice(first[k], first[k] + n_refs[k]), slice(bounds[k], bounds[k + 1])
-            cache[key] = _RefSet(ids[at], weights[at, : n_refs[k]], entries.norms[rows],
-                                 lengths[rows])
-    return [cache[key] for key in keys]
-
-
 class ReferenceTable(NamedTuple):
     """The reference half of a ``cider_d_batch`` call: every set's n-grams in
     one sorted table keyed by (set, global id), plus a zero row that absent
@@ -219,56 +170,52 @@ class ReferenceTable(NamedTuple):
 
 def reference_table(reference_sets: Sequence[Sequence[Sequence[str]]],
                     stats: CiderCorpusStats) -> ReferenceTable:
-    """Assemble the reference sets scored against into one table; every set
-    must hold at least one reference."""
+    """Code the reference sets scored against into one table, all their
+    references in one ``_tfidf_entries`` pass; every set must hold at least
+    one reference.
+
+    A reference's entries keep their order in the joint pass, so every
+    per-reference sum equals that of coding the reference on its own.
+    """
     if any(len(refs) == 0 for refs in reference_sets):
         raise ValueError("need at least one reference")
-    sets = _ref_sets(reference_sets, stats)
-    n_refs = np.array([len(s.lengths) for s in sets], dtype=np.int64)
-    width = int(n_refs.max(initial=0))
+    n_refs = np.array([len(refs) for refs in reference_sets], dtype=np.int64)
+    refs = [ref for image_refs in reference_sets for ref in image_refs]
+    set_of = np.repeat(np.arange(len(n_refs)), n_refs)
+    slot = np.arange(len(refs)) - (np.cumsum(n_refs) - n_refs)[set_of]  # place in its set
+    entries = _tfidf_entries(refs, stats)
     n_ids = len(stats.index.idf)
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)]
-                          + [k * n_ids + s.ids for k, s in enumerate(sets)])
+    keys, row = np.unique(set_of[entries.row] * n_ids + entries.ids, return_inverse=True)
+    width = int(n_refs.max(initial=0))
     weights = np.zeros((len(keys) + 1, width))
-    norms = np.zeros((len(sets), width, stats.n_max))
-    lengths = np.zeros((len(sets), width), dtype=np.int64)
-    start = 0
-    for k, s in enumerate(sets):
-        weights[start : start + len(s.ids), : n_refs[k]] = s.weights
-        norms[k, : n_refs[k]] = s.norms
-        lengths[k, : n_refs[k]] = s.lengths
-        start += len(s.ids)
+    weights[row, slot[entries.row]] = entries.weight
+    norms = np.zeros((len(n_refs), width, stats.n_max))
+    norms[set_of, slot] = entries.norms
+    lengths = np.zeros((len(n_refs), width), dtype=np.int64)
+    lengths[set_of, slot] = [len(ref) for ref in refs]
     return ReferenceTable(stats, keys, weights, norms, lengths, n_refs)
 
 
 def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
-                  reference_sets: Sequence[Sequence[Sequence[str]]] | ReferenceTable,
-                  stats: CiderCorpusStats) -> np.ndarray:
+                  table: ReferenceTable) -> np.ndarray:
     """Score every candidate against its own image's references.
 
-    ``owner[i]`` indexes candidate i's set in ``reference_sets``; every set
-    must hold at least one reference.  ``reference_sets`` may also be the
-    ``reference_table`` of the sets, built under ``stats``, so that a caller
-    scoring against the same sets again need not assemble them again.  Per
-    n, the candidate tf-idf vector is clipped elementwise to the reference
-    vector before the cosine; each reference similarity is damped by
-    exp(-(len_c - len_r)^2 / (2 sigma^2)).  Similarities are averaged over
-    references, then over n, then multiplied by 10.  An empty candidate
-    scores 0.
+    ``owner[i]`` indexes candidate i's set in ``table``, the
+    ``reference_table`` of the sets scored against, which carries the
+    statistics it was built under.  Per n, the candidate tf-idf vector is
+    clipped elementwise to the reference vector before the cosine; each
+    reference similarity is damped by exp(-(len_c - len_r)^2 / (2 sigma^2)).
+    Similarities are averaged over references, then over n, then multiplied
+    by 10.  An empty candidate scores 0.
     """
-    if isinstance(reference_sets, ReferenceTable):
-        table = reference_sets
-        if table.stats is not stats:
-            raise ValueError("reference table was built under other statistics")
-    else:
-        table = reference_table(reference_sets, stats)
+    stats = table.stats
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != len(candidates):
         raise ValueError(f"{len(owner)} owners for {len(candidates)} candidates")
     if len(owner) == 0:
         return np.zeros(0)
     if owner.min() < 0 or owner.max() >= len(table.n_refs):
-        raise ValueError("owner indexes outside reference_sets")
+        raise ValueError("owner indexes outside the reference table")
     n_max, width = stats.n_max, table.weights.shape[1]
     n_ids = len(stats.index.idf)
 
@@ -306,4 +253,4 @@ def cider_d(candidate: Sequence[str], references: Sequence[Sequence[str]],
             stats: CiderCorpusStats) -> float:
     """Score one candidate against the references of one image; see
     ``cider_d_batch``."""
-    return float(cider_d_batch([candidate], [0], [references], stats)[0])
+    return float(cider_d_batch([candidate], [0], reference_table([references], stats))[0])

@@ -38,7 +38,7 @@ from .corpus import (Dataset, atomic_write, build_vocab, check_histogram_bins, f
                      load_dataset_split, save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
 from .finetune import FinetuneConfig, finetune, sweep
-from .losses import FrozenReference, loss_surface
+from .losses import FrozenReference, check_compatible, loss_surface
 from .metrics import evaluate
 from .model import (
     ModelDims,
@@ -319,6 +319,14 @@ def _check_training_section(stage: str, section: dict) -> None:
         _check_number(f"{stage}.lam", section["lam"], most=1)
 
 
+def _check_model_section(section: dict) -> None:
+    """``hidden_dim`` an integer >= 1, ``max_len`` an integer >= 2 (a word and
+    <eos>) and ``init_scale`` a finite number >= 0."""
+    _check_count("model.hidden_dim", section["hidden_dim"], 1)
+    _check_count("model.max_len", section["max_len"], 2)
+    _check_number("model.init_scale", section["init_scale"])
+
+
 def _check_finetune_section(method: str, section: dict, sweep: bool) -> None:
     """``batch_size`` an integer >= 1; each grid a non-empty list of finite
     numbers, learning rates > 0 and temperatures >= 0; ``gamma`` and
@@ -355,6 +363,8 @@ def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed, section = config["seed"], config[args.stage]
     _check_training_section(args.stage, section)
+    if args.stage == "ce":
+        _check_model_section(config["model"])
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     out = _out_path(args.out)
@@ -456,6 +466,7 @@ def cmd_decode(args) -> int:
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
         try:
             frozen = FrozenReference(frozen_params, beta_prime)
+            check_compatible(params, frozen)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid frozen checkpoint {args.frozen}: {exc}") from exc
     decoded = decode_dataset(params, dataset, decode_config, frozen=frozen)
@@ -518,6 +529,9 @@ def cmd_analyze(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.what == "loss-surface":
+        for flag, value in (("--beta", args.beta), ("--beta-prime", args.beta_prime),
+                            ("--gamma", args.gamma), ("--alpha", args.alpha)):
+            _check_number(flag, value)
         grid = np.linspace(args.p1_min, args.p1_max, args.grid_points)
         try:
             rows = loss_surface(grid, beta=args.beta, beta_prime=args.beta_prime,

@@ -232,8 +232,12 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     decode_config = decode_config or DecodeConfig()
     base = base_config or FinetuneConfig()
 
+    def sort_key(row):
+        bp = row["beta_prime"] if row["beta_prime"] != "" else 0.0
+        return (-row["r_at_1"], row["lr"], bp)
+
     rows = []
-    results = {}
+    best = best_result = None
     for lr in lr_grid:
         for beta_prime in bp_grid:
             config = replace(base, method=method, lr=lr,
@@ -256,12 +260,7 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
                 "cider": report.cider,
             }
             rows.append(row)
-            results[(lr, beta_prime)] = result
-
-    def sort_key(row):
-        bp = row["beta_prime"] if row["beta_prime"] != "" else 0.0
-        return (-row["r_at_1"], row["lr"], bp)
-
-    best = min(rows, key=sort_key)
-    best_key = (best["lr"], best["beta_prime"] if best["beta_prime"] != "" else None)
-    return SweepResult(best=best, best_result=results[best_key], rows=rows)
+            # only the best model so far is kept; a tie keeps the earlier row
+            if best is None or sort_key(row) < sort_key(best):
+                best, best_result = row, result
+    return SweepResult(best=best, best_result=best_result, rows=rows)

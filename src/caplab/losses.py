@@ -61,8 +61,6 @@ class FrozenReference:
 
 
 def check_compatible(params: ModelParams, frozen: FrozenReference) -> None:
-    if len(params.vocab) != len(frozen.params.vocab):
-        raise ValueError("vocabulary size mismatch between model and frozen reference")
     if params.vocab.hash_hex() != frozen.params.vocab.hash_hex():
         raise ValueError("vocabulary mismatch between model and frozen reference")
     if params.dims != frozen.params.dims:

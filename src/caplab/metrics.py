@@ -9,17 +9,17 @@ within K (ties resolved toward the lower image id).  It stands in for a
 pretrained cross-modal retrieval model and rewards exactly the behavior
 under study: mentioning image-specific low-frequency content.  All
 captions are ranked in one product of their tf-idf matrix with the document
-matrix.
+matrix; near ties are rechecked on exactly rounded sums.
 
 What scoring a split needs from the split alone is built the first time the
 split is scored and kept: the retrieval index (the L2-normalized tf-idf
 document matrix), each image's set of reference words, and the CIDEr-D
-reference table (see ``cider.reference_table``), the latter two over the
-references mapped into the vocabulary.  They are keyed weakly on the
-``Dataset`` object, so they die with the split, and are rebuilt when a call
-passes another vocabulary or statistics object than the one they were built
-for.  A split must therefore not be modified after it is first scored; build
-a new ``Dataset`` instead.
+reference table (see ``cider.reference_table``) that ``evaluate`` passes to
+the scorer, the latter two over the references mapped into the vocabulary.
+They are keyed weakly on the ``Dataset`` object, so they die with the split,
+and are rebuilt when a call passes another vocabulary or statistics object
+than the one they were built for.  A split must therefore not be modified
+after it is first scored; build a new ``Dataset`` instead.
 """
 
 from __future__ import annotations
@@ -190,11 +190,11 @@ def _retrieval_index(records: Sequence[ImageRecord]) -> _RetrievalIndex:
 @dataclass(eq=False)
 class _SplitContext:
     """What scoring a split needs from the split; the fields after
-    ``retrieval`` are built for one vocabulary and statistics object."""
+    ``retrieval`` are built for one vocabulary and one statistics object,
+    the one ``cider_table`` carries."""
 
     retrieval: _RetrievalIndex
     vocab: Vocabulary | None = None
-    stats: CiderCorpusStats | None = None
     ref_words: list | None = None              # per image: its mapped reference words
     cider_table: ReferenceTable | None = None  # the split's mapped reference sets
 
@@ -212,12 +212,12 @@ def _split_context(dataset: Dataset) -> _SplitContext:
 def _scoring_context(dataset: Dataset, vocab: Vocabulary,
                      stats: CiderCorpusStats) -> _SplitContext:
     context = _split_context(dataset)
-    if context.vocab is not vocab or context.stats is not stats:
+    if context.vocab is not vocab or context.cider_table.stats is not stats:
         refs_by_id = mapped_references(vocab, dataset.records)
         refs = [refs_by_id[rec.id] for rec in dataset.records]
         context.cider_table = reference_table(refs, stats)
         context.ref_words = [set().union(*image_refs) for image_refs in refs]
-        context.vocab, context.stats = vocab, stats
+        context.vocab = vocab
     return context
 
 
@@ -229,7 +229,9 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
     Each document's term counts are divided by their gcd before weighting,
     and documents equal in lowest terms (identical bags, or one bag three
     times another) share one column of the product, so they tie exactly
-    with every caption, whatever order the product sums in.
+    with every caption, whatever order the product sums in.  Other documents
+    whose scores lie within rounding of the caption's own are ranked on the
+    exactly rounded sums (``math.fsum``) of their terms.
     """
     if len(captions) != len(dataset.records):
         raise ValueError(
@@ -244,11 +246,23 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
     used, col = np.unique(cols[known], return_inverse=True)
     tf = np.bincount(rows[known] * len(used) + col, minlength=len(captions) * len(used))
     queries = tf.reshape(len(captions), len(used)) * index.idf[used]
+    docs = index.docs_t[used]
     # caption norms do not affect the ranking
-    scores = (queries @ index.docs_t[used])[:, index.doc_column]
+    scores = (queries @ docs)[:, index.doc_column]
     own = np.diagonal(scores)[:, None]
-    better = (scores > own).sum(axis=1)
-    tied_lower = ((scores == own) & (index.ids < index.ids[:, None])).sum(axis=1)
+    order = np.sign(scores - own)
+    # Every term is >= 0, so a score differs from the exactly rounded sum of
+    # its terms by at most about len(used) unit roundoffs relative to its
+    # size, and two documents that tie exactly may round apart.  Such near
+    # ties are decided on the exact sums.
+    tol = (len(used) + 2) * np.finfo(np.float64).eps * np.maximum(scores, own)
+    column = index.doc_column
+    near = (np.abs(scores - own) <= tol) & (tol > 0) & (column != column[:, None])
+    for i, j in zip(*np.nonzero(near)):
+        order[i, j] = np.sign(math.fsum(queries[i] * docs[:, column[j]])
+                              - math.fsum(queries[i] * docs[:, column[i]]))
+    better = (order > 0).sum(axis=1)
+    tied_lower = ((order == 0) & (index.ids < index.ids[:, None])).sum(axis=1)
     ranks = 1 + better + tied_lower
     return {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
 
@@ -264,7 +278,7 @@ def evaluate(captions: Sequence[Sequence[str]], dataset: Dataset, vocab: Vocabul
     context = _scoring_context(dataset, vocab, stats)
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
     rep = repetition_rate(captions, rep_n)
-    cider_scores = cider_d_batch(captions, np.arange(len(captions)), context.cider_table, stats)
+    cider_scores = cider_d_batch(captions, np.arange(len(captions)), context.cider_table)
     oor_count, oor_rank, oor_defined = _oor_counts(captions, context.ref_words, vocab)
     r_at = rk_retrieval(captions, dataset, ks)
     return MetricsReport(

@@ -333,7 +333,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["freq"], meta["vocab"]["min_count"])
         if vocab.hash_hex() != meta["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch in checkpoint")
-        dims = ModelDims(**meta["dims"])
+        try:
+            dims = ModelDims(**meta["dims"])
+        except TypeError as exc:
+            raise ValueError(f"checkpoint dims are not a model's: {exc}") from None
+        for name, least in (("hidden_dim", 1), ("feature_dim", 1), ("max_len", 2)):
+            value = getattr(dims, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"checkpoint {name} must be an integer >= {least},"
+                                 f" got {value!r}")
         arrays = {name: np.array(data[name], dtype=np.float64) for name in ALL_ARRAYS}
     for name, shape in array_shapes(dims, len(vocab)).items():
         if arrays[name].shape != shape:

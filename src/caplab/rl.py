@@ -11,6 +11,10 @@ the step distributions it draws from, so the gradient backpropagates through
 the rollout itself instead of re-running a teacher-forced pass.  Training
 runs the policy at inverse temperature 1; ``sample_sequences`` keeps its β
 for ``caplab analyze --what sample-freq``.
+
+A training run codes the references of its images into one CIDEr-D
+reference table before its first step (``training_table``), and every step
+scores against that table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cider import CiderCorpusStats, build_cider_stats, cider_d_batch
+from .cider import (CiderCorpusStats, ReferenceTable, build_cider_stats, cider_d_batch,
+                    reference_table)
 from .cider import cider_d  # noqa: F401  -- perfbench's tracer test looks up rl.cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from .decode import greedy_rollout_batch
@@ -134,17 +139,17 @@ def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
                        logps=logps[:, :steps], ended=ended)
 
 
-def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCorpusStats,
-              refs_by_id: dict[int, list[list[str]]], rng: np.random.Generator,
+def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: ReferenceTable,
+              row_of: dict[int, int], rng: np.random.Generator,
               samples_per_image: int = 5) -> LossOutput:
     """Gradient estimate for one image batch.
 
-    Rewards are CIDEr-D against ``refs_by_id[image.id]``, the image's
-    references mapped into the vocabulary (``mapped_references``), scored for
-    every greedy baseline and sample of the batch in one ``cider_d_batch``
-    call.  A sample whose reward equals its image's greedy baseline
-    contributes exactly zero; ``details["zero_advantage"]`` counts them.  The
-    returned loss is the negative mean sampled reward.
+    Rewards are CIDEr-D against set ``row_of[image.id]`` of ``table``, the
+    image's references mapped into the vocabulary (``training_table``),
+    scored for every greedy baseline and sample of the batch in one
+    ``cider_d_batch`` call.  A sample whose reward equals its image's greedy
+    baseline contributes exactly zero; ``details["zero_advantage"]`` counts
+    them.  The returned loss is the negative mean sampled reward.
     """
     if samples_per_image < 1:
         raise ValueError("samples_per_image must be >= 1")
@@ -157,10 +162,9 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
     samples = sample_sequences(params, rep_feats, 1.0, rng, max_len)
     # the greedy baselines first, then the samples, image by image
     seqs = list(greedy_seqs) + [sample.tokens for sample in samples]
-    owner = np.concatenate([np.arange(len(images)),
-                            np.repeat(np.arange(len(images)), samples_per_image)])
-    scores = cider_d_batch([vocab.words(ids) for ids in seqs], owner,
-                           [refs_by_id[img.id] for img in images], stats)
+    rows = np.array([row_of[img.id] for img in images], dtype=np.int64)
+    owner = np.concatenate([rows, np.repeat(rows, samples_per_image)])
+    scores = cider_d_batch([vocab.words(ids) for ids in seqs], owner, table)
     baselines, rewards = scores[: len(images)], scores[len(images) :]
     sample_baselines = np.repeat(baselines, samples_per_image)
     advantages = rewards - sample_baselines
@@ -181,7 +185,7 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], stats: CiderCo
 
 
 def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
-               lam: float, stats: CiderCorpusStats, refs_by_id: dict[int, list[list[str]]],
+               lam: float, table: ReferenceTable, row_of: dict[int, int],
                rng: np.random.Generator, samples_per_image: int = 5) -> LossOutput:
     """Convex combination of the policy-gradient estimate and the CE loss
     over (image, reference) pairs.
@@ -197,7 +201,7 @@ def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[
         if image.id not in seen:
             seen.add(image.id)
             images.append(image)
-    rl_out = scst_step(params, images, stats, refs_by_id, rng, samples_per_image)
+    rl_out = scst_step(params, images, table, row_of, rng, samples_per_image)
     feats = np.stack([image.features for image, _ in batch])
     ce_out = ce_batch(params, feats, [cap for _, cap in batch])
     grads = {
@@ -207,6 +211,16 @@ def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[
     loss = lam * rl_out.loss + (1.0 - lam) * ce_out.loss
     return LossOutput(loss=loss, grads=grads,
                       details={"rl_loss": rl_out.loss, "ce_loss": ce_out.loss})
+
+
+def training_table(vocab: Vocabulary, train: Dataset,
+                   stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
+    """The CIDEr-D reference table of every training image's references,
+    mapped into ``vocab``, and each image id's set in it; a training run
+    builds it once and every step scores against it."""
+    refs_by_id = mapped_references(vocab, train.records)
+    table = reference_table([refs_by_id[rec.id] for rec in train.records], stats)
+    return table, {rec.id: row for row, rec in enumerate(train.records)}
 
 
 def reference_pairs(train: Dataset) -> list[tuple[ImageRecord, list[str]]]:
@@ -283,10 +297,10 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
              samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
     """Self-critical reward training starting from a pretrained policy."""
     params = params.copy()
-    refs_by_id = mapped_references(params.vocab, train.records)
+    table, row_of = training_table(params.vocab, train, stats)
 
     def step(p, images):
-        return scst_step(p, images, stats, refs_by_id, rng, samples_per_image)
+        return scst_step(p, images, table, row_of, rng, samples_per_image)
 
     history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
     log = []
@@ -309,10 +323,10 @@ def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, ep
                 samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
     """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
     params = params.copy()
-    refs_by_id = mapped_references(params.vocab, train.records)
+    table, row_of = training_table(params.vocab, train, stats)
 
     def step(p, batch):
-        return joint_loss(p, batch, lam, stats, refs_by_id, rng, samples_per_image)
+        return joint_loss(p, batch, lam, table, row_of, rng, samples_per_image)
 
     history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params, mean_loss_log(history)

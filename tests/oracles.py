@@ -12,14 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from caplab.corpus import Dataset, ImageRecord, Vocabulary
+from caplab.cider import CiderCorpusStats, ReferenceTable, reference_table
+from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
 from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, check_compatible,
                            frame_targets, logit_grad, pointwise_head, teacher_forced)
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
                           backward_sequences, forward_sequences, init_params, log_softmax_temp,
                           logits_from_hidden)
-from caplab.rl import SampledSeq
+from caplab.rl import SampledSeq, joint_loss, reference_pairs, scst_step, sgd_epochs
 
 
 def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
@@ -138,4 +139,42 @@ def forced_token_model(vocab, dims, token_id, margin=50.0):
         getattr(params, name)[:] = 0.0
     params.cls_b[:] = -margin
     params.cls_b[token_id] = margin
+    return params
+
+
+def batch_table(vocab: Vocabulary, images: Sequence[ImageRecord],
+                stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
+    """The reference table of one batch's images alone, and each image id's
+    set in it."""
+    refs = mapped_references(vocab, images)
+    table = reference_table([refs[img.id] for img in images], stats)
+    return table, {img.id: row for row, img in enumerate(images)}
+
+
+def per_batch_train_rl(params, train: Dataset, stats, epochs, lr, rng, batch_size=10,
+                       samples_per_image=5) -> ModelParams:
+    """``train_rl`` with every step scoring against a table of its own
+    batch's references instead of the run's one table."""
+    params = params.copy()
+
+    def step(p, images):
+        table, row_of = batch_table(p.vocab, images, stats)
+        return scst_step(p, images, table, row_of, rng, samples_per_image)
+
+    sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
+    return params
+
+
+def per_batch_train_joint(params, train: Dataset, stats, epochs, lr, lam, rng, batch_size=10,
+                          samples_per_image=5) -> ModelParams:
+    """``train_joint`` with every step scoring against a table of the
+    references of its batch's distinct images."""
+    params = params.copy()
+
+    def step(p, batch):
+        images = list({img.id: img for img, _ in batch}.values())
+        table, row_of = batch_table(p.vocab, images, stats)
+        return joint_loss(p, batch, lam, table, row_of, rng, samples_per_image)
+
+    sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params

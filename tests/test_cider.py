@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab import metrics, rl
-from caplab.cider import (_RefSet, _ref_sets, _tfidf_entries, build_cider_stats, cider_d,
-                          cider_d_batch, reference_table)
-from caplab.corpus import Dataset, build_vocab, mapped_references
+from caplab.cider import _tfidf_entries, build_cider_stats, cider_d, cider_d_batch, reference_table
+from caplab.corpus import Dataset, ImageRecord, build_vocab, mapped_references
 from caplab.decode import DecodeConfig, decode_dataset
 from caplab.model import ModelDims, init_params
 from caplab.synth import SynthConfig, generate_synthetic_dataset
@@ -241,7 +240,15 @@ class TestCorpusStats:
             cider_d(["a"], [], stats)
 
 
-class TestReferenceCache:
+def stats_snapshot(stats):
+    """Every field of ``stats``, its index's arrays as bytes."""
+    index = stats.index
+    return ({name: value for name, value in vars(stats).items() if name != "index"},
+            dict(index.token_rank), [codes.tobytes() for codes in index.codes],
+            index.offsets.tobytes(), index.idf.tobytes())
+
+
+class TestReferenceTable:
     REFS = [
         [["a", "red", "bird", "flies"], ["a", "red", "bird", "sits"], ["red", "bird"]],
         [["a", "blue", "fish", "swims"], ["a", "fish"]],
@@ -250,40 +257,61 @@ class TestReferenceCache:
     CANDIDATES = [["a", "red", "bird"], ["blue", "fish", "swims", "a"], ["a", "a", "a"],
                   ["red", "bird", "sits", "on", "a", "fish"]]
 
-    def test_cached_scores_equal_uncached(self):
-        warm = build_cider_stats(self.REFS)
-        for _ in range(2):  # the second pass reads every reference set from the cache
-            for cand in self.CANDIDATES:
-                for refs in self.REFS:
-                    assert cider_d(cand, refs, warm) == cider_d(cand, refs, build_cider_stats(self.REFS))
-
-    def test_cache_filled_lazily_with_reference_vectors(self):
+    def test_reused_table_scores_equal_a_fresh_one(self):
         stats = build_cider_stats(self.REFS)
-        assert stats.ref_sets == {}
-        cider_d(self.CANDIDATES[0], self.REFS[0], stats)
-        assert set(stats.ref_sets) == {tuple(tuple(ref) for ref in self.REFS[0])}
-        cached = stats.ref_sets[tuple(tuple(ref) for ref in self.REFS[0])]
-        assert cached.lengths.tolist() == [len(ref) for ref in self.REFS[0]]
-        for j, ref in enumerate(self.REFS[0]):
-            vecs, norms = _tfidf_vectors(ref, oracle_stats(self.REFS))
-            assert cached.norms[j].tolist() == norms
-            weights = cached.weights[:, j]
-            assert sorted(weights[weights != 0.0]) == sorted(
-                w for vec in vecs for w in vec.values() if w != 0.0)
+        table = reference_table(self.REFS, stats)
+        owner = [k for k in range(len(self.REFS)) for _ in self.CANDIDATES]
+        candidates = self.CANDIDATES * len(self.REFS)
+        for _ in range(2):  # the second pass scores against the same table again
+            fresh = reference_table(self.REFS, build_cider_stats(self.REFS))
+            assert cider_d_batch(candidates, owner, table).tolist() == \
+                cider_d_batch(candidates, owner, fresh).tolist()
 
-    def test_stats_objects_do_not_share_a_cache(self):
-        first, second = build_cider_stats(self.REFS), build_cider_stats(self.REFS)
-        assert first.ref_sets is not second.ref_sets
-        cider_d(self.CANDIDATES[0], self.REFS[0], first)
-        assert first.ref_sets
-        assert second.ref_sets == {}
-        # scoring left the index as built
-        assert first.index.token_rank == second.index.token_rank
-        assert len(first.index.codes) == len(second.index.codes)
-        for a, b in zip(first.index.codes, second.index.codes):
-            assert np.array_equal(a, b)
-        assert np.array_equal(first.index.offsets, second.index.offsets)
-        assert np.array_equal(first.index.idf, second.index.idf)
+    def test_table_holds_each_references_vectors(self):
+        stats = build_cider_stats(self.REFS)
+        table = reference_table(self.REFS, stats)
+        assert table.stats is stats and table.n_refs.tolist() == [3, 2, 2]
+        oracle = oracle_stats(self.REFS)
+        for k, refs in enumerate(self.REFS):
+            rows = (table.keys >= k * len(stats.index.idf)) & (
+                table.keys < (k + 1) * len(stats.index.idf))
+            assert table.lengths[k].tolist() == [len(ref) for ref in refs] + [0] * (3 - len(refs))
+            for j, ref in enumerate(refs):
+                vecs, norms = _tfidf_vectors(ref, oracle)
+                assert table.norms[k, j].tolist() == norms
+                weights = table.weights[:-1][rows, j]
+                assert sorted(weights[weights != 0.0]) == sorted(
+                    w for vec in vecs for w in vec.values() if w != 0.0)
+            # padding references and the absent row carry zeros
+            assert not table.weights[:-1][rows, len(refs):].any()
+            assert not table.norms[k, len(refs):].any()
+        assert not table.weights[-1].any()
+
+    def test_scoring_leaves_the_statistics_as_built(self):
+        stats = build_cider_stats(self.REFS)
+        built = stats_snapshot(stats)
+        assert set(vars(stats)) == {"index", "log_num_images", "n_max", "sigma"}
+        table = reference_table(self.REFS, stats)
+        for k, refs in enumerate(self.REFS):
+            cider_d(self.CANDIDATES[k], refs, stats)
+            cider_d_batch(self.CANDIDATES, [k] * len(self.CANDIDATES), table)
+        split = Dataset("val", [ImageRecord(id=k, features=np.zeros(2), references=refs)
+                                for k, refs in enumerate(self.REFS)])
+        vocab = build_vocab([ref for refs in self.REFS for ref in refs], 1)
+        metrics.evaluate(self.CANDIDATES[:3], split, vocab, stats)
+        assert stats_snapshot(stats) == built
+
+    def test_table_scores_equal_reference_sets(self, corpus_stats):
+        refs, stats = corpus_stats
+        candidates = [["a", "red", "bird"], ["a", "blue", "fish", "swims"], []]
+        owner = [0, 1, 1]
+        assert cider_d_batch(candidates, owner, reference_table(refs, stats)).tolist() == \
+            [cider_d(cand, refs[k], stats) for cand, k in zip(candidates, owner)]
+
+    def test_owner_must_index_a_set_of_the_table(self, corpus_stats):
+        refs, stats = corpus_stats
+        with pytest.raises(ValueError):
+            cider_d_batch([["a"]], [2], reference_table(refs, stats))
 
 
 WORDS = ["a", "b", "c", "d", "e"]
@@ -320,12 +348,13 @@ def scoring_batches(draw):
 def test_batch_scores_equal_scalar_oracle(batch):
     corpus, sets, candidates, owner = batch
     stats, oracle = build_cider_stats(corpus), oracle_stats(corpus)
-    scores = cider_d_batch(candidates, owner, sets, stats)
+    table = reference_table(sets, stats)
+    scores = cider_d_batch(candidates, owner, table)
     assert scores.shape == (len(candidates),)
     assert scores.tolist() == [scalar_cider_d(c, sets[k], oracle)
                                for c, k in zip(candidates, owner)]
-    # a second call reads every reference set from the cache
-    assert cider_d_batch(candidates, owner, sets, stats).tolist() == scores.tolist()
+    # a second call scores against the same table again
+    assert cider_d_batch(candidates, owner, table).tolist() == scores.tolist()
 
 
 # a three-word alphabet repeats n-grams within and across references; images
@@ -355,81 +384,82 @@ def test_build_matches_tuple_oracle(corpus, n_max, candidates):
     # every candidate against every non-empty image's references and one outside set
     sets = [refs for refs in corpus if refs] + [[["a", "b", "x"], []]]
     owner = [k for k in range(len(sets)) for _ in candidates]
-    assert cider_d_batch(candidates * len(sets), owner, sets, stats).tolist() == [
+    assert cider_d_batch(candidates * len(sets), owner, reference_table(sets, stats)).tolist() == [
         scalar_cider_d(c, sets[k], oracle) for k in range(len(sets)) for c in candidates]
 
 
 def one_at_a_time_ref_set(refs, stats):
-    """One reference set coded on its own, as the cache was filled before the
-    sets a call misses were coded together; kept as the oracle."""
+    """One reference set coded on its own, as a per-set cache was once filled;
+    kept as the oracle: its sorted global n-gram ids, their weight in each
+    reference, and the references' norms and lengths."""
     entries = _tfidf_entries(refs, stats)
     ids, col = np.unique(entries.ids, return_inverse=True)
     weights = np.zeros((len(ids), len(refs)))
     weights[col, entries.row] = entries.weight
     lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
-    return _RefSet(ids, weights, entries.norms, lengths)
+    return ids, weights, entries.norms, lengths
+
+
+def table_set(table, k):
+    """Set ``k`` of a reference table in the oracle's form, its padding cut."""
+    n_ids = len(table.stats.index.idf)
+    at = np.flatnonzero((table.keys >= k * n_ids) & (table.keys < (k + 1) * n_ids))
+    n = table.n_refs[k]
+    return (table.keys[at] - k * n_ids, table.weights[at, :n], table.norms[k, :n],
+            table.lengths[k, :n])
+
+
+def assert_byte_equal(have, want, what):
+    have = np.ascontiguousarray(have)
+    assert have.dtype == want.dtype and have.shape == want.shape, what
+    assert have.tobytes() == want.tobytes(), what
 
 
 @settings(max_examples=150, deadline=None)
 @given(corpora.filter(lambda corpus: any(corpus)),
        st.lists(st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=7),
-                         min_size=1, max_size=4), min_size=1, max_size=6),
-       st.integers(0, 3))
-def test_joint_ref_set_fill_is_byte_equal_to_one_at_a_time(corpus, sets, n_cached):
+                         min_size=1, max_size=4), min_size=1, max_size=6))
+def test_joint_table_is_byte_equal_to_one_set_tables(corpus, sets):
     stats = build_cider_stats(corpus)
-    sets = sets + sets[:2]  # a set may repeat within one call
-    _ref_sets(sets[:n_cached], stats)  # some sets are cached before the joint fill
-    got = _ref_sets(sets, stats)
-    assert len(stats.ref_sets) == len({tuple(map(tuple, refs)) for refs in sets})
-    for refs, ref_set in zip(sets, got):
-        expected = one_at_a_time_ref_set(refs, stats)
-        for field, want in zip(_RefSet._fields, expected):
-            have = getattr(ref_set, field)
-            assert have.dtype == want.dtype and have.shape == want.shape, field
-            assert np.ascontiguousarray(have).tobytes() == want.tobytes(), field
-
-
-class TestReferenceTable:
-    def test_table_scores_equal_reference_sets(self, corpus_stats):
-        refs, stats = corpus_stats
-        candidates = [["a", "red", "bird"], ["a", "blue", "fish", "swims"], []]
-        table = reference_table(refs, stats)
-        owner = [0, 1, 1]
-        assert cider_d_batch(candidates, owner, table, stats).tolist() == \
-            cider_d_batch(candidates, owner, refs, stats).tolist()
-
-    def test_table_of_other_stats_rejected(self, corpus_stats):
-        refs, stats = corpus_stats
-        with pytest.raises(ValueError):
-            cider_d_batch([["a"]], [0], reference_table(refs, build_cider_stats(refs)), stats)
-
-    def test_owner_must_index_a_set_of_the_table(self, corpus_stats):
-        refs, stats = corpus_stats
-        with pytest.raises(ValueError):
-            cider_d_batch([["a"]], [2], reference_table(refs, stats), stats)
+    sets = sets + sets[:2]  # a set may repeat within one table
+    table = reference_table(sets, stats)
+    width = int(table.n_refs.max())
+    assert table.weights.shape[1] == width and table.norms.shape[:2] == (len(sets), width)
+    assert not table.weights[-1].any()
+    assert (np.diff(table.keys) > 0).all()
+    for k, refs in enumerate(sets):
+        fields = ("ids", "weights", "norms", "lengths")
+        one = table_set(reference_table([refs], stats), 0)
+        for field, have, want in zip(fields, table_set(table, k), one):
+            assert_byte_equal(have, want, field)
+        for field, have, want in zip(fields, one, one_at_a_time_ref_set(refs, stats)):
+            assert_byte_equal(have, want, field)
+        # padding references carry zeros
+        assert not table.norms[k, len(refs):].any() and not table.lengths[k, len(refs):].any()
 
 
 class TestBatchScorer:
     def test_empty_batch_returns_empty_array(self, corpus_stats):
         refs, stats = corpus_stats
-        scores = cider_d_batch([], [], refs, stats)
+        scores = cider_d_batch([], [], reference_table(refs, stats))
         assert scores.shape == (0,) and scores.dtype == np.float64
 
     def test_empty_reference_set_rejected(self, corpus_stats):
         refs, stats = corpus_stats
         with pytest.raises(ValueError):
-            cider_d_batch([["a"]], [0], [refs[0], []], stats)
+            reference_table([refs[0], []], stats)
 
     @pytest.mark.parametrize("owner", [[0, 2], [-1, 0], [0]])
     def test_owner_must_index_a_set(self, corpus_stats, owner):
         refs, stats = corpus_stats
         with pytest.raises(ValueError):
-            cider_d_batch([["a"], ["red"]], owner, refs, stats)
+            cider_d_batch([["a"], ["red"]], owner, reference_table(refs, stats))
 
     def test_scalar_call_is_the_batch_of_one(self, corpus_stats):
         refs, stats = corpus_stats
         for cand in (["a", "red", "bird"], ["fish"], []):
-            assert cider_d(cand, refs[0], stats) == cider_d_batch([cand], [0], refs, stats)[0]
+            assert cider_d(cand, refs[0], stats) == \
+                cider_d_batch([cand], [0], reference_table(refs, stats))[0]
 
 
 @pytest.fixture(scope="module")
@@ -449,16 +479,18 @@ def test_scst_rewards_equal_scalar_oracle_at_bench_scale(bench_scale, monkeypatc
     data, params, stats, oracle = bench_scale
     calls = []
 
-    def recorded(candidates, owner, sets, stats):
-        scores = cider_d_batch(candidates, owner, sets, stats)
-        calls.append((candidates, owner, sets, scores))
+    def recorded(candidates, owner, table):
+        scores = cider_d_batch(candidates, owner, table)
+        calls.append((candidates, owner, scores))
         return scores
 
     monkeypatch.setattr(rl, "cider_d_batch", recorded)
-    trained, log = rl.train_rl(params, Dataset("train", data.train.records[:30]), stats, 1,
-                               0.05, np.random.default_rng(2), 10, 5)
+    train = Dataset("train", data.train.records[:30])
+    trained, log = rl.train_rl(params, train, stats, 1, 0.05, np.random.default_rng(2), 10, 5)
+    refs = mapped_references(params.vocab, train.records)
+    sets = [refs[rec.id] for rec in train.records]  # the run's table holds them in order
     assert len(calls) == 3  # one call per step scores its baselines and samples
-    for candidates, owner, sets, scores in calls:
+    for candidates, owner, scores in calls:
         assert len(candidates) == 10 + 50
         assert scores.tolist() == [scalar_cider_d(c, sets[k], oracle)
                                    for c, k in zip(candidates, owner)]

@@ -3,6 +3,7 @@ import copy
 import csv
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,20 @@ class TestTrain:
         assert f"{stage}.{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", 0), ("hidden_dim", 2.5), ("hidden_dim", True), ("max_len", 0),
+        ("max_len", -3), ("max_len", 1), ("max_len", 1.5), ("init_scale", -1.0),
+        ("init_scale", float("nan")), ("init_scale", float("inf")),
+    ])
+    def test_bad_model_section_is_usage_error(self, workdir, tmp_path, key, value, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "model", key, value)
+        out = tmp_path / "out"
+        assert main(["train", "--stage", "ce", "--config", str(bad_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 2
+        assert f"model.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rl_requires_init(self, workdir, tmp_path):
         root, config_path, data_dir = workdir
         assert main(["train", "--stage", "rl", "--config", str(config_path),
@@ -380,6 +395,20 @@ class TestDecodeEval:
             assert code == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_frozen_checkpoint_with_other_dims_is_usage_error(self, workdir, ce_checkpoint,
+                                                              tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        params, _ = load_checkpoint(ce_checkpoint)
+        wider = init_params(params.vocab,
+                            replace(params.dims, hidden_dim=params.dims.hidden_dim + 1), 0)
+        save_checkpoint(wider, tmp_path / "frozen.npz")
+        out = tmp_path / "bp.jsonl"
+        assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
+                     "--data", str(data_dir), "--method", "bp",
+                     "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
+        assert "dimension mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frozen_checkpoint_with_bad_beta_prime_rejected(self, workdir, ce_checkpoint,
                                                             tmp_path, capsys):
@@ -780,6 +809,19 @@ class TestAnalyze:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["p1", "ce", "bp", "fl", "afl"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--gamma", "nan"), ("--beta-prime", "inf"), ("--gamma", "-1"),
+        ("--alpha", "-0.5"),
+    ], ids=["beta-nan", "gamma-nan", "beta-prime-inf", "gamma-negative", "alpha-negative"])
+    def test_loss_surface_bad_number_is_usage_error(self, workdir, tmp_path, flag, value,
+                                                    capsys):
+        _, config_path, _ = workdir
+        out = tmp_path / "surface.csv"
+        assert main(["analyze", "--what", "loss-surface", "--config", str(config_path),
+                     "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"{flag} must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_freq_requires_checkpoint(self, workdir):
         root, config_path, data_dir = workdir

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +297,36 @@ class TestSweep:
         result = sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[0.0, 0.0],
                        seed=0, decode_config=decode_config)
         assert result.best["lr"] == 0.0
+
+    @pytest.mark.parametrize("method, lr_grid, bp_grid", [
+        ("wft", [0.02, 0.002], [0.1, 1.0]),
+        ("sft", [0.0, 0.0], None),  # a tie: the first row and its model are kept
+    ])
+    def test_only_the_best_model_is_kept(self, sweep_setup, micro_bundle, monkeypatch,
+                                         method, lr_grid, bp_grid):
+        checkpoint, stats, decode_config = sweep_setup
+        trained, alive, train = [], [], finetune_mod.finetune
+
+        def recorded(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trained))
+            result = train(*args)
+            trained.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(finetune_mod, "finetune", recorded)
+        result = sweep(checkpoint, micro_bundle, stats, method, lr_grid=lr_grid,
+                       beta_prime_grid=bp_grid, seed=0, decode_config=decode_config)
+        # while a point trains, at most the best model so far and the last one live
+        assert max(alive) <= 2
+        gc.collect()
+        best = result.rows.index(result.best)
+        assert [ref() is not None for ref in trained] == [k == best for k in range(len(trained))]
+        assert trained[best]() is result.best_result
+        assert result.best == min(result.rows, key=lambda row: (-row["r_at_1"], row["lr"],
+                                                                row["beta_prime"] or 0.0))
+        if method == "sft":
+            assert best == 0
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
     def test_bp_decoding_needs_wft(self, sweep_setup, micro_bundle, method):

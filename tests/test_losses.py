@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from caplab.cider import build_cider_stats
-from caplab.corpus import ImageRecord, build_vocab, mapped_references
+from caplab.corpus import Dataset, ImageRecord, build_vocab
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs
 from caplab.losses import (
     FrozenReference,
@@ -29,7 +29,7 @@ from caplab.model import (
     forward_sequences,
     init_params,
 )
-from caplab.rl import joint_loss, scst_step
+from caplab.rl import joint_loss, scst_step, training_table
 from oracles import bp_prob, grad_check, score_step, softmax_temp
 
 
@@ -249,19 +249,15 @@ class TestJoint:
         refs = [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
         stats = build_cider_stats([refs])
         batch = [(tiny_image, ["a", "b"]), (tiny_image, ["b", "a"])]
-        return stats, batch
+        return training_table(tiny_model.vocab, Dataset("train", [tiny_image]), stats), batch
 
-    @staticmethod
-    def _refs(params, batch):
-        return mapped_references(params.vocab, [batch[0][0]])
-
-    def _joint(self, params, batch, lam, stats, seed):
-        return joint_loss(params, batch, lam, stats, self._refs(params, batch),
-                          np.random.default_rng(seed), samples_per_image=3)
+    def _joint(self, params, batch, lam, tables, seed):
+        return joint_loss(params, batch, lam, *tables, np.random.default_rng(seed),
+                          samples_per_image=3)
 
     def test_lambda_zero_equals_ce(self, tiny_model, joint_setup):
-        stats, batch = joint_setup
-        out = self._joint(tiny_model, batch, 0.0, stats, 0)
+        tables, batch = joint_setup
+        out = self._joint(tiny_model, batch, 0.0, tables, 0)
         feats = np.stack([img.features for img, _ in batch])
         ce = ce_batch(tiny_model, feats, [c for _, c in batch])
         assert out.loss == ce.loss
@@ -269,19 +265,19 @@ class TestJoint:
             np.testing.assert_array_equal(out.grads[name], ce.grads[name])
 
     def test_lambda_one_equals_policy_gradient(self, tiny_model, joint_setup):
-        stats, batch = joint_setup
-        out = self._joint(tiny_model, batch, 1.0, stats, 4)
-        rl = scst_step(tiny_model, [batch[0][0]], stats, self._refs(tiny_model, batch),
-                       np.random.default_rng(4), samples_per_image=3)
+        tables, batch = joint_setup
+        out = self._joint(tiny_model, batch, 1.0, tables, 4)
+        rl = scst_step(tiny_model, [batch[0][0]], *tables, np.random.default_rng(4),
+                       samples_per_image=3)
         assert out.loss == rl.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(out.grads[name], rl.grads[name])
 
     def test_lambda_half_is_elementwise_mean(self, tiny_model, joint_setup):
-        stats, batch = joint_setup
-        out = self._joint(tiny_model, batch, 0.5, stats, 9)
-        rl = scst_step(tiny_model, [batch[0][0]], stats, self._refs(tiny_model, batch),
-                       np.random.default_rng(9), samples_per_image=3)
+        tables, batch = joint_setup
+        out = self._joint(tiny_model, batch, 0.5, tables, 9)
+        rl = scst_step(tiny_model, [batch[0][0]], *tables, np.random.default_rng(9),
+                       samples_per_image=3)
         feats = np.stack([img.features for img, _ in batch])
         ce = ce_batch(tiny_model, feats, [c for _, c in batch])
         for name in ALL_ARRAYS:
@@ -290,9 +286,9 @@ class TestJoint:
                                        atol=1e-15)
 
     def test_lambda_out_of_range_rejected(self, tiny_model, joint_setup):
-        stats, batch = joint_setup
+        tables, batch = joint_setup
         with pytest.raises(ValueError):
-            self._joint(tiny_model, batch, 1.5, stats, 0)
+            self._joint(tiny_model, batch, 1.5, tables, 0)
 
 
 class TestGradCheckOracle:

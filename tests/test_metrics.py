@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab import metrics
-from caplab.cider import build_cider_stats, cider_d_batch
+from caplab.cider import build_cider_stats, cider_d_batch, reference_table
 from caplab.corpus import Dataset, ImageRecord, build_vocab, mapped_references
 from caplab.metrics import (
     MetricsReport,
@@ -78,7 +78,8 @@ def oracle_evaluate(captions, dataset, vocab, stats, ks=(1, 5, 10), rep_n=4):
     refs_by_id = mapped_references(vocab, dataset.records)
     mapped_refs = [refs_by_id[rec.id] for rec in dataset.records]
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
-    cider_scores = cider_d_batch(captions, np.arange(len(captions)), mapped_refs, stats)
+    cider_scores = cider_d_batch(captions, np.arange(len(captions)),
+                                 reference_table(mapped_refs, stats))
     oor_count, oor_rank, oor_defined = oor_analysis(captions, mapped_refs, vocab)
     return MetricsReport(
         unique_1=unique_1, unique_s=unique_s, mean_length=mean_length,
@@ -362,6 +363,22 @@ def test_retrieval_ties_and_empty_captions():
         captions, split, (1, 2, 3, 50))
 
 
+def test_documents_with_permuted_counts_tie_exactly():
+    """Two documents whose counts are a permutation of each other's, under
+    equal idf, score a caption equally though the product sums their terms
+    in another order; the tie goes to the lower ids."""
+    first = [["a", "a", "b", "d"], ["b", "c", "c", "e"]]
+    second = [["a", "c", "e"], ["a", "b", "b", "d", "e"]]
+    refs = [first] * 4 + [second] * 4 + [first]
+    split = Dataset("val", [ImageRecord(id=10 + 3 * i, features=np.zeros(2), references=r)
+                            for i, r in enumerate(refs)])
+    captions = [[]] * 8 + [["a", "a", "c", "e"]]
+    # the last caption ties with all eight other images, each with a lower id
+    expected = {k: 100.0 * (k / 9) for k in (1, 2, 3, 5, 9)}
+    assert rk_retrieval(captions, split, (1, 2, 3, 5, 9)) == expected
+    assert oracle_rk_retrieval(captions, split, (1, 2, 3, 5, 9)) == expected
+
+
 @st.composite
 def proportional_splits(draw):
     """A split whose images repeat one of a few reference lists 1-3 times and
@@ -437,8 +454,7 @@ class TestSplitContext:
         assert report == oracle_evaluate(self.CAPTIONS, split, small_vocab, stats)
         other_stats = build_cider_stats([rec.references for rec in split.records])
         report = evaluate(self.CAPTIONS, split, small_vocab, other_stats)
-        assert context.stats is other_stats and context.cider_table is not old_table
-        assert context.cider_table.stats is other_stats
+        assert context.cider_table is not old_table and context.cider_table.stats is other_stats
         assert report == oracle_evaluate(self.CAPTIONS, split, small_vocab, other_stats)
 
     def test_context_dies_with_the_split(self, eval_setup):

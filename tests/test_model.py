@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +201,30 @@ class TestCheckpoint:
         path = tmp_path / "bad.npz"
         save_checkpoint(bad, path)
         with pytest.raises(ValueError, match=name):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_len", 0), ("max_len", -3), ("max_len", 1), ("max_len", 2.5), ("hidden_dim", 0),
+        ("feature_dim", 0), ("hidden_dim", True),
+    ])
+    def test_dims_out_of_bounds_rejected(self, tiny_model, tmp_path, name, value):
+        bad = tiny_model.copy()
+        bad.dims = replace(bad.dims, **{name: value})
+        path = tmp_path / "bad.npz"
+        save_checkpoint(bad, path)
+        with pytest.raises(ValueError, match=f"checkpoint {name} must be an integer"):
+            load_checkpoint(path)
+
+    def test_unknown_dims_key_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(tiny_model, path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["dims"]["depth"] = 2
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="checkpoint dims"):
             load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caplab import rl
-from caplab.cider import build_cider_stats, cider_d
+from caplab.cider import build_cider_stats, cider_d, reference_table
 from caplab.corpus import Dataset, ImageRecord, build_vocab
 from caplab.decode import DecodeConfig
 from caplab.losses import logit_grad
@@ -26,9 +26,11 @@ from caplab.rl import (
     train_ce,
     train_joint,
     train_rl,
+    training_table,
 )
 from oracles import (decode_greedy, forced_token_model, forward_targets, grad_check,
-                     sequence_logprob_loss, softmax_temp, target_ids)
+                     per_batch_train_joint, per_batch_train_rl, sequence_logprob_loss,
+                     softmax_temp, target_ids)
 
 
 def sample_sequence(params, image, beta, rng):
@@ -148,14 +150,14 @@ class TestScstStep:
             for i in range(3)
         ]
         stats = build_cider_stats([img.references for img in images])
-        return images, stats, mapped_references(tiny_vocab, images)
+        return (images, stats, *training_table(tiny_vocab, Dataset("train", images), stats))
 
     def test_constant_reward_zero_gradient(self, tiny_vocab, tiny_dims, setup):
         """Under a point-mass policy every sample is its image's greedy
         rollout, so every advantage, and every gradient, is exactly zero."""
-        images, stats, refs = setup
+        images, _, table, row_of = setup
         params = forced_token_model(tiny_vocab, tiny_dims, token_id=0)
-        out = scst_step(params, images, stats, refs, np.random.default_rng(0),
+        out = scst_step(params, images, table, row_of, np.random.default_rng(0),
                         samples_per_image=4)
         assert set(out.grads) == set(ALL_ARRAYS)
         for grad in out.grads.values():
@@ -170,9 +172,9 @@ class TestScstStep:
         assert err <= 1e-4
 
     def test_deterministic_given_rng(self, tiny_model, setup):
-        images, stats, refs = setup
-        o1 = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
-        o2 = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
+        images, _, table, row_of = setup
+        o1 = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
+        o2 = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
         assert o1.loss == o2.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(o1.grads[name], o2.grads[name])
@@ -187,9 +189,11 @@ class TestScstStep:
         params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=8), seed=2,
                              scale=0.8)
         params.cls_b[vocab.eos_id] = -1.0  # samples of varying lengths
-        refs_by_id = mapped_references(vocab, images)
-        out = scst_step(params, images, stats, refs_by_id, np.random.default_rng(11), 6)
-        expected = teacher_forced_scst(params, images, stats, np.random.default_rng(11), 6)
+        table, row_of = training_table(vocab, Dataset("train", images), stats)
+        # the batch's images in another order than the table's sets
+        batch = images[::-1]
+        out = scst_step(params, batch, table, row_of, np.random.default_rng(11), 6)
+        expected = teacher_forced_scst(params, batch, stats, np.random.default_rng(11), 6)
         assert out.details["mean_reward"] > 0
         assert set(out.grads) == set(ALL_ARRAYS)
         for name in ALL_ARRAYS:
@@ -198,8 +202,8 @@ class TestScstStep:
             assert np.abs(out.grads[name] - expected[name]).max() <= 1e-12 * scale, name
 
     def test_details_reported(self, tiny_model, setup):
-        images, stats, refs = setup
-        out = scst_step(tiny_model, images, stats, refs, np.random.default_rng(5))
+        images, _, table, row_of = setup
+        out = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
         assert "mean_reward" in out.details and "mean_greedy_reward" in out.details
 
 
@@ -225,8 +229,8 @@ class TestTrainingLoops:
                                "useful_sample_ratio"}
 
     def test_train_rl_maps_references_once(self, micro_bundle, monkeypatch):
-        """Every SCST step of a run scores against the one <unk>-mapped
-        reference dict the run builds before its first step."""
+        """Every SCST step of a run scores against the one table of <unk>-mapped
+        references the run builds before its first step."""
         records = micro_bundle.train.records[:12]
         # an out-of-vocabulary word, so unmapped references would score differently
         train = Dataset("train", [ImageRecord(id=rec.id, features=rec.features,
@@ -243,18 +247,23 @@ class TestTrainingLoops:
             calls.append([rec.id for rec in records])
             return mapped(vocab, records)
 
-        def recorded(params, images, stats, refs_by_id, *args):
-            given.append(refs_by_id)
-            return step(params, images, stats, refs_by_id, *args)
+        def recorded(params, images, table, row_of, *args):
+            given.append((table, row_of))
+            return step(params, images, table, row_of, *args)
 
         monkeypatch.setattr(rl, "mapped_references", counted)
         monkeypatch.setattr(rl, "scst_step", recorded)
         train_rl(params, train, stats, epochs=2, lr=0.5, rng=np.random.default_rng(0),
                  batch_size=5, samples_per_image=2)
         assert calls == [[rec.id for rec in records]]
-        assert len(given) == 2 * 3 and all(refs is given[0] for refs in given)
-        assert given[0] == mapped(vocab, train.records)
-        assert all(["<unk>"] in refs for refs in given[0].values())
+        table, row_of = given[0]
+        assert len(given) == 2 * 3 and all(t is table and r is row_of for t, r in given)
+        assert row_of == {rec.id: row for row, rec in enumerate(train.records)}
+        refs = mapped(vocab, train.records)
+        assert all(["<unk>"] in refs[rec.id] for rec in train.records)
+        expected = reference_table([refs[rec.id] for rec in train.records], stats)
+        for have, want in zip(table[1:], expected[1:]):
+            assert have.tobytes() == want.tobytes()
 
     def test_train_rl_logs_useful_sample_ratio(self, micro_bundle, monkeypatch):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
@@ -280,6 +289,24 @@ class TestTrainingLoops:
                 total += len(rewards)
             assert log[epoch]["useful_sample_ratio"] == useful / total
         assert any(0.0 < row["useful_sample_ratio"] < 1.0 for row in log)
+
+    @pytest.mark.parametrize("stage", ["rl", "joint"])
+    def test_run_table_trains_like_a_table_per_batch(self, micro_bundle, stage):
+        """A run scoring every step against its one table of all training
+        images ends where steps scoring against their own batch's table end."""
+        vocab = build_vocab(micro_bundle.train.all_references(), 1)
+        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
+        params = init_params(vocab, dims, 0, scale=0.5)
+        stats = corpus_stats_for(vocab, micro_bundle.train)
+        if stage == "rl":
+            args = (micro_bundle.train, stats, 2, 0.5)
+            trained, _ = train_rl(params, *args, np.random.default_rng(3), 7, 3)
+            expected = per_batch_train_rl(params, *args, np.random.default_rng(3), 7, 3)
+        else:
+            args = (micro_bundle.train, stats, 1, 0.1, 0.5)
+            trained, _ = train_joint(params, *args, np.random.default_rng(3), 8, 2)
+            expected = per_batch_train_joint(params, *args, np.random.default_rng(3), 8, 2)
+        assert trained.full_hash() == expected.full_hash() != params.full_hash()
 
     def test_train_joint_runs_and_logs(self, micro_bundle):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
