@@ -21,7 +21,7 @@ from .corpus import (
 from .decode import DecodeConfig, Decoded, decode_beam, decode_bp, decode_nucleus
 from .finetune import FinetuneConfig, FinetuneResult, SweepResult, finetune, sweep
 from .losses import FrozenReference, LossOutput, loss_surface
-from .metrics import MetricsReport, evaluate, oor_analysis, repetition_rate, rk_retrieval, vocab_stats
+from .metrics import MetricsReport, evaluate, repetition_rate, rk_retrieval, vocab_stats
 from .model import ModelDims, ModelParams, TrainScope, init_params, load_checkpoint, save_checkpoint
 from .rl import SampledSeq, joint_loss, scst_step, train_ce, train_joint, train_rl
 from .synth import DataBundle, SynthConfig, generate_synthetic_dataset

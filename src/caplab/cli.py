@@ -15,6 +15,13 @@ hash; every other output, and each checkpoint, gets a ``<name>.meta.json``
 sidecar with it.  Every file is written through ``corpus.atomic_write``, so
 a failed run leaves a previous output whole.
 
+The whole config, flags folded in, is checked once, before any command
+reads data or writes a file: each section by the ``validate`` of the
+dataclass it feeds (``SynthConfig``, ``ModelDims``, ``DecodeConfig``,
+``FinetuneConfig``) or, for the sections no dataclass takes (ce, rl, joint,
+metrics), by a short check here.  A bad value in any section, even one the
+command does not use, is a usage error (exit 2) that names ``section.key``.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
 error.  The environment variable CAPLAB_OUT_ROOT, when set, anchors relative
@@ -27,15 +34,16 @@ import argparse
 import copy
 import csv
 import json
-import math
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Dataset, atomic_write, build_vocab, check_histogram_bins, freq_histogram,
-                     load_dataset_split, save_dataset_split)
+from .corpus import (Dataset, atomic_write, build_vocab, check_count, check_histogram_bins,
+                     check_number, freq_histogram, load_dataset_split, save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
 from .finetune import FinetuneConfig, finetune, sweep
 from .losses import FrozenReference, check_compatible, loss_surface
@@ -59,22 +67,7 @@ class UsageError(Exception):
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
-    "dataset": {
-        "n_train": 2000,
-        "n_val": 200,
-        "n_test": 200,
-        "refs_per_image": 5,
-        "feature_dim": 32,
-        "n_common": 24,
-        "n_rare": 260,
-        "n_generic": 4,
-        "common_per_image": 2,
-        "rare_per_image": 2,
-        "zipf_exponent": 1.0,
-        "rare_mention_rate": 0.7,
-        "noise_std": 0.02,
-        "min_count": 5,
-    },
+    "dataset": asdict(SynthConfig()) | {"min_count": 5},
     "model": {"hidden_dim": 64, "max_len": 16, "init_scale": 0.1},
     "ce": {"epochs": 10, "lr": 0.5, "batch_size": 10},
     "rl": {"epochs": 8, "lr": 0.05, "batch_size": 10, "samples_per_image": 5},
@@ -112,10 +105,6 @@ def _check_keys(user, default: dict, where: str) -> None:
             _check_keys(value, default[key], key)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _to_float(value: int, name: str) -> float:
     try:
         return float(value)
@@ -132,11 +121,11 @@ def _floats_as_floats(user: dict, default: dict, where: str = "") -> None:
         ref, name = default[key], f"{where}{key}"
         if isinstance(ref, dict):
             _floats_as_floats(value, ref, f"{name}.")
-        elif isinstance(ref, float) and _is_int(value):
+        elif isinstance(ref, float) and type(value) is int:
             user[key] = _to_float(value, name)
         elif (isinstance(ref, list) and ref and all(isinstance(v, float) for v in ref)
               and isinstance(value, list)):
-            user[key] = [_to_float(v, f"{name}[{i}]") if _is_int(v) else v
+            user[key] = [_to_float(v, f"{name}[{i}]") if type(v) is int else v
                          for i, v in enumerate(value)]
 
 
@@ -169,8 +158,64 @@ def _resolve_config(args) -> tuple[dict, str]:
         target, default = ((config[section], DEFAULT_CONFIG[section]) if section
                            else (config, DEFAULT_CONFIG))
         target[key] = [value] if isinstance(default[key], list) else value
-    _check_count("seed", config["seed"], 0)
+    _check_config(config)
     return config, config_hash(config)
+
+
+@contextmanager
+def _usage(prefix: str = ""):
+    """Re-raise a ValueError from the block as a UsageError, ``prefix`` first."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from None
+
+
+def _check_config(config: dict) -> None:
+    """Check every setting of ``config``, whichever command runs.
+
+    Every check's message starts with the key, so the UsageError names
+    ``section.key``.  Here, counts are integers (``epochs`` may be 0, which
+    keeps the starting model), learning rates finite and > 0, and ``lam`` in
+    [0, 1]."""
+    with _usage():
+        check_count("seed", config["seed"], 0)
+    with _usage("invalid dataset config: dataset."):
+        _synth_config(config["dataset"]).validate()
+        check_count("min_count", config["dataset"]["min_count"], 1)
+    with _usage("invalid model config: model."):
+        _model_dims(config).validate()
+        check_number("init_scale", config["model"]["init_scale"])
+    with _usage("invalid decode config: decode."):
+        _decode_config(config).validate()
+    section = config["finetune"]
+    with _usage("invalid finetune config: finetune."):
+        for key, positive in (("lr_grid", True), ("beta_prime_grid", False)):
+            grid = section[key]
+            if not isinstance(grid, list) or not grid:
+                raise ValueError(f"{key} must be a non-empty list, got {grid!r}")
+            for i, value in enumerate(grid):
+                check_number(f"{key}[{i}]", value, positive=positive)
+        FinetuneConfig(batch_size=section["batch_size"], gamma=section["gamma"],
+                       alpha=section["alpha"]).validate()
+    for stage in ("ce", "rl", "joint"):
+        section = config[stage]
+        with _usage(f"invalid {stage} config: {stage}."):
+            for key, least in (("epochs", 0), ("batch_size", 1), ("samples_per_image", 1)):
+                if key in section:
+                    check_count(key, section[key], least)
+            check_number("lr", section["lr"], positive=True)
+            if "lam" in section:
+                check_number("lam", section["lam"], most=1.0)
+    section = config["metrics"]
+    with _usage("invalid metrics config: metrics."):
+        ks = section["recall_ks"]
+        if not isinstance(ks, list) or not ks:
+            raise ValueError(f"recall_ks must be a non-empty list, got {ks!r}")
+        for i, k in enumerate(ks):
+            check_count(f"recall_ks[{i}]", k, 1)
+        for key in ("repetition_n", "histogram_bins"):
+            check_count(key, section[key], 1)
 
 
 def _out_path(raw: str) -> Path:
@@ -196,14 +241,7 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 
 def _synth_config(dataset: dict) -> SynthConfig:
-    fields = dict(dataset)
-    fields.pop("min_count", None)
-    try:
-        synth = SynthConfig(**fields)
-        synth.validate()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid dataset config: {exc}") from exc
-    return synth
+    return SynthConfig(**{key: value for key, value in dataset.items() if key != "min_count"})
 
 
 def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
@@ -223,7 +261,7 @@ def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
         if key != "min_count" and generated.get(key) != value:
             raise UsageError(f"dataset.{key} is {value!r} in the config but the data in {base}"
                              f" was generated with {generated.get(key)!r}")
-    synth = _synth_config(generated)
+    synth = _synth_config(config["dataset"])
     splits = {}
     for split in ("train", "val", "test"):
         path = base / f"{split}.jsonl"
@@ -239,13 +277,14 @@ def _vocab_for(config: dict, bundle: DataBundle):
 
 def _decode_config(config: dict) -> DecodeConfig:
     """Every key of the decode section is a ``DecodeConfig`` field."""
-    decode_config = DecodeConfig(**config["decode"], max_len=config["model"]["max_len"],
-                                 seed=config["seed"])
-    try:
-        decode_config.validate()
-    except ValueError as exc:
-        raise UsageError(f"invalid decode config: {exc}") from exc
-    return decode_config
+    return DecodeConfig(**config["decode"], max_len=config["model"]["max_len"],
+                        seed=config["seed"])
+
+
+def _model_dims(config: dict) -> ModelDims:
+    return ModelDims(hidden_dim=config["model"]["hidden_dim"],
+                     feature_dim=config["dataset"]["feature_dim"],
+                     max_len=config["model"]["max_len"])
 
 
 def cmd_gen_data(args) -> int:
@@ -264,11 +303,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _init_model(config: dict, vocab) -> ModelParams:
-    model = config["model"]
-    dims = ModelDims(hidden_dim=model["hidden_dim"], feature_dim=config["dataset"]["feature_dim"],
-                     max_len=model["max_len"])
     seed = int(stage_rng(config["seed"], "init").integers(0, 2**31 - 1))
-    return init_params(vocab, dims, seed, scale=model["init_scale"])
+    return init_params(vocab, _model_dims(config), seed, scale=config["model"]["init_scale"])
 
 
 def _require_checkpoint(path_str: str | None, what: str, vocab) -> tuple[ModelParams, dict]:
@@ -278,10 +314,8 @@ def _require_checkpoint(path_str: str | None, what: str, vocab) -> tuple[ModelPa
     path = _out_path(path_str)
     if not path.exists():
         raise UsageError(f"missing upstream checkpoint: {path}")
-    try:
+    with _usage(f"invalid checkpoint {path}: "):
         params, meta = load_checkpoint(path)
-    except ValueError as exc:
-        raise UsageError(f"invalid checkpoint {path}: {exc}") from exc
     if params.vocab.hash_hex() != vocab.hash_hex():
         raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
     return params, meta
@@ -294,77 +328,9 @@ def _split(bundle: DataBundle, name: str) -> Dataset:
     return dataset
 
 
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_number(name: str, value, positive: bool = False, most: float = math.inf) -> None:
-    """``value`` must be a finite number >= 0 (> 0 when ``positive``) and <= ``most``."""
-    number = not isinstance(value, bool) and isinstance(value, (int, float))
-    if not (number and (0 < value if positive else 0 <= value) and value <= most
-            and value < math.inf):
-        bound = ("> 0" if positive else ">= 0") + (f" and <= {most}" if most < math.inf else "")
-        raise UsageError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
-def _check_training_section(stage: str, section: dict) -> None:
-    """Counts must be integers (``epochs`` may be 0, which keeps the starting
-    model), the learning rate a finite positive number and ``lam`` in [0, 1]."""
-    for key, least in (("epochs", 0), ("batch_size", 1), ("samples_per_image", 1)):
-        if key in section:
-            _check_count(f"{stage}.{key}", section[key], least)
-    _check_number(f"{stage}.lr", section["lr"], positive=True)
-    if "lam" in section:
-        _check_number(f"{stage}.lam", section["lam"], most=1)
-
-
-def _check_model_section(section: dict) -> None:
-    """``hidden_dim`` an integer >= 1, ``max_len`` an integer >= 2 (a word and
-    <eos>) and ``init_scale`` a finite number >= 0."""
-    _check_count("model.hidden_dim", section["hidden_dim"], 1)
-    _check_count("model.max_len", section["max_len"], 2)
-    _check_number("model.init_scale", section["init_scale"])
-
-
-def _check_finetune_section(method: str, section: dict, sweep: bool) -> None:
-    """``batch_size`` an integer >= 1; each grid a non-empty list of finite
-    numbers, learning rates > 0 and temperatures >= 0; ``gamma`` and
-    ``alpha`` finite and >= 0.  Without a sweep, each grid the method uses
-    must hold the one point the fine-tune trains."""
-    _check_count("finetune.batch_size", section["batch_size"], 1)
-    for key in ("gamma", "alpha"):
-        _check_number(f"finetune.{key}", section[key])
-    for key, flag, positive in (("lr_grid", "--lr", True),
-                                ("beta_prime_grid", "--beta-prime", False)):
-        grid = section[key]
-        if not isinstance(grid, list) or not grid:
-            raise UsageError(f"finetune.{key} must be a non-empty list, got {grid!r}")
-        for i, value in enumerate(grid):
-            _check_number(f"finetune.{key}[{i}]", value, positive=positive)
-        if not sweep and len(grid) > 1 and (key == "lr_grid" or method == "wft"):
-            raise UsageError(f"finetune.{key} has {len(grid)} values; without --sweep, give one"
-                             f" with {flag}")
-
-
-def _check_metrics_section(section: dict) -> None:
-    """``recall_ks`` a non-empty list of integers >= 1; ``repetition_n`` and
-    ``histogram_bins`` integers >= 1."""
-    ks = section["recall_ks"]
-    if not isinstance(ks, list) or not ks:
-        raise UsageError(f"metrics.recall_ks must be a non-empty list, got {ks!r}")
-    for i, k in enumerate(ks):
-        _check_count(f"metrics.recall_ks[{i}]", k, 1)
-    for key in ("repetition_n", "histogram_bins"):
-        _check_count(f"metrics.{key}", section[key], 1)
-
-
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed, section = config["seed"], config[args.stage]
-    _check_training_section(args.stage, section)
-    if args.stage == "ce":
-        _check_model_section(config["model"])
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     out = _out_path(args.out)
@@ -407,10 +373,10 @@ def cmd_finetune(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     section = config["finetune"]
-    try:
-        _check_finetune_section(args.method, section, args.sweep)
-    except UsageError as exc:
-        raise UsageError(f"invalid finetune config: {exc}") from None
+    for key, flag in (("lr_grid", "--lr"), ("beta_prime_grid", "--beta-prime")):
+        if not args.sweep and len(section[key]) > 1 and (key == "lr_grid" or args.method == "wft"):
+            raise UsageError(f"finetune.{key} has {len(section[key])} values; without --sweep,"
+                             f" give one with {flag}")
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune", vocab)
@@ -464,11 +430,9 @@ def cmd_decode(args) -> int:
             raise UsageError("--frozen is required for bp decoding")
         frozen_params, meta = _require_checkpoint(args.frozen, "decode", vocab)
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
-        try:
+        with _usage(f"invalid frozen checkpoint {args.frozen}: "):
             frozen = FrozenReference(frozen_params, beta_prime)
             check_compatible(params, frozen)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid frozen checkpoint {args.frozen}: {exc}") from exc
     decoded = decode_dataset(params, dataset, decode_config, frozen=frozen)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -482,10 +446,8 @@ def _captions_for(dataset: Dataset, path: Path) -> list[list[str]]:
     """The captions a caption file gives the split's images, in split order."""
     if not path.exists():
         raise UsageError(f"caption file not found: {path}")
-    try:
+    with _usage():
         captions_by_id = load_captions(path)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     missing = [rec.id for rec in dataset.records if rec.id not in captions_by_id]
     if missing:
         raise UsageError(f"caption file is missing image ids, e.g. {missing[:3]}")
@@ -494,7 +456,6 @@ def _captions_for(dataset: Dataset, path: Path) -> list[list[str]]:
 
 def cmd_eval(args) -> int:
     config, cfg_hash = _resolve_config(args)
-    _check_metrics_section(config["metrics"])
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     captions_path = _out_path(args.captions)
@@ -520,24 +481,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
-        _check_count(flag, count, 1)
+    with _usage():
+        for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
+            check_count(flag, count, 1)
     config, cfg_hash = _resolve_config(args)
-    _check_metrics_section(config["metrics"])
     seed = config["seed"]
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.what == "loss-surface":
-        for flag, value in (("--beta", args.beta), ("--beta-prime", args.beta_prime),
-                            ("--gamma", args.gamma), ("--alpha", args.alpha)):
-            _check_number(flag, value)
         grid = np.linspace(args.p1_min, args.p1_max, args.grid_points)
-        try:
-            rows = loss_surface(grid, beta=args.beta, beta_prime=args.beta_prime,
-                                gamma=args.gamma, alpha=args.alpha)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        temps, weights = config["decode"], config["finetune"]
+        with _usage():
+            rows = loss_surface(grid, beta=temps["beta"], beta_prime=temps["beta_prime"],
+                                gamma=weights["gamma"], alpha=weights["alpha"])
         _write_csv(out, rows, ["p1", "ce", "bp", "fl", "afl"])
         _write_sidecar(out, cfg_hash, seed, "analyze:loss-surface")
         print(f"wrote {out}")
@@ -546,10 +503,8 @@ def cmd_analyze(args) -> int:
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     n_bins = config["metrics"]["histogram_bins"]
-    try:  # before any caption is loaded or sampled
+    with _usage("metrics.histogram_bins: "):  # before any caption is loaded or sampled
         check_histogram_bins(n_bins, vocab)
-    except ValueError as exc:  # more bins than vocabulary words
-        raise UsageError(f"metrics.histogram_bins: {exc}") from exc
 
     if args.what == "histogram":
         dataset = _split(bundle, args.split)
@@ -567,7 +522,6 @@ def cmd_analyze(args) -> int:
         feats = np.stack([rec.features for rec in bundle.train.records])
         # chunks of one SCST batch, so the rollout's activations stay small
         chunk = config["rl"]["batch_size"]
-        _check_count("rl.batch_size", chunk, 1)
         captions = []
         for _ in range(args.samples):
             for start in range(0, len(feats), chunk):
@@ -651,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", action="store_true")
     p.add_argument("--checkpoint")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--beta-prime", dest="beta_prime", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", dest="decode.beta", type=float)
+    p.add_argument("--beta-prime", dest="decode.beta_prime", type=float)
+    p.add_argument("--gamma", dest="finetune.gamma", type=float)
+    p.add_argument("--alpha", dest="finetune.alpha", type=float)
     p.add_argument("--p1-min", dest="p1_min", type=float, default=0.005)
     p.add_argument("--p1-max", dest="p1_max", type=float, default=0.995)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=199)

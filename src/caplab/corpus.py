@@ -1,6 +1,7 @@
 """Vocabulary construction with frequency statistics, image records and
-splits, frequency histograms of caption sets, and the atomic file writer
-every output of the package goes through.
+splits, frequency histograms of caption sets, the atomic file writer every
+output of the package goes through, and the two value checks every
+settings object uses.
 
 The vocabulary orders regular tokens by descending training-corpus frequency
 (ties alphabetical), so the most frequent word has id 0 and frequency rank 1.
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import secrets
 from collections import Counter
@@ -25,6 +28,24 @@ UNK = "<unk>"
 BOS = "<bos>"
 EOS = "<eos>"
 SPECIALS = (UNK, BOS, EOS)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too, but not
+    a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(name: str, value, positive: bool = False, most: float = math.inf) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (numpy's too,
+    but not a bool) >= 0, or > 0 when ``positive``, and <= ``most``."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if not (real and (0 < value if positive else 0 <= value) and value <= most
+            and value < math.inf):
+        bound = ("> 0" if positive else ">= 0") + (f" and <= {most}" if most < math.inf else "")
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
 
 @contextmanager
 def atomic_write(path, binary: bool = False, newline: str | None = None):
@@ -62,8 +83,7 @@ class Vocabulary:
     def __init__(self, tokens: Sequence[str], freq: Sequence[int], min_count: int):
         if len(tokens) != len(freq):
             raise ValueError("tokens and freq must have equal length")
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1")
+        check_count("min_count", min_count, 1)
         if list(tokens[-3:]) != list(SPECIALS):
             raise ValueError("vocabulary must end with the special tokens %s" % (SPECIALS,))
         self.tokens = list(tokens)
@@ -120,8 +140,7 @@ def build_vocab(training_references: Iterable[Sequence[str]], min_count: int) ->
     Tokens occurring fewer than ``min_count`` times are dropped; their
     occurrences are tallied under <unk>.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    check_count("min_count", min_count, 1)
     counts = Counter()
     n_refs = 0
     for ref in training_references:
@@ -257,7 +276,6 @@ class FreqHistogram:
 
     bins: np.ndarray
     tail: float
-    bin_assignment: dict[str, int]
 
     @property
     def n_bins(self) -> int:
@@ -279,9 +297,9 @@ def bin_sizes(n_words: int, n_bins: int) -> list[int]:
 
 
 def check_histogram_bins(n_bins: int, vocab: Vocabulary) -> None:
-    """Raise ValueError unless 1 <= ``n_bins`` <= the number of regular words."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    """Raise ValueError unless ``n_bins`` is an integer in [1, the number of
+    regular words]."""
+    check_count("n_bins", n_bins, 1)
     if n_bins > vocab.n_words:
         raise ValueError(
             f"n_bins={n_bins} exceeds the {vocab.n_words} non-special vocabulary words"
@@ -304,7 +322,6 @@ def freq_histogram(
     for b, size in enumerate(sizes):
         bin_of_id[start : start + size] = b
         start += size
-    assignment = {vocab.tokens[i]: int(bin_of_id[i]) for i in range(vocab.n_words)}
 
     bin_counts = np.zeros(n_bins, dtype=np.float64)
     tail_count = 0
@@ -317,7 +334,5 @@ def freq_histogram(
             else:
                 bin_counts[bin_of_id[token_id]] += 1
     if total == 0:
-        return FreqHistogram(bins=bin_counts, tail=0.0, bin_assignment=assignment)
-    return FreqHistogram(
-        bins=bin_counts / total, tail=tail_count / total, bin_assignment=assignment
-    )
+        return FreqHistogram(bins=bin_counts, tail=0.0)
+    return FreqHistogram(bins=bin_counts / total, tail=tail_count / total)

@@ -38,14 +38,12 @@ same states, so one recurrence is run and read through both classifiers.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dataset, ImageRecord, atomic_write
+from .corpus import Dataset, ImageRecord, atomic_write, check_count, check_number
 from .losses import FrozenReference, bp_log_probs, check_compatible
 from .model import (
     ENCODER_ARRAYS,
@@ -70,30 +68,15 @@ class DecodeConfig:
 
     def validate(self) -> None:
         if self.method not in ("greedy", "beam", "nucleus", "bp"):
-            raise ValueError(f"unknown decode method {self.method!r}")
-        _check_integer("beam_size", self.beam_size)
+            raise ValueError(f"method must be greedy, beam, nucleus or bp, got {self.method!r}")
+        check_count("beam_size", self.beam_size, 1)
         if self.max_len is not None:
-            _check_integer("max_len", self.max_len)
-        for name in ("nucleus_p", "beta", "beta_prime"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.nucleus_p <= 1.0:
-            raise ValueError("nucleus_p must lie in (0, 1]")
+            check_count("max_len", self.max_len, 1)
+        check_number("nucleus_p", self.nucleus_p, positive=True, most=1.0)
+        check_number("beta", self.beta)
+        check_number("beta_prime", self.beta_prime)
         if self.bp_base not in ("greedy", "beam"):
             raise ValueError(f"bp_base must be greedy or beam, got {self.bp_base!r}")
-        for name in ("beta", "beta_prime"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _check_integer(name: str, value) -> None:
-    """An integer >= 1; bools are rejected, though ``bool`` is an ``int``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

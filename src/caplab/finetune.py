@@ -23,15 +23,13 @@ smaller reference temperature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cider import CiderCorpusStats
-from .corpus import build_vocab
+from .corpus import build_vocab, check_count, check_number
 from .decode import DecodeConfig, decode_dataset
 from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, caption_targets,
                      ce_terms, focal_terms, frame_targets, pointwise_head)
@@ -61,14 +59,9 @@ class FinetuneConfig:
     def validate(self) -> None:
         if self.method not in FINETUNE_METHODS:
             raise ValueError(f"unknown fine-tune method {self.method!r}")
-        if not isinstance(self.batch_size, Integral) or isinstance(self.batch_size, bool):
-            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_count("batch_size", self.batch_size, 1)
         for name in ("lr", "gamma", "alpha"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            check_number(name, getattr(self, name))
 
 
 @dataclass

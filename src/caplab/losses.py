@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, check_number
 from .model import (
     ModelParams,
     TrainScope,
@@ -49,8 +49,7 @@ class FrozenReference:
     """
 
     def __init__(self, params: ModelParams, beta_prime: float):
-        if not (math.isfinite(beta_prime) and beta_prime >= 0):
-            raise ValueError(f"beta_prime must be a finite number >= 0, got {beta_prime!r}")
+        check_number("beta_prime", beta_prime)
         self.params = params.copy()
         for arr in self.params.arrays().values():
             arr.flags.writeable = False

@@ -111,23 +111,15 @@ def repetition_rate(captions: Sequence[Sequence[str]], n_max: int = 4) -> float:
     return total / (len(captions) * n_max)
 
 
-def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequence[Sequence[str]]],
-                 vocab: Vocabulary) -> tuple[int, float, bool]:
-    """Count output tokens absent from every reference of their own image and
-    average their training-frequency ranks.
+def _oor_counts(captions: Sequence[Sequence[str]], ref_words: Sequence[set],
+                vocab: Vocabulary) -> tuple[int, float, bool]:
+    """Count output tokens absent from their own image's set of reference
+    words and average their training-frequency ranks.
 
     Tokens without a rank (specials, e.g. <unk>) count toward the total but
     are excluded from the mean.  When no ranked token is out-of-reference the
     mean is reported as 0 with the defined flag cleared.
     """
-    if len(captions) != len(references):
-        raise ValueError("captions and references must align one-to-one")
-    return _oor_counts(captions, [set().union(*refs) for refs in references], vocab)
-
-
-def _oor_counts(captions: Sequence[Sequence[str]], ref_words: Sequence[set],
-                vocab: Vocabulary) -> tuple[int, float, bool]:
-    """``oor_analysis`` over each image's set of reference words."""
     count = 0
     rank_sum = 0
     ranked = 0

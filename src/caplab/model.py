@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_write
+from .corpus import Vocabulary, atomic_write, check_count
 
 CHECKPOINT_VERSION = 1
 
@@ -44,6 +44,12 @@ class ModelDims:
     hidden_dim: int = 64
     feature_dim: int = 32
     max_len: int = 16  # caption tokens including <eos>
+
+    def validate(self) -> None:
+        """Raise ValueError unless every dim is an integer: ``hidden_dim`` and
+        ``feature_dim`` >= 1, ``max_len`` >= 2 (a word and <eos>)."""
+        for name, least in (("hidden_dim", 1), ("feature_dim", 1), ("max_len", 2)):
+            check_count(name, getattr(self, name), least)
 
 
 @dataclass(eq=False)
@@ -115,8 +121,7 @@ def init_params(vocab: Vocabulary, dims: ModelDims, seed: int, scale: float = 0.
 
     Matrices are drawn in ``ALL_ARRAYS`` order; bias vectors start at zero.
     """
-    if dims.hidden_dim < 1 or dims.feature_dim < 1:
-        raise ValueError("hidden_dim and feature_dim must be >= 1")
+    dims.validate()
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(0.0, scale, size=shape) if len(shape) == 2 else np.zeros(shape)
               for name, shape in array_shapes(dims, len(vocab)).items()}
@@ -337,11 +342,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             dims = ModelDims(**meta["dims"])
         except TypeError as exc:
             raise ValueError(f"checkpoint dims are not a model's: {exc}") from None
-        for name, least in (("hidden_dim", 1), ("feature_dim", 1), ("max_len", 2)):
-            value = getattr(dims, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"checkpoint {name} must be an integer >= {least},"
-                                 f" got {value!r}")
+        try:
+            dims.validate()
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {exc}") from None
         arrays = {name: np.array(data[name], dtype=np.float64) for name in ALL_ARRAYS}
     for name, shape in array_shapes(dims, len(vocab)).items():
         if arrays[name].shape != shape:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, ImageRecord
+from .corpus import Dataset, ImageRecord, check_count, check_number
 
 FILLER_A = "a"
 FILLER_AND = "and"
@@ -43,22 +43,22 @@ class SynthConfig:
     noise_std: float = 0.02
 
     def validate(self) -> None:
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ValueError("every split needs at least one image")
-        if self.refs_per_image < 1:
-            raise ValueError("refs_per_image must be >= 1")
-        if self.common_per_image > self.n_common:
-            raise ValueError("common attribute pool smaller than common_per_image")
-        if self.rare_per_image > self.n_rare:
-            raise ValueError("rare attribute pool smaller than rare_per_image")
-        if self.n_generic < 1:
-            raise ValueError("need at least one generic word")
-        if not 0.0 <= self.rare_mention_rate <= 1.0:
-            raise ValueError("rare_mention_rate must lie in [0, 1]")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be >= 0")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+        """Raise ValueError, its message starting with the field's name, on
+        the first field out of bounds."""
+        for name, least in (("n_train", 1), ("n_val", 1), ("n_test", 1), ("refs_per_image", 1),
+                            ("feature_dim", 1), ("n_common", 0), ("n_rare", 0), ("n_generic", 1),
+                            ("common_per_image", 0), ("rare_per_image", 0)):
+            check_count(name, getattr(self, name), least)
+        for per_image, pool in (("common_per_image", "n_common"), ("rare_per_image", "n_rare")):
+            if getattr(self, per_image) > getattr(self, pool):
+                raise ValueError(f"{per_image} must be <= {pool} ({getattr(self, pool)}),"
+                                 f" got {getattr(self, per_image)}")
+        if self.common_per_image + self.rare_per_image < 1:
+            raise ValueError("common_per_image + rare_per_image must be >= 1, or every"
+                             " reference is empty")
+        check_number("zipf_exponent", self.zipf_exponent)
+        check_number("rare_mention_rate", self.rare_mention_rate, most=1.0)
+        check_number("noise_std", self.noise_std)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
 from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, check_compatible,
                            frame_targets, logit_grad, pointwise_head, teacher_forced)
+from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
                           backward_sequences, forward_sequences, init_params, log_softmax_temp,
                           logits_from_hidden)
@@ -178,3 +179,12 @@ def per_batch_train_joint(params, train: Dataset, stats, epochs, lr, lam, rng, b
 
     sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params
+
+
+def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequence[Sequence[str]]],
+                 vocab: Vocabulary) -> tuple[int, float, bool]:
+    """``metrics``' out-of-reference count and mean rank, with each image's
+    references given as lists of captions rather than one set of words."""
+    if len(captions) != len(references):
+        raise ValueError("captions and references must align one-to-one")
+    return _oor_counts(captions, [set().union(*refs) for refs in references], vocab)

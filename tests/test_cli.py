@@ -152,7 +152,8 @@ class TestGenData:
         config_path.write_text(json.dumps(bad))
         assert main(["gen-data", "--config", str(config_path),
                      "--out", str(tmp_path / "d")]) == 2
-        assert "split" in capsys.readouterr().err
+        assert "dataset.n_train must be" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("seed, flags", [
         (True, []), (2.5, []), ("7", []), (MICRO_CONFIG["seed"], ["--seed", "-1"]),
@@ -171,6 +172,50 @@ class TestGenData:
         assert meta["config_hash"] == config_hash(cli.load_config(str(config_path)))
         assert meta["seed"] == MICRO_CONFIG["seed"]
         assert list(data_dir.glob("*.meta.json")) == [data_dir / "dataset.meta.json"]
+
+
+class TestWholeConfigChecked:
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("key, value", [
+        ("n_train", True), ("noise_std", -1), ("n_train", 2.5), ("noise_std", float("nan")),
+        ("zipf_exponent", float("nan")), ("refs_per_image", 2.0), ("feature_dim", 6.0),
+        ("common_per_image", -1), ("min_count", 0), ("min_count", 4.5),
+    ], ids=["n-train-bool", "noise-negative", "n-train-float", "noise-nan", "zipf-nan",
+            "refs-float", "feature-dim-float", "common-negative", "min-count-0",
+            "min-count-float"])
+    def test_bad_dataset_value_is_usage_error(self, workdir, tmp_path, command, key, value,
+                                              capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, "dataset", key, value)
+        out = tmp_path / "out"
+        argv = {"gen-data": ["gen-data"],
+                "train": ["train", "--stage", "ce", "--data", str(data_dir)]}[command]
+        assert main([*argv, "--config", str(bad_path), "--out", str(out)]) == 2
+        assert f"dataset.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("gen-data", "rl", "lr", 0), ("gen-data", "metrics", "recall_ks", []),
+        ("train", "decode", "beam_size", 0), ("train", "finetune", "gamma", -1),
+        ("decode", "ce", "epochs", -1), ("decode", "model", "init_scale", float("nan")),
+        ("loss-surface", "dataset", "n_rare", -2), ("loss-surface", "joint", "lam", 1.5),
+    ], ids=["gen-data-rl", "gen-data-metrics", "train-decode", "train-finetune", "decode-ce",
+            "decode-model", "loss-surface-dataset", "loss-surface-joint"])
+    def test_bad_value_in_a_section_the_command_does_not_use(self, workdir, ce_checkpoint,
+                                                              tmp_path, command, section, key,
+                                                              value, capsys):
+        _, config_path, data_dir = workdir
+        bad_path = _write_config(tmp_path, config_path, section, key, value)
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data"],
+            "train": ["train", "--stage", "ce", "--data", str(data_dir)],
+            "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--data", str(data_dir)],
+            "loss-surface": ["analyze", "--what", "loss-surface"],
+        }[command]
+        assert main([*argv, "--config", str(bad_path), "--out", str(out)]) == 2
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -696,7 +741,9 @@ class TestFlagsFoldIntoConfig:
                 assert action.default is None, action.dest
                 dests.add(action.dest)
         assert dests == {"seed", "joint.lam", "decode.method", "decode.beam_size",
-                         "decode.nucleus_p", "finetune.lr_grid", "finetune.beta_prime_grid"}
+                         "decode.nucleus_p", "decode.beta", "decode.beta_prime",
+                         "finetune.lr_grid", "finetune.beta_prime_grid", "finetune.gamma",
+                         "finetune.alpha"}
 
 
 class TestConfigHash:
@@ -741,13 +788,14 @@ class TestConfigHash:
         assert [type(v) for v in by_int[0]["finetune"]["lr_grid"]] == [float, float]
 
     def test_integer_leaves_of_integer_keys_and_booleans_stay(self, tmp_path):
-        config = copy.deepcopy(MICRO_CONFIG)
-        config["ce"]["lr"] = True  # a bool is not a number here; the section check rejects it
-        resolved, _ = self._resolve(tmp_path, "cfg", config, "joint")
-        assert resolved["ce"]["lr"] is True
+        resolved, _ = self._resolve(tmp_path, "cfg", MICRO_CONFIG, "joint")
         assert type(resolved["ce"]["batch_size"]) is int
         assert resolved["metrics"]["recall_ks"] == [1, 5]
         assert all(type(k) is int for k in resolved["metrics"]["recall_ks"])
+        config = copy.deepcopy(MICRO_CONFIG)
+        config["ce"]["lr"] = True  # not cast to 1.0: a bool is not a number here
+        with pytest.raises(cli.UsageError, match=r"ce\.lr must be .*got True"):
+            self._resolve(tmp_path, "bool", config, "joint")
 
     @pytest.mark.parametrize("section, key, value, named", [
         ("ce", "lr", 10**400, "ce.lr"),
@@ -810,18 +858,48 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["p1", "ce", "bp", "fl", "afl"]
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--beta", "nan"), ("--gamma", "nan"), ("--beta-prime", "inf"), ("--gamma", "-1"),
-        ("--alpha", "-0.5"),
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--beta", "nan", "decode.beta"), ("--gamma", "nan", "finetune.gamma"),
+        ("--beta-prime", "inf", "decode.beta_prime"), ("--gamma", "-1", "finetune.gamma"),
+        ("--alpha", "-0.5", "finetune.alpha"),
     ], ids=["beta-nan", "gamma-nan", "beta-prime-inf", "gamma-negative", "alpha-negative"])
     def test_loss_surface_bad_number_is_usage_error(self, workdir, tmp_path, flag, value,
-                                                    capsys):
+                                                    named, capsys):
         _, config_path, _ = workdir
         out = tmp_path / "surface.csv"
         assert main(["analyze", "--what", "loss-surface", "--config", str(config_path),
                      "--out", str(out), f"{flag}={value}"]) == 2
-        assert f"{flag} must be a finite number >= 0" in capsys.readouterr().err
+        assert f"{named} must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("what, flags, edits", [
+        ("sample-freq", ["--beta", "0.2"], {"decode.beta": 0.2}),
+        ("loss-surface", ["--beta", "0.3"], {"decode.beta": 0.3}),
+        ("loss-surface", ["--beta-prime", "0.5", "--gamma", "2", "--alpha", "0.5"],
+         {"decode.beta_prime": 0.5, "finetune.gamma": 2.0, "finetune.alpha": 0.5}),
+    ], ids=["sample-freq-beta", "loss-surface-beta", "loss-surface-beta-prime-gamma-alpha"])
+    def test_analysis_flags_fold_into_config(self, workdir, ce_checkpoint, tmp_path, what,
+                                             flags, edits):
+        _, config_path, data_dir = workdir
+        config = json.loads(config_path.read_text())
+        for dest, value in edits.items():
+            section, key = dest.split(".")
+            config[section][key] = value
+        edited_path = tmp_path / "edited.json"
+        edited_path.write_text(json.dumps(config))
+        runs = {}
+        for name, path, extra in (("default", config_path, []), ("flag", config_path, flags),
+                                  ("file", edited_path, [])):
+            out = tmp_path / name / "an.csv"
+            out.parent.mkdir()
+            assert main(["analyze", "--what", what, "--config", str(path), "--data",
+                         str(data_dir), "--checkpoint", str(ce_checkpoint), "--samples", "2",
+                         "--out", str(out), *extra]) == 0
+            runs[name] = (out.read_bytes(), _recorded_hash(out.parent))
+        assert runs["flag"] == runs["file"]
+        assert runs["flag"][0] != runs["default"][0]
+        assert runs["flag"][1] == config_hash(cli.load_config(str(edited_path)))
+        assert runs["flag"][1] != runs["default"][1]
 
     def test_sample_freq_requires_checkpoint(self, workdir):
         root, config_path, data_dir = workdir

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,12 +10,16 @@ from hypothesis import strategies as st
 from caplab.corpus import (
     BOS,
     EOS,
+    SPECIALS,
     UNK,
     Dataset,
     ImageRecord,
+    Vocabulary,
     atomic_write,
     build_vocab,
     bin_sizes,
+    check_count,
+    check_number,
     freq_histogram,
     load_dataset_split,
     record_from_json,
@@ -73,6 +78,55 @@ class TestBuildVocab:
     def test_no_rank_for_specials(self, tiny_vocab):
         with pytest.raises(KeyError):
             tiny_vocab.frequency_rank(UNK)
+
+    @pytest.mark.parametrize("min_count", [4.5, 2.0, True, "2", None, 0])
+    def test_min_count_must_be_an_integer_of_at_least_one(self, min_count):
+        """A float is not truncated: the vocabulary would record another
+        threshold than the one it was built with."""
+        with pytest.raises(ValueError, match="min_count must be an integer >= 1"):
+            build_vocab([["a", "a", "b"]], min_count)
+        with pytest.raises(ValueError, match="min_count must be an integer >= 1"):
+            Vocabulary(["a", *SPECIALS], [2, 0, 0, 0], min_count)
+
+    def test_numpy_min_count_recorded_as_int(self):
+        vocab = build_vocab([["a", "a", "b"]], np.int64(2))
+        assert vocab == build_vocab([["a", "a", "b"]], 2)
+        assert type(vocab.min_count) is int
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("value", [1, 10**30, np.int64(3), np.int32(1), np.uint8(7)])
+    def test_count_accepts_integers_of_any_kind(self, value):
+        check_count("k", value, 1)
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.bool_(True), 0, -1, np.int64(0), 2.5, 3.0, np.float32(3.0), math.nan,
+        math.inf, -math.inf, "3", None, [3],
+    ])
+    def test_count_rejects(self, value):
+        with pytest.raises(ValueError, match=r"k must be an integer >= 1, got "):
+            check_count("k", value, 1)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, 10**30, np.float32(0.5), np.float64(1e300),
+                                       np.int64(3)])
+    def test_number_accepts_finite_reals_of_any_kind(self, value):
+        check_number("x", value)
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.bool_(False), math.nan, math.inf, -math.inf, np.float32("nan"),
+        np.float32("inf"), np.float64("-inf"), -0.5, np.int64(-1), "1", "nan", None, [1.0],
+    ])
+    def test_number_rejects(self, value):
+        with pytest.raises(ValueError, match=r"x must be a finite number >= 0, got "):
+            check_number("x", value)
+
+    def test_number_bounds(self):
+        check_number("x", 1e-300, positive=True)
+        check_number("x", 1.0, most=1.0)
+        with pytest.raises(ValueError, match=r"x must be a finite number > 0, got 0"):
+            check_number("x", 0.0, positive=True)
+        with pytest.raises(ValueError, match=r"x must be a finite number >= 0 and <= 1.0"):
+            check_number("x", 1.5, most=1.0)
 
 
 def _tally_histogram(captions, vocab, n_bins):

@@ -15,11 +15,11 @@ from caplab.corpus import Dataset, ImageRecord, build_vocab, mapped_references
 from caplab.metrics import (
     MetricsReport,
     evaluate,
-    oor_analysis,
     repetition_rate,
     rk_retrieval,
     vocab_stats,
 )
+from oracles import oor_analysis
 
 
 def oracle_document_vectors(dataset):

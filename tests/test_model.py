@@ -311,8 +311,8 @@ def per_step_backward(params, fwd, dh_from_logits):
 def test_batched_backward_matches_per_step_oracle(b, t, seed):
     rng = np.random.default_rng(seed)
     vocab = build_vocab([[f"w{i}" for i in range(6)]], min_count=1)
-    params = init_params(vocab, ModelDims(hidden_dim=5, feature_dim=3, max_len=t), seed=seed,
-                         scale=0.5)
+    params = init_params(vocab, ModelDims(hidden_dim=5, feature_dim=3, max_len=max(t, 2)),
+                         seed=seed, scale=0.5)
     lengths = rng.integers(1, t + 1, size=b)
     fwd = forward_sequences(params, rng.normal(size=(b, 3)),
                             rng.integers(0, len(vocab), size=(b, t)), lengths)

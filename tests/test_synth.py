@@ -69,8 +69,13 @@ class TestStructure:
             generate_synthetic_dataset(micro_synth_config(rare_per_image=20, n_rare=12), 0)
 
     def test_zero_images_names_field(self):
-        with pytest.raises(ValueError, match="split"):
+        with pytest.raises(ValueError, match="n_train"):
             generate_synthetic_dataset(micro_synth_config(n_train=0), 0)
+
+    def test_references_without_attributes_rejected(self):
+        with pytest.raises(ValueError, match="every reference is empty"):
+            generate_synthetic_dataset(micro_synth_config(common_per_image=0, rare_per_image=0), 0)
+        generate_synthetic_dataset(micro_synth_config(common_per_image=0, n_common=0), 0)
 
     def test_distinct_rare_attributes_per_image(self, micro_bundle):
         rares = set(rare_words(micro_bundle.config))
