@@ -10,9 +10,8 @@ the file where the default is a float is read as that float, so ``1`` and
 ``1.0`` do too.  Commands read settings from that config only.  All
 randomness is funneled through one seeded generator per stage, derived from
 the master seed, so every command is reproducible from (config, seed).
-Checkpoints and ``dataset.meta.json`` (for the splits) carry the config
-hash; every other output, and each checkpoint, gets a ``<name>.meta.json``
-sidecar with it.  Every file is written through ``corpus.atomic_write``, so
+Checkpoints, ``dataset.meta.json`` (for the splits) and the eval CSV carry
+the config hash.  Every file is written through ``corpus.atomic_write``, so
 a failed run leaves a previous output whole.
 
 The whole config, flags folded in, is checked once, before any command
@@ -21,6 +20,9 @@ dataclass it feeds (``SynthConfig``, ``ModelDims``, ``DecodeConfig``,
 ``FinetuneConfig``) or, for the sections no dataclass takes (ce, rl, joint,
 metrics), by a short check here.  A bad value in any section, even one the
 command does not use, is a usage error (exit 2) that names ``section.key``.
+A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
+checked once, as it is loaded, against the data's vocabulary and the
+config's model dimensions.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -46,7 +48,7 @@ from .corpus import (Dataset, atomic_write, build_vocab, check_count, check_hist
                      check_number, freq_histogram, load_dataset_split, save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
 from .finetune import FinetuneConfig, finetune, sweep
-from .losses import FrozenReference, check_compatible, loss_surface
+from .losses import FrozenReference, check_shared_encoder, loss_surface
 from .metrics import evaluate
 from .model import (
     ModelDims,
@@ -226,12 +228,6 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _write_sidecar(path: Path, cfg_hash: str, seed: int, stage: str) -> None:
-    sidecar = path.with_name(path.name + ".meta.json")
-    with atomic_write(sidecar) as fh:
-        json.dump({"config_hash": cfg_hash, "seed": seed, "created_by": stage}, fh)
-
-
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -307,17 +303,21 @@ def _init_model(config: dict, vocab) -> ModelParams:
     return init_params(vocab, _model_dims(config), seed, scale=config["model"]["init_scale"])
 
 
-def _require_checkpoint(path_str: str | None, what: str, vocab) -> tuple[ModelParams, dict]:
-    """Load an upstream checkpoint and check it was trained on ``vocab``."""
-    if path_str is None:
-        raise UsageError(f"--init is required for the {what} stage")
+def _require_checkpoint(path_str: str, flag: str, vocab,
+                        config: dict) -> tuple[ModelParams, dict]:
+    """Load the checkpoint that ``flag`` names and check that it was trained
+    on ``vocab`` and has the config's model dimensions."""
     path = _out_path(path_str)
     if not path.exists():
         raise UsageError(f"missing upstream checkpoint: {path}")
     with _usage(f"invalid checkpoint {path}: "):
         params, meta = load_checkpoint(path)
     if params.vocab.hash_hex() != vocab.hash_hex():
-        raise UsageError("vocabulary hash mismatch between checkpoint and dataset")
+        raise UsageError(f"{flag} {path}: vocabulary hash mismatch between checkpoint and dataset")
+    for key, value in asdict(_model_dims(config)).items():
+        if getattr(params.dims, key) != value:
+            raise UsageError(f"{flag} {path}: {key} is {getattr(params.dims, key)} in the"
+                             f" checkpoint but {value} in the config")
     return params, meta
 
 
@@ -333,9 +333,6 @@ def cmd_train(args) -> int:
     seed, section = config["seed"], config[args.stage]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.stage == "ce":
         params = _init_model(config, vocab)
         rng = stage_rng(seed, "train:ce")
@@ -343,7 +340,9 @@ def cmd_train(args) -> int:
                                rng, section["batch_size"])
         log_columns = ["epoch", "mean_loss"]
     else:
-        checkpoint, _ = _require_checkpoint(args.init, args.stage, vocab)
+        if args.init is None:
+            raise UsageError(f"--init is required for the {args.stage} stage")
+        checkpoint, _ = _require_checkpoint(args.init, "--init", vocab, config)
         stats = corpus_stats_for(vocab, bundle.train)
         rng = stage_rng(seed, f"train:{args.stage}")
         if args.stage == "rl":
@@ -357,12 +356,12 @@ def cmd_train(args) -> int:
                                       section["samples_per_image"])
             log_columns = ["epoch", "mean_loss"]
 
+    out = _out_path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / f"{args.stage}.npz"
     save_checkpoint(params, ckpt_path, config_hash=cfg_hash)
-    _write_sidecar(ckpt_path, cfg_hash, seed, f"train:{args.stage}")
     log_path = out / f"{args.stage}_log.csv"
     _write_csv(log_path, log, log_columns)
-    _write_sidecar(log_path, cfg_hash, seed, f"train:{args.stage}")
     print(f"wrote {ckpt_path}")
     return 0
 
@@ -370,6 +369,9 @@ def cmd_train(args) -> int:
 def cmd_finetune(args) -> int:
     if args.decode_variant == "bp" and args.method != "wft":
         raise UsageError("--decode-variant bp needs --method wft (a frozen reference)")
+    if args.decode_variant == "bp" and not args.sweep:
+        raise UsageError("--decode-variant bp needs --sweep: it sets how the sweep decodes"
+                         " the validation split")
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     section = config["finetune"]
@@ -379,7 +381,7 @@ def cmd_finetune(args) -> int:
                              f" give one with {flag}")
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
-    checkpoint, _ = _require_checkpoint(args.checkpoint, "finetune", vocab)
+    checkpoint, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = FinetuneConfig(method=args.method, lr=section["lr_grid"][0],
@@ -398,7 +400,6 @@ def cmd_finetune(args) -> int:
         sweep_path = out / f"{args.method}_{args.decode_variant}_sweep.csv"
         _write_csv(sweep_path, result.rows,
                    ["method", "lr", "beta_prime", "r_at_1", "unique_1", "cider"])
-        _write_sidecar(sweep_path, cfg_hash, seed, "finetune:sweep")
         best = result.best_result
         print(f"best grid point: lr={result.best['lr']} beta_prime={result.best['beta_prime']}"
               f" r@1={result.best['r_at_1']:.2f}")
@@ -407,37 +408,34 @@ def cmd_finetune(args) -> int:
 
     ckpt_path = out / f"{args.method}.npz"
     save_checkpoint(best.params, ckpt_path, config_hash=cfg_hash)
-    _write_sidecar(ckpt_path, cfg_hash, seed, f"finetune:{args.method}")
     if best.frozen is not None:
         frozen_path = out / f"{args.method}_frozen.npz"
         save_checkpoint(best.frozen.params, frozen_path, config_hash=cfg_hash,
                         extra={"beta_prime": best.frozen.beta_prime})
-        _write_sidecar(frozen_path, cfg_hash, seed, f"finetune:{args.method}")
     print(f"wrote {ckpt_path}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    config, cfg_hash = _resolve_config(args)
+    config, _ = _resolve_config(args)
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     vocab = _vocab_for(config, bundle)
-    params, _ = _require_checkpoint(args.checkpoint, "decode", vocab)
+    params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
     decode_config = _decode_config(config)
     frozen = None
     if decode_config.method == "bp":
         if args.frozen is None:
             raise UsageError("--frozen is required for bp decoding")
-        frozen_params, meta = _require_checkpoint(args.frozen, "decode", vocab)
+        frozen_params, meta = _require_checkpoint(args.frozen, "--frozen", vocab, config)
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
         with _usage(f"invalid frozen checkpoint {args.frozen}: "):
             frozen = FrozenReference(frozen_params, beta_prime)
-            check_compatible(params, frozen)
+            check_shared_encoder(params, frozen)
     decoded = decode_dataset(params, dataset, decode_config, frozen=frozen)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_captions(out, dataset, decoded)
-    _write_sidecar(out, cfg_hash, config["seed"], "decode")
     print(f"wrote {out} ({len(decoded)} captions)")
     return 0
 
@@ -474,8 +472,6 @@ def cmd_eval(args) -> int:
     row = {"run_id": run_id, "config_hash": cfg_hash} | report.as_dict()
     csv_path = Path(str(out_prefix) + ".csv")
     _write_csv(csv_path, [row], list(row.keys()))
-    for path in (table_path, csv_path):
-        _write_sidecar(path, cfg_hash, config["seed"], "eval")
     print(report.format_table())
     return 0
 
@@ -484,8 +480,7 @@ def cmd_analyze(args) -> int:
     with _usage():
         for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
             check_count(flag, count, 1)
-    config, cfg_hash = _resolve_config(args)
-    seed = config["seed"]
+    config, _ = _resolve_config(args)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -496,7 +491,6 @@ def cmd_analyze(args) -> int:
             rows = loss_surface(grid, beta=temps["beta"], beta_prime=temps["beta_prime"],
                                 gamma=weights["gamma"], alpha=weights["alpha"])
         _write_csv(out, rows, ["p1", "ce", "bp", "fl", "afl"])
-        _write_sidecar(out, cfg_hash, seed, "analyze:loss-surface")
         print(f"wrote {out}")
         return 0
 
@@ -517,8 +511,8 @@ def cmd_analyze(args) -> int:
     elif args.what == "sample-freq":
         if args.checkpoint is None:
             raise UsageError("sample-freq needs --checkpoint")
-        params, _ = _require_checkpoint(args.checkpoint, "analyze", vocab)
-        rng = stage_rng(seed, "analyze:sample-freq")
+        params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
+        rng = stage_rng(config["seed"], "analyze:sample-freq")
         feats = np.stack([rec.features for rec in bundle.train.records])
         # chunks of one SCST batch, so the rollout's activations stay small
         chunk = config["rl"]["batch_size"]
@@ -533,7 +527,6 @@ def cmd_analyze(args) -> int:
 
     hist = freq_histogram(captions, vocab, n_bins)
     hist.write_csv(out)
-    _write_sidecar(out, cfg_hash, seed, f"analyze:{args.what}")
     print(f"wrote {out}")
     return 0
 

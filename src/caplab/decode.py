@@ -29,24 +29,24 @@ greedy rollout makes.  Only the images whose greedy child was not kept are
 rolled out again, over their own features.  With beam size 1 the greedy
 child is always the kept pick, so no second recurrence runs.
 
-Bias-product decoding normally runs two recurrences, one per model.  When
-the frozen reference's embedding and encoder are byte-identical to the
-model's, as after a classifier-only fine-tune, both recurrences compute the
-same states, so one recurrence is run and read through both classifiers.
+Bias-product decoding runs one recurrence and reads each state through the
+model's classifier at β and the frozen reference's classifier at β′.  That
+is exact only when both models compute the same states, so the frozen
+reference must share the model's embedding and encoder byte for byte, as it
+does after a classifier-only fine-tune; any other reference is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Dataset, ImageRecord, atomic_write, check_count, check_number
-from .losses import FrozenReference, bp_log_probs, check_compatible
+from .losses import FrozenReference, bp_log_probs, check_shared_encoder
 from .model import (
-    ENCODER_ARRAYS,
     ModelParams,
     initial_hidden,
     log_softmax_temp,
@@ -90,11 +90,14 @@ class Decoded:
 
 
 class _PolicyStepper:
-    """Step-wise log-probabilities of a single model."""
+    """Step-wise log-probabilities of a model at inverse temperature β or,
+    given a frozen reference that shares its encoder, of the renormalized
+    bias product with that reference at β′, read from the same states."""
 
-    def __init__(self, params: ModelParams, beta: float):
+    def __init__(self, params: ModelParams, beta: float, frozen: FrozenReference | None = None):
         self.params = params
         self.beta = beta
+        self.frozen = frozen
         self.eos_id = params.vocab.eos_id
 
     def start(self, features: np.ndarray) -> np.ndarray:
@@ -104,61 +107,15 @@ class _PolicyStepper:
         return recurrent_step(self.params, h0, bos)
 
     def logprobs(self, state: np.ndarray) -> np.ndarray:
-        return log_softmax_temp(logits_from_hidden(self.params, state), self.beta)
+        lp = log_softmax_temp(logits_from_hidden(self.params, state), self.beta)
+        if self.frozen is None:
+            return lp
+        ref = log_softmax_temp(logits_from_hidden(self.frozen.params, state),
+                               self.frozen.beta_prime)
+        return bp_log_probs(lp, ref)
 
     def advance(self, state: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         return recurrent_step(self.params, state, token_ids)
-
-    def select(self, state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return state[rows]
-
-
-class _SharedEncoderStepper(_PolicyStepper):
-    """Bias-product log-probabilities for a frozen reference that shares the
-    model's embedding and encoder: one recurrence, read by both heads."""
-
-    def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
-        super().__init__(params, beta)
-        self.frozen = frozen
-
-    def logprobs(self, state):
-        ref = log_softmax_temp(logits_from_hidden(self.frozen.params, state),
-                               self.frozen.beta_prime)
-        return bp_log_probs(super().logprobs(state), ref)
-
-
-class _BiasProductStepper:
-    """Step-wise log-probabilities of the renormalized product of the
-    trainable model and a frozen reference with its own encoder."""
-
-    def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
-        self.main = _PolicyStepper(params, beta)
-        self.ref = _PolicyStepper(frozen.params, frozen.beta_prime)
-        self.eos_id = params.vocab.eos_id
-
-    def start(self, features):
-        return (self.main.start(features), self.ref.start(features))
-
-    def logprobs(self, state):
-        return bp_log_probs(self.main.logprobs(state[0]), self.ref.logprobs(state[1]))
-
-    def advance(self, state, token_ids):
-        return (self.main.advance(state[0], token_ids),
-                self.ref.advance(state[1], token_ids))
-
-    def select(self, state, rows):
-        return (state[0][rows], state[1][rows])
-
-
-def _bias_product_stepper(params: ModelParams, frozen: FrozenReference | None, beta: float):
-    if frozen is None:
-        raise ValueError("bp decoding requires a frozen reference model")
-    check_compatible(params, frozen)
-    # bytes, not values: -0.0 and 0.0 differ, as they do under encoder_hash()
-    if all(getattr(params, name).tobytes() == getattr(frozen.params, name).tobytes()
-           for name in ("embed",) + ENCODER_ARRAYS):
-        return _SharedEncoderStepper(params, frozen, beta)
-    return _BiasProductStepper(params, frozen, beta)
 
 
 def _finish(ids: list[int], logprob: float, vocab) -> Decoded:
@@ -271,7 +228,7 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
         if not len(owner):
             break
         if step + 1 < max_len:
-            state = stepper.advance(stepper.select(state, parent), tokens)
+            state = stepper.advance(state[parent], tokens)
 
     for i, total, seq in zip(owner.tolist(), scores.tolist(), seqs.tolist()):
         pools[i].append((total, tuple(seq)))
@@ -356,10 +313,10 @@ def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig
 
 def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageRecord,
               config: DecodeConfig) -> Decoded:
-    """Greedy or beam decoding over the bias-product distribution."""
-    config.validate()
-    stepper = _bias_product_stepper(params, frozen, config.beta)
-    return _search(params, stepper, [image], config, config.bp_base)[0]
+    """Greedy or beam decoding over the bias-product distribution: the split
+    decoder run on a split of one."""
+    return decode_dataset(params, Dataset("val", [image]), replace(config, method="bp"),
+                          frozen)[0]
 
 
 def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
@@ -378,7 +335,10 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
     config.validate()
     records = dataset.records
     if config.method == "bp":
-        stepper = _bias_product_stepper(params, frozen, config.beta)
+        if frozen is None:
+            raise ValueError("bp decoding requires a frozen reference model")
+        check_shared_encoder(params, frozen)
+        stepper = _PolicyStepper(params, config.beta, frozen)
         return _search(params, stepper, records, config, config.bp_base)
     if not records:
         return []

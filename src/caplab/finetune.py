@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cider import CiderCorpusStats
-from .corpus import build_vocab, check_count, check_number
+from .corpus import check_count, check_number
 from .decode import DecodeConfig, decode_dataset
 from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, caption_targets,
                      ce_terms, focal_terms, frame_targets, pointwise_head)
@@ -69,12 +69,6 @@ class FinetuneResult:
     params: ModelParams
     frozen: FrozenReference | None
     log: list[dict] = field(default_factory=list)
-
-
-def check_vocab_hash(checkpoint: ModelParams, data: DataBundle) -> None:
-    rebuilt = build_vocab(data.train.all_references(), checkpoint.vocab.min_count)
-    if rebuilt.hash_hex() != checkpoint.vocab.hash_hex():
-        raise ValueError("checkpoint vocabulary does not match the dataset")
 
 
 @dataclass(eq=False)
@@ -165,12 +159,13 @@ def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,
              seed: int) -> FinetuneResult:
     """One classifier-only epoch over the training references.
 
-    The data order is a single seeded shuffle.  The returned parameters share
-    the checkpoint's embedding and encoder bytes; for "wft" the frozen copy
-    of the checkpoint is returned alongside.
+    The checkpoint's vocabulary must be the one built from ``data``, as the
+    CLI checks when it loads the checkpoint.  The data order is a single
+    seeded shuffle.  The returned parameters share the checkpoint's
+    embedding and encoder bytes; for "wft" the frozen copy of the checkpoint
+    is returned alongside.
     """
     config.validate()
-    check_vocab_hash(checkpoint, data)
     params = checkpoint.copy()
     frozen = FrozenReference(checkpoint, config.beta_prime) if config.method == "wft" else None
     step = classifier_step(config, frozen)

@@ -66,6 +66,17 @@ def check_compatible(params: ModelParams, frozen: FrozenReference) -> None:
         raise ValueError("dimension mismatch between model and frozen reference")
 
 
+def check_shared_encoder(params: ModelParams, frozen: FrozenReference) -> None:
+    """Accept a compatible frozen reference only if its embedding and encoder
+    bytes are the model's, as after a classifier-only fine-tune, so that one
+    recurrence computes the states of both.  Bytes, not values: -0.0 and 0.0
+    differ."""
+    check_compatible(params, frozen)
+    if params.encoder_hash() != frozen.params.encoder_hash():
+        raise ValueError("the frozen reference has another embedding or encoder than the model;"
+                         " bias-product decoding needs one that shares the model's")
+
+
 def frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The teacher-forcing frame of non-empty target id sequences.

@@ -57,6 +57,13 @@ class SynthConfig:
             raise ValueError("common_per_image + rare_per_image must be >= 1, or every"
                              " reference is empty")
         check_number("zipf_exponent", self.zipf_exponent)
+        for split in ("n_train", "n_val", "n_test"):
+            n_images = getattr(self, split)
+            largest = int(rare_quota(self, n_images).max(initial=0))
+            if largest > n_images:
+                raise ValueError(f"zipf_exponent must be flat enough to give no rare attribute"
+                                 f" more images than a split has, got {self.zipf_exponent}, which"
+                                 f" gives the most frequent one {largest} in {split} = {n_images}")
         check_number("rare_mention_rate", self.rare_mention_rate, most=1.0)
         check_number("noise_std", self.noise_std)
 
@@ -101,19 +108,21 @@ def largest_remainder_quota(probs: np.ndarray, total: int) -> np.ndarray:
     return quota
 
 
+def rare_quota(config: SynthConfig, n_images: int) -> np.ndarray:
+    """How many of a split's ``n_images`` images carry each rare attribute:
+    the Zipf shares of all their rare slots."""
+    return largest_remainder_quota(zipf_probs(config.n_rare, config.zipf_exponent),
+                                   n_images * config.rare_per_image)
+
+
 def _deal_rare_attributes(rng, n_images: int, per_image: int, quota: np.ndarray) -> list[list[int]]:
     """Assign each image ``per_image`` distinct rare-attribute indices while
     honouring the per-attribute quotas exactly.
 
     Slots are laid out attribute-by-attribute and dealt to a random image
     permutation with stride ``n_images``; distinctness holds because no
-    quota exceeds the image count.
+    quota exceeds the image count, which ``SynthConfig.validate`` ensures.
     """
-    if int(quota.max(initial=0)) > n_images:
-        raise ValueError(
-            "rare-attribute quota exceeds the split size; "
-            "increase images or flatten the Zipf exponent"
-        )
     slots = np.repeat(np.arange(len(quota)), quota)
     assert len(slots) == n_images * per_image
     perm = rng.permutation(n_images)
@@ -146,8 +155,7 @@ def _generate_split(
     commons = common_words(config)
     rares = rare_words(config)
     generics = generic_words(config)
-    probs = zipf_probs(config.n_rare, config.zipf_exponent)
-    quota = largest_remainder_quota(probs, n_images * config.rare_per_image)
+    quota = rare_quota(config, n_images)
     rare_assignment = _deal_rare_attributes(rng, n_images, config.rare_per_image, quota)
     n_refs = config.refs_per_image
     k_mention = _mention_count(config.rare_mention_rate, n_refs)

@@ -19,8 +19,8 @@ from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, check_comp
                            frame_targets, logit_grad, pointwise_head, teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
-                          backward_sequences, forward_sequences, init_params, log_softmax_temp,
-                          logits_from_hidden)
+                          backward_sequences, forward_sequences, init_params, initial_hidden,
+                          log_softmax_temp, logits_from_hidden, recurrent_step)
 from caplab.rl import SampledSeq, joint_loss, reference_pairs, scst_step, sgd_epochs
 
 
@@ -58,6 +58,35 @@ def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
         log_softmax_temp(z_main, beta), log_softmax_temp(z_ref, frozen.beta_prime)
     )
     return np.exp(logq)
+
+
+class TwoRecurrenceStepper:
+    """Bias-product decoding steps with one recurrence per model: the model at
+    inverse temperature ``beta`` and the frozen reference at its β′ each step
+    their own states, so the reference may have an encoder of its own.  A
+    state row holds the row's two states, (rows, 2, d), so a beam indexes it
+    as it indexes a one-model state."""
+
+    def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
+        check_compatible(params, frozen)
+        self.models = ((params, beta), (frozen.params, frozen.beta_prime))
+        self.eos_id = params.vocab.eos_id
+
+    def start(self, features: np.ndarray) -> np.ndarray:
+        rows = []
+        for params, _ in self.models:
+            h0 = initial_hidden(params, features)
+            rows.append(recurrent_step(params, h0, np.full(len(h0), params.vocab.bos_id)))
+        return np.stack(rows, axis=1)
+
+    def logprobs(self, state: np.ndarray) -> np.ndarray:
+        main, ref = (log_softmax_temp(logits_from_hidden(params, np.ascontiguousarray(h)), beta)
+                     for h, (params, beta) in zip(state.swapaxes(0, 1), self.models))
+        return bp_log_probs(main, ref)
+
+    def advance(self, state: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
+        return np.stack([recurrent_step(params, np.ascontiguousarray(h), token_ids)
+                         for h, (params, _) in zip(state.swapaxes(0, 1), self.models)], axis=1)
 
 
 def grad_check(loss_fn: Callable[[ModelParams], LossOutput], params: ModelParams,

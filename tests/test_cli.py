@@ -179,10 +179,10 @@ class TestWholeConfigChecked:
     @pytest.mark.parametrize("key, value", [
         ("n_train", True), ("noise_std", -1), ("n_train", 2.5), ("noise_std", float("nan")),
         ("zipf_exponent", float("nan")), ("refs_per_image", 2.0), ("feature_dim", 6.0),
-        ("common_per_image", -1), ("min_count", 0), ("min_count", 4.5),
+        ("common_per_image", -1), ("min_count", 0), ("min_count", 4.5), ("zipf_exponent", 3.0),
     ], ids=["n-train-bool", "noise-negative", "n-train-float", "noise-nan", "zipf-nan",
             "refs-float", "feature-dim-float", "common-negative", "min-count-0",
-            "min-count-float"])
+            "min-count-float", "zipf-quota-beyond-split"])
     def test_bad_dataset_value_is_usage_error(self, workdir, tmp_path, command, key, value,
                                               capsys):
         _, config_path, data_dir = workdir
@@ -280,6 +280,7 @@ class TestTrain:
         assert rows and set(rows[0]) == {"epoch", "mean_reward", "mean_greedy_reward",
                                          "useful_sample_ratio"}
         assert all(0.0 <= float(row["useful_sample_ratio"]) <= 1.0 for row in rows)
+        assert sorted(path.name for path in out.iterdir()) == ["rl.npz", "rl_log.csv"]
 
     def test_joint_lambda_validated(self, workdir, ce_checkpoint, tmp_path):
         root, config_path, data_dir = workdir
@@ -452,7 +453,8 @@ class TestDecodeEval:
         assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
                      "--data", str(data_dir), "--method", "bp",
                      "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
-        assert "dimension mismatch" in capsys.readouterr().err
+        assert (f"hidden_dim is {params.dims.hidden_dim + 1} in the checkpoint but"
+                f" {params.dims.hidden_dim} in the config") in capsys.readouterr().err
         assert not out.exists()
 
     def test_frozen_checkpoint_with_bad_beta_prime_rejected(self, workdir, ce_checkpoint,
@@ -561,14 +563,20 @@ class TestFinetuneCommand:
         assert updated.full_hash() != frozen.full_hash()
         assert "beta_prime" in meta["extra"]
 
-    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["fixed-lr", "sweep"])
-    def test_bp_variant_needs_wft(self, workdir, ce_checkpoint, tmp_path, sweep, capsys):
+    @pytest.mark.parametrize("method, flags, named", [
+        ("sft", [], "--method wft"), ("sft", ["--sweep"], "--method wft"),
+        ("wft", ["--beta-prime", "1.0"], "--sweep"),
+    ], ids=["fixed-lr", "sweep", "wft-fixed-lr"])
+    def test_bp_variant_needs_wft(self, workdir, ce_checkpoint, tmp_path, method, flags, named,
+                                  capsys):
+        """bp decoding needs wft's frozen reference, and it only sets how a
+        sweep decodes the validation split."""
         _, config_path, data_dir = workdir
         out = tmp_path / "ft"
-        assert main(["finetune", "--method", "sft", "--config", str(config_path),
+        assert main(["finetune", "--method", method, "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                     "--out", str(out), "--lr", "0.01", "--decode-variant", "bp", *sweep]) == 2
-        assert "wft" in capsys.readouterr().err
+                     "--out", str(out), "--lr", "0.01", "--decode-variant", "bp", *flags]) == 2
+        assert f"--decode-variant bp needs {named}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method,grids", [
@@ -611,6 +619,56 @@ class TestFinetuneCommand:
         assert len(caps.read_text().strip().splitlines()) == MICRO_CONFIG["dataset"]["n_val"]
 
 
+class TestCheckpointChecks:
+    """Every checkpoint a command loads is checked, once, against the data's
+    vocabulary and the config's model dimensions."""
+
+    @pytest.mark.parametrize("problem, message", [
+        ("vocab", "vocabulary hash mismatch between checkpoint and dataset"),
+        ("hidden_dim", "hidden_dim is 9 in the checkpoint but 8 in the config"),
+        ("max_len", "max_len is 13 in the checkpoint but 12 in the config"),
+    ], ids=["vocab", "hidden-dim", "max-len"])
+    @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
+    def test_checkpoint_not_of_this_data_and_config_is_usage_error(
+            self, workdir, ce_checkpoint, tmp_path, flag, problem, message, capsys):
+        _, config_path, data_dir = workdir
+        params, _ = load_checkpoint(ce_checkpoint)
+        if problem == "vocab":
+            bad = init_params(build_vocab([["alien", "words"]], 1), params.dims, 0)
+        else:
+            bad = init_params(params.vocab, replace(params.dims, **{
+                problem: getattr(params.dims, problem) + 1}), 0)
+        bad_path = tmp_path / "bad.npz"
+        save_checkpoint(bad, bad_path)
+        out = tmp_path / "out"
+        argv = {
+            "init": ["train", "--stage", "rl", "--init", str(bad_path), "--out", str(out)],
+            "checkpoint": ["finetune", "--method", "sft", "--lr", "0.01",
+                           "--checkpoint", str(bad_path), "--out", str(out)],
+            "frozen": ["decode", "--method", "bp", "--checkpoint", str(ce_checkpoint),
+                       "--frozen", str(bad_path), "--out", str(out)],
+        }[flag]
+        assert main([*argv, "--config", str(config_path), "--data", str(data_dir)]) == 2
+        assert f"--{flag} {bad_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frozen_reference_of_another_encoder_is_usage_error(self, workdir, ce_checkpoint,
+                                                                 tmp_path, capsys):
+        """bp decoding reads one recurrence through both classifiers, so the
+        frozen reference must share the model's encoder: the CE checkpoint
+        is not the frozen copy of an RL model trained from it."""
+        _, config_path, data_dir = workdir
+        rl_out = tmp_path / "rl"
+        assert main(["train", "--stage", "rl", "--config", str(config_path), "--data",
+                     str(data_dir), "--init", str(ce_checkpoint), "--out", str(rl_out)]) == 0
+        out = tmp_path / "bp.jsonl"
+        assert main(["decode", "--method", "bp", "--checkpoint", str(rl_out / "rl.npz"),
+                     "--frozen", str(ce_checkpoint), "--config", str(config_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 2
+        assert "shares the model's" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _outputs(out_dir):
     """Every file under ``out_dir``; checkpoints as (parameter hash, metadata)."""
     outputs = {}
@@ -624,14 +682,31 @@ def _outputs(out_dir):
 
 
 def _recorded_hash(out_dir):
-    """The config hash of every sidecar and checkpoint in ``out_dir``, which must agree."""
-    hashes = {json.loads(path.read_text())["config_hash"] for path in out_dir.glob("*.meta.json")}
-    hashes |= {load_checkpoint(path)[1]["config_hash"] for path in out_dir.glob("*.npz")}
+    """The config hash of every checkpoint in ``out_dir``, which must agree."""
+    hashes = {load_checkpoint(path)[1]["config_hash"] for path in out_dir.glob("*.npz")}
     assert len(hashes) == 1
     return hashes.pop()
 
 
+def _resolved_hash(argv):
+    """The config hash a command line runs under, for a command whose outputs
+    record none."""
+    return cli._resolve_config(cli.build_parser().parse_args(argv))[1]
+
+
+def _run_hash(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
+    """The config hash a ``_run`` ran under: the one its checkpoints record,
+    or, for decode, which writes none, the one its command line resolves to."""
+    if command == "decode":
+        return _resolved_hash(_argv(workdir, ce_checkpoint, command, config_path, out_dir, flags))
+    return _recorded_hash(out_dir)
+
+
 def _run(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
+    return main(_argv(workdir, ce_checkpoint, command, config_path, out_dir, flags))
+
+
+def _argv(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
     _, _, data_dir = workdir
     argv = {
         "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out_dir / "caps.jsonl")],
@@ -641,7 +716,7 @@ def _run(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
         "sft-sweep": ["finetune", "--method", "sft", "--sweep", "--checkpoint", str(ce_checkpoint),
                       "--out", str(out_dir)],
     }[command]
-    return main([*argv, "--config", str(config_path), "--data", str(data_dir), *flags])
+    return [*argv, "--config", str(config_path), "--data", str(data_dir), *flags]
 
 
 class TestFlagsFoldIntoConfig:
@@ -663,8 +738,10 @@ class TestFlagsFoldIntoConfig:
         assert _run(workdir, ce_checkpoint, command, config_path, by_flag, flags) == 0
         assert _run(workdir, ce_checkpoint, command, edited_path, by_file) == 0
         assert _outputs(by_flag) == _outputs(by_file)
-        assert _recorded_hash(by_file) == config_hash(cli.load_config(str(edited_path)))
-        assert _recorded_hash(by_flag) != config_hash(cli.load_config(str(config_path)))
+        by_file_hash = _run_hash(workdir, ce_checkpoint, command, edited_path, by_file)
+        by_flag_hash = _run_hash(workdir, ce_checkpoint, command, config_path, by_flag, flags)
+        assert by_flag_hash == by_file_hash == config_hash(cli.load_config(str(edited_path)))
+        assert by_flag_hash != config_hash(cli.load_config(str(config_path)))
 
     @pytest.mark.parametrize("command, variants", [
         ("decode", [[], ["--beam-size", "1"], ["--beam-size", "2"], ["--method", "greedy"]]),
@@ -676,7 +753,8 @@ class TestFlagsFoldIntoConfig:
         hashes = []
         for i, flags in enumerate(variants):
             assert _run(workdir, ce_checkpoint, command, config_path, tmp_path / str(i), flags) == 0
-            hashes.append(_recorded_hash(tmp_path / str(i)))
+            hashes.append(_run_hash(workdir, ce_checkpoint, command, config_path,
+                                    tmp_path / str(i), flags))
         assert len(set(hashes)) == len(variants)
 
     def test_sweep_with_lr_flag_sweeps_that_point(self, workdir, ce_checkpoint, tmp_path):
@@ -892,10 +970,11 @@ class TestAnalyze:
                                   ("file", edited_path, [])):
             out = tmp_path / name / "an.csv"
             out.parent.mkdir()
-            assert main(["analyze", "--what", what, "--config", str(path), "--data",
-                         str(data_dir), "--checkpoint", str(ce_checkpoint), "--samples", "2",
-                         "--out", str(out), *extra]) == 0
-            runs[name] = (out.read_bytes(), _recorded_hash(out.parent))
+            argv = ["analyze", "--what", what, "--config", str(path), "--data", str(data_dir),
+                    "--checkpoint", str(ce_checkpoint), "--samples", "2", "--out", str(out),
+                    *extra]
+            assert main(argv) == 0
+            runs[name] = (out.read_bytes(), _resolved_hash(argv))
         assert runs["flag"] == runs["file"]
         assert runs["flag"][0] != runs["default"][0]
         assert runs["flag"][1] == config_hash(cli.load_config(str(edited_path)))
@@ -997,8 +1076,6 @@ def _writers(data_dir, config_path):
     return {
         "save_checkpoint": ("m.npz", checkpoint),
         "write_csv": ("log.csv", lambda out, v: cli._write_csv(out / "log.csv", [{"x": v}], ["x"])),
-        "write_sidecar": ("log.csv.meta.json",
-                          lambda out, v: cli._write_sidecar(out / "log.csv", str(v), v, "test")),
         "save_captions": ("caps.jsonl", captions),
         "save_dataset_split": ("val.jsonl", lambda out, v: save_dataset_split(
             val if v else Dataset("val", val.records[:1]), out / "val.jsonl")),
@@ -1009,9 +1086,8 @@ def _writers(data_dir, config_path):
 
 
 class TestAtomicOutputs:
-    @pytest.mark.parametrize("writer", ["save_checkpoint", "write_csv", "write_sidecar",
-                                        "save_captions", "save_dataset_split", "histogram",
-                                        "gen_data_meta"])
+    @pytest.mark.parametrize("writer", ["save_checkpoint", "write_csv", "save_captions",
+                                        "save_dataset_split", "histogram", "gen_data_meta"])
     def test_failed_write_keeps_previous_file(self, workdir, tmp_path, monkeypatch, writer):
         _, config_path, data_dir = workdir
         name, write = _writers(data_dir, config_path)[writer]

@@ -9,10 +9,7 @@ from caplab import decode as decode_mod
 from caplab.corpus import Dataset, ImageRecord, build_vocab
 from caplab.decode import (
     DecodeConfig,
-    _BiasProductStepper,
     _PolicyStepper,
-    _SharedEncoderStepper,
-    _bias_product_stepper,
     _top_k,
     decode_beam,
     decode_bp,
@@ -23,9 +20,11 @@ from caplab.decode import (
     nucleus_set,
     save_captions,
 )
-from caplab.losses import FrozenReference
+from caplab.losses import FrozenReference, check_shared_encoder
 from caplab.model import ALL_ARRAYS, ENCODER_ARRAYS, ModelDims, init_params, log_softmax_temp
-from oracles import bp_prob, decode_greedy, forced_token_model, score_step, softmax_temp
+import oracles
+from oracles import (TwoRecurrenceStepper, bp_prob, decode_greedy, forced_token_model,
+                     score_step, softmax_temp)
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +117,8 @@ def oracle_beam(stepper, features, max_len, beam_size, kept=None):
         lex = sorted(range(len(new_seqs)), key=lambda i: new_seqs[i])
         alive_seqs = [new_seqs[i] for i in lex]
         alive_scores = np.array([new_scores[i] for i in lex])
-        state = stepper.select(state, np.array([new_rows[i] for i in lex]))
-        state = stepper.advance(state, np.array([new_tokens[i] for i in lex]))
+        state = stepper.advance(state[np.array([new_rows[i] for i in lex])],
+                                np.array([new_tokens[i] for i in lex]))
     pool.extend(zip(alive_scores.tolist(), alive_seqs))
     greedy_ids, greedy_score = oracle_greedy(stepper, features, max_len)
     pool.append((greedy_score, tuple(greedy_ids)))
@@ -277,9 +276,7 @@ class TestNucleus:
 
 class TestBiasProductDecoding:
     def test_beta_prime_zero_identical_to_plain(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 12, 0.5)
-        other = init_params(small_vocab, small_dims, 13, 0.5)
-        frozen = FrozenReference(other, beta_prime=0.0)
+        params, frozen = shared_encoder_pair(small_vocab, small_dims, 12, beta_prime=0.0)
         image = random_image(12)
         for base, plain_fn in (("greedy", decode_greedy), ("beam", decode_beam)):
             config = DecodeConfig(method="bp", bp_base=base, beam_size=4)
@@ -296,8 +293,7 @@ class TestBiasProductDecoding:
         assert bp.ids == plain.ids
 
     def test_per_step_distribution_matches_bp_prob(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 15, 0.6)
-        frozen = FrozenReference(init_params(small_vocab, small_dims, 16, 0.6), 0.5)
+        params, frozen = shared_encoder_pair(small_vocab, small_dims, 15, beta_prime=0.5)
         image = random_image(15)
         out = decode_bp(params, frozen, image, DecodeConfig(method="bp", bp_base="greedy"))
         prefix = [small_vocab.bos_id]
@@ -314,8 +310,7 @@ class TestBiasProductDecoding:
 
 class TestHygiene:
     def test_decoding_never_mutates_params(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 18, 0.5)
-        frozen = FrozenReference(init_params(small_vocab, small_dims, 19, 0.5), 1.0)
+        params, frozen = shared_encoder_pair(small_vocab, small_dims, 18)
         image = random_image(18)
         before = params.full_hash()
         decode_greedy(params, image, DecodeConfig(method="greedy"))
@@ -352,19 +347,16 @@ class TestHygiene:
             assert loaded[rec.id] == dec.tokens
 
     def test_split_decoding_never_mutates_params_or_frozen(self, small_vocab, small_dims):
-        params, shared = shared_encoder_pair(small_vocab, small_dims, 22)
-        other = FrozenReference(init_params(small_vocab, small_dims, 23, 0.5), 0.5)
+        params, frozen = shared_encoder_pair(small_vocab, small_dims, 22)
         split = random_split(5)
-        before = params.full_hash()
-        frozen_before = [ref.hash_hex() for ref in (shared, other)]
+        before, frozen_before = params.full_hash(), frozen.hash_hex()
         for config in (DecodeConfig(method="greedy"), DecodeConfig(method="beam", beam_size=3),
                        DecodeConfig(method="nucleus", seed=0)):
             decode_dataset(params, split, config)
-        for ref in (shared, other):
-            for base in ("greedy", "beam"):
-                decode_dataset(params, split, DecodeConfig(method="bp", bp_base=base), frozen=ref)
+        for base in ("greedy", "beam"):
+            decode_dataset(params, split, DecodeConfig(method="bp", bp_base=base), frozen=frozen)
         assert params.full_hash() == before
-        assert [ref.hash_hex() for ref in (shared, other)] == frozen_before
+        assert frozen.hash_hex() == frozen_before
 
 
 @pytest.fixture(scope="module")
@@ -422,18 +414,20 @@ class TestLockstep:
     @pytest.mark.parametrize("base", ["greedy", "beam"])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-encoder", "own-encoder"])
     def test_bp_matches_two_recurrence_oracle(self, wide_vocab, small_dims, base, shared):
+        """A frozen reference of its own encoder would need the oracle's two
+        recurrences; the one-recurrence decoder rejects it."""
         for trial in range(3):
-            if shared:
-                params, frozen = shared_encoder_pair(wide_vocab, small_dims, 700 + trial)
-            else:
-                params = init_params(wide_vocab, small_dims, 700 + trial, 0.8)
-                frozen = FrozenReference(init_params(wide_vocab, small_dims, 750 + trial, 0.8),
-                                         0.6)
+            params, frozen = shared_encoder_pair(wide_vocab, small_dims, 700 + trial)
             split = random_split(6, offset=10 * trial)
             config = DecodeConfig(method="bp", bp_base=base, beam_size=3)
+            if not shared:
+                own = FrozenReference(init_params(wide_vocab, small_dims, 750 + trial, 0.8), 0.6)
+                with pytest.raises(ValueError, match="encoder"):
+                    decode_dataset(params, split, config, frozen=own)
+                continue
             got = decode_dataset(params, split, config, frozen=frozen)
             for rec, dec in zip(split.records, got):
-                stepper = _BiasProductStepper(params, frozen, config.beta)
+                stepper = TwoRecurrenceStepper(params, frozen, config.beta)
                 if base == "greedy":
                     ids, logprob = oracle_greedy(stepper, rec.features, small_dims.max_len)
                 else:
@@ -479,9 +473,6 @@ class TableStepper:
 
     def advance(self, state, token_ids):
         return np.column_stack([state, token_ids])
-
-    def select(self, state, rows):
-        return state[rows]
 
 
 class TestLockstepTieRule:
@@ -625,21 +616,24 @@ class TestGreedyPathInBeam:
 
 
 class TestSharedEncoder:
+    """Bias-product decoding reads one recurrence through both classifiers.
+    A frozen reference whose encoder differs from the model's, if only by an
+    ulp or a signed zero, would take two recurrences: it is rejected."""
+
     def test_step_log_probs_equal_two_recurrence_stepper(self, wide_vocab, small_dims):
         params, frozen = shared_encoder_pair(wide_vocab, small_dims, 800)
-        shared = _bias_product_stepper(params, frozen, 0.9)
-        assert isinstance(shared, _SharedEncoderStepper)
-        two = _BiasProductStepper(params, frozen, 0.9)
+        one = _PolicyStepper(params, 0.9, frozen)
+        two = TwoRecurrenceStepper(params, frozen, 0.9)
         feats = np.stack([random_image(i).features for i in range(4)])
-        state_one, state_two = shared.start(feats), two.start(feats)
+        state_one, state_two = one.start(feats), two.start(feats)
         rng = np.random.default_rng(1)
         for _ in range(small_dims.max_len):
-            lp = shared.logprobs(state_one)
+            lp = one.logprobs(state_one)
             assert np.array_equal(lp, two.logprobs(state_two))
             rows = rng.integers(0, len(lp), size=5)
             tokens = rng.integers(0, len(wide_vocab), size=5)
-            state_one = shared.advance(shared.select(state_one, rows), tokens)
-            state_two = two.advance(two.select(state_two, rows), tokens)
+            state_one = one.advance(state_one[rows], tokens)
+            state_two = two.advance(state_two[rows], tokens)
 
     def test_bp_recurrent_rows_halve(self, wide_vocab, small_dims, monkeypatch):
         params, frozen = shared_encoder_pair(wide_vocab, small_dims, 801)
@@ -652,29 +646,39 @@ class TestSharedEncoder:
             return original(p, h_prev, token_ids)
 
         monkeypatch.setattr(decode_mod, "recurrent_step", counting)
+        monkeypatch.setattr(oracles, "recurrent_step", counting)
         for base in ("greedy", "beam"):
             config = DecodeConfig(method="bp", bp_base=base, beam_size=4)
             rows.clear()
             one = decode_dataset(params, split, config, frozen=frozen)
             shared_rows = sum(rows)
-            with monkeypatch.context() as forced:
-                forced.setattr(decode_mod, "_bias_product_stepper",
-                               lambda p, f, beta: _BiasProductStepper(p, f, beta))
-                rows.clear()
-                two = decode_dataset(params, split, config, frozen=frozen)
+            rows.clear()
+            two = decode_mod._search(params, TwoRecurrenceStepper(params, frozen, config.beta),
+                                     split.records, config, base)
             assert shared_rows > 0 and sum(rows) == 2 * shared_rows
             assert one == two
+
+    @staticmethod
+    def assert_rejected(params, other):
+        frozen = FrozenReference(other, 1.0)
+        with pytest.raises(ValueError, match="encoder"):
+            check_shared_encoder(params, frozen)
+        for base in ("greedy", "beam"):
+            with pytest.raises(ValueError, match="encoder"):
+                decode_dataset(params, random_split(2), DecodeConfig(method="bp", bp_base=base),
+                               frozen=frozen)
+        with pytest.raises(ValueError, match="encoder"):
+            decode_bp(params, frozen, random_image(0), DecodeConfig(method="bp"))
 
     @pytest.mark.parametrize("name", ("embed",) + ENCODER_ARRAYS)
     def test_one_ulp_in_a_frozen_encoder_array_takes_two_recurrences(self, wide_vocab,
                                                                       small_dims, name):
         params, frozen = shared_encoder_pair(wide_vocab, small_dims, 803)
-        assert isinstance(_bias_product_stepper(params, frozen, 1.0), _SharedEncoderStepper)
+        check_shared_encoder(params, frozen)
         other = frozen.params.copy()
         arr = getattr(other, name).reshape(-1)
         arr[0] = np.nextafter(arr[0], np.inf)
-        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
-        assert isinstance(stepper, _BiasProductStepper)
+        self.assert_rejected(params, other)
 
     def test_signed_zero_takes_two_recurrences(self, wide_vocab, small_dims):
         # -0.0 == 0.0 as values, but not as bytes
@@ -683,15 +687,13 @@ class TestSharedEncoder:
         other = params.copy()
         other.bz[0] = -0.0
         assert np.array_equal(other.bz, params.bz)
-        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
-        assert isinstance(stepper, _BiasProductStepper)
+        self.assert_rejected(params, other)
 
     def test_other_encoder_takes_two_recurrences(self, wide_vocab, small_dims):
         params = init_params(wide_vocab, small_dims, 802, 0.8)
         other = init_params(wide_vocab, small_dims, 802, 0.8)
         other.wz[0, 0] += 1e-3  # one encoder entry differs
-        stepper = _bias_product_stepper(params, FrozenReference(other, 1.0), 1.0)
-        assert isinstance(stepper, _BiasProductStepper)
+        self.assert_rejected(params, other)
 
 
 class TestSplitEdgeCases:
@@ -703,16 +705,14 @@ class TestSplitEdgeCases:
 
     def test_one_image_split_equals_single_image_decoders(self, wide_vocab, small_dims):
         params, frozen = shared_encoder_pair(wide_vocab, small_dims, 901)
-        other = FrozenReference(init_params(wide_vocab, small_dims, 902, 0.8), 0.5)
         split = random_split(1, offset=3)
         image = split.records[0]
         beam = DecodeConfig(method="beam", beam_size=4)
         assert decode_dataset(params, split, beam) == [decode_beam(params, image, beam)]
-        for ref in (frozen, other):
-            for base in ("greedy", "beam"):
-                bp = DecodeConfig(method="bp", bp_base=base, beam_size=4)
-                assert (decode_dataset(params, split, bp, frozen=ref)
-                        == [decode_bp(params, ref, image, bp)])
+        for base in ("greedy", "beam"):
+            bp = DecodeConfig(method="bp", bp_base=base, beam_size=4)
+            assert (decode_dataset(params, split, bp, frozen=frozen)
+                    == [decode_bp(params, frozen, image, bp)])
 
     @pytest.mark.parametrize("field, value", [
         ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),

@@ -72,6 +72,13 @@ class TestStructure:
         with pytest.raises(ValueError, match="n_train"):
             generate_synthetic_dataset(micro_synth_config(n_train=0), 0)
 
+    def test_zipf_quota_larger_than_a_split_names_field(self):
+        # at exponent 3 the head rare attribute's quota is 50 of n_train's 30 images
+        config = micro_synth_config(zipf_exponent=3.0)
+        with pytest.raises(ValueError, match=r"^zipf_exponent .* 50 in n_train = 30$"):
+            config.validate()
+        micro_synth_config(zipf_exponent=1.5).validate()
+
     def test_references_without_attributes_rejected(self):
         with pytest.raises(ValueError, match="every reference is empty"):
             generate_synthetic_dataset(micro_synth_config(common_per_image=0, rare_per_image=0), 0)
