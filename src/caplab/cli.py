@@ -7,12 +7,16 @@ setting has its config key as destination (``--lam`` is ``joint.lam``;
 every given flag is folded into the config before it is hashed, so a flag
 and the same value in the file make the same run and hash.  An integer in
 the file where the default is a float is read as that float, so ``1`` and
-``1.0`` do too.  Commands read settings from that config only.  All
-randomness is funneled through one seeded generator per stage, derived from
-the master seed, so every command is reproducible from (config, seed).
-Checkpoints, ``dataset.meta.json`` (for the splits) and the eval CSV carry
-the config hash.  Every file is written through ``corpus.atomic_write``, so
-a failed run leaves a previous output whole.
+``1.0`` do too.  Commands read settings from that config only, the
+decoding with which ``finetune --sweep`` scores the validation split
+included: it is the ``decode`` section that ``decode`` reads, so
+``decode.method: "bp"`` makes a wft sweep decode through the bias product
+with each point's frozen copy.  All randomness is funneled through one
+seeded generator per stage, derived from the master seed, so every command
+is reproducible from (config, seed).  Checkpoints, ``dataset.meta.json``
+(for the splits) and the eval CSV carry the config hash.  Every file is
+written through ``corpus.atomic_write``, so a failed run leaves a previous
+output whole.
 
 The whole config, flags folded in, is checked once, before any command
 reads data or writes a file: each section by the ``validate`` of the
@@ -367,11 +371,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    if args.decode_variant == "bp" and args.method != "wft":
-        raise UsageError("--decode-variant bp needs --method wft (a frozen reference)")
-    if args.decode_variant == "bp" and not args.sweep:
-        raise UsageError("--decode-variant bp needs --sweep: it sets how the sweep decodes"
-                         " the validation split")
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     section = config["finetune"]
@@ -379,32 +378,33 @@ def cmd_finetune(args) -> int:
         if not args.sweep and len(section[key]) > 1 and (key == "lr_grid" or args.method == "wft"):
             raise UsageError(f"finetune.{key} has {len(section[key])} values; without --sweep,"
                              f" give one with {flag}")
+    decode_config = _decode_config(config)
+    if args.sweep and decode_config.method == "bp" and args.method != "wft":
+        raise UsageError("decode.method bp needs --method wft: the sweep decodes through the"
+                         " frozen reference that only wft trains against")
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     checkpoint, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = FinetuneConfig(method=args.method, lr=section["lr_grid"][0],
-                          beta_prime=section["beta_prime_grid"][0],
-                          batch_size=section["batch_size"], gamma=section["gamma"],
-                          alpha=section["alpha"])
+    beta_primes = section["beta_prime_grid"][: None if args.method == "wft" else 1]
+    points = [FinetuneConfig(method=args.method, lr=lr, beta_prime=beta_prime,
+                             batch_size=section["batch_size"], gamma=section["gamma"],
+                             alpha=section["alpha"])
+              for lr in section["lr_grid"] for beta_prime in beta_primes]
 
     if args.sweep:
         stats = corpus_stats_for(vocab, bundle.train)
-        decode_config = _decode_config(config)
-        result = sweep(checkpoint, bundle, stats, args.method,
-                       lr_grid=section["lr_grid"],
-                       beta_prime_grid=section["beta_prime_grid"],
-                       seed=seed, decode_config=decode_config,
-                       decode_variant=args.decode_variant, base_config=base)
-        sweep_path = out / f"{args.method}_{args.decode_variant}_sweep.csv"
+        result = sweep(checkpoint, bundle, stats, points, seed, decode_config)
+        variant = "bp" if decode_config.method == "bp" else "plain"
+        sweep_path = out / f"{args.method}_{variant}_sweep.csv"
         _write_csv(sweep_path, result.rows,
                    ["method", "lr", "beta_prime", "r_at_1", "unique_1", "cider"])
         best = result.best_result
         print(f"best grid point: lr={result.best['lr']} beta_prime={result.best['beta_prime']}"
               f" r@1={result.best['r_at_1']:.2f}")
     else:
-        best = finetune(checkpoint, bundle, base, seed)
+        best = finetune(checkpoint, bundle, points[0], seed)
 
     ckpt_path = out / f"{args.method}.npz"
     save_checkpoint(best.params, ckpt_path, config_hash=cfg_hash)
@@ -482,7 +482,6 @@ def cmd_analyze(args) -> int:
             check_count(flag, count, 1)
     config, _ = _resolve_config(args)
     out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.what == "loss-surface":
         grid = np.linspace(args.p1_min, args.p1_max, args.grid_points)
@@ -490,6 +489,7 @@ def cmd_analyze(args) -> int:
         with _usage():
             rows = loss_surface(grid, beta=temps["beta"], beta_prime=temps["beta_prime"],
                                 gamma=weights["gamma"], alpha=weights["alpha"])
+        out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, rows, ["p1", "ce", "bp", "fl", "afl"])
         print(f"wrote {out}")
         return 0
@@ -526,6 +526,7 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"unknown analysis {args.what!r}")
 
     hist = freq_histogram(captions, vocab, n_bins)
+    out.parent.mkdir(parents=True, exist_ok=True)
     hist.write_csv(out)
     print(f"wrote {out}")
     return 0
@@ -562,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", dest="finetune.lr_grid", type=float, help="one-point lr grid")
     p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
                    help="one-point beta' grid")
-    p.add_argument("--decode-variant", dest="decode_variant", choices=["plain", "bp"], default="plain")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_finetune)
 

@@ -16,14 +16,18 @@ pass of its own.  The fine-tune encodes a block of upcoming batches (about
 states; each batch of the block then reads its rows through the trainable
 classifier and, for "wft", through the frozen copy's classifier, since both
 models have the same encoder bytes.  A block holds about a megabyte, where
-the states of every pair would take tens.  Sweeps select hyperparameters by
-validation retrieval R@1, ties toward the smaller learning rate and then the
-smaller reference temperature.
+the states of every pair would take tens.
+
+A sweep fine-tunes the points its caller lists, decodes the validation
+split of each with the caller's decoding settings (bp decoding through the
+point's frozen copy), and keeps the model with the best validation
+retrieval R@1, ties toward the smaller learning rate and then the smaller
+reference temperature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -184,41 +188,14 @@ class SweepResult:
     rows: list[dict]
 
 
-def sweep_grids(method: str, lr_grid, beta_prime_grid=None) -> tuple[list, list]:
-    """The learning-rate and reference-temperature grids a sweep runs.
-
-    The temperature grid is ``[None]`` (the base config's β′) for methods
-    without a reference temperature, and for "wft" when no grid is given.
-    An empty grid raises ValueError.
-    """
-    lr_grid = list(lr_grid)
-    if not lr_grid:
-        raise ValueError("empty learning-rate grid")
-    if method != "wft" or beta_prime_grid is None:
-        return lr_grid, [None]
-    bp_grid = list(beta_prime_grid)
-    if not bp_grid:
-        raise ValueError("empty beta-prime grid")
-    return lr_grid, bp_grid
-
-
 def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
-          method: str, lr_grid, beta_prime_grid=None, seed: int = 0,
-          decode_config: DecodeConfig | None = None,
-          decode_variant: str = "plain", base_config: FinetuneConfig | None = None) -> SweepResult:
-    """Train one model per grid point and pick the best validation R@1.
-
-    Ties go to the smaller learning rate, then the smaller reference
-    temperature.  For methods without a reference temperature the grid is
-    learning rates only.
-    """
-    lr_grid, bp_grid = sweep_grids(method, lr_grid, beta_prime_grid)
-    if decode_variant not in ("plain", "bp"):
-        raise ValueError(f"unknown decode variant {decode_variant!r}")
-    if decode_variant == "bp" and method != "wft":
-        raise ValueError("bp decoding needs the frozen reference that only wft trains against")
-    decode_config = decode_config or DecodeConfig()
-    base = base_config or FinetuneConfig()
+          points: Sequence[FinetuneConfig], seed: int,
+          decode_config: DecodeConfig) -> SweepResult:
+    """Fine-tune each point, decode the validation split with
+    ``decode_config`` and keep the best R@1, as the module docstring says.
+    An empty point list raises ValueError."""
+    if not points:
+        raise ValueError("empty sweep: no fine-tune points")
 
     def sort_key(row):
         bp = row["beta_prime"] if row["beta_prime"] != "" else 0.0
@@ -226,29 +203,21 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
 
     rows = []
     best = best_result = None
-    for lr in lr_grid:
-        for beta_prime in bp_grid:
-            config = replace(base, method=method, lr=lr,
-                             beta_prime=beta_prime if beta_prime is not None else base.beta_prime)
-            result = finetune(checkpoint, data, config, seed)
-            if decode_variant == "bp":
-                bp_base = decode_config.method if decode_config.method in ("greedy", "beam") else "beam"
-                val_config = replace(decode_config, method="bp", bp_base=bp_base)
-                decoded = decode_dataset(result.params, data.val, val_config, frozen=result.frozen)
-            else:
-                decoded = decode_dataset(result.params, data.val, decode_config)
-            report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats,
-                              ks=(1,))
-            row = {
-                "method": method,
-                "lr": lr,
-                "beta_prime": beta_prime if beta_prime is not None else "",
-                "r_at_1": report.r_at[1],
-                "unique_1": report.unique_1,
-                "cider": report.cider,
-            }
-            rows.append(row)
-            # only the best model so far is kept; a tie keeps the earlier row
-            if best is None or sort_key(row) < sort_key(best):
-                best, best_result = row, result
+    for config in points:
+        result = finetune(checkpoint, data, config, seed)
+        decoded = decode_dataset(result.params, data.val, decode_config, frozen=result.frozen)
+        report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats,
+                          ks=(1,))
+        row = {
+            "method": config.method,
+            "lr": config.lr,
+            "beta_prime": config.beta_prime if config.method == "wft" else "",
+            "r_at_1": report.r_at[1],
+            "unique_1": report.unique_1,
+            "cider": report.cider,
+        }
+        rows.append(row)
+        # only the best model so far is kept; a tie keeps the earlier row
+        if best is None or sort_key(row) < sort_key(best):
+            best, best_result = row, result
     return SweepResult(best=best, best_result=best_result, rows=rows)

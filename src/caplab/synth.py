@@ -28,6 +28,13 @@ FILLER_WITH = "with"
 
 @dataclass
 class SynthConfig:
+    """Sizes and rates of the synthetic world.
+
+    ``rare_mention_rate`` is rounded to a whole number of an image's
+    ``refs_per_image`` references by ``_mention_count``: at 5 references
+    0.7 gives 4, and 0.3 and 0.4 both give 2; at 3 references 0.7 gives 2.
+    """
+
     n_train: int = 2000
     n_val: int = 200
     n_test: int = 200

@@ -14,7 +14,9 @@ from caplab.cli import main
 from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
                            save_dataset_split)
 from caplab.decode import Decoded, save_captions
+from caplab.finetune import FinetuneConfig, sweep
 from caplab.model import ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint
+from caplab.rl import corpus_stats_for
 
 
 MICRO_CONFIG = {
@@ -555,29 +557,74 @@ class TestFinetuneCommand:
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 0
         with open(out / "wft_plain_sweep.csv") as fh:
-            rows = list(csv.DictReader(fh))
+            rows = [(float(row["lr"]), float(row["beta_prime"])) for row in csv.DictReader(fh)]
         grids = MICRO_CONFIG["finetune"]
-        assert len(rows) == len(grids["lr_grid"]) * len(grids["beta_prime_grid"])
+        assert rows == [(lr, bp) for lr in grids["lr_grid"] for bp in grids["beta_prime_grid"]]
         updated, _ = load_checkpoint(out / "wft.npz")
         frozen, meta = load_checkpoint(out / "wft_frozen.npz")
         assert updated.full_hash() != frozen.full_hash()
         assert "beta_prime" in meta["extra"]
 
-    @pytest.mark.parametrize("method, flags, named", [
-        ("sft", [], "--method wft"), ("sft", ["--sweep"], "--method wft"),
-        ("wft", ["--beta-prime", "1.0"], "--sweep"),
-    ], ids=["fixed-lr", "sweep", "wft-fixed-lr"])
-    def test_bp_variant_needs_wft(self, workdir, ce_checkpoint, tmp_path, method, flags, named,
-                                  capsys):
-        """bp decoding needs wft's frozen reference, and it only sets how a
-        sweep decodes the validation split."""
+    def test_sweep_of_another_method_ignores_the_beta_prime_grid(self, workdir, ce_checkpoint,
+                                                                 tmp_path):
         _, config_path, data_dir = workdir
         out = tmp_path / "ft"
-        assert main(["finetune", "--method", method, "--config", str(config_path),
+        assert main(["finetune", "--method", "sft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                     "--out", str(out), "--lr", "0.01", "--decode-variant", "bp", *flags]) == 2
-        assert f"--decode-variant bp needs {named}" in capsys.readouterr().err
+                     "--out", str(out), "--sweep"]) == 0
+        with open(out / "sft_plain_sweep.csv") as fh:
+            rows = [(float(row["lr"]), row["beta_prime"]) for row in csv.DictReader(fh)]
+        assert rows == [(lr, "") for lr in MICRO_CONFIG["finetune"]["lr_grid"]]
+
+    @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
+    def test_bp_sweep_needs_wft(self, workdir, ce_checkpoint, tmp_path, method, capsys):
+        """A sweep decodes the validation split with the decode section; bp
+        decoding needs the frozen reference that only wft trains against,
+        so the sweep is rejected before any point trains."""
+        _, config_path, data_dir = workdir
+        bp_path = _write_config(tmp_path, config_path, "decode", "method", "bp")
+        out = tmp_path / "ft"
+        assert main(["finetune", "--method", method, "--config", str(bp_path),
+                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                     "--out", str(out), "--sweep"]) == 2
+        assert "decode.method bp needs --method wft" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bp_sweep_decodes_with_the_decode_section(self, workdir, ce_checkpoint, tmp_path):
+        """A wft sweep with ``decode.method: "bp"`` scores each point by a
+        beam search, with the section's beam size, over the bias product
+        with the point's frozen copy, and its checkpoints record a hash of
+        their own."""
+        _, _, data_dir = workdir
+        runs = {}
+        for name, method in (("plain", "beam"), ("bp", "bp")):
+            config = copy.deepcopy(MICRO_CONFIG)
+            config["decode"]["method"] = method
+            config["finetune"]["lr_grid"] = [1.0, 0.3]  # lrs at which bp and beam scores differ
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["finetune", "--method", "wft", "--config", str(path),
+                         "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                         "--out", str(out), "--sweep"]) == 0
+            with open(out / f"wft_{name}_sweep.csv") as fh:
+                runs[name] = (list(csv.DictReader(fh)), _recorded_hash(out))
+        assert runs["bp"][1] != runs["plain"][1]
+
+        config = cli.load_config(str(tmp_path / "plain.json"))
+        bundle = cli._load_bundle(str(data_dir), config)
+        vocab = cli._vocab_for(config, bundle)
+        checkpoint, _ = load_checkpoint(ce_checkpoint)
+        grids = config["finetune"]
+        points = [FinetuneConfig(method="wft", lr=lr, beta_prime=bp,
+                                 batch_size=grids["batch_size"])
+                  for lr in grids["lr_grid"] for bp in grids["beta_prime_grid"]]
+        bp_decoding = replace(cli._decode_config(config), method="bp", bp_base="beam")
+        expected = sweep(checkpoint, bundle, corpus_stats_for(vocab, bundle.train), points,
+                         config["seed"], bp_decoding)
+        assert runs["bp"][0] == [{key: str(value) for key, value in row.items()}
+                                 for row in expected.rows]
+        assert runs["bp"][0] != runs["plain"][0]
 
     @pytest.mark.parametrize("method,grids", [
         ("sft", {"lr_grid": []}),
@@ -823,6 +870,22 @@ class TestFlagsFoldIntoConfig:
                          "finetune.lr_grid", "finetune.beta_prime_grid", "finetune.gamma",
                          "finetune.alpha"}
 
+    def test_one_settings_path(self):
+        """Every option of the commands that train, fine-tune, decode and
+        score is a config key, which the hash covers, or names a path or
+        a mode: no setting reaches a run outside the hashed config."""
+        paths_and_modes = {"config", "data", "out", "init", "checkpoint", "frozen", "captions",
+                           "split", "run_id", "stage", "method", "sweep", "help"}
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for name in ("train", "finetune", "decode", "eval"):
+            for action in commands.choices[name]._actions:
+                section, _, key = action.dest.rpartition(".")
+                in_config = (key in cli.DEFAULT_CONFIG.get(section, {}) if section
+                             else key in cli.DEFAULT_CONFIG)
+                assert in_config or action.dest in paths_and_modes, (name, action.dest)
+
 
 class TestConfigHash:
     ARGV = {
@@ -911,12 +974,13 @@ class TestAnalyze:
         tail = float(lines[-1].split(",")[1])
         assert sum(bins) + tail == pytest.approx(1.0, abs=1e-9)
 
-    def test_histogram_unknown_split(self, workdir, capsys):
-        root, config_path, data_dir = workdir
+    def test_histogram_unknown_split(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
         assert main(["analyze", "--what", "histogram", "--config", str(config_path),
                      "--data", str(data_dir), "--references", "--split", "bogus",
-                     "--out", str(root / "bogus_hist.csv")]) == 2
+                     "--out", str(tmp_path / "newdir" / "sub" / "h.csv")]) == 2
         assert "unknown split" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
 
     def test_histogram_of_missing_caption_file_is_usage_error(self, workdir, tmp_path, capsys):
         _, config_path, data_dir = workdir
@@ -980,10 +1044,12 @@ class TestAnalyze:
         assert runs["flag"][1] == config_hash(cli.load_config(str(edited_path)))
         assert runs["flag"][1] != runs["default"][1]
 
-    def test_sample_freq_requires_checkpoint(self, workdir):
-        root, config_path, data_dir = workdir
+    def test_sample_freq_requires_checkpoint(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
         assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
-                     "--data", str(data_dir), "--out", str(root / "sf.csv")]) == 2
+                     "--data", str(data_dir), "--out", str(tmp_path / "newdir" / "sf.csv")]) == 2
+        assert "sample-freq needs --checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
 
     def test_sample_freq_runs(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir

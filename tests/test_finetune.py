@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ import pytest
 from caplab import model
 from caplab.corpus import build_vocab
 from caplab.decode import DecodeConfig
-from caplab.finetune import (FinetuneConfig, classifier_step, encode_pairs, finetune, sweep,
-                             sweep_grids)
+from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs, finetune, sweep
 from caplab.losses import (FrozenReference, LossOutput, anti_focal_terms, bp_batch, bp_head,
                            ce_batch, ce_terms, focal_terms, logit_grad, pointwise_head,
                            teacher_forced)
@@ -252,31 +252,33 @@ def sweep_setup(micro_bundle):
     return checkpoint, stats, decode_config
 
 
+def _points(method, lr_grid, bp_grid=None):
+    """The sweep points of a learning-rate grid crossed with a β′ grid
+    (the default β′ when none is given), in the order the CLI lists them."""
+    return [FinetuneConfig(method=method, lr=lr, beta_prime=beta_prime)
+            for lr in lr_grid for beta_prime in (bp_grid or [FinetuneConfig.beta_prime])]
+
+
 class TestSweep:
     def test_single_point_grid(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
-        result = sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[0.01],
-                       seed=0, decode_config=decode_config)
+        result = sweep(checkpoint, micro_bundle, stats, _points("sft", [0.01]), 0, decode_config)
         assert len(result.rows) == 1
         assert result.best["lr"] == 0.01
+        assert result.best["beta_prime"] == ""
 
     def test_wft_grid_is_cartesian_product(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
-        result = sweep(checkpoint, micro_bundle, stats, "wft",
-                       lr_grid=[0.02, 0.002], beta_prime_grid=[0.1, 1.0],
-                       seed=0, decode_config=decode_config)
-        assert len(result.rows) == 4
-        assert {(row["lr"], row["beta_prime"]) for row in result.rows} == \
-            {(0.02, 0.1), (0.02, 1.0), (0.002, 0.1), (0.002, 1.0)}
+        result = sweep(checkpoint, micro_bundle, stats, _points("wft", [0.02, 0.002], [0.1, 1.0]),
+                       0, decode_config)
+        assert [(row["lr"], row["beta_prime"]) for row in result.rows] == \
+            [(0.02, 0.1), (0.02, 1.0), (0.002, 0.1), (0.002, 1.0)]
 
     def test_plain_and_bp_sweeps_are_independent(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
-        plain = sweep(checkpoint, micro_bundle, stats, "wft", lr_grid=[0.02, 0.002],
-                      beta_prime_grid=[0.1, 1.0], seed=0, decode_config=decode_config,
-                      decode_variant="plain")
-        bp = sweep(checkpoint, micro_bundle, stats, "wft", lr_grid=[0.02, 0.002],
-                   beta_prime_grid=[0.1, 1.0], seed=0, decode_config=decode_config,
-                   decode_variant="bp")
+        points = _points("wft", [0.02, 0.002], [0.1, 1.0])
+        plain = sweep(checkpoint, micro_bundle, stats, points, 0, decode_config)
+        bp = sweep(checkpoint, micro_bundle, stats, points, 0, replace(decode_config, method="bp"))
         assert len(plain.rows) == len(bp.rows) == 4
         # selections are made from separately decoded validation scores; the
         # harness never couples them
@@ -285,8 +287,8 @@ class TestSweep:
     def test_tie_breaks_to_smaller_lr(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
         # lr=0 twice: identical models, identical scores; smaller lr wins
-        result = sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[0.0, 0.0],
-                       seed=0, decode_config=decode_config)
+        result = sweep(checkpoint, micro_bundle, stats, _points("sft", [0.0, 0.0]), 0,
+                       decode_config)
         assert result.best["lr"] == 0.0
 
     @pytest.mark.parametrize("method, lr_grid, bp_grid", [
@@ -306,8 +308,8 @@ class TestSweep:
             return result
 
         monkeypatch.setattr(finetune_mod, "finetune", recorded)
-        result = sweep(checkpoint, micro_bundle, stats, method, lr_grid=lr_grid,
-                       beta_prime_grid=bp_grid, seed=0, decode_config=decode_config)
+        result = sweep(checkpoint, micro_bundle, stats, _points(method, lr_grid, bp_grid), 0,
+                       decode_config)
         # while a point trains, at most the best model so far and the last one live
         assert max(alive) <= 2
         gc.collect()
@@ -321,26 +323,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
     def test_bp_decoding_needs_wft(self, sweep_setup, micro_bundle, method):
+        """Only wft trains the frozen reference that bp decoding reads."""
         checkpoint, stats, decode_config = sweep_setup
-        with pytest.raises(ValueError, match="wft"):
-            sweep(checkpoint, micro_bundle, stats, method, lr_grid=[0.01], seed=0,
-                  decode_config=decode_config, decode_variant="bp")
+        with pytest.raises(ValueError, match="frozen reference"):
+            sweep(checkpoint, micro_bundle, stats, _points(method, [0.01]), 0,
+                  replace(decode_config, method="bp"))
 
     def test_empty_grid_rejected(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
-        with pytest.raises(ValueError):
-            sweep(checkpoint, micro_bundle, stats, "sft", lr_grid=[], seed=0,
-                  decode_config=decode_config)
-
-    def test_empty_beta_prime_grid_rejected(self, sweep_setup, micro_bundle):
-        checkpoint, stats, decode_config = sweep_setup
-        with pytest.raises(ValueError, match="beta-prime"):
-            sweep(checkpoint, micro_bundle, stats, "wft", lr_grid=[0.01], beta_prime_grid=[],
-                  seed=0, decode_config=decode_config)
-
-    def test_sweep_grids(self):
-        assert sweep_grids("wft", [0.1], [0.5, 1.0]) == ([0.1], [0.5, 1.0])
-        assert sweep_grids("wft", (0.1, 0.2)) == ([0.1, 0.2], [None])
-        assert sweep_grids("sft", [0.1], []) == ([0.1], [None])
-        with pytest.raises(ValueError, match="learning-rate"):
-            sweep_grids("sft", [], [1.0])
+        with pytest.raises(ValueError, match="no fine-tune points"):
+            sweep(checkpoint, micro_bundle, stats, [], 0, decode_config)
