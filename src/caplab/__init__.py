@@ -18,7 +18,7 @@ from .corpus import (
     build_vocab,
     freq_histogram,
 )
-from .decode import DecodeConfig, Decoded, decode_beam, decode_bp, decode_nucleus
+from .decode import DecodeConfig, Decoded, decode_beam, decode_bp
 from .finetune import FinetuneConfig, FinetuneResult, SweepResult, finetune, sweep
 from .losses import FrozenReference, LossOutput, loss_surface
 from .metrics import MetricsReport, evaluate, repetition_rate, rk_retrieval, vocab_stats

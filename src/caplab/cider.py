@@ -1,16 +1,17 @@
 """Consensus n-gram reward: clipped tf-idf cosine over 1..4-grams with a
-Gaussian length penalty, scaled to [0, 10].
+Gaussian length penalty of width 6, scaled to [0, 10].  The orders and the
+width are CIDEr-D's and are constants here (``N_MAX``, ``SIGMA``).
 
 N-grams are coded as integers order by order: a unigram by its token's rank
 among the sorted corpus tokens, an n-gram by its (n-1)-gram prefix's rank in
 the corpus table times the number of corpus tokens plus its last token's
-rank.  ``build_cider_stats`` codes every reference n-gram this way and keeps,
-per order, the sorted code table and each code's idf, log(N / df), where df
-counts the images whose references hold the n-gram.  Every prefix of a corpus
-n-gram is itself a corpus n-gram, so a candidate n-gram whose prefix is not
-in the table is not in it either.  An n-gram outside the tables carries zero
-weight, so candidate tokens unseen in the reference corpus influence the
-score only through the length penalty.
+rank.  ``build_cider_stats`` codes every reference n-gram this way and keeps
+in a ``CiderCorpusStats``, per order, the sorted code table and each code's
+idf, log(N / df), where df counts the images whose references hold the
+n-gram.  Every prefix of a corpus n-gram is itself a corpus n-gram, so a
+candidate n-gram whose prefix is not in the table is not in it either.  An
+n-gram outside the tables carries zero weight, so candidate tokens unseen in
+the reference corpus influence the score only through the length penalty.
 
 ``cider_d_batch`` scores many candidates in one vectorized pass, each against
 the reference set it names in a ``reference_table``: the tf-idf weights,
@@ -31,20 +32,14 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-
-class _NgramIndex(NamedTuple):
-    """Sorted integer codes of the corpus n-grams, per order, and their idf."""
-
-    token_rank: dict        # corpus token -> rank among the sorted corpus tokens
-    codes: list             # per order: sorted int64 codes
-    offsets: np.ndarray     # per order: first global id of the order's table
-    idf: np.ndarray         # per global id: log(N) - log(df)
+N_MAX = 4      # n-gram orders 1..N_MAX
+SIGMA = 6.0    # width of the Gaussian length penalty
 
 
 class _Entries(NamedTuple):
@@ -55,17 +50,18 @@ class _Entries(NamedTuple):
     slot: np.ndarray        # order - 1
     ids: np.ndarray         # global n-gram id
     weight: np.ndarray      # tf * idf
-    norms: np.ndarray       # (rows, n_max) per-order vector norms
+    norms: np.ndarray       # (rows, N_MAX) per-order vector norms
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class CiderCorpusStats:
-    """The n-gram index of the reference corpus."""
+    """The n-gram index of the reference corpus: sorted integer codes of the
+    corpus n-grams, per order, and their idf."""
 
-    index: _NgramIndex = field(repr=False)
-    log_num_images: float
-    n_max: int = 4
-    sigma: float = 6.0
+    token_rank: dict        # corpus token -> rank among the sorted corpus tokens
+    codes: list             # per order: sorted int64 codes
+    offsets: np.ndarray     # per order: first global id of the order's table
+    idf: np.ndarray         # per global id: log(N) - log(df)
 
 
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -96,8 +92,7 @@ def _flat_ranks(sequences: Sequence[Sequence[str]],
     return flat, np.repeat(np.arange(len(sequences)), [len(seq) + 1 for seq in sequences])
 
 
-def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
-                      n_max: int = 4, sigma: float = 6.0) -> CiderCorpusStats:
+def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusStats:
     """Code every reference n-gram and count, for each, the number of images
     whose references contain it."""
     n_images = len(reference_sets)
@@ -111,7 +106,7 @@ def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
     log_num_images = math.log(n_images)
     codes, idfs = [], []
     rank = flat
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         code = _extend(rank[:-1], flat[n - 1:], len(token_rank)) if n > 1 else flat
         pos = np.flatnonzero(code >= 0)
         # one key per (n-gram, image) pair; the images per n-gram are its df.
@@ -124,34 +119,32 @@ def build_cider_stats(reference_sets: Sequence[Sequence[Sequence[str]]],
                              dtype=np.float64))
         rank = _lookup(table, code)
     offsets = np.cumsum([0] + [len(c) for c in codes[:-1]]).astype(np.int64)
-    index = _NgramIndex(token_rank, codes, offsets, np.concatenate(idfs))
-    return CiderCorpusStats(index, log_num_images, n_max, sigma)
+    return CiderCorpusStats(token_rank, codes, offsets, np.concatenate(idfs))
 
 
 def _tfidf_entries(sequences: Sequence[Sequence[str]], stats: CiderCorpusStats) -> _Entries:
     """Per-sequence tf-idf entries and norms; idf = log(N / df)."""
-    index, n_max = stats.index, stats.n_max
-    n_tokens = len(index.token_rank)
-    flat, row_of = _flat_ranks(sequences, index.token_rank)
+    n_tokens = len(stats.token_rank)
+    flat, row_of = _flat_ranks(sequences, stats.token_rank)
     rows, slots, ids, tfs = [], [], [], []
     rank = flat
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         if n > 1:
-            rank = _lookup(index.codes[n - 1], _extend(rank[:-1], flat[n - 1:], n_tokens))
+            rank = _lookup(stats.codes[n - 1], _extend(rank[:-1], flat[n - 1:], n_tokens))
         pos = np.flatnonzero(rank >= 0)
-        key = row_of[pos] * len(index.codes[n - 1]) + rank[pos]
+        key = row_of[pos] * len(stats.codes[n - 1]) + rank[pos]
         _, first, tf = np.unique(key, return_index=True, return_counts=True)
         by_first = np.argsort(first)
         at = pos[first[by_first]]
         rows.append(row_of[at])
         slots.append(np.full(len(at), n - 1))
-        ids.append(index.offsets[n - 1] + rank[at])
+        ids.append(stats.offsets[n - 1] + rank[at])
         tfs.append(tf[by_first])
     row, slot, gid = np.concatenate(rows), np.concatenate(slots), np.concatenate(ids)
-    weight = np.concatenate(tfs) * index.idf[gid]
-    sq = np.bincount(row * n_max + slot, weights=weight * weight,
-                     minlength=len(sequences) * n_max)
-    return _Entries(row, slot, gid, weight, np.sqrt(sq).reshape(len(sequences), n_max))
+    weight = np.concatenate(tfs) * stats.idf[gid]
+    sq = np.bincount(row * N_MAX + slot, weights=weight * weight,
+                     minlength=len(sequences) * N_MAX)
+    return _Entries(row, slot, gid, weight, np.sqrt(sq).reshape(len(sequences), N_MAX))
 
 
 class ReferenceTable(NamedTuple):
@@ -163,7 +156,7 @@ class ReferenceTable(NamedTuple):
     stats: CiderCorpusStats  # the statistics the table was built under
     keys: np.ndarray         # (rows,) set * n_ids + global id, sorted
     weights: np.ndarray      # (rows + 1, width)
-    norms: np.ndarray        # (sets, width, n_max)
+    norms: np.ndarray        # (sets, width, N_MAX)
     lengths: np.ndarray      # (sets, width)
     n_refs: np.ndarray       # (sets,)
 
@@ -184,12 +177,12 @@ def reference_table(reference_sets: Sequence[Sequence[Sequence[str]]],
     set_of = np.repeat(np.arange(len(n_refs)), n_refs)
     slot = np.arange(len(refs)) - (np.cumsum(n_refs) - n_refs)[set_of]  # place in its set
     entries = _tfidf_entries(refs, stats)
-    n_ids = len(stats.index.idf)
+    n_ids = len(stats.idf)
     keys, row = np.unique(set_of[entries.row] * n_ids + entries.ids, return_inverse=True)
     width = int(n_refs.max(initial=0))
     weights = np.zeros((len(keys) + 1, width))
     weights[row, slot[entries.row]] = entries.weight
-    norms = np.zeros((len(n_refs), width, stats.n_max))
+    norms = np.zeros((len(n_refs), width, N_MAX))
     norms[set_of, slot] = entries.norms
     lengths = np.zeros((len(n_refs), width), dtype=np.int64)
     lengths[set_of, slot] = [len(ref) for ref in refs]
@@ -204,7 +197,7 @@ def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
     ``reference_table`` of the sets scored against, which carries the
     statistics it was built under.  Per n, the candidate tf-idf vector is
     clipped elementwise to the reference vector before the cosine; each
-    reference similarity is damped by exp(-(len_c - len_r)^2 / (2 sigma^2)).
+    reference similarity is damped by exp(-(len_c - len_r)^2 / (2 SIGMA^2)).
     Similarities are averaged over references, then over n, then multiplied
     by 10.  An empty candidate scores 0.
     """
@@ -216,16 +209,15 @@ def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
         return np.zeros(0)
     if owner.min() < 0 or owner.max() >= len(table.n_refs):
         raise ValueError("owner indexes outside the reference table")
-    n_max, width = stats.n_max, table.weights.shape[1]
-    n_ids = len(stats.index.idf)
+    width, n_ids = table.weights.shape[1], len(stats.idf)
 
     cand = _tfidf_entries(candidates, stats)
     ref_weight = table.weights[_lookup(table.keys, owner[cand.row] * n_ids + cand.ids)]
     # a term whose reference weight is 0 adds exactly 0.0 to its dot product
     terms = np.minimum(cand.weight[:, None], ref_weight) * ref_weight
-    bins = (cand.row[:, None] * width + np.arange(width)) * n_max + cand.slot[:, None]
+    bins = (cand.row[:, None] * width + np.arange(width)) * N_MAX + cand.slot[:, None]
     dots = np.bincount(bins.ravel(), weights=terms.ravel(),
-                       minlength=len(owner) * width * n_max).reshape(len(owner), width, n_max)
+                       minlength=len(owner) * width * N_MAX).reshape(len(owner), width, N_MAX)
 
     cand_norms, ref_norms = cand.norms[:, None, :], table.norms[owner]
     sims = np.zeros(dots.shape)
@@ -233,20 +225,20 @@ def cider_d_batch(candidates: Sequence[Sequence[str]], owner: Sequence[int],
               where=(cand_norms != 0.0) & (ref_norms != 0.0))
     deltas = np.array([len(c) for c in candidates], dtype=np.int64)[:, None] - table.lengths[owner]
     low = int(deltas.min())
-    two_var = 2.0 * stats.sigma**2
+    two_var = 2.0 * SIGMA**2
     penalty = np.array([math.exp(-(d * d) / two_var)
                         for d in map(float, range(low, int(deltas.max()) + 1))])
     penalties = penalty[deltas - low]
 
     # a padded reference has zero norms, so it adds exactly 0.0
-    totals = np.zeros((len(owner), n_max))
+    totals = np.zeros((len(owner), N_MAX))
     for j in range(width):
         totals += penalties[:, j, None] * sims[:, j]
     per_n = totals / table.n_refs[owner][:, None]
     total = per_n[:, 0]
-    for slot in range(1, n_max):
+    for slot in range(1, N_MAX):
         total = total + per_n[:, slot]
-    return 10.0 * total / n_max
+    return 10.0 * total / N_MAX
 
 
 def cider_d(candidate: Sequence[str], references: Sequence[Sequence[str]],

@@ -26,7 +26,10 @@ metrics), by a short check here.  A bad value in any section, even one the
 command does not use, is a usage error (exit 2) that names ``section.key``.
 A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
 checked once, as it is loaded, against the data's vocabulary and the
-config's model dimensions.
+config's model dimensions (``model.check_matches``).  A flag that the run
+would not read is a usage error too: ``--init`` outside the rl and joint
+stages, ``--frozen`` outside bp decoding, and ``--captions`` together with
+``--references``.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -57,6 +60,7 @@ from .metrics import evaluate
 from .model import (
     ModelDims,
     ModelParams,
+    check_matches,
     config_hash,
     init_params,
     load_checkpoint,
@@ -316,12 +320,8 @@ def _require_checkpoint(path_str: str, flag: str, vocab,
         raise UsageError(f"missing upstream checkpoint: {path}")
     with _usage(f"invalid checkpoint {path}: "):
         params, meta = load_checkpoint(path)
-    if params.vocab.hash_hex() != vocab.hash_hex():
-        raise UsageError(f"{flag} {path}: vocabulary hash mismatch between checkpoint and dataset")
-    for key, value in asdict(_model_dims(config)).items():
-        if getattr(params.dims, key) != value:
-            raise UsageError(f"{flag} {path}: {key} is {getattr(params.dims, key)} in the"
-                             f" checkpoint but {value} in the config")
+    with _usage(f"{flag} {path}: "):
+        check_matches(params, vocab, _model_dims(config))
     return params, meta
 
 
@@ -334,6 +334,10 @@ def _split(bundle: DataBundle, name: str) -> Dataset:
 
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
+    if args.stage == "ce" and args.init is not None:
+        raise UsageError("--init is not used by the ce stage, which trains a new model")
+    if args.stage != "ce" and args.init is None:
+        raise UsageError(f"--init is required for the {args.stage} stage")
     seed, section = config["seed"], config[args.stage]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
@@ -344,8 +348,6 @@ def cmd_train(args) -> int:
                                rng, section["batch_size"])
         log_columns = ["epoch", "mean_loss"]
     else:
-        if args.init is None:
-            raise UsageError(f"--init is required for the {args.stage} stage")
         checkpoint, _ = _require_checkpoint(args.init, "--init", vocab, config)
         stats = corpus_stats_for(vocab, bundle.train)
         rng = stage_rng(seed, f"train:{args.stage}")
@@ -418,15 +420,17 @@ def cmd_finetune(args) -> int:
 
 def cmd_decode(args) -> int:
     config, _ = _resolve_config(args)
+    decode_config = _decode_config(config)
+    if decode_config.method == "bp" and args.frozen is None:
+        raise UsageError("--frozen is required for bp decoding")
+    if decode_config.method != "bp" and args.frozen is not None:
+        raise UsageError(f"--frozen is used only by bp decoding, not {decode_config.method}")
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     vocab = _vocab_for(config, bundle)
     params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
-    decode_config = _decode_config(config)
     frozen = None
     if decode_config.method == "bp":
-        if args.frozen is None:
-            raise UsageError("--frozen is required for bp decoding")
         frozen_params, meta = _require_checkpoint(args.frozen, "--frozen", vocab, config)
         beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
         with _usage(f"invalid frozen checkpoint {args.frozen}: "):
@@ -508,7 +512,7 @@ def cmd_analyze(args) -> int:
             captions = dataset.all_references()
         else:
             raise UsageError("histogram needs --captions FILE or --references")
-    elif args.what == "sample-freq":
+    else:  # sample-freq
         if args.checkpoint is None:
             raise UsageError("sample-freq needs --checkpoint")
         params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
@@ -522,8 +526,6 @@ def cmd_analyze(args) -> int:
                 for seq in sample_sequences(params, feats[start : start + chunk],
                                             config["decode"]["beta"], rng):
                     captions.append(vocab.words(seq.tokens))
-    else:
-        raise UsageError(f"unknown analysis {args.what!r}")
 
     hist = freq_histogram(captions, vocab, n_bins)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -548,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init", help="upstream checkpoint (required for rl/joint)")
+    p.add_argument("--init", help="upstream checkpoint (rl/joint only, and required there)")
     p.add_argument("--lam", dest="joint.lam", type=float, help="joint mixing weight")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
@@ -594,8 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="train")
-    p.add_argument("--captions")
-    p.add_argument("--references", action="store_true")
+    source = p.add_mutually_exclusive_group()  # what a histogram counts
+    source.add_argument("--captions")
+    source.add_argument("--references", action="store_true")
     p.add_argument("--checkpoint")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--beta", dest="decode.beta", type=float)

@@ -213,14 +213,13 @@ class Dataset:
         return [ref for rec in self.records for ref in rec.references]
 
 
-def mapped_references(vocab: Vocabulary, records: Sequence[ImageRecord]) -> dict[int, list[list[str]]]:
-    """References with out-of-vocabulary words replaced by <unk>, keyed by
-    image id, so rewards and metrics operate in the model's token space."""
+def mapped_references(vocab: Vocabulary, records: Sequence[ImageRecord]) -> list[list[list[str]]]:
+    """Each record's references, in record order, with out-of-vocabulary
+    words replaced by <unk>, so rewards and metrics operate in the model's
+    token space."""
     known = vocab.id_of
-    return {
-        rec.id: [[tok if tok in known else UNK for tok in ref] for ref in rec.references]
-        for rec in records
-    }
+    return [[[tok if tok in known else UNK for tok in ref] for ref in rec.references]
+            for rec in records]
 
 
 def record_to_json(rec: ImageRecord) -> str:
@@ -276,10 +275,6 @@ class FreqHistogram:
 
     bins: np.ndarray
     tail: float
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.bins)
 
     def write_csv(self, path) -> None:
         """Emit (bin_index, relative_frequency) rows; the excluded-token

@@ -1,4 +1,5 @@
-"""Greedy, beam, nucleus, and bias-product decoding.
+"""Greedy, beam, nucleus, and bias-product decoding; ``decode_dataset``
+decodes a split with any of them.
 
 All decoders terminate within ``max_len`` steps, never mutate the model, and
 break score ties toward the lowest token id (greedy/nucleus) or the
@@ -10,8 +11,10 @@ final pool so the returned hypothesis never scores below it.
 Greedy and beam search decode a whole split in lockstep: the alive
 hypotheses of every image share one (rows, d) state, so each step makes one
 recurrent step and one log-softmax for the split.  The single-image
-decoders are the same code run on a split of one.  Nucleus sampling draws
-from one generator image by image, so it stays a one-row loop.
+decoders, ``decode_beam`` and ``decode_bp``, are the same code run on a
+split of one.  Nucleus sampling draws
+from one generator, seeded by ``DecodeConfig.seed``, image by image, so
+``decode_dataset`` runs it as a one-row loop over the split's records.
 
 An image's alive rows stay contiguous and in lexicographic order of their
 sequences, so in the image's flattened candidate row the index
@@ -292,23 +295,12 @@ def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.n
 
 
 def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
-    max_len = config.max_len if config.max_len is not None else params.dims.max_len
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    return max_len
+    return config.max_len if config.max_len is not None else params.dims.max_len
 
 
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
     config.validate()
     return _search(params, _PolicyStepper(params, config.beta), [image], config, "beam")[0]
-
-
-def decode_nucleus(params: ModelParams, image: ImageRecord, config: DecodeConfig,
-                   rng: np.random.Generator) -> Decoded:
-    config.validate()
-    ids, logprob = _nucleus(_PolicyStepper(params, config.beta), image.features,
-                            _resolve_max_len(params, config), config.nucleus_p, rng)
-    return _finish(ids, logprob, params.vocab)
 
 
 def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageRecord,
@@ -347,10 +339,12 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
         seqs, totals = greedy_rollout_batch(params, feats, config.beta,
                                             _resolve_max_len(params, config))
         return [_finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
+    stepper = _PolicyStepper(params, config.beta)
     if config.method == "nucleus":
-        rng = np.random.default_rng(config.seed)
-        return [decode_nucleus(params, rec, config, rng) for rec in records]
-    return _search(params, _PolicyStepper(params, config.beta), records, config, "beam")
+        max_len, rng = _resolve_max_len(params, config), np.random.default_rng(config.seed)
+        return [_finish(*_nucleus(stepper, rec.features, max_len, config.nucleus_p, rng),
+                        params.vocab) for rec in records]
+    return _search(params, stepper, records, config, "beam")
 
 
 def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:

@@ -25,6 +25,7 @@ from .model import (
     ModelParams,
     TrainScope,
     backward_sequences,
+    check_matches,
     forward_sequences,
     log_softmax_temp,
     logits_from_hidden,
@@ -59,19 +60,12 @@ class FrozenReference:
         return self.params.full_hash()
 
 
-def check_compatible(params: ModelParams, frozen: FrozenReference) -> None:
-    if params.vocab.hash_hex() != frozen.params.vocab.hash_hex():
-        raise ValueError("vocabulary mismatch between model and frozen reference")
-    if params.dims != frozen.params.dims:
-        raise ValueError("dimension mismatch between model and frozen reference")
-
-
 def check_shared_encoder(params: ModelParams, frozen: FrozenReference) -> None:
-    """Accept a compatible frozen reference only if its embedding and encoder
-    bytes are the model's, as after a classifier-only fine-tune, so that one
-    recurrence computes the states of both.  Bytes, not values: -0.0 and 0.0
-    differ."""
-    check_compatible(params, frozen)
+    """Accept a frozen reference only if it matches the model's vocabulary
+    and dims and its embedding and encoder bytes are the model's, as after a
+    classifier-only fine-tune, so that one recurrence computes the states of
+    both.  Bytes, not values: -0.0 and 0.0 differ."""
+    check_matches(frozen.params, params.vocab, params.dims)
     if params.encoder_hash() != frozen.params.encoder_hash():
         raise ValueError("the frozen reference has another embedding or encoder than the model;"
                          " bias-product decoding needs one that shares the model's")
@@ -233,7 +227,7 @@ def bp_head(logp, logp_ref, targets, mask, lengths):
 
 def bp_batch(params, frozen: FrozenReference, feats, captions) -> LossOutput:
     """Bias-product loss against a frozen reference with its own encoder."""
-    check_compatible(params, frozen)
+    check_matches(frozen.params, params.vocab, params.dims)
     fwd, logp, targets = teacher_forced(params, feats, captions)
     h_ref = forward_sequences(frozen.params, feats, fwd.tokens, fwd.lengths).h
     logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, h_ref), frozen.beta_prime)

@@ -205,8 +205,7 @@ def _scoring_context(dataset: Dataset, vocab: Vocabulary,
                      stats: CiderCorpusStats) -> _SplitContext:
     context = _split_context(dataset)
     if context.vocab is not vocab or context.cider_table.stats is not stats:
-        refs_by_id = mapped_references(vocab, dataset.records)
-        refs = [refs_by_id[rec.id] for rec in dataset.records]
+        refs = mapped_references(vocab, dataset.records)
         context.cider_table = reference_table(refs, stats)
         context.ref_words = [set().union(*image_refs) for image_refs in refs]
         context.vocab = vocab

@@ -103,6 +103,18 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
+def check_matches(params: ModelParams, vocab: Vocabulary, dims: ModelDims) -> None:
+    """Raise ValueError, naming the first field that differs, unless
+    ``params`` was built on ``vocab`` (by hash) and has the dimensions
+    ``dims``."""
+    if params.vocab.hash_hex() != vocab.hash_hex():
+        raise ValueError("vocabulary hash mismatch")
+    for key, want in asdict(dims).items():
+        have = getattr(params.dims, key)
+        if have != want:
+            raise ValueError(f"{key} is {have}, expected {want}")
+
+
 def array_shapes(dims: ModelDims, n_vocab: int) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter array, in ``ALL_ARRAYS`` order."""
     d, f, v = dims.hidden_dim, dims.feature_dim, n_vocab

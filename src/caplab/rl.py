@@ -45,8 +45,7 @@ from .model import (
 
 
 def corpus_stats_for(vocab: Vocabulary, train: Dataset) -> CiderCorpusStats:
-    refs = mapped_references(vocab, train.records)
-    return build_cider_stats([refs[rec.id] for rec in train.records])
+    return build_cider_stats(mapped_references(vocab, train.records))
 
 
 @dataclass
@@ -87,16 +86,16 @@ class SampleBatch(abc.Sequence):
 
 
 def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
-                     rng: np.random.Generator, max_len: int | None = None) -> SampleBatch:
+                     rng: np.random.Generator) -> SampleBatch:
     """Multinomial rollout for a batch of feature rows; deterministic in rng.
 
     Each step draws one uniform per row and inverts it through the row's
     CDF.  A row stops at its first <eos> and is fed <eos> until every row
-    has stopped or ``max_len`` steps have run.  The rollout records the
-    cell's activations as it goes, so the batch carries its own forward pass.
+    has stopped or the model's ``max_len`` steps have run.  The rollout
+    records the cell's activations as it goes, so the batch carries its own
+    forward pass.
     """
-    if max_len is None:
-        max_len = params.dims.max_len
+    max_len = params.dims.max_len
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     vocab = params.vocab
     n_rows, d, n_vocab = len(feats), params.dims.hidden_dim, len(vocab)
@@ -155,11 +154,10 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: Referen
         raise ValueError("samples_per_image must be >= 1")
     vocab = params.vocab
     feats = np.stack([img.features for img in images])
-    max_len = params.dims.max_len
 
-    greedy_seqs, _ = greedy_rollout_batch(params, feats, 1.0, max_len)
+    greedy_seqs, _ = greedy_rollout_batch(params, feats, 1.0, params.dims.max_len)
     rep_feats = np.repeat(feats, samples_per_image, axis=0)
-    samples = sample_sequences(params, rep_feats, 1.0, rng, max_len)
+    samples = sample_sequences(params, rep_feats, 1.0, rng)
     # the greedy baselines first, then the samples, image by image
     seqs = list(greedy_seqs) + [sample.tokens for sample in samples]
     rows = np.array([row_of[img.id] for img in images], dtype=np.int64)
@@ -218,8 +216,7 @@ def training_table(vocab: Vocabulary, train: Dataset,
     """The CIDEr-D reference table of every training image's references,
     mapped into ``vocab``, and each image id's set in it; a training run
     builds it once and every step scores against it."""
-    refs_by_id = mapped_references(vocab, train.records)
-    table = reference_table([refs_by_id[rec.id] for rec in train.records], stats)
+    table = reference_table(mapped_references(vocab, train.records), stats)
     return table, {rec.id: row for row, rec in enumerate(train.records)}
 
 

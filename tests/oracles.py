@@ -15,12 +15,12 @@ import numpy as np
 from caplab.cider import CiderCorpusStats, ReferenceTable, reference_table
 from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
-from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, check_compatible,
-                           frame_targets, logit_grad, pointwise_head, teacher_forced)
+from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, frame_targets,
+                           logit_grad, pointwise_head, teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
-                          backward_sequences, forward_sequences, init_params, initial_hidden,
-                          log_softmax_temp, logits_from_hidden, recurrent_step)
+                          backward_sequences, check_matches, forward_sequences, init_params,
+                          initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step)
 from caplab.rl import SampledSeq, joint_loss, reference_pairs, scst_step, sgd_epochs
 
 
@@ -51,7 +51,7 @@ def bp_prob(params: ModelParams, frozen: FrozenReference, image: ImageRecord,
     """Next-token distribution of the bias product of the model at inverse
     temperature ``beta`` and the frozen reference, both conditioned on the
     same prefix."""
-    check_compatible(params, frozen)
+    check_matches(frozen.params, params.vocab, params.dims)
     z_main = score_step(params, image.features, prefix)
     z_ref = score_step(frozen.params, image.features, prefix)
     logq = bp_log_probs(
@@ -68,7 +68,7 @@ class TwoRecurrenceStepper:
     as it indexes a one-model state."""
 
     def __init__(self, params: ModelParams, frozen: FrozenReference, beta: float):
-        check_compatible(params, frozen)
+        check_matches(frozen.params, params.vocab, params.dims)
         self.models = ((params, beta), (frozen.params, frozen.beta_prime))
         self.eos_id = params.vocab.eos_id
 
@@ -176,8 +176,7 @@ def batch_table(vocab: Vocabulary, images: Sequence[ImageRecord],
                 stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
     """The reference table of one batch's images alone, and each image id's
     set in it."""
-    refs = mapped_references(vocab, images)
-    table = reference_table([refs[img.id] for img in images], stats)
+    table = reference_table(mapped_references(vocab, images), stats)
     return table, {img.id: row for row, img in enumerate(images)}
 
 

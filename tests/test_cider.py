@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab import metrics, rl
-from caplab.cider import _tfidf_entries, build_cider_stats, cider_d, cider_d_batch, reference_table
+from caplab.cider import (N_MAX, SIGMA, _tfidf_entries, build_cider_stats, cider_d, cider_d_batch,
+                          reference_table)
 from caplab.corpus import Dataset, ImageRecord, build_vocab, mapped_references
 from caplab.decode import DecodeConfig, decode_dataset
 from caplab.model import ModelDims, init_params
@@ -99,18 +100,18 @@ def corpus_stats():
     return refs, build_cider_stats(refs)
 
 
-def global_id(ngram, index):
-    """``ngram``'s position in the index under the coding the ``cider``
-    module describes, asserting that it and each of its prefixes are in
-    their order's table."""
-    code = index.token_rank[ngram[0]]
+def global_id(ngram, stats):
+    """``ngram``'s position in the statistics' index under the coding the
+    ``cider`` module describes, asserting that it and each of its prefixes
+    are in their order's table."""
+    code = stats.token_rank[ngram[0]]
     for n in range(1, len(ngram) + 1):
-        table = index.codes[n - 1]
+        table = stats.codes[n - 1]
         rank = int(np.searchsorted(table, code))
         assert rank < len(table) and table[rank] == code, f"{ngram[:n]} is not in its table"
         if n < len(ngram):
-            code = rank * len(index.token_rank) + index.token_rank[ngram[n]]
-    return int(index.offsets[len(ngram) - 1]) + rank
+            code = rank * len(stats.token_rank) + stats.token_rank[ngram[n]]
+    return int(stats.offsets[len(ngram) - 1]) + rank
 
 
 def reference_cider(candidate, references, stats):
@@ -185,7 +186,7 @@ class TestCiderD:
         score_padded = cider_d(padded, ref_set, stats)
 
         def penalty(lc, lr):
-            return math.exp(-((lc - lr) ** 2) / (2 * stats.sigma**2))
+            return math.exp(-((lc - lr) ** 2) / (2 * SIGMA**2))
 
         # per-reference rescaling of the length penalty, holding cosines fixed
         penalties_base = [penalty(len(base), len(r)) for r in ref_set]
@@ -220,15 +221,15 @@ class TestCorpusStats:
         assert oracle.doc_freq[("a",)] == 2
         assert oracle.doc_freq[("cat",)] == 1
         for ngram, df in ((("a",), 2), (("cat",), 1), (("a", "cat"), 1)):
-            assert stats.index.idf[global_id(ngram, stats.index)] == math.log(2) - math.log(df)
+            assert stats.idf[global_id(ngram, stats)] == math.log(2) - math.log(df)
 
     def test_df_at_least_one(self, corpus_stats):
         refs, stats = corpus_stats
         doc_freq = oracle_stats(refs).doc_freq
         assert all(df >= 1 for df in doc_freq.values())
         # df >= 1 is idf <= log(N); every entry is some corpus n-gram's
-        assert len(stats.index.idf) == len(doc_freq)
-        assert (stats.index.idf <= stats.log_num_images).all()
+        assert len(stats.idf) == len(doc_freq)
+        assert (stats.idf <= math.log(len(refs))).all()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -241,11 +242,9 @@ class TestCorpusStats:
 
 
 def stats_snapshot(stats):
-    """Every field of ``stats``, its index's arrays as bytes."""
-    index = stats.index
-    return ({name: value for name, value in vars(stats).items() if name != "index"},
-            dict(index.token_rank), [codes.tobytes() for codes in index.codes],
-            index.offsets.tobytes(), index.idf.tobytes())
+    """Every field of ``stats``, its arrays as bytes."""
+    return (dict(stats.token_rank), [codes.tobytes() for codes in stats.codes],
+            stats.offsets.tobytes(), stats.idf.tobytes())
 
 
 class TestReferenceTable:
@@ -273,8 +272,7 @@ class TestReferenceTable:
         assert table.stats is stats and table.n_refs.tolist() == [3, 2, 2]
         oracle = oracle_stats(self.REFS)
         for k, refs in enumerate(self.REFS):
-            rows = (table.keys >= k * len(stats.index.idf)) & (
-                table.keys < (k + 1) * len(stats.index.idf))
+            rows = (table.keys >= k * len(stats.idf)) & (table.keys < (k + 1) * len(stats.idf))
             assert table.lengths[k].tolist() == [len(ref) for ref in refs] + [0] * (3 - len(refs))
             for j, ref in enumerate(refs):
                 vecs, norms = _tfidf_vectors(ref, oracle)
@@ -290,7 +288,7 @@ class TestReferenceTable:
     def test_scoring_leaves_the_statistics_as_built(self):
         stats = build_cider_stats(self.REFS)
         built = stats_snapshot(stats)
-        assert set(vars(stats)) == {"index", "log_num_images", "n_max", "sigma"}
+        assert set(vars(stats)) == {"token_rank", "codes", "offsets", "idf"}
         table = reference_table(self.REFS, stats)
         for k, refs in enumerate(self.REFS):
             cider_d(self.CANDIDATES[k], refs, stats)
@@ -364,23 +362,21 @@ corpora = st.lists(st.lists(st.lists(st.sampled_from(WORDS[:3]), max_size=7), ma
 
 
 @settings(max_examples=150, deadline=None)
-@given(corpora, st.integers(1, 4),
+@given(corpora,
        st.lists(st.lists(st.sampled_from(WORDS + UNSEEN), max_size=8), min_size=1, max_size=4))
-@example([[[], []], [[]]], 4, [["a"], []])                        # every reference empty
-@example([[["a", "b", "a", "b", "a"], ["c"]]], 2, [["a", "b"]])   # a single image
-@example([[["a", "b", "a", "b"], ["a", "b", "a", "b"]], [["b", "a"]]], 4,
-         [["a", "b", "a"], ["b", "a", "b", "a"]])                  # n-grams repeated in one image
-@example([[["a", "b"], []], [], [["c", "a"]]], 1, [["a", "c"], ["x"]])  # empty ref, no refs
-def test_build_matches_tuple_oracle(corpus, n_max, candidates):
-    stats, oracle = build_cider_stats(corpus, n_max=n_max), oracle_stats(corpus, n_max=n_max)
-    index = stats.index
-    assert stats.log_num_images == oracle.log_num_images
-    for n, table in enumerate(index.codes, start=1):
+@example([[[], []], [[]]], [["a"], []])                        # every reference empty
+@example([[["a", "b", "a", "b", "a"], ["c"]]], [["a", "b"]])   # a single image
+@example([[["a", "b", "a", "b"], ["a", "b", "a", "b"]], [["b", "a"]]],
+         [["a", "b", "a"], ["b", "a", "b", "a"]])               # n-grams repeated in one image
+@example([[["a", "b"], []], [], [["c", "a"]]], [["a", "c"], ["x"]])  # empty ref, no refs
+def test_build_matches_tuple_oracle(corpus, candidates):
+    stats, oracle = build_cider_stats(corpus), oracle_stats(corpus)
+    for n, table in enumerate(stats.codes, start=1):
         assert (np.diff(table) > 0).all()
         assert len(table) == sum(len(ngram) == n for ngram in oracle.doc_freq)
-    assert len(index.codes) == n_max and len(index.idf) == len(oracle.doc_freq)
+    assert len(stats.codes) == N_MAX and len(stats.idf) == len(oracle.doc_freq)
     for ngram, df in oracle.doc_freq.items():
-        assert index.idf[global_id(ngram, index)] == oracle.log_num_images - math.log(df)
+        assert stats.idf[global_id(ngram, stats)] == oracle.log_num_images - math.log(df)
     # every candidate against every non-empty image's references and one outside set
     sets = [refs for refs in corpus if refs] + [[["a", "b", "x"], []]]
     owner = [k for k in range(len(sets)) for _ in candidates]
@@ -402,7 +398,7 @@ def one_at_a_time_ref_set(refs, stats):
 
 def table_set(table, k):
     """Set ``k`` of a reference table in the oracle's form, its padding cut."""
-    n_ids = len(table.stats.index.idf)
+    n_ids = len(table.stats.idf)
     at = np.flatnonzero((table.keys >= k * n_ids) & (table.keys < (k + 1) * n_ids))
     n = table.n_refs[k]
     return (table.keys[at] - k * n_ids, table.weights[at, :n], table.norms[k, :n],
@@ -470,8 +466,7 @@ def bench_scale():
     params = init_params(vocab, ModelDims(hidden_dim=64, feature_dim=32, max_len=16), 7,
                          scale=0.1)
     params, _ = rl.train_ce(params, data.train, 1, 1.0, np.random.default_rng(1))
-    refs = mapped_references(vocab, data.train.records)
-    oracle = oracle_stats([refs[rec.id] for rec in data.train.records])
+    oracle = oracle_stats(mapped_references(vocab, data.train.records))
     return data, params, rl.corpus_stats_for(vocab, data.train), oracle
 
 
@@ -487,8 +482,7 @@ def test_scst_rewards_equal_scalar_oracle_at_bench_scale(bench_scale, monkeypatc
     monkeypatch.setattr(rl, "cider_d_batch", recorded)
     train = Dataset("train", data.train.records[:30])
     trained, log = rl.train_rl(params, train, stats, 1, 0.05, np.random.default_rng(2), 10, 5)
-    refs = mapped_references(params.vocab, train.records)
-    sets = [refs[rec.id] for rec in train.records]  # the run's table holds them in order
+    sets = mapped_references(params.vocab, train.records)  # the run's table holds them in order
     assert len(calls) == 3  # one call per step scores its baselines and samples
     for candidates, owner, scores in calls:
         assert len(candidates) == 10 + 50
@@ -503,6 +497,5 @@ def test_evaluate_cider_equals_scalar_oracle_at_bench_scale(bench_scale):
     captions = [dec.tokens for dec in decoded]
     report = metrics.evaluate(captions, data.val, params.vocab, stats)
     refs = mapped_references(params.vocab, data.val.records)
-    expected = [scalar_cider_d(cap, refs[rec.id], oracle)
-                for cap, rec in zip(captions, data.val.records)]
+    expected = [scalar_cider_d(cap, image_refs, oracle) for cap, image_refs in zip(captions, refs)]
     assert report.cider == float(np.mean(expected)) and report.cider > 0.0

@@ -246,9 +246,9 @@ class TestTrain:
         _, config_path, data_dir = workdir
         bad_path = _write_config(tmp_path, config_path, stage, key, value)
         out = tmp_path / "out"
+        init = [] if stage == "ce" else ["--init", str(ce_checkpoint)]
         assert main(["train", "--stage", stage, "--config", str(bad_path),
-                     "--data", str(data_dir), "--out", str(out),
-                     "--init", str(ce_checkpoint)]) == 2
+                     "--data", str(data_dir), "--out", str(out), *init]) == 2
         assert f"{stage}.{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -270,6 +270,17 @@ class TestTrain:
         root, config_path, data_dir = workdir
         assert main(["train", "--stage", "rl", "--config", str(config_path),
                      "--data", str(data_dir), "--out", str(tmp_path / "r")]) == 2
+
+    def test_ce_with_init_is_usage_error_before_data_is_read(self, workdir, ce_checkpoint,
+                                                             tmp_path, capsys):
+        _, config_path, _ = workdir
+        out = tmp_path / "r"
+        assert main(["train", "--stage", "ce", "--config", str(config_path),
+                     "--data", str(tmp_path / "no_data"), "--out", str(out),
+                     "--init", str(ce_checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert "--init" in err and "dataset directory" not in err
+        assert not out.exists()
 
     def test_rl_stage_runs_and_logs(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
@@ -368,6 +379,18 @@ class TestDecodeEval:
         assert code == 2
         assert "--frozen" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus"])
+    def test_frozen_without_bp_is_usage_error(self, workdir, ce_checkpoint, tmp_path, method,
+                                              capsys):
+        _, config_path, data_dir = workdir
+        out = tmp_path / "x.jsonl"
+        code = main(["decode", "--checkpoint", str(ce_checkpoint),
+                     "--config", str(config_path), "--data", str(data_dir),
+                     "--method", method, "--frozen", str(ce_checkpoint), "--out", str(out)])
+        assert code == 2
+        assert f"--frozen is used only by bp decoding, not {method}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--beam-size", "0"], ["--nucleus-p", "0"]],
                              ids=["beam-size", "nucleus-p"])
     def test_invalid_decode_flag_is_usage_error(self, workdir, ce_checkpoint, flag, capsys):
@@ -455,8 +478,8 @@ class TestDecodeEval:
         assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
                      "--data", str(data_dir), "--method", "bp",
                      "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
-        assert (f"hidden_dim is {params.dims.hidden_dim + 1} in the checkpoint but"
-                f" {params.dims.hidden_dim} in the config") in capsys.readouterr().err
+        assert (f"hidden_dim is {params.dims.hidden_dim + 1}, expected"
+                f" {params.dims.hidden_dim}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_frozen_checkpoint_with_bad_beta_prime_rejected(self, workdir, ce_checkpoint,
@@ -671,9 +694,9 @@ class TestCheckpointChecks:
     vocabulary and the config's model dimensions."""
 
     @pytest.mark.parametrize("problem, message", [
-        ("vocab", "vocabulary hash mismatch between checkpoint and dataset"),
-        ("hidden_dim", "hidden_dim is 9 in the checkpoint but 8 in the config"),
-        ("max_len", "max_len is 13 in the checkpoint but 12 in the config"),
+        ("vocab", "vocabulary hash mismatch"),
+        ("hidden_dim", "hidden_dim is 9, expected 8"),
+        ("max_len", "max_len is 13, expected 12"),
     ], ids=["vocab", "hidden-dim", "max-len"])
     @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
     def test_checkpoint_not_of_this_data_and_config_is_usage_error(
@@ -989,6 +1012,19 @@ class TestAnalyze:
                      "--data", str(data_dir), "--captions", str(missing), "--split", "test",
                      "--out", str(out)]) == 2
         assert f"caption file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_histogram_of_captions_and_references_is_usage_error(self, workdir, tmp_path,
+                                                                capsys):
+        _, config_path, data_dir = workdir
+        captions, out = tmp_path / "caps.jsonl", tmp_path / "hist.csv"
+        _reference_captions(data_dir, captions)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--what", "histogram", "--config", str(config_path),
+                  "--data", str(data_dir), "--captions", str(captions), "--references",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
     def test_loss_surface_schema(self, workdir):

@@ -14,7 +14,6 @@ from caplab.decode import (
     decode_beam,
     decode_bp,
     decode_dataset,
-    decode_nucleus,
     greedy_rollout_batch,
     load_captions,
     nucleus_set,
@@ -40,6 +39,13 @@ def small_dims():
 def random_image(seed, dim=3):
     rng = np.random.default_rng(seed)
     return ImageRecord(id=seed, features=rng.normal(size=dim), references=[["a"]])
+
+
+def decode_nucleus(params, image, config):
+    """Nucleus sampling of one image: ``decode_dataset`` over a split of one,
+    drawing from a generator seeded with ``config.seed``."""
+    assert config.method == "nucleus"
+    return decode_dataset(params, Dataset("val", [image]), config)[0]
 
 
 def exhaustive_best(params, image, max_len):
@@ -220,16 +226,15 @@ class TestNucleus:
         image = random_image(7)
         greedy = decode_greedy(params, image, DecodeConfig(method="greedy"))
         # p below any achievable top probability forces the argmax token
-        config = DecodeConfig(method="nucleus", nucleus_p=1e-9)
         for seed in (0, 5):
-            out = decode_nucleus(params, image, config, np.random.default_rng(seed))
+            out = decode_nucleus(params, image,
+                                 DecodeConfig(method="nucleus", nucleus_p=1e-9, seed=seed))
             assert out.ids == greedy.ids
 
     def test_emitted_tokens_inside_nucleus(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 8, 0.7)
         image = random_image(8)
-        config = DecodeConfig(method="nucleus", nucleus_p=0.8)
-        out = decode_nucleus(params, image, config, np.random.default_rng(4))
+        out = decode_nucleus(params, image, DecodeConfig(method="nucleus", nucleus_p=0.8, seed=4))
         # replay the decode, recomputing each step's nucleus set
         prefix = [small_vocab.bos_id]
         emitted = out.ids + [small_vocab.eos_id] if len(out.ids) < small_dims.max_len else out.ids
@@ -246,13 +251,14 @@ class TestNucleus:
         params.cls_w[:] = 0.0
         params.cls_b[:] = np.array([0.9, 0.1, -0.7, -0.3, 0.2])
         probs = softmax_temp(params.cls_b, 1.0)
-        image = random_image(9)
-        config = DecodeConfig(method="nucleus", nucleus_p=1.0, max_len=1)
-        rng = np.random.default_rng(11)
-        counts = np.zeros(len(small_vocab))
+        features = random_image(9).features
         n = 40_000
-        for _ in range(n):
-            out = decode_nucleus(params, image, config, rng)
+        # one image n times: the split's images draw from one generator in turn
+        split = Dataset("val", [ImageRecord(id=i, features=features, references=[["a"]])
+                                for i in range(n)])
+        config = DecodeConfig(method="nucleus", nucleus_p=1.0, max_len=1, seed=11)
+        counts = np.zeros(len(small_vocab))
+        for out in decode_dataset(params, split, config):
             token = out.ids[0] if out.ids else small_vocab.eos_id
             counts[token] += 1
         for t in range(len(small_vocab)):
@@ -262,16 +268,15 @@ class TestNucleus:
     def test_deterministic_given_seed(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 10, 0.6)
         image = random_image(10)
-        config = DecodeConfig(method="nucleus", nucleus_p=0.9)
-        a = decode_nucleus(params, image, config, np.random.default_rng(3))
-        b = decode_nucleus(params, image, config, np.random.default_rng(3))
+        config = DecodeConfig(method="nucleus", nucleus_p=0.9, seed=3)
+        a = decode_nucleus(params, image, config)
+        b = decode_nucleus(params, image, config)
         assert a.ids == b.ids
 
     def test_invalid_p(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 3)
         with pytest.raises(ValueError):
-            decode_nucleus(params, random_image(0), DecodeConfig(method="nucleus", nucleus_p=0.0),
-                           np.random.default_rng(0))
+            decode_nucleus(params, random_image(0), DecodeConfig(method="nucleus", nucleus_p=0.0))
 
 
 class TestBiasProductDecoding:
@@ -315,7 +320,7 @@ class TestHygiene:
         before = params.full_hash()
         decode_greedy(params, image, DecodeConfig(method="greedy"))
         decode_beam(params, image, DecodeConfig(method="beam", beam_size=3))
-        decode_nucleus(params, image, DecodeConfig(method="nucleus"), np.random.default_rng(0))
+        decode_nucleus(params, image, DecodeConfig(method="nucleus", seed=0))
         decode_bp(params, frozen, image, DecodeConfig(method="bp"))
         assert params.full_hash() == before
 
@@ -325,14 +330,10 @@ class TestHygiene:
         for config in (
             DecodeConfig(method="greedy", max_len=3),
             DecodeConfig(method="beam", beam_size=3, max_len=3),
-            DecodeConfig(method="nucleus", max_len=3),
+            DecodeConfig(method="nucleus", max_len=3, seed=0),
         ):
-            fn = {"greedy": decode_greedy, "beam": decode_beam}.get(config.method)
-            if fn is None:
-                out = decode_nucleus(params, image, config, np.random.default_rng(0))
-            else:
-                out = fn(params, image, config)
-            assert len(out.ids) <= 3
+            fn = {"greedy": decode_greedy, "beam": decode_beam, "nucleus": decode_nucleus}
+            assert len(fn[config.method](params, image, config).ids) <= 3
 
     def test_caption_file_round_trip(self, small_vocab, small_dims, micro_bundle, tmp_path):
         dims = ModelDims(hidden_dim=5, feature_dim=micro_bundle.config.feature_dim, max_len=6)

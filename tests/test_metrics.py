@@ -75,8 +75,7 @@ def oracle_rk_retrieval(captions, dataset, ks=(1, 5, 10)):
 def oracle_evaluate(captions, dataset, vocab, stats, ks=(1, 5, 10), rep_n=4):
     """``evaluate`` as it was before the per-split context: every part
     rebuilt from the split on every call."""
-    refs_by_id = mapped_references(vocab, dataset.records)
-    mapped_refs = [refs_by_id[rec.id] for rec in dataset.records]
+    mapped_refs = mapped_references(vocab, dataset.records)
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
     cider_scores = cider_d_batch(captions, np.arange(len(captions)),
                                  reference_table(mapped_refs, stats))
@@ -321,8 +320,7 @@ def scored_splits(draw):
     split = Dataset("val", records)
     # words seen fewer than twice in the split become <unk>
     vocab = build_vocab(split.all_references(), 2)
-    refs_by_id = mapped_references(vocab, records)
-    stats = build_cider_stats([refs_by_id[rec.id] for rec in records])
+    stats = build_cider_stats(mapped_references(vocab, records))
     all_refs = split.all_references()
     captions = []
     for rec in records:
