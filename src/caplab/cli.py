@@ -1,22 +1,26 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, finetune, decode, eval, analyze.  A JSON
-experiment file supplies every stage's settings.  A flag that overrides a
-setting has its config key as destination (``--lam`` is ``joint.lam``;
-``finetune --lr x`` sets the one-point grid ``finetune.lr_grid = [x]``), and
-every given flag is folded into the config before it is hashed, so a flag
-and the same value in the file make the same run and hash.  An integer in
-the file where the default is a float is read as that float, so ``1`` and
-``1.0`` do too.  Commands read settings from that config only, the
-decoding with which ``finetune --sweep`` scores the validation split
-included: it is the ``decode`` section that ``decode`` reads, so
-``decode.method: "bp"`` makes a wft sweep decode through the bias product
-with each point's frozen copy.  All randomness is funneled through one
-seeded generator per stage, derived from the master seed, so every command
-is reproducible from (config, seed).  Checkpoints, ``dataset.meta.json``
-(for the splits) and the eval CSV carry the config hash.  Every file is
-written through ``corpus.atomic_write``, so a failed run leaves a previous
-output whole.
+Subcommands: gen-data, train {ce,rl,joint}, finetune {sft,wft,fl,afl},
+decode, eval and analyze {histogram,sample-freq,loss-surface}.  Each leaf
+parser declares only the flags its mode reads, so a flag the run would not
+read (``--init`` on ``train ce``, ``--lam`` outside ``train joint``,
+``--beta-prime`` outside ``finetune wft``, ``--data`` on ``analyze
+loss-surface``) is an argparse usage error.  A JSON experiment file supplies
+every stage's settings.  A flag that overrides a setting has its config key
+as destination (``--lam`` is ``joint.lam``; ``finetune sft --lr x`` sets the
+one-point grid ``finetune.lr_grid = [x]``), and every given flag is folded
+into the config before it is hashed, so a flag and the same value in the
+file make the same run and hash.  An integer in the file where the default
+is a float is read as that float, so ``1`` and ``1.0`` do too.  Commands
+read settings from that config only, the decoding with which ``finetune
+--sweep`` scores the validation split included: it is the ``decode`` section
+that ``decode`` reads, so ``decode.method: "bp"`` makes a wft sweep decode
+through the bias product with each point's frozen copy.  All randomness is
+funneled through one seeded generator per stage, derived from the master
+seed, so every command is reproducible from (config, seed).  Checkpoints,
+``dataset.meta.json`` (for the splits) and the eval CSV carry the config
+hash.  Every file is written through ``corpus.atomic_write``, so a failed
+run leaves a previous output whole.
 
 The whole config, flags folded in, is checked once, before any command
 reads data or writes a file: each section by the ``validate`` of the
@@ -26,10 +30,10 @@ metrics), by a short check here.  A bad value in any section, even one the
 command does not use, is a usage error (exit 2) that names ``section.key``.
 A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
 checked once, as it is loaded, against the data's vocabulary and the
-config's model dimensions (``model.check_matches``).  A flag that the run
-would not read is a usage error too: ``--init`` outside the rl and joint
-stages, ``--frozen`` outside bp decoding, and ``--captions`` together with
-``--references``.
+config's model dimensions (``model.check_matches``).  ``decode`` reads its
+method from the config, which the parser cannot see, so ``cmd_decode``
+checks the flags that only some methods read: ``--frozen`` only bp,
+``--beam-size`` only beam and bp, ``--nucleus-p`` only nucleus.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -94,27 +98,6 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _check_keys(user, default: dict, where: str) -> None:
-    """Reject a key ``default`` lacks, or a non-object where it has one."""
-    if not isinstance(user, dict):
-        raise UsageError(f"{where} config must be a JSON object")
-    for key, value in user.items():
-        if key not in default:
-            raise UsageError(f"unknown key {key!r} in {where} config")
-        if isinstance(default[key], dict):
-            _check_keys(value, default[key], key)
-
-
 def _to_float(value: int, name: str) -> float:
     try:
         return float(value)
@@ -123,20 +106,31 @@ def _to_float(value: int, name: str) -> float:
                          " for a float") from None
 
 
-def _floats_as_floats(user: dict, default: dict, where: str = "") -> None:
-    """Cast, in place, each integer leaf of ``user`` whose ``DEFAULT_CONFIG``
-    value is a float, or a list of floats, to float, so that ``1`` and
-    ``1.0`` make one config and one hash."""
+def _merged(default: dict, user, section: str = "") -> dict:
+    """``default`` with ``user``'s values in its place, checked against it.
+
+    A key ``default`` lacks, or a non-object where it has one, is a usage
+    error.  An integer where ``default`` has a float, or a list of floats, is
+    read as that float, so that ``1`` and ``1.0`` make one config and one
+    hash."""
+    where = section or "top-level"
+    if not isinstance(user, dict):
+        raise UsageError(f"{where} config must be a JSON object")
+    out = copy.deepcopy(default)
     for key, value in user.items():
-        ref, name = default[key], f"{where}{key}"
+        if key not in default:
+            raise UsageError(f"unknown key {key!r} in {where} config")
+        ref, name = default[key], f"{section}.{key}" if section else key
         if isinstance(ref, dict):
-            _floats_as_floats(value, ref, f"{name}.")
+            value = _merged(ref, value, key)
         elif isinstance(ref, float) and type(value) is int:
-            user[key] = _to_float(value, name)
+            value = _to_float(value, name)
         elif (isinstance(ref, list) and ref and all(isinstance(v, float) for v in ref)
               and isinstance(value, list)):
-            user[key] = [_to_float(v, f"{name}[{i}]") if type(v) is int else v
-                         for i, v in enumerate(value)]
+            value = [_to_float(v, f"{name}[{i}]") if type(v) is int else v
+                     for i, v in enumerate(value)]
+        out[key] = value
+    return out
 
 
 def load_config(path: str | None) -> dict:
@@ -150,9 +144,7 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
-    _check_keys(user, DEFAULT_CONFIG, "top-level")
-    _floats_as_floats(user, DEFAULT_CONFIG)
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return _merged(DEFAULT_CONFIG, user)
 
 
 def _resolve_config(args) -> tuple[dict, str]:
@@ -248,11 +240,9 @@ def _synth_config(dataset: dict) -> SynthConfig:
     return SynthConfig(**{key: value for key, value in dataset.items() if key != "min_count"})
 
 
-def _load_bundle(data_dir: str | None, config: dict) -> DataBundle:
+def _load_bundle(data_dir: str, config: dict) -> DataBundle:
     """The dataset in ``data_dir``, after checking that ``config``'s dataset
     section is the one ``gen-data`` wrote it with (``min_count`` aside)."""
-    if data_dir is None:
-        raise UsageError("--data is required for this command")
     base = _out_path(data_dir)
     if not base.is_dir():
         raise UsageError(f"dataset directory not found: {base}")
@@ -334,10 +324,6 @@ def _split(bundle: DataBundle, name: str) -> Dataset:
 
 def cmd_train(args) -> int:
     config, cfg_hash = _resolve_config(args)
-    if args.stage == "ce" and args.init is not None:
-        raise UsageError("--init is not used by the ce stage, which trains a new model")
-    if args.stage != "ce" and args.init is None:
-        raise UsageError(f"--init is required for the {args.stage} stage")
     seed, section = config["seed"], config[args.stage]
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
@@ -382,7 +368,7 @@ def cmd_finetune(args) -> int:
                              f" give one with {flag}")
     decode_config = _decode_config(config)
     if args.sweep and decode_config.method == "bp" and args.method != "wft":
-        raise UsageError("decode.method bp needs --method wft: the sweep decodes through the"
+        raise UsageError("decode.method bp needs finetune wft: the sweep decodes through the"
                          " frozen reference that only wft trains against")
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
@@ -421,10 +407,15 @@ def cmd_finetune(args) -> int:
 def cmd_decode(args) -> int:
     config, _ = _resolve_config(args)
     decode_config = _decode_config(config)
-    if decode_config.method == "bp" and args.frozen is None:
+    method = decode_config.method
+    if method == "bp" and args.frozen is None:
         raise UsageError("--frozen is required for bp decoding")
-    if decode_config.method != "bp" and args.frozen is not None:
-        raise UsageError(f"--frozen is used only by bp decoding, not {decode_config.method}")
+    for flag, value, readers in (("--frozen", args.frozen, ("bp",)),
+                                 ("--beam-size", getattr(args, "decode.beam_size"), ("beam", "bp")),
+                                 ("--nucleus-p", getattr(args, "decode.nucleus_p"), ("nucleus",))):
+        if value is not None and method not in readers:
+            raise UsageError(f"{flag} is used only by {' and '.join(readers)} decoding,"
+                             f" not {method}")
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     vocab = _vocab_for(config, bundle)
@@ -481,17 +472,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    with _usage():
-        for flag, count in (("--samples", args.samples), ("--grid-points", args.grid_points)):
-            check_count(flag, count, 1)
     config, _ = _resolve_config(args)
     out = _out_path(args.out)
 
     if args.what == "loss-surface":
-        grid = np.linspace(args.p1_min, args.p1_max, args.grid_points)
         temps, weights = config["decode"], config["finetune"]
         with _usage():
-            rows = loss_surface(grid, beta=temps["beta"], beta_prime=temps["beta_prime"],
+            check_count("--grid-points", args.grid_points, 1)
+            rows = loss_surface(np.linspace(args.p1_min, args.p1_max, args.grid_points),
+                                beta=temps["beta"], beta_prime=temps["beta_prime"],
                                 gamma=weights["gamma"], alpha=weights["alpha"])
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, rows, ["p1", "ce", "bp", "fl", "afl"])
@@ -506,15 +495,11 @@ def cmd_analyze(args) -> int:
 
     if args.what == "histogram":
         dataset = _split(bundle, args.split)
-        if args.captions:
-            captions = _captions_for(dataset, _out_path(args.captions))
-        elif args.references:
-            captions = dataset.all_references()
-        else:
-            raise UsageError("histogram needs --captions FILE or --references")
+        captions = (_captions_for(dataset, _out_path(args.captions)) if args.captions
+                    else dataset.all_references())
     else:  # sample-freq
-        if args.checkpoint is None:
-            raise UsageError("sample-freq needs --checkpoint")
+        with _usage():
+            check_count("--samples", args.samples, 1)
         params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
         rng = stage_rng(config["seed"], "analyze:sample-freq")
         feats = np.stack([rec.features for rec in bundle.train.records])
@@ -534,73 +519,77 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _modes(sub, command: str, dest: str, summary: str, func) -> argparse._SubParsersAction:
+    """A subcommand whose first argument, stored as ``dest``, picks its mode."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(func=func)
+    return p.add_subparsers(dest=dest, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="caplab",
                                      description="Synthetic captioning lab: train, fine-tune, decode, evaluate.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by every command (run), by the commands that read the
+    # dataset (data) and by those whose --seed overrides the config's (seeded)
+    run, data, seeded = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", required=True)
+    data.add_argument("--data", required=True)
+    seeded.add_argument("--seed", type=int)
+    pipeline = [run, data, seeded]  # train, finetune and decode
 
-    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("gen-data", parents=[run, seeded], help="generate the synthetic dataset")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="run a training stage")
-    p.add_argument("--stage", choices=["ce", "rl", "joint"], required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--init", help="upstream checkpoint (rl/joint only, and required there)")
-    p.add_argument("--lam", dest="joint.lam", type=float, help="joint mixing weight")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
+    stages = _modes(sub, "train", "stage", "run a training stage", cmd_train)
+    stages.add_parser("ce", parents=pipeline, help="cross-entropy training of a new model")
+    for stage in ("rl", "joint"):
+        p = stages.add_parser(stage, parents=pipeline, help=f"{stage} training from --init")
+        p.add_argument("--init", required=True, help="upstream checkpoint")
+        if stage == "joint":
+            p.add_argument("--lam", dest="joint.lam", type=float, help="joint mixing weight")
 
-    p = sub.add_parser("finetune", help="classifier-only fine-tuning")
-    p.add_argument("--method", choices=["sft", "wft", "fl", "afl"], required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sweep", action="store_true", help="grid-search lr (and beta') by validation R@1")
-    p.add_argument("--lr", dest="finetune.lr_grid", type=float, help="one-point lr grid")
-    p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
-                   help="one-point beta' grid")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_finetune)
+    methods = _modes(sub, "finetune", "method", "classifier-only fine-tuning", cmd_finetune)
+    for method in ("sft", "wft", "fl", "afl"):
+        p = methods.add_parser(method, parents=pipeline)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--sweep", action="store_true",
+                       help="grid-search lr (and beta') by validation R@1")
+        p.add_argument("--lr", dest="finetune.lr_grid", type=float, help="one-point lr grid")
+        if method == "wft":
+            p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
+                           help="one-point beta' grid")
 
-    p = sub.add_parser("decode", help="decode a split to a caption file")
+    p = sub.add_parser("decode", parents=pipeline, help="decode a split to a caption file")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--out", required=True)
     p.add_argument("--method", dest="decode.method", choices=["greedy", "beam", "nucleus", "bp"])
     p.add_argument("--beam-size", dest="decode.beam_size", type=int)
     p.add_argument("--nucleus-p", dest="decode.nucleus_p", type=float)
     p.add_argument("--frozen", help="frozen reference checkpoint (bp decoding)")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", help="score a caption file against a split")
+    p = sub.add_parser("eval", parents=[run, data], help="score a caption file against a split",
+                       description="Writes OUT.txt and OUT.csv.")
     p.add_argument("--captions", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--out", required=True, help="output prefix: writes PREFIX.txt and PREFIX.csv")
     p.add_argument("--run-id", dest="run_id")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", help="emit plot data (CSV)")
-    p.add_argument("--what", choices=["histogram", "loss-surface", "sample-freq"], required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data")
-    p.add_argument("--out", required=True)
+    analyses = _modes(sub, "analyze", "what", "emit plot data (CSV)", cmd_analyze)
+    p = analyses.add_parser("histogram", parents=[run, data], help="word-frequency histogram")
     p.add_argument("--split", default="train")
-    source = p.add_mutually_exclusive_group()  # what a histogram counts
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--captions")
     source.add_argument("--references", action="store_true")
-    p.add_argument("--checkpoint")
+    p = analyses.add_parser("sample-freq", parents=[run, data],
+                            help="word-frequency histogram of captions sampled on the train split")
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--beta", dest="decode.beta", type=float)
+    p = analyses.add_parser("loss-surface", parents=[run],
+                            help="CE, BP, FL and AFL losses over the gold word's probability")
     p.add_argument("--beta", dest="decode.beta", type=float)
     p.add_argument("--beta-prime", dest="decode.beta_prime", type=float)
     p.add_argument("--gamma", dest="finetune.gamma", type=float)
@@ -608,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1-min", dest="p1_min", type=float, default=0.005)
     p.add_argument("--p1-max", dest="p1_max", type=float, default=0.995)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=199)
-    p.set_defaults(func=cmd_analyze)
     return parser
 
 

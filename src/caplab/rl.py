@@ -10,7 +10,7 @@ applies to all of its samples.  The rollout records the cell activations and
 the step distributions it draws from, so the gradient backpropagates through
 the rollout itself instead of re-running a teacher-forced pass.  Training
 runs the policy at inverse temperature 1; ``sample_sequences`` keeps its β
-for ``caplab analyze --what sample-freq``.
+for ``caplab analyze sample-freq``.
 
 A training run codes the references of its images into one CIDEr-D
 reference table before its first step (``training_table``), and every step

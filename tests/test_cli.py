@@ -53,7 +53,7 @@ def workdir(tmp_path_factory):
 def ce_checkpoint(workdir):
     root, config_path, data_dir = workdir
     run_dir = root / "run"
-    code = main(["train", "--stage", "ce", "--config", str(config_path),
+    code = main(["train", "ce", "--config", str(config_path),
                  "--data", str(data_dir), "--out", str(run_dir)])
     assert code == 0
     return run_dir / "ce.npz"
@@ -76,9 +76,9 @@ class TestConfig:
         bad_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         argv = {
-            "train": ["train", "--stage", "ce", "--out", str(out)],
+            "train": ["train", "ce", "--out", str(out)],
             "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out)],
-            "finetune": ["finetune", "--method", "sft", "--checkpoint", str(ce_checkpoint),
+            "finetune": ["finetune", "sft", "--checkpoint", str(ce_checkpoint),
                          "--lr", "0.01", "--out", str(out)],
         }[command]
         assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
@@ -102,7 +102,7 @@ class TestDataCheck:
         bad_path = _write_config(tmp_path, config_path, "dataset", "feature_dim", 7)
         out = tmp_path / "out"
         argv = {
-            "train": ["train", "--stage", "ce", "--out", str(out)],
+            "train": ["train", "ce", "--out", str(out)],
             "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out)],
         }[command]
         assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
@@ -115,14 +115,14 @@ class TestDataCheck:
         copy_dir.mkdir()
         for split in ("train", "val", "test"):
             (copy_dir / f"{split}.jsonl").write_bytes((data_dir / f"{split}.jsonl").read_bytes())
-        assert main(["train", "--stage", "ce", "--config", str(config_path),
+        assert main(["train", "ce", "--config", str(config_path),
                      "--data", str(copy_dir), "--out", str(tmp_path / "out")]) == 2
         assert "dataset.meta.json" in capsys.readouterr().err
 
     def test_min_count_may_differ(self, workdir, tmp_path):
         _, config_path, data_dir = workdir
         path = _write_config(tmp_path, config_path, "dataset", "min_count", 2)
-        assert main(["train", "--stage", "ce", "--config", str(path),
+        assert main(["train", "ce", "--config", str(path),
                      "--data", str(data_dir), "--out", str(tmp_path / "out")]) == 0
 
     def test_bundle_config_is_the_generating_config(self, workdir):
@@ -191,7 +191,7 @@ class TestWholeConfigChecked:
         bad_path = _write_config(tmp_path, config_path, "dataset", key, value)
         out = tmp_path / "out"
         argv = {"gen-data": ["gen-data"],
-                "train": ["train", "--stage", "ce", "--data", str(data_dir)]}[command]
+                "train": ["train", "ce", "--data", str(data_dir)]}[command]
         assert main([*argv, "--config", str(bad_path), "--out", str(out)]) == 2
         assert f"dataset.{key} must be" in capsys.readouterr().err
         assert not out.exists()
@@ -211,9 +211,9 @@ class TestWholeConfigChecked:
         out = tmp_path / "out"
         argv = {
             "gen-data": ["gen-data"],
-            "train": ["train", "--stage", "ce", "--data", str(data_dir)],
+            "train": ["train", "ce", "--data", str(data_dir)],
             "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--data", str(data_dir)],
-            "loss-surface": ["analyze", "--what", "loss-surface"],
+            "loss-surface": ["analyze", "loss-surface"],
         }[command]
         assert main([*argv, "--config", str(bad_path), "--out", str(out)]) == 2
         assert f"{section}.{key} must be" in capsys.readouterr().err
@@ -228,9 +228,9 @@ class TestTrain:
         cfg2 = tmp_path / "cfg0.json"
         cfg2.write_text(json.dumps(frozen_cfg))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["train", "--stage", "ce", "--config", str(cfg2),
+        assert main(["train", "ce", "--config", str(cfg2),
                      "--data", str(data_dir), "--out", str(out1)]) == 0
-        assert main(["train", "--stage", "ce", "--config", str(cfg2),
+        assert main(["train", "ce", "--config", str(cfg2),
                      "--data", str(data_dir), "--out", str(out2)]) == 0
         p1, _ = load_checkpoint(out1 / "ce.npz")
         p2, _ = load_checkpoint(out2 / "ce.npz")
@@ -247,7 +247,7 @@ class TestTrain:
         bad_path = _write_config(tmp_path, config_path, stage, key, value)
         out = tmp_path / "out"
         init = [] if stage == "ce" else ["--init", str(ce_checkpoint)]
-        assert main(["train", "--stage", stage, "--config", str(bad_path),
+        assert main(["train", stage, "--config", str(bad_path),
                      "--data", str(data_dir), "--out", str(out), *init]) == 2
         assert f"{stage}.{key} must be" in capsys.readouterr().err
         assert not out.exists()
@@ -261,23 +261,28 @@ class TestTrain:
         _, config_path, data_dir = workdir
         bad_path = _write_config(tmp_path, config_path, "model", key, value)
         out = tmp_path / "out"
-        assert main(["train", "--stage", "ce", "--config", str(bad_path),
+        assert main(["train", "ce", "--config", str(bad_path),
                      "--data", str(data_dir), "--out", str(out)]) == 2
         assert f"model.{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rl_requires_init(self, workdir, tmp_path):
+    def test_rl_requires_init(self, workdir, tmp_path, capsys):
         root, config_path, data_dir = workdir
-        assert main(["train", "--stage", "rl", "--config", str(config_path),
-                     "--data", str(data_dir), "--out", str(tmp_path / "r")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "rl", "--config", str(config_path),
+                  "--data", str(data_dir), "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "required: --init" in capsys.readouterr().err
 
     def test_ce_with_init_is_usage_error_before_data_is_read(self, workdir, ce_checkpoint,
                                                              tmp_path, capsys):
         _, config_path, _ = workdir
         out = tmp_path / "r"
-        assert main(["train", "--stage", "ce", "--config", str(config_path),
-                     "--data", str(tmp_path / "no_data"), "--out", str(out),
-                     "--init", str(ce_checkpoint)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "ce", "--config", str(config_path),
+                  "--data", str(tmp_path / "no_data"), "--out", str(out),
+                  "--init", str(ce_checkpoint)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--init" in err and "dataset directory" not in err
         assert not out.exists()
@@ -285,7 +290,7 @@ class TestTrain:
     def test_rl_stage_runs_and_logs(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         out = root / "rl_run"
-        assert main(["train", "--stage", "rl", "--config", str(config_path),
+        assert main(["train", "rl", "--config", str(config_path),
                      "--data", str(data_dir), "--out", str(out),
                      "--init", str(ce_checkpoint)]) == 0
         with open(out / "rl_log.csv") as fh:
@@ -297,9 +302,78 @@ class TestTrain:
 
     def test_joint_lambda_validated(self, workdir, ce_checkpoint, tmp_path):
         root, config_path, data_dir = workdir
-        assert main(["train", "--stage", "joint", "--config", str(config_path),
+        assert main(["train", "joint", "--config", str(config_path),
                      "--data", str(data_dir), "--out", str(tmp_path / "j"),
                      "--init", str(ce_checkpoint), "--lam", "1.5"]) == 2
+
+
+class TestModeFlags:
+    """Each mode of a command takes only the flags it reads, so a flag the
+    run would ignore exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("argv, named, parser_rejects", [
+        (["train", "rl", "--init", "{ckpt}", "--data", "{data}", "--lam", "0.3"], "--lam", True),
+        (["train", "ce", "--init", "{ckpt}", "--data", "{data}"], "--init", True),
+        (["train", "rl", "--data", "{data}"], "--init", True),
+        (["finetune", "sft", "--checkpoint", "{ckpt}", "--data", "{data}", "--lr", "0.01",
+          "--beta-prime", "0.5"], "--beta-prime", True),
+        (["analyze", "loss-surface", "--data", "{nowhere}"], "--data", True),
+        (["analyze", "histogram", "--references", "--data", "{data}",
+          "--checkpoint", "{nowhere}"], "--checkpoint", True),
+        (["analyze", "sample-freq", "--checkpoint", "{ckpt}", "--data", "{data}",
+          "--captions", "{caps}"], "--captions", True),
+        (["analyze", "sample-freq", "--checkpoint", "{ckpt}", "--data", "{data}",
+          "--split", "val"], "--split", True),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "greedy",
+          "--beam-size", "3"], "--beam-size is used only by beam and bp decoding, not greedy",
+         False),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "nucleus",
+          "--beam-size", "3"], "--beam-size is used only by beam and bp decoding, not nucleus",
+         False),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "greedy",
+          "--nucleus-p", "0.9"], "--nucleus-p is used only by nucleus decoding, not greedy", False),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--nucleus-p", "0.9"],
+         "--nucleus-p is used only by nucleus decoding, not beam", False),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "bp",
+          "--frozen", "{ckpt}", "--nucleus-p", "0.9"],
+         "--nucleus-p is used only by nucleus decoding, not bp", False),
+    ], ids=["rl-lam", "ce-init", "rl-without-init", "sft-beta-prime", "loss-surface-data",
+            "histogram-checkpoint", "sample-freq-captions", "sample-freq-split",
+            "greedy-beam-size", "nucleus-beam-size", "greedy-nucleus-p", "beam-nucleus-p",
+            "bp-nucleus-p"])
+    def test_flag_of_another_mode_exits_2_and_writes_nothing(
+            self, workdir, ce_checkpoint, tmp_path, argv, named, parser_rejects, capsys):
+        _, config_path, data_dir = workdir
+        out = tmp_path / "out"
+        places = {"ckpt": ce_checkpoint, "data": data_dir, "nowhere": tmp_path / "nowhere",
+                  "caps": _reference_captions(data_dir, tmp_path / "caps.jsonl")}
+        argv = [arg.format(**places) for arg in argv]
+        argv += ["--config", str(config_path), "--out", str(out)]
+        if parser_rejects:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "dataset directory" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["train", "rl", "--init"],
+         "0d8c02a0f9eecb149ead2221d29b6be9934460204621852ef3274ab88716435c"),
+        (["finetune", "wft", "--sweep", "--beta-prime", "0.5", "--checkpoint"],
+         "fdcdcc0b734ac3eeddaa400c6edcce04c82d596f372e525cbf817adaad47d605"),
+    ], ids=["train-rl", "finetune-wft-sweep"])
+    def test_mode_is_not_a_setting(self, workdir, ce_checkpoint, tmp_path, argv, recorded):
+        """A run records the hash of its config alone: these are the hashes
+        that the same runs recorded when the mode was a flag (``--stage rl``,
+        ``--method wft``)."""
+        _, config_path, data_dir = workdir
+        out = tmp_path / "out"
+        assert main([*argv, str(ce_checkpoint), "--config", str(config_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        assert _recorded_hash(out) == recorded
 
 
 def _reference_captions(data_dir, path):
@@ -330,7 +404,7 @@ class TestMetricsSection:
             args = ["eval", "--captions", str(_reference_captions(data_dir, tmp_path / "c.jsonl")),
                     "--out", str(out)]
         else:
-            args = ["analyze", "--what", "histogram", "--references", "--out", str(out)]
+            args = ["analyze", "histogram", "--references", "--out", str(out)]
         assert main([*args, "--config", str(bad_path), "--data", str(data_dir)]) == 2
         assert f"metrics.{key}" in capsys.readouterr().err
         assert list(tmp_path.glob("out*")) == []
@@ -339,7 +413,7 @@ class TestMetricsSection:
         _, config_path, data_dir = workdir
         bad_path = _write_config(tmp_path, config_path, "metrics", "histogram_bins", 10_000)
         out = tmp_path / "hist.csv"
-        assert main(["analyze", "--what", "histogram", "--references", "--out", str(out),
+        assert main(["analyze", "histogram", "--references", "--out", str(out),
                      "--config", str(bad_path), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
         assert "metrics.histogram_bins" in err and "exceeds" in err
@@ -352,7 +426,7 @@ class TestMetricsSection:
         calls = []
         monkeypatch.setattr(cli, "sample_sequences", lambda *args: calls.append(args))
         out = tmp_path / "sf.csv"
-        assert main(["analyze", "--what", "sample-freq", "--checkpoint", str(ce_checkpoint),
+        assert main(["analyze", "sample-freq", "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--config", str(bad_path), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
         assert "metrics.histogram_bins" in err and "exceeds" in err
@@ -565,7 +639,7 @@ class TestFinetuneCommand:
     def test_sft_fixed_lr(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         out = root / "ft_sft"
-        assert main(["finetune", "--method", "sft", "--config", str(config_path),
+        assert main(["finetune", "sft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--lr", "0.01"]) == 0
         ft, _ = load_checkpoint(out / "sft.npz")
@@ -576,7 +650,7 @@ class TestFinetuneCommand:
     def test_wft_sweep_writes_rows_and_frozen(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         out = root / "ft_wft"
-        assert main(["finetune", "--method", "wft", "--config", str(config_path),
+        assert main(["finetune", "wft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 0
         with open(out / "wft_plain_sweep.csv") as fh:
@@ -592,7 +666,7 @@ class TestFinetuneCommand:
                                                                  tmp_path):
         _, config_path, data_dir = workdir
         out = tmp_path / "ft"
-        assert main(["finetune", "--method", "sft", "--config", str(config_path),
+        assert main(["finetune", "sft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 0
         with open(out / "sft_plain_sweep.csv") as fh:
@@ -607,10 +681,10 @@ class TestFinetuneCommand:
         _, config_path, data_dir = workdir
         bp_path = _write_config(tmp_path, config_path, "decode", "method", "bp")
         out = tmp_path / "ft"
-        assert main(["finetune", "--method", method, "--config", str(bp_path),
+        assert main(["finetune", method, "--config", str(bp_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 2
-        assert "decode.method bp needs --method wft" in capsys.readouterr().err
+        assert "decode.method bp needs finetune wft" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bp_sweep_decodes_with_the_decode_section(self, workdir, ce_checkpoint, tmp_path):
@@ -627,7 +701,7 @@ class TestFinetuneCommand:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(config))
             out = tmp_path / name
-            assert main(["finetune", "--method", "wft", "--config", str(path),
+            assert main(["finetune", "wft", "--config", str(path),
                          "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                          "--out", str(out), "--sweep"]) == 0
             with open(out / f"wft_{name}_sweep.csv") as fh:
@@ -662,7 +736,7 @@ class TestFinetuneCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "ft"
-        assert main(["finetune", "--method", method, "--config", str(config_path),
+        assert main(["finetune", method, "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 2
         assert "invalid finetune config" in capsys.readouterr().err
@@ -670,7 +744,7 @@ class TestFinetuneCommand:
 
     def test_lr_required_without_sweep(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
-        assert main(["finetune", "--method", "sft", "--config", str(config_path),
+        assert main(["finetune", "sft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(root / "x")]) == 2
 
@@ -678,7 +752,7 @@ class TestFinetuneCommand:
         root, config_path, data_dir = workdir
         out = root / "ft_wft"
         if not (out / "wft.npz").exists():
-            main(["finetune", "--method", "wft", "--config", str(config_path),
+            main(["finetune", "wft", "--config", str(config_path),
                   "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                   "--out", str(out), "--lr", "0.01", "--beta-prime", "1.0"])
         caps = root / "bp_caps.jsonl"
@@ -712,8 +786,8 @@ class TestCheckpointChecks:
         save_checkpoint(bad, bad_path)
         out = tmp_path / "out"
         argv = {
-            "init": ["train", "--stage", "rl", "--init", str(bad_path), "--out", str(out)],
-            "checkpoint": ["finetune", "--method", "sft", "--lr", "0.01",
+            "init": ["train", "rl", "--init", str(bad_path), "--out", str(out)],
+            "checkpoint": ["finetune", "sft", "--lr", "0.01",
                            "--checkpoint", str(bad_path), "--out", str(out)],
             "frozen": ["decode", "--method", "bp", "--checkpoint", str(ce_checkpoint),
                        "--frozen", str(bad_path), "--out", str(out)],
@@ -729,7 +803,7 @@ class TestCheckpointChecks:
         is not the frozen copy of an RL model trained from it."""
         _, config_path, data_dir = workdir
         rl_out = tmp_path / "rl"
-        assert main(["train", "--stage", "rl", "--config", str(config_path), "--data",
+        assert main(["train", "rl", "--config", str(config_path), "--data",
                      str(data_dir), "--init", str(ce_checkpoint), "--out", str(rl_out)]) == 0
         out = tmp_path / "bp.jsonl"
         assert main(["decode", "--method", "bp", "--checkpoint", str(rl_out / "rl.npz"),
@@ -780,13 +854,25 @@ def _argv(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
     _, _, data_dir = workdir
     argv = {
         "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out_dir / "caps.jsonl")],
-        "joint": ["train", "--stage", "joint", "--init", str(ce_checkpoint), "--out", str(out_dir)],
-        "wft": ["finetune", "--method", "wft", "--checkpoint", str(ce_checkpoint),
+        "joint": ["train", "joint", "--init", str(ce_checkpoint), "--out", str(out_dir)],
+        "wft": ["finetune", "wft", "--checkpoint", str(ce_checkpoint),
                 "--out", str(out_dir)],
-        "sft-sweep": ["finetune", "--method", "sft", "--sweep", "--checkpoint", str(ce_checkpoint),
+        "sft-sweep": ["finetune", "sft", "--sweep", "--checkpoint", str(ce_checkpoint),
                       "--out", str(out_dir)],
     }[command]
     return [*argv, "--config", str(config_path), "--data", str(data_dir), *flags]
+
+
+def _leaf_parsers(parser=None, path=()):
+    """(command words, parser) for every parser that takes no further
+    subcommand, ``train ce`` and ``analyze loss-surface`` among them."""
+    parser = parser or cli.build_parser()
+    modes = [action for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    if not modes:
+        return [(path, parser)]
+    return [leaf for name, child in modes[0].choices.items()
+            for leaf in _leaf_parsers(child, (*path, name))]
 
 
 class TestFlagsFoldIntoConfig:
@@ -875,11 +961,8 @@ class TestFlagsFoldIntoConfig:
         """Every flag whose destination looks like a config key names a leaf
         of DEFAULT_CONFIG and is None unless given, so folding flags into the
         config never writes an unknown key or a value nobody passed."""
-        parser = cli.build_parser()
-        commands = next(action for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
         dests = set()
-        for command in commands.choices.values():
+        for _, command in _leaf_parsers():
             for action in command._actions:
                 section, _, key = action.dest.rpartition(".")
                 if not section and key not in cli.DEFAULT_CONFIG:
@@ -894,26 +977,34 @@ class TestFlagsFoldIntoConfig:
                          "finetune.alpha"}
 
     def test_one_settings_path(self):
-        """Every option of the commands that train, fine-tune, decode and
-        score is a config key, which the hash covers, or names a path or
-        a mode: no setting reaches a run outside the hashed config."""
+        """Every option of every leaf command is a config key, which the hash
+        covers, or names a path or a mode: no setting reaches a run outside
+        the hashed config.  The one exception is the extent of an analysis
+        (how many samples, which p1 grid), whose CSV records no hash."""
         paths_and_modes = {"config", "data", "out", "init", "checkpoint", "frozen", "captions",
-                           "split", "run_id", "stage", "method", "sweep", "help"}
-        parser = cli.build_parser()
-        commands = next(action for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        for name in ("train", "finetune", "decode", "eval"):
-            for action in commands.choices[name]._actions:
+                           "references", "split", "run_id", "sweep", "help"}
+        extents = {"samples", "p1_min", "p1_max", "grid_points"}
+        for path, command in _leaf_parsers():
+            for action in command._actions:
                 section, _, key = action.dest.rpartition(".")
                 in_config = (key in cli.DEFAULT_CONFIG.get(section, {}) if section
                              else key in cli.DEFAULT_CONFIG)
-                assert in_config or action.dest in paths_and_modes, (name, action.dest)
+                assert (in_config or action.dest in paths_and_modes
+                        or (path[0] == "analyze" and action.dest in extents)), (path, action.dest)
+
+    @pytest.mark.parametrize("path", [path for path, _ in _leaf_parsers()],
+                             ids=lambda path: "-".join(path))
+    def test_help_exits_zero(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: caplab {' '.join(path)} ")
 
 
 class TestConfigHash:
     ARGV = {
-        "joint": ["train", "--stage", "joint", "--data", "d", "--out", "o"],
-        "finetune": ["finetune", "--method", "sft", "--data", "d", "--checkpoint", "c",
+        "joint": ["train", "joint", "--init", "c", "--data", "d", "--out", "o"],
+        "finetune": ["finetune", "sft", "--data", "d", "--checkpoint", "c",
                      "--out", "o"],
     }
 
@@ -970,7 +1061,7 @@ class TestConfigHash:
         _, config_path, data_dir = workdir
         bad_path = _write_config(tmp_path, config_path, section, key, value)
         out = tmp_path / "out"
-        assert main(["train", "--stage", "ce", "--config", str(bad_path), "--data",
+        assert main(["train", "ce", "--config", str(bad_path), "--data",
                      str(data_dir), "--out", str(out)]) == 2
         assert f"{named} must be" in capsys.readouterr().err
         assert not out.exists()
@@ -983,11 +1074,19 @@ class TestConfigHash:
         assert config_hash(cli.load_config(str(path))) == default_hash
 
 
+def _analysis_inputs(what, data_dir, ce_checkpoint):
+    """The inputs each analysis reads: sample-freq samples a checkpoint on the
+    dataset; loss-surface reads neither."""
+    return {"sample-freq": ["--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
+                            "--samples", "2"],
+            "loss-surface": []}[what]
+
+
 class TestAnalyze:
     def test_histogram_of_references_matches_corpus(self, workdir):
         root, config_path, data_dir = workdir
         out = root / "hist.csv"
-        assert main(["analyze", "--what", "histogram", "--config", str(config_path),
+        assert main(["analyze", "histogram", "--config", str(config_path),
                      "--data", str(data_dir), "--references", "--split", "train",
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -999,7 +1098,7 @@ class TestAnalyze:
 
     def test_histogram_unknown_split(self, workdir, tmp_path, capsys):
         _, config_path, data_dir = workdir
-        assert main(["analyze", "--what", "histogram", "--config", str(config_path),
+        assert main(["analyze", "histogram", "--config", str(config_path),
                      "--data", str(data_dir), "--references", "--split", "bogus",
                      "--out", str(tmp_path / "newdir" / "sub" / "h.csv")]) == 2
         assert "unknown split" in capsys.readouterr().err
@@ -1008,7 +1107,7 @@ class TestAnalyze:
     def test_histogram_of_missing_caption_file_is_usage_error(self, workdir, tmp_path, capsys):
         _, config_path, data_dir = workdir
         missing, out = tmp_path / "nope.jsonl", tmp_path / "hist.csv"
-        assert main(["analyze", "--what", "histogram", "--config", str(config_path),
+        assert main(["analyze", "histogram", "--config", str(config_path),
                      "--data", str(data_dir), "--captions", str(missing), "--split", "test",
                      "--out", str(out)]) == 2
         assert f"caption file not found: {missing}" in capsys.readouterr().err
@@ -1020,7 +1119,7 @@ class TestAnalyze:
         captions, out = tmp_path / "caps.jsonl", tmp_path / "hist.csv"
         _reference_captions(data_dir, captions)
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--what", "histogram", "--config", str(config_path),
+            main(["analyze", "histogram", "--config", str(config_path),
                   "--data", str(data_dir), "--captions", str(captions), "--references",
                   "--out", str(out)])
         assert exc.value.code == 2
@@ -1030,7 +1129,7 @@ class TestAnalyze:
     def test_loss_surface_schema(self, workdir):
         root, config_path, _ = workdir
         out = root / "surface.csv"
-        assert main(["analyze", "--what", "loss-surface", "--config", str(config_path),
+        assert main(["analyze", "loss-surface", "--config", str(config_path),
                      "--out", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
@@ -1045,7 +1144,7 @@ class TestAnalyze:
                                                     named, capsys):
         _, config_path, _ = workdir
         out = tmp_path / "surface.csv"
-        assert main(["analyze", "--what", "loss-surface", "--config", str(config_path),
+        assert main(["analyze", "loss-surface", "--config", str(config_path),
                      "--out", str(out), f"{flag}={value}"]) == 2
         assert f"{named} must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
@@ -1070,9 +1169,8 @@ class TestAnalyze:
                                   ("file", edited_path, [])):
             out = tmp_path / name / "an.csv"
             out.parent.mkdir()
-            argv = ["analyze", "--what", what, "--config", str(path), "--data", str(data_dir),
-                    "--checkpoint", str(ce_checkpoint), "--samples", "2", "--out", str(out),
-                    *extra]
+            argv = ["analyze", what, "--config", str(path), "--out", str(out),
+                    *_analysis_inputs(what, data_dir, ce_checkpoint), *extra]
             assert main(argv) == 0
             runs[name] = (out.read_bytes(), _resolved_hash(argv))
         assert runs["flag"] == runs["file"]
@@ -1082,15 +1180,17 @@ class TestAnalyze:
 
     def test_sample_freq_requires_checkpoint(self, workdir, tmp_path, capsys):
         _, config_path, data_dir = workdir
-        assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
-                     "--data", str(data_dir), "--out", str(tmp_path / "newdir" / "sf.csv")]) == 2
-        assert "sample-freq needs --checkpoint" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "sample-freq", "--config", str(config_path),
+                  "--data", str(data_dir), "--out", str(tmp_path / "newdir" / "sf.csv")])
+        assert exc.value.code == 2
+        assert "required: --checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "newdir").exists()
 
     def test_sample_freq_runs(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         out = root / "sf.csv"
-        assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
+        assert main(["analyze", "sample-freq", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--samples", "2", "--out", str(out)]) == 0
         assert out.exists()
@@ -1118,7 +1218,7 @@ class TestAnalyze:
         outputs = []
         for run in range(2):
             out = tmp_path / f"sf{run}.csv"
-            assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
+            assert main(["analyze", "sample-freq", "--config", str(config_path),
                          "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                          "--samples", "3", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -1134,7 +1234,7 @@ class TestAnalyze:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "sf.csv"
-        assert main(["analyze", "--what", "sample-freq", "--config", str(config_path),
+        assert main(["analyze", "sample-freq", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out)]) == 2
         assert "rl.batch_size must be" in capsys.readouterr().err
@@ -1149,9 +1249,8 @@ class TestAnalyze:
                                             capsys):
         _, config_path, data_dir = workdir
         out = tmp_path / "an.csv"
-        assert main(["analyze", "--what", what, "--config", str(config_path),
-                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                     "--out", str(out), *flag]) == 2
+        assert main(["analyze", what, "--config", str(config_path), "--out", str(out),
+                     *_analysis_inputs(what, data_dir, ce_checkpoint), *flag]) == 2
         assert f"{flag[0]} must be" in capsys.readouterr().err
         assert not out.exists()
 
