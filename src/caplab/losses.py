@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import Vocabulary, check_number
 from .model import (
+    ENCODER_ARRAYS,
     ModelParams,
     TrainScope,
     backward_sequences,
@@ -60,13 +61,18 @@ class FrozenReference:
         return self.params.full_hash()
 
 
+def _bytes(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
 def check_shared_encoder(params: ModelParams, frozen: FrozenReference) -> None:
     """Accept a frozen reference only if it matches the model's vocabulary
     and dims and its embedding and encoder bytes are the model's, as after a
     classifier-only fine-tune, so that one recurrence computes the states of
     both.  Bytes, not values: -0.0 and 0.0 differ."""
     check_matches(frozen.params, params.vocab, params.dims)
-    if params.encoder_hash() != frozen.params.encoder_hash():
+    if not all(np.array_equal(_bytes(getattr(params, name)), _bytes(getattr(frozen.params, name)))
+               for name in ("embed",) + ENCODER_ARRAYS):
         raise ValueError("the frozen reference has another embedding or encoder than the model;"
                          " bias-product decoding needs one that shares the model's")
 

@@ -104,10 +104,10 @@ def repetition_rate(captions: Sequence[Sequence[str]], n_max: int = 4) -> float:
         return 0.0
     total = 0.0
     for caption in captions:
-        for n in range(1, n_max + 1):
-            grams = [tuple(caption[i : i + n]) for i in range(len(caption) - n + 1)]
-            if grams:
-                total += 1.0 - len(set(grams)) / len(grams)
+        count = len(caption)
+        for n in range(1, min(n_max, count) + 1):
+            grams = zip(*[caption[i:] for i in range(n)])
+            total += 1.0 - len(set(grams)) / (count - n + 1)
     return total / (len(captions) * n_max)
 
 

@@ -15,13 +15,16 @@ import numpy as np
 from caplab.cider import CiderCorpusStats, ReferenceTable, reference_table
 from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
-from caplab.losses import (FrozenReference, LossOutput, bp_log_probs, frame_targets,
-                           logit_grad, pointwise_head, teacher_forced)
+from caplab.losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, bp_log_probs,
+                           ce_terms, focal_terms, frame_targets, logit_grad, pointwise_head,
+                           teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
                           backward_sequences, check_matches, forward_sequences, init_params,
-                          initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step)
-from caplab.rl import SampledSeq, joint_loss, reference_pairs, scst_step, sgd_epochs
+                          initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step,
+                          stage_rng)
+from caplab.rl import (SampledSeq, joint_loss, mean_loss_log, pair_step, reference_pairs,
+                       scst_step, sgd_epochs)
 
 
 def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
@@ -207,6 +210,45 @@ def per_batch_train_joint(params, train: Dataset, stats, epochs, lr, lam, rng, b
 
     sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params
+
+
+def per_batch_oracle(checkpoint, data, config, seed):
+    """``finetune`` as one teacher-forced ``forward_sequences`` pass per
+    batch, the method's head, and the classifier-scope
+    ``backward_sequences``.  Returns the trained parameters, the frozen
+    reference (None but for "wft") and the loss log."""
+    params = checkpoint.copy()
+    wft = config.method == "wft"
+    frozen = FrozenReference(checkpoint, config.beta_prime) if wft else None
+    terms = {"sft": ce_terms, "wft": None, "fl": focal_terms(config.gamma),
+             "afl": anti_focal_terms(config.gamma, config.alpha)}[config.method]
+
+    def batch_loss(params, feats, captions):
+        fwd, logp, targets = teacher_forced(params, feats, captions)
+        if wft:
+            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
+            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
+        else:
+            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, terms)
+        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
+        return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
+
+    rng = stage_rng(seed, f"finetune:{config.method}")
+    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
+                         config.batch_size, pair_step(batch_loss))
+    return params, frozen, mean_loss_log(history)
+
+
+def repetition_rate(captions: Sequence[Sequence[str]], n_max: int = 4) -> float:
+    """``metrics.repetition_rate`` with each order's n-grams listed one
+    slice at a time, adding the same terms in the same order."""
+    total = 0.0
+    for caption in captions:
+        for n in range(1, n_max + 1):
+            grams = [tuple(caption[i : i + n]) for i in range(len(caption) - n + 1)]
+            if grams:
+                total += 1.0 - len(set(grams)) / len(grams)
+    return total / (len(captions) * n_max)
 
 
 def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequence[Sequence[str]]],

@@ -9,18 +9,15 @@ import numpy as np
 import pytest
 
 from caplab import model
-from caplab.corpus import build_vocab
+from caplab.corpus import Dataset, build_vocab
 from caplab.decode import DecodeConfig
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs, finetune, sweep
-from caplab.losses import (FrozenReference, LossOutput, anti_focal_terms, bp_batch, bp_head,
-                           ce_batch, ce_terms, focal_terms, logit_grad, pointwise_head,
-                           teacher_forced)
+from caplab.losses import (FrozenReference, anti_focal_terms, bp_batch, ce_batch, focal_terms,
+                           logit_grad, teacher_forced)
 from caplab.model import (CLASSIFIER_ARRAYS, ModelDims, TrainScope, backward_sequences,
-                          classifier_grads, init_params, log_softmax_temp, logits_from_hidden,
-                          stage_rng)
-from caplab.rl import (corpus_stats_for, mean_loss_log, pair_step, reference_pairs, sgd_epochs,
-                       train_ce)
-from oracles import pointwise_batch
+                          classifier_grads, init_params)
+from caplab.rl import corpus_stats_for, reference_pairs, train_ce
+from oracles import per_batch_oracle, pointwise_batch
 
 # ``caplab.finetune`` is the re-exported function; the module is in sys.modules
 finetune_mod = importlib.import_module("caplab.finetune")
@@ -84,15 +81,16 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(checkpoint, micro_bundle, FinetuneConfig(method="scst", lr=0.01), seed=1)
 
-    def test_encodes_each_block_in_one_lockstep_recurrence(self, ft_setup, micro_bundle,
-                                                           monkeypatch):
-        """No per-batch forward pass: ceil(pairs / block) encodes, each one
-        recurrence of at most one block's rows."""
+    def test_encodes_each_distinct_prefix_once(self, ft_setup, micro_bundle, monkeypatch):
+        """No per-batch forward pass: one ``initial_hidden`` row per image,
+        then one recurrent step per depth whose rows are the distinct
+        (image, input prefix) pairs at that depth."""
         _, checkpoint = ft_setup
         forwards, encodes, step_rows = [], [], []
         wrappers = {
             model.forward_sequences: lambda fn: lambda *a: forwards.append(1) or fn(*a),
-            model.initial_hidden: lambda fn: lambda *a: encodes.append(1) or fn(*a),
+            model.initial_hidden: lambda fn: lambda params, feats: (
+                encodes.append(len(feats)) or fn(params, feats)),
             model.recurrent_step: lambda fn: lambda params, h_prev, ids: (
                 step_rows.append(len(h_prev)) or fn(params, h_prev, ids)),
         }
@@ -100,30 +98,45 @@ class TestFinetune:
             for attr, obj in list(vars(mod).items()):
                 if callable(obj) and obj in wrappers:
                     monkeypatch.setattr(mod, attr, wrappers[obj](obj))
-        monkeypatch.setattr(finetune_mod, "BLOCK_PAIRS", 30)
-        block = 30 // 7 * 7
+        pairs = reference_pairs(micro_bundle.train)
+        distinct = distinct_prefixes(pairs, checkpoint.dims.max_len)
+        # the references share prefixes, so the table is smaller than the frame
+        assert sum(distinct) < len(pairs) * len(distinct)
         for method in ("sft", "wft"):
             for counts in (forwards, encodes, step_rows):
                 counts.clear()
             finetune(checkpoint, micro_bundle,
                      FinetuneConfig(method=method, lr=0.01, batch_size=7), seed=1)
             assert forwards == []
-            assert len(encodes) == math.ceil(len(reference_pairs(micro_bundle.train)) / block) == 4
-            assert step_rows and max(step_rows) <= block
+            assert encodes == [len(micro_bundle.train)]
+            assert step_rows == distinct
+
+    def test_duplicate_references_share_index_rows(self, ft_setup, micro_bundle):
+        _, checkpoint = ft_setup
+        first, second = micro_bundle.train.records[:2]
+        ref, other = first.references[:2]
+        assert ref != other
+        pairs = [(first, ref), (second, ref), (first, list(ref)), (first, other)]
+        table = encode_pairs(checkpoint, pairs)
+        np.testing.assert_array_equal(table.index[0], table.index[2])
+        # another image shares no state, even with the same words
+        assert not set(table.index[0]) & set(table.index[1])
+        # one image's references share their <bos> state
+        assert table.index[0, 0] == table.index[3, 0]
+        assert len(table.states) == sum(distinct_prefixes(pairs, checkpoint.dims.max_len))
+        batch = table.batch(np.array([0, 2]))
+        np.testing.assert_array_equal(batch.h[0], batch.h[1])
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl", "wft"])
-    @pytest.mark.parametrize("batch_size, block_pairs", [(4, 11), (7, 30)])
-    def test_block_encoding_matches_per_batch_oracle(self, ft_setup, micro_bundle, monkeypatch,
-                                                     method, batch_size, block_pairs):
-        """90 pairs in batches of 4 (the last of 2) and blocks of 8 pairs (the
-        last one batch), or batches of 7 (the last of 6) in blocks of 28 (the
-        last one batch): bit-identical to one teacher-forced pass per batch.
-        No batch here has one row; see the next test."""
+    @pytest.mark.parametrize("batch_size", [4, 7])
+    def test_prefix_table_matches_per_batch_oracle(self, ft_setup, micro_bundle, method,
+                                                   batch_size):
+        """90 pairs in batches of 4 (the last of 2) or of 7 (the last of 6):
+        bit-identical to one teacher-forced pass per batch.  No batch here
+        has one row; see the next test."""
         _, checkpoint = ft_setup
-        monkeypatch.setattr(finetune_mod, "BLOCK_PAIRS", block_pairs)
         n_pairs = len(reference_pairs(micro_bundle.train))
-        block = block_pairs // batch_size * batch_size
-        assert n_pairs % batch_size > 1 and n_pairs % block and block_pairs % batch_size
+        assert n_pairs % batch_size > 1
         config = FinetuneConfig(method=method, lr=0.5, beta_prime=0.4, gamma=1.5, alpha=0.7,
                                 batch_size=batch_size)
         result = finetune(checkpoint, micro_bundle, config, seed=4)
@@ -134,14 +147,29 @@ class TestFinetune:
         assert (result.frozen and result.frozen.hash_hex()) == (frozen and frozen.hash_hex())
 
     def test_one_row_batch_is_close_to_per_batch_oracle(self, ft_setup, micro_bundle):
-        """A batch of one pair takes its states from its block, while a pass
+        """A batch of one pair takes its states from the table, while a pass
         of its own multiplies one-row matrices, which numpy hands to BLAS
         gemv instead of gemm: the two agree to rounding, not bit for bit."""
         _, checkpoint = ft_setup
         n_pairs = len(reference_pairs(micro_bundle.train))
-        config = FinetuneConfig(method="wft", lr=0.5, batch_size=n_pairs - 1)
-        result = finetune(checkpoint, micro_bundle, config, seed=4)
-        params, _, log = per_batch_oracle(checkpoint, micro_bundle, config, seed=4)
+        self.assert_close_to_oracle(checkpoint, micro_bundle,
+                                    FinetuneConfig(method="wft", lr=0.5, batch_size=n_pairs - 1))
+
+    def test_one_image_split_is_close_to_per_batch_oracle(self, ft_setup, micro_bundle):
+        """With one image, the table's depth 0 holds one row, as does every
+        depth where the image's references agree, so those states come from
+        gemv where the per-batch pass, over three rows, uses gemm: the two
+        agree to rounding, not bit for bit."""
+        _, checkpoint = ft_setup
+        data = replace(micro_bundle, train=Dataset("train", micro_bundle.train.records[:1]))
+        assert len(reference_pairs(data.train)) == 3
+        self.assert_close_to_oracle(checkpoint, data,
+                                    FinetuneConfig(method="wft", lr=0.5, batch_size=3))
+
+    @staticmethod
+    def assert_close_to_oracle(checkpoint, data, config):
+        result = finetune(checkpoint, data, config, seed=4)
+        params, _, log = per_batch_oracle(checkpoint, data, config, seed=4)
         for name in CLASSIFIER_ARRAYS:
             np.testing.assert_allclose(getattr(result.params, name), getattr(params, name),
                                        rtol=0, atol=1e-12)
@@ -168,41 +196,28 @@ class TestFinetune:
         assert steps == []
 
 
-def per_batch_oracle(checkpoint, data, config, seed):
-    """The fine-tune as one teacher-forced ``forward_sequences`` pass per
-    batch, the method's head, and the classifier-scope ``backward_sequences``."""
-    params = checkpoint.copy()
-    wft = config.method == "wft"
-    frozen = FrozenReference(checkpoint, config.beta_prime) if wft else None
-    terms = {"sft": ce_terms, "wft": None, "fl": focal_terms(config.gamma),
-             "afl": anti_focal_terms(config.gamma, config.alpha)}[config.method]
-
-    def batch_loss(params, feats, captions):
-        fwd, logp, targets = teacher_forced(params, feats, captions)
-        if wft:
-            logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
-            per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
-        else:
-            per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, terms)
-        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
-        return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
-
-    rng = stage_rng(seed, f"finetune:{config.method}")
-    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
-                         config.batch_size, pair_step(batch_loss))
-    return params, frozen, mean_loss_log(history)
+def distinct_prefixes(pairs, max_len):
+    """Per depth of the pairs' teacher-forcing frame, the number of distinct
+    (image, input prefix): each caption cut to ``max_len - 1`` words, fed
+    after <bos> and followed by <eos> up to the longest caption's depth."""
+    captions = [list(ref)[: max_len - 1] for _, ref in pairs]
+    depth = max(len(cap) for cap in captions) + 1
+    streams = [(id(rec), ["<bos>", *cap] + ["<eos>"] * depth)
+               for (rec, _), cap in zip(pairs, captions)]
+    return [len({(image, tuple(stream[: t + 1])) for image, stream in streams})
+            for t in range(depth)]
 
 
 class TestClassifierStep:
-    """The fine-tune step's classifier gradient, from states cut out of a
-    larger encoded block, is the classifier block of the matching sequence
+    """The fine-tune step's classifier gradient, from states gathered out of
+    a larger prefix table, is the classifier block of the matching sequence
     loss's full gradient, bit for bit."""
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl", "wft"])
     def test_matches_sequence_loss(self, ft_setup, micro_bundle, method):
         _, checkpoint = ft_setup
-        block_pairs = reference_pairs(micro_bundle.train)[:20]
-        pairs = block_pairs[5:14]
+        table_pairs = reference_pairs(micro_bundle.train)[:20]
+        pairs = table_pairs[5:14]
         feats = np.stack([rec.features for rec, _ in pairs])
         captions = [ref for _, ref in pairs]
         gamma, alpha = 1.5, 0.7
@@ -218,7 +233,7 @@ class TestClassifierStep:
                                            anti_focal_terms(gamma, alpha)),
             "wft": lambda: bp_batch(params, frozen, feats, captions),
         }[method]()
-        batch = encode_pairs(checkpoint, block_pairs).rows(5, 14)
+        batch = encode_pairs(checkpoint, table_pairs).batch(np.arange(5, 14))
         out = classifier_step(config, frozen if method == "wft" else None)(params, batch)
         assert out.loss == full.loss
         assert set(out.grads) == set(CLASSIFIER_ARRAYS)
@@ -298,7 +313,7 @@ class TestSweep:
     def test_only_the_best_model_is_kept(self, sweep_setup, micro_bundle, monkeypatch,
                                          method, lr_grid, bp_grid):
         checkpoint, stats, decode_config = sweep_setup
-        trained, alive, train = [], [], finetune_mod.finetune
+        trained, alive, train = [], [], finetune_mod.fit_classifier
 
         def recorded(*args):
             gc.collect()
@@ -307,7 +322,7 @@ class TestSweep:
             trained.append(weakref.ref(result))
             return result
 
-        monkeypatch.setattr(finetune_mod, "finetune", recorded)
+        monkeypatch.setattr(finetune_mod, "fit_classifier", recorded)
         result = sweep(checkpoint, micro_bundle, stats, _points(method, lr_grid, bp_grid), 0,
                        decode_config)
         # while a point trains, at most the best model so far and the last one live
@@ -320,6 +335,39 @@ class TestSweep:
                                                                 row["beta_prime"] or 0.0))
         if method == "sft":
             assert best == 0
+
+    def test_one_encode_per_sweep(self, sweep_setup, micro_bundle, monkeypatch):
+        """The points train on one prefix table, each to the classifier a
+        stand-alone fine-tune gives."""
+        checkpoint, stats, decode_config = sweep_setup
+        encodes, trained = [], []
+        start, fit = finetune_mod.initial_hidden, finetune_mod.fit_classifier
+        monkeypatch.setattr(finetune_mod, "initial_hidden",
+                            lambda *a: encodes.append(1) or start(*a))
+        monkeypatch.setattr(finetune_mod, "fit_classifier",
+                            lambda *a: trained.append(fit(*a)) or trained[-1])
+        points = [FinetuneConfig(method="wft", lr=0.5, beta_prime=0.4),
+                  FinetuneConfig(method="sft", lr=0.3, batch_size=7),
+                  FinetuneConfig(method="afl", lr=0.5, gamma=1.5, alpha=0.7)]
+        result = sweep(checkpoint, micro_bundle, stats, points, 0, decode_config)
+        assert len(encodes) == 1
+        assert len(trained) == len(result.rows) == 3
+        for point, got in zip(points, trained):
+            alone = finetune(checkpoint, micro_bundle, point, 0)
+            assert got.params.classifier_hash() == alone.params.classifier_hash()
+            assert got.log == alone.log
+        assert len(encodes) == 4
+
+    def test_invalid_point_rejected_before_any_work(self, sweep_setup, micro_bundle,
+                                                    monkeypatch):
+        checkpoint, stats, decode_config = sweep_setup
+        steps = []
+        cell = model.gru_cell
+        monkeypatch.setattr(model, "gru_cell", lambda *a: steps.append(1) or cell(*a))
+        points = [FinetuneConfig(method="wft", lr=0.01), FinetuneConfig(method="wft", lr=-1.0)]
+        with pytest.raises(ValueError, match="lr must be"):
+            sweep(checkpoint, micro_bundle, stats, points, 0, decode_config)
+        assert steps == []
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
     def test_bp_decoding_needs_wft(self, sweep_setup, micro_bundle, method):

@@ -47,7 +47,7 @@ def head_loss(params, image, caption, method, frozen=None, **config):
     """The fine-tune's classifier step over one (image, caption) pair encoded
     by ``params``: the loss the fl, afl and wft fine-tunes train on."""
     step = classifier_step(FinetuneConfig(method=method, **config), frozen)
-    return step(params, encode_pairs(params, [(image, caption)]))
+    return step(params, encode_pairs(params, [(image, caption)]).batch(np.arange(1)))
 
 
 def frame_caption(params, caption):
@@ -174,7 +174,8 @@ class TestBiasProduct:
         frozen = FrozenReference(tiny_model, 0.7)
         params = tiny_model.copy()
         params.cls_w *= 1.5
-        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]), (tiny_image, ["a"])])
+        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]),
+                                          (tiny_image, ["a"])]).batch(np.arange(2))
         step = classifier_step(FinetuneConfig(method="wft", beta_prime=0.7), frozen)
         assert set(step(params, batch).grads) == set(CLASSIFIER_ARRAYS)
         assert grad_check(lambda p: step(p, batch), params, eps=1e-5) <= 1e-4
@@ -230,7 +231,8 @@ class TestFocalFamily:
         assert out.loss == pytest.approx(1.039721, abs=1e-6)  # -1.5 * ln 0.5
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_image):
-        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]), (tiny_image, ["a", "a"])])
+        batch = encode_pairs(tiny_model, [(tiny_image, ["b", "a"]),
+                                          (tiny_image, ["a", "a"])]).batch(np.arange(2))
         for config in (FinetuneConfig(method="fl", gamma=2.0),
                        FinetuneConfig(method="afl", gamma=1.5, alpha=0.8)):
             step = classifier_step(config)

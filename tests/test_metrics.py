@@ -20,6 +20,7 @@ from caplab.metrics import (
     vocab_stats,
 )
 from oracles import oor_analysis
+from oracles import repetition_rate as sliced_repetition_rate
 
 
 def oracle_document_vectors(dataset):
@@ -290,6 +291,13 @@ class TestEvaluate:
                 min_size=1, max_size=5))
 def test_repetition_rate_bounds_property(captions):
     assert 0.0 <= repetition_rate(captions) <= 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=9), min_size=1, max_size=6),
+       st.integers(1, 5))
+def test_repetition_rate_equals_sliced_ngrams(captions, n_max):
+    assert repetition_rate(captions, n_max) == sliced_repetition_rate(captions, n_max)
 
 
 WORDS = ["a", "b", "c", "d", "e", "f"]
