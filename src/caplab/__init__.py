@@ -1,7 +1,7 @@
 """Desk-scale captioning laboratory.
 
 Synthetic Zipfian caption corpus, a small recurrent caption scorer with
-hand-derived gradients, CE / self-critical reward / joint training,
+hand-derived gradients, CE and self-critical reward training,
 classifier-only rebalancing fine-tunes with a bias-product loss, decoding
 strategies, and a deterministic evaluation suite.
 """
@@ -23,7 +23,7 @@ from .finetune import FinetuneConfig, FinetuneResult, SweepResult, finetune, swe
 from .losses import FrozenReference, LossOutput, loss_surface
 from .metrics import MetricsReport, evaluate, repetition_rate, rk_retrieval, vocab_stats
 from .model import ModelDims, ModelParams, TrainScope, init_params, load_checkpoint, save_checkpoint
-from .rl import SampledSeq, joint_loss, scst_step, train_ce, train_joint, train_rl
+from .rl import SampledSeq, scst_step, train_ce, train_rl
 from .synth import DataBundle, SynthConfig, generate_synthetic_dataset
 
 __version__ = "0.1.0"

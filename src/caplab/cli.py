@@ -1,23 +1,23 @@
 """Command-line front end.
 
-Subcommands: gen-data, train {ce,rl,joint}, finetune {sft,wft,fl,afl},
-decode, eval and analyze {histogram,sample-freq,loss-surface}.  Each leaf
-parser declares only the flags its mode reads, so a flag the run would not
-read (``--init`` on ``train ce``, ``--lam`` outside ``train joint``,
-``--beta-prime`` outside ``finetune wft``, ``--data`` on ``analyze
-loss-surface``) is an argparse usage error.  A JSON experiment file supplies
-every stage's settings.  A flag that overrides a setting has its config key
-as destination (``--lam`` is ``joint.lam``; ``finetune sft --lr x`` sets the
-one-point grid ``finetune.lr_grid = [x]``), and every given flag is folded
-into the config before it is hashed, so a flag and the same value in the
-file make the same run and hash.  An integer in the file where the default
-is a float is read as that float, so ``1`` and ``1.0`` do too.  Commands
-read settings from that config only, the decoding with which ``finetune
---sweep`` scores the validation split included: it is the ``decode`` section
-that ``decode`` reads, so ``decode.method: "bp"`` makes a wft sweep decode
-through the bias product with each point's frozen copy.  All randomness is
-funneled through one seeded generator per stage, derived from the master
-seed, so every command is reproducible from (config, seed).  Checkpoints,
+Subcommands: gen-data, train {ce,rl}, finetune {sft,wft,fl,afl}, decode,
+eval and analyze {histogram,sample-freq,loss-surface}.  Each leaf parser
+declares only the flags its mode reads, so a flag the run would not read
+(``--init`` on ``train ce``, ``--beta-prime`` outside ``finetune wft``,
+``--data`` on ``analyze loss-surface``) is an argparse usage error.  A JSON
+experiment file supplies every stage's settings.  A flag that overrides a
+setting has its config key as destination (``analyze loss-surface --gamma``
+is ``finetune.gamma``; ``finetune sft --lr x`` sets the one-point grid
+``finetune.lr_grid = [x]``), and every given flag is folded into the config
+before it is hashed, so a flag and the same value in the file make the same
+run and hash.  An integer in the file where the default is a float is read
+as that float, so ``1`` and ``1.0`` do too.  Commands read settings from
+that config only, the decoding with which ``finetune --sweep`` scores the
+validation split included: it is the ``decode`` section that ``decode``
+reads, so ``decode.method: "bp"`` makes a wft sweep decode through the bias
+product with each point's frozen copy.  All randomness is funneled through
+one seeded generator per stage, derived from the master seed, so every
+command is reproducible from (config, seed).  Checkpoints,
 ``dataset.meta.json`` (for the splits) and the eval CSV carry the config
 hash.  Every file is written through ``corpus.atomic_write``, so a failed
 run leaves a previous output whole.
@@ -25,7 +25,7 @@ run leaves a previous output whole.
 The whole config, flags folded in, is checked once, before any command
 reads data or writes a file: each section by the ``validate`` of the
 dataclass it feeds (``SynthConfig``, ``ModelDims``, ``DecodeConfig``,
-``FinetuneConfig``) or, for the sections no dataclass takes (ce, rl, joint,
+``FinetuneConfig``) or, for the sections no dataclass takes (ce, rl,
 metrics), by a short check here.  A bad value in any section, even one the
 command does not use, is a usage error (exit 2) that names ``section.key``.
 A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
@@ -71,7 +71,7 @@ from .model import (
     save_checkpoint,
     stage_rng,
 )
-from .rl import corpus_stats_for, sample_sequences, train_ce, train_joint, train_rl
+from .rl import corpus_stats_for, sample_sequences, train_ce, train_rl
 from .synth import DataBundle, SynthConfig, generate_synthetic_dataset
 
 
@@ -85,7 +85,6 @@ DEFAULT_CONFIG: dict = {
     "model": {"hidden_dim": 64, "max_len": 16, "init_scale": 0.1},
     "ce": {"epochs": 10, "lr": 0.5, "batch_size": 10},
     "rl": {"epochs": 8, "lr": 0.05, "batch_size": 10, "samples_per_image": 5},
-    "joint": {"lam": 0.5, "epochs": 8, "lr": 0.05, "batch_size": 10, "samples_per_image": 5},
     "finetune": {
         "lr_grid": [1e-3, 1e-4, 1e-5, 1e-6],
         "beta_prime_grid": [0.1, 1.0],
@@ -178,8 +177,7 @@ def _check_config(config: dict) -> None:
 
     Every check's message starts with the key, so the UsageError names
     ``section.key``.  Here, counts are integers (``epochs`` may be 0, which
-    keeps the starting model), learning rates finite and > 0, and ``lam`` in
-    [0, 1]."""
+    keeps the starting model) and learning rates finite and > 0."""
     with _usage():
         check_count("seed", config["seed"], 0)
     with _usage("invalid dataset config: dataset."):
@@ -200,15 +198,14 @@ def _check_config(config: dict) -> None:
                 check_number(f"{key}[{i}]", value, positive=positive)
         FinetuneConfig(batch_size=section["batch_size"], gamma=section["gamma"],
                        alpha=section["alpha"]).validate()
-    for stage in ("ce", "rl", "joint"):
+    for stage in ("ce", "rl"):
         section = config[stage]
         with _usage(f"invalid {stage} config: {stage}."):
-            for key, least in (("epochs", 0), ("batch_size", 1), ("samples_per_image", 1)):
-                if key in section:
-                    check_count(key, section[key], least)
+            check_count("epochs", section["epochs"], 0)
+            check_count("batch_size", section["batch_size"], 1)
+            if stage == "rl":
+                check_count("samples_per_image", section["samples_per_image"], 1)
             check_number("lr", section["lr"], positive=True)
-            if "lam" in section:
-                check_number("lam", section["lam"], most=1.0)
     section = config["metrics"]
     with _usage("invalid metrics config: metrics."):
         ks = section["recall_ks"]
@@ -336,17 +333,11 @@ def cmd_train(args) -> int:
     else:
         checkpoint, _ = _require_checkpoint(args.init, "--init", vocab, config)
         stats = corpus_stats_for(vocab, bundle.train)
-        rng = stage_rng(seed, f"train:{args.stage}")
-        if args.stage == "rl":
-            params, log = train_rl(checkpoint, bundle.train, stats, section["epochs"],
-                                   section["lr"], rng, section["batch_size"],
-                                   section["samples_per_image"])
-            log_columns = ["epoch", "mean_reward", "mean_greedy_reward", "useful_sample_ratio"]
-        else:
-            params, log = train_joint(checkpoint, bundle.train, stats, section["epochs"],
-                                      section["lr"], section["lam"], rng, section["batch_size"],
-                                      section["samples_per_image"])
-            log_columns = ["epoch", "mean_loss"]
+        rng = stage_rng(seed, "train:rl")
+        params, log = train_rl(checkpoint, bundle.train, stats, section["epochs"],
+                               section["lr"], rng, section["batch_size"],
+                               section["samples_per_image"])
+        log_columns = ["epoch", "mean_reward", "mean_greedy_reward", "useful_sample_ratio"]
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -544,11 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stages = _modes(sub, "train", "stage", "run a training stage", cmd_train)
     stages.add_parser("ce", parents=pipeline, help="cross-entropy training of a new model")
-    for stage in ("rl", "joint"):
-        p = stages.add_parser(stage, parents=pipeline, help=f"{stage} training from --init")
-        p.add_argument("--init", required=True, help="upstream checkpoint")
-        if stage == "joint":
-            p.add_argument("--lam", dest="joint.lam", type=float, help="joint mixing weight")
+    p = stages.add_parser("rl", parents=pipeline, help="rl training from --init")
+    p.add_argument("--init", required=True, help="upstream checkpoint")
 
     methods = _modes(sub, "finetune", "method", "classifier-only fine-tuning", cmd_finetune)
     for method in ("sft", "wft", "fl", "afl"):

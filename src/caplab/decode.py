@@ -360,7 +360,8 @@ def load_captions(path) -> dict[int, list[str]]:
     """id -> caption tokens, read back from a caption file.
 
     A line that is not a JSON object with an integer ``id`` and a string
-    ``caption`` raises ValueError naming the file and the line number.
+    ``caption``, or whose id an earlier line gave, raises ValueError naming
+    the file and the line number.
     """
     captions = {}
     with open(path, encoding="utf-8") as fh:
@@ -377,5 +378,8 @@ def load_captions(path) -> dict[int, list[str]]:
             if not (type(image_id) is int and isinstance(caption, str)):  # bool is not an id
                 raise ValueError(f"{path}, line {number}: a caption record needs an integer"
                                  ' "id" and a string "caption"')
+            if image_id in captions:
+                raise ValueError(f"{path}, line {number}: image id {image_id} has a caption"
+                                 " on an earlier line")
             captions[image_id] = caption.split()
     return captions

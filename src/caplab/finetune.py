@@ -65,7 +65,7 @@ class FinetuneConfig:
         if self.method not in FINETUNE_METHODS:
             raise ValueError(f"unknown fine-tune method {self.method!r}")
         check_count("batch_size", self.batch_size, 1)
-        for name in ("lr", "gamma", "alpha"):
+        for name in ("lr", "beta_prime", "gamma", "alpha"):
             check_number(name, getattr(self, name))
 
 

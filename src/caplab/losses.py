@@ -1,6 +1,5 @@
 """Teacher-forced training objectives with analytic gradients, plus the
-synthetic loss-surface tabulation.  The reward objective and its convex
-combination with CE live in ``rl``.
+synthetic loss-surface tabulation.  The reward objective lives in ``rl``.
 
 Every loss is an average over predicted positions (the <eos> prediction
 included) and then over batch items.  Probabilities are floored at

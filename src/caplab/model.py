@@ -343,22 +343,30 @@ def save_checkpoint(params: ModelParams, path, config_hash: str = "", extra: dic
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """The parameters and metadata ``save_checkpoint`` wrote to ``path``;
+    ValueError if the file is not such a checkpoint."""
     with np.load(path) as data:
+        missing = [name for name in ("meta", *ALL_ARRAYS) if name not in data]
+        if missing:
+            raise ValueError(f"checkpoint has no {', '.join(missing)} member")
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["freq"], meta["vocab"]["min_count"])
-        if vocab.hash_hex() != meta["vocab_hash"]:
-            raise ValueError("vocabulary hash mismatch in checkpoint")
-        try:
-            dims = ModelDims(**meta["dims"])
-        except TypeError as exc:
-            raise ValueError(f"checkpoint dims are not a model's: {exc}") from None
-        try:
-            dims.validate()
-        except ValueError as exc:
-            raise ValueError(f"checkpoint {exc}") from None
         arrays = {name: np.array(data[name], dtype=np.float64) for name in ALL_ARRAYS}
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    try:
+        vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["freq"], meta["vocab"]["min_count"])
+        vocab_hash, dims = meta["vocab_hash"], meta["dims"]
+    except KeyError as exc:
+        raise ValueError(f"checkpoint metadata has no field {exc}") from None
+    if vocab.hash_hex() != vocab_hash:
+        raise ValueError("vocabulary hash mismatch in checkpoint")
+    try:
+        dims = ModelDims(**dims)
+        dims.validate()
+    except TypeError as exc:
+        raise ValueError(f"checkpoint dims are not a model's: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {exc}") from None
     for name, shape in array_shapes(dims, len(vocab)).items():
         if arrays[name].shape != shape:
             raise ValueError(f"checkpoint array {name} has shape {arrays[name].shape},"

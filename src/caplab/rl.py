@@ -1,6 +1,5 @@
-"""Sequence sampling, the self-critical policy-gradient step, the joint
-objective that mixes it with CE, and the training loops (CE pretraining,
-reward training, and their convex joint).
+"""Sequence sampling, the self-critical policy-gradient step, and the
+training loops (CE pretraining and reward training).
 
 The policy-gradient step samples sequences from the current policy, scores
 them with the consensus reward against the image's references, subtracts the
@@ -182,35 +181,6 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: Referen
     )
 
 
-def joint_loss(params: ModelParams, batch: Sequence[tuple[ImageRecord, Sequence[str]]],
-               lam: float, table: ReferenceTable, row_of: dict[int, int],
-               rng: np.random.Generator, samples_per_image: int = 5) -> LossOutput:
-    """Convex combination of the policy-gradient estimate and the CE loss
-    over (image, reference) pairs.
-
-    The policy-gradient step runs once over the batch's distinct images and
-    consumes ``rng``, so fixing it makes the combination reproducible.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    images = []
-    seen = set()
-    for image, _ in batch:
-        if image.id not in seen:
-            seen.add(image.id)
-            images.append(image)
-    rl_out = scst_step(params, images, table, row_of, rng, samples_per_image)
-    feats = np.stack([image.features for image, _ in batch])
-    ce_out = ce_batch(params, feats, [cap for _, cap in batch])
-    grads = {
-        name: lam * rl_out.grads[name] + (1.0 - lam) * ce_out.grads[name]
-        for name in rl_out.grads
-    }
-    loss = lam * rl_out.loss + (1.0 - lam) * ce_out.loss
-    return LossOutput(loss=loss, grads=grads,
-                      details={"rl_loss": rl_out.loss, "ce_loss": ce_out.loss})
-
-
 def training_table(vocab: Vocabulary, train: Dataset,
                    stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
     """The CIDEr-D reference table of every training image's references,
@@ -313,17 +283,3 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
                 (sampled - sum(d["zero_advantage"] for _, _, d in batches)) / sampled,
         })
     return params, log
-
-
-def train_joint(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epochs: int,
-                lr: float, lam: float, rng: np.random.Generator, batch_size: int = 10,
-                samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
-    """Optimize lam * reward loss + (1 - lam) * CE over reference pairs."""
-    params = params.copy()
-    table, row_of = training_table(params.vocab, train, stats)
-
-    def step(p, batch):
-        return joint_loss(p, batch, lam, table, row_of, rng, samples_per_image)
-
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
-    return params, mean_loss_log(history)

@@ -23,8 +23,8 @@ from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
                           backward_sequences, check_matches, forward_sequences, init_params,
                           initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step,
                           stage_rng)
-from caplab.rl import (SampledSeq, joint_loss, mean_loss_log, pair_step, reference_pairs,
-                       scst_step, sgd_epochs)
+from caplab.rl import (SampledSeq, mean_loss_log, pair_step, reference_pairs, scst_step,
+                       sgd_epochs)
 
 
 def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
@@ -194,21 +194,6 @@ def per_batch_train_rl(params, train: Dataset, stats, epochs, lr, rng, batch_siz
         return scst_step(p, images, table, row_of, rng, samples_per_image)
 
     sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
-    return params
-
-
-def per_batch_train_joint(params, train: Dataset, stats, epochs, lr, lam, rng, batch_size=10,
-                          samples_per_image=5) -> ModelParams:
-    """``train_joint`` with every step scoring against a table of the
-    references of its batch's distinct images."""
-    params = params.copy()
-
-    def step(p, batch):
-        images = list({img.id: img for img, _ in batch}.values())
-        table, row_of = batch_table(p.vocab, images, stats)
-        return joint_loss(p, batch, lam, table, row_of, rng, samples_per_image)
-
-    sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size, step)
     return params
 
 

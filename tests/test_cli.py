@@ -30,7 +30,6 @@ MICRO_CONFIG = {
     "model": {"hidden_dim": 8, "max_len": 12, "init_scale": 0.1},
     "ce": {"epochs": 2, "lr": 0.3, "batch_size": 8},
     "rl": {"epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
-    "joint": {"lam": 0.5, "epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "finetune": {"lr_grid": [0.01, 0.001], "beta_prime_grid": [0.1, 1.0],
                  "batch_size": 8, "gamma": 1.0, "alpha": 1.0},
     "decode": {"method": "beam", "beam_size": 3, "nucleus_p": 0.95, "beta": 1.0,
@@ -66,7 +65,9 @@ class TestConfig:
         ("train", None, "bogus", {}, "unknown key 'bogus' in top-level config"),
         ("finetune", "finetune", "epochs", 2, "unknown key 'epochs' in finetune config"),
         ("train", None, "ce", 0.3, "ce config must be a JSON object"),
-    ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object"])
+        ("train", None, "joint", {"lam": 0.5}, "unknown key 'joint' in top-level config"),
+    ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object",
+            "joint-section"])
     def test_unknown_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, command,
                                         section, key, value, message, capsys):
         _, config_path, data_dir = workdir
@@ -200,9 +201,9 @@ class TestWholeConfigChecked:
         ("gen-data", "rl", "lr", 0), ("gen-data", "metrics", "recall_ks", []),
         ("train", "decode", "beam_size", 0), ("train", "finetune", "gamma", -1),
         ("decode", "ce", "epochs", -1), ("decode", "model", "init_scale", float("nan")),
-        ("loss-surface", "dataset", "n_rare", -2), ("loss-surface", "joint", "lam", 1.5),
+        ("loss-surface", "dataset", "n_rare", -2), ("loss-surface", "rl", "lr", -1.5),
     ], ids=["gen-data-rl", "gen-data-metrics", "train-decode", "train-finetune", "decode-ce",
-            "decode-model", "loss-surface-dataset", "loss-surface-joint"])
+            "decode-model", "loss-surface-dataset", "loss-surface-rl"])
     def test_bad_value_in_a_section_the_command_does_not_use(self, workdir, ce_checkpoint,
                                                               tmp_path, command, section, key,
                                                               value, capsys):
@@ -239,7 +240,7 @@ class TestTrain:
     @pytest.mark.parametrize("stage, key, value", [
         ("ce", "epochs", -1), ("ce", "epochs", 1.5), ("ce", "batch_size", 0),
         ("ce", "lr", 0.0), ("ce", "lr", float("nan")), ("ce", "lr", float("inf")),
-        ("rl", "samples_per_image", 0), ("rl", "batch_size", True), ("joint", "lr", -0.1),
+        ("rl", "samples_per_image", 0), ("rl", "batch_size", True), ("rl", "lr", -0.1),
     ])
     def test_bad_training_section_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
                                                  stage, key, value, capsys):
@@ -300,19 +301,16 @@ class TestTrain:
         assert all(0.0 <= float(row["useful_sample_ratio"]) <= 1.0 for row in rows)
         assert sorted(path.name for path in out.iterdir()) == ["rl.npz", "rl_log.csv"]
 
-    def test_joint_lambda_validated(self, workdir, ce_checkpoint, tmp_path):
-        root, config_path, data_dir = workdir
-        assert main(["train", "joint", "--config", str(config_path),
-                     "--data", str(data_dir), "--out", str(tmp_path / "j"),
-                     "--init", str(ce_checkpoint), "--lam", "1.5"]) == 2
-
 
 class TestModeFlags:
-    """Each mode of a command takes only the flags it reads, so a flag the
-    run would ignore exits 2 and writes nothing."""
+    """Each command takes only its own modes, and each mode only the flags
+    it reads, so a flag the run would ignore exits 2 and writes nothing."""
 
     @pytest.mark.parametrize("argv, named, parser_rejects", [
-        (["train", "rl", "--init", "{ckpt}", "--data", "{data}", "--lam", "0.3"], "--lam", True),
+        (["train", "rl", "--init", "{ckpt}", "--data", "{data}", "--beta-prime", "0.3"],
+         "--beta-prime", True),
+        (["train", "joint", "--init", "{ckpt}", "--data", "{data}"], "invalid choice: 'joint'",
+         True),
         (["train", "ce", "--init", "{ckpt}", "--data", "{data}"], "--init", True),
         (["train", "rl", "--data", "{data}"], "--init", True),
         (["finetune", "sft", "--checkpoint", "{ckpt}", "--data", "{data}", "--lr", "0.01",
@@ -337,10 +335,10 @@ class TestModeFlags:
         (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "bp",
           "--frozen", "{ckpt}", "--nucleus-p", "0.9"],
          "--nucleus-p is used only by nucleus decoding, not bp", False),
-    ], ids=["rl-lam", "ce-init", "rl-without-init", "sft-beta-prime", "loss-surface-data",
-            "histogram-checkpoint", "sample-freq-captions", "sample-freq-split",
-            "greedy-beam-size", "nucleus-beam-size", "greedy-nucleus-p", "beam-nucleus-p",
-            "bp-nucleus-p"])
+    ], ids=["rl-beta-prime", "train-joint", "ce-init", "rl-without-init", "sft-beta-prime",
+            "loss-surface-data", "histogram-checkpoint", "sample-freq-captions",
+            "sample-freq-split", "greedy-beam-size", "nucleus-beam-size", "greedy-nucleus-p",
+            "beam-nucleus-p", "bp-nucleus-p"])
     def test_flag_of_another_mode_exits_2_and_writes_nothing(
             self, workdir, ce_checkpoint, tmp_path, argv, named, parser_rejects, capsys):
         _, config_path, data_dir = workdir
@@ -361,14 +359,15 @@ class TestModeFlags:
 
     @pytest.mark.parametrize("argv, recorded", [
         (["train", "rl", "--init"],
-         "0d8c02a0f9eecb149ead2221d29b6be9934460204621852ef3274ab88716435c"),
+         "518c75ae81bf4fdd04adb025adf47b51fce946a8fd403281a0a3d04a6dd9b03a"),
         (["finetune", "wft", "--sweep", "--beta-prime", "0.5", "--checkpoint"],
-         "fdcdcc0b734ac3eeddaa400c6edcce04c82d596f372e525cbf817adaad47d605"),
+         "e4f1bbc1c162a8379edf9ad80790f587b0437e7a1743007c62c899c5f9349493"),
     ], ids=["train-rl", "finetune-wft-sweep"])
     def test_mode_is_not_a_setting(self, workdir, ce_checkpoint, tmp_path, argv, recorded):
         """A run records the hash of its config alone: these are the hashes
         that the same runs recorded when the mode was a flag (``--stage rl``,
-        ``--method wft``)."""
+        ``--method wft``), with the config's former ``joint`` section
+        deleted."""
         _, config_path, data_dir = workdir
         out = tmp_path / "out"
         assert main([*argv, str(ce_checkpoint), "--config", str(config_path),
@@ -621,12 +620,14 @@ class TestDecodeEval:
 
     @pytest.mark.parametrize("bad_line", [
         "not json", json.dumps({"id": 0}), json.dumps({"caption": "a b"}),
-        json.dumps({"id": 0.5, "caption": "a b"}), json.dumps([0, "a b"]),
-    ], ids=["not-json", "no-caption", "no-id", "id-not-integer", "not-an-object"])
+        json.dumps({"id": 0.5, "caption": "a b"}), json.dumps([0, "a b"]), None,
+    ], ids=["not-json", "no-caption", "no-id", "id-not-integer", "not-an-object", "repeated-id"])
     def test_malformed_caption_line_is_usage_error(self, workdir, tmp_path, bad_line, capsys):
         _, config_path, data_dir = workdir
         caps = _reference_captions(data_dir, tmp_path / "caps.jsonl")
         lines = caps.read_text().splitlines()
+        if bad_line is None:  # line 3 repeats line 1's image id
+            bad_line = lines[0]
         caps.write_text("\n".join([lines[0], "", bad_line, *lines[1:]]) + "\n")
         out = tmp_path / "rep"
         assert main(["eval", "--captions", str(caps), "--config", str(config_path),
@@ -763,6 +764,17 @@ class TestFinetuneCommand:
         assert len(caps.read_text().strip().splitlines()) == MICRO_CONFIG["dataset"]["n_val"]
 
 
+def _checkpoint_argv(flag, ce_checkpoint, path, out):
+    """A command line that loads ``path`` through ``--flag``."""
+    return {
+        "init": ["train", "rl", "--init", str(path), "--out", str(out)],
+        "checkpoint": ["finetune", "sft", "--lr", "0.01", "--checkpoint", str(path),
+                       "--out", str(out)],
+        "frozen": ["decode", "--method", "bp", "--checkpoint", str(ce_checkpoint),
+                   "--frozen", str(path), "--out", str(out)],
+    }[flag]
+
+
 class TestCheckpointChecks:
     """Every checkpoint a command loads is checked, once, against the data's
     vocabulary and the config's model dimensions."""
@@ -785,15 +797,30 @@ class TestCheckpointChecks:
         bad_path = tmp_path / "bad.npz"
         save_checkpoint(bad, bad_path)
         out = tmp_path / "out"
-        argv = {
-            "init": ["train", "rl", "--init", str(bad_path), "--out", str(out)],
-            "checkpoint": ["finetune", "sft", "--lr", "0.01",
-                           "--checkpoint", str(bad_path), "--out", str(out)],
-            "frozen": ["decode", "--method", "bp", "--checkpoint", str(ce_checkpoint),
-                       "--frozen", str(bad_path), "--out", str(out)],
-        }[flag]
+        argv = _checkpoint_argv(flag, ce_checkpoint, bad_path, out)
         assert main([*argv, "--config", str(config_path), "--data", str(data_dir)]) == 2
         assert f"--{flag} {bad_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("malformation", ["no-meta", "meta-without-vocab", "no-cls-w"])
+    @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
+    def test_malformed_checkpoint_is_usage_error(self, workdir, ce_checkpoint, tmp_path, flag,
+                                                 malformation, capsys):
+        _, config_path, data_dir = workdir
+        with np.load(ce_checkpoint) as data:
+            members = dict(data)
+        if malformation == "meta-without-vocab":
+            meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+            del meta["vocab"]
+            members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        else:
+            del members[{"no-meta": "meta", "no-cls-w": "cls_w"}[malformation]]
+        bad_path = tmp_path / "bad.npz"
+        np.savez(bad_path, **members)
+        out = tmp_path / "out"
+        argv = _checkpoint_argv(flag, ce_checkpoint, bad_path, out)
+        assert main([*argv, "--config", str(config_path), "--data", str(data_dir)]) == 2
+        assert f"invalid checkpoint {bad_path}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_frozen_reference_of_another_encoder_is_usage_error(self, workdir, ce_checkpoint,
@@ -840,8 +867,9 @@ def _resolved_hash(argv):
 
 def _run_hash(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
     """The config hash a ``_run`` ran under: the one its checkpoints record,
-    or, for decode, which writes none, the one its command line resolves to."""
-    if command == "decode":
+    or, for decode and loss-surface, which write none, the one its command
+    line resolves to."""
+    if command in ("decode", "loss-surface"):
         return _resolved_hash(_argv(workdir, ce_checkpoint, command, config_path, out_dir, flags))
     return _recorded_hash(out_dir)
 
@@ -852,9 +880,11 @@ def _run(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
 
 def _argv(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
     _, _, data_dir = workdir
+    if command == "loss-surface":  # reads no data
+        return ["analyze", "loss-surface", "--out", str(out_dir / "surface.csv"),
+                "--config", str(config_path), *flags]
     argv = {
         "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out_dir / "caps.jsonl")],
-        "joint": ["train", "joint", "--init", str(ce_checkpoint), "--out", str(out_dir)],
         "wft": ["finetune", "wft", "--checkpoint", str(ce_checkpoint),
                 "--out", str(out_dir)],
         "sft-sweep": ["finetune", "sft", "--sweep", "--checkpoint", str(ce_checkpoint),
@@ -879,10 +909,10 @@ class TestFlagsFoldIntoConfig:
     @pytest.mark.parametrize("command, flags, section, edits", [
         ("decode", ["--beam-size", "2"], "decode", {"beam_size": 2}),
         ("decode", ["--method", "greedy"], "decode", {"method": "greedy"}),
-        ("joint", ["--lam", "0.2"], "joint", {"lam": 0.2}),
+        ("loss-surface", ["--gamma", "0.2"], "finetune", {"gamma": 0.2}),
         ("wft", ["--lr", "0.05", "--beta-prime", "0.5"], "finetune",
          {"lr_grid": [0.05], "beta_prime_grid": [0.5]}),
-    ], ids=["beam-size", "method", "lam", "lr-beta-prime"])
+    ], ids=["beam-size", "method", "gamma", "lr-beta-prime"])
     def test_flag_equals_config_value(self, workdir, ce_checkpoint, tmp_path, command, flags,
                                       section, edits):
         _, config_path, _ = workdir
@@ -901,8 +931,8 @@ class TestFlagsFoldIntoConfig:
 
     @pytest.mark.parametrize("command, variants", [
         ("decode", [[], ["--beam-size", "1"], ["--beam-size", "2"], ["--method", "greedy"]]),
-        ("joint", [["--lam", "0.2"], ["--lam", "0.8"]]),
-    ], ids=["decode", "lam"])
+        ("loss-surface", [["--gamma", "0.2"], ["--gamma", "0.8"]]),
+    ], ids=["decode", "gamma"])
     def test_different_flags_give_different_hashes(self, workdir, ce_checkpoint, tmp_path,
                                                    command, variants):
         _, config_path, _ = workdir
@@ -971,7 +1001,7 @@ class TestFlagsFoldIntoConfig:
                 assert key in default and not isinstance(default[key], dict), action.dest
                 assert action.default is None, action.dest
                 dests.add(action.dest)
-        assert dests == {"seed", "joint.lam", "decode.method", "decode.beam_size",
+        assert dests == {"seed", "decode.method", "decode.beam_size",
                          "decode.nucleus_p", "decode.beta", "decode.beta_prime",
                          "finetune.lr_grid", "finetune.beta_prime_grid", "finetune.gamma",
                          "finetune.alpha"}
@@ -1003,7 +1033,7 @@ class TestFlagsFoldIntoConfig:
 
 class TestConfigHash:
     ARGV = {
-        "joint": ["train", "joint", "--init", "c", "--data", "d", "--out", "o"],
+        "loss-surface": ["analyze", "loss-surface", "--out", "o"],
         "finetune": ["finetune", "sft", "--data", "d", "--checkpoint", "c",
                      "--out", "o"],
     }
@@ -1014,13 +1044,12 @@ class TestConfigHash:
         args = cli.build_parser().parse_args([*self.ARGV[command], "--config", str(path), *flags])
         return cli._resolve_config(args)
 
-    @pytest.mark.parametrize("section, key, as_int, as_float, flags", [
-        ("joint", "lam", 1, 1.0, ["--lam", "1"]),
-        ("finetune", "lr_grid", [1], [1.0], ["--lr", "1"]),
-    ], ids=["lam", "lr-grid"])
-    def test_integer_float_and_flag_give_one_hash(self, tmp_path, section, key, as_int,
+    @pytest.mark.parametrize("command, section, key, as_int, as_float, flags", [
+        ("loss-surface", "finetune", "gamma", 2, 2.0, ["--gamma", "2"]),
+        ("finetune", "finetune", "lr_grid", [1], [1.0], ["--lr", "1"]),
+    ], ids=["gamma", "lr-grid"])
+    def test_integer_float_and_flag_give_one_hash(self, tmp_path, command, section, key, as_int,
                                                   as_float, flags):
-        command = "joint" if section == "joint" else "finetune"
         resolved = []
         for name, value in (("int", as_int), ("float", as_float)):
             config = copy.deepcopy(MICRO_CONFIG)
@@ -1043,14 +1072,14 @@ class TestConfigHash:
         assert [type(v) for v in by_int[0]["finetune"]["lr_grid"]] == [float, float]
 
     def test_integer_leaves_of_integer_keys_and_booleans_stay(self, tmp_path):
-        resolved, _ = self._resolve(tmp_path, "cfg", MICRO_CONFIG, "joint")
+        resolved, _ = self._resolve(tmp_path, "cfg", MICRO_CONFIG, "loss-surface")
         assert type(resolved["ce"]["batch_size"]) is int
         assert resolved["metrics"]["recall_ks"] == [1, 5]
         assert all(type(k) is int for k in resolved["metrics"]["recall_ks"])
         config = copy.deepcopy(MICRO_CONFIG)
         config["ce"]["lr"] = True  # not cast to 1.0: a bool is not a number here
         with pytest.raises(cli.UsageError, match=r"ce\.lr must be .*got True"):
-            self._resolve(tmp_path, "bool", config, "joint")
+            self._resolve(tmp_path, "bool", config, "loss-surface")
 
     @pytest.mark.parametrize("section, key, value, named", [
         ("ce", "lr", 10**400, "ce.lr"),
@@ -1067,7 +1096,7 @@ class TestConfigHash:
         assert not out.exists()
 
     def test_default_config_hash_unchanged(self, tmp_path):
-        default_hash = "414cc141359720ff537ef3698038397c6d8a7e77cbeee71fed82e25e246c664a"
+        default_hash = "d5c285ee3dbac6dce4415255775bcf09b2d4a3c42c2cc6ade7ec49324429f8fc"
         assert config_hash(cli.load_config(None)) == default_hash
         path = tmp_path / "default.json"
         path.write_text(json.dumps(cli.DEFAULT_CONFIG))

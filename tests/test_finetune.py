@@ -364,9 +364,11 @@ class TestSweep:
         steps = []
         cell = model.gru_cell
         monkeypatch.setattr(model, "gru_cell", lambda *a: steps.append(1) or cell(*a))
-        points = [FinetuneConfig(method="wft", lr=0.01), FinetuneConfig(method="wft", lr=-1.0)]
-        with pytest.raises(ValueError, match="lr must be"):
-            sweep(checkpoint, micro_bundle, stats, points, 0, decode_config)
+        for bad, named in ((FinetuneConfig(method="wft", lr=-1.0), "lr"),
+                           (FinetuneConfig(method="wft", lr=0.01, beta_prime=-1.0), "beta_prime")):
+            with pytest.raises(ValueError, match=f"{named} must be"):
+                sweep(checkpoint, micro_bundle, stats, [FinetuneConfig(method="wft", lr=0.01), bad],
+                      0, decode_config)
         assert steps == []
 
     @pytest.mark.parametrize("method", ["sft", "fl", "afl"])

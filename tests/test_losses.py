@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from caplab.cider import build_cider_stats
-from caplab.corpus import Dataset, ImageRecord, build_vocab
+from caplab.corpus import ImageRecord, build_vocab
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs
 from caplab.losses import (
     FrozenReference,
@@ -21,7 +20,6 @@ from caplab.losses import (
     teacher_forced,
 )
 from caplab.model import (
-    ALL_ARRAYS,
     CLASSIFIER_ARRAYS,
     ModelDims,
     TrainScope,
@@ -29,7 +27,6 @@ from caplab.model import (
     forward_sequences,
     init_params,
 )
-from caplab.rl import joint_loss, scst_step, training_table
 from oracles import bp_prob, grad_check, score_step, softmax_temp
 
 
@@ -243,54 +240,6 @@ class TestFocalFamily:
             head_loss(tiny_model, tiny_image, ["a"], "fl", gamma=-1.0)
         with pytest.raises(ValueError):
             head_loss(tiny_model, tiny_image, ["a"], "afl", alpha=-0.5)
-
-
-class TestJoint:
-    @pytest.fixture
-    def joint_setup(self, tiny_model, tiny_image):
-        refs = [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
-        stats = build_cider_stats([refs])
-        batch = [(tiny_image, ["a", "b"]), (tiny_image, ["b", "a"])]
-        return training_table(tiny_model.vocab, Dataset("train", [tiny_image]), stats), batch
-
-    def _joint(self, params, batch, lam, tables, seed):
-        return joint_loss(params, batch, lam, *tables, np.random.default_rng(seed),
-                          samples_per_image=3)
-
-    def test_lambda_zero_equals_ce(self, tiny_model, joint_setup):
-        tables, batch = joint_setup
-        out = self._joint(tiny_model, batch, 0.0, tables, 0)
-        feats = np.stack([img.features for img, _ in batch])
-        ce = ce_batch(tiny_model, feats, [c for _, c in batch])
-        assert out.loss == ce.loss
-        for name in ALL_ARRAYS:
-            np.testing.assert_array_equal(out.grads[name], ce.grads[name])
-
-    def test_lambda_one_equals_policy_gradient(self, tiny_model, joint_setup):
-        tables, batch = joint_setup
-        out = self._joint(tiny_model, batch, 1.0, tables, 4)
-        rl = scst_step(tiny_model, [batch[0][0]], *tables, np.random.default_rng(4),
-                       samples_per_image=3)
-        assert out.loss == rl.loss
-        for name in ALL_ARRAYS:
-            np.testing.assert_array_equal(out.grads[name], rl.grads[name])
-
-    def test_lambda_half_is_elementwise_mean(self, tiny_model, joint_setup):
-        tables, batch = joint_setup
-        out = self._joint(tiny_model, batch, 0.5, tables, 9)
-        rl = scst_step(tiny_model, [batch[0][0]], *tables, np.random.default_rng(9),
-                       samples_per_image=3)
-        feats = np.stack([img.features for img, _ in batch])
-        ce = ce_batch(tiny_model, feats, [c for _, c in batch])
-        for name in ALL_ARRAYS:
-            np.testing.assert_allclose(out.grads[name],
-                                       0.5 * rl.grads[name] + 0.5 * ce.grads[name],
-                                       atol=1e-15)
-
-    def test_lambda_out_of_range_rejected(self, tiny_model, joint_setup):
-        tables, batch = joint_setup
-        with pytest.raises(ValueError):
-            self._joint(tiny_model, batch, 1.5, tables, 0)
 
 
 class TestGradCheckOracle:

@@ -25,13 +25,11 @@ from caplab.rl import (
     sample_sequences,
     scst_step,
     train_ce,
-    train_joint,
     train_rl,
     training_table,
 )
 from oracles import (decode_greedy, forced_token_model, forward_targets, grad_check,
-                     per_batch_train_joint, per_batch_train_rl, sequence_logprob_loss,
-                     softmax_temp, target_ids)
+                     per_batch_train_rl, sequence_logprob_loss, softmax_temp, target_ids)
 
 
 def sample_sequence(params, image, beta, rng):
@@ -292,33 +290,17 @@ class TestTrainingLoops:
             assert log[epoch]["useful_sample_ratio"] == useful / total
         assert any(0.0 < row["useful_sample_ratio"] < 1.0 for row in log)
 
-    @pytest.mark.parametrize("stage", ["rl", "joint"])
-    def test_run_table_trains_like_a_table_per_batch(self, micro_bundle, stage):
+    def test_run_table_trains_like_a_table_per_batch(self, micro_bundle):
         """A run scoring every step against its one table of all training
         images ends where steps scoring against their own batch's table end."""
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
         dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
         params = init_params(vocab, dims, 0, scale=0.5)
         stats = corpus_stats_for(vocab, micro_bundle.train)
-        if stage == "rl":
-            args = (micro_bundle.train, stats, 2, 0.5)
-            trained, _ = train_rl(params, *args, np.random.default_rng(3), 7, 3)
-            expected = per_batch_train_rl(params, *args, np.random.default_rng(3), 7, 3)
-        else:
-            args = (micro_bundle.train, stats, 1, 0.1, 0.5)
-            trained, _ = train_joint(params, *args, np.random.default_rng(3), 8, 2)
-            expected = per_batch_train_joint(params, *args, np.random.default_rng(3), 8, 2)
+        args = (micro_bundle.train, stats, 2, 0.5)
+        trained, _ = train_rl(params, *args, np.random.default_rng(3), 7, 3)
+        expected = per_batch_train_rl(params, *args, np.random.default_rng(3), 7, 3)
         assert trained.full_hash() == expected.full_hash() != params.full_hash()
-
-    def test_train_joint_runs_and_logs(self, micro_bundle):
-        vocab = build_vocab(micro_bundle.train.all_references(), 1)
-        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
-        params = init_params(vocab, dims, 0)
-        stats = corpus_stats_for(vocab, micro_bundle.train)
-        trained, log = train_joint(params, micro_bundle.train, stats, epochs=1, lr=0.01,
-                                   lam=0.5, rng=np.random.default_rng(0), batch_size=15)
-        assert len(log) == 1 and np.isfinite(log[0]["mean_loss"])
-        assert trained.full_hash() != params.full_hash()
 
 
 class TestMappedReferences:
