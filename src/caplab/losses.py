@@ -204,30 +204,37 @@ def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
     """Renormalized product of two probability vectors in log space.
 
     Both factors are floored at PROB_EPS before the logs are summed, so the
-    result stays finite for any inputs.
+    result stays finite for any inputs.  Both arguments must have the same
+    shape: the result is built in place on the floored ``logp_main``.
     """
-    u = np.maximum(logp_main, LOG_EPS) + np.maximum(logp_ref, LOG_EPS)
-    u = u - u.max(axis=-1, keepdims=True)
-    return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
+    u = np.maximum(logp_main, LOG_EPS)
+    u += np.maximum(logp_ref, LOG_EPS)
+    u -= u.max(axis=-1, keepdims=True)
+    u -= np.log(np.exp(u).sum(axis=-1, keepdims=True))
+    return u
 
 
 def bp_head(logp, logp_ref, targets, mask, lengths):
     """Per-item bias-product loss and its logit gradient, from the trainable
-    model's and the frozen reference's log-probs at the same positions."""
+    model's and the frozen reference's log-probs at the same positions.
+    ``logp`` and ``logp_ref`` must have the same shape."""
     logq = bp_log_probs(logp, logp_ref)
     lq_eff, active = _gold_stats(logq, targets, mask)
     per_item = (-lq_eff * mask).sum(axis=1) / lengths
 
     # d(-log q_gold)/dz = (q - e) * m - p * sum((q - e) * m),
     # where m masks components whose inner log-prob was floored.  The frozen
-    # factor contributes no gradient.
+    # factor contributes no gradient.  Everything after ``logit_grad`` works
+    # in place on its new array.
     b = len(lengths)
     p = np.exp(logp)
-    g = logit_grad(np.exp(logq), targets, 1.0)
-    inner_mask = (logp > LOG_EPS).astype(np.float64)
-    gm = g * inner_mask
+    gm = logit_grad(np.exp(logq), targets, 1.0)
+    gm *= logp > LOG_EPS
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
-    return per_item, scale * (gm - p * gm.sum(axis=-1, keepdims=True))
+    p *= gm.sum(axis=-1, keepdims=True)
+    gm -= p
+    gm *= scale
+    return per_item, gm
 
 
 def bp_batch(params, frozen: FrozenReference, feats, captions) -> LossOutput:

@@ -13,7 +13,10 @@ Parameters are grouped so that training can be restricted to the classifier
 used anywhere; the backward pass below is checked against central finite
 differences by the test suite.  Its time loop carries only the hidden-state
 gradient; each weight gradient is one contraction over every position of
-the batch.
+the batch.  The classifier's (rows, d) @ (d, V) products, unlike the cell's,
+can round a row differently with the number of rows, so a cache of
+classifier outputs across batch shapes can be only bit-close, not
+bit-identical.
 """
 
 from __future__ import annotations
@@ -210,7 +213,9 @@ def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray
 
 
 def logits_from_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
-    return hidden @ params.cls_w + params.cls_b
+    logits = hidden @ params.cls_w
+    logits += params.cls_b
+    return logits
 
 
 def recurrent_step(params: ModelParams, h_prev: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
@@ -299,21 +304,27 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
 
 
 def _shifted_scaled(z: np.ndarray, beta: float) -> np.ndarray:
-    """beta*z minus its maximum along the last axis, after checking inputs."""
+    """beta*z minus its maximum along the last axis, after checking inputs,
+    in a new array.  At beta = 1 the product is skipped: for finite z,
+    1.0 * z is z bit for bit, -0.0 included."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
+    if beta == 1.0:
+        return z - z.max(axis=-1, keepdims=True)
     a = beta * z
-    return a - a.max(axis=-1, keepdims=True)
+    a -= a.max(axis=-1, keepdims=True)
+    return a
 
 
 def log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
     """log(exp(beta*z) / sum exp(beta*z)) along the last axis, computed with
     max subtraction; beta = 0 gives the uniform distribution."""
     a = _shifted_scaled(z, beta)
-    return a - np.log(np.exp(a).sum(axis=-1, keepdims=True))
+    a -= np.log(np.exp(a).sum(axis=-1, keepdims=True))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +362,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"checkpoint has no {', '.join(missing)} member")
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         arrays = {name: np.array(data[name], dtype=np.float64) for name in ALL_ARRAYS}
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
     try:
@@ -358,6 +371,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         vocab_hash, dims = meta["vocab_hash"], meta["dims"]
     except KeyError as exc:
         raise ValueError(f"checkpoint metadata has no field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"checkpoint vocabulary is malformed: {exc}") from None
     if vocab.hash_hex() != vocab_hash:
         raise ValueError("vocabulary hash mismatch in checkpoint")
     try:

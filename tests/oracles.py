@@ -15,9 +15,9 @@ import numpy as np
 from caplab.cider import CiderCorpusStats, ReferenceTable, reference_table
 from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
-from caplab.losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, bp_log_probs,
-                           ce_terms, focal_terms, frame_targets, logit_grad, pointwise_head,
-                           teacher_forced)
+from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, _gold_stats, anti_focal_terms,
+                           bp_head, bp_log_probs, ce_terms, focal_terms, frame_targets, logit_grad,
+                           pointwise_head, teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
                           backward_sequences, check_matches, forward_sequences, init_params,
@@ -34,6 +34,46 @@ def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
     """
     e = np.exp(_shifted_scaled(z, beta))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def fresh_logits_from_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
+    """``model.logits_from_hidden`` with the bias added into a new array."""
+    return hidden @ params.cls_w + params.cls_b
+
+
+def fresh_log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
+    """``model.log_softmax_temp`` with every pass into a new array, beta*z
+    formed at every beta."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite logits")
+    a = beta * z
+    a = a - a.max(axis=-1, keepdims=True)
+    return a - np.log(np.exp(a).sum(axis=-1, keepdims=True))
+
+
+def fresh_bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
+    """``losses.bp_log_probs`` with every pass into a new array."""
+    u = np.maximum(logp_main, LOG_EPS) + np.maximum(logp_ref, LOG_EPS)
+    u = u - u.max(axis=-1, keepdims=True)
+    return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
+
+
+def fresh_bp_head(logp, logp_ref, targets, mask, lengths):
+    """``losses.bp_head`` with every pass into a new array, the inner mask
+    as a float array of its own."""
+    logq = fresh_bp_log_probs(logp, logp_ref)
+    lq_eff, active = _gold_stats(logq, targets, mask)
+    per_item = (-lq_eff * mask).sum(axis=1) / lengths
+    b = len(lengths)
+    p = np.exp(logp)
+    g = logit_grad(np.exp(logq), targets, 1.0)
+    inner_mask = (logp > LOG_EPS).astype(np.float64)
+    gm = g * inner_mask
+    scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
+    return per_item, scale * (gm - p * gm.sum(axis=-1, keepdims=True))
 
 
 def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:

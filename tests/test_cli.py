@@ -802,16 +802,22 @@ class TestCheckpointChecks:
         assert f"--{flag} {bad_path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("malformation", ["no-meta", "meta-without-vocab", "no-cls-w"])
+    @pytest.mark.parametrize("malformation", ["no-meta", "meta-without-vocab", "no-cls-w",
+                                              "meta-is-list", "tokens-not-a-list"])
     @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
     def test_malformed_checkpoint_is_usage_error(self, workdir, ce_checkpoint, tmp_path, flag,
                                                  malformation, capsys):
         _, config_path, data_dir = workdir
         with np.load(ce_checkpoint) as data:
             members = dict(data)
-        if malformation == "meta-without-vocab":
+        if malformation in ("meta-without-vocab", "meta-is-list", "tokens-not-a-list"):
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
-            del meta["vocab"]
+            if malformation == "meta-without-vocab":
+                del meta["vocab"]
+            elif malformation == "meta-is-list":
+                meta = [meta]
+            else:
+                meta["vocab"]["tokens"] = 7
             members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         else:
             del members[{"no-meta": "meta", "no-cls-w": "cls_w"}[malformation]]

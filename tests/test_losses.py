@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from caplab.corpus import ImageRecord, build_vocab
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs
 from caplab.losses import (
+    LOG_EPS,
     FrozenReference,
     LossOutput,
     bp_batch,
+    bp_head,
+    bp_log_probs,
     caption_targets,
     ce_batch,
     ce_terms,
@@ -27,7 +30,8 @@ from caplab.model import (
     forward_sequences,
     init_params,
 )
-from oracles import bp_prob, grad_check, score_step, softmax_temp
+from oracles import (bp_prob, fresh_bp_head, fresh_bp_log_probs, fresh_log_softmax_temp,
+                     grad_check, score_step, softmax_temp)
 
 
 def ce_loss(params, image, caption):
@@ -190,6 +194,56 @@ class TestBiasProduct:
         other = init_params(other_vocab, tiny_model.dims, 0)
         with pytest.raises(ValueError):
             bp_loss(tiny_model, FrozenReference(other, 1.0), tiny_image, ["a"])
+
+
+def read_only_log_probs(shape, spread, beta, seed):
+    """Read-only log-probs at inverse temperature ``beta`` of logits uniform
+    over a width of ``spread``, with components 0 and 1 of every row from
+    logits -0.0 and 0.0."""
+    z = np.random.default_rng(seed).uniform(-spread / 2, spread / 2, size=shape)
+    z[..., 0], z[..., 1] = -0.0, 0.0
+    logp = fresh_log_softmax_temp(z, beta)
+    logp.flags.writeable = False
+    return logp
+
+
+class TestBiasProductPasses:
+    """``bp_log_probs`` and ``bp_head`` write each pass into an array of their
+    own: the bits of ``oracles``' fresh-array forms, and the caller's arrays
+    untouched.  A logit spread of 80 floors components of the model's
+    log-probs; one of 5 floors none."""
+
+    @pytest.mark.parametrize("spread", [5.0, 80.0], ids=["unfloored", "floored"])
+    @pytest.mark.parametrize("beta_prime", [0.0, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(9,), (4, 9), (2, 3, 9)], ids=["1d", "2d", "3d"])
+    def test_bp_log_probs_matches_fresh_form(self, shape, beta_prime, spread):
+        logp = read_only_log_probs(shape, spread, 1.0, seed=1)
+        logp_ref = read_only_log_probs(shape, spread, beta_prime, seed=2)
+        assert (logp <= LOG_EPS).any() == (spread > 30)
+        before = logp.tobytes(), logp_ref.tobytes()
+        want = fresh_bp_log_probs(logp, logp_ref)
+        assert bp_log_probs(logp, logp_ref).tobytes() == want.tobytes()
+        assert (logp.tobytes(), logp_ref.tobytes()) == before
+
+    @pytest.mark.parametrize("spread", [5.0, 80.0], ids=["unfloored", "floored"])
+    @pytest.mark.parametrize("beta_prime", [0.0, 0.3, 1.0, 2.0])
+    def test_bp_head_matches_fresh_form(self, beta_prime, spread):
+        rng = np.random.default_rng(3)
+        shape = (3, 4, 9)
+        logp = read_only_log_probs(shape, spread, 1.0, seed=1)
+        logp_ref = read_only_log_probs(shape, spread, beta_prime, seed=2)
+        targets = rng.integers(0, shape[-1], size=shape[:2])
+        lengths = np.array([4, 2, 1])
+        mask = (np.arange(shape[1])[None, :] < lengths[:, None]).astype(np.float64)
+        frame = (targets, mask, lengths)
+        for arr in frame:
+            arr.flags.writeable = False
+        assert (logp <= LOG_EPS).any() == (spread > 30)
+        before = [arr.tobytes() for arr in (logp, logp_ref, *frame)]
+        want = fresh_bp_head(logp, logp_ref, *frame)
+        got = bp_head(logp, logp_ref, *frame)
+        assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]
+        assert [arr.tobytes() for arr in (logp, logp_ref, *frame)] == before
 
 
 class TestFocalFamily:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplab.corpus import ImageRecord, build_vocab
+from caplab.losses import LOG_EPS
 from caplab.model import (
     ALL_ARRAYS,
     CLASSIFIER_ARRAYS,
@@ -23,9 +24,10 @@ from caplab.model import (
     init_params,
     load_checkpoint,
     log_softmax_temp,
+    logits_from_hidden,
     save_checkpoint,
 )
-from oracles import score_step, softmax_temp
+from oracles import fresh_log_softmax_temp, fresh_logits_from_hidden, score_step, softmax_temp
 
 
 def zeroed(params):
@@ -125,6 +127,57 @@ class TestSoftmaxTemp:
         assert p[0] == 1.0 and p[1] == 0.0
         lp = log_softmax_temp(np.array([1000.0, -1000.0]), 1.0)
         assert np.all(np.isfinite(lp) | (lp == -np.inf)) or np.all(np.isfinite(lp))
+
+
+def signed_zero_logits(shape, spread, seed):
+    """Logits uniform over a width of ``spread``, with components 0 and 1 of
+    every row -0.0 and 0.0 and, past one dimension, row 0 all -0.0."""
+    z = np.random.default_rng(seed).uniform(-spread / 2, spread / 2, size=shape)
+    z[..., 0], z[..., 1] = -0.0, 0.0
+    if z.ndim > 1:
+        z.reshape(-1, shape[-1])[0] = -0.0
+    return z
+
+
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class TestVocabularyPasses:
+    """``log_softmax_temp`` and ``logits_from_hidden`` write each pass into an
+    array of their own: the bits of ``oracles``' fresh-array forms, and the
+    caller's arrays untouched.  At beta = 1 no scaled copy is made and the
+    first pass reads the caller's own array, so every input is read-only."""
+
+    @pytest.mark.parametrize("spread", [5.0, 80.0], ids=["unfloored", "floored"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(9,), (4, 9), (2, 3, 9)], ids=["1d", "2d", "3d"])
+    def test_log_softmax_temp_matches_fresh_form(self, shape, beta, spread):
+        z = read_only(signed_zero_logits(shape, spread, seed=len(shape)))
+        before = z.tobytes()
+        assert (fresh_log_softmax_temp(z, 1.0) <= LOG_EPS).any() == (spread > 30)
+        out = log_softmax_temp(z, beta)
+        assert out.tobytes() == fresh_log_softmax_temp(z, beta).tobytes()
+        assert not np.shares_memory(out, z)
+        assert z.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_log_softmax_temp_rejects_non_finite_at_beta_one(self, bad):
+        with pytest.raises(ValueError, match="non-finite logits"):
+            log_softmax_temp(np.array([[0.0, 1.0], [bad, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (2, 3, 6)], ids=["1d", "2d", "3d"])
+    def test_logits_from_hidden_matches_fresh_form(self, tiny_model, shape):
+        params = tiny_model.copy()
+        params.cls_b[:] = signed_zero_logits(params.cls_b.shape, 4.0, seed=7)
+        for arr in params.arrays().values():
+            read_only(arr)
+        hidden = read_only(signed_zero_logits(shape, 2.0, seed=len(shape)))
+        before = hidden.tobytes(), params.full_hash()
+        want = fresh_logits_from_hidden(params, hidden)
+        assert logits_from_hidden(params, hidden).tobytes() == want.tobytes()
+        assert (hidden.tobytes(), params.full_hash()) == before
 
 
 @settings(max_examples=50, deadline=None)
