@@ -7,7 +7,17 @@ and maps the final hidden state through a linear classifier:
     logits = W^T h + b
 
 Every forward computation, teacher-forced passes, decoder steps and policy
-rollouts alike, runs the one cell ``gru_cell``, so they agree bit for bit.
+rollouts alike, runs the one cell ``gru_cell``, which consumes the input
+projections ``x @ w`` of ``input_projections``, so they agree bit for bit.
+A decoder step or a rollout step projects its own (rows, d) inputs; a
+teacher-forced pass projects every position before its time loop, as one
+(T, B, d) stack that numpy multiplies slice by slice, so each step's rows
+get the bits of a (B, d) product of their own.  The hoisting therefore does
+not rest on row-count invariance, which fails for one row: numpy sends a
+one-row product through a matrix-vector kernel that can round differently
+from the matrix-matrix one.  From two rows up, each row of the cell's
+(rows, d) @ (d, d) products gets the same bits whatever the row count, and
+the fine-tune's prefix table (``finetune.encode_pairs``) rests on that.
 Parameters are grouped so that training can be restricted to the classifier
 {W, b} while the embedding and encoder stay bit-identical.  No autodiff is
 used anywhere; the backward pass below is checked against central finite
@@ -151,8 +161,13 @@ def apply_sgd(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> N
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function through tanh, which saturates instead of overflowing."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """Logistic function through tanh, which saturates instead of overflowing,
+    computed in place: ``x`` is overwritten with the result and returned."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 @dataclass(eq=False)
@@ -177,18 +192,48 @@ class SeqForward:
     h: np.ndarray        # (B, T, d)
 
 
-def gru_cell(params: ModelParams, xt: np.ndarray, h_prev: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One cell step on embedded inputs ``xt``: the update gate z, the reset
-    gate r, the candidate n and the new hidden state h."""
-    z = _sigmoid(xt @ params.wz + h_prev @ params.uz + params.bz)
-    r = _sigmoid(xt @ params.wr + h_prev @ params.ur + params.br)
-    n = np.tanh(xt @ params.wn + (r * h_prev) @ params.un + params.bn)
-    return z, r, n, (1.0 - z) * n + z * h_prev
+def input_projections(params: ModelParams, x: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell's input products ``(x @ wz, x @ wr, x @ wn)``, one product per
+    gate over every row of ``x``.
+
+    ``x`` is (rows, d) embedded inputs, or a (T, rows, d) stack of them; numpy
+    multiplies a stack slice by slice, so each slice gets the bits a product
+    of its own rows would, a one-row slice included."""
+    return x @ params.wz, x @ params.wr, x @ params.wn
+
+
+def gru_cell(params: ModelParams, xz: np.ndarray, xr: np.ndarray, xn: np.ndarray,
+             h_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One cell step on the input projections ``xz, xr, xn`` of
+    ``input_projections``: the update gate z, the reset gate r, the
+    candidate n and the new hidden state h.  Each gate sums in the order
+    ``(x @ w + h @ u) + b`` within the product it owns; no input is
+    written to."""
+    z = h_prev @ params.uz
+    z += xz
+    z += params.bz
+    _sigmoid(z)
+    r = h_prev @ params.ur
+    r += xr
+    r += params.br
+    _sigmoid(r)
+    n = (r * h_prev) @ params.un
+    n += xn
+    n += params.bn
+    np.tanh(n, out=n)
+    h = 1.0 - z
+    h *= n
+    h += z * h_prev
+    return z, r, n, h
 
 
 def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray,
                       lengths: np.ndarray) -> SeqForward:
+    """The teacher-forced pass over ``tokens`` (B, T) from the image rows
+    ``feats``.  Every position's input projections are taken before the time
+    loop; the loop runs on time-major rows, and the activations come back
+    batch-major."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -198,15 +243,14 @@ def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray
         raise ValueError("token id out of range")
 
     h0 = np.tanh(feats @ params.img_w + params.img_b)
-    x = params.embed[tokens]
-    z = np.empty((b, t_max, d))
-    r = np.empty((b, t_max, d))
-    n = np.empty((b, t_max, d))
-    h = np.empty((b, t_max, d))
+    x = params.embed[tokens.T]
+    xz, xr, xn = input_projections(params, x)
+    z, r, n, h = (np.empty((t_max, b, d)) for _ in range(4))
     h_prev = h0
     for t in range(t_max):
-        z[:, t], r[:, t], n[:, t], h[:, t] = gru_cell(params, x[:, t], h_prev)
-        h_prev = h[:, t]
+        z[t], r[t], n[t], h[t] = gru_cell(params, xz[t], xr[t], xn[t], h_prev)
+        h_prev = h[t]
+    x, z, r, n, h = (a.transpose(1, 0, 2).copy() for a in (x, z, r, n, h))
     mask = (np.arange(t_max)[None, :] < lengths[:, None]).astype(np.float64)
     return SeqForward(tokens=tokens, lengths=lengths, mask=mask, feats=feats,
                       x=x, h0=h0, z=z, r=r, n=n, h=h)
@@ -219,8 +263,10 @@ def logits_from_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
 
 
 def recurrent_step(params: ModelParams, h_prev: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-    """One cell step for a batch of hidden states (used by decoders)."""
-    return gru_cell(params, params.embed[np.asarray(token_ids, dtype=np.int64)], h_prev)[3]
+    """One cell step for a batch of hidden states (used by the decoders and
+    by ``finetune.encode_pairs``)."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    return gru_cell(params, *input_projections(params, params.embed[ids]), h_prev)[3]
 
 
 def initial_hidden(params: ModelParams, feats: np.ndarray) -> np.ndarray:
@@ -269,21 +315,45 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
 
     The time loop carries only the hidden-state gradient and records each
     position's pre-activation gate gradients; every weight gradient is then
-    one contraction over all B*T positions."""
+    one contraction over all B*T positions.  Each step copies its z, r, n
+    and previous-state rows out of the batch-major arrays once and works on
+    those copies in place, in the association order of
+
+        dn = dh * (1 - z) * (1 - n*n)
+        dr = (dn @ un.T) * h_prev * r * (1 - r)
+        dz = dh * (h_prev - n) * z * (1 - z)
+        dh_next = dh * z + (dn @ un.T) * r + (dz @ uz.T + dr @ ur.T)"""
     b, t_max, d = fwd.h.shape
     h_prev = np.concatenate((fwd.h0[:, None], fwd.h[:, :-1]), axis=1)
     dz_pre = np.empty((b, t_max, d))
     dr_pre = np.empty((b, t_max, d))
     dn_pre = np.empty((b, t_max, d))
+    un_t, uz_t, ur_t = params.un.T, params.uz.T, params.ur.T
     dh_next = np.zeros((b, d))
     for t in reversed(range(t_max)):
+        zt, rt, nt, ht = (a[:, t].copy() for a in (fwd.z, fwd.r, fwd.n, h_prev))
         dh = dh_from_logits[:, t] + dh_next
-        zt, rt, nt, ht = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], h_prev[:, t]
-        dn = dh * (1.0 - zt) * (1.0 - nt * nt)
-        d_rh = dn @ params.un.T
-        dr = d_rh * ht * rt * (1.0 - rt)
-        dz = dh * (ht - nt) * zt * (1.0 - zt)
-        dh_next = dh * zt + d_rh * rt + (dz @ params.uz.T + dr @ params.ur.T)
+        dz = ht - nt
+        dz *= dh
+        dz *= zt
+        dn = 1.0 - zt
+        dz *= dn
+        dn *= dh
+        nt *= nt
+        np.subtract(1.0, nt, out=nt)
+        dn *= nt
+        d_rh = dn @ un_t
+        dr = d_rh * ht
+        dr *= rt
+        np.multiply(d_rh, rt, out=ht)  # ht is free once dr has read it
+        np.subtract(1.0, rt, out=rt)
+        dr *= rt
+        dh *= zt
+        dh += ht
+        dh_gates = dz @ uz_t
+        dh_gates += dr @ ur_t
+        dh += dh_gates
+        dh_next = dh
         dz_pre[:, t], dr_pre[:, t], dn_pre[:, t] = dz, dr, dn
 
     def flat(a):

@@ -38,6 +38,7 @@ from .model import (
     backward_sequences,
     gru_cell,
     initial_hidden,
+    input_projections,
     log_softmax_temp,
     logits_from_hidden,
 )
@@ -109,9 +110,10 @@ def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
     h0 = h_prev = initial_hidden(params, feats)
     steps = max_len
     for t in range(max_len):
-        x[:, t] = params.embed[tokens[:, t]]
-        z[:, t], r[:, t], n[:, t], h[:, t] = gru_cell(params, x[:, t], h_prev)
-        h_prev = h[:, t]
+        x[:, t] = xt = params.embed[tokens[:, t]]
+        cell = gru_cell(params, *input_projections(params, xt), h_prev)
+        z[:, t], r[:, t], n[:, t], h[:, t] = cell
+        h_prev = cell[3]
         lp = log_softmax_temp(logits_from_hidden(params, h_prev), beta)
         p = probs[:, t] = np.exp(lp)
         u = rng.random(n_rows)

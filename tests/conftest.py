@@ -23,6 +23,20 @@ def tiny_model(tiny_vocab, tiny_dims):
 
 
 @pytest.fixture
+def wide_model():
+    """A model at the benchmark's dims (hidden 64, features 32, max_len 16)
+    over 40 words, with every bias nonzero."""
+    vocab = build_vocab([[f"w{i}" for i in range(40)]], min_count=1)
+    params = init_params(vocab, ModelDims(hidden_dim=64, feature_dim=32, max_len=16), seed=1,
+                         scale=0.3)
+    rng = np.random.default_rng(2)
+    for name in ("img_b", "bz", "br", "bn", "cls_b"):
+        bias = getattr(params, name)
+        bias[:] = rng.normal(scale=0.3, size=bias.shape)
+    return params
+
+
+@pytest.fixture
 def tiny_image():
     rng = np.random.default_rng(42)
     return ImageRecord(id=0, features=rng.normal(size=4), references=[["a", "b"], ["b", "a"]])

@@ -19,8 +19,8 @@ from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, _gold_stats, an
                            bp_head, bp_log_probs, ce_terms, focal_terms, frame_targets, logit_grad,
                            pointwise_head, teacher_forced)
 from caplab.metrics import _oor_counts
-from caplab.model import (ALL_ARRAYS, ModelParams, TrainScope, _shifted_scaled,
-                          backward_sequences, check_matches, forward_sequences, init_params,
+from caplab.model import (ALL_ARRAYS, ModelParams, SeqForward, TrainScope, _scatter_add,
+                          _shifted_scaled, backward_sequences, check_matches, forward_sequences, init_params,
                           initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step,
                           stage_rng)
 from caplab.rl import (SampledSeq, mean_loss_log, pair_step, reference_pairs, scst_step,
@@ -74,6 +74,77 @@ def fresh_bp_head(logp, logp_ref, targets, mask, lengths):
     gm = g * inner_mask
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
     return per_item, scale * (gm - p * gm.sum(axis=-1, keepdims=True))
+
+
+def fresh_sigmoid(x: np.ndarray) -> np.ndarray:
+    """``model._sigmoid`` into a new array."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def fresh_gru_cell(params: ModelParams, xt: np.ndarray, h_prev: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``model.gru_cell`` on embedded inputs ``xt``, each step taking its own
+    input products, every pass into a new array."""
+    z = fresh_sigmoid(xt @ params.wz + h_prev @ params.uz + params.bz)
+    r = fresh_sigmoid(xt @ params.wr + h_prev @ params.ur + params.br)
+    n = np.tanh(xt @ params.wn + (r * h_prev) @ params.un + params.bn)
+    return z, r, n, (1.0 - z) * n + z * h_prev
+
+
+def fresh_forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray,
+                            lengths: np.ndarray) -> SeqForward:
+    """``model.forward_sequences`` with ``fresh_gru_cell`` at every step,
+    reading and writing batch-major (B, T, d) arrays."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, t_max = tokens.shape
+    d = params.dims.hidden_dim
+    h0 = np.tanh(feats @ params.img_w + params.img_b)
+    x = params.embed[tokens]
+    z, r, n, h = (np.empty((b, t_max, d)) for _ in range(4))
+    h_prev = h0
+    for t in range(t_max):
+        z[:, t], r[:, t], n[:, t], h[:, t] = fresh_gru_cell(params, x[:, t], h_prev)
+        h_prev = h[:, t]
+    mask = (np.arange(t_max)[None, :] < lengths[:, None]).astype(np.float64)
+    return SeqForward(tokens=tokens, lengths=lengths, mask=mask, feats=feats,
+                      x=x, h0=h0, z=z, r=r, n=n, h=h)
+
+
+def fresh_backward_recurrence(params: ModelParams, fwd: SeqForward,
+                              dh_from_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """``model._backward_recurrence`` with each step's gate arithmetic on
+    strided (B, T, d) slices, every pass into a new array."""
+    b, t_max, d = fwd.h.shape
+    h_prev = np.concatenate((fwd.h0[:, None], fwd.h[:, :-1]), axis=1)
+    dz_pre, dr_pre, dn_pre = (np.empty((b, t_max, d)) for _ in range(3))
+    dh_next = np.zeros((b, d))
+    for t in reversed(range(t_max)):
+        dh = dh_from_logits[:, t] + dh_next
+        zt, rt, nt, ht = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], h_prev[:, t]
+        dn = dh * (1.0 - zt) * (1.0 - nt * nt)
+        d_rh = dn @ params.un.T
+        dr = d_rh * ht * rt * (1.0 - rt)
+        dz = dh * (ht - nt) * zt * (1.0 - zt)
+        dh_next = dh * zt + d_rh * rt + (dz @ params.uz.T + dr @ params.ur.T)
+        dz_pre[:, t], dr_pre[:, t], dn_pre[:, t] = dz, dr, dn
+
+    def flat(a):
+        return a.reshape(b * t_max, d)
+
+    x, hp, dz_pre, dr_pre, dn_pre = map(flat, (fwd.x, h_prev, dz_pre, dr_pre, dn_pre))
+    embed = _scatter_add(fwd.tokens.ravel(),
+                         dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T,
+                         len(params.embed))
+    dh0_pre = dh_next * (1.0 - fwd.h0 * fwd.h0)
+    return {
+        "embed": embed,
+        "img_w": fwd.feats.T @ dh0_pre, "img_b": dh0_pre.sum(axis=0),
+        "wz": x.T @ dz_pre, "uz": hp.T @ dz_pre, "bz": dz_pre.sum(axis=0),
+        "wr": x.T @ dr_pre, "ur": hp.T @ dr_pre, "br": dr_pre.sum(axis=0),
+        "wn": x.T @ dn_pre, "un": (flat(fwd.r) * hp).T @ dn_pre, "bn": dn_pre.sum(axis=0),
+    }
 
 
 def score_step(params: ModelParams, features: np.ndarray, prefix: list[int] | np.ndarray) -> np.ndarray:

@@ -21,13 +21,18 @@ from caplab.model import (
     apply_sgd,
     backward_sequences,
     forward_sequences,
+    gru_cell,
     init_params,
+    input_projections,
     load_checkpoint,
     log_softmax_temp,
     logits_from_hidden,
+    recurrent_step,
     save_checkpoint,
 )
-from oracles import fresh_log_softmax_temp, fresh_logits_from_hidden, score_step, softmax_temp
+from oracles import (fresh_backward_recurrence, fresh_forward_sequences, fresh_gru_cell,
+                     fresh_log_softmax_temp, fresh_logits_from_hidden, fresh_sigmoid, score_step,
+                     softmax_temp)
 
 
 def zeroed(params):
@@ -296,10 +301,87 @@ class TestSigmoid:
         x = np.linspace(-800.0, 800.0, 160_001)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            y = _sigmoid(x)
+            y = x.copy()
+            assert _sigmoid(y) is y  # in place, on the array it is given
         np.testing.assert_allclose(y, masked_sigmoid(x), rtol=0.0, atol=1e-15)
         assert y.min() >= 0.0 and y.max() <= 1.0
         assert _sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_bit_identical_to_out_of_place_form(self):
+        x = np.random.default_rng(0).normal(scale=4.0, size=(50, 64))
+        assert _sigmoid(x.copy()).tobytes() == fresh_sigmoid(x).tobytes()
+
+
+SEQ_FIELDS = ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h")
+
+
+def random_batch(params, b, t, seed):
+    """Features, tokens and lengths (the first row full length) of a random
+    (b, t) batch."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, t + 1, size=b)
+    lengths[0] = t
+    return (rng.normal(size=(b, params.dims.feature_dim)),
+            rng.integers(0, len(params.vocab), size=(b, t)), lengths)
+
+
+def snapshot(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestCellBitIdentity:
+    """The cell on hoisted input projections and the in-place backward give
+    the bits of the per-step, every-pass-into-a-new-array forms."""
+
+    @pytest.mark.parametrize("t", [1, 2, 12, 16])
+    @pytest.mark.parametrize("b", [1, 2, 10, 50])
+    def test_forward_sequences(self, wide_model, b, t):
+        batch = random_batch(wide_model, b, t, seed=b * 100 + t)
+        got = forward_sequences(wide_model, *batch)
+        expected = fresh_forward_sequences(wide_model, *batch)
+        for name in SEQ_FIELDS:
+            have, want = getattr(got, name), getattr(expected, name)
+            assert have.flags.c_contiguous, name
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 200])
+    def test_recurrent_step_and_cell(self, wide_model, m):
+        rng = np.random.default_rng(m)
+        h_prev = np.tanh(rng.normal(size=(m, 64)))
+        ids = rng.integers(0, len(wide_model.vocab), size=m)
+        expected = fresh_gru_cell(wide_model, wide_model.embed[ids], h_prev)
+        got = gru_cell(wide_model, *input_projections(wide_model, wide_model.embed[ids]), h_prev)
+        assert snapshot(*got) == snapshot(*expected)
+        assert recurrent_step(wide_model, h_prev, ids).tobytes() == expected[3].tobytes()
+
+    @pytest.mark.parametrize("b", [1, 10, 50])
+    def test_backward_recurrence(self, wide_model, b):
+        feats, tokens, lengths = random_batch(wide_model, b, 16, seed=b)
+        fwd = forward_sequences(wide_model, feats, tokens, lengths)
+        dh = np.random.default_rng(b + 1).normal(size=(b, 16, 64)) * fwd.mask[:, :, None]
+        got = _backward_recurrence(wide_model, fwd, dh)
+        expected = fresh_backward_recurrence(wide_model, fwd, dh)
+        assert set(got) == set(expected)
+        for name in expected:
+            assert got[name].tobytes() == expected[name].tobytes(), name
+
+    def test_inputs_left_unchanged(self, wide_model):
+        params_before = snapshot(*wide_model.arrays().values())
+        rng = np.random.default_rng(5)
+        x, h_prev = rng.normal(size=(7, 64)), rng.normal(size=(7, 64))
+        before = snapshot(x)
+        proj = input_projections(wide_model, x)
+        assert snapshot(x) == before
+        before = snapshot(*proj, h_prev)
+        gru_cell(wide_model, *proj, h_prev)
+        assert snapshot(*proj, h_prev) == before
+
+        fwd = forward_sequences(wide_model, *random_batch(wide_model, 4, 6, seed=5))
+        dh = rng.normal(size=(4, 6, 64)) * fwd.mask[:, :, None]
+        before = snapshot(dh, *(getattr(fwd, name) for name in SEQ_FIELDS))
+        _backward_recurrence(wide_model, fwd, dh)
+        assert snapshot(dh, *(getattr(fwd, name) for name in SEQ_FIELDS)) == before
+        assert snapshot(*wide_model.arrays().values()) == params_before
 
 
 class TestBackwardContractions:

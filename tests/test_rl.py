@@ -92,6 +92,19 @@ class TestSampleBatch:
             np.testing.assert_array_equal(getattr(fwd, name), getattr(expected, name),
                                           err_msg=name)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 3, 12])
+    def test_forward_bit_identical_at_bench_dims(self, wide_model, n_rows, seed):
+        """The rollout's per-step input products and the teacher-forced
+        pass's hoisted ones give the same bits, a one-row batch included."""
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(n_rows, wide_model.dims.feature_dim))
+        fwd = sample_sequences(wide_model, feats, 1.0, rng).fwd
+        expected = forward_sequences(wide_model, fwd.feats, fwd.tokens, fwd.lengths)
+        for name in ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h"):
+            have, want = getattr(fwd, name), getattr(expected, name)
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
+
     def test_probs_are_the_step_distributions(self, tiny_model, batch):
         expected = softmax_temp(logits_from_hidden(tiny_model, batch.fwd.h), 1.3)
         real = batch.fwd.mask > 0
