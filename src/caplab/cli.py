@@ -15,7 +15,10 @@ as that float, so ``1`` and ``1.0`` do too.  Commands read settings from
 that config only, the decoding with which ``finetune --sweep`` scores the
 validation split included: it is the ``decode`` section that ``decode``
 reads, so ``decode.method: "bp"`` makes a wft sweep decode through the bias
-product with each point's frozen copy.  All randomness is funneled through
+product with each point's frozen copy.  One setting can come from an input
+instead: bp ``decode`` takes β′ from the ``--frozen`` checkpoint's
+``extra.beta_prime`` when it records one, as ``finetune wft`` writes it, and
+from ``decode.beta_prime`` only otherwise.  All randomness is funneled through
 one seeded generator per stage, derived from the master seed, so every
 command is reproducible from (config, seed).  Checkpoints,
 ``dataset.meta.json`` (for the splits) and the eval CSV carry the config

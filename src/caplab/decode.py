@@ -1,5 +1,5 @@
-"""Greedy, beam, nucleus, and bias-product decoding; ``decode_dataset``
-decodes a split with any of them.
+"""Greedy, beam, nucleus, and bias-product decoding; ``decode_dataset`` is
+the one dispatch, which picks the decoder by ``DecodeConfig.method``.
 
 All decoders terminate within ``max_len`` steps, never mutate the model, and
 break score ties toward the lowest token id (greedy/nucleus) or the
@@ -11,7 +11,7 @@ final pool so the returned hypothesis never scores below it.
 Greedy and beam search decode a whole split in lockstep: the alive
 hypotheses of every image share one (rows, d) state, so each step makes one
 recurrent step and one log-softmax for the split.  The single-image
-decoders, ``decode_beam`` and ``decode_bp``, are the same code run on a
+decoders, ``decode_beam`` and ``decode_bp``, are ``decode_dataset`` run on a
 split of one.  Nucleus sampling draws
 from one generator, seeded by ``DecodeConfig.seed``, image by image, so
 ``decode_dataset`` runs it as a one-row loop over the split's records.
@@ -32,11 +32,12 @@ greedy rollout makes.  Only the images whose greedy child was not kept are
 rolled out again, over their own features.  With beam size 1 the greedy
 child is always the kept pick, so no second recurrence runs.
 
-Bias-product decoding runs one recurrence and reads each state through the
-model's classifier at β and the frozen reference's classifier at β′.  That
-is exact only when both models compute the same states, so the frozen
-reference must share the model's embedding and encoder byte for byte, as it
-does after a classifier-only fine-tune; any other reference is rejected.
+Bias-product (bp) decoding is beam search through the frozen reference,
+over the renormalized product of the model at β and the reference at β′.
+It runs one recurrence and reads each state through both classifiers.
+That is exact only when both models compute the same states, so the frozen
+reference must share the model's embedding and encoder byte for byte, as
+it does after a classifier-only fine-tune; any other reference is rejected.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class DecodeConfig:
     nucleus_p: float = 0.95
     max_len: int | None = None  # defaults to the model's max_len
     beta: float = 1.0
-    beta_prime: float = 1.0     # used when building the frozen reference for bp
-    bp_base: str = "beam"       # search strategy driving bp decoding
-    seed: int | None = None     # nucleus sampling only
+    beta_prime: float = 1.0     # CLI bp only: β′ when the --frozen checkpoint records none
+    bp_base: str = "beam"       # bp decoding searches by beam only
+    seed: int = 0               # nucleus sampling only
 
     def validate(self) -> None:
         if self.method not in ("greedy", "beam", "nucleus", "bp"):
@@ -78,8 +79,9 @@ class DecodeConfig:
         check_number("nucleus_p", self.nucleus_p, positive=True, most=1.0)
         check_number("beta", self.beta)
         check_number("beta_prime", self.beta_prime)
-        if self.bp_base not in ("greedy", "beam"):
-            raise ValueError(f"bp_base must be greedy or beam, got {self.bp_base!r}")
+        check_count("seed", self.seed, 0)
+        if self.bp_base != "beam":
+            raise ValueError(f"bp_base must be beam, got {self.bp_base!r}")
 
 
 @dataclass
@@ -244,21 +246,6 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
     return [(list(seq), total) for total, seq in best]
 
 
-def _search(params: ModelParams, stepper, records: Sequence[ImageRecord],
-            config: DecodeConfig, base: str) -> list[Decoded]:
-    """Greedy or beam decoding of every record in lockstep."""
-    if not records:
-        return []
-    feats = np.stack([rec.features for rec in records])
-    max_len = _resolve_max_len(params, config)
-    if base == "greedy":
-        seqs, totals, _ = _greedy(stepper, feats, max_len)
-        found = zip(seqs, totals)
-    else:
-        found = _beam(stepper, feats, max_len, config.beam_size)
-    return [_finish(ids, logprob, params.vocab) for ids, logprob in found]
-
-
 def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
              rng: np.random.Generator) -> tuple[list[int], float]:
     """One image's nucleus sample: the emitted ids (<eos> stripped) and their
@@ -294,19 +281,15 @@ def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.n
     return kept, weights / weights.sum()
 
 
-def _resolve_max_len(params: ModelParams, config: DecodeConfig) -> int:
-    return config.max_len if config.max_len is not None else params.dims.max_len
-
-
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
-    config.validate()
-    return _search(params, _PolicyStepper(params, config.beta), [image], config, "beam")[0]
+    """Beam decoding of one image: ``decode_dataset`` run on a split of one."""
+    return decode_dataset(params, Dataset("val", [image]), replace(config, method="beam"))[0]
 
 
 def decode_bp(params: ModelParams, frozen: FrozenReference | None, image: ImageRecord,
               config: DecodeConfig) -> Decoded:
-    """Greedy or beam decoding over the bias-product distribution: the split
-    decoder run on a split of one."""
+    """Beam decoding of one image through the frozen reference's bias
+    product: ``decode_dataset`` run on a split of one."""
     return decode_dataset(params, Dataset("val", [image]), replace(config, method="bp"),
                           frozen)[0]
 
@@ -322,29 +305,30 @@ def greedy_rollout_batch(params: ModelParams, feats: np.ndarray, beta: float,
 
 def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
                    frozen: FrozenReference | None = None) -> list[Decoded]:
-    """Decode every record of a split with the configured method.  Nucleus
-    sampling draws from one generator seeded with ``config.seed``."""
+    """Decode every record of a split with the configured method: the one
+    place that picks a decoder.  bp is beam search through ``frozen``, which
+    must share the model's encoder; the other methods ignore ``frozen``.
+    Nucleus sampling draws from one generator seeded with ``config.seed``."""
     config.validate()
-    records = dataset.records
     if config.method == "bp":
         if frozen is None:
             raise ValueError("bp decoding requires a frozen reference model")
         check_shared_encoder(params, frozen)
-        stepper = _PolicyStepper(params, config.beta, frozen)
-        return _search(params, stepper, records, config, config.bp_base)
-    if not records:
+    else:
+        frozen = None
+    if not dataset.records:
         return []
+    max_len = params.dims.max_len if config.max_len is None else config.max_len
+    feats = np.stack([rec.features for rec in dataset.records])
     if config.method == "greedy":
-        feats = np.stack([rec.features for rec in records])
-        seqs, totals = greedy_rollout_batch(params, feats, config.beta,
-                                            _resolve_max_len(params, config))
-        return [_finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
-    stepper = _PolicyStepper(params, config.beta)
-    if config.method == "nucleus":
-        max_len, rng = _resolve_max_len(params, config), np.random.default_rng(config.seed)
-        return [_finish(*_nucleus(stepper, rec.features, max_len, config.nucleus_p, rng),
-                        params.vocab) for rec in records]
-    return _search(params, stepper, records, config, "beam")
+        found = zip(*greedy_rollout_batch(params, feats, config.beta, max_len))
+    elif config.method == "nucleus":
+        stepper, rng = _PolicyStepper(params, config.beta), np.random.default_rng(config.seed)
+        found = (_nucleus(stepper, row, max_len, config.nucleus_p, rng) for row in feats)
+    else:
+        found = _beam(_PolicyStepper(params, config.beta, frozen), feats, max_len,
+                      config.beam_size)
+    return [_finish(ids, logprob, params.vocab) for ids, logprob in found]
 
 
 def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:

@@ -264,6 +264,7 @@ def loss_surface(p1_grid: Sequence[float], beta: float = 1.0, beta_prime: float 
     same construction.  Temperatures reshape the constructed distributions
     as p^beta (renormalized).
     """
+    focal, anti_focal = focal_terms(gamma), anti_focal_terms(gamma, alpha)
     rows = []
     for p1 in p1_grid:
         if not 0.0 < p1 < 1.0:
@@ -274,9 +275,11 @@ def loss_surface(p1_grid: Sequence[float], beta: float = 1.0, beta_prime: float 
         lp = np.log(np.maximum(p, PROB_EPS))
         lp_ref = np.log(np.maximum(p_ref, PROB_EPS))
         q = np.exp(bp_log_probs(lp, lp_ref))
-        ce = -math.log(max(p[0], PROB_EPS))
+        gold_lp = math.log(max(p[0], PROB_EPS))
+        # only the losses are tabulated; their gradients may divide by a gold p of 0
+        with np.errstate(divide="ignore", over="ignore"):
+            ce, fl, afl = (float(terms(p[0], gold_lp)[0])
+                           for terms in (ce_terms, focal, anti_focal))
         bp = -math.log(max(q[0], PROB_EPS))
-        fl = (1.0 - p[0]) ** gamma * ce
-        afl = (1.0 + alpha * p[0]) ** gamma * ce
         rows.append({"p1": float(p1), "ce": ce, "bp": bp, "fl": fl, "afl": afl})
     return rows

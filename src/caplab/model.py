@@ -242,7 +242,7 @@ def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray
     if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= len(params.vocab):
         raise ValueError("token id out of range")
 
-    h0 = np.tanh(feats @ params.img_w + params.img_b)
+    h0 = initial_hidden(params, feats)
     x = params.embed[tokens.T]
     xz, xr, xn = input_projections(params, x)
     z, r, n, h = (np.empty((t_max, b, d)) for _ in range(4))

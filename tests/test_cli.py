@@ -13,8 +13,9 @@ from caplab import cli
 from caplab.cli import main
 from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
                            save_dataset_split)
-from caplab.decode import Decoded, save_captions
+from caplab.decode import Decoded, decode_dataset, save_captions
 from caplab.finetune import FinetuneConfig, sweep
+from caplab.losses import FrozenReference
 from caplab.model import ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint
 from caplab.rl import corpus_stats_for
 
@@ -566,6 +567,35 @@ class TestDecodeEval:
                      "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
         assert "beta_prime" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bp_beta_prime_from_the_frozen_checkpoint_else_the_config(self, workdir,
+                                                                      ce_checkpoint, tmp_path):
+        """bp decoding takes β′ from the frozen checkpoint's ``extra.beta_prime``
+        when it records one, and from ``decode.beta_prime`` only otherwise."""
+        _, config_path, data_dir = workdir
+        config = cli.load_config(str(config_path))
+        assert config["decode"]["beta_prime"] == 1.0
+        frozen_params, _ = load_checkpoint(ce_checkpoint)
+        params = frozen_params.copy()   # a classifier-only fine-tune of the frozen copy
+        params.cls_w += np.random.default_rng(0).normal(scale=0.5, size=params.cls_w.shape)
+        save_checkpoint(params, tmp_path / "model.npz")
+        save_checkpoint(frozen_params, tmp_path / "recorded.npz", extra={"beta_prime": 0.3})
+        save_checkpoint(frozen_params, tmp_path / "unrecorded.npz")
+        val = cli._load_bundle(str(data_dir), config).val
+        captions = {}
+        for name in ("recorded", "unrecorded"):
+            captions[name] = tmp_path / f"{name}.jsonl"
+            assert main(["decode", "--checkpoint", str(tmp_path / "model.npz"),
+                         "--config", str(config_path), "--data", str(data_dir),
+                         "--method", "bp", "--frozen", str(tmp_path / f"{name}.npz"),
+                         "--split", "val", "--out", str(captions[name])]) == 0
+        for name, beta_prime in (("recorded", 0.3), ("unrecorded", 1.0)):
+            expected = tmp_path / f"expected_{name}.jsonl"
+            save_captions(expected, val, decode_dataset(
+                params, val, replace(cli._decode_config(config), method="bp"),
+                FrozenReference(frozen_params, beta_prime)))
+            assert captions[name].read_bytes() == expected.read_bytes()
+        assert captions["recorded"].read_bytes() != captions["unrecorded"].read_bytes()
 
     def test_checkpoint_with_wrong_array_shape_rejected(self, workdir, ce_checkpoint, tmp_path,
                                                         capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def decode_nucleus(params, image, config):
     drawing from a generator seeded with ``config.seed``."""
     assert config.method == "nucleus"
     return decode_dataset(params, Dataset("val", [image]), config)[0]
+
+
+def bp_greedy(params, frozen, records, beta=1.0):
+    """Greedy rollout of every record over the bias product with ``frozen``:
+    ``_greedy`` over the bp stepper, which ``_beam`` runs for the images
+    whose greedy child it did not keep."""
+    feats = np.stack([rec.features for rec in records])
+    seqs, totals, _ = decode_mod._greedy(_PolicyStepper(params, beta, frozen), feats,
+                                         params.dims.max_len)
+    return [decode_mod._finish(seq, total, params.vocab) for seq, total in zip(seqs, totals)]
 
 
 def exhaustive_best(params, image, max_len):
@@ -273,6 +284,18 @@ class TestNucleus:
         b = decode_nucleus(params, image, config)
         assert a.ids == b.ids
 
+    def test_default_seed_decodes_a_split_identically_twice(self, small_vocab, small_dims):
+        params = init_params(small_vocab, small_dims, 13, 0.3)
+        split = random_split(8)
+        config = DecodeConfig(method="nucleus")
+        assert decode_dataset(params, split, config) == decode_dataset(params, split, config)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, small_vocab, small_dims, seed):
+        params = init_params(small_vocab, small_dims, 3)
+        with pytest.raises(ValueError, match="seed"):
+            decode_nucleus(params, random_image(0), DecodeConfig(method="nucleus", seed=seed))
+
     def test_invalid_p(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 3)
         with pytest.raises(ValueError):
@@ -283,24 +306,24 @@ class TestBiasProductDecoding:
     def test_beta_prime_zero_identical_to_plain(self, small_vocab, small_dims):
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 12, beta_prime=0.0)
         image = random_image(12)
-        for base, plain_fn in (("greedy", decode_greedy), ("beam", decode_beam)):
-            config = DecodeConfig(method="bp", bp_base=base, beam_size=4)
-            bp = decode_bp(params, frozen, image, config)
-            plain = plain_fn(params, image, DecodeConfig(method=base, beam_size=4))
-            assert bp.ids == plain.ids
+        plain = decode_greedy(params, image, DecodeConfig(method="greedy"))
+        assert bp_greedy(params, frozen, [image])[0].ids == plain.ids
+        config = DecodeConfig(method="bp", beam_size=4)
+        plain = decode_beam(params, image, replace(config, method="beam"))
+        assert decode_bp(params, frozen, image, config).ids == plain.ids
 
     def test_self_reference_same_temperature_greedy_identical(self, small_vocab, small_dims):
         params = init_params(small_vocab, small_dims, 14, 0.5)
         frozen = FrozenReference(params, beta_prime=1.0)
         image = random_image(14)
-        bp = decode_bp(params, frozen, image, DecodeConfig(method="bp", bp_base="greedy"))
+        bp = bp_greedy(params, frozen, [image])[0]
         plain = decode_greedy(params, image, DecodeConfig(method="greedy"))
         assert bp.ids == plain.ids
 
     def test_per_step_distribution_matches_bp_prob(self, small_vocab, small_dims):
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 15, beta_prime=0.5)
         image = random_image(15)
-        out = decode_bp(params, frozen, image, DecodeConfig(method="bp", bp_base="greedy"))
+        out = bp_greedy(params, frozen, [image])[0]
         prefix = [small_vocab.bos_id]
         for token in out.ids:
             q = bp_prob(params, frozen, image, prefix, beta=1.0)
@@ -354,8 +377,8 @@ class TestHygiene:
         for config in (DecodeConfig(method="greedy"), DecodeConfig(method="beam", beam_size=3),
                        DecodeConfig(method="nucleus", seed=0)):
             decode_dataset(params, split, config)
-        for base in ("greedy", "beam"):
-            decode_dataset(params, split, DecodeConfig(method="bp", bp_base=base), frozen=frozen)
+        decode_dataset(params, split, DecodeConfig(method="bp"), frozen=frozen)
+        bp_greedy(params, frozen, split.records)
         assert params.full_hash() == before
         assert frozen.hash_hex() == frozen_before
 
@@ -415,18 +438,23 @@ class TestLockstep:
     @pytest.mark.parametrize("base", ["greedy", "beam"])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-encoder", "own-encoder"])
     def test_bp_matches_two_recurrence_oracle(self, wide_vocab, small_dims, base, shared):
-        """A frozen reference of its own encoder would need the oracle's two
-        recurrences; the one-recurrence decoder rejects it."""
+        """bp decoding is the beam; the greedy rollout over the bp stepper is
+        what the beam reruns.  A frozen reference of its own encoder would
+        need the oracle's two recurrences; decode_dataset rejects it before
+        either search runs."""
         for trial in range(3):
             params, frozen = shared_encoder_pair(wide_vocab, small_dims, 700 + trial)
             split = random_split(6, offset=10 * trial)
-            config = DecodeConfig(method="bp", bp_base=base, beam_size=3)
+            config = DecodeConfig(method="bp", beam_size=3)
             if not shared:
                 own = FrozenReference(init_params(wide_vocab, small_dims, 750 + trial, 0.8), 0.6)
                 with pytest.raises(ValueError, match="encoder"):
                     decode_dataset(params, split, config, frozen=own)
                 continue
-            got = decode_dataset(params, split, config, frozen=frozen)
+            if base == "greedy":
+                got = bp_greedy(params, frozen, split.records, config.beta)
+            else:
+                got = decode_dataset(params, split, config, frozen=frozen)
             for rec, dec in zip(split.records, got):
                 stepper = TwoRecurrenceStepper(params, frozen, config.beta)
                 if base == "greedy":
@@ -648,14 +676,19 @@ class TestSharedEncoder:
 
         monkeypatch.setattr(decode_mod, "recurrent_step", counting)
         monkeypatch.setattr(oracles, "recurrent_step", counting)
-        for base in ("greedy", "beam"):
-            config = DecodeConfig(method="bp", bp_base=base, beam_size=4)
+        feats = np.stack([rec.features for rec in split.records])
+        max_len = small_dims.max_len
+
+        def greedy(stepper):
+            seqs, totals, ended = decode_mod._greedy(stepper, feats, max_len)
+            return seqs, totals.tolist(), ended.tolist()
+
+        for search in (greedy, lambda stepper: decode_mod._beam(stepper, feats, max_len, 4)):
             rows.clear()
-            one = decode_dataset(params, split, config, frozen=frozen)
+            one = search(_PolicyStepper(params, 1.0, frozen))
             shared_rows = sum(rows)
             rows.clear()
-            two = decode_mod._search(params, TwoRecurrenceStepper(params, frozen, config.beta),
-                                     split.records, config, base)
+            two = search(TwoRecurrenceStepper(params, frozen, 1.0))
             assert shared_rows > 0 and sum(rows) == 2 * shared_rows
             assert one == two
 
@@ -664,10 +697,8 @@ class TestSharedEncoder:
         frozen = FrozenReference(other, 1.0)
         with pytest.raises(ValueError, match="encoder"):
             check_shared_encoder(params, frozen)
-        for base in ("greedy", "beam"):
-            with pytest.raises(ValueError, match="encoder"):
-                decode_dataset(params, random_split(2), DecodeConfig(method="bp", bp_base=base),
-                               frozen=frozen)
+        with pytest.raises(ValueError, match="encoder"):
+            decode_dataset(params, random_split(2), DecodeConfig(method="bp"), frozen=frozen)
         with pytest.raises(ValueError, match="encoder"):
             decode_bp(params, frozen, random_image(0), DecodeConfig(method="bp"))
 
@@ -710,10 +741,13 @@ class TestSplitEdgeCases:
         image = split.records[0]
         beam = DecodeConfig(method="beam", beam_size=4)
         assert decode_dataset(params, split, beam) == [decode_beam(params, image, beam)]
-        for base in ("greedy", "beam"):
-            bp = DecodeConfig(method="bp", bp_base=base, beam_size=4)
-            assert (decode_dataset(params, split, bp, frozen=frozen)
-                    == [decode_bp(params, frozen, image, bp)])
+        bp = DecodeConfig(method="bp", beam_size=4)
+        assert (decode_dataset(params, split, bp, frozen=frozen)
+                == [decode_bp(params, frozen, image, bp)])
+
+    def test_bp_searches_by_beam_only(self):
+        with pytest.raises(ValueError, match="bp_base"):
+            DecodeConfig(method="bp", bp_base="greedy").validate()
 
     @pytest.mark.parametrize("field, value", [
         ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),

@@ -9,6 +9,7 @@ from caplab.corpus import ImageRecord, build_vocab
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs
 from caplab.losses import (
     LOG_EPS,
+    PROB_EPS,
     FrozenReference,
     LossOutput,
     bp_batch,
@@ -347,6 +348,12 @@ class TestLossSurface:
             loss_surface([0.0])
         with pytest.raises(ValueError):
             loss_surface([1.0])
+
+    def test_gold_probability_that_underflows_warns_nothing(self):
+        # at beta 200 the gold word's tempered probability is subnormal at
+        # p1 = 0.005 and 0 at p1 = 0.001; a RuntimeWarning fails the test
+        for row in loss_surface([0.001, 0.005], beta=200.0, gamma=2.0, alpha=0.5):
+            assert row["ce"] == row["fl"] == row["afl"] == -math.log(PROB_EPS)
 
     def test_columns_present(self):
         row = loss_surface([0.3])[0]
