@@ -129,12 +129,13 @@ def encode_pairs(encoder: ModelParams, pairs: Sequence) -> PrefixTable:
     At each depth, the distinct (parent row, input id) keys are that depth's
     rows; depth 0's parents are one ``initial_hidden`` row per distinct
     image (pairs share an image when they share its record).  One
-    ``recurrent_step`` per depth computes the rows.  The rows of the cell's
-    (rows, d) @ (d, d) products, its input projections and its hidden-state
-    products alike, do not depend on how many rows a product has, once it
-    has two (a one-row product can round differently; see ``model``), so
-    the states are those a lockstep pass over all pairs would compute; and
-    since every pair is padded to the same depth, each depth holds a row per
+    ``recurrent_step`` per depth computes the rows.  Where the rows of the
+    cell's (rows, d) @ (d, d) products, its input projections and its
+    hidden-state products alike, do not depend on how many rows a product
+    has (from two rows up, at the hidden sizes ``model`` names, the default
+    64 among them), the states are those a lockstep pass over all pairs
+    would compute; at other hidden sizes they are bit-close to them.  Since
+    every pair is padded to the same depth, each depth holds a row per
     image.  The table holds ``d`` floats per distinct prefix (the module
     docstring gives its size) and two ``(pairs, T)`` integer arrays.
     """

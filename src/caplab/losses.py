@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -82,16 +83,20 @@ def frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
 
     Row i feeds <bos> + t[:-1] and predicts t; both are padded with <eos> to
     the longest target.  Returns the inputs, the targets and the lengths.
+    The ids of every target are scattered into their rows' real positions
+    at once, through one boolean mask, and the inputs are the targets
+    shifted one position right behind <bos>.  An empty target raises.
     """
-    b = len(target_ids)
-    t_max = max(len(tgt) for tgt in target_ids)
-    inputs = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
-    targets = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
-    lengths = np.empty(b, dtype=np.int64)
-    for i, tgt in enumerate(target_ids):
-        inputs[i, : len(tgt)] = [vocab.bos_id, *tgt[:-1]]
-        targets[i, : len(tgt)] = tgt
-        lengths[i] = len(tgt)
+    lengths = np.fromiter(map(len, target_ids), dtype=np.int64, count=len(target_ids))
+    if not len(lengths) or lengths.min() < 1:
+        raise ValueError("frame_targets needs at least one target and no empty one")
+    real = np.arange(lengths.max()) < lengths[:, None]
+    targets = np.full(real.shape, vocab.eos_id, dtype=np.int64)
+    targets[real] = np.fromiter(chain.from_iterable(target_ids), dtype=np.int64,
+                                count=int(lengths.sum()))
+    inputs = np.full_like(targets, vocab.eos_id)
+    inputs[:, 0] = vocab.bos_id
+    inputs[:, 1:] = np.where(real[:, 1:], targets[:, :-1], vocab.eos_id)
     return inputs, targets, lengths
 
 
@@ -120,22 +125,41 @@ def teacher_forced(params, feats, captions: Sequence[Sequence[str]]):
     return fwd, log_softmax_temp(logits_from_hidden(params, fwd.h), 1.0), targets
 
 
-def logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
-    """coef * (p - onehot(targets)) along the last axis of ``p``.
+def gold_index(targets: np.ndarray, n_vocab: int) -> np.ndarray:
+    """The flat position of each target's entry in a C-ordered
+    ``targets.shape + (n_vocab,)`` array: ``arange(B·T)·V + targets``.  A
+    loss head builds it once and reads and writes its gold entries through
+    it."""
+    return np.arange(targets.size) * n_vocab + targets.reshape(-1)
 
-    This is the gradient of coef * (-log p_target) with respect to the
-    logits of a softmax ``p``; ``coef`` broadcasts against ``targets``.
+
+def logit_grad(p: np.ndarray, gold: np.ndarray, coef) -> np.ndarray:
+    """coef * (p - onehot) along the last axis of ``p``, the one-hot at the
+    ``gold_index`` entries ``gold``.
+
+    This is the gradient of coef * (-log p_gold) with respect to the logits
+    of a softmax ``p``; ``coef`` broadcasts against ``p.shape[:-1]``.  At
+    the scalar coef 1 the multiply is skipped and the one-hot is subtracted
+    in place: a C-contiguous ``p`` is the caller's to hand over, becomes the
+    result and must not be read afterwards (any other ``p`` is copied
+    first).  Any other coef multiplies into a new C-contiguous array and
+    leaves ``p`` as it is, so ``p`` may be a view, such as a rollout's
+    ``probs[:, :steps]``, or read-only.
     """
-    c = np.asarray(coef, dtype=np.float64)[..., None]
-    d_logits = c * p
-    idx = targets[..., None]
-    np.put_along_axis(d_logits, idx, np.take_along_axis(d_logits, idx, axis=-1) - c, axis=-1)
+    if np.ndim(coef) == 0 and coef == 1:
+        d_logits = np.ascontiguousarray(p)
+        d_logits.reshape(-1)[gold] -= 1.0
+        return d_logits
+    c = np.asarray(coef, dtype=np.float64)
+    d_logits = np.ascontiguousarray(c[..., None] * p)
+    d_logits.reshape(-1)[gold] -= np.broadcast_to(c, p.shape[:-1]).reshape(-1)
     return d_logits
 
 
-def _gold_stats(logp, targets, mask):
-    """Per-position floored gold log-prob and an active-gradient mask."""
-    lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+def _gold_stats(logp, gold, mask):
+    """Per-position floored gold log-prob and an active-gradient mask, the
+    gold log-probs read through the ``gold_index`` ``gold``."""
+    lp_gold = logp.reshape(-1)[gold].reshape(mask.shape)
     active = (lp_gold > LOG_EPS) & (mask > 0)
     lp_eff = np.maximum(lp_gold, LOG_EPS)
     return lp_eff, active
@@ -179,7 +203,8 @@ def anti_focal_terms(gamma, alpha):
 def pointwise_head(logp, targets, mask, lengths, terms):
     """Per-item loss and logit gradient of sum_t f(p_gold_t), from the
     log-probs ``logp`` and one of the term functions above."""
-    lp_eff, active = _gold_stats(logp, targets, mask)
+    gold = gold_index(targets, logp.shape[-1])
+    lp_eff, active = _gold_stats(logp, gold, mask)
     p_eff = np.exp(lp_eff)
 
     loss_bt, dldp_bt = terms(p_eff, lp_eff)
@@ -188,7 +213,7 @@ def pointwise_head(logp, targets, mask, lengths, terms):
     b = len(lengths)
     scale = np.where(active, 1.0, 0.0) / (b * lengths[:, None])
     coef = scale * dldp_bt * p_eff  # (B, T)
-    return per_item, logit_grad(np.exp(logp), targets, -coef)
+    return per_item, logit_grad(np.exp(logp), gold, -coef)
 
 
 def ce_batch(params, feats, captions) -> LossOutput:
@@ -217,18 +242,21 @@ def bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
 def bp_head(logp, logp_ref, targets, mask, lengths):
     """Per-item bias-product loss and its logit gradient, from the trainable
     model's and the frozen reference's log-probs at the same positions.
-    ``logp`` and ``logp_ref`` must have the same shape."""
+    ``logp`` and ``logp_ref`` must have the same shape; neither is changed.
+    The gold entries are read and written through one ``gold_index``, and
+    q - onehot is formed in place on the head's own exp(log q)."""
     logq = bp_log_probs(logp, logp_ref)
-    lq_eff, active = _gold_stats(logq, targets, mask)
+    gold = gold_index(targets, logq.shape[-1])
+    lq_eff, active = _gold_stats(logq, gold, mask)
     per_item = (-lq_eff * mask).sum(axis=1) / lengths
 
     # d(-log q_gold)/dz = (q - e) * m - p * sum((q - e) * m),
     # where m masks components whose inner log-prob was floored.  The frozen
-    # factor contributes no gradient.  Everything after ``logit_grad`` works
-    # in place on its new array.
+    # factor contributes no gradient.  Everything from ``exp(log q)`` on
+    # works in place on arrays the head owns.
     b = len(lengths)
     p = np.exp(logp)
-    gm = logit_grad(np.exp(logq), targets, 1.0)
+    gm = logit_grad(np.exp(logq, out=logq), gold, 1)
     gm *= logp > LOG_EPS
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
     p *= gm.sum(axis=-1, keepdims=True)
@@ -252,7 +280,13 @@ def _temper(p: np.ndarray, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError("beta must be >= 0")
     q = p**beta
-    return q / q.sum()
+    total = q.sum()
+    if total == 0.0:
+        # every p**beta underflowed: temper in log space, normalized by the max
+        a = beta * np.log(p)
+        q = np.exp(a - a.max())
+        total = q.sum()
+    return q / total
 
 
 def loss_surface(p1_grid: Sequence[float], beta: float = 1.0, beta_prime: float = 1.0,

@@ -29,7 +29,7 @@ from .cider import (CiderCorpusStats, ReferenceTable, build_cider_stats, cider_d
 from .cider import cider_d  # noqa: F401  -- perfbench's tracer test looks up rl.cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from .decode import greedy_rollout_batch
-from .losses import LossOutput, ce_batch, logit_grad
+from .losses import LossOutput, ce_batch, gold_index, logit_grad
 from .model import (
     ModelParams,
     SeqForward,
@@ -170,7 +170,7 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: Referen
 
     # d L / d z_t = (advantage / N) * (p - onehot(w_t)) per sampled step
     coef = (advantages / len(samples))[:, None] * samples.fwd.mask
-    d_logits = logit_grad(samples.probs, samples.targets, coef)
+    d_logits = logit_grad(samples.probs, gold_index(samples.targets, len(vocab)), coef)
     grads = backward_sequences(params, samples.fwd, d_logits, TrainScope.ALL)
     return LossOutput(
         loss=float(-rewards.mean()),

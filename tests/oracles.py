@@ -15,9 +15,9 @@ import numpy as np
 from caplab.cider import CiderCorpusStats, ReferenceTable, reference_table
 from caplab.corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 from caplab.decode import decode_dataset
-from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, _gold_stats, anti_focal_terms,
-                           bp_head, bp_log_probs, ce_terms, focal_terms, frame_targets, logit_grad,
-                           pointwise_head, teacher_forced)
+from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, anti_focal_terms, bp_head,
+                           bp_log_probs, ce_terms, focal_terms, frame_targets, pointwise_head,
+                           teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, SeqForward, TrainScope, _scatter_add,
                           _shifted_scaled, backward_sequences, check_matches, forward_sequences, init_params,
@@ -61,15 +61,51 @@ def fresh_bp_log_probs(logp_main: np.ndarray, logp_ref: np.ndarray) -> np.ndarra
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
 
 
+def per_row_frame_targets(vocab: Vocabulary, target_ids: Sequence[Sequence[int]],
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``losses.frame_targets`` with one slice assignment per row."""
+    b = len(target_ids)
+    t_max = max(len(tgt) for tgt in target_ids)
+    inputs = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
+    targets = np.full((b, t_max), vocab.eos_id, dtype=np.int64)
+    lengths = np.empty(b, dtype=np.int64)
+    for i, tgt in enumerate(target_ids):
+        inputs[i, : len(tgt)] = [vocab.bos_id, *tgt[:-1]]
+        targets[i, : len(tgt)] = tgt
+        lengths[i] = len(tgt)
+    return inputs, targets, lengths
+
+
+def along_axis_logit_grad(p: np.ndarray, targets: np.ndarray, coef) -> np.ndarray:
+    """``losses.logit_grad`` with the one-hot subtracted through
+    ``take_along_axis``/``put_along_axis`` on ``targets``, the product
+    ``coef * p`` formed at every coef, ``p`` left as it is."""
+    c = np.asarray(coef, dtype=np.float64)[..., None]
+    d_logits = c * p
+    idx = targets[..., None]
+    np.put_along_axis(d_logits, idx, np.take_along_axis(d_logits, idx, axis=-1) - c, axis=-1)
+    return d_logits
+
+
+def along_axis_gold_stats(logp, targets, mask):
+    """``losses._gold_stats`` with the gold log-probs read through
+    ``take_along_axis`` on ``targets``."""
+    lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    active = (lp_gold > LOG_EPS) & (mask > 0)
+    lp_eff = np.maximum(lp_gold, LOG_EPS)
+    return lp_eff, active
+
+
 def fresh_bp_head(logp, logp_ref, targets, mask, lengths):
     """``losses.bp_head`` with every pass into a new array, the inner mask
-    as a float array of its own."""
+    as a float array of its own, and the gold entries reached through
+    ``take_along_axis``/``put_along_axis``."""
     logq = fresh_bp_log_probs(logp, logp_ref)
-    lq_eff, active = _gold_stats(logq, targets, mask)
+    lq_eff, active = along_axis_gold_stats(logq, targets, mask)
     per_item = (-lq_eff * mask).sum(axis=1) / lengths
     b = len(lengths)
     p = np.exp(logp)
-    g = logit_grad(np.exp(logq), targets, 1.0)
+    g = along_axis_logit_grad(np.exp(logq), targets, 1.0)
     inner_mask = (logp > LOG_EPS).astype(np.float64)
     gm = g * inner_mask
     scale = (np.where(active, 1.0, 0.0) / (b * lengths[:, None]))[..., None]
@@ -255,7 +291,7 @@ def sequence_logprob_loss(params: ModelParams, image: ImageRecord,
     fwd, logp, targets = forward_targets(params, image.features[None, :], [tgt])
     lp_gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     loss = float(-(lp_gold * fwd.mask).sum())
-    d_logits = logit_grad(np.exp(logp), targets, fwd.mask)
+    d_logits = along_axis_logit_grad(np.exp(logp), targets, fwd.mask)
     grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
     return LossOutput(loss=loss, grads=grads)
 

@@ -2,7 +2,11 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1200,6 +1204,24 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["p1", "ce", "bp", "fl", "afl"]
 
+    def test_loss_surface_at_large_beta_is_finite(self, workdir, tmp_path):
+        # at decode.beta 1000 every tempered p**beta of about half the grid
+        # underflows; no row may be NaN and no RuntimeWarning may be raised
+        _, config_path, _ = workdir
+        config = json.loads(config_path.read_text())
+        config["decode"]["beta"] = 1000.0
+        edited = tmp_path / "beta1000.json"
+        edited.write_text(json.dumps(config))
+        out = tmp_path / "surface.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", "loss-surface", "--config", str(edited),
+                         "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 199
+        assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--beta", "nan", "decode.beta"), ("--gamma", "nan", "finetune.gamma"),
         ("--beta-prime", "inf", "decode.beta_prime"), ("--gamma", "-1", "finetune.gamma"),
@@ -1378,3 +1400,16 @@ class TestAtomicOutputs:
                 write(out, 1)
         assert (out / name).read_bytes() == previous
         assert sorted(p.name for p in out.iterdir()) == listing
+
+
+class TestModuleEntryPoint:
+    """``python -m caplab`` runs the command line and exits with its code."""
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)],
+                             ids=["help", "unknown-subcommand"])
+    def test_exit_code(self, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-m", "caplab", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert "usage: caplab" in done.stdout + done.stderr

@@ -12,10 +12,10 @@ from caplab import model
 from caplab.corpus import Dataset, build_vocab
 from caplab.decode import DecodeConfig
 from caplab.finetune import FinetuneConfig, classifier_step, encode_pairs, finetune, sweep
-from caplab.losses import (FrozenReference, anti_focal_terms, bp_batch, ce_batch, focal_terms,
-                           logit_grad, teacher_forced)
+from caplab.losses import (FrozenReference, anti_focal_terms, bp_batch, caption_targets, ce_batch,
+                           focal_terms, frame_targets, gold_index, logit_grad, teacher_forced)
 from caplab.model import (CLASSIFIER_ARRAYS, ModelDims, TrainScope, backward_sequences,
-                          classifier_grads, init_params)
+                          classifier_grads, forward_sequences, init_params)
 from caplab.rl import corpus_stats_for, reference_pairs, train_ce
 from oracles import per_batch_oracle, pointwise_batch
 
@@ -110,6 +110,30 @@ class TestFinetune:
             assert forwards == []
             assert encodes == [len(micro_bundle.train)]
             assert step_rows == distinct
+
+    @pytest.mark.parametrize("hidden_dim, tol", [(64, 0.0), (8, 0.0), (33, 1e-12)])
+    def test_prefix_table_states_against_teacher_forced_pass(self, micro_bundle, hidden_dim,
+                                                             tol):
+        """The table's states are those of one teacher-forced pass over all
+        pairs: bit for bit at hidden sizes where the cell's products round a
+        row the same whatever the row count, the default 64 among them, and
+        bit-close at others, such as 33, where they do not."""
+        vocab = build_vocab(micro_bundle.train.all_references(), 1)
+        params = init_params(vocab, ModelDims(hidden_dim=hidden_dim,
+                                              feature_dim=micro_bundle.config.feature_dim,
+                                              max_len=12), 1, 0.3)
+        pairs = reference_pairs(micro_bundle.train)
+        table = encode_pairs(params, pairs)
+        feats = np.stack([rec.features for rec, _ in pairs])
+        inputs, targets, lengths = frame_targets(
+            vocab, caption_targets(params, [ref for _, ref in pairs]))
+        want = forward_sequences(params, feats, inputs, lengths).h
+        got = table.states[table.index]
+        np.testing.assert_array_equal(table.targets, targets)
+        if tol == 0.0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= tol
 
     def test_duplicate_references_share_index_rows(self, ft_setup, micro_bundle):
         _, checkpoint = ft_setup
@@ -247,7 +271,7 @@ class TestClassifierStep:
         pairs = reference_pairs(micro_bundle.train)[:6]
         feats = np.stack([rec.features for rec, _ in pairs])
         fwd, logp, targets = teacher_forced(checkpoint, feats, [ref for _, ref in pairs])
-        d_logits = logit_grad(np.exp(logp), targets, fwd.mask)
+        d_logits = logit_grad(np.exp(logp), gold_index(targets, logp.shape[-1]), fwd.mask)
         full = backward_sequences(checkpoint, fwd, d_logits, TrainScope.ALL)
         cls = classifier_grads(fwd.h, d_logits)
         assert set(cls) == set(CLASSIFIER_ARRAYS)

@@ -12,6 +12,8 @@ from caplab.losses import (
     PROB_EPS,
     FrozenReference,
     LossOutput,
+    _gold_stats,
+    _temper,
     bp_batch,
     bp_head,
     bp_log_probs,
@@ -19,6 +21,8 @@ from caplab.losses import (
     ce_batch,
     ce_terms,
     frame_targets,
+    gold_index,
+    logit_grad,
     loss_surface,
     pointwise_head,
     teacher_forced,
@@ -31,8 +35,9 @@ from caplab.model import (
     forward_sequences,
     init_params,
 )
-from oracles import (bp_prob, fresh_bp_head, fresh_bp_log_probs, fresh_log_softmax_temp,
-                     grad_check, score_step, softmax_temp)
+from oracles import (along_axis_gold_stats, along_axis_logit_grad, bp_prob, fresh_bp_head,
+                     fresh_bp_log_probs, fresh_log_softmax_temp, grad_check, per_row_frame_targets,
+                     score_step, softmax_temp)
 
 
 def ce_loss(params, image, caption):
@@ -247,6 +252,91 @@ class TestBiasProductPasses:
         assert [arr.tobytes() for arr in (logp, logp_ref, *frame)] == before
 
 
+def rollout_case(seed, spread=6.0):
+    """A random frame: log-probs at (B, T + 3) positions over V words, as a
+    rollout's ``max_len`` steps, whose first T steps a test takes as the
+    non-contiguous view ``[:, :T]``; targets, ragged lengths and their mask
+    at those T steps.  A logit spread of 80 floors some log-probs."""
+    rng = np.random.default_rng(seed)
+    b, t, v = (int(n) for n in (rng.integers(1, 7), rng.integers(1, 10), rng.integers(2, 31)))
+    logp = fresh_log_softmax_temp(rng.uniform(-spread / 2, spread / 2, size=(b, t + 3, v)), 1.0)
+    targets = rng.integers(0, v, size=(b, t))
+    lengths = rng.integers(1, t + 1, size=b)
+    mask = (np.arange(t)[None, :] < lengths[:, None]).astype(np.float64)
+    return rng, logp, targets, mask
+
+
+class TestGoldPath:
+    """The loss heads reach each position's gold entry through one flat
+    ``gold_index``: the bits of ``oracles``' ``take_along_axis`` and
+    ``put_along_axis`` forms, on contiguous arrays and on a rollout's
+    ``probs[:, :steps]`` view alike."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "view"])
+    @pytest.mark.parametrize("coef", ["one", "scalar", "per_position", "zero"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_logit_grad_matches_along_axis_form(self, seed, coef, layout):
+        rng, logp, targets, mask = rollout_case(seed)
+        full = np.exp(logp)
+        steps = targets.shape[1]
+        p = full[:, :steps] if layout == "view" else np.ascontiguousarray(full[:, :steps])
+        assert p.flags.c_contiguous == (layout == "contiguous")
+        coef = {"one": 1, "scalar": -0.37,
+                "per_position": rng.normal(size=targets.shape) * mask,
+                "zero": np.zeros(targets.shape)}[coef]
+        before = full.tobytes()
+        want = along_axis_logit_grad(p, targets, coef)
+        got = logit_grad(p, gold_index(targets, p.shape[-1]), coef)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert full.tobytes() == before
+
+    def test_logit_grad_at_coef_one_works_in_place_on_a_contiguous_p(self):
+        _, logp, targets, _ = rollout_case(0)
+        p = np.exp(logp[:, : targets.shape[1]])
+        want = along_axis_logit_grad(p, targets, 1)
+        got = logit_grad(p, gold_index(targets, p.shape[-1]), 1)
+        assert got is p and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "view"])
+    @pytest.mark.parametrize("spread", [6.0, 80.0], ids=["unfloored", "floored"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gold_stats_matches_along_axis_form(self, seed, spread, layout):
+        _, logp, targets, mask = rollout_case(seed, spread)
+        steps = targets.shape[1]
+        view = logp[:, :steps] if layout == "view" else np.ascontiguousarray(logp[:, :steps])
+        want = along_axis_gold_stats(view, targets, mask)
+        got = _gold_stats(view, gold_index(targets, view.shape[-1]), mask)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frame_targets_matches_per_row_form(self, seed):
+        """Ragged captions, some cut at max_len - 1 words, some with words
+        outside the vocabulary, and raw id sequences without an <eos>."""
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(8)]
+        vocab = build_vocab([words], min_count=1)
+        params = init_params(vocab, ModelDims(hidden_dim=4, feature_dim=3, max_len=6), 0)
+        pool = words + ["zebra", "yak"]
+        captions = [[pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 10))]
+                    for _ in range(int(rng.integers(1, 12)))]
+        captions += [["zebra"] * 9, ["w1"]]
+        ids = caption_targets(params, captions)
+        assert max(map(len, ids)) == params.dims.max_len
+        assert any(vocab.unk_id in tgt for tgt in ids)
+        raw = [list(rng.integers(0, len(vocab), size=rng.integers(1, 7))) for _ in range(5)]
+        for target_ids in (ids, raw, ids[:1]):
+            want = per_row_frame_targets(vocab, target_ids)
+            got = frame_targets(vocab, target_ids)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in want]
+
+    @pytest.mark.parametrize("target_ids", [[], [[3], []]], ids=["no-target", "empty-target"])
+    def test_frame_targets_rejects_empty(self, tiny_vocab, target_ids):
+        with pytest.raises(ValueError):
+            frame_targets(tiny_vocab, target_ids)
+
+
 class TestFocalFamily:
     """The focal and anti-focal losses as the fl and afl fine-tunes compute
     them: the classifier step over encoded (image, caption) pairs."""
@@ -354,6 +444,27 @@ class TestLossSurface:
         # p1 = 0.005 and 0 at p1 = 0.001; a RuntimeWarning fails the test
         for row in loss_surface([0.001, 0.005], beta=200.0, gamma=2.0, alpha=0.5):
             assert row["ce"] == row["fl"] == row["afl"] == -math.log(PROB_EPS)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("p1", [0.1, 0.3, 0.9])
+    def test_temper_takes_log_space_only_where_every_power_underflows(self, p1, beta):
+        p = np.array([p1] + [(1.0 - p1) / 5.0] * 5)
+        q = p**beta
+        got = _temper(p, beta)
+        if q.sum() > 0.0:
+            assert got.tobytes() == (q / q.sum()).tobytes()
+            return
+        assert (beta, p1) in {(1000.0, 0.1), (1000.0, 0.3)}
+        assert np.all(np.isfinite(got)) and got.sum() == pytest.approx(1.0, abs=1e-15)
+        assert got.argmax() == p.argmax()
+        if got[0] > 0.0 and got[1] > 0.0:  # the tempered gold-to-filler ratio
+            assert math.log(got[0] / got[1]) == pytest.approx(beta * math.log(p[0] / p[1]),
+                                                              rel=1e-9)
+
+    def test_large_beta_rows_are_finite(self):
+        # at beta 1000 every tempered p**beta of about half the rows underflows
+        rows = loss_surface(np.linspace(0.005, 0.995, 199), beta=1000.0)
+        assert all(math.isfinite(value) for row in rows for value in row.values())
 
     def test_columns_present(self):
         row = loss_surface([0.3])[0]

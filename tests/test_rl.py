@@ -8,7 +8,6 @@ from caplab import rl
 from caplab.cider import build_cider_stats, cider_d, reference_table
 from caplab.corpus import Dataset, ImageRecord, build_vocab
 from caplab.decode import DecodeConfig
-from caplab.losses import logit_grad
 from caplab.model import (
     ALL_ARRAYS,
     ModelDims,
@@ -28,8 +27,9 @@ from caplab.rl import (
     train_rl,
     training_table,
 )
-from oracles import (decode_greedy, forced_token_model, forward_targets, grad_check,
-                     per_batch_train_rl, sequence_logprob_loss, softmax_temp, target_ids)
+from oracles import (along_axis_logit_grad, decode_greedy, forced_token_model, forward_targets,
+                     grad_check, per_batch_train_rl, sequence_logprob_loss, softmax_temp,
+                     target_ids)
 
 
 def sample_sequence(params, image, beta, rng):
@@ -149,8 +149,24 @@ def teacher_forced_scst(params, images, stats, rng, samples_per_image):
         params, np.repeat(feats, samples_per_image, axis=0),
         [target_ids(seq, vocab) for seq in samples])
     coef = (advantages / len(samples))[:, None] * fwd.mask
-    return backward_sequences(params, fwd, logit_grad(np.exp(logp), targets, coef),
+    return backward_sequences(params, fwd, along_axis_logit_grad(np.exp(logp), targets, coef),
                               TrainScope.ALL)
+
+
+def three_word_batch(max_len, eos_bias):
+    """Three images whose references use the words a, b and c, their
+    statistics, a model over those words with <eos> bias ``eos_bias``, and
+    the images' training table."""
+    rng = np.random.default_rng(8)
+    refs = ([["a", "b"], ["a", "c", "b"]], [["b", "c"], ["c", "c", "b"]], [["c", "a", "a"]])
+    images = [ImageRecord(id=i, features=rng.normal(size=4), references=list(r))
+              for i, r in enumerate(refs)]
+    stats = build_cider_stats([img.references for img in images])
+    vocab = build_vocab([["a", "b", "c"], ["b", "a"], ["c", "a"]], min_count=1)
+    params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=max_len), seed=2,
+                         scale=0.8)
+    params.cls_b[vocab.eos_id] = eos_bias
+    return (images, stats, params, *training_table(vocab, Dataset("train", images), stats))
 
 
 class TestScstStep:
@@ -193,16 +209,8 @@ class TestScstStep:
             np.testing.assert_array_equal(o1.grads[name], o2.grads[name])
 
     def test_matches_teacher_forced_oracle(self):
-        rng = np.random.default_rng(8)
-        refs = ([["a", "b"], ["a", "c", "b"]], [["b", "c"], ["c", "c", "b"]], [["c", "a", "a"]])
-        images = [ImageRecord(id=i, features=rng.normal(size=4), references=list(r))
-                  for i, r in enumerate(refs)]
-        stats = build_cider_stats([img.references for img in images])
-        vocab = build_vocab([["a", "b", "c"], ["b", "a"], ["c", "a"]], min_count=1)
-        params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=8), seed=2,
-                             scale=0.8)
-        params.cls_b[vocab.eos_id] = -1.0  # samples of varying lengths
-        table, row_of = training_table(vocab, Dataset("train", images), stats)
+        # an <eos> bias of -1 gives samples of varying lengths
+        images, stats, params, table, row_of = three_word_batch(max_len=8, eos_bias=-1.0)
         # the batch's images in another order than the table's sets
         batch = images[::-1]
         out = scst_step(params, batch, table, row_of, np.random.default_rng(11), 6)
@@ -213,6 +221,24 @@ class TestScstStep:
             scale = np.abs(expected[name]).max()
             assert scale > 0, name
             assert np.abs(out.grads[name] - expected[name]).max() <= 1e-12 * scale, name
+
+    def test_rollout_cut_before_max_len_matches_along_axis_path(self, monkeypatch):
+        """A rollout that stops before max_len hands ``logit_grad`` its
+        ``probs[:, :steps]``, a non-contiguous view: the gradients keep the
+        bits of the ``take_along_axis``/``put_along_axis`` form."""
+        # an <eos> bias of 2 ends every sample within 8 of the 12 steps
+        images, _, params, table, row_of = three_word_batch(max_len=12, eos_bias=2.0)
+        feats = np.repeat(np.stack([img.features for img in images]), 6, axis=0)
+        probs = sample_sequences(params, feats, 1.0, np.random.default_rng(11)).probs
+        assert probs.shape[1] == 8 and not probs.flags.c_contiguous
+        out = scst_step(params, images, table, row_of, np.random.default_rng(11), 6)
+        monkeypatch.setattr(rl, "gold_index", lambda targets, n_vocab: targets)
+        monkeypatch.setattr(rl, "logit_grad", along_axis_logit_grad)
+        expected = scst_step(params, images, table, row_of, np.random.default_rng(11), 6)
+        assert out.details == expected.details and out.details["zero_advantage"] == 10
+        for name in ALL_ARRAYS:
+            assert np.abs(expected.grads[name]).max() > 0, name
+            assert out.grads[name].tobytes() == expected.grads[name].tobytes(), name
 
     def test_details_reported(self, tiny_model, setup):
         images, _, table, row_of = setup
