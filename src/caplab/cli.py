@@ -242,15 +242,19 @@ def _synth_config(dataset: dict) -> SynthConfig:
 
 def _load_bundle(data_dir: str, config: dict) -> DataBundle:
     """The dataset in ``data_dir``, after checking that ``config``'s dataset
-    section is the one ``gen-data`` wrote it with (``min_count`` aside)."""
+    section is the one ``gen-data`` wrote it with (``min_count`` aside).  A
+    metadata or split file that is malformed raises UsageError."""
     base = _out_path(data_dir)
     if not base.is_dir():
         raise UsageError(f"dataset directory not found: {base}")
     meta_path = base / "dataset.meta.json"
     if not meta_path.exists():
         raise UsageError(f"missing dataset metadata: {meta_path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        generated = json.load(fh)["dataset"]
+    with open(meta_path, encoding="utf-8") as fh, _usage(f"{meta_path} is not JSON: "):
+        meta = json.load(fh)
+    generated = meta.get("dataset") if isinstance(meta, dict) else None
+    if not isinstance(generated, dict):
+        raise UsageError(f'{meta_path} holds no "dataset" object')
     for key, value in config["dataset"].items():
         if key != "min_count" and generated.get(key) != value:
             raise UsageError(f"dataset.{key} is {value!r} in the config but the data in {base}"
@@ -261,7 +265,8 @@ def _load_bundle(data_dir: str, config: dict) -> DataBundle:
         path = base / f"{split}.jsonl"
         if not path.exists():
             raise UsageError(f"missing dataset split file: {path}")
-        splits[split] = load_dataset_split(path, split)
+        with _usage():
+            splits[split] = load_dataset_split(path, split, synth.feature_dim)
     return DataBundle(train=splits["train"], val=splits["val"], test=splits["test"], config=synth)
 
 

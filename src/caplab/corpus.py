@@ -233,15 +233,20 @@ def record_to_json(rec: ImageRecord) -> str:
 
 
 def record_from_json(line: str) -> ImageRecord:
+    """The record of one JSON line, not yet validated; ValueError if the
+    line is not a JSON object with every field of a record."""
     obj = json.loads(line)
-    rec = ImageRecord(
-        id=int(obj["id"]),
-        features=np.asarray(obj["features"], dtype=np.float64),
-        references=[list(map(str, ref)) for ref in obj["references"]],
-        attributes=set(obj.get("attributes", [])),
-    )
-    rec.validate()
-    return rec
+    try:
+        return ImageRecord(
+            id=int(obj["id"]),
+            features=np.asarray(obj["features"], dtype=np.float64),
+            references=[list(map(str, ref)) for ref in obj["references"]],
+            attributes=set(obj.get("attributes", [])),
+        )
+    except KeyError as exc:
+        raise ValueError(f"record has no field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed record: {exc}") from None
 
 
 def save_dataset_split(dataset: Dataset, path) -> None:
@@ -251,13 +256,25 @@ def save_dataset_split(dataset: Dataset, path) -> None:
             fh.write(record_to_json(rec) + "\n")
 
 
-def load_dataset_split(path, split: str) -> Dataset:
+def load_dataset_split(path, split: str, feature_dim: int) -> Dataset:
+    """The split ``save_dataset_split`` wrote to ``path``, each record
+    validated to hold ``feature_dim`` features.  A line that is not JSON,
+    or not such a record, raises ValueError naming the file and the line
+    number."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(record_from_json(line))
+            if not line:
+                continue
+            try:
+                rec = record_from_json(line)
+                rec.validate(feature_dim)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            records.append(rec)
     return Dataset(split=split, records=records)
 
 

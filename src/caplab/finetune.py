@@ -46,7 +46,7 @@ from .losses import (FrozenReference, LossOutput, anti_focal_terms, bp_head, cap
 from .metrics import evaluate
 from .model import (ModelParams, classifier_grads, initial_hidden, log_softmax_temp,
                     logits_from_hidden, recurrent_step, stage_rng)
-from .rl import epoch_batches, mean_loss_log, reference_pairs, sgd_pass
+from .rl import mean_loss_log, reference_pairs, sgd_epochs
 from .synth import DataBundle
 
 FINETUNE_METHODS = ("sft", "wft", "fl", "afl")
@@ -195,17 +195,19 @@ def fit_classifier(checkpoint: ModelParams, table: PrefixTable, config: Finetune
     """One classifier-only epoch of ``config`` over the pairs of ``table``,
     which ``checkpoint`` encoded; ``config`` must have passed ``validate``.
 
-    The data order is a single seeded shuffle.  The returned parameters
-    share the checkpoint's embedding and encoder bytes; for "wft" the frozen
-    copy of the checkpoint is returned alongside.
+    The epoch is one ``rl.sgd_epochs`` epoch over the pair indices of
+    ``table``: a single seeded shuffle, and each batch's states gathered by
+    ``PrefixTable.batch``.  The returned parameters share the checkpoint's
+    embedding and encoder bytes; for "wft" the frozen copy of the checkpoint
+    is returned alongside.
     """
     params = checkpoint.copy()
     frozen = FrozenReference(checkpoint, config.beta_prime) if config.method == "wft" else None
-    batches = epoch_batches(stage_rng(seed, f"finetune:{config.method}"), len(table),
-                            config.batch_size)
-    log = sgd_pass(params, (table.batch(idx) for idx in batches), config.lr,
-                   classifier_step(config, frozen))
-    return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log([log]))
+    batch_loss = classifier_step(config, frozen)
+    history = sgd_epochs(params, len(table), 1, config.lr,
+                         stage_rng(seed, f"finetune:{config.method}"), config.batch_size,
+                         lambda p, idx: batch_loss(p, table.batch(idx)))
+    return FinetuneResult(params=params, frozen=frozen, log=mean_loss_log(history))
 
 
 def finetune(checkpoint: ModelParams, data: DataBundle, config: FinetuneConfig,

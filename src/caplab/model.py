@@ -189,7 +189,6 @@ class SeqForward:
     lengths: np.ndarray  # (B,)
     mask: np.ndarray     # (B, T) float64
     feats: np.ndarray    # (B, f)
-    x: np.ndarray        # (B, T, d)
     h0: np.ndarray       # (B, d)
     z: np.ndarray        # (B, T, d)
     r: np.ndarray        # (B, T, d)
@@ -248,17 +247,16 @@ def forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.ndarray
         raise ValueError("token id out of range")
 
     h0 = initial_hidden(params, feats)
-    x = params.embed[tokens.T]
-    xz, xr, xn = input_projections(params, x)
+    xz, xr, xn = input_projections(params, params.embed[tokens.T])
     z, r, n, h = (np.empty((t_max, b, d)) for _ in range(4))
     h_prev = h0
     for t in range(t_max):
         z[t], r[t], n[t], h[t] = gru_cell(params, xz[t], xr[t], xn[t], h_prev)
         h_prev = h[t]
-    x, z, r, n, h = (a.transpose(1, 0, 2).copy() for a in (x, z, r, n, h))
+    z, r, n, h = (a.transpose(1, 0, 2).copy() for a in (z, r, n, h))
     mask = (np.arange(t_max)[None, :] < lengths[:, None]).astype(np.float64)
     return SeqForward(tokens=tokens, lengths=lengths, mask=mask, feats=feats,
-                      x=x, h0=h0, z=z, r=r, n=n, h=h)
+                      h0=h0, z=z, r=r, n=n, h=h)
 
 
 def logits_from_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
@@ -320,9 +318,10 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
 
     The time loop carries only the hidden-state gradient and records each
     position's pre-activation gate gradients; every weight gradient is then
-    one contraction over all B*T positions.  Each step copies its z, r, n
-    and previous-state rows out of the batch-major arrays once and works on
-    those copies in place, in the association order of
+    one contraction over all B*T positions, the input weights' against the
+    embedded inputs it gathers from ``fwd.tokens``.  Each step copies its
+    z, r, n and previous-state rows out of the batch-major arrays once and
+    works on those copies in place, in the association order of
 
         dn = dh * (1 - z) * (1 - n*n)
         dr = (dn @ un.T) * h_prev * r * (1 - r)
@@ -364,7 +363,8 @@ def _backward_recurrence(params: ModelParams, fwd: SeqForward,
     def flat(a):
         return a.reshape(b * t_max, d)
 
-    x, hp, dz_pre, dr_pre, dn_pre = map(flat, (fwd.x, h_prev, dz_pre, dr_pre, dn_pre))
+    x = flat(params.embed[fwd.tokens])
+    hp, dz_pre, dr_pre, dn_pre = map(flat, (h_prev, dz_pre, dr_pre, dn_pre))
     embed = _scatter_add(fwd.tokens.ravel(),
                          dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T,
                          len(params.embed))

@@ -12,15 +12,17 @@ runs the policy at inverse temperature 1; ``sample_sequences`` keeps its β
 for ``caplab analyze sample-freq``.
 
 A training run codes the references of its images into one CIDEr-D
-reference table before its first step (``training_table``), and every step
-scores against that table.
+reference table before its first step, and every step scores against that
+table, reading its images' sets by their index in the training split.
+CE pretraining, reward training and the fine-tunes of ``finetune`` all run
+the one SGD loop ``sgd_epochs``, each as a step over an index batch.
 """
 
 from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,13 +107,12 @@ def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
     targets = np.full((n_rows, max_len), vocab.eos_id, dtype=np.int64)
     logps = np.empty((n_rows, max_len))
     probs = np.empty((n_rows, max_len, n_vocab))
-    x, z, r, n, h = (np.empty((n_rows, max_len, d)) for _ in range(5))
+    z, r, n, h = (np.empty((n_rows, max_len, d)) for _ in range(4))
     done = np.zeros(n_rows, dtype=bool)
     h0 = h_prev = initial_hidden(params, feats)
     steps = max_len
     for t in range(max_len):
-        x[:, t] = xt = params.embed[tokens[:, t]]
-        cell = gru_cell(params, *input_projections(params, xt), h_prev)
+        cell = gru_cell(params, *input_projections(params, params.embed[tokens[:, t]]), h_prev)
         z[:, t], r[:, t], n[:, t], h[:, t] = cell
         h_prev = cell[3]
         lp = log_softmax_temp(logits_from_hidden(params, h_prev), beta)
@@ -132,24 +133,23 @@ def sample_sequences(params: ModelParams, feats: np.ndarray, beta: float,
     ended = is_eos.any(axis=1)
     lengths = np.where(ended, is_eos.argmax(axis=1) + 1, steps)
     mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
-    fwd = SeqForward(tokens=tokens[:, :steps], lengths=lengths, mask=mask, feats=feats,
-                     x=x[:, :steps], h0=h0, z=z[:, :steps], r=r[:, :steps],
-                     n=n[:, :steps], h=h[:, :steps])
+    fwd = SeqForward(tokens=tokens[:, :steps], lengths=lengths, mask=mask, feats=feats, h0=h0,
+                     z=z[:, :steps], r=r[:, :steps], n=n[:, :steps], h=h[:, :steps])
     return SampleBatch(fwd=fwd, probs=probs[:, :steps], targets=targets,
                        logps=logps[:, :steps], ended=ended)
 
 
 def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: ReferenceTable,
-              row_of: dict[int, int], rng: np.random.Generator,
+              rows: np.ndarray, rng: np.random.Generator,
               samples_per_image: int = 5) -> LossOutput:
     """Gradient estimate for one image batch.
 
-    Rewards are CIDEr-D against set ``row_of[image.id]`` of ``table``, the
-    image's references mapped into the vocabulary (``training_table``),
-    scored for every greedy baseline and sample of the batch in one
-    ``cider_d_batch`` call.  A sample whose reward equals its image's greedy
-    baseline contributes exactly zero; ``details["zero_advantage"]`` counts
-    them.  The returned loss is the negative mean sampled reward.
+    Rewards are CIDEr-D against ``table``, in which ``rows[k]`` is the set
+    of ``images[k]``'s references mapped into the vocabulary, scored for
+    every greedy baseline and sample of the batch in one ``cider_d_batch``
+    call.  A sample whose reward equals its image's greedy baseline
+    contributes exactly zero; ``details["zero_advantage"]`` counts them.
+    The returned loss is the negative mean sampled reward.
     """
     if samples_per_image < 1:
         raise ValueError("samples_per_image must be >= 1")
@@ -161,7 +161,6 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: Referen
     samples = sample_sequences(params, rep_feats, 1.0, rng)
     # the greedy baselines first, then the samples, image by image
     seqs = list(greedy_seqs) + [sample.tokens for sample in samples]
-    rows = np.array([row_of[img.id] for img in images], dtype=np.int64)
     owner = np.concatenate([rows, np.repeat(rows, samples_per_image)])
     scores = cider_d_batch([vocab.words(ids) for ids in seqs], owner, table)
     baselines, rewards = scores[: len(images)], scores[len(images) :]
@@ -183,64 +182,33 @@ def scst_step(params: ModelParams, images: Sequence[ImageRecord], table: Referen
     )
 
 
-def training_table(vocab: Vocabulary, train: Dataset,
-                   stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
-    """The CIDEr-D reference table of every training image's references,
-    mapped into ``vocab``, and each image id's set in it; a training run
-    builds it once and every step scores against it."""
-    table = reference_table(mapped_references(vocab, train.records), stats)
-    return table, {rec.id: row for row, rec in enumerate(train.records)}
-
-
 def reference_pairs(train: Dataset) -> list[tuple[ImageRecord, list[str]]]:
     return [(rec, ref) for rec in train.records for ref in rec.references]
 
 
-def epoch_batches(rng: np.random.Generator, n: int, batch_size: int) -> list[np.ndarray]:
-    """One epoch's batches: a permutation of ``range(n)`` drawn from ``rng``,
-    cut into index arrays of up to ``batch_size``."""
-    order = rng.permutation(n)
-    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
-
-
-def sgd_pass(params: ModelParams, batches: Iterable, lr: float,
-             step: Callable[[ModelParams, Any], LossOutput]) -> list[tuple[int, float, dict]]:
-    """SGD on ``params`` in place over ``batches`` in order, shared by every
-    trainer: each batch goes to ``step(params, batch)``, and the arrays it
-    returns gradients for are updated.  Returns every batch's (size, loss,
-    details); gradients are not kept."""
-    log = []
-    for batch in batches:
-        out = step(params, batch)
-        apply_sgd(params, out.grads, lr)
-        log.append((len(batch), out.loss, out.details))
-    return log
-
-
-def sgd_epochs(params: ModelParams, items: Sequence, epochs: int, lr: float,
+def sgd_epochs(params: ModelParams, n_items: int, epochs: int, lr: float,
                rng: np.random.Generator, batch_size: int,
-               step: Callable[[ModelParams, list], LossOutput]) -> list[list[tuple[int, float, dict]]]:
-    """Shuffle-batch ``sgd_pass`` epochs over ``items``.
+               step: Callable[[ModelParams, np.ndarray], LossOutput],
+               ) -> list[list[tuple[int, float, dict]]]:
+    """SGD on ``params`` in place, the one loop every trainer runs.
 
-    Each epoch draws its ``epoch_batches`` from ``rng`` before its first
-    step, so a step may draw from the same generator.  Returns, per epoch,
-    the ``sgd_pass`` log.
+    Each epoch draws ``rng.permutation(n_items)`` before its first step, so
+    a step may draw from the same generator, and hands each slice of up to
+    ``batch_size`` indices to ``step(params, idx)``; the arrays the step
+    returns gradients for are updated.  Returns, per epoch, every batch's
+    (size, loss, details); gradients are not kept.
     """
     history = []
     for _ in range(epochs):
-        batches = epoch_batches(rng, len(items), batch_size)
-        history.append(sgd_pass(params, ([items[i] for i in idx] for idx in batches), lr, step))
+        order = rng.permutation(n_items)
+        log = []
+        for start in range(0, n_items, batch_size):
+            idx = order[start : start + batch_size]
+            out = step(params, idx)
+            apply_sgd(params, out.grads, lr)
+            log.append((len(idx), out.loss, out.details))
+        history.append(log)
     return history
-
-
-def pair_step(batch_loss: Callable[..., LossOutput]) -> Callable[[ModelParams, list], LossOutput]:
-    """Adapt ``batch_loss(params, feats, captions)`` to a step over
-    (image, reference) pairs."""
-    def step(params, batch):
-        feats = np.stack([rec.features for rec, _ in batch])
-        return batch_loss(params, feats, [ref for _, ref in batch])
-
-    return step
 
 
 def mean_loss_log(history: list[list[tuple[int, float, dict]]]) -> list[dict]:
@@ -256,8 +224,13 @@ def train_ce(params: ModelParams, train: Dataset, epochs: int, lr: float,
              rng: np.random.Generator, batch_size: int = 10) -> tuple[ModelParams, list[dict]]:
     """Teacher-forced pretraining; returns a trained copy and per-epoch log."""
     params = params.copy()
-    history = sgd_epochs(params, reference_pairs(train), epochs, lr, rng, batch_size,
-                         pair_step(ce_batch))
+    pairs = reference_pairs(train)
+
+    def step(p, idx):
+        return ce_batch(p, np.stack([pairs[i][0].features for i in idx]),
+                        [pairs[i][1] for i in idx])
+
+    history = sgd_epochs(params, len(pairs), epochs, lr, rng, batch_size, step)
     return params, mean_loss_log(history)
 
 
@@ -266,12 +239,13 @@ def train_rl(params: ModelParams, train: Dataset, stats: CiderCorpusStats, epoch
              samples_per_image: int = 5) -> tuple[ModelParams, list[dict]]:
     """Self-critical reward training starting from a pretrained policy."""
     params = params.copy()
-    table, row_of = training_table(params.vocab, train, stats)
+    images = train.records
+    table = reference_table(mapped_references(params.vocab, images), stats)
 
-    def step(p, images):
-        return scst_step(p, images, table, row_of, rng, samples_per_image)
+    def step(p, idx):
+        return scst_step(p, [images[i] for i in idx], table, idx, rng, samples_per_image)
 
-    history = sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
+    history = sgd_epochs(params, len(images), epochs, lr, rng, batch_size, step)
     log = []
     for epoch, batches in enumerate(history):
         # each batch counts once, whatever its size

@@ -20,11 +20,10 @@ from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, anti_focal_term
                            teacher_forced)
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, SeqForward, TrainScope, _scatter_add,
-                          _shifted_scaled, backward_sequences, check_matches, forward_sequences, init_params,
-                          initial_hidden, log_softmax_temp, logits_from_hidden, recurrent_step,
-                          stage_rng)
-from caplab.rl import (SampledSeq, mean_loss_log, pair_step, reference_pairs, scst_step,
-                       sgd_epochs)
+                          _shifted_scaled, apply_sgd, backward_sequences, check_matches,
+                          forward_sequences, init_params, initial_hidden, log_softmax_temp,
+                          logits_from_hidden, recurrent_step, stage_rng)
+from caplab.rl import SampledSeq, mean_loss_log, reference_pairs, scst_step
 
 
 def softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
@@ -145,7 +144,7 @@ def fresh_forward_sequences(params: ModelParams, feats: np.ndarray, tokens: np.n
         h_prev = h[:, t]
     mask = (np.arange(t_max)[None, :] < lengths[:, None]).astype(np.float64)
     return SeqForward(tokens=tokens, lengths=lengths, mask=mask, feats=feats,
-                      x=x, h0=h0, z=z, r=r, n=n, h=h)
+                      h0=h0, z=z, r=r, n=n, h=h)
 
 
 def fresh_backward_recurrence(params: ModelParams, fwd: SeqForward,
@@ -169,7 +168,8 @@ def fresh_backward_recurrence(params: ModelParams, fwd: SeqForward,
     def flat(a):
         return a.reshape(b * t_max, d)
 
-    x, hp, dz_pre, dr_pre, dn_pre = map(flat, (fwd.x, h_prev, dz_pre, dr_pre, dn_pre))
+    x = flat(params.embed[fwd.tokens])
+    hp, dz_pre, dr_pre, dn_pre = map(flat, (h_prev, dz_pre, dr_pre, dn_pre))
     embed = _scatter_add(fwd.tokens.ravel(),
                          dz_pre @ params.wz.T + dr_pre @ params.wr.T + dn_pre @ params.wn.T,
                          len(params.embed))
@@ -323,40 +323,79 @@ def forced_token_model(vocab, dims, token_id, margin=50.0):
 
 
 def batch_table(vocab: Vocabulary, images: Sequence[ImageRecord],
-                stats: CiderCorpusStats) -> tuple[ReferenceTable, dict[int, int]]:
-    """The reference table of one batch's images alone, and each image id's
-    set in it."""
-    table = reference_table(mapped_references(vocab, images), stats)
-    return table, {img.id: row for row, img in enumerate(images)}
+                stats: CiderCorpusStats) -> ReferenceTable:
+    """The reference table of one batch's images alone, image k's set at
+    row k."""
+    return reference_table(mapped_references(vocab, images), stats)
+
+
+def plain_sgd_epochs(params, n_items, epochs, lr, rng, batch_size, step):
+    """``rl.sgd_epochs`` written out on its own: per epoch one
+    ``rng.permutation(n_items)`` cut into slices of up to ``batch_size``,
+    each slice handed to ``step`` in order and its gradients applied.
+    Returns, per epoch, every batch's (size, loss, details)."""
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n_items)
+        batches = [order[start : start + batch_size] for start in range(0, n_items, batch_size)]
+        epoch = []
+        for idx in batches:
+            out = step(params, idx)
+            apply_sgd(params, out.grads, lr)
+            epoch.append((len(idx), out.loss, out.details))
+        history.append(epoch)
+    return history
+
+
+def per_batch_train_ce(params, train: Dataset, epochs, lr, rng, batch_size=10):
+    """``train_ce`` as ``pointwise_batch`` with ``ce_terms`` over each batch
+    of pairs, run by ``plain_sgd_epochs``.  Returns the trained parameters
+    and the loss log."""
+    params = params.copy()
+    pairs = reference_pairs(train)
+
+    def step(p, idx):
+        batch = [pairs[i] for i in idx]
+        return pointwise_batch(p, np.stack([rec.features for rec, _ in batch]),
+                               [ref for _, ref in batch], ce_terms)
+
+    history = plain_sgd_epochs(params, len(pairs), epochs, lr, rng, batch_size, step)
+    return params, mean_loss_log(history)
 
 
 def per_batch_train_rl(params, train: Dataset, stats, epochs, lr, rng, batch_size=10,
                        samples_per_image=5) -> ModelParams:
     """``train_rl`` with every step scoring against a table of its own
-    batch's references instead of the run's one table."""
+    batch's references instead of the run's one table, run by
+    ``plain_sgd_epochs``."""
     params = params.copy()
 
-    def step(p, images):
-        table, row_of = batch_table(p.vocab, images, stats)
-        return scst_step(p, images, table, row_of, rng, samples_per_image)
+    def step(p, idx):
+        images = [train.records[i] for i in idx]
+        return scst_step(p, images, batch_table(p.vocab, images, stats), np.arange(len(images)),
+                         rng, samples_per_image)
 
-    sgd_epochs(params, train.records, epochs, lr, rng, batch_size, step)
+    plain_sgd_epochs(params, len(train), epochs, lr, rng, batch_size, step)
     return params
 
 
 def per_batch_oracle(checkpoint, data, config, seed):
     """``finetune`` as one teacher-forced ``forward_sequences`` pass per
     batch, the method's head, and the classifier-scope
-    ``backward_sequences``.  Returns the trained parameters, the frozen
-    reference (None but for "wft") and the loss log."""
+    ``backward_sequences``, run by ``plain_sgd_epochs``.  Returns the
+    trained parameters, the frozen reference (None but for "wft") and the
+    loss log."""
     params = checkpoint.copy()
     wft = config.method == "wft"
     frozen = FrozenReference(checkpoint, config.beta_prime) if wft else None
     terms = {"sft": ce_terms, "wft": None, "fl": focal_terms(config.gamma),
              "afl": anti_focal_terms(config.gamma, config.alpha)}[config.method]
+    pairs = reference_pairs(data.train)
 
-    def batch_loss(params, feats, captions):
-        fwd, logp, targets = teacher_forced(params, feats, captions)
+    def step(params, idx):
+        batch = [pairs[i] for i in idx]
+        fwd, logp, targets = teacher_forced(params, np.stack([rec.features for rec, _ in batch]),
+                                            [ref for _, ref in batch])
         if wft:
             logp_ref = log_softmax_temp(logits_from_hidden(frozen.params, fwd.h), frozen.beta_prime)
             per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
@@ -366,8 +405,7 @@ def per_batch_oracle(checkpoint, data, config, seed):
         return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
 
     rng = stage_rng(seed, f"finetune:{config.method}")
-    history = sgd_epochs(params, reference_pairs(data.train), 1, config.lr, rng,
-                         config.batch_size, pair_step(batch_loss))
+    history = plain_sgd_epochs(params, len(pairs), 1, config.lr, rng, config.batch_size, step)
     return params, frozen, mean_loss_log(history)
 
 

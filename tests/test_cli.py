@@ -125,6 +125,47 @@ class TestDataCheck:
                      "--data", str(copy_dir), "--out", str(tmp_path / "out")]) == 2
         assert "dataset.meta.json" in capsys.readouterr().err
 
+    @staticmethod
+    def copied_data(data_dir, copy_dir):
+        copy_dir.mkdir()
+        for path in data_dir.iterdir():
+            (copy_dir / path.name).write_bytes(path.read_bytes())
+        return copy_dir
+
+    @pytest.mark.parametrize("text", ['{"dataset": {', "[1]", '{"dataset": 3}'],
+                             ids=["not-json", "not-object", "dataset-not-object"])
+    def test_malformed_metadata_is_usage_error(self, workdir, tmp_path, text, capsys):
+        _, config_path, data_dir = workdir
+        copy_dir = self.copied_data(data_dir, tmp_path / "data")
+        (copy_dir / "dataset.meta.json").write_text(text)
+        assert main(["train", "ce", "--config", str(config_path),
+                     "--data", str(copy_dir), "--out", str(tmp_path / "out")]) == 2
+        assert f"{copy_dir / 'dataset.meta.json'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line[:-2], "not JSON"),
+        (lambda line: json.dumps({**json.loads(line), "features": [0.5, 0.5, 0.5]}),
+         "expected 6 features"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k != "references"}), "no field 'references'"),
+    ], ids=["not-json", "three-features", "no-references"])
+    def test_malformed_split_line_is_usage_error(self, workdir, tmp_path, edit, message,
+                                                 capsys):
+        """A bad third line of train.jsonl is an error naming the file and
+        the line, before any training."""
+        _, config_path, data_dir = workdir
+        copy_dir = self.copied_data(data_dir, tmp_path / "data")
+        path = copy_dir / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["train", "ce", "--config", str(config_path),
+                     "--data", str(copy_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: " in err and message in err
+        assert not out.exists()
+
     def test_min_count_may_differ(self, workdir, tmp_path):
         _, config_path, data_dir = workdir
         path = _write_config(tmp_path, config_path, "dataset", "min_count", 2)
@@ -1346,7 +1387,8 @@ def _writers(data_dir, config_path):
     """name -> (file the writer produces, writer(out_dir, variant)).
 
     Variants 0 and 1 write different content to the same file."""
-    val = load_dataset_split(data_dir / "val.jsonl", "val")
+    val = load_dataset_split(data_dir / "val.jsonl", "val",
+                             MICRO_CONFIG["dataset"]["feature_dim"])
     vocab = build_vocab([["a", "b"]], min_count=1)
 
     def checkpoint(out, variant):

@@ -224,7 +224,7 @@ class TestDatasetIO:
     def test_split_file_round_trip(self, micro_bundle, tmp_path):
         path = tmp_path / "train.jsonl"
         save_dataset_split(micro_bundle.train, path)
-        loaded = load_dataset_split(path, "train")
+        loaded = load_dataset_split(path, "train", micro_bundle.config.feature_dim)
         assert len(loaded) == len(micro_bundle.train)
         for a, b in zip(loaded.records, micro_bundle.train.records):
             assert a.id == b.id

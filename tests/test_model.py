@@ -312,7 +312,7 @@ class TestSigmoid:
         assert _sigmoid(x.copy()).tobytes() == fresh_sigmoid(x).tobytes()
 
 
-SEQ_FIELDS = ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h")
+SEQ_FIELDS = ("tokens", "lengths", "mask", "feats", "h0", "z", "r", "n", "h")
 
 
 def random_batch(params, b, t, seed):
@@ -421,7 +421,7 @@ def per_step_backward(params, fwd, dh_from_logits):
     dh_next = np.zeros((b, d))
     for t in reversed(range(t_max)):
         dh = dh_from_logits[:, t] + dh_next
-        zt, rt, nt, xt = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], fwd.x[:, t]
+        zt, rt, nt, xt = fwd.z[:, t], fwd.r[:, t], fwd.n[:, t], params.embed[fwd.tokens[:, t]]
         h_prev = fwd.h[:, t - 1] if t > 0 else fwd.h0
         dn_pre = dh * (1.0 - zt) * (1.0 - nt * nt)
         d_rh = dn_pre @ params.un.T

@@ -25,11 +25,13 @@ from caplab.rl import (
     scst_step,
     train_ce,
     train_rl,
-    training_table,
 )
-from oracles import (along_axis_logit_grad, decode_greedy, forced_token_model, forward_targets,
-                     grad_check, per_batch_train_rl, sequence_logprob_loss, softmax_temp,
-                     target_ids)
+from oracles import (along_axis_logit_grad, batch_table, decode_greedy, forced_token_model,
+                     forward_targets, grad_check, per_batch_train_ce, per_batch_train_rl,
+                     sequence_logprob_loss, softmax_temp, target_ids)
+
+# the rows of a three-image ``batch_table``, image k's set at row k
+ROWS = np.arange(3)
 
 
 def sample_sequence(params, image, beta, rng):
@@ -88,7 +90,7 @@ class TestSampleBatch:
     def test_forward_equals_teacher_forced_pass(self, tiny_model, batch):
         fwd = batch.fwd
         expected = forward_sequences(tiny_model, fwd.feats, fwd.tokens, fwd.lengths)
-        for name in ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h"):
+        for name in ("tokens", "lengths", "mask", "feats", "h0", "z", "r", "n", "h"):
             np.testing.assert_array_equal(getattr(fwd, name), getattr(expected, name),
                                           err_msg=name)
 
@@ -101,7 +103,7 @@ class TestSampleBatch:
         feats = rng.normal(size=(n_rows, wide_model.dims.feature_dim))
         fwd = sample_sequences(wide_model, feats, 1.0, rng).fwd
         expected = forward_sequences(wide_model, fwd.feats, fwd.tokens, fwd.lengths)
-        for name in ("tokens", "lengths", "mask", "feats", "x", "h0", "z", "r", "n", "h"):
+        for name in ("tokens", "lengths", "mask", "feats", "h0", "z", "r", "n", "h"):
             have, want = getattr(fwd, name), getattr(expected, name)
             assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
 
@@ -156,7 +158,7 @@ def teacher_forced_scst(params, images, stats, rng, samples_per_image):
 def three_word_batch(max_len, eos_bias):
     """Three images whose references use the words a, b and c, their
     statistics, a model over those words with <eos> bias ``eos_bias``, and
-    the images' training table."""
+    the images' ``batch_table``."""
     rng = np.random.default_rng(8)
     refs = ([["a", "b"], ["a", "c", "b"]], [["b", "c"], ["c", "c", "b"]], [["c", "a", "a"]])
     images = [ImageRecord(id=i, features=rng.normal(size=4), references=list(r))
@@ -166,7 +168,7 @@ def three_word_batch(max_len, eos_bias):
     params = init_params(vocab, ModelDims(hidden_dim=6, feature_dim=4, max_len=max_len), seed=2,
                          scale=0.8)
     params.cls_b[vocab.eos_id] = eos_bias
-    return (images, stats, params, *training_table(vocab, Dataset("train", images), stats))
+    return images, stats, params, batch_table(vocab, images, stats)
 
 
 class TestScstStep:
@@ -179,14 +181,14 @@ class TestScstStep:
             for i in range(3)
         ]
         stats = build_cider_stats([img.references for img in images])
-        return (images, stats, *training_table(tiny_vocab, Dataset("train", images), stats))
+        return images, stats, batch_table(tiny_vocab, images, stats)
 
     def test_constant_reward_zero_gradient(self, tiny_vocab, tiny_dims, setup):
         """Under a point-mass policy every sample is its image's greedy
         rollout, so every advantage, and every gradient, is exactly zero."""
-        images, _, table, row_of = setup
+        images, _, table = setup
         params = forced_token_model(tiny_vocab, tiny_dims, token_id=0)
-        out = scst_step(params, images, table, row_of, np.random.default_rng(0),
+        out = scst_step(params, images, table, ROWS, np.random.default_rng(0),
                         samples_per_image=4)
         assert set(out.grads) == set(ALL_ARRAYS)
         for grad in out.grads.values():
@@ -201,19 +203,19 @@ class TestScstStep:
         assert err <= 1e-4
 
     def test_deterministic_given_rng(self, tiny_model, setup):
-        images, _, table, row_of = setup
-        o1 = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
-        o2 = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
+        images, _, table = setup
+        o1 = scst_step(tiny_model, images, table, ROWS, np.random.default_rng(5))
+        o2 = scst_step(tiny_model, images, table, ROWS, np.random.default_rng(5))
         assert o1.loss == o2.loss
         for name in ALL_ARRAYS:
             np.testing.assert_array_equal(o1.grads[name], o2.grads[name])
 
     def test_matches_teacher_forced_oracle(self):
         # an <eos> bias of -1 gives samples of varying lengths
-        images, stats, params, table, row_of = three_word_batch(max_len=8, eos_bias=-1.0)
+        images, stats, params, table = three_word_batch(max_len=8, eos_bias=-1.0)
         # the batch's images in another order than the table's sets
         batch = images[::-1]
-        out = scst_step(params, batch, table, row_of, np.random.default_rng(11), 6)
+        out = scst_step(params, batch, table, ROWS[::-1], np.random.default_rng(11), 6)
         expected = teacher_forced_scst(params, batch, stats, np.random.default_rng(11), 6)
         assert out.details["mean_reward"] > 0
         assert set(out.grads) == set(ALL_ARRAYS)
@@ -227,22 +229,22 @@ class TestScstStep:
         ``probs[:, :steps]``, a non-contiguous view: the gradients keep the
         bits of the ``take_along_axis``/``put_along_axis`` form."""
         # an <eos> bias of 2 ends every sample within 8 of the 12 steps
-        images, _, params, table, row_of = three_word_batch(max_len=12, eos_bias=2.0)
+        images, _, params, table = three_word_batch(max_len=12, eos_bias=2.0)
         feats = np.repeat(np.stack([img.features for img in images]), 6, axis=0)
         probs = sample_sequences(params, feats, 1.0, np.random.default_rng(11)).probs
         assert probs.shape[1] == 8 and not probs.flags.c_contiguous
-        out = scst_step(params, images, table, row_of, np.random.default_rng(11), 6)
+        out = scst_step(params, images, table, ROWS, np.random.default_rng(11), 6)
         monkeypatch.setattr(rl, "gold_index", lambda targets, n_vocab: targets)
         monkeypatch.setattr(rl, "logit_grad", along_axis_logit_grad)
-        expected = scst_step(params, images, table, row_of, np.random.default_rng(11), 6)
+        expected = scst_step(params, images, table, ROWS, np.random.default_rng(11), 6)
         assert out.details == expected.details and out.details["zero_advantage"] == 10
         for name in ALL_ARRAYS:
             assert np.abs(expected.grads[name]).max() > 0, name
             assert out.grads[name].tobytes() == expected.grads[name].tobytes(), name
 
     def test_details_reported(self, tiny_model, setup):
-        images, _, table, row_of = setup
-        out = scst_step(tiny_model, images, table, row_of, np.random.default_rng(5))
+        images, _, table = setup
+        out = scst_step(tiny_model, images, table, ROWS, np.random.default_rng(5))
         assert "mean_reward" in out.details and "mean_greedy_reward" in out.details
 
 
@@ -255,6 +257,20 @@ class TestTrainingLoops:
                                 rng=np.random.default_rng(0))
         assert trained.full_hash() == params.full_hash()
         assert len(log) == 1
+
+    def test_train_ce_matches_plain_loop(self, micro_bundle):
+        """Two epochs over 90 pairs in batches of 7 (the last of 6) end with
+        the bytes and the log of ``pointwise_batch`` CE steps run by a loop
+        of their own."""
+        vocab = build_vocab(micro_bundle.train.all_references(), 1)
+        dims = ModelDims(hidden_dim=6, feature_dim=micro_bundle.config.feature_dim, max_len=12)
+        params = init_params(vocab, dims, 0, scale=0.5)
+        assert len(micro_bundle.train.all_references()) % 7 == 6
+        args = (micro_bundle.train, 2, 0.5)
+        trained, log = train_ce(params, *args, np.random.default_rng(3), 7)
+        expected, expected_log = per_batch_train_ce(params, *args, np.random.default_rng(3), 7)
+        assert trained.full_hash() == expected.full_hash() != params.full_hash()
+        assert log == expected_log and len(log) == 2
 
     def test_train_rl_zero_lr_noop(self, micro_bundle):
         vocab = build_vocab(micro_bundle.train.all_references(), 1)
@@ -269,7 +285,8 @@ class TestTrainingLoops:
 
     def test_train_rl_maps_references_once(self, micro_bundle, monkeypatch):
         """Every SCST step of a run scores against the one table of <unk>-mapped
-        references the run builds before its first step."""
+        references the run builds before its first step, each image against
+        the set at its index in the split."""
         records = micro_bundle.train.records[:12]
         # an out-of-vocabulary word, so unmapped references would score differently
         train = Dataset("train", [ImageRecord(id=rec.id, features=rec.features,
@@ -286,18 +303,19 @@ class TestTrainingLoops:
             calls.append([rec.id for rec in records])
             return mapped(vocab, records)
 
-        def recorded(params, images, table, row_of, *args):
-            given.append((table, row_of))
-            return step(params, images, table, row_of, *args)
+        def recorded(params, images, table, rows, *args):
+            given.append((table, rows, images))
+            return step(params, images, table, rows, *args)
 
         monkeypatch.setattr(rl, "mapped_references", counted)
         monkeypatch.setattr(rl, "scst_step", recorded)
         train_rl(params, train, stats, epochs=2, lr=0.5, rng=np.random.default_rng(0),
                  batch_size=5, samples_per_image=2)
         assert calls == [[rec.id for rec in records]]
-        table, row_of = given[0]
-        assert len(given) == 2 * 3 and all(t is table and r is row_of for t, r in given)
-        assert row_of == {rec.id: row for row, rec in enumerate(train.records)}
+        table = given[0][0]
+        assert len(given) == 2 * 3 and all(t is table for t, _, _ in given)
+        for _, rows, images in given:
+            assert [train.records[row] for row in rows] == images
         refs = mapped(vocab, train.records)
         assert all(["<unk>"] in image_refs for image_refs in refs)
         expected = reference_table(refs, stats)
