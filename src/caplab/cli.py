@@ -85,7 +85,7 @@ class UsageError(Exception):
 DEFAULT_CONFIG: dict = {
     "seed": 7,
     "dataset": asdict(SynthConfig()) | {"min_count": 5},
-    "model": {"hidden_dim": 64, "max_len": 16, "init_scale": 0.1},
+    "model": {"hidden_dim": 64, "max_len": 16},
     "ce": {"epochs": 10, "lr": 0.5, "batch_size": 10},
     "rl": {"epochs": 8, "lr": 0.05, "batch_size": 10, "samples_per_image": 5},
     "finetune": {
@@ -96,7 +96,7 @@ DEFAULT_CONFIG: dict = {
         "alpha": 1.0,
     },
     "decode": {"method": "beam", "beam_size": 5, "nucleus_p": 0.95, "beta": 1.0, "beta_prime": 1.0},
-    "metrics": {"recall_ks": [1, 5, 10], "repetition_n": 4, "histogram_bins": 200},
+    "metrics": {"histogram_bins": 200},
 }
 
 
@@ -188,7 +188,6 @@ def _check_config(config: dict) -> None:
         check_count("min_count", config["dataset"]["min_count"], 1)
     with _usage("invalid model config: model."):
         _model_dims(config).validate()
-        check_number("init_scale", config["model"]["init_scale"])
     with _usage("invalid decode config: decode."):
         _decode_config(config).validate()
     section = config["finetune"]
@@ -209,15 +208,8 @@ def _check_config(config: dict) -> None:
             if stage == "rl":
                 check_count("samples_per_image", section["samples_per_image"], 1)
             check_number("lr", section["lr"], positive=True)
-    section = config["metrics"]
     with _usage("invalid metrics config: metrics."):
-        ks = section["recall_ks"]
-        if not isinstance(ks, list) or not ks:
-            raise ValueError(f"recall_ks must be a non-empty list, got {ks!r}")
-        for i, k in enumerate(ks):
-            check_count(f"recall_ks[{i}]", k, 1)
-        for key in ("repetition_n", "histogram_bins"):
-            check_count(key, section[key], 1)
+        check_count("histogram_bins", config["metrics"]["histogram_bins"], 1)
 
 
 def _out_path(raw: str) -> Path:
@@ -275,9 +267,9 @@ def _vocab_for(config: dict, bundle: DataBundle):
 
 
 def _decode_config(config: dict) -> DecodeConfig:
-    """Every key of the decode section is a ``DecodeConfig`` field."""
-    return DecodeConfig(**config["decode"], max_len=config["model"]["max_len"],
-                        seed=config["seed"])
+    """Every key of the decode section is a ``DecodeConfig`` field; its
+    ``max_len`` is the model's, which every loaded checkpoint shares."""
+    return DecodeConfig(**config["decode"], seed=config["seed"])
 
 
 def _model_dims(config: dict) -> ModelDims:
@@ -303,7 +295,7 @@ def cmd_gen_data(args) -> int:
 
 def _init_model(config: dict, vocab) -> ModelParams:
     seed = int(stage_rng(config["seed"], "init").integers(0, 2**31 - 1))
-    return init_params(vocab, _model_dims(config), seed, scale=config["model"]["init_scale"])
+    return init_params(vocab, _model_dims(config), seed)
 
 
 def _require_checkpoint(path_str: str, flag: str, vocab,
@@ -454,9 +446,7 @@ def cmd_eval(args) -> int:
     captions = _captions_for(dataset, captions_path)
     vocab = _vocab_for(config, bundle)
     stats = corpus_stats_for(vocab, bundle.train)
-    report = evaluate(captions, dataset, vocab, stats,
-                      ks=config["metrics"]["recall_ks"],
-                      rep_n=config["metrics"]["repetition_n"])
+    report = evaluate(captions, dataset, vocab, stats)
     out_prefix = _out_path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     table_path = Path(str(out_prefix) + ".txt")

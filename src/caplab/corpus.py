@@ -232,21 +232,33 @@ def record_to_json(rec: ImageRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def record_from_json(line: str) -> ImageRecord:
-    """The record of one JSON line, not yet validated; ValueError if the
-    line is not a JSON object with every field of a record."""
+    """The record of one JSON line, not yet validated; ValueError unless the
+    line is a JSON object holding the fields ``record_to_json`` writes, each
+    of the JSON type it writes and none coerced (``attributes`` may be
+    absent).  A feature too large for a float raises OverflowError."""
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("malformed record: not a JSON object")
     try:
-        return ImageRecord(
-            id=int(obj["id"]),
-            features=np.asarray(obj["features"], dtype=np.float64),
-            references=[list(map(str, ref)) for ref in obj["references"]],
-            attributes=set(obj.get("attributes", [])),
-        )
+        rec_id, features, references = obj["id"], obj["features"], obj["references"]
     except KeyError as exc:
         raise ValueError(f"record has no field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed record: {exc}") from None
+    attributes = obj.get("attributes", [])
+    if type(rec_id) is not int:  # a JSON true is a bool, not an int
+        raise ValueError(f"record id must be an integer, got {rec_id!r}")
+    if not (isinstance(features, list) and all(type(v) in (int, float) for v in features)):
+        raise ValueError(f"record {rec_id}: features must be a list of numbers")
+    if not (isinstance(references, list) and all(map(_is_strings, references))):
+        raise ValueError(f"record {rec_id}: references must be a list of lists of strings")
+    if not _is_strings(attributes):
+        raise ValueError(f"record {rec_id}: attributes must be a list of strings")
+    return ImageRecord(id=rec_id, features=np.asarray(features, dtype=np.float64),
+                       references=references, attributes=set(attributes))
 
 
 def save_dataset_split(dataset: Dataset, path) -> None:
@@ -272,7 +284,7 @@ def load_dataset_split(path, split: str, feature_dim: int) -> Dataset:
                 rec.validate(feature_dim)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {number}: {exc}") from None
             records.append(rec)
     return Dataset(split=split, records=records)

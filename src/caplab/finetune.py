@@ -252,8 +252,7 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     for config in points:
         result = fit_classifier(checkpoint, table, config, seed)
         decoded = decode_dataset(result.params, data.val, decode_config, frozen=result.frozen)
-        report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats,
-                          ks=(1,))
+        report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats)
         row = {
             "method": config.method,
             "lr": config.lr,

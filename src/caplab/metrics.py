@@ -37,6 +37,8 @@ from .cider import CiderCorpusStats, ReferenceTable, cider_d_batch, reference_ta
 from .cider import cider_d  # noqa: F401  -- perfbench's tracer test looks up metrics.cider_d
 from .corpus import Dataset, ImageRecord, Vocabulary, mapped_references
 
+REP_N = 4  # n-gram orders 1..REP_N of the repetition rate
+
 
 @dataclass
 class MetricsReport:
@@ -93,22 +95,21 @@ def vocab_stats(captions: Sequence[Sequence[str]], vocab: Vocabulary) -> tuple[i
     return len(unigrams), len(sentences), mean_length
 
 
-def repetition_rate(captions: Sequence[Sequence[str]], n_max: int = 4) -> float:
-    """Mean over captions and n-gram orders of (1 - unique/total n-grams).
+def repetition_rate(captions: Sequence[Sequence[str]]) -> float:
+    """Mean over captions and the n-gram orders 1..``REP_N`` of
+    (1 - unique/total n-grams).
 
     Orders with zero n-grams (captions shorter than n) contribute 0.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if not captions:
         return 0.0
     total = 0.0
     for caption in captions:
         count = len(caption)
-        for n in range(1, min(n_max, count) + 1):
+        for n in range(1, min(REP_N, count) + 1):
             grams = zip(*[caption[i:] for i in range(n)])
             total += 1.0 - len(set(grams)) / (count - n + 1)
-    return total / (len(captions) * n_max)
+    return total / (len(captions) * REP_N)
 
 
 def _oor_counts(captions: Sequence[Sequence[str]], ref_words: Sequence[set],
@@ -259,16 +260,16 @@ def rk_retrieval(captions: Sequence[Sequence[str]], dataset: Dataset,
 
 
 def evaluate(captions: Sequence[Sequence[str]], dataset: Dataset, vocab: Vocabulary,
-             stats: CiderCorpusStats, ks: Sequence[int] = (1, 5, 10),
-             rep_n: int = 4) -> MetricsReport:
+             stats: CiderCorpusStats, ks: Sequence[int] = (1, 5, 10)) -> MetricsReport:
     """Assemble the full report for one caption per image, aligned with
-    ``dataset.records``."""
+    ``dataset.records``: R@K at each K of ``ks``, and the repetition rate
+    over the n-gram orders 1..``REP_N``."""
     if len(captions) != len(dataset.records):
         raise ValueError(
             f"{len(captions)} captions for {len(dataset.records)} images")
     context = _scoring_context(dataset, vocab, stats)
     unique_1, unique_s, mean_length = vocab_stats(captions, vocab)
-    rep = repetition_rate(captions, rep_n)
+    rep = repetition_rate(captions)
     cider_scores = cider_d_batch(captions, np.arange(len(captions)), context.cider_table)
     oor_count, oor_rank, oor_defined = _oor_counts(captions, context.ref_words, vocab)
     r_at = rk_retrieval(captions, dataset, ks)

@@ -23,15 +23,15 @@ included), but not at d = 33 or 50, where a row's last bits moved with the
 row count.  The fine-tune's prefix table (``finetune.encode_pairs``)
 computes its states with other row counts than a teacher-forced pass, so at
 such sizes they are bit-close (within about 1e-15), not bit-identical.
-Parameters are grouped so that training can be restricted to the classifier
-{W, b} while the embedding and encoder stay bit-identical.  No autodiff is
-used anywhere; the backward pass below is checked against central finite
-differences by the test suite.  Its time loop carries only the hidden-state
-gradient; each weight gradient is one contraction over every position of
-the batch.  The classifier's (rows, d) @ (d, V) products, unlike the cell's,
-can round a row differently with the number of rows, so a cache of
-classifier outputs across batch shapes can be only bit-close, not
-bit-identical.
+The classifier-only fine-tunes train {W, b} on frozen states through
+``classifier_grads``; every other step trains all arrays through
+``backward_sequences``.  No autodiff is used anywhere; the backward pass
+below is checked against central finite differences by the test suite.
+Its time loop carries only the hidden-state gradient; each weight gradient
+is one contraction over every position of the batch.  The classifier's
+(rows, d) @ (d, V) products, unlike the cell's, can round a row
+differently with the number of rows, so a cache of classifier outputs
+across batch shapes can be only bit-close, not bit-identical.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ ALL_ARRAYS = ("embed",) + ENCODER_ARRAYS + CLASSIFIER_ARRAYS
 
 class TrainScope(Enum):
     ALL = "all"
-    CLASSIFIER_ONLY = "classifier_only"
 
 
 @dataclass
@@ -281,13 +280,11 @@ def backward_sequences(params: ModelParams, fwd: SeqForward, d_logits: np.ndarra
                        scope: TrainScope) -> dict[str, np.ndarray]:
     """Backpropagate per-step logit gradients through the scorer.
 
-    ``d_logits`` must already be zero at padded positions.  The result
-    holds a gradient for every array the scope trains and for no other: in
-    classifier scope only {W, b}, and the recurrence is skipped entirely.
+    ``d_logits`` must already be zero at padded positions.  The result holds
+    a gradient for every array.  ``scope`` is ``TrainScope.ALL``, its one
+    value, which the benchmark's tracer reads to name the span.
     """
     grads = classifier_grads(fwd.h, d_logits)
-    if scope is TrainScope.CLASSIFIER_ONLY:
-        return grads
     b, t_max, d = fwd.h.shape
     dh = (d_logits.reshape(b * t_max, -1) @ params.cls_w.T).reshape(b, t_max, d)
     return _backward_recurrence(params, fwd, dh) | grads

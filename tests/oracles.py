@@ -21,8 +21,8 @@ from caplab.losses import (LOG_EPS, FrozenReference, LossOutput, anti_focal_term
 from caplab.metrics import _oor_counts
 from caplab.model import (ALL_ARRAYS, ModelParams, SeqForward, TrainScope, _scatter_add,
                           _shifted_scaled, apply_sgd, backward_sequences, check_matches,
-                          forward_sequences, init_params, initial_hidden, log_softmax_temp,
-                          logits_from_hidden, recurrent_step, stage_rng)
+                          classifier_grads, forward_sequences, init_params, initial_hidden,
+                          log_softmax_temp, logits_from_hidden, recurrent_step, stage_rng)
 from caplab.rl import SampledSeq, mean_loss_log, reference_pairs, scst_step
 
 
@@ -401,7 +401,7 @@ def per_batch_oracle(checkpoint, data, config, seed):
             per_item, d_logits = bp_head(logp, logp_ref, targets, fwd.mask, fwd.lengths)
         else:
             per_item, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, terms)
-        grads = backward_sequences(params, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
+        grads = classifier_grads(fwd.h, d_logits)
         return LossOutput(loss=float(per_item.mean()), grads=grads, details={"per_item": per_item})
 
     rng = stage_rng(seed, f"finetune:{config.method}")
@@ -409,16 +409,16 @@ def per_batch_oracle(checkpoint, data, config, seed):
     return params, frozen, mean_loss_log(history)
 
 
-def repetition_rate(captions: Sequence[Sequence[str]], n_max: int = 4) -> float:
-    """``metrics.repetition_rate`` with each order's n-grams listed one
-    slice at a time, adding the same terms in the same order."""
+def repetition_rate(captions: Sequence[Sequence[str]]) -> float:
+    """``metrics.repetition_rate`` with each order's n-grams, 1 to 4, listed
+    one slice at a time, adding the same terms in the same order."""
     total = 0.0
     for caption in captions:
-        for n in range(1, n_max + 1):
+        for n in range(1, 5):
             grams = [tuple(caption[i : i + n]) for i in range(len(caption) - n + 1)]
             if grams:
                 total += 1.0 - len(set(grams)) / len(grams)
-    return total / (len(captions) * n_max)
+    return total / (len(captions) * 4)
 
 
 def oor_analysis(captions: Sequence[Sequence[str]], references: Sequence[Sequence[Sequence[str]]],

@@ -17,10 +17,12 @@ from caplab import cli
 from caplab.cli import main
 from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
                            save_dataset_split)
-from caplab.decode import Decoded, decode_dataset, save_captions
+from caplab.decode import DecodeConfig, Decoded, decode_dataset, save_captions
 from caplab.finetune import FinetuneConfig, sweep
 from caplab.losses import FrozenReference
-from caplab.model import ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint
+from caplab.metrics import evaluate
+from caplab.model import (ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint,
+                          stage_rng)
 from caplab.rl import corpus_stats_for
 
 
@@ -32,14 +34,14 @@ MICRO_CONFIG = {
         "common_per_image": 2, "rare_per_image": 2, "zipf_exponent": 1.0,
         "rare_mention_rate": 0.7, "noise_std": 0.02, "min_count": 1,
     },
-    "model": {"hidden_dim": 8, "max_len": 12, "init_scale": 0.1},
+    "model": {"hidden_dim": 8, "max_len": 12},
     "ce": {"epochs": 2, "lr": 0.3, "batch_size": 8},
     "rl": {"epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "finetune": {"lr_grid": [0.01, 0.001], "beta_prime_grid": [0.1, 1.0],
                  "batch_size": 8, "gamma": 1.0, "alpha": 1.0},
     "decode": {"method": "beam", "beam_size": 3, "nucleus_p": 0.95, "beta": 1.0,
                "beta_prime": 1.0},
-    "metrics": {"recall_ks": [1, 5], "repetition_n": 4, "histogram_bins": 5},
+    "metrics": {"histogram_bins": 5},
 }
 
 
@@ -71,8 +73,12 @@ class TestConfig:
         ("finetune", "finetune", "epochs", 2, "unknown key 'epochs' in finetune config"),
         ("train", None, "ce", 0.3, "ce config must be a JSON object"),
         ("train", None, "joint", {"lam": 0.5}, "unknown key 'joint' in top-level config"),
+        ("train", "metrics", "recall_ks", [1, 5], "unknown key 'recall_ks' in metrics config"),
+        ("decode", "metrics", "repetition_n", 4,
+         "unknown key 'repetition_n' in metrics config"),
+        ("finetune", "model", "init_scale", 0.1, "unknown key 'init_scale' in model config"),
     ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object",
-            "joint-section"])
+            "joint-section", "recall-ks", "repetition-n", "init-scale"])
     def test_unknown_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, command,
                                         section, key, value, message, capsys):
         _, config_path, data_dir = workdir
@@ -90,6 +96,14 @@ class TestConfig:
         assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def _set(field, value):
+    """An edit of a split line that sets ``field`` to ``value(record)``."""
+    def edit(line):
+        rec = json.loads(line)
+        return json.dumps(rec | {field: value(rec)})
+    return edit
 
 
 def _write_config(tmp_path, config_path, section, key, value):
@@ -148,22 +162,49 @@ class TestDataCheck:
          "expected 6 features"),
         (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
                                   if k != "references"}), "no field 'references'"),
-    ], ids=["not-json", "three-features", "no-references"])
+        (lambda line: "[1]", "not a JSON object"),
+        (_set("id", lambda rec: 1.9), "id must be an integer, got 1.9"),
+        (_set("id", lambda rec: "1"), "id must be an integer, got '1'"),
+        (_set("id", lambda rec: True), "id must be an integer, got True"),
+        (_set("references", lambda rec: "abc"), "references must be a list of lists of strings"),
+        (_set("references", lambda rec: [[5, *rec["references"][0][1:]], *rec["references"][1:]]),
+         "references must be a list of lists of strings"),
+        (_set("references",
+              lambda rec: [[None, *rec["references"][0][1:]], *rec["references"][1:]]),
+         "references must be a list of lists of strings"),
+        (_set("references", lambda rec: [*rec["references"][1:], "a b"]),
+         "references must be a list of lists of strings"),
+        (_set("attributes", lambda rec: "xy"), "attributes must be a list of strings"),
+        (_set("attributes", lambda rec: [*rec["attributes"], 1]),
+         "attributes must be a list of strings"),
+        (_set("features", lambda rec: [str(rec["features"][0]), *rec["features"][1:]]),
+         "features must be a list of numbers"),
+        (_set("features", lambda rec: [True, *rec["features"][1:]]),
+         "features must be a list of numbers"),
+        (_set("features", lambda rec: [rec["features"]]), "features must be a list of numbers"),
+        (_set("features", lambda rec: [10**400, *rec["features"][1:]]), "too large"),
+    ], ids=["not-json", "three-features", "no-references", "not-object", "id-float", "id-string",
+            "id-bool", "references-string", "token-number", "token-null", "one-reference-string",
+            "attributes-string", "attribute-number", "feature-string", "feature-bool",
+            "features-nested", "feature-too-large"])
     def test_malformed_split_line_is_usage_error(self, workdir, tmp_path, edit, message,
                                                  capsys):
-        """A bad third line of train.jsonl is an error naming the file and
-        the line, before any training."""
+        """A bad second line of train.jsonl is an error naming the file and
+        the line, before any training; no field is coerced into a record.
+        Line 2 holds image 1, so an id that ``int()`` would turn into 1 is
+        no duplicate."""
         _, config_path, data_dir = workdir
         copy_dir = self.copied_data(data_dir, tmp_path / "data")
         path = copy_dir / "train.jsonl"
         lines = path.read_text().splitlines()
-        lines[2] = edit(lines[2])
+        assert json.loads(lines[1])["id"] == 1
+        lines[1] = edit(lines[1])
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main(["train", "ce", "--config", str(config_path),
                      "--data", str(copy_dir), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}, line 3: " in err and message in err
+        assert f"{path}, line 2: " in err and message in err
         assert not out.exists()
 
     def test_min_count_may_differ(self, workdir, tmp_path):
@@ -244,12 +285,12 @@ class TestWholeConfigChecked:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key, value", [
-        ("gen-data", "rl", "lr", 0), ("gen-data", "metrics", "recall_ks", []),
+        ("gen-data", "rl", "lr", 0), ("gen-data", "metrics", "histogram_bins", 0),
         ("train", "decode", "beam_size", 0), ("train", "finetune", "gamma", -1),
-        ("decode", "ce", "epochs", -1), ("decode", "model", "init_scale", float("nan")),
+        ("decode", "ce", "epochs", -1), ("gen-data", "model", "hidden_dim", 0),
         ("loss-surface", "dataset", "n_rare", -2), ("loss-surface", "rl", "lr", -1.5),
     ], ids=["gen-data-rl", "gen-data-metrics", "train-decode", "train-finetune", "decode-ce",
-            "decode-model", "loss-surface-dataset", "loss-surface-rl"])
+            "gen-data-model", "loss-surface-dataset", "loss-surface-rl"])
     def test_bad_value_in_a_section_the_command_does_not_use(self, workdir, ce_checkpoint,
                                                               tmp_path, command, section, key,
                                                               value, capsys):
@@ -283,6 +324,23 @@ class TestTrain:
         p2, _ = load_checkpoint(out2 / "ce.npz")
         assert p1.full_hash() == p2.full_hash()
 
+    def test_ce_starts_from_init_params_at_scale_0_1(self, workdir, tmp_path):
+        """``train ce`` starts from ``init_params`` at its default scale, 0.1,
+        seeded from the config's "init" stage."""
+        _, config_path, data_dir = workdir
+        config = copy.deepcopy(MICRO_CONFIG)
+        config["ce"]["epochs"] = 0
+        path = tmp_path / "cfg0.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "ce", "--config", str(path),
+                     "--data", str(data_dir), "--out", str(tmp_path / "r")]) == 0
+        params, _ = load_checkpoint(tmp_path / "r" / "ce.npz")
+        loaded = cli.load_config(str(path))
+        vocab = cli._vocab_for(loaded, cli._load_bundle(str(data_dir), loaded))
+        seed = int(stage_rng(config["seed"], "init").integers(0, 2**31 - 1))
+        dims = ModelDims(hidden_dim=8, feature_dim=6, max_len=12)
+        assert params.full_hash() == init_params(vocab, dims, seed, scale=0.1).full_hash()
+
     @pytest.mark.parametrize("stage, key, value", [
         ("ce", "epochs", -1), ("ce", "epochs", 1.5), ("ce", "batch_size", 0),
         ("ce", "lr", 0.0), ("ce", "lr", float("nan")), ("ce", "lr", float("inf")),
@@ -301,8 +359,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_dim", 0), ("hidden_dim", 2.5), ("hidden_dim", True), ("max_len", 0),
-        ("max_len", -3), ("max_len", 1), ("max_len", 1.5), ("init_scale", -1.0),
-        ("init_scale", float("nan")), ("init_scale", float("inf")),
+        ("max_len", -3), ("max_len", 1), ("max_len", 1.5),
     ])
     def test_bad_model_section_is_usage_error(self, workdir, tmp_path, key, value, capsys):
         _, config_path, data_dir = workdir
@@ -405,15 +462,16 @@ class TestModeFlags:
 
     @pytest.mark.parametrize("argv, recorded", [
         (["train", "rl", "--init"],
-         "518c75ae81bf4fdd04adb025adf47b51fce946a8fd403281a0a3d04a6dd9b03a"),
+         "6e376bab11c8dbcef9b42e72c121f50c0205953362fc2f97757a6dd0be318c04"),
         (["finetune", "wft", "--sweep", "--beta-prime", "0.5", "--checkpoint"],
-         "e4f1bbc1c162a8379edf9ad80790f587b0437e7a1743007c62c899c5f9349493"),
+         "977610cb0004b7b1e9276937220eca253fad0ca8b1d01ce5d39059d26791656b"),
     ], ids=["train-rl", "finetune-wft-sweep"])
     def test_mode_is_not_a_setting(self, workdir, ce_checkpoint, tmp_path, argv, recorded):
         """A run records the hash of its config alone: these are the hashes
         that the same runs recorded when the mode was a flag (``--stage rl``,
-        ``--method wft``), with the config's former ``joint`` section
-        deleted."""
+        ``--method wft``), with the config's former ``joint`` section and
+        its former ``metrics.recall_ks``, ``metrics.repetition_n`` and
+        ``model.init_scale`` keys deleted."""
         _, config_path, data_dir = workdir
         out = tmp_path / "out"
         assert main([*argv, str(ce_checkpoint), "--config", str(config_path),
@@ -434,12 +492,8 @@ def _reference_captions(data_dir, path):
 class TestMetricsSection:
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     @pytest.mark.parametrize("key, value", [
-        ("recall_ks", [0]), ("recall_ks", [-3]), ("recall_ks", [1.5]), ("recall_ks", [True]),
-        ("recall_ks", [1, 0]), ("recall_ks", []), ("recall_ks", 1),
-        ("repetition_n", 0), ("repetition_n", 2.5), ("histogram_bins", 0),
-        ("histogram_bins", True),
-    ], ids=["ks-0", "ks-negative", "ks-float", "ks-bool", "ks-second-0", "ks-empty",
-            "ks-not-a-list", "repetition-0", "repetition-float", "bins-0", "bins-bool"])
+        ("histogram_bins", 0), ("histogram_bins", True),
+    ], ids=["bins-0", "bins-bool"])
     def test_bad_metrics_section_is_usage_error(self, workdir, tmp_path, command, key, value,
                                                 capsys):
         _, config_path, data_dir = workdir
@@ -489,6 +543,25 @@ class TestDecodeEval:
         assert len(lines) == MICRO_CONFIG["dataset"]["n_test"]
         first = json.loads(lines[0])
         assert set(first) == {"id", "caption", "logprob"}
+
+    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus"])
+    def test_decode_stops_at_the_models_max_len(self, workdir, ce_checkpoint, tmp_path, method):
+        """The CLI leaves ``DecodeConfig.max_len`` to the checkpoint, whose
+        ``max_len`` is the config's, so its captions are those of a decode
+        given ``model.max_len``."""
+        _, config_path, data_dir = workdir
+        out = tmp_path / "caps.jsonl"
+        assert main(["decode", "--checkpoint", str(ce_checkpoint), "--method", method,
+                     "--config", str(config_path), "--data", str(data_dir),
+                     "--out", str(out)]) == 0
+        config = cli.load_config(str(config_path))
+        split = cli._load_bundle(str(data_dir), config).test
+        params, _ = load_checkpoint(ce_checkpoint)
+        decode_config = DecodeConfig(**config["decode"] | {"method": method},
+                                     max_len=config["model"]["max_len"], seed=config["seed"])
+        expected = tmp_path / "expected.jsonl"
+        save_captions(expected, split, decode_dataset(params, split, decode_config))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bp_without_frozen_names_flag(self, workdir, ce_checkpoint, capsys):
         root, config_path, data_dir = workdir
@@ -682,6 +755,24 @@ class TestDecodeEval:
             row = next(csv.DictReader(fh))
         for column in ("rep", "oor_count", "oor_mean_rank", "r_at_1", "unique_1", "cider"):
             assert column in row
+
+    def test_eval_reports_evaluate_at_its_default_recalls(self, workdir, tmp_path):
+        """eval's row is ``evaluate``'s report, with R@1, R@5 and R@10."""
+        _, config_path, data_dir = workdir
+        caps = _reference_captions(data_dir, tmp_path / "caps.jsonl")
+        out = tmp_path / "eval"
+        assert main(["eval", "--captions", str(caps), "--config", str(config_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        with open(str(out) + ".csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert [key for key in row if key.startswith("r_at_")] == ["r_at_1", "r_at_5", "r_at_10"]
+        config = cli.load_config(str(config_path))
+        bundle = cli._load_bundle(str(data_dir), config)
+        vocab = cli._vocab_for(config, bundle)
+        report = evaluate(cli._captions_for(bundle.test, caps), bundle.test, vocab,
+                          corpus_stats_for(vocab, bundle.train))
+        assert {key: row[key] for key in report.as_dict()} == {
+            key: str(value) for key, value in report.as_dict().items()}
 
     def test_eval_references_self_scores_zero_oor(self, workdir):
         root, config_path, data_dir = workdir
@@ -1155,8 +1246,6 @@ class TestConfigHash:
     def test_integer_leaves_of_integer_keys_and_booleans_stay(self, tmp_path):
         resolved, _ = self._resolve(tmp_path, "cfg", MICRO_CONFIG, "loss-surface")
         assert type(resolved["ce"]["batch_size"]) is int
-        assert resolved["metrics"]["recall_ks"] == [1, 5]
-        assert all(type(k) is int for k in resolved["metrics"]["recall_ks"])
         config = copy.deepcopy(MICRO_CONFIG)
         config["ce"]["lr"] = True  # not cast to 1.0: a bool is not a number here
         with pytest.raises(cli.UsageError, match=r"ce\.lr must be .*got True"):
@@ -1177,7 +1266,7 @@ class TestConfigHash:
         assert not out.exists()
 
     def test_default_config_hash_unchanged(self, tmp_path):
-        default_hash = "d5c285ee3dbac6dce4415255775bcf09b2d4a3c42c2cc6ade7ec49324429f8fc"
+        default_hash = "4f0a24171ee5aca985dfa4d6809f088df5f64394464ae62a0785be4fec4ccb25"
         assert config_hash(cli.load_config(None)) == default_hash
         path = tmp_path / "default.json"
         path.write_text(json.dumps(cli.DEFAULT_CONFIG))

@@ -232,6 +232,12 @@ class TestDatasetIO:
             assert a.references == b.references
             assert a.attributes == b.attributes
 
+    def test_integer_features_and_absent_attributes_load(self):
+        rec = record_from_json('{"id": 4, "features": [1, -2.5], "references": [["a"]]}')
+        assert rec.features.dtype == np.float64
+        np.testing.assert_array_equal(rec.features, [1.0, -2.5])
+        assert rec.attributes == set()
+
     def test_duplicate_ids_rejected(self):
         rec = ImageRecord(id=1, features=np.zeros(2), references=[["a"]])
         rec2 = ImageRecord(id=1, features=np.zeros(2), references=[["b"]])

@@ -19,19 +19,14 @@ from caplab.losses import (
     bp_log_probs,
     caption_targets,
     ce_batch,
-    ce_terms,
     frame_targets,
     gold_index,
     logit_grad,
     loss_surface,
-    pointwise_head,
-    teacher_forced,
 )
 from caplab.model import (
     CLASSIFIER_ARRAYS,
     ModelDims,
-    TrainScope,
-    backward_sequences,
     forward_sequences,
     init_params,
 )
@@ -110,17 +105,6 @@ class TestCrossEntropy:
         assert inputs == [tiny_vocab.bos_id, tiny_vocab.unk_id]
         out = ce_loss(tiny_model, tiny_image, ["zebra"])
         assert np.isfinite(out.loss)
-
-    def test_classifier_scope_grads_absent_outside(self, tiny_model, tiny_image):
-        feats = tiny_image.features[None, :]
-        fwd, logp, targets = teacher_forced(tiny_model, feats, [["a", "b"]])
-        _, d_logits = pointwise_head(logp, targets, fwd.mask, fwd.lengths, ce_terms)
-        grads = backward_sequences(tiny_model, fwd, d_logits, TrainScope.CLASSIFIER_ONLY)
-        full = ce_loss(tiny_model, tiny_image, ["a", "b"]).grads
-        assert set(grads) == set(CLASSIFIER_ARRAYS)
-        for name in CLASSIFIER_ARRAYS:
-            assert np.abs(grads[name]).max() > 0.0
-            np.testing.assert_array_equal(grads[name], full[name])
 
 
 class TestBiasProduct:

@@ -403,13 +403,11 @@ class TestBackwardContractions:
                                         np.einsum("btv,dv->btd", d_logits, params.cls_w))
         expected["cls_w"] = np.einsum("btd,btv->dv", fwd.h, d_logits)
         expected["cls_b"] = d_logits.sum(axis=(0, 1))
-        for scope, names in ((TrainScope.ALL, ALL_ARRAYS),
-                             (TrainScope.CLASSIFIER_ONLY, CLASSIFIER_ARRAYS)):
-            grads = backward_sequences(params, fwd, d_logits, scope)
-            assert set(grads) == set(names)
-            for name in names:
-                np.testing.assert_allclose(grads[name], expected[name], rtol=0.0, atol=1e-12,
-                                           err_msg=f"{scope} {name}")
+        grads = backward_sequences(params, fwd, d_logits, TrainScope.ALL)
+        assert set(grads) == set(ALL_ARRAYS)
+        for name in ALL_ARRAYS:
+            np.testing.assert_allclose(grads[name], expected[name], rtol=0.0, atol=1e-12,
+                                       err_msg=name)
 
 
 def per_step_backward(params, fwd, dh_from_logits):

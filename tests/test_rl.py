@@ -336,15 +336,24 @@ class TestTrainingLoops:
         monkeypatch.setattr(rl, "cider_d_batch", recorded)
         _, log = train_rl(params, micro_bundle.train, stats, epochs=2, lr=0.5,
                           rng=np.random.default_rng(0), batch_size=7, samples_per_image=3)
+        assert len(micro_bundle.train) % 7 != 0  # a partial last batch
         steps_per_epoch = math.ceil(len(micro_bundle.train) / 7)
         for epoch in range(2):
             useful = total = 0
+            reward_means, greedy_means, weighted = [], [], 0.0
             for scores in scored[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]:
                 n_images = len(scores) // 4
                 baselines, rewards = scores[:n_images], scores[n_images:]
                 useful += int((rewards != np.repeat(baselines, 3)).sum())
                 total += len(rewards)
+                reward_means.append(float(rewards.mean()))
+                greedy_means.append(float(baselines.mean()))
+                weighted += float(rewards.sum())
             assert log[epoch]["useful_sample_ratio"] == useful / total
+            # each batch's mean counts once, the partial last batch's too
+            assert log[epoch]["mean_reward"] == sum(reward_means) / steps_per_epoch
+            assert log[epoch]["mean_greedy_reward"] == sum(greedy_means) / steps_per_epoch
+            assert log[epoch]["mean_reward"] != pytest.approx(weighted / total, rel=1e-9)
         assert any(0.0 < row["useful_sample_ratio"] < 1.0 for row in log)
 
     def test_run_table_trains_like_a_table_per_batch(self, micro_bundle):
