@@ -35,8 +35,9 @@ A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
 checked once, as it is loaded, against the data's vocabulary and the
 config's model dimensions (``model.check_matches``).  ``decode`` reads its
 method from the config, which the parser cannot see, so ``cmd_decode``
-checks the flags that only some methods read: ``--frozen`` only bp,
-``--beam-size`` only beam and bp, ``--nucleus-p`` only nucleus.
+checks the flags that only some methods read: ``--frozen`` only bp and
+``--beam-size`` only beam and bp.  Every decoding method is a deterministic
+search, so ``decode`` reads no seed and takes no ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -95,7 +96,7 @@ DEFAULT_CONFIG: dict = {
         "gamma": 1.0,
         "alpha": 1.0,
     },
-    "decode": {"method": "beam", "beam_size": 5, "nucleus_p": 0.95, "beta": 1.0, "beta_prime": 1.0},
+    "decode": {"method": "beam", "beam_size": 5, "beta": 1.0, "beta_prime": 1.0},
     "metrics": {"histogram_bins": 200},
 }
 
@@ -269,7 +270,7 @@ def _vocab_for(config: dict, bundle: DataBundle):
 def _decode_config(config: dict) -> DecodeConfig:
     """Every key of the decode section is a ``DecodeConfig`` field; its
     ``max_len`` is the model's, which every loaded checkpoint shares."""
-    return DecodeConfig(**config["decode"], seed=config["seed"])
+    return DecodeConfig(**config["decode"])
 
 
 def _model_dims(config: dict) -> ModelDims:
@@ -402,8 +403,7 @@ def cmd_decode(args) -> int:
     if method == "bp" and args.frozen is None:
         raise UsageError("--frozen is required for bp decoding")
     for flag, value, readers in (("--frozen", args.frozen, ("bp",)),
-                                 ("--beam-size", getattr(args, "decode.beam_size"), ("beam", "bp")),
-                                 ("--nucleus-p", getattr(args, "decode.nucleus_p"), ("nucleus",))):
+                                 ("--beam-size", getattr(args, "decode.beam_size"), ("beam", "bp"))):
         if value is not None and method not in readers:
             raise UsageError(f"{flag} is used only by {' and '.join(readers)} decoding,"
                              f" not {method}")
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     data.add_argument("--data", required=True)
     seeded.add_argument("--seed", type=int)
-    pipeline = [run, data, seeded]  # train, finetune and decode
+    pipeline = [run, data, seeded]  # train and finetune
 
     p = sub.add_parser("gen-data", parents=[run, seeded], help="generate the synthetic dataset")
     p.set_defaults(func=cmd_gen_data)
@@ -547,12 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
                            help="one-point beta' grid")
 
-    p = sub.add_parser("decode", parents=pipeline, help="decode a split to a caption file")
+    p = sub.add_parser("decode", parents=[run, data], help="decode a split to a caption file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--method", dest="decode.method", choices=["greedy", "beam", "nucleus", "bp"])
+    p.add_argument("--method", dest="decode.method", choices=["greedy", "beam", "bp"])
     p.add_argument("--beam-size", dest="decode.beam_size", type=int)
-    p.add_argument("--nucleus-p", dest="decode.nucleus_p", type=float)
     p.add_argument("--frozen", help="frozen reference checkpoint (bp decoding)")
     p.set_defaults(func=cmd_decode)
 

@@ -202,9 +202,11 @@ class Dataset:
     records: list[ImageRecord]
 
     def __post_init__(self):
-        ids = [rec.id for rec in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate record ids in split {self.split!r}")
+        seen = set()
+        for rec in self.records:
+            if rec.id in seen:
+                raise ValueError(f"split {self.split!r} repeats image id {rec.id}")
+            seen.add(rec.id)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -271,9 +273,10 @@ def save_dataset_split(dataset: Dataset, path) -> None:
 def load_dataset_split(path, split: str, feature_dim: int) -> Dataset:
     """The split ``save_dataset_split`` wrote to ``path``, each record
     validated to hold ``feature_dim`` features.  A line that is not JSON,
-    or not such a record, raises ValueError naming the file and the line
-    number."""
-    records = []
+    not such a record, or whose image id an earlier line gave, raises
+    ValueError naming the file and the line number, as does a file with no
+    record."""
+    records, line_of = [], {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -286,7 +289,13 @@ def load_dataset_split(path, split: str, feature_dim: int) -> Dataset:
                 raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {number}: {exc}") from None
+            if rec.id in line_of:
+                raise ValueError(f"{path}, line {number}: image id {rec.id} repeats"
+                                 f" line {line_of[rec.id]}")
+            line_of[rec.id] = number
             records.append(rec)
+    if not records:
+        raise ValueError(f"{path} holds no record")
     return Dataset(split=split, records=records)
 
 

@@ -1,20 +1,20 @@
-"""Greedy, beam, nucleus, and bias-product decoding; ``decode_dataset`` is
-the one dispatch, which picks the decoder by ``DecodeConfig.method``.
+"""Greedy, beam and bias-product decoding; ``decode_dataset`` is the one
+dispatch, which picks the decoder by ``DecodeConfig.method``.
 
-All decoders terminate within ``max_len`` steps, never mutate the model, and
-break score ties toward the lowest token id (greedy/nucleus) or the
-lexicographically smaller token-id sequence (beam).  Beam search keeps
-summed log-probabilities without length normalization; hypotheses that emit
-<eos> retire from the beam, and the greedy rollout is always included in the
-final pool so the returned hypothesis never scores below it.
+Every decoder is a deterministic search: none draws a random number (the
+repo's one sampler is ``rl.sample_sequences``).  All decoders terminate
+within ``max_len`` steps, never mutate the model, and break score ties
+toward the lowest token id (greedy) or the lexicographically smaller
+token-id sequence (beam).  Beam search keeps summed log-probabilities
+without length normalization; hypotheses that emit <eos> retire from the
+beam, and the greedy rollout is always included in the final pool so the
+returned hypothesis never scores below it.
 
 Greedy and beam search decode a whole split in lockstep: the alive
 hypotheses of every image share one (rows, d) state, so each step makes one
 recurrent step and one log-softmax for the split.  The single-image
 decoders, ``decode_beam`` and ``decode_bp``, are ``decode_dataset`` run on a
-split of one.  Nucleus sampling draws
-from one generator, seeded by ``DecodeConfig.seed``, image by image, so
-``decode_dataset`` runs it as a one-row loop over the split's records.
+split of one.
 
 An image's alive rows stay contiguous and in lexicographic order of their
 sequences, so in the image's flattened candidate row the index
@@ -61,25 +61,21 @@ from .model import (
 
 @dataclass
 class DecodeConfig:
-    method: str = "beam"        # greedy | beam | nucleus | bp
+    method: str = "beam"        # greedy | beam | bp
     beam_size: int = 5
-    nucleus_p: float = 0.95
     max_len: int | None = None  # defaults to the model's max_len
     beta: float = 1.0
     beta_prime: float = 1.0     # CLI bp only: β′ when the --frozen checkpoint records none
     bp_base: str = "beam"       # bp decoding searches by beam only
-    seed: int = 0               # nucleus sampling only
 
     def validate(self) -> None:
-        if self.method not in ("greedy", "beam", "nucleus", "bp"):
-            raise ValueError(f"method must be greedy, beam, nucleus or bp, got {self.method!r}")
+        if self.method not in ("greedy", "beam", "bp"):
+            raise ValueError(f"method must be greedy, beam or bp, got {self.method!r}")
         check_count("beam_size", self.beam_size, 1)
         if self.max_len is not None:
             check_count("max_len", self.max_len, 1)
-        check_number("nucleus_p", self.nucleus_p, positive=True, most=1.0)
         check_number("beta", self.beta)
         check_number("beta_prime", self.beta_prime)
-        check_count("seed", self.seed, 0)
         if self.bp_base != "beam":
             raise ValueError(f"bp_base must be beam, got {self.bp_base!r}")
 
@@ -246,41 +242,6 @@ def _beam(stepper, feats: np.ndarray, max_len: int,
     return [(list(seq), total) for total, seq in best]
 
 
-def _nucleus(stepper, features: np.ndarray, max_len: int, p_threshold: float,
-             rng: np.random.Generator) -> tuple[list[int], float]:
-    """One image's nucleus sample: the emitted ids (<eos> stripped) and their
-    summed log-prob, the <eos> step included.  Sampling draws from ``rng``
-    image by image, so it runs as a plain one-row loop."""
-    state = stepper.start(np.atleast_2d(features))
-    ids: list[int] = []
-    total = 0.0
-    for step in range(max_len):
-        lp = stepper.logprobs(state)[0]
-        kept, weights = nucleus_set(np.exp(lp), p_threshold)
-        draw = np.searchsorted(np.cumsum(weights), rng.random(), side="right")
-        token = int(kept[min(draw, len(kept) - 1)])
-        total += float(lp[token])
-        if token == stepper.eos_id:
-            break
-        ids.append(token)
-        if step + 1 < max_len:
-            state = stepper.advance(state, np.array([token]))
-    return ids, total
-
-
-def nucleus_set(probs: np.ndarray, p_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest prefix of probability-sorted tokens with mass >= p_threshold,
-    with the kept probabilities renormalized.  Probability ties keep the
-    lower token id first."""
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    k = int(np.searchsorted(csum, p_threshold, side="left")) + 1
-    k = min(k, len(order))
-    kept = order[:k]
-    weights = probs[kept]
-    return kept, weights / weights.sum()
-
-
 def decode_beam(params: ModelParams, image: ImageRecord, config: DecodeConfig) -> Decoded:
     """Beam decoding of one image: ``decode_dataset`` run on a split of one."""
     return decode_dataset(params, Dataset("val", [image]), replace(config, method="beam"))[0]
@@ -307,8 +268,7 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
                    frozen: FrozenReference | None = None) -> list[Decoded]:
     """Decode every record of a split with the configured method: the one
     place that picks a decoder.  bp is beam search through ``frozen``, which
-    must share the model's encoder; the other methods ignore ``frozen``.
-    Nucleus sampling draws from one generator seeded with ``config.seed``."""
+    must share the model's encoder; the other methods ignore ``frozen``."""
     config.validate()
     if config.method == "bp":
         if frozen is None:
@@ -322,9 +282,6 @@ def decode_dataset(params: ModelParams, dataset: Dataset, config: DecodeConfig,
     feats = np.stack([rec.features for rec in dataset.records])
     if config.method == "greedy":
         found = zip(*greedy_rollout_batch(params, feats, config.beta, max_len))
-    elif config.method == "nucleus":
-        stepper, rng = _PolicyStepper(params, config.beta), np.random.default_rng(config.seed)
-        found = (_nucleus(stepper, row, max_len, config.nucleus_p, rng) for row in feats)
     else:
         found = _beam(_PolicyStepper(params, config.beta, frozen), feats, max_len,
                       config.beam_size)

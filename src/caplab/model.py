@@ -438,6 +438,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise ValueError("checkpoint metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    if not isinstance(meta.get("extra", {}), dict):
+        raise ValueError("checkpoint metadata's extra is not a JSON object")
     try:
         vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["freq"], meta["vocab"]["min_count"])
         vocab_hash, dims = meta["vocab_hash"], meta["dims"]

@@ -39,8 +39,7 @@ MICRO_CONFIG = {
     "rl": {"epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "finetune": {"lr_grid": [0.01, 0.001], "beta_prime_grid": [0.1, 1.0],
                  "batch_size": 8, "gamma": 1.0, "alpha": 1.0},
-    "decode": {"method": "beam", "beam_size": 3, "nucleus_p": 0.95, "beta": 1.0,
-               "beta_prime": 1.0},
+    "decode": {"method": "beam", "beam_size": 3, "beta": 1.0, "beta_prime": 1.0},
     "metrics": {"histogram_bins": 5},
 }
 
@@ -77,8 +76,9 @@ class TestConfig:
         ("decode", "metrics", "repetition_n", 4,
          "unknown key 'repetition_n' in metrics config"),
         ("finetune", "model", "init_scale", 0.1, "unknown key 'init_scale' in model config"),
+        ("decode", "decode", "nucleus_p", 0.95, "unknown key 'nucleus_p' in decode config"),
     ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object",
-            "joint-section", "recall-ks", "repetition-n", "init-scale"])
+            "joint-section", "recall-ks", "repetition-n", "init-scale", "nucleus-p"])
     def test_unknown_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, command,
                                         section, key, value, message, capsys):
         _, config_path, data_dir = workdir
@@ -183,10 +183,11 @@ class TestDataCheck:
          "features must be a list of numbers"),
         (_set("features", lambda rec: [rec["features"]]), "features must be a list of numbers"),
         (_set("features", lambda rec: [10**400, *rec["features"][1:]]), "too large"),
+        (_set("id", lambda rec: 0), "image id 0 repeats line 1"),
     ], ids=["not-json", "three-features", "no-references", "not-object", "id-float", "id-string",
             "id-bool", "references-string", "token-number", "token-null", "one-reference-string",
             "attributes-string", "attribute-number", "feature-string", "feature-bool",
-            "features-nested", "feature-too-large"])
+            "features-nested", "feature-too-large", "id-repeats"])
     def test_malformed_split_line_is_usage_error(self, workdir, tmp_path, edit, message,
                                                  capsys):
         """A bad second line of train.jsonl is an error naming the file and
@@ -205,6 +206,23 @@ class TestDataCheck:
                      "--data", str(copy_dir), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{path}, line 2: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_file_is_usage_error(self, workdir, ce_checkpoint, tmp_path, split,
+                                             capsys):
+        """A split file with no record, blank lines aside, is an error naming
+        the file: ``gen-data`` never writes one."""
+        _, config_path, data_dir = workdir
+        copy_dir = self.copied_data(data_dir, tmp_path / "data")
+        path = copy_dir / f"{split}.jsonl"
+        path.write_text("\n")
+        out = tmp_path / "out"
+        argv = {"train": ["train", "ce"],
+                "val": ["decode", "--checkpoint", str(ce_checkpoint), "--split", "val"]}[split]
+        assert main([*argv, "--config", str(config_path), "--data", str(copy_dir),
+                     "--out", str(out)]) == 2
+        assert f"{path} holds no record" in capsys.readouterr().err
         assert not out.exists()
 
     def test_min_count_may_differ(self, workdir, tmp_path):
@@ -428,20 +446,16 @@ class TestModeFlags:
         (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "greedy",
           "--beam-size", "3"], "--beam-size is used only by beam and bp decoding, not greedy",
          False),
-        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "nucleus",
-          "--beam-size", "3"], "--beam-size is used only by beam and bp decoding, not nucleus",
-         False),
-        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "greedy",
-          "--nucleus-p", "0.9"], "--nucleus-p is used only by nucleus decoding, not greedy", False),
-        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--nucleus-p", "0.9"],
-         "--nucleus-p is used only by nucleus decoding, not beam", False),
-        (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "bp",
-          "--frozen", "{ckpt}", "--nucleus-p", "0.9"],
-         "--nucleus-p is used only by nucleus decoding, not bp", False),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--method", "nucleus"],
+         "invalid choice: 'nucleus'", True),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--nucleus-p", "0.9"],
+         "--nucleus-p", True),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--seed", "3"], "--seed",
+         True),
     ], ids=["rl-beta-prime", "train-joint", "ce-init", "rl-without-init", "sft-beta-prime",
             "loss-surface-data", "histogram-checkpoint", "sample-freq-captions",
-            "sample-freq-split", "greedy-beam-size", "nucleus-beam-size", "greedy-nucleus-p",
-            "beam-nucleus-p", "bp-nucleus-p"])
+            "sample-freq-split", "greedy-beam-size", "decode-nucleus", "decode-nucleus-p",
+            "decode-seed"])
     def test_flag_of_another_mode_exits_2_and_writes_nothing(
             self, workdir, ce_checkpoint, tmp_path, argv, named, parser_rejects, capsys):
         _, config_path, data_dir = workdir
@@ -462,16 +476,16 @@ class TestModeFlags:
 
     @pytest.mark.parametrize("argv, recorded", [
         (["train", "rl", "--init"],
-         "6e376bab11c8dbcef9b42e72c121f50c0205953362fc2f97757a6dd0be318c04"),
+         "446a59421b0c93512da5b10abba607f0284c4fe79ee76f5c28b802e172b4e3ae"),
         (["finetune", "wft", "--sweep", "--beta-prime", "0.5", "--checkpoint"],
-         "977610cb0004b7b1e9276937220eca253fad0ca8b1d01ce5d39059d26791656b"),
+         "f022f558f17f2d1ed410792526be8bd1e0a06769294847f3feb822fec8d56c25"),
     ], ids=["train-rl", "finetune-wft-sweep"])
     def test_mode_is_not_a_setting(self, workdir, ce_checkpoint, tmp_path, argv, recorded):
         """A run records the hash of its config alone: these are the hashes
         that the same runs recorded when the mode was a flag (``--stage rl``,
         ``--method wft``), with the config's former ``joint`` section and
-        its former ``metrics.recall_ks``, ``metrics.repetition_n`` and
-        ``model.init_scale`` keys deleted."""
+        its former ``metrics.recall_ks``, ``metrics.repetition_n``,
+        ``model.init_scale`` and ``decode.nucleus_p`` keys deleted."""
         _, config_path, data_dir = workdir
         out = tmp_path / "out"
         assert main([*argv, str(ce_checkpoint), "--config", str(config_path),
@@ -544,7 +558,7 @@ class TestDecodeEval:
         first = json.loads(lines[0])
         assert set(first) == {"id", "caption", "logprob"}
 
-    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus"])
+    @pytest.mark.parametrize("method", ["greedy", "beam"])
     def test_decode_stops_at_the_models_max_len(self, workdir, ce_checkpoint, tmp_path, method):
         """The CLI leaves ``DecodeConfig.max_len`` to the checkpoint, whose
         ``max_len`` is the config's, so its captions are those of a decode
@@ -558,7 +572,7 @@ class TestDecodeEval:
         split = cli._load_bundle(str(data_dir), config).test
         params, _ = load_checkpoint(ce_checkpoint)
         decode_config = DecodeConfig(**config["decode"] | {"method": method},
-                                     max_len=config["model"]["max_len"], seed=config["seed"])
+                                     max_len=config["model"]["max_len"])
         expected = tmp_path / "expected.jsonl"
         save_captions(expected, split, decode_dataset(params, split, decode_config))
         assert out.read_bytes() == expected.read_bytes()
@@ -571,7 +585,7 @@ class TestDecodeEval:
         assert code == 2
         assert "--frozen" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus"])
+    @pytest.mark.parametrize("method", ["greedy", "beam"])
     def test_frozen_without_bp_is_usage_error(self, workdir, ce_checkpoint, tmp_path, method,
                                               capsys):
         _, config_path, data_dir = workdir
@@ -583,13 +597,11 @@ class TestDecodeEval:
         assert f"--frozen is used only by bp decoding, not {method}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [["--beam-size", "0"], ["--nucleus-p", "0"]],
-                             ids=["beam-size", "nucleus-p"])
-    def test_invalid_decode_flag_is_usage_error(self, workdir, ce_checkpoint, flag, capsys):
+    def test_invalid_decode_flag_is_usage_error(self, workdir, ce_checkpoint, capsys):
         root, config_path, data_dir = workdir
         code = main(["decode", "--checkpoint", str(ce_checkpoint),
                      "--config", str(config_path), "--data", str(data_dir),
-                     "--out", str(root / "bad_flag.jsonl"), *flag])
+                     "--out", str(root / "bad_flag.jsonl"), "--beam-size", "0"])
         assert code == 2
         assert "decode config" in capsys.readouterr().err
 
@@ -613,9 +625,9 @@ class TestDecodeEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("beam_size", 2.5), ("beam_size", True), ("beam_size", "5"), ("nucleus_p", True),
+        ("beam_size", 2.5), ("beam_size", True), ("beam_size", "5"),
         ("beta", True), ("beta_prime", False),
-    ], ids=["beam-size-float", "beam-size-bool", "beam-size-string", "nucleus-p-bool",
+    ], ids=["beam-size-float", "beam-size-bool", "beam-size-string",
             "beta-bool", "beta-prime-bool"])
     def test_decode_value_of_wrong_type_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
                                                        key, value, capsys):
@@ -969,19 +981,23 @@ class TestCheckpointChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("malformation", ["no-meta", "meta-without-vocab", "no-cls-w",
-                                              "meta-is-list", "tokens-not-a-list"])
+                                              "meta-is-list", "tokens-not-a-list",
+                                              "extra-not-object"])
     @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
     def test_malformed_checkpoint_is_usage_error(self, workdir, ce_checkpoint, tmp_path, flag,
                                                  malformation, capsys):
         _, config_path, data_dir = workdir
         with np.load(ce_checkpoint) as data:
             members = dict(data)
-        if malformation in ("meta-without-vocab", "meta-is-list", "tokens-not-a-list"):
+        if malformation in ("meta-without-vocab", "meta-is-list", "tokens-not-a-list",
+                            "extra-not-object"):
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
             if malformation == "meta-without-vocab":
                 del meta["vocab"]
             elif malformation == "meta-is-list":
                 meta = [meta]
+            elif malformation == "extra-not-object":
+                meta["extra"] = None
             else:
                 meta["vocab"]["tokens"] = 7
             members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -1174,7 +1190,7 @@ class TestFlagsFoldIntoConfig:
                 assert action.default is None, action.dest
                 dests.add(action.dest)
         assert dests == {"seed", "decode.method", "decode.beam_size",
-                         "decode.nucleus_p", "decode.beta", "decode.beta_prime",
+                         "decode.beta", "decode.beta_prime",
                          "finetune.lr_grid", "finetune.beta_prime_grid", "finetune.gamma",
                          "finetune.alpha"}
 
@@ -1266,7 +1282,7 @@ class TestConfigHash:
         assert not out.exists()
 
     def test_default_config_hash_unchanged(self, tmp_path):
-        default_hash = "4f0a24171ee5aca985dfa4d6809f088df5f64394464ae62a0785be4fec4ccb25"
+        default_hash = "b9d550ee649382746a059890cf5d95913d152bf314713f6c14610e4e29ae1d5a"
         assert config_hash(cli.load_config(None)) == default_hash
         path = tmp_path / "default.json"
         path.write_text(json.dumps(cli.DEFAULT_CONFIG))

@@ -241,8 +241,25 @@ class TestDatasetIO:
     def test_duplicate_ids_rejected(self):
         rec = ImageRecord(id=1, features=np.zeros(2), references=[["a"]])
         rec2 = ImageRecord(id=1, features=np.zeros(2), references=[["b"]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="split 'train' repeats image id 1"):
             Dataset(split="train", records=[rec, rec2])
+
+    def test_split_file_repeat_names_both_lines(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        lines = [record_to_json(ImageRecord(id=i, features=np.zeros(2), references=[["a"]]))
+                 for i in (4, 7, 4)]
+        path.write_text(f"{lines[0]}\n\n{lines[1]}\n{lines[2]}\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset_split(path, "train", 2)
+        assert str(info.value) == f"{path}, line 4: image id 4 repeats line 1"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_split_file_without_records_rejected(self, tmp_path, text):
+        path = tmp_path / "val.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_dataset_split(path, "val", 2)
+        assert str(info.value) == f"{path} holds no record"
 
     def test_special_token_in_reference_rejected(self):
         rec = ImageRecord(id=1, features=np.zeros(2), references=[[BOS, "a"]])

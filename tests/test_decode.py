@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from caplab.decode import (
     decode_dataset,
     greedy_rollout_batch,
     load_captions,
-    nucleus_set,
     save_captions,
 )
 from caplab.losses import FrozenReference, check_shared_encoder
@@ -40,13 +39,6 @@ def small_dims():
 def random_image(seed, dim=3):
     rng = np.random.default_rng(seed)
     return ImageRecord(id=seed, features=rng.normal(size=dim), references=[["a"]])
-
-
-def decode_nucleus(params, image, config):
-    """Nucleus sampling of one image: ``decode_dataset`` over a split of one,
-    drawing from a generator seeded with ``config.seed``."""
-    assert config.method == "nucleus"
-    return decode_dataset(params, Dataset("val", [image]), config)[0]
 
 
 def bp_greedy(params, frozen, records, beta=1.0):
@@ -231,77 +223,6 @@ class TestBeam:
                 decoder(params, random_image(0), DecodeConfig(method=method, beam_size=0))
 
 
-class TestNucleus:
-    def test_singleton_nucleus_is_greedy(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 7, 0.5)
-        image = random_image(7)
-        greedy = decode_greedy(params, image, DecodeConfig(method="greedy"))
-        # p below any achievable top probability forces the argmax token
-        for seed in (0, 5):
-            out = decode_nucleus(params, image,
-                                 DecodeConfig(method="nucleus", nucleus_p=1e-9, seed=seed))
-            assert out.ids == greedy.ids
-
-    def test_emitted_tokens_inside_nucleus(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 8, 0.7)
-        image = random_image(8)
-        out = decode_nucleus(params, image, DecodeConfig(method="nucleus", nucleus_p=0.8, seed=4))
-        # replay the decode, recomputing each step's nucleus set
-        prefix = [small_vocab.bos_id]
-        emitted = out.ids + [small_vocab.eos_id] if len(out.ids) < small_dims.max_len else out.ids
-        for token in emitted:
-            probs = softmax_temp(score_step(params, image.features, prefix), 1.0)
-            kept, _ = nucleus_set(probs, 0.8)
-            assert token in set(kept.tolist())
-            prefix.append(token)
-
-    def test_full_mass_equals_plain_multinomial_statistically(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 9, 0.4)
-        for name in ("embed", "img_w", "img_b", "wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn"):
-            getattr(params, name)[:] = 0.0
-        params.cls_w[:] = 0.0
-        params.cls_b[:] = np.array([0.9, 0.1, -0.7, -0.3, 0.2])
-        probs = softmax_temp(params.cls_b, 1.0)
-        features = random_image(9).features
-        n = 40_000
-        # one image n times: the split's images draw from one generator in turn
-        split = Dataset("val", [ImageRecord(id=i, features=features, references=[["a"]])
-                                for i in range(n)])
-        config = DecodeConfig(method="nucleus", nucleus_p=1.0, max_len=1, seed=11)
-        counts = np.zeros(len(small_vocab))
-        for out in decode_dataset(params, split, config):
-            token = out.ids[0] if out.ids else small_vocab.eos_id
-            counts[token] += 1
-        for t in range(len(small_vocab)):
-            sigma = np.sqrt(probs[t] * (1 - probs[t]) / n)
-            assert abs(counts[t] / n - probs[t]) <= 3 * sigma + 1e-9
-
-    def test_deterministic_given_seed(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 10, 0.6)
-        image = random_image(10)
-        config = DecodeConfig(method="nucleus", nucleus_p=0.9, seed=3)
-        a = decode_nucleus(params, image, config)
-        b = decode_nucleus(params, image, config)
-        assert a.ids == b.ids
-
-    def test_default_seed_decodes_a_split_identically_twice(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 13, 0.3)
-        split = random_split(8)
-        config = DecodeConfig(method="nucleus")
-        assert decode_dataset(params, split, config) == decode_dataset(params, split, config)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, None])
-    def test_bad_seed_rejected(self, small_vocab, small_dims, seed):
-        params = init_params(small_vocab, small_dims, 3)
-        with pytest.raises(ValueError, match="seed"):
-            decode_nucleus(params, random_image(0), DecodeConfig(method="nucleus", seed=seed))
-
-    def test_invalid_p(self, small_vocab, small_dims):
-        params = init_params(small_vocab, small_dims, 3)
-        with pytest.raises(ValueError):
-            decode_nucleus(params, random_image(0), DecodeConfig(method="nucleus", nucleus_p=0.0))
-
-
 class TestBiasProductDecoding:
     def test_beta_prime_zero_identical_to_plain(self, small_vocab, small_dims):
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 12, beta_prime=0.0)
@@ -343,7 +264,6 @@ class TestHygiene:
         before = params.full_hash()
         decode_greedy(params, image, DecodeConfig(method="greedy"))
         decode_beam(params, image, DecodeConfig(method="beam", beam_size=3))
-        decode_nucleus(params, image, DecodeConfig(method="nucleus", seed=0))
         decode_bp(params, frozen, image, DecodeConfig(method="bp"))
         assert params.full_hash() == before
 
@@ -353,9 +273,8 @@ class TestHygiene:
         for config in (
             DecodeConfig(method="greedy", max_len=3),
             DecodeConfig(method="beam", beam_size=3, max_len=3),
-            DecodeConfig(method="nucleus", max_len=3, seed=0),
         ):
-            fn = {"greedy": decode_greedy, "beam": decode_beam, "nucleus": decode_nucleus}
+            fn = {"greedy": decode_greedy, "beam": decode_beam}
             assert len(fn[config.method](params, image, config).ids) <= 3
 
     def test_caption_file_round_trip(self, small_vocab, small_dims, micro_bundle, tmp_path):
@@ -374,8 +293,7 @@ class TestHygiene:
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 22)
         split = random_split(5)
         before, frozen_before = params.full_hash(), frozen.hash_hex()
-        for config in (DecodeConfig(method="greedy"), DecodeConfig(method="beam", beam_size=3),
-                       DecodeConfig(method="nucleus", seed=0)):
+        for config in (DecodeConfig(method="greedy"), DecodeConfig(method="beam", beam_size=3)):
             decode_dataset(params, split, config)
         decode_dataset(params, split, DecodeConfig(method="bp"), frozen=frozen)
         bp_greedy(params, frozen, split.records)
@@ -729,7 +647,7 @@ class TestSharedEncoder:
 
 
 class TestSplitEdgeCases:
-    @pytest.mark.parametrize("method", ["greedy", "beam", "nucleus", "bp"])
+    @pytest.mark.parametrize("method", ["greedy", "beam", "bp"])
     def test_empty_split_decodes_to_nothing(self, small_vocab, small_dims, method):
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 900)
         empty = Dataset("val", [])
@@ -744,6 +662,35 @@ class TestSplitEdgeCases:
         bp = DecodeConfig(method="bp", beam_size=4)
         assert (decode_dataset(params, split, bp, frozen=frozen)
                 == [decode_bp(params, frozen, image, bp)])
+
+    def test_decoding_is_search_only(self):
+        """Every method is a deterministic search: the config carries no
+        seed and no sampling setting, and a sampling method is rejected."""
+        assert [f.name for f in fields(DecodeConfig)] == [
+            "method", "beam_size", "max_len", "beta", "beta_prime", "bp_base"]
+        with pytest.raises(ValueError, match="greedy, beam or bp"):
+            DecodeConfig(method="nucleus").validate()
+
+    @pytest.mark.parametrize("method", ["greedy", "beam", "bp"])
+    def test_decoding_draws_no_random_numbers(self, wide_vocab, small_dims, method,
+                                             monkeypatch):
+        """With numpy's generator constructor made to fail, each method
+        decodes a split as before and leaves the global random state as it
+        was."""
+        params, frozen = shared_encoder_pair(wide_vocab, small_dims, 902)
+        split = random_split(4)
+        config = DecodeConfig(method=method, beam_size=3)
+        expected = decode_dataset(params, split, config, frozen=frozen)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("decoding built a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        state = np.random.get_state()
+        assert decode_dataset(params, split, config, frozen=frozen) == expected
+        after = np.random.get_state()
+        assert after[0] == state[0] and after[2:] == state[2:]
+        np.testing.assert_array_equal(after[1], state[1])
 
     def test_bp_searches_by_beam_only(self):
         with pytest.raises(ValueError, match="bp_base"):
@@ -760,7 +707,6 @@ class TestSplitEdgeCases:
     @pytest.mark.parametrize("field, value", [
         ("beam_size", 2.5), ("beam_size", 3.0), ("beam_size", True), ("beam_size", "5"),
         ("beam_size", None), ("max_len", 2.5), ("max_len", True), ("max_len", "4"),
-        ("nucleus_p", True), ("nucleus_p", "0.9"), ("nucleus_p", None),
         ("beta", True), ("beta", False), ("beta", "1"), ("beta_prime", True),
         ("beta_prime", "0.5"),
     ])
@@ -769,5 +715,5 @@ class TestSplitEdgeCases:
             DecodeConfig(**{field: value}).validate()
 
     def test_integers_and_reals_of_any_kind_accepted(self):
-        DecodeConfig(beam_size=np.int64(3), max_len=np.int32(4), nucleus_p=np.float64(0.5),
-                     beta=1, beta_prime=np.float32(0.5)).validate()
+        DecodeConfig(beam_size=np.int64(3), max_len=np.int32(4), beta=1,
+                     beta_prime=np.float32(0.5)).validate()

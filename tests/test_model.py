@@ -285,6 +285,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint dims"):
             load_checkpoint(path)
 
+    @staticmethod
+    def rewrite_meta(path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+        metadata, the arrays untouched."""
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        edit(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("extra", [None, [0.7], "beta_prime", 0.7],
+                             ids=["null", "list", "string", "number"])
+    def test_extra_not_an_object_rejected(self, tiny_model, tmp_path, extra):
+        path = tmp_path / "model.npz"
+        save_checkpoint(tiny_model, path, extra={"beta_prime": 0.7})
+        self.rewrite_meta(path, lambda meta: meta.update(extra=extra))
+        with pytest.raises(ValueError, match="extra is not a JSON object"):
+            load_checkpoint(path)
+
+    def test_absent_extra_loads(self, tiny_model, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(tiny_model, path)
+        self.rewrite_meta(path, lambda meta: meta.pop("extra"))
+        loaded, meta = load_checkpoint(path)
+        assert "extra" not in meta
+        assert loaded.full_hash() == tiny_model.full_hash()
+
 
 def masked_sigmoid(x):
     """The logistic function with a per-sign branch, the reference form."""
