@@ -3,7 +3,7 @@
 Subcommands: gen-data, train {ce,rl}, finetune {sft,wft,fl,afl}, decode,
 eval and analyze {histogram,sample-freq,loss-surface}.  Each leaf parser
 declares only the flags its mode reads, so a flag the run would not read
-(``--init`` on ``train ce``, ``--beta-prime`` outside ``finetune wft``,
+(``--init`` on ``train ce``, ``--beta-prime`` on ``finetune sft``,
 ``--data`` on ``analyze loss-surface``) is an argparse usage error.  A JSON
 experiment file supplies every stage's settings.  A flag that overrides a
 setting has its config key as destination (``analyze loss-surface --gamma``
@@ -14,11 +14,9 @@ run and hash.  An integer in the file where the default is a float is read
 as that float, so ``1`` and ``1.0`` do too.  Commands read settings from
 that config only, the decoding with which ``finetune --sweep`` scores the
 validation split included: it is the ``decode`` section that ``decode``
-reads, so ``decode.method: "bp"`` makes a wft sweep decode through the bias
-product with each point's frozen copy.  One setting can come from an input
-instead: bp ``decode`` takes β′ from the ``--frozen`` checkpoint's
-``extra.beta_prime`` when it records one, as ``finetune wft`` writes it, and
-from ``decode.beta_prime`` only otherwise.  All randomness is funneled through
+reads.  β′ is ``finetune.beta_prime_grid``'s alone: a run that reads one
+value, ``finetune wft`` without ``--sweep`` and ``analyze loss-surface``,
+takes a one-point grid (``--beta-prime``).  All randomness is funneled through
 one seeded generator per stage, derived from the master seed, so every
 command is reproducible from (config, seed).  Checkpoints,
 ``dataset.meta.json`` (for the splits) and the eval CSV carry the config
@@ -31,13 +29,13 @@ dataclass it feeds (``SynthConfig``, ``ModelDims``, ``DecodeConfig``,
 ``FinetuneConfig``) or, for the sections no dataclass takes (ce, rl,
 metrics), by a short check here.  A bad value in any section, even one the
 command does not use, is a usage error (exit 2) that names ``section.key``.
-A checkpoint given by ``--init``, ``--checkpoint`` or ``--frozen`` is
-checked once, as it is loaded, against the data's vocabulary and the
-config's model dimensions (``model.check_matches``).  ``decode`` reads its
+A checkpoint given by ``--init`` or ``--checkpoint`` is checked once, as it
+is loaded, against the data's vocabulary and the config's model dimensions
+(``model.check_matches``).  ``decode`` is greedy or beam search with the
+model alone; ``decode.method: "bp"`` is a usage error.  ``decode`` reads its
 method from the config, which the parser cannot see, so ``cmd_decode``
-checks the flags that only some methods read: ``--frozen`` only bp and
-``--beam-size`` only beam and bp.  Every decoding method is a deterministic
-search, so ``decode`` reads no seed and takes no ``--seed``.
+checks that ``--beam-size`` comes only with beam.  Both methods are
+deterministic searches, so ``decode`` reads no seed and takes no ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 config key that ``DEFAULT_CONFIG`` does not have, at any level, is a usage
@@ -63,7 +61,7 @@ from .corpus import (Dataset, atomic_write, build_vocab, check_count, check_hist
                      check_number, freq_histogram, load_dataset_split, save_dataset_split)
 from .decode import DecodeConfig, decode_dataset, load_captions, save_captions
 from .finetune import FinetuneConfig, finetune, sweep
-from .losses import FrozenReference, check_shared_encoder, loss_surface
+from .losses import loss_surface
 from .metrics import evaluate
 from .model import (
     ModelDims,
@@ -96,7 +94,7 @@ DEFAULT_CONFIG: dict = {
         "gamma": 1.0,
         "alpha": 1.0,
     },
-    "decode": {"method": "beam", "beam_size": 5, "beta": 1.0, "beta_prime": 1.0},
+    "decode": {"method": "beam", "beam_size": 5, "beta": 1.0},
     "metrics": {"histogram_bins": 200},
 }
 
@@ -145,6 +143,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(config_path, encoding="utf-8") as fh:
             user = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {config_path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     return _merged(DEFAULT_CONFIG, user)
@@ -191,6 +191,8 @@ def _check_config(config: dict) -> None:
         _model_dims(config).validate()
     with _usage("invalid decode config: decode."):
         _decode_config(config).validate()
+        if config["decode"]["method"] == "bp":
+            raise ValueError("method must be greedy or beam, got 'bp'")
     section = config["finetune"]
     with _usage("invalid finetune config: finetune."):
         for key, positive in (("lr_grid", True), ("beta_prime_grid", False)):
@@ -211,6 +213,15 @@ def _check_config(config: dict) -> None:
             check_number("lr", section["lr"], positive=True)
     with _usage("invalid metrics config: metrics."):
         check_count("histogram_bins", config["metrics"]["histogram_bins"], 1)
+
+
+def _one_value(config: dict, key: str, flag: str, reader: str):
+    """The one value of ``finetune.{key}``, for ``reader``, which reads one;
+    a grid of more values is a usage error that names ``flag``."""
+    grid = config["finetune"][key]
+    if len(grid) > 1:
+        raise UsageError(f"finetune.{key} has {len(grid)} values; {reader}, give one with {flag}")
+    return grid[0]
 
 
 def _out_path(raw: str) -> Path:
@@ -354,14 +365,10 @@ def cmd_finetune(args) -> int:
     config, cfg_hash = _resolve_config(args)
     seed = config["seed"]
     section = config["finetune"]
-    for key, flag in (("lr_grid", "--lr"), ("beta_prime_grid", "--beta-prime")):
-        if not args.sweep and len(section[key]) > 1 and (key == "lr_grid" or args.method == "wft"):
-            raise UsageError(f"finetune.{key} has {len(section[key])} values; without --sweep,"
-                             f" give one with {flag}")
-    decode_config = _decode_config(config)
-    if args.sweep and decode_config.method == "bp" and args.method != "wft":
-        raise UsageError("decode.method bp needs finetune wft: the sweep decodes through the"
-                         " frozen reference that only wft trains against")
+    if not args.sweep:
+        _one_value(config, "lr_grid", "--lr", "without --sweep")
+        if args.method == "wft":
+            _one_value(config, "beta_prime_grid", "--beta-prime", "without --sweep")
     bundle = _load_bundle(args.data, config)
     vocab = _vocab_for(config, bundle)
     checkpoint, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
@@ -375,11 +382,9 @@ def cmd_finetune(args) -> int:
 
     if args.sweep:
         stats = corpus_stats_for(vocab, bundle.train)
-        result = sweep(checkpoint, bundle, stats, points, seed, decode_config)
-        variant = "bp" if decode_config.method == "bp" else "plain"
-        sweep_path = out / f"{args.method}_{variant}_sweep.csv"
-        _write_csv(sweep_path, result.rows,
-                   ["method", "lr", "beta_prime", "r_at_1", "unique_1", "cider"])
+        result = sweep(checkpoint, bundle, stats, points, seed, _decode_config(config))
+        sweep_path = out / f"{args.method}_sweep.csv"
+        _write_csv(sweep_path, result.rows, list(result.rows[0]))
         best = result.best_result
         print(f"best grid point: lr={result.best['lr']} beta_prime={result.best['beta_prime']}"
               f" r@1={result.best['r_at_1']:.2f}")
@@ -388,10 +393,6 @@ def cmd_finetune(args) -> int:
 
     ckpt_path = out / f"{args.method}.npz"
     save_checkpoint(best.params, ckpt_path, config_hash=cfg_hash)
-    if best.frozen is not None:
-        frozen_path = out / f"{args.method}_frozen.npz"
-        save_checkpoint(best.frozen.params, frozen_path, config_hash=cfg_hash,
-                        extra={"beta_prime": best.frozen.beta_prime})
     print(f"wrote {ckpt_path}")
     return 0
 
@@ -399,26 +400,13 @@ def cmd_finetune(args) -> int:
 def cmd_decode(args) -> int:
     config, _ = _resolve_config(args)
     decode_config = _decode_config(config)
-    method = decode_config.method
-    if method == "bp" and args.frozen is None:
-        raise UsageError("--frozen is required for bp decoding")
-    for flag, value, readers in (("--frozen", args.frozen, ("bp",)),
-                                 ("--beam-size", getattr(args, "decode.beam_size"), ("beam", "bp"))):
-        if value is not None and method not in readers:
-            raise UsageError(f"{flag} is used only by {' and '.join(readers)} decoding,"
-                             f" not {method}")
+    if getattr(args, "decode.beam_size") is not None and decode_config.method != "beam":
+        raise UsageError(f"--beam-size is used only by beam decoding, not {decode_config.method}")
     bundle = _load_bundle(args.data, config)
     dataset = _split(bundle, args.split)
     vocab = _vocab_for(config, bundle)
     params, _ = _require_checkpoint(args.checkpoint, "--checkpoint", vocab, config)
-    frozen = None
-    if decode_config.method == "bp":
-        frozen_params, meta = _require_checkpoint(args.frozen, "--frozen", vocab, config)
-        beta_prime = meta.get("extra", {}).get("beta_prime", decode_config.beta_prime)
-        with _usage(f"invalid frozen checkpoint {args.frozen}: "):
-            frozen = FrozenReference(frozen_params, beta_prime)
-            check_shared_encoder(params, frozen)
-    decoded = decode_dataset(params, dataset, decode_config, frozen=frozen)
+    decoded = decode_dataset(params, dataset, decode_config)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_captions(out, dataset, decoded)
@@ -465,11 +453,12 @@ def cmd_analyze(args) -> int:
     out = _out_path(args.out)
 
     if args.what == "loss-surface":
-        temps, weights = config["decode"], config["finetune"]
+        beta_prime = _one_value(config, "beta_prime_grid", "--beta-prime", "loss-surface reads one")
+        weights = config["finetune"]
         with _usage():
             check_count("--grid-points", args.grid_points, 1)
             rows = loss_surface(np.linspace(args.p1_min, args.p1_max, args.grid_points),
-                                beta=temps["beta"], beta_prime=temps["beta_prime"],
+                                beta=config["decode"]["beta"], beta_prime=beta_prime,
                                 gamma=weights["gamma"], alpha=weights["alpha"])
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, rows, ["p1", "ce", "bp", "fl", "afl"])
@@ -550,9 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", parents=[run, data], help="decode a split to a caption file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--method", dest="decode.method", choices=["greedy", "beam", "bp"])
+    p.add_argument("--method", dest="decode.method", choices=["greedy", "beam"])
     p.add_argument("--beam-size", dest="decode.beam_size", type=int)
-    p.add_argument("--frozen", help="frozen reference checkpoint (bp decoding)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", parents=[run, data], help="score a caption file against a split",
@@ -576,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = analyses.add_parser("loss-surface", parents=[run],
                             help="CE, BP, FL and AFL losses over the gold word's probability")
     p.add_argument("--beta", dest="decode.beta", type=float)
-    p.add_argument("--beta-prime", dest="decode.beta_prime", type=float)
+    p.add_argument("--beta-prime", dest="finetune.beta_prime_grid", type=float,
+                   help="one-point beta' grid")
     p.add_argument("--gamma", dest="finetune.gamma", type=float)
     p.add_argument("--alpha", dest="finetune.alpha", type=float)
     p.add_argument("--p1-min", dest="p1_min", type=float, default=0.005)

@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,30 +270,40 @@ def save_dataset_split(dataset: Dataset, path) -> None:
             fh.write(record_to_json(rec) + "\n")
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(number, stripped text) of every non-blank line of ``path``, each
+    decoded from its own bytes, so that a line that is not UTF-8 raises
+    ValueError naming the file and the line.  Lines end at ``\n``."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not UTF-8 ({exc})") from None
+            if line:
+                yield number, line
+
+
 def load_dataset_split(path, split: str, feature_dim: int) -> Dataset:
     """The split ``save_dataset_split`` wrote to ``path``, each record
-    validated to hold ``feature_dim`` features.  A line that is not JSON,
-    not such a record, or whose image id an earlier line gave, raises
+    validated to hold ``feature_dim`` features.  A line that is not UTF-8
+    JSON of such a record, or whose image id an earlier line gave, raises
     ValueError naming the file and the line number, as does a file with no
     record."""
     records, line_of = [], {}
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = record_from_json(line)
-                rec.validate(feature_dim)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
-            if rec.id in line_of:
-                raise ValueError(f"{path}, line {number}: image id {rec.id} repeats"
-                                 f" line {line_of[rec.id]}")
-            line_of[rec.id] = number
-            records.append(rec)
+    for number, line in text_lines(path):
+        try:
+            rec = record_from_json(line)
+            rec.validate(feature_dim)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+        if rec.id in line_of:
+            raise ValueError(f"{path}, line {number}: image id {rec.id} repeats"
+                             f" line {line_of[rec.id]}")
+        line_of[rec.id] = number
+        records.append(rec)
     if not records:
         raise ValueError(f"{path} holds no record")
     return Dataset(split=split, records=records)

@@ -32,12 +32,13 @@ greedy rollout makes.  Only the images whose greedy child was not kept are
 rolled out again, over their own features.  With beam size 1 the greedy
 child is always the kept pick, so no second recurrence runs.
 
-Bias-product (bp) decoding is beam search through the frozen reference,
-over the renormalized product of the model at β and the reference at β′.
-It runs one recurrence and reads each state through both classifiers.
-That is exact only when both models compute the same states, so the frozen
-reference must share the model's embedding and encoder byte for byte, as
-it does after a classifier-only fine-tune; any other reference is rejected.
+Bias-product (bp) decoding, which only the benchmark's ``wft_point`` runs
+(the pipeline decodes with the model alone), is beam search through the
+frozen reference, over the renormalized product of the model at β and the
+reference at β′.  It runs one recurrence and reads each state through both
+classifiers.  That is exact only when both models compute the same states,
+so the frozen reference must share the model's embedding and encoder byte
+for byte, as after a classifier-only fine-tune; any other is rejected.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dataset, ImageRecord, atomic_write, check_count, check_number
+from .corpus import Dataset, ImageRecord, atomic_write, check_count, check_number, text_lines
 from .losses import FrozenReference, bp_log_probs, check_shared_encoder
 from .model import (
     ModelParams,
@@ -65,7 +66,6 @@ class DecodeConfig:
     beam_size: int = 5
     max_len: int | None = None  # defaults to the model's max_len
     beta: float = 1.0
-    beta_prime: float = 1.0     # CLI bp only: β′ when the --frozen checkpoint records none
     bp_base: str = "beam"       # bp decoding searches by beam only
 
     def validate(self) -> None:
@@ -75,7 +75,6 @@ class DecodeConfig:
         if self.max_len is not None:
             check_count("max_len", self.max_len, 1)
         check_number("beta", self.beta)
-        check_number("beta_prime", self.beta_prime)
         if self.bp_base != "beam":
             raise ValueError(f"bp_base must be beam, got {self.bp_base!r}")
 
@@ -300,27 +299,23 @@ def save_captions(path, dataset: Dataset, decoded: Sequence[Decoded]) -> None:
 def load_captions(path) -> dict[int, list[str]]:
     """id -> caption tokens, read back from a caption file.
 
-    A line that is not a JSON object with an integer ``id`` and a string
-    ``caption``, or whose id an earlier line gave, raises ValueError naming
-    the file and the line number.
+    A line that is not UTF-8 JSON of an object with an integer ``id`` and a
+    string ``caption``, or whose id an earlier line gave, raises ValueError
+    naming the file and the line number.
     """
     captions = {}
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
-            record = obj if isinstance(obj, dict) else {}
-            image_id, caption = record.get("id"), record.get("caption")
-            if not (type(image_id) is int and isinstance(caption, str)):  # bool is not an id
-                raise ValueError(f"{path}, line {number}: a caption record needs an integer"
-                                 ' "id" and a string "caption"')
-            if image_id in captions:
-                raise ValueError(f"{path}, line {number}: image id {image_id} has a caption"
-                                 " on an earlier line")
-            captions[image_id] = caption.split()
+    for number, line in text_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}, line {number}: not JSON ({exc})") from None
+        record = obj if isinstance(obj, dict) else {}
+        image_id, caption = record.get("id"), record.get("caption")
+        if not (type(image_id) is int and isinstance(caption, str)):  # bool is not an id
+            raise ValueError(f"{path}, line {number}: a caption record needs an integer"
+                             ' "id" and a string "caption"')
+        if image_id in captions:
+            raise ValueError(f"{path}, line {number}: image id {image_id} has a caption"
+                             " on an earlier line")
+        captions[image_id] = caption.split()
     return captions

@@ -26,9 +26,9 @@ with ``rare_mention_rate`` 0.3), where the states of every pair would take
 
 A sweep encodes the table once and fine-tunes each point its caller lists
 on it, decodes the validation split of each with the caller's decoding
-settings (bp decoding through the point's frozen copy), and keeps the model
-with the best validation retrieval R@1, ties toward the smaller learning
-rate and then the smaller reference temperature.
+settings and the fine-tuned model alone (the frozen copy serves the loss
+only), and keeps the model with the best validation retrieval R@1, ties
+toward the smaller learning rate and then the smaller reference temperature.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def sweep(checkpoint: ModelParams, data: DataBundle, stats: CiderCorpusStats,
     best = best_result = None
     for config in points:
         result = fit_classifier(checkpoint, table, config, seed)
-        decoded = decode_dataset(result.params, data.val, decode_config, frozen=result.frozen)
+        decoded = decode_dataset(result.params, data.val, decode_config)
         report = evaluate([dec.tokens for dec in decoded], data.val, checkpoint.vocab, stats)
         row = {
             "method": config.method,

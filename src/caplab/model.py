@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -406,7 +407,7 @@ def log_softmax_temp(z: np.ndarray, beta: float) -> np.ndarray:
 # its hash.  Round trips are bit-exact because float64 buffers are stored raw.
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, path, config_hash: str = "", extra: dict | None = None) -> None:
+def save_checkpoint(params: ModelParams, path, config_hash: str = "") -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "dims": asdict(params.dims),
@@ -417,7 +418,6 @@ def save_checkpoint(params: ModelParams, path, config_hash: str = "", extra: dic
         },
         "vocab_hash": params.vocab.hash_hex(),
         "config_hash": config_hash,
-        "extra": extra or {},
     }
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     arrays = {name: np.ascontiguousarray(arr, dtype=np.float64) for name, arr in params.arrays().items()}
@@ -427,8 +427,15 @@ def save_checkpoint(params: ModelParams, path, config_hash: str = "", extra: dic
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """The parameters and metadata ``save_checkpoint`` wrote to ``path``;
-    ValueError if the file is not such a checkpoint."""
-    with np.load(path) as data:
+    ValueError if the file is not such a checkpoint.  Metadata no check
+    reads, such as older checkpoints' ``extra``, is returned as it is."""
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:  # ValueError: not .npy either
+        raise ValueError(f"not an .npz archive: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive but a single .npy array")
+    with data:
         missing = [name for name in ("meta", *ALL_ARRAYS) if name not in data]
         if missing:
             raise ValueError(f"checkpoint has no {', '.join(missing)} member")
@@ -438,8 +445,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise ValueError("checkpoint metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-    if not isinstance(meta.get("extra", {}), dict):
-        raise ValueError("checkpoint metadata's extra is not a JSON object")
     try:
         vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["freq"], meta["vocab"]["min_count"])
         vocab_hash, dims = meta["vocab_hash"], meta["dims"]

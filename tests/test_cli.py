@@ -18,8 +18,7 @@ from caplab.cli import main
 from caplab.corpus import (Dataset, build_vocab, freq_histogram, load_dataset_split,
                            save_dataset_split)
 from caplab.decode import DecodeConfig, Decoded, decode_dataset, save_captions
-from caplab.finetune import FinetuneConfig, sweep
-from caplab.losses import FrozenReference
+from caplab.losses import loss_surface
 from caplab.metrics import evaluate
 from caplab.model import (ModelDims, config_hash, init_params, load_checkpoint, save_checkpoint,
                           stage_rng)
@@ -39,9 +38,12 @@ MICRO_CONFIG = {
     "rl": {"epochs": 1, "lr": 0.02, "batch_size": 8, "samples_per_image": 2},
     "finetune": {"lr_grid": [0.01, 0.001], "beta_prime_grid": [0.1, 1.0],
                  "batch_size": 8, "gamma": 1.0, "alpha": 1.0},
-    "decode": {"method": "beam", "beam_size": 3, "beta": 1.0, "beta_prime": 1.0},
+    "decode": {"method": "beam", "beam_size": 3, "beta": 1.0},
     "metrics": {"histogram_bins": 5},
 }
+
+# loss-surface reads one β′, and MICRO_CONFIG's grid has two
+ONE_BETA_PRIME = ["--beta-prime", "1.0"]
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +79,10 @@ class TestConfig:
          "unknown key 'repetition_n' in metrics config"),
         ("finetune", "model", "init_scale", 0.1, "unknown key 'init_scale' in model config"),
         ("decode", "decode", "nucleus_p", 0.95, "unknown key 'nucleus_p' in decode config"),
+        ("decode", "decode", "beta_prime", 1.0, "unknown key 'beta_prime' in decode config"),
     ], ids=["ce-key", "decode-key", "top-level-key", "finetune-epochs", "section-not-object",
-            "joint-section", "recall-ks", "repetition-n", "init-scale", "nucleus-p"])
+            "joint-section", "recall-ks", "repetition-n", "init-scale", "nucleus-p",
+            "beta-prime"])
     def test_unknown_key_is_usage_error(self, workdir, ce_checkpoint, tmp_path, command,
                                         section, key, value, message, capsys):
         _, config_path, data_dir = workdir
@@ -95,6 +99,17 @@ class TestConfig:
         }[command]
         assert main([*argv, "--config", str(bad_path), "--data", str(data_dir)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_not_utf8_is_usage_error(self, workdir, tmp_path, capsys):
+        """A config file that is not UTF-8 is an error naming the file."""
+        _, config_path, data_dir = workdir
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_bytes(config_path.read_bytes().replace(b'"beam"', b'"be\xffam"'))
+        out = tmp_path / "out"
+        assert main(["train", "ce", "--config", str(bad_path), "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        assert f"config file {bad_path} is not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -206,6 +221,24 @@ class TestDataCheck:
                      "--data", str(copy_dir), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{path}, line 2: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_split_line_not_utf8_is_usage_error(self, workdir, ce_checkpoint, tmp_path, split,
+                                                capsys):
+        """A byte that is not UTF-8 on line 2 is an error naming the file and
+        that line."""
+        _, config_path, data_dir = workdir
+        copy_dir = self.copied_data(data_dir, tmp_path / "data")
+        path = copy_dir / f"{split}.jsonl"
+        first, second, *rest = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([first, second.replace(b'"id"', b'"\xffid"'), *rest]))
+        out = tmp_path / "out"
+        argv = {"train": ["train", "ce"],
+                "val": ["decode", "--checkpoint", str(ce_checkpoint), "--split", "val"]}[split]
+        assert main([*argv, "--config", str(config_path), "--data", str(copy_dir),
+                     "--out", str(out)]) == 2
+        assert f"{path}, line 2: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("split", ["train", "val"])
@@ -444,18 +477,21 @@ class TestModeFlags:
         (["analyze", "sample-freq", "--checkpoint", "{ckpt}", "--data", "{data}",
           "--split", "val"], "--split", True),
         (["decode", "--checkpoint", "{ckpt}", "--data", "{nowhere}", "--method", "greedy",
-          "--beam-size", "3"], "--beam-size is used only by beam and bp decoding, not greedy",
-         False),
+          "--beam-size", "3"], "--beam-size is used only by beam decoding, not greedy", False),
         (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--method", "nucleus"],
          "invalid choice: 'nucleus'", True),
         (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--nucleus-p", "0.9"],
          "--nucleus-p", True),
         (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--seed", "3"], "--seed",
          True),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--method", "bp"],
+         "invalid choice: 'bp'", True),
+        (["decode", "--checkpoint", "{ckpt}", "--data", "{data}", "--frozen", "{ckpt}"],
+         "--frozen", True),
     ], ids=["rl-beta-prime", "train-joint", "ce-init", "rl-without-init", "sft-beta-prime",
             "loss-surface-data", "histogram-checkpoint", "sample-freq-captions",
             "sample-freq-split", "greedy-beam-size", "decode-nucleus", "decode-nucleus-p",
-            "decode-seed"])
+            "decode-seed", "decode-bp", "decode-frozen"])
     def test_flag_of_another_mode_exits_2_and_writes_nothing(
             self, workdir, ce_checkpoint, tmp_path, argv, named, parser_rejects, capsys):
         _, config_path, data_dir = workdir
@@ -476,16 +512,17 @@ class TestModeFlags:
 
     @pytest.mark.parametrize("argv, recorded", [
         (["train", "rl", "--init"],
-         "446a59421b0c93512da5b10abba607f0284c4fe79ee76f5c28b802e172b4e3ae"),
+         "b61f7b8dc3c25b8530d39ac7cc44d47f28fa4232f83a53b5f9b48699098f1187"),
         (["finetune", "wft", "--sweep", "--beta-prime", "0.5", "--checkpoint"],
-         "f022f558f17f2d1ed410792526be8bd1e0a06769294847f3feb822fec8d56c25"),
+         "33bd5eaed9bdec4fa474f31c319c741d964bb27cbab652a267ade816d7bd2479"),
     ], ids=["train-rl", "finetune-wft-sweep"])
     def test_mode_is_not_a_setting(self, workdir, ce_checkpoint, tmp_path, argv, recorded):
         """A run records the hash of its config alone: these are the hashes
         that the same runs recorded when the mode was a flag (``--stage rl``,
         ``--method wft``), with the config's former ``joint`` section and
         its former ``metrics.recall_ks``, ``metrics.repetition_n``,
-        ``model.init_scale`` and ``decode.nucleus_p`` keys deleted."""
+        ``model.init_scale``, ``decode.nucleus_p`` and ``decode.beta_prime``
+        keys deleted."""
         _, config_path, data_dir = workdir
         out = tmp_path / "out"
         assert main([*argv, str(ce_checkpoint), "--config", str(config_path),
@@ -577,26 +614,6 @@ class TestDecodeEval:
         save_captions(expected, split, decode_dataset(params, split, decode_config))
         assert out.read_bytes() == expected.read_bytes()
 
-    def test_bp_without_frozen_names_flag(self, workdir, ce_checkpoint, capsys):
-        root, config_path, data_dir = workdir
-        code = main(["decode", "--checkpoint", str(ce_checkpoint),
-                     "--config", str(config_path), "--data", str(data_dir),
-                     "--method", "bp", "--out", str(root / "x.jsonl")])
-        assert code == 2
-        assert "--frozen" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["greedy", "beam"])
-    def test_frozen_without_bp_is_usage_error(self, workdir, ce_checkpoint, tmp_path, method,
-                                              capsys):
-        _, config_path, data_dir = workdir
-        out = tmp_path / "x.jsonl"
-        code = main(["decode", "--checkpoint", str(ce_checkpoint),
-                     "--config", str(config_path), "--data", str(data_dir),
-                     "--method", method, "--frozen", str(ce_checkpoint), "--out", str(out)])
-        assert code == 2
-        assert f"--frozen is used only by bp decoding, not {method}" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_invalid_decode_flag_is_usage_error(self, workdir, ce_checkpoint, capsys):
         root, config_path, data_dir = workdir
         code = main(["decode", "--checkpoint", str(ce_checkpoint),
@@ -605,12 +622,10 @@ class TestDecodeEval:
         assert code == 2
         assert "decode config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, method", [
-        ("beta", -1.0, "beam"), ("beta", float("nan"), "beam"),
-        ("beta_prime", -1.0, "bp"), ("beta_prime", float("nan"), "bp"),
-    ], ids=["beta-negative", "beta-nan", "beta-prime-negative", "beta-prime-nan"])
+    @pytest.mark.parametrize("key, value", [("beta", -1.0), ("beta", float("nan"))],
+                             ids=["beta-negative", "beta-nan"])
     def test_bad_decode_temperature_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
-                                                   key, value, method, capsys):
+                                                   key, value, capsys):
         _, config_path, data_dir = workdir
         bad = json.loads(config_path.read_text())
         bad["decode"][key] = value
@@ -618,17 +633,15 @@ class TestDecodeEval:
         bad_path.write_text(json.dumps(bad))  # NaN is written as a bare NaN token
         out = tmp_path / "caps.jsonl"
         code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(bad_path),
-                     "--data", str(data_dir), "--method", method,
-                     "--frozen", str(ce_checkpoint), "--out", str(out)])
+                     "--data", str(data_dir), "--out", str(out)])
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("beam_size", 2.5), ("beam_size", True), ("beam_size", "5"),
-        ("beta", True), ("beta_prime", False),
-    ], ids=["beam-size-float", "beam-size-bool", "beam-size-string",
-            "beta-bool", "beta-prime-bool"])
+        ("beta", True),
+    ], ids=["beam-size-float", "beam-size-bool", "beam-size-string", "beta-bool"])
     def test_decode_value_of_wrong_type_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
                                                        key, value, capsys):
         _, config_path, data_dir = workdir
@@ -644,6 +657,31 @@ class TestDecodeEval:
         assert "invalid decode config" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decode", "wft-sweep", "wft", "train-ce", "train-rl",
+                                         "gen-data", "loss-surface"])
+    def test_bp_decoding_in_the_config_is_usage_error(self, workdir, ce_checkpoint, tmp_path,
+                                                      command, capsys):
+        """The pipeline decodes with the model alone, so ``decode.method:
+        "bp"`` exits 2 naming the key, before any data is read, whichever
+        command reads the config."""
+        _, config_path, data_dir = workdir
+        bp_path = _write_config(tmp_path, config_path, "decode", "method", "bp")
+        out = tmp_path / "out"
+        data = ["--data", str(data_dir)]
+        argv = {"decode": ["decode", "--checkpoint", str(ce_checkpoint), *data],
+                "wft-sweep": ["finetune", "wft", "--sweep", "--checkpoint", str(ce_checkpoint),
+                              *data],
+                "wft": ["finetune", "wft", "--checkpoint", str(ce_checkpoint), "--lr", "0.01",
+                        "--beta-prime", "1.0", *data],
+                "train-ce": ["train", "ce", *data],
+                "train-rl": ["train", "rl", "--init", str(ce_checkpoint), *data],
+                "gen-data": ["gen-data"],
+                "loss-surface": ["analyze", "loss-surface", *ONE_BETA_PRIME],
+                }[command]
+        assert main([*argv, "--config", str(bp_path), "--out", str(out)]) == 2
+        assert "decode.method must be greedy or beam, got 'bp'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_from_other_dataset_rejected(self, workdir, ce_checkpoint, tmp_path):
         _, config_path, _ = workdir
         other = tmp_path / "other_data"
@@ -654,78 +692,6 @@ class TestDecodeEval:
                      "--config", str(config_path), "--data", str(other),
                      "--out", str(out)]) == 2
         assert not out.exists()
-
-    def test_frozen_checkpoint_missing_or_from_other_vocab(self, workdir, ce_checkpoint,
-                                                           tmp_path, capsys):
-        _, config_path, data_dir = workdir
-        params, _ = load_checkpoint(ce_checkpoint)
-        alien = init_params(build_vocab([["alien", "words"]], 1), params.dims, 0)
-        save_checkpoint(alien, tmp_path / "alien.npz")
-        for frozen, message in ((tmp_path / "missing.npz", "missing upstream checkpoint"),
-                                (tmp_path / "alien.npz", "vocabulary hash mismatch")):
-            out = tmp_path / "bp.jsonl"
-            code = main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
-                         "--data", str(data_dir), "--method", "bp", "--frozen", str(frozen),
-                         "--out", str(out)])
-            assert code == 2
-            assert message in capsys.readouterr().err
-            assert not out.exists()
-
-    def test_frozen_checkpoint_with_other_dims_is_usage_error(self, workdir, ce_checkpoint,
-                                                              tmp_path, capsys):
-        _, config_path, data_dir = workdir
-        params, _ = load_checkpoint(ce_checkpoint)
-        wider = init_params(params.vocab,
-                            replace(params.dims, hidden_dim=params.dims.hidden_dim + 1), 0)
-        save_checkpoint(wider, tmp_path / "frozen.npz")
-        out = tmp_path / "bp.jsonl"
-        assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
-                     "--data", str(data_dir), "--method", "bp",
-                     "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
-        assert (f"hidden_dim is {params.dims.hidden_dim + 1}, expected"
-                f" {params.dims.hidden_dim}") in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_frozen_checkpoint_with_bad_beta_prime_rejected(self, workdir, ce_checkpoint,
-                                                            tmp_path, capsys):
-        _, config_path, data_dir = workdir
-        params, _ = load_checkpoint(ce_checkpoint)
-        save_checkpoint(params, tmp_path / "frozen.npz", extra={"beta_prime": float("nan")})
-        out = tmp_path / "bp.jsonl"
-        assert main(["decode", "--checkpoint", str(ce_checkpoint), "--config", str(config_path),
-                     "--data", str(data_dir), "--method", "bp",
-                     "--frozen", str(tmp_path / "frozen.npz"), "--out", str(out)]) == 2
-        assert "beta_prime" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bp_beta_prime_from_the_frozen_checkpoint_else_the_config(self, workdir,
-                                                                      ce_checkpoint, tmp_path):
-        """bp decoding takes β′ from the frozen checkpoint's ``extra.beta_prime``
-        when it records one, and from ``decode.beta_prime`` only otherwise."""
-        _, config_path, data_dir = workdir
-        config = cli.load_config(str(config_path))
-        assert config["decode"]["beta_prime"] == 1.0
-        frozen_params, _ = load_checkpoint(ce_checkpoint)
-        params = frozen_params.copy()   # a classifier-only fine-tune of the frozen copy
-        params.cls_w += np.random.default_rng(0).normal(scale=0.5, size=params.cls_w.shape)
-        save_checkpoint(params, tmp_path / "model.npz")
-        save_checkpoint(frozen_params, tmp_path / "recorded.npz", extra={"beta_prime": 0.3})
-        save_checkpoint(frozen_params, tmp_path / "unrecorded.npz")
-        val = cli._load_bundle(str(data_dir), config).val
-        captions = {}
-        for name in ("recorded", "unrecorded"):
-            captions[name] = tmp_path / f"{name}.jsonl"
-            assert main(["decode", "--checkpoint", str(tmp_path / "model.npz"),
-                         "--config", str(config_path), "--data", str(data_dir),
-                         "--method", "bp", "--frozen", str(tmp_path / f"{name}.npz"),
-                         "--split", "val", "--out", str(captions[name])]) == 0
-        for name, beta_prime in (("recorded", 0.3), ("unrecorded", 1.0)):
-            expected = tmp_path / f"expected_{name}.jsonl"
-            save_captions(expected, val, decode_dataset(
-                params, val, replace(cli._decode_config(config), method="bp"),
-                FrozenReference(frozen_params, beta_prime)))
-            assert captions[name].read_bytes() == expected.read_bytes()
-        assert captions["recorded"].read_bytes() != captions["unrecorded"].read_bytes()
 
     def test_checkpoint_with_wrong_array_shape_rejected(self, workdir, ce_checkpoint, tmp_path,
                                                         capsys):
@@ -813,6 +779,18 @@ class TestDecodeEval:
         assert f"{caps}, line 3:" in capsys.readouterr().err
         assert list(tmp_path.glob("rep*")) == []
 
+    def test_caption_line_not_utf8_is_usage_error(self, workdir, tmp_path, capsys):
+        _, config_path, data_dir = workdir
+        caps = _reference_captions(data_dir, tmp_path / "caps.jsonl")
+        lines = caps.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"caption"', b'"\xffcaption"')
+        caps.write_bytes(b"".join(lines))
+        out = tmp_path / "rep"
+        assert main(["eval", "--captions", str(caps), "--config", str(config_path),
+                     "--data", str(data_dir), "--out", str(out)]) == 2
+        assert f"{caps}, line 3: not UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.glob("rep*")) == []
+
 
 class TestFinetuneCommand:
     def test_sft_fixed_lr(self, workdir, ce_checkpoint):
@@ -826,20 +804,19 @@ class TestFinetuneCommand:
         assert ft.encoder_hash() == base.encoder_hash()
         assert ft.classifier_hash() != base.classifier_hash()
 
-    def test_wft_sweep_writes_rows_and_frozen(self, workdir, ce_checkpoint):
+    def test_wft_sweep_writes_rows_and_the_model_alone(self, workdir, ce_checkpoint):
         root, config_path, data_dir = workdir
         out = root / "ft_wft"
         assert main(["finetune", "wft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 0
-        with open(out / "wft_plain_sweep.csv") as fh:
+        with open(out / "wft_sweep.csv") as fh:
             rows = [(float(row["lr"]), float(row["beta_prime"])) for row in csv.DictReader(fh)]
         grids = MICRO_CONFIG["finetune"]
         assert rows == [(lr, bp) for lr in grids["lr_grid"] for bp in grids["beta_prime_grid"]]
-        updated, _ = load_checkpoint(out / "wft.npz")
-        frozen, meta = load_checkpoint(out / "wft_frozen.npz")
-        assert updated.full_hash() != frozen.full_hash()
-        assert "beta_prime" in meta["extra"]
+        assert sorted(path.name for path in out.iterdir()) == ["wft.npz", "wft_sweep.csv"]
+        _, meta = load_checkpoint(out / "wft.npz")
+        assert "extra" not in meta
 
     def test_sweep_of_another_method_ignores_the_beta_prime_grid(self, workdir, ce_checkpoint,
                                                                  tmp_path):
@@ -848,59 +825,9 @@ class TestFinetuneCommand:
         assert main(["finetune", "sft", "--config", str(config_path),
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(out), "--sweep"]) == 0
-        with open(out / "sft_plain_sweep.csv") as fh:
+        with open(out / "sft_sweep.csv") as fh:
             rows = [(float(row["lr"]), row["beta_prime"]) for row in csv.DictReader(fh)]
         assert rows == [(lr, "") for lr in MICRO_CONFIG["finetune"]["lr_grid"]]
-
-    @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
-    def test_bp_sweep_needs_wft(self, workdir, ce_checkpoint, tmp_path, method, capsys):
-        """A sweep decodes the validation split with the decode section; bp
-        decoding needs the frozen reference that only wft trains against,
-        so the sweep is rejected before any point trains."""
-        _, config_path, data_dir = workdir
-        bp_path = _write_config(tmp_path, config_path, "decode", "method", "bp")
-        out = tmp_path / "ft"
-        assert main(["finetune", method, "--config", str(bp_path),
-                     "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                     "--out", str(out), "--sweep"]) == 2
-        assert "decode.method bp needs finetune wft" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bp_sweep_decodes_with_the_decode_section(self, workdir, ce_checkpoint, tmp_path):
-        """A wft sweep with ``decode.method: "bp"`` scores each point by a
-        beam search, with the section's beam size, over the bias product
-        with the point's frozen copy, and its checkpoints record a hash of
-        their own."""
-        _, _, data_dir = workdir
-        runs = {}
-        for name, method in (("plain", "beam"), ("bp", "bp")):
-            config = copy.deepcopy(MICRO_CONFIG)
-            config["decode"]["method"] = method
-            config["finetune"]["lr_grid"] = [1.0, 0.3]  # lrs at which bp and beam scores differ
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(config))
-            out = tmp_path / name
-            assert main(["finetune", "wft", "--config", str(path),
-                         "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                         "--out", str(out), "--sweep"]) == 0
-            with open(out / f"wft_{name}_sweep.csv") as fh:
-                runs[name] = (list(csv.DictReader(fh)), _recorded_hash(out))
-        assert runs["bp"][1] != runs["plain"][1]
-
-        config = cli.load_config(str(tmp_path / "plain.json"))
-        bundle = cli._load_bundle(str(data_dir), config)
-        vocab = cli._vocab_for(config, bundle)
-        checkpoint, _ = load_checkpoint(ce_checkpoint)
-        grids = config["finetune"]
-        points = [FinetuneConfig(method="wft", lr=lr, beta_prime=bp,
-                                 batch_size=grids["batch_size"])
-                  for lr in grids["lr_grid"] for bp in grids["beta_prime_grid"]]
-        bp_decoding = replace(cli._decode_config(config), method="bp", bp_base="beam")
-        expected = sweep(checkpoint, bundle, corpus_stats_for(vocab, bundle.train), points,
-                         config["seed"], bp_decoding)
-        assert runs["bp"][0] == [{key: str(value) for key, value in row.items()}
-                                 for row in expected.rows]
-        assert runs["bp"][0] != runs["plain"][0]
 
     @pytest.mark.parametrize("method,grids", [
         ("sft", {"lr_grid": []}),
@@ -927,20 +854,6 @@ class TestFinetuneCommand:
                      "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
                      "--out", str(root / "x")]) == 2
 
-    def test_bp_decoded_captions_from_wft(self, workdir, ce_checkpoint):
-        root, config_path, data_dir = workdir
-        out = root / "ft_wft"
-        if not (out / "wft.npz").exists():
-            main(["finetune", "wft", "--config", str(config_path),
-                  "--data", str(data_dir), "--checkpoint", str(ce_checkpoint),
-                  "--out", str(out), "--lr", "0.01", "--beta-prime", "1.0"])
-        caps = root / "bp_caps.jsonl"
-        assert main(["decode", "--checkpoint", str(out / "wft.npz"),
-                     "--config", str(config_path), "--data", str(data_dir),
-                     "--method", "bp", "--frozen", str(out / "wft_frozen.npz"),
-                     "--split", "val", "--out", str(caps)]) == 0
-        assert len(caps.read_text().strip().splitlines()) == MICRO_CONFIG["dataset"]["n_val"]
-
 
 def _checkpoint_argv(flag, ce_checkpoint, path, out):
     """A command line that loads ``path`` through ``--flag``."""
@@ -948,8 +861,6 @@ def _checkpoint_argv(flag, ce_checkpoint, path, out):
         "init": ["train", "rl", "--init", str(path), "--out", str(out)],
         "checkpoint": ["finetune", "sft", "--lr", "0.01", "--checkpoint", str(path),
                        "--out", str(out)],
-        "frozen": ["decode", "--method", "bp", "--checkpoint", str(ce_checkpoint),
-                   "--frozen", str(path), "--out", str(out)],
     }[flag]
 
 
@@ -962,7 +873,7 @@ class TestCheckpointChecks:
         ("hidden_dim", "hidden_dim is 9, expected 8"),
         ("max_len", "max_len is 13, expected 12"),
     ], ids=["vocab", "hidden-dim", "max-len"])
-    @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
+    @pytest.mark.parametrize("flag", ["init", "checkpoint"])
     def test_checkpoint_not_of_this_data_and_config_is_usage_error(
             self, workdir, ce_checkpoint, tmp_path, flag, problem, message, capsys):
         _, config_path, data_dir = workdir
@@ -981,50 +892,40 @@ class TestCheckpointChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("malformation", ["no-meta", "meta-without-vocab", "no-cls-w",
-                                              "meta-is-list", "tokens-not-a-list",
-                                              "extra-not-object"])
-    @pytest.mark.parametrize("flag", ["init", "checkpoint", "frozen"])
+                                              "meta-is-list", "tokens-not-a-list", "empty",
+                                              "truncated", "npy"])
+    @pytest.mark.parametrize("flag", ["init", "checkpoint"])
     def test_malformed_checkpoint_is_usage_error(self, workdir, ce_checkpoint, tmp_path, flag,
                                                  malformation, capsys):
         _, config_path, data_dir = workdir
         with np.load(ce_checkpoint) as data:
             members = dict(data)
-        if malformation in ("meta-without-vocab", "meta-is-list", "tokens-not-a-list",
-                            "extra-not-object"):
-            meta = json.loads(bytes(members["meta"]).decode("utf-8"))
-            if malformation == "meta-without-vocab":
-                del meta["vocab"]
-            elif malformation == "meta-is-list":
-                meta = [meta]
-            elif malformation == "extra-not-object":
-                meta["extra"] = None
-            else:
-                meta["vocab"]["tokens"] = 7
-            members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        else:
-            del members[{"no-meta": "meta", "no-cls-w": "cls_w"}[malformation]]
         bad_path = tmp_path / "bad.npz"
-        np.savez(bad_path, **members)
+        good = ce_checkpoint.read_bytes()
+        if malformation == "empty":
+            bad_path.write_bytes(b"")
+        elif malformation == "truncated":
+            bad_path.write_bytes(good[: len(good) // 2])
+        elif malformation == "npy":
+            with open(bad_path, "wb") as fh:
+                np.save(fh, members["cls_w"])
+        else:
+            if malformation in ("meta-without-vocab", "meta-is-list", "tokens-not-a-list"):
+                meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+                if malformation == "meta-without-vocab":
+                    del meta["vocab"]
+                elif malformation == "meta-is-list":
+                    meta = [meta]
+                else:
+                    meta["vocab"]["tokens"] = 7
+                members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            else:
+                del members[{"no-meta": "meta", "no-cls-w": "cls_w"}[malformation]]
+            np.savez(bad_path, **members)
         out = tmp_path / "out"
         argv = _checkpoint_argv(flag, ce_checkpoint, bad_path, out)
         assert main([*argv, "--config", str(config_path), "--data", str(data_dir)]) == 2
         assert f"invalid checkpoint {bad_path}: " in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_frozen_reference_of_another_encoder_is_usage_error(self, workdir, ce_checkpoint,
-                                                                 tmp_path, capsys):
-        """bp decoding reads one recurrence through both classifiers, so the
-        frozen reference must share the model's encoder: the CE checkpoint
-        is not the frozen copy of an RL model trained from it."""
-        _, config_path, data_dir = workdir
-        rl_out = tmp_path / "rl"
-        assert main(["train", "rl", "--config", str(config_path), "--data",
-                     str(data_dir), "--init", str(ce_checkpoint), "--out", str(rl_out)]) == 0
-        out = tmp_path / "bp.jsonl"
-        assert main(["decode", "--method", "bp", "--checkpoint", str(rl_out / "rl.npz"),
-                     "--frozen", str(ce_checkpoint), "--config", str(config_path),
-                     "--data", str(data_dir), "--out", str(out)]) == 2
-        assert "shares the model's" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1068,9 +969,9 @@ def _run(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
 
 def _argv(workdir, ce_checkpoint, command, config_path, out_dir, flags=()):
     _, _, data_dir = workdir
-    if command == "loss-surface":  # reads no data
+    if command == "loss-surface":  # reads no data, and one β′
         return ["analyze", "loss-surface", "--out", str(out_dir / "surface.csv"),
-                "--config", str(config_path), *flags]
+                "--config", str(config_path), *ONE_BETA_PRIME, *flags]
     argv = {
         "decode": ["decode", "--checkpoint", str(ce_checkpoint), "--out", str(out_dir / "caps.jsonl")],
         "wft": ["finetune", "wft", "--checkpoint", str(ce_checkpoint),
@@ -1097,7 +998,7 @@ class TestFlagsFoldIntoConfig:
     @pytest.mark.parametrize("command, flags, section, edits", [
         ("decode", ["--beam-size", "2"], "decode", {"beam_size": 2}),
         ("decode", ["--method", "greedy"], "decode", {"method": "greedy"}),
-        ("loss-surface", ["--gamma", "0.2"], "finetune", {"gamma": 0.2}),
+        ("loss-surface", ["--gamma", "0.2"], "finetune", {"gamma": 0.2, "beta_prime_grid": [1.0]}),
         ("wft", ["--lr", "0.05", "--beta-prime", "0.5"], "finetune",
          {"lr_grid": [0.05], "beta_prime_grid": [0.5]}),
     ], ids=["beam-size", "method", "gamma", "lr-beta-prime"])
@@ -1135,7 +1036,7 @@ class TestFlagsFoldIntoConfig:
         _, config_path, _ = workdir
         out = tmp_path / "ft"
         assert _run(workdir, ce_checkpoint, "sft-sweep", config_path, out, ["--lr", "0.5"]) == 0
-        with open(out / "sft_plain_sweep.csv") as fh:
+        with open(out / "sft_sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(row["lr"]) for row in rows] == [0.5]
 
@@ -1189,8 +1090,7 @@ class TestFlagsFoldIntoConfig:
                 assert key in default and not isinstance(default[key], dict), action.dest
                 assert action.default is None, action.dest
                 dests.add(action.dest)
-        assert dests == {"seed", "decode.method", "decode.beam_size",
-                         "decode.beta", "decode.beta_prime",
+        assert dests == {"seed", "decode.method", "decode.beam_size", "decode.beta",
                          "finetune.lr_grid", "finetune.beta_prime_grid", "finetune.gamma",
                          "finetune.alpha"}
 
@@ -1199,7 +1099,7 @@ class TestFlagsFoldIntoConfig:
         covers, or names a path or a mode: no setting reaches a run outside
         the hashed config.  The one exception is the extent of an analysis
         (how many samples, which p1 grid), whose CSV records no hash."""
-        paths_and_modes = {"config", "data", "out", "init", "checkpoint", "frozen", "captions",
+        paths_and_modes = {"config", "data", "out", "init", "checkpoint", "captions",
                            "references", "split", "run_id", "sweep", "help"}
         extents = {"samples", "p1_min", "p1_max", "grid_points"}
         for path, command in _leaf_parsers():
@@ -1282,7 +1182,7 @@ class TestConfigHash:
         assert not out.exists()
 
     def test_default_config_hash_unchanged(self, tmp_path):
-        default_hash = "b9d550ee649382746a059890cf5d95913d152bf314713f6c14610e4e29ae1d5a"
+        default_hash = "0e6d185b0b0951b65b8586cc01c13d825bf8bad2e53eb8600019a16695be95ca"
         assert config_hash(cli.load_config(None)) == default_hash
         path = tmp_path / "default.json"
         path.write_text(json.dumps(cli.DEFAULT_CONFIG))
@@ -1345,10 +1245,32 @@ class TestAnalyze:
         root, config_path, _ = workdir
         out = root / "surface.csv"
         assert main(["analyze", "loss-surface", "--config", str(config_path),
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *ONE_BETA_PRIME]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["p1", "ce", "bp", "fl", "afl"]
+
+    def test_loss_surface_reads_the_fine_tunes_beta_prime(self, workdir, tmp_path):
+        """β′ is ``finetune.beta_prime_grid``'s, as for ``finetune wft``: the
+        flag sets a one-point grid, and the surface is the library's at it."""
+        _, config_path, _ = workdir
+        out = tmp_path / "surface.csv"
+        assert main(["analyze", "loss-surface", "--config", str(config_path),
+                     "--out", str(out), "--beta-prime", "0.3", "--grid-points", "5"]) == 0
+        expected = tmp_path / "expected.csv"
+        cli._write_csv(expected, loss_surface(np.linspace(0.005, 0.995, 5), beta=1.0,
+                                              beta_prime=0.3, gamma=1.0, alpha=1.0),
+                       ["p1", "ce", "bp", "fl", "afl"])
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_loss_surface_of_a_two_value_grid_is_usage_error(self, workdir, tmp_path, capsys):
+        _, config_path, _ = workdir
+        out = tmp_path / "surface.csv"
+        assert main(["analyze", "loss-surface", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "finetune.beta_prime_grid has 2 values" in err and "--beta-prime" in err
+        assert not out.exists()
 
     def test_loss_surface_at_large_beta_is_finite(self, workdir, tmp_path):
         # at decode.beta 1000 every tempered p**beta of about half the grid
@@ -1362,7 +1284,7 @@ class TestAnalyze:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["analyze", "loss-surface", "--config", str(edited),
-                         "--out", str(out)]) == 0
+                         "--out", str(out), *ONE_BETA_PRIME]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 199
@@ -1370,15 +1292,19 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--beta", "nan", "decode.beta"), ("--gamma", "nan", "finetune.gamma"),
-        ("--beta-prime", "inf", "decode.beta_prime"), ("--gamma", "-1", "finetune.gamma"),
+        ("--beta-prime", "inf", "finetune.beta_prime_grid[0]"),
+        ("--beta-prime", "nan", "finetune.beta_prime_grid[0]"),
+        ("--beta-prime", "-1", "finetune.beta_prime_grid[0]"),
+        ("--gamma", "-1", "finetune.gamma"),
         ("--alpha", "-0.5", "finetune.alpha"),
-    ], ids=["beta-nan", "gamma-nan", "beta-prime-inf", "gamma-negative", "alpha-negative"])
+    ], ids=["beta-nan", "gamma-nan", "beta-prime-inf", "beta-prime-nan", "beta-prime-negative",
+            "gamma-negative", "alpha-negative"])
     def test_loss_surface_bad_number_is_usage_error(self, workdir, tmp_path, flag, value,
                                                     named, capsys):
         _, config_path, _ = workdir
         out = tmp_path / "surface.csv"
         assert main(["analyze", "loss-surface", "--config", str(config_path),
-                     "--out", str(out), f"{flag}={value}"]) == 2
+                     "--out", str(out), *ONE_BETA_PRIME, f"{flag}={value}"]) == 2
         assert f"{named} must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1386,12 +1312,15 @@ class TestAnalyze:
         ("sample-freq", ["--beta", "0.2"], {"decode.beta": 0.2}),
         ("loss-surface", ["--beta", "0.3"], {"decode.beta": 0.3}),
         ("loss-surface", ["--beta-prime", "0.5", "--gamma", "2", "--alpha", "0.5"],
-         {"decode.beta_prime": 0.5, "finetune.gamma": 2.0, "finetune.alpha": 0.5}),
+         {"finetune.beta_prime_grid": [0.5], "finetune.gamma": 2.0, "finetune.alpha": 0.5}),
     ], ids=["sample-freq-beta", "loss-surface-beta", "loss-surface-beta-prime-gamma-alpha"])
     def test_analysis_flags_fold_into_config(self, workdir, ce_checkpoint, tmp_path, what,
                                              flags, edits):
         _, config_path, data_dir = workdir
         config = json.loads(config_path.read_text())
+        config["finetune"]["beta_prime_grid"] = [1.0]  # the one β′ loss-surface reads
+        config_path = tmp_path / "one_beta_prime.json"
+        config_path.write_text(json.dumps(config))
         for dest, value in edits.items():
             section, key = dest.split(".")
             config[section][key] = value
@@ -1476,7 +1405,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("what, flag", [
         ("sample-freq", ["--samples", "0"]), ("sample-freq", ["--samples", "-3"]),
-        ("loss-surface", ["--grid-points", "0"]), ("loss-surface", ["--grid-points", "-1"]),
+        ("loss-surface", [*ONE_BETA_PRIME, "--grid-points", "0"]),
+        ("loss-surface", [*ONE_BETA_PRIME, "--grid-points", "-1"]),
     ], ids=["samples-0", "samples-negative", "grid-points-0", "grid-points-negative"])
     def test_count_below_one_is_usage_error(self, workdir, ce_checkpoint, tmp_path, what, flag,
                                             capsys):
@@ -1484,7 +1414,7 @@ class TestAnalyze:
         out = tmp_path / "an.csv"
         assert main(["analyze", what, "--config", str(config_path), "--out", str(out),
                      *_analysis_inputs(what, data_dir, ce_checkpoint), *flag]) == 2
-        assert f"{flag[0]} must be" in capsys.readouterr().err
+        assert f"{flag[-2]} must be" in capsys.readouterr().err
         assert not out.exists()
 
 

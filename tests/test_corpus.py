@@ -25,6 +25,7 @@ from caplab.corpus import (
     record_from_json,
     record_to_json,
     save_dataset_split,
+    text_lines,
 )
 
 
@@ -260,6 +261,33 @@ class TestDatasetIO:
         with pytest.raises(ValueError) as info:
             load_dataset_split(path, "val", 2)
         assert str(info.value) == f"{path} holds no record"
+
+    def test_split_line_not_utf8_names_the_line(self, tmp_path):
+        """Each line is decoded from its own bytes, so the line number is
+        exact past the first 8 KiB, which a text-mode read decodes at once."""
+        path = tmp_path / "train.jsonl"
+        lines = [record_to_json(ImageRecord(id=i, features=np.zeros(8), references=[["a"]]))
+                 .encode("utf-8") for i in range(200)]
+        lines[150] = lines[150].replace(b'"a"', b'"\xff"')
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(b"\n".join(lines[:150])) > 8192
+        with pytest.raises(ValueError) as info:
+            load_dataset_split(path, "train", 8)
+        assert str(info.value).startswith(f"{path}, line 151: not UTF-8")
+
+    def test_crlf_split_file_loads(self, micro_bundle, tmp_path):
+        path = tmp_path / "train.jsonl"
+        save_dataset_split(micro_bundle.train, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_dataset_split(path, "train", micro_bundle.config.feature_dim)
+        assert [rec.id for rec in loaded.records] == [rec.id for rec in micro_bundle.train.records]
+
+    def test_text_lines_numbers_every_line_and_ends_lines_at_newline(self, tmp_path):
+        """Blank lines are skipped but counted, a ``\r\n`` ending is
+        stripped, and a lone ``\r`` stays inside its line."""
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\r\n\n  \nb\rc\nlast")
+        assert list(text_lines(path)) == [(1, "a"), (4, "b\rc"), (5, "last")]
 
     def test_special_token_in_reference_rejected(self):
         rec = ImageRecord(id=1, features=np.zeros(2), references=[[BOS, "a"]])

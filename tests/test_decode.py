@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -288,6 +289,23 @@ class TestHygiene:
         assert len(loaded) == len(micro_bundle.val)
         for rec, dec in zip(micro_bundle.val.records, decoded):
             assert loaded[rec.id] == dec.tokens
+
+    def test_crlf_caption_file_loads(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        lines = [json.dumps({"id": i, "caption": f"a b{i}", "logprob": -1.0}) for i in range(3)]
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        assert load_captions(path) == {i: ["a", f"b{i}"] for i in range(3)}
+
+    def test_caption_line_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        lines = [json.dumps({"id": i, "caption": "a b c d e f g h", "logprob": -1.0})
+                 .encode("utf-8") for i in range(300)]
+        lines[250] = lines[250].replace(b"a b", b"\xff b")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(b"\n".join(lines[:250])) > 8192
+        with pytest.raises(ValueError) as info:
+            load_captions(path)
+        assert str(info.value).startswith(f"{path}, line 251: not UTF-8")
 
     def test_split_decoding_never_mutates_params_or_frozen(self, small_vocab, small_dims):
         params, frozen = shared_encoder_pair(small_vocab, small_dims, 22)
@@ -667,7 +685,7 @@ class TestSplitEdgeCases:
         """Every method is a deterministic search: the config carries no
         seed and no sampling setting, and a sampling method is rejected."""
         assert [f.name for f in fields(DecodeConfig)] == [
-            "method", "beam_size", "max_len", "beta", "beta_prime", "bp_base"]
+            "method", "beam_size", "max_len", "beta", "bp_base"]
         with pytest.raises(ValueError, match="greedy, beam or bp"):
             DecodeConfig(method="nucleus").validate()
 
@@ -697,8 +715,7 @@ class TestSplitEdgeCases:
             DecodeConfig(method="bp", bp_base="greedy").validate()
 
     @pytest.mark.parametrize("field, value", [
-        ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),
-        ("beta_prime", -1.0), ("beta_prime", float("nan")), ("max_len", 0),
+        ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")), ("max_len", 0),
     ])
     def test_bad_temperatures_and_max_len_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -707,13 +724,12 @@ class TestSplitEdgeCases:
     @pytest.mark.parametrize("field, value", [
         ("beam_size", 2.5), ("beam_size", 3.0), ("beam_size", True), ("beam_size", "5"),
         ("beam_size", None), ("max_len", 2.5), ("max_len", True), ("max_len", "4"),
-        ("beta", True), ("beta", False), ("beta", "1"), ("beta_prime", True),
-        ("beta_prime", "0.5"),
+        ("beta", True), ("beta", False), ("beta", "1"),
     ])
     def test_wrong_types_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value}).validate()
 
     def test_integers_and_reals_of_any_kind_accepted(self):
-        DecodeConfig(beam_size=np.int64(3), max_len=np.int32(4), beta=1,
-                     beta_prime=np.float32(0.5)).validate()
+        DecodeConfig(beam_size=np.int64(3), max_len=np.int32(4), beta=np.float32(0.5)).validate()
+        DecodeConfig(beta=1).validate()

@@ -313,16 +313,6 @@ class TestSweep:
         assert [(row["lr"], row["beta_prime"]) for row in result.rows] == \
             [(0.02, 0.1), (0.02, 1.0), (0.002, 0.1), (0.002, 1.0)]
 
-    def test_plain_and_bp_sweeps_are_independent(self, sweep_setup, micro_bundle):
-        checkpoint, stats, decode_config = sweep_setup
-        points = _points("wft", [0.02, 0.002], [0.1, 1.0])
-        plain = sweep(checkpoint, micro_bundle, stats, points, 0, decode_config)
-        bp = sweep(checkpoint, micro_bundle, stats, points, 0, replace(decode_config, method="bp"))
-        assert len(plain.rows) == len(bp.rows) == 4
-        # selections are made from separately decoded validation scores; the
-        # harness never couples them
-        assert plain.best is not bp.best
-
     def test_tie_breaks_to_smaller_lr(self, sweep_setup, micro_bundle):
         checkpoint, stats, decode_config = sweep_setup
         # lr=0 twice: identical models, identical scores; smaller lr wins
@@ -395,9 +385,10 @@ class TestSweep:
                       0, decode_config)
         assert steps == []
 
-    @pytest.mark.parametrize("method", ["sft", "fl", "afl"])
-    def test_bp_decoding_needs_wft(self, sweep_setup, micro_bundle, method):
-        """Only wft trains the frozen reference that bp decoding reads."""
+    @pytest.mark.parametrize("method", ["sft", "wft", "fl", "afl"])
+    def test_sweep_decodes_with_the_model_alone(self, sweep_setup, micro_bundle, method):
+        """The sweep passes no frozen reference to the decoder, wft's frozen
+        copy included, so bp decoding finds none."""
         checkpoint, stats, decode_config = sweep_setup
         with pytest.raises(ValueError, match="frozen reference"):
             sweep(checkpoint, micro_bundle, stats, _points(method, [0.01]), 0,

@@ -296,22 +296,39 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez(path, **arrays)
 
-    @pytest.mark.parametrize("extra", [None, [0.7], "beta_prime", 0.7],
-                             ids=["null", "list", "string", "number"])
-    def test_extra_not_an_object_rejected(self, tiny_model, tmp_path, extra):
+    def test_metadata_has_no_extra(self, tiny_model, tmp_path):
         path = tmp_path / "model.npz"
-        save_checkpoint(tiny_model, path, extra={"beta_prime": 0.7})
-        self.rewrite_meta(path, lambda meta: meta.update(extra=extra))
-        with pytest.raises(ValueError, match="extra is not a JSON object"):
-            load_checkpoint(path)
+        save_checkpoint(tiny_model, path, config_hash="deadbeef")
+        _, meta = load_checkpoint(path)
+        assert set(meta) == {"version", "dims", "vocab", "vocab_hash", "config_hash"}
 
-    def test_absent_extra_loads(self, tiny_model, tmp_path):
+    @pytest.mark.parametrize("extra", [{"beta_prime": 0.3}, None, [0.7]],
+                             ids=["object", "null", "list"])
+    def test_extra_of_an_older_checkpoint_is_ignored(self, tiny_model, tmp_path, extra):
         path = tmp_path / "model.npz"
         save_checkpoint(tiny_model, path)
-        self.rewrite_meta(path, lambda meta: meta.pop("extra"))
+        self.rewrite_meta(path, lambda meta: meta.update(extra=extra))
         loaded, meta = load_checkpoint(path)
-        assert "extra" not in meta
+        assert meta["extra"] == extra
         assert loaded.full_hash() == tiny_model.full_hash()
+
+    @pytest.mark.parametrize("content, message", [
+        (lambda good: b"", "not an .npz archive: No data left in file"),
+        (lambda good: good[: len(good) // 2], "not an .npz archive: File is not a zip file"),
+        (lambda good: good[-len(good) // 2:], "not an .npz archive"),
+        (None, "not an .npz archive but a single .npy array"),
+    ], ids=["empty", "truncated", "tail", "npy"])
+    def test_file_that_is_not_an_archive_rejected(self, tiny_model, tmp_path, content,
+                                                   message):
+        path = tmp_path / "model.npz"
+        save_checkpoint(tiny_model, path)
+        if content is None:
+            with open(path, "wb") as fh:
+                np.save(fh, tiny_model.cls_w)
+        else:
+            path.write_bytes(content(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
 
 def masked_sigmoid(x):
